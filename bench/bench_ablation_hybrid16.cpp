@@ -88,7 +88,8 @@ int main(int argc, char** argv) {
                            .custom = point.label});
     }
   }
-  const auto sat_outcomes = sweep.anchor_saturation(runner, sat_specs);
+  const auto sat_outcomes =
+      sweep.anchors<stats::SaturationProtocol>(runner, sat_specs);
   // Phase-1 workers stop here: the downstream specs need anchor results
   // this shard did not simulate.
   if (sweep.anchors_only()) return sweep.finish();
@@ -124,8 +125,10 @@ int main(int argc, char** argv) {
                            .factory = {},
                            .custom = point.label});
   }
-  const auto lat_outcomes = sweep.latency_sweep("latency", runner, lat_specs);
-  const auto power_outcomes = sweep.power_sweep("power", runner, power_specs);
+  const auto lat_outcomes =
+      sweep.grid<stats::LatencyProtocol>("latency", runner, lat_specs);
+  const auto power_outcomes =
+      sweep.grid<stats::PowerProtocol>("power", runner, power_specs);
   metrics.add_all("latency", lat_outcomes);
   metrics.add_all("power", power_outcomes);
   metrics.write(opts);

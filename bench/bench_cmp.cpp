@@ -91,18 +91,14 @@ int main(int argc, char** argv) {
           arch, workload::to_string(workloads[w]), traces[w]));
     }
   }
-  const auto outcomes = sweep.cmp_grid("cmp", runner, specs);
+  const auto outcomes = sweep.grid<stats::CmpProtocol>("cmp", runner, specs);
   specnoc::bench::MetricsReport metrics;
   metrics.add_all("cmp", outcomes);
   metrics.write(opts);
   if (!sweep.should_render()) return sweep.finish();
 
   specnoc::bench::TelemetryTable telemetry;
-  for (const auto& outcome : outcomes) {
-    telemetry.add(std::string(core::to_string(outcome.spec.arch)) + "/" +
-                      outcome.spec.workload,
-                  outcome.run);
-  }
+  telemetry.add_all(outcomes);
 
   // One table per workload: end-to-end makespan plus the protocol shape
   // that produced it.

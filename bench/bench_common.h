@@ -6,7 +6,7 @@
 // substrate is a calibrated simulator); the claims under reproduction are
 // the relative numbers.
 //
-// Grids run through stats::ExperimentRunner's batch APIs on a work-stealing
+// Grids run through stats::ExperimentRunner::run_grid on a work-stealing
 // pool (--jobs N, default: hardware concurrency). Results are aggregated in
 // spec order, so the tables are byte-identical for any thread count;
 // --jobs 1 preserves the exact serial code path.
@@ -341,12 +341,10 @@ class TelemetryTable {
     if (!run.ok) ++failures_;
   }
 
-  template <typename Outcome>
-  void add_all(const std::vector<Outcome>& outcomes) {
+  template <typename P>
+  void add_all(const std::vector<stats::Outcome<P>>& outcomes) {
     for (const auto& outcome : outcomes) {
-      add(std::string(core::to_string(outcome.spec.arch)) + "/" +
-              traffic::to_string(outcome.spec.bench),
-          outcome.run);
+      add(P::label(outcome.spec), outcome.run);
     }
   }
 
@@ -390,14 +388,14 @@ class TelemetryTable {
 /// — add_all() and write() are no-ops — unless --metrics was given.
 class MetricsReport {
  public:
-  template <typename Outcome>
+  template <typename P>
   void add_all(const std::string& grid,
-               const std::vector<Outcome>& outcomes) {
+               const std::vector<stats::Outcome<P>>& outcomes) {
     for (const auto& outcome : outcomes) {
       if (!outcome.metrics.has_value()) continue;
       util::Json entry = util::Json::object();
       entry.set("grid", grid);
-      entry.set("key", stats::spec_key(outcome.spec));
+      entry.set("key", P::spec_key(outcome.spec));
       entry.set("metrics", stats::to_json(*outcome.metrics));
       spills_total_ += outcome.metrics->dest_spills;
       spill_bytes_total_ += outcome.metrics->dest_spill_bytes;

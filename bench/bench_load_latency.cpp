@@ -38,7 +38,8 @@ int main(int argc, char** argv) {
                           .factory = {}, .custom = {}});
     }
   }
-  const auto sat_outcomes = sweep.anchor_saturation(runner, sat_specs);
+  const auto sat_outcomes =
+      sweep.anchors<stats::SaturationProtocol>(runner, sat_specs);
   // Phase-1 workers stop here: the downstream specs need anchor results
   // this shard did not simulate.
   if (sweep.anchors_only()) return sweep.finish();
@@ -65,7 +66,8 @@ int main(int argc, char** argv) {
     }
     anchor += core::dse_architectures().size();
   }
-  const auto lat_outcomes = sweep.latency_sweep("latency", runner, lat_specs);
+  const auto lat_outcomes =
+      sweep.grid<stats::LatencyProtocol>("latency", runner, lat_specs);
   metrics.add_all("latency", lat_outcomes);
   metrics.write(opts);
   if (!sweep.should_render()) return sweep.finish();

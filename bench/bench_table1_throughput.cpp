@@ -62,7 +62,8 @@ int main(int argc, char** argv) {
                       .factory = {}, .custom = {}});
     }
   }
-  const auto outcomes = sweep.saturation_grid("throughput", runner, specs);
+  const auto outcomes =
+      sweep.grid<stats::SaturationProtocol>("throughput", runner, specs);
   specnoc::bench::MetricsReport metrics;
   metrics.add_all("throughput", outcomes);
   metrics.write(opts);

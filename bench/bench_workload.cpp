@@ -72,19 +72,15 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const auto outcomes = sweep.workload_grid("workload", runner, specs);
+  const auto outcomes =
+      sweep.grid<stats::WorkloadProtocol>("workload", runner, specs);
   specnoc::bench::MetricsReport metrics;
   metrics.add_all("workload", outcomes);
   metrics.write(opts);
   if (!sweep.should_render()) return sweep.finish();
 
   specnoc::bench::TelemetryTable telemetry;
-  for (const auto& outcome : outcomes) {
-    telemetry.add(std::string(core::to_string(outcome.spec.arch)) + "/" +
-                      outcome.spec.workload + "/" +
-                      workload::to_string(outcome.spec.mode),
-                  outcome.run);
-  }
+  telemetry.add_all(outcomes);
 
   // One table per workload: completion time and latency profile per
   // network, closed loop next to timed.

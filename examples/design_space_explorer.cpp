@@ -142,7 +142,8 @@ int main(int argc, char** argv) {
   // Phase 1: each point's saturation anchor — run in full in every mode so
   // all shard workers derive identical latency/power grids. Phase 2:
   // latency and power at 25% of it, the grids that get sharded.
-  const auto sat_outcomes = sweep.anchor_saturation(runner, sat_specs);
+  const auto sat_outcomes =
+      sweep.anchors<stats::SaturationProtocol>(runner, sat_specs);
   std::vector<stats::LatencySpec> lat_specs;
   std::vector<stats::PowerSpec> power_specs;
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -162,8 +163,10 @@ int main(int argc, char** argv) {
                            .factory = sat_specs[i].factory,
                            .custom = points[i].label});
   }
-  const auto lat_outcomes = sweep.latency_sweep("latency", runner, lat_specs);
-  const auto power_outcomes = sweep.power_sweep("power", runner, power_specs);
+  const auto lat_outcomes =
+      sweep.grid<stats::LatencyProtocol>("latency", runner, lat_specs);
+  const auto power_outcomes =
+      sweep.grid<stats::PowerProtocol>("power", runner, power_specs);
   if (!metrics_path.empty()) {
     // Same document shape as the harnesses' --metrics files (see
     // EXPERIMENTS.md): one entry per run that carried a snapshot.

@@ -233,28 +233,35 @@ int run(const Options& opts) {
                    "--synth NAME\n");
       return 2;
     }
-    const workload::Trace trace =
+    const auto trace = std::make_shared<const workload::Trace>(
         opts.workload_path.empty()
             ? workload::make_synth_workload(
                   workload::synth_from_string(opts.synth_name), cfg.n,
                   cfg.flits_per_packet, opts.seed)
-            : workload::load_trace(opts.workload_path);
-    if (!opts.dump_path.empty()) {
-      workload::save_trace(trace, opts.dump_path);
-      std::printf("wrote %zu-message trace to %s (hash %s)\n",
-                  trace.records.size(), opts.dump_path.c_str(),
-                  workload::trace_hash(trace).c_str());
-    }
+            : workload::load_trace(opts.workload_path));
     const auto mode = workload::replay_mode_from_string(opts.replay_mode);
-    const auto result = runner.run_workload(
-        [arch, cfg] { return std::make_unique<core::MotNetwork>(arch, cfg); },
-        trace, mode);
+    const stats::WorkloadSpec spec =
+        stats::make_workload_spec(arch, trace->meta.generator, mode, trace);
+    if (!opts.dump_path.empty()) {
+      workload::save_trace(*trace, opts.dump_path);
+      std::printf("wrote %zu-message trace to %s (hash %s)\n",
+                  trace->records.size(), opts.dump_path.c_str(),
+                  spec.trace_hash.c_str());
+    }
+    const auto outcome = runner.run_grid<stats::WorkloadProtocol>(
+        {spec}, {.jobs = 1, .max_attempts = 1})[0];
+    if (!outcome.run.ok) {
+      std::fprintf(stderr, "error: %s\n",
+                   outcome.run.error.c_str());
+      return 1;
+    }
+    const auto& result = outcome.result;
     std::printf("%s / %s replay of %s (%llu messages, trace %s)\n",
                 opts.arch.c_str(), workload::to_string(mode),
-                trace.meta.generator.empty() ? "<trace>"
-                                             : trace.meta.generator.c_str(),
+                trace->meta.generator.empty() ? "<trace>"
+                                              : trace->meta.generator.c_str(),
                 static_cast<unsigned long long>(result.messages),
-                workload::trace_hash(trace).c_str());
+                spec.trace_hash.c_str());
     std::printf("  makespan: %.3f ns   delivered: %llu/%llu messages, "
                 "%llu flits\n",
                 result.makespan_ns,

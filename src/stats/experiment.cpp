@@ -1,120 +1,16 @@
 #include "stats/experiment.h"
 
-#include "core/registry.h"
-
 #include <cstdio>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 
-#include "cmp/access_source.h"
-#include "cmp/system.h"
-#include "noc/dest_set.h"
-#include "power/power_meter.h"
-#include "stats/recorder.h"
-#include "traffic/driver.h"
-#include "util/contract.h"
-#include "util/error.h"
-#include "util/log.h"
+#include "core/mot_network.h"
+#include "core/registry.h"
 
 namespace specnoc::stats {
 
-using namespace specnoc::literals;
-
 namespace {
-
-sim::RunnerOptions runner_options(const BatchOptions& options) {
-  sim::RunnerOptions runner;
-  runner.jobs = options.jobs;
-  runner.max_attempts = options.max_attempts;
-  runner.progress_interval_ms = options.progress_interval_ms;
-  runner.progress_label = options.progress_label;
-  return runner;
-}
-
-// Window-protocol shape of a partitioned run (empty when sequential).
-// Everything recorded is thread-count-invariant.
-PdesMetrics pdes_shape(noc::Network& net) {
-  PdesMetrics pdes;
-  sim::PartitionedScheduler* psched = net.partitioned_scheduler();
-  if (psched == nullptr) return pdes;
-  pdes.lanes = psched->lanes();
-  pdes.lookahead_ps = psched->lookahead();
-  pdes.windows = psched->windows();
-  pdes.lane_events = psched->per_lane_executed();
-  pdes.lane_idle_windows = psched->per_lane_idle_windows();
-  return pdes;
-}
-
-// Per-run measurement rig behind RunProbes: wires the metrics registry and
-// (when sampling) the telemetry sampler into a freshly built network, and
-// harvests everything after the run. Construction snapshots the process-wide
-// DestSet spill counter so harvest() can attribute the delta to this run.
-class ProbeRig {
- public:
-  explicit ProbeRig(const RunProbes& probes)
-      : probes_(probes),
-        spills_at_start_(noc::DestSet::spill_allocations()),
-        spill_bytes_at_start_(noc::DestSet::spill_bytes()) {
-    if (sampling()) sampler_.emplace(probes_.telemetry);
-  }
-
-  bool collecting() const { return probes_.metrics != nullptr; }
-  bool sampling() const {
-    return collecting() && probes_.telemetry.enabled();
-  }
-
-  /// Installs the observer; call after the network is built, before it
-  /// runs. Leaves hooks untouched when nothing is collected. The sampler
-  /// needs no observer of its own — it diffs the registry's running totals
-  /// at epoch boundaries.
-  void attach(noc::Network& net) {
-    if (!collecting()) return;
-    net.hooks().metrics = &registry_;
-    if (sampling()) sampler_->arm(net, registry_);
-  }
-
-  /// Harvests every requested probe after the run completed.
-  void harvest(noc::Network& net) {
-    if (probes_.events != nullptr) *probes_.events = net.executed();
-    PdesMetrics pdes = pdes_shape(net);
-    if (probes_.pdes != nullptr) *probes_.pdes = pdes;
-    if (!collecting()) return;
-    registry_.record_pdes(std::move(pdes));
-    if (sampling()) registry_.record_telemetry(sampler_->finish());
-    registry_.record_dest_spills(noc::DestSet::spill_allocations() -
-                                 spills_at_start_);
-    registry_.record_dest_spill_bytes(noc::DestSet::spill_bytes() -
-                                      spill_bytes_at_start_);
-    std::vector<ArenaPoolMetrics> arena;
-    for (const noc::NetworkArena::PoolUsage& pool : net.arena().usage()) {
-      arena.push_back(
-          {pool.label, pool.objects, pool.bytes, pool.reserved_bytes});
-    }
-    registry_.record_arena(std::move(arena));
-    *probes_.metrics = registry_.snapshot();
-  }
-
-  /// Attaches cmp co-simulation counters to the snapshot-to-be; call
-  /// before harvest(). No-op when nothing is collected.
-  void record_cmp(const CmpMetrics& cmp) {
-    if (collecting()) registry_.record_cmp(cmp);
-  }
-
-  /// Flight recorder: on a run that dies mid-flight, dump the retained
-  /// epochs so the failure's lead-up is visible in the harness stderr.
-  void dump_on_failure() const {
-    if (sampler_) sampler_->dump_flight_recorder(stderr);
-  }
-
- private:
-  const RunProbes& probes_;
-  std::uint64_t spills_at_start_;
-  std::uint64_t spill_bytes_at_start_;
-  MetricsRegistry registry_;
-  std::optional<TelemetrySampler> sampler_;
-};
 
 // Shared progress annotation: accumulates the PDES shape of completed
 // partitioned runs so --progress lines show lane occupancy while a
@@ -168,670 +64,54 @@ ExperimentRunner::ExperimentRunner(core::NetworkConfig config,
                                    power::EnergyModelParams energy)
     : config_(std::move(config)), seed_(seed), energy_(energy) {}
 
-WorkloadSpec make_workload_spec(core::Architecture arch, std::string label,
-                                workload::ReplayMode mode,
-                                std::shared_ptr<const workload::Trace> trace) {
-  SPECNOC_EXPECTS(trace != nullptr);
-  WorkloadSpec spec;
-  spec.arch = arch;
-  spec.workload = std::move(label);
-  spec.mode = mode;
-  spec.trace_hash = workload::trace_hash(*trace);
-  spec.trace = std::move(trace);
-  return spec;
-}
-
-CmpSpec make_cmp_spec(core::Architecture arch, std::string label,
-                      std::shared_ptr<const workload::AccessTrace> access) {
-  SPECNOC_EXPECTS(access != nullptr);
-  CmpSpec spec;
-  spec.arch = arch;
-  spec.workload = std::move(label);
-  spec.access_hash = workload::access_trace_hash(*access);
-  spec.access = std::move(access);
-  return spec;
-}
-
-traffic::SimWindows ExperimentRunner::saturation_windows() {
-  return {.warmup = 1000_ns, .measure = 4000_ns};
-}
-
-NetworkFactory ExperimentRunner::factory_for(core::Architecture arch) const {
-  return [arch, config = config_] {
+NetworkFactory ExperimentRunner::network_for(core::Architecture arch,
+                                             const NetworkFactory& factory,
+                                             const std::string& custom,
+                                             bool sequential) const {
+  if (factory) return factory;
+  core::NetworkConfig config = sequential ? config_.sequential() : config_;
+  if (!custom.empty()) {
+    return [custom, config] {
+      return core::ArchitectureRegistry::global().build(custom, config);
+    };
+  }
+  return [arch, config] {
     return std::make_unique<core::MotNetwork>(arch, config);
   };
 }
 
-NetworkFactory ExperimentRunner::factory_for_spec(
-    core::Architecture arch, const NetworkFactory& factory,
-    const std::string& custom) const {
-  if (factory) return factory;
-  if (!custom.empty()) {
-    return [custom, config = config_] {
-      return core::ArchitectureRegistry::global().build(custom, config);
-    };
-  }
-  return factory_for(arch);
-}
-
-NetworkFactory ExperimentRunner::sequential_factory_for(
-    core::Architecture arch) const {
-  return [arch, config = config_.sequential()] {
-    return std::make_unique<core::MotNetwork>(arch, config);
-  };
-}
-
-NetworkFactory ExperimentRunner::sequential_factory_for_spec(
-    core::Architecture arch, const NetworkFactory& factory,
-    const std::string& custom) const {
-  if (factory) return factory;
-  if (!custom.empty()) {
-    return [custom, config = config_.sequential()] {
-      return core::ArchitectureRegistry::global().build(custom, config);
-    };
-  }
-  return sequential_factory_for(arch);
-}
-
-const SaturationResult& ExperimentRunner::saturation(
-    core::Architecture arch, traffic::BenchmarkId bench) {
-  const auto key = std::make_pair(arch, bench);
-  auto it = saturation_cache_.find(key);
-  if (it == saturation_cache_.end()) {
-    it = saturation_cache_.emplace(key, run_saturation(factory_for(arch),
-                                                       bench))
-             .first;
-  }
-  return it->second;
-}
-
-void ExperimentRunner::prime_saturation(core::Architecture arch,
-                                        traffic::BenchmarkId bench,
-                                        const SaturationResult& result) {
-  saturation_cache_.emplace(std::make_pair(arch, bench), result);
-}
-
-SaturationResult ExperimentRunner::run_saturation(
-    const NetworkFactory& factory, traffic::BenchmarkId bench) const {
-  return saturation_run(factory, bench, seed_, {});
-}
-
-SaturationResult ExperimentRunner::saturation_run(
-    const NetworkFactory& factory, traffic::BenchmarkId bench,
-    std::uint64_t seed, const RunProbes& probes) const {
-  ProbeRig rig(probes);
-  const auto network = factory();
-  TrafficRecorder recorder(network->net().packets());
-  network->net().hooks().traffic = &recorder;
-  rig.attach(network->net());
-  const auto pattern = traffic::make_benchmark(bench, network->topology().n());
-  traffic::DriverConfig driver_cfg;
-  driver_cfg.mode = traffic::InjectionMode::kBacklogged;
-  driver_cfg.seed = seed;
-  traffic::TrafficDriver driver(*network, *pattern, driver_cfg);
-  driver.start();
-
-  // Time-bounded driving goes through the network's unified run surface, so
-  // a partitioned network (config.sim_threads != 1) executes its lanes in
-  // parallel; results are identical at any thread count (DESIGN.md §9).
-  const auto windows = saturation_windows();
-  auto& net = network->net();
-  try {
-    net.run_until(windows.warmup);
-    recorder.open_window(net.now());
-    net.run_until(windows.warmup + windows.measure);
-    recorder.close_window(net.now());
-  } catch (...) {
-    rig.dump_on_failure();
-    throw;
-  }
-
-  SaturationResult result;
-  const std::uint32_t n = network->topology().n();
-  result.delivered_flits_per_ns = recorder.delivered_flits_per_ns(n);
-  result.injected_flits_per_ns = recorder.injected_flits_per_ns(n);
-  result.delivery_factor =
-      result.injected_flits_per_ns > 0.0
-          ? result.delivered_flits_per_ns / result.injected_flits_per_ns
-          : 1.0;
-  const auto& store = network->net().packets();
-  result.message_expansion =
-      store.num_messages() > 0
-          ? static_cast<double>(store.num_packets()) /
-                static_cast<double>(store.num_messages())
-          : 1.0;
-  rig.harvest(net);
-  return result;
-}
-
-LatencyResult ExperimentRunner::measure_latency(core::Architecture arch,
-                                                traffic::BenchmarkId bench,
-                                                double injected_flits_per_ns,
-                                                traffic::SimWindows windows) {
-  return measure_latency(sequential_factory_for(arch), bench,
-                         injected_flits_per_ns, windows);
-}
-
-LatencyResult ExperimentRunner::measure_latency(
-    const NetworkFactory& factory, traffic::BenchmarkId bench,
-    double injected_flits_per_ns, traffic::SimWindows windows) const {
-  return latency_run(factory, bench, injected_flits_per_ns, windows, seed_,
-                     {});
-}
-
-LatencyResult ExperimentRunner::latency_run(
-    const NetworkFactory& factory, traffic::BenchmarkId bench,
-    double injected_flits_per_ns, traffic::SimWindows windows,
-    std::uint64_t seed, const RunProbes& probes) const {
-  if (injected_flits_per_ns <= 0.0) {
-    throw ConfigError("injected rate must be positive, got " +
-                      std::to_string(injected_flits_per_ns));
-  }
-  ProbeRig rig(probes);
-  const auto network = factory();
-  if (network->net().partitioned()) {
-    throw ConfigError(
-        "the latency protocol drains the network event-by-event, which has "
-        "no windowed equivalent; build the network with sim_threads = 1");
-  }
-  TrafficRecorder recorder(network->net().packets());
-  network->net().hooks().traffic = &recorder;
-  rig.attach(network->net());
-  const auto pattern = traffic::make_benchmark(bench, network->topology().n());
-  traffic::DriverConfig driver_cfg;
-  driver_cfg.mode = traffic::InjectionMode::kOpenLoop;
-  driver_cfg.flits_per_ns_per_source = injected_flits_per_ns;
-  driver_cfg.seed = seed;
-  traffic::TrafficDriver driver(*network, *pattern, driver_cfg);
-  driver.start();
-
-  auto& sched = network->scheduler();
-  try {
-    sched.run_until(windows.warmup);
-    driver.set_measured(true);
-    sched.run_until(windows.warmup + windows.measure);
-    driver.set_measured(false);
-
-    // Drain: keep the background load flowing until every tagged message
-    // has delivered all its headers, with a generous cap for saturated
-    // runs.
-    const TimePs drain_cap = windows.warmup + windows.measure * 20;
-    while (recorder.pending_measured() > 0 && sched.now() < drain_cap) {
-      if (!sched.step()) break;
-    }
-  } catch (...) {
-    rig.dump_on_failure();
-    throw;
-  }
-
-  LatencyResult result;
-  result.mean_latency_ns = recorder.mean_latency_ps() / 1e3;
-  result.p95_latency_ns = recorder.latency_percentile_ps(95.0) / 1e3;
-  result.max_latency_ns = ps_to_ns(recorder.max_latency_ps());
-  result.messages_measured = recorder.completed_measured();
-  result.offered_flits_per_ns = injected_flits_per_ns;
-  result.drained = recorder.pending_measured() == 0;
-  if (!result.drained) {
-    SPECNOC_LOG(kWarn) << "latency run did not drain: "
-                       << to_string(network->architecture()) << "/"
-                       << to_string(bench)
-                       << " offered=" << injected_flits_per_ns
-                       << " pending=" << recorder.pending_measured();
-  }
-  rig.harvest(network->net());
-  return result;
-}
-
-LatencyResult ExperimentRunner::latency_at_fraction(
-    core::Architecture arch, traffic::BenchmarkId bench, double fraction) {
-  SPECNOC_EXPECTS(fraction > 0.0 && fraction < 1.0);
-  // fraction of this network's own saturation, expressed as an injected
-  // flit rate; the driver's rate parameter is a message rate in flit
-  // units, so divide by the serialization expansion (1 except on the
-  // Baseline) to land on the target flit rate.
-  const auto& sat = saturation(arch, bench);
-  const double commanded = fraction * sat.injected_flits_per_ns /
-                           sat.message_expansion;
-  return measure_latency(arch, bench, commanded,
-                         traffic::default_windows(bench));
-}
-
-PowerResult ExperimentRunner::measure_power(core::Architecture arch,
-                                            traffic::BenchmarkId bench,
-                                            double injected_flits_per_ns,
-                                            traffic::SimWindows windows) {
-  return measure_power(sequential_factory_for(arch), bench,
-                       injected_flits_per_ns, windows);
-}
-
-PowerResult ExperimentRunner::measure_power(
-    const NetworkFactory& factory, traffic::BenchmarkId bench,
-    double injected_flits_per_ns, traffic::SimWindows windows) const {
-  return power_run(factory, bench, injected_flits_per_ns, windows, seed_,
-                   {});
-}
-
-PowerResult ExperimentRunner::power_run(
-    const NetworkFactory& factory, traffic::BenchmarkId bench,
-    double injected_flits_per_ns, traffic::SimWindows windows,
-    std::uint64_t seed, const RunProbes& probes) const {
-  if (injected_flits_per_ns <= 0.0) {
-    throw ConfigError("injected rate must be positive, got " +
-                      std::to_string(injected_flits_per_ns));
-  }
-  ProbeRig rig(probes);
-  const auto network = factory();
-  if (network->net().partitioned()) {
-    throw ConfigError(
-        "the power protocol's energy accumulation is event-order-dependent, "
-        "so it requires sequential execution; build the network with "
-        "sim_threads = 1");
-  }
-  TrafficRecorder recorder(network->net().packets());
-  power::PowerMeter meter(energy_);
-  network->net().hooks().traffic = &recorder;
-  network->net().hooks().energy = &meter;
-  rig.attach(network->net());
-  const auto pattern = traffic::make_benchmark(bench, network->topology().n());
-  traffic::DriverConfig driver_cfg;
-  driver_cfg.mode = traffic::InjectionMode::kOpenLoop;
-  driver_cfg.flits_per_ns_per_source = injected_flits_per_ns;
-  driver_cfg.seed = seed;
-  traffic::TrafficDriver driver(*network, *pattern, driver_cfg);
-  driver.start();
-
-  auto& sched = network->scheduler();
-  try {
-    sched.run_until(windows.warmup);
-    recorder.open_window(sched.now());
-    meter.open_window(sched.now());
-    sched.run_until(windows.warmup + windows.measure);
-    recorder.close_window(sched.now());
-    meter.close_window(sched.now());
-  } catch (...) {
-    rig.dump_on_failure();
-    throw;
-  }
-
-  PowerResult result;
-  result.power_mw = meter.window_power_mw();
-  result.node_power_mw =
-      fj_over_ps_to_mw(meter.window_node_energy(), meter.window_duration());
-  result.wire_power_mw =
-      fj_over_ps_to_mw(meter.window_wire_energy(), meter.window_duration());
-  result.delivered_flits_per_ns =
-      recorder.delivered_flits_per_ns(network->topology().n());
-  result.offered_flits_per_ns = injected_flits_per_ns;
-  result.throttled_flits = meter.window_ops(noc::NodeOp::kThrottle);
-  result.broadcast_ops = meter.window_ops(noc::NodeOp::kBroadcast);
-  rig.harvest(network->net());
-  return result;
-}
-
-WorkloadResult ExperimentRunner::run_workload(const NetworkFactory& factory,
-                                              const workload::Trace& trace,
-                                              workload::ReplayMode mode) const {
-  return workload_run(factory, trace, mode, {});
-}
-
-WorkloadResult ExperimentRunner::workload_run(
-    const NetworkFactory& factory, const workload::Trace& trace,
-    workload::ReplayMode mode, const RunProbes& probes) const {
-  ProbeRig rig(probes);
-  const auto network = factory();
-  TrafficRecorder recorder(network->net().packets());
-  workload::ReplayConfig replay_cfg;
-  replay_cfg.mode = mode;
-  workload::TraceReplayDriver driver(*network, trace, replay_cfg);
-  driver.set_downstream(&recorder);
-  network->net().hooks().traffic = &driver;
-  rig.attach(network->net());
-
-  auto& net = network->net();
-  recorder.open_window(net.now());
-  driver.start();
-  // The trace is finite, so the event queue drains once every injected
-  // message has delivered (or stalled for good). Timed replay may run
-  // partitioned; closed-loop replay requires a sequential network (the
-  // driver throws otherwise).
-  try {
-    net.run();
-  } catch (...) {
-    rig.dump_on_failure();
-    throw;
-  }
-  recorder.close_window(net.now());
-
-  WorkloadResult result;
-  result.messages = trace.records.size();
-  result.messages_delivered = driver.messages_delivered();
-  result.flits_delivered = recorder.window_flits_ejected();
-  result.makespan_ns = ps_to_ns(driver.completion_time());
-  result.mean_latency_ns = recorder.mean_latency_ps() / 1e3;
-  result.p95_latency_ns = recorder.latency_percentile_ps(95.0) / 1e3;
-  result.max_latency_ns = ps_to_ns(recorder.max_latency_ps());
-  result.completed = driver.finished();
-  if (!result.completed) {
-    SPECNOC_LOG(kWarn) << "workload replay did not complete: "
-                       << to_string(network->architecture()) << "/"
-                       << trace.meta.generator << " delivered "
-                       << result.messages_delivered << "/" << result.messages;
-  }
-  rig.harvest(net);
-  return result;
-}
-
-CmpResult ExperimentRunner::run_cmp(const NetworkFactory& factory,
-                                    const workload::AccessTrace& access,
-                                    const cmp::CmpConfig& cmp) const {
-  return cmp_run(factory, access, cmp, {});
-}
-
-CmpResult ExperimentRunner::cmp_run(const NetworkFactory& factory,
-                                    const workload::AccessTrace& access,
-                                    const cmp::CmpConfig& cmp,
-                                    const RunProbes& probes) const {
-  ProbeRig rig(probes);
-  const auto network = factory();
-  auto& net = network->net();
-  TrafficRecorder recorder(net.packets());
-  cmp::AccessTraceSource source(access, cmp.line_bytes);
-  cmp::CmpSystem system(*network, source, cmp);
-  system.set_downstream(&recorder);
-  power::PowerMeter meter(energy_);
-  net.hooks().traffic = &system;
-  net.hooks().energy = &meter;
-  rig.attach(net);
-
-  recorder.open_window(net.now());
-  meter.open_window(net.now());
-  system.start();  // rejects partitioned networks (zero-lookahead feedback)
-  // The access streams are finite, so the event queue drains once every
-  // processor has retired its last access (or deadlocked, caught below).
-  try {
-    net.run();
-  } catch (...) {
-    rig.dump_on_failure();
-    throw;
-  }
-  recorder.close_window(net.now());
-  meter.close_window(net.now());
-
-  const cmp::CmpCounters counters = system.counters();
-  CmpResult result;
-  result.accesses = system.retired();
-  result.makespan_ns = ps_to_ns(system.makespan());
-  result.l1_hits = counters.l1_hits;
-  result.l1_misses = counters.l1_misses;
-  result.mshr_merges = counters.mshr_merges;
-  result.inv_messages = counters.inv_messages;
-  result.inv_multicasts = counters.inv_multicasts;
-  result.inv_targets = counters.inv_targets;
-  result.dram_reads = counters.dram_reads;
-  result.dram_writes = counters.dram_writes;
-  result.dram_conflicts = counters.dram_conflicts;
-  result.messages = counters.messages_sent;
-  result.flits_delivered = recorder.window_flits_ejected();
-  result.energy_nj = meter.window_energy() / 1e6;
-  result.completed = system.finished();
-  if (!result.completed) {
-    SPECNOC_LOG(kWarn) << "cmp co-simulation did not complete: "
-                       << to_string(network->architecture()) << "/"
-                       << access.generator << " retired " << system.retired()
-                       << "/" << source.total_accesses();
-  }
-  CmpMetrics cmp_metrics;
-  cmp_metrics.accesses = counters.accesses;
-  cmp_metrics.l1_hits = counters.l1_hits;
-  cmp_metrics.l1_misses = counters.l1_misses;
-  cmp_metrics.mshr_merges = counters.mshr_merges;
-  cmp_metrics.inv_messages = counters.inv_messages;
-  cmp_metrics.inv_multicasts = counters.inv_multicasts;
-  cmp_metrics.inv_targets = counters.inv_targets;
-  cmp_metrics.writebacks = counters.writebacks;
-  cmp_metrics.dram_reads = counters.dram_reads;
-  cmp_metrics.dram_writes = counters.dram_writes;
-  cmp_metrics.dram_conflicts = counters.dram_conflicts;
-  cmp_metrics.barriers = counters.barriers;
-  cmp_metrics.lock_acquires = counters.lock_acquires;
-  cmp_metrics.lock_contended = counters.lock_contended;
-  rig.record_cmp(cmp_metrics);
-  rig.harvest(net);
-  return result;
-}
-
-PowerResult ExperimentRunner::power_at_baseline_fraction(
-    core::Architecture arch, traffic::BenchmarkId bench, double fraction) {
-  SPECNOC_EXPECTS(fraction > 0.0 && fraction < 1.0);
-  // The paper runs every network at the same offered load — 25% of the
-  // Baseline's saturation — for a normalized comparison of energy per
-  // packet. We equalize the *message* (application packet) rate: every
-  // network then performs the same application work per second; a
-  // k-destination message costs the Baseline k serialized unicasts and the
-  // parallel networks one tree packet. (Equalizing raw injected flits
-  // instead would hand the serial Baseline k-times less application work;
-  // the paper's per-packet framing and its Table 1 ratios match the
-  // message-rate reading — see EXPERIMENTS.md.)
-  const auto& baseline_sat =
-      saturation(core::Architecture::kBaseline, bench);
-  const double commanded = fraction * baseline_sat.injected_flits_per_ns /
-                           baseline_sat.message_expansion;
-  return measure_power(arch, bench, commanded,
-                       traffic::default_windows(bench));
-}
-
-std::vector<SaturationOutcome> ExperimentRunner::run_saturation_grid(
-    const std::vector<SaturationSpec>& specs, const BatchOptions& options) {
-  std::vector<SaturationOutcome> outcomes(specs.size());
+std::vector<sim::RunOutcome> ExperimentRunner::run_cells(
+    std::size_t count, const BatchOptions& options,
+    std::vector<std::optional<MetricsSnapshot>>& metrics,
+    const std::function<void(std::size_t, ProbeRig&)>& run_cell) const {
   const bool collect = options.collect_metrics || options.telemetry.enabled();
-  sim::RunnerOptions runner = runner_options(options);
+  sim::RunnerOptions runner;
+  runner.jobs = options.jobs;
+  runner.max_attempts = options.max_attempts;
+  runner.progress_interval_ms = options.progress_interval_ms;
+  runner.progress_label = options.progress_label;
   const auto pdes_note = std::make_shared<PdesNote>();
   if (options.progress_interval_ms > 0) {
     runner.progress_note = [pdes_note] { return pdes_note->text(); };
   }
   if (options.on_run_done) {
-    runner.on_run_done = [&outcomes, &options](std::size_t i,
-                                               const sim::RunOutcome& run) {
-      options.on_run_done(
-          i, run, outcomes[i].metrics ? &*outcomes[i].metrics : nullptr);
+    runner.on_run_done = [&metrics, &options](std::size_t i,
+                                              const sim::RunOutcome& run) {
+      options.on_run_done(i, run, metrics[i] ? &*metrics[i] : nullptr);
     };
   }
   const sim::ParallelRunner pool(std::move(runner));
-  const auto runs = pool.run(specs.size(), [&](std::size_t i) {
-    const auto& spec = specs[i];
-    std::uint64_t events = 0;
-    MetricsSnapshot snapshot;
-    PdesMetrics pdes;
-    RunProbes probes;
-    probes.events = &events;
-    probes.metrics = collect ? &snapshot : nullptr;
-    probes.pdes = &pdes;
-    probes.telemetry = options.telemetry;
-    outcomes[i].result =
-        saturation_run(factory_for_spec(spec.arch, spec.factory, spec.custom),
-                       spec.bench, spec.seed == 0 ? seed_ : spec.seed, probes);
-    if (collect) outcomes[i].metrics = std::move(snapshot);
-    pdes_note->update(pdes);
-    return events;
+  std::vector<sim::RunOutcome> runs = pool.run(count, [&](std::size_t i) {
+    ProbeRig rig(collect, options.telemetry);
+    run_cell(i, rig);
+    if (collect) metrics[i] = rig.snapshot();
+    pdes_note->update(rig.pdes());
+    return rig.events();
   });
-  // Deterministic reduction: spec order, independent of completion order.
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    outcomes[i].spec = specs[i];
-    outcomes[i].run = runs[i];
-    if (!runs[i].ok) outcomes[i].metrics.reset();
-    // Canonical cells (runner seed, canonical network, no custom label)
-    // warm the memoization cache so saturation() reuses them.
-    if (runs[i].ok && specs[i].seed == 0 && !specs[i].factory &&
-        specs[i].custom.empty()) {
-      saturation_cache_.emplace(std::make_pair(specs[i].arch, specs[i].bench),
-                                outcomes[i].result);
-    }
+  for (std::size_t i = 0; i < count; ++i) {
+    if (!runs[i].ok) metrics[i].reset();
   }
-  return outcomes;
-}
-
-std::vector<LatencyOutcome> ExperimentRunner::run_latency_sweep(
-    const std::vector<LatencySpec>& specs, const BatchOptions& options) const {
-  std::vector<LatencyOutcome> outcomes(specs.size());
-  const bool collect = options.collect_metrics || options.telemetry.enabled();
-  sim::RunnerOptions runner = runner_options(options);
-  if (options.on_run_done) {
-    runner.on_run_done = [&outcomes, &options](std::size_t i,
-                                               const sim::RunOutcome& run) {
-      options.on_run_done(
-          i, run, outcomes[i].metrics ? &*outcomes[i].metrics : nullptr);
-    };
-  }
-  const sim::ParallelRunner pool(std::move(runner));
-  const auto runs = pool.run(specs.size(), [&](std::size_t i) {
-    const auto& spec = specs[i];
-    std::uint64_t events = 0;
-    MetricsSnapshot snapshot;
-    RunProbes probes;
-    probes.events = &events;
-    probes.metrics = collect ? &snapshot : nullptr;
-    probes.telemetry = options.telemetry;
-    outcomes[i].result = latency_run(
-        sequential_factory_for_spec(spec.arch, spec.factory, spec.custom),
-        spec.bench, spec.injected_flits_per_ns, spec.windows,
-        spec.seed == 0 ? seed_ : spec.seed, probes);
-    if (collect) outcomes[i].metrics = std::move(snapshot);
-    return events;
-  });
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    outcomes[i].spec = specs[i];
-    outcomes[i].run = runs[i];
-    if (!runs[i].ok) outcomes[i].metrics.reset();
-  }
-  return outcomes;
-}
-
-std::vector<WorkloadOutcome> ExperimentRunner::run_workload_grid(
-    const std::vector<WorkloadSpec>& specs, const BatchOptions& options) const {
-  std::vector<WorkloadOutcome> outcomes(specs.size());
-  const bool collect = options.collect_metrics || options.telemetry.enabled();
-  sim::RunnerOptions runner = runner_options(options);
-  const auto pdes_note = std::make_shared<PdesNote>();
-  if (options.progress_interval_ms > 0) {
-    runner.progress_note = [pdes_note] { return pdes_note->text(); };
-  }
-  if (options.on_run_done) {
-    runner.on_run_done = [&outcomes, &options](std::size_t i,
-                                               const sim::RunOutcome& run) {
-      options.on_run_done(
-          i, run, outcomes[i].metrics ? &*outcomes[i].metrics : nullptr);
-    };
-  }
-  const sim::ParallelRunner pool(std::move(runner));
-  const auto runs = pool.run(specs.size(), [&](std::size_t i) {
-    const auto& spec = specs[i];
-    if (spec.trace == nullptr) {
-      throw ConfigError("workload spec '" + spec.workload +
-                        "' has no trace attached (deserialized specs must be "
-                        "re-armed with make_workload_spec before running)");
-    }
-    std::uint64_t events = 0;
-    MetricsSnapshot snapshot;
-    PdesMetrics pdes;
-    RunProbes probes;
-    probes.events = &events;
-    probes.metrics = collect ? &snapshot : nullptr;
-    probes.pdes = &pdes;
-    probes.telemetry = options.telemetry;
-    const NetworkFactory net_factory =
-        spec.mode == workload::ReplayMode::kClosedLoop
-            ? sequential_factory_for_spec(spec.arch, spec.factory, spec.custom)
-            : factory_for_spec(spec.arch, spec.factory, spec.custom);
-    outcomes[i].result =
-        workload_run(net_factory, *spec.trace, spec.mode, probes);
-    if (collect) outcomes[i].metrics = std::move(snapshot);
-    pdes_note->update(pdes);
-    return events;
-  });
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    outcomes[i].spec = specs[i];
-    outcomes[i].run = runs[i];
-    if (!runs[i].ok) outcomes[i].metrics.reset();
-  }
-  return outcomes;
-}
-
-std::vector<CmpOutcome> ExperimentRunner::run_cmp_grid(
-    const std::vector<CmpSpec>& specs, const BatchOptions& options,
-    const cmp::CmpConfig& cmp) const {
-  std::vector<CmpOutcome> outcomes(specs.size());
-  const bool collect = options.collect_metrics || options.telemetry.enabled();
-  sim::RunnerOptions runner = runner_options(options);
-  if (options.on_run_done) {
-    runner.on_run_done = [&outcomes, &options](std::size_t i,
-                                               const sim::RunOutcome& run) {
-      options.on_run_done(
-          i, run, outcomes[i].metrics ? &*outcomes[i].metrics : nullptr);
-    };
-  }
-  const sim::ParallelRunner pool(std::move(runner));
-  const auto runs = pool.run(specs.size(), [&](std::size_t i) {
-    const auto& spec = specs[i];
-    if (spec.access == nullptr) {
-      throw ConfigError("cmp spec '" + spec.workload +
-                        "' has no access trace attached (deserialized specs "
-                        "must be re-armed with make_cmp_spec before running)");
-    }
-    std::uint64_t events = 0;
-    MetricsSnapshot snapshot;
-    RunProbes probes;
-    probes.events = &events;
-    probes.metrics = collect ? &snapshot : nullptr;
-    probes.telemetry = options.telemetry;
-    // Always sequential: cmp traffic is closed-loop by construction.
-    outcomes[i].result = cmp_run(
-        sequential_factory_for_spec(spec.arch, spec.factory, spec.custom),
-        *spec.access, cmp, probes);
-    if (collect) outcomes[i].metrics = std::move(snapshot);
-    return events;
-  });
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    outcomes[i].spec = specs[i];
-    outcomes[i].run = runs[i];
-    if (!runs[i].ok) outcomes[i].metrics.reset();
-  }
-  return outcomes;
-}
-
-std::vector<PowerOutcome> ExperimentRunner::run_power_sweep(
-    const std::vector<PowerSpec>& specs, const BatchOptions& options) const {
-  std::vector<PowerOutcome> outcomes(specs.size());
-  const bool collect = options.collect_metrics || options.telemetry.enabled();
-  sim::RunnerOptions runner = runner_options(options);
-  if (options.on_run_done) {
-    runner.on_run_done = [&outcomes, &options](std::size_t i,
-                                               const sim::RunOutcome& run) {
-      options.on_run_done(
-          i, run, outcomes[i].metrics ? &*outcomes[i].metrics : nullptr);
-    };
-  }
-  const sim::ParallelRunner pool(std::move(runner));
-  const auto runs = pool.run(specs.size(), [&](std::size_t i) {
-    const auto& spec = specs[i];
-    std::uint64_t events = 0;
-    MetricsSnapshot snapshot;
-    RunProbes probes;
-    probes.events = &events;
-    probes.metrics = collect ? &snapshot : nullptr;
-    probes.telemetry = options.telemetry;
-    outcomes[i].result = power_run(
-        sequential_factory_for_spec(spec.arch, spec.factory, spec.custom),
-        spec.bench, spec.injected_flits_per_ns, spec.windows,
-        spec.seed == 0 ? seed_ : spec.seed, probes);
-    if (collect) outcomes[i].metrics = std::move(snapshot);
-    return events;
-  });
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    outcomes[i].spec = specs[i];
-    outcomes[i].run = runs[i];
-    if (!runs[i].ok) outcomes[i].metrics.reset();
-  }
-  return outcomes;
+  return runs;
 }
 
 }  // namespace specnoc::stats

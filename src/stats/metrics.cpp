@@ -100,14 +100,6 @@ const MetricsSite* MetricsSnapshot::find_site(noc::NodeKind kind,
   return nullptr;
 }
 
-const ChannelClassMetrics* MetricsSnapshot::find_channel(
-    const std::string& klass) const {
-  for (const auto& channel : channels) {
-    if (channel.klass == klass) return &channel;
-  }
-  return nullptr;
-}
-
 SiteCounters& MetricsRegistry::site(const noc::Node& node) {
   return sites_[{node.kind(), node.site().level}];
 }

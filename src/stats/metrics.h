@@ -162,7 +162,6 @@ struct MetricsSnapshot {
   std::uint64_t total_stalls() const;
 
   const MetricsSite* find_site(noc::NodeKind kind, std::int32_t level) const;
-  const ChannelClassMetrics* find_channel(const std::string& klass) const;
 };
 
 class MetricsRegistry final : public noc::MetricsObserver {

@@ -1,11 +1,11 @@
 // JSON codecs and canonical keys for experiment specs and outcomes.
 //
 // Sharded sweeps move specs and outcomes between processes as values, so
-// every spec/result struct in experiment.h (plus sim::RunOutcome) gets a
-// JSON representation with an exact round trip: integers stay integers and
-// doubles are written in their shortest exact decimal form, so a value
-// that travels through a shard file renders the same table bytes as one
-// that never left the process.
+// every protocol's spec and result (stats/protocol.h), sim::RunOutcome and
+// MetricsSnapshot get a JSON representation with an exact round trip:
+// integers stay integers and doubles are written in their shortest exact
+// decimal form, so a value that travels through a shard file renders the
+// same table bytes as one that never left the process.
 //
 // A spec's *identity* is its declarative fields. The NetworkFactory
 // closure is deliberately excluded: it cannot travel between processes.
@@ -30,39 +30,6 @@
 
 namespace specnoc::stats {
 
-// --- specs ---------------------------------------------------------------
-
-util::Json to_json(const SaturationSpec& spec);
-util::Json to_json(const LatencySpec& spec);
-util::Json to_json(const PowerSpec& spec);
-/// The trace itself does not travel (like NetworkFactory, it cannot);
-/// its trace_hash identity does, and deserialized specs come back with a
-/// null trace — re-arm with make_workload_spec before running.
-util::Json to_json(const WorkloadSpec& spec);
-/// Like WorkloadSpec: the access trace travels as its hash only, and
-/// deserialized specs must be re-armed with make_cmp_spec before running.
-util::Json to_json(const CmpSpec& spec);
-
-SaturationSpec saturation_spec_from_json(const util::Json& json);
-LatencySpec latency_spec_from_json(const util::Json& json);
-PowerSpec power_spec_from_json(const util::Json& json);
-WorkloadSpec workload_spec_from_json(const util::Json& json);
-CmpSpec cmp_spec_from_json(const util::Json& json);
-
-// --- results -------------------------------------------------------------
-
-util::Json to_json(const SaturationResult& result);
-util::Json to_json(const LatencyResult& result);
-util::Json to_json(const PowerResult& result);
-util::Json to_json(const WorkloadResult& result);
-util::Json to_json(const CmpResult& result);
-
-SaturationResult saturation_result_from_json(const util::Json& json);
-LatencyResult latency_result_from_json(const util::Json& json);
-PowerResult power_result_from_json(const util::Json& json);
-WorkloadResult workload_result_from_json(const util::Json& json);
-CmpResult cmp_result_from_json(const util::Json& json);
-
 // --- run outcomes --------------------------------------------------------
 
 util::Json to_json(const sim::RunOutcome& run);
@@ -76,31 +43,38 @@ sim::RunOutcome run_outcome_from_json(const util::Json& json);
 util::Json to_json(const MetricsSnapshot& snapshot);
 MetricsSnapshot metrics_snapshot_from_json(const util::Json& json);
 
-// --- full outcomes (spec + result + run) ---------------------------------
+// --- full outcomes (spec + run [+ result + metrics]) ---------------------
 
-util::Json to_json(const SaturationOutcome& outcome);
-util::Json to_json(const LatencyOutcome& outcome);
-util::Json to_json(const PowerOutcome& outcome);
-util::Json to_json(const WorkloadOutcome& outcome);
-util::Json to_json(const CmpOutcome& outcome);
+template <typename P>
+util::Json to_json(const Outcome<P>& outcome) {
+  util::Json json = util::Json::object();
+  json.set("spec", to_json(outcome.spec));
+  json.set("run", to_json(outcome.run));
+  // The result slot is only meaningful for successful runs; omitting it
+  // for failures keeps failed rows small and makes the round trip yield
+  // the same default-constructed result the in-process path reports.
+  if (outcome.run.ok) json.set("result", to_json(outcome.result));
+  if (outcome.run.ok && outcome.metrics.has_value()) {
+    json.set("metrics", to_json(*outcome.metrics));
+  }
+  return json;
+}
 
-SaturationOutcome saturation_outcome_from_json(const util::Json& json);
-LatencyOutcome latency_outcome_from_json(const util::Json& json);
-PowerOutcome power_outcome_from_json(const util::Json& json);
-WorkloadOutcome workload_outcome_from_json(const util::Json& json);
-CmpOutcome cmp_outcome_from_json(const util::Json& json);
+template <typename P>
+Outcome<P> outcome_from_json(const util::Json& json) {
+  Outcome<P> outcome;
+  outcome.spec = spec_from_json<P>(json.at("spec"));
+  outcome.run = run_outcome_from_json(json.at("run"));
+  if (outcome.run.ok) outcome.result = result_from_json<P>(json.at("result"));
+  if (const util::Json* metrics = json.find("metrics"); metrics != nullptr) {
+    outcome.metrics = metrics_snapshot_from_json(*metrics);
+  }
+  return outcome;
+}
 
 // --- identity ------------------------------------------------------------
 
-/// Canonical one-line identity of a spec, unique within a grid. Two specs
-/// with equal keys must describe the same run.
-std::string spec_key(const SaturationSpec& spec);
-std::string spec_key(const LatencySpec& spec);
-std::string spec_key(const PowerSpec& spec);
-std::string spec_key(const WorkloadSpec& spec);
-std::string spec_key(const CmpSpec& spec);
-
-/// Keys of a whole grid, in grid order.
+/// Keys of a whole grid, in grid order (spec_key() is in protocol.h).
 template <typename Spec>
 std::vector<std::string> spec_keys(const std::vector<Spec>& specs) {
   std::vector<std::string> keys;

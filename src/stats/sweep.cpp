@@ -143,6 +143,23 @@ const SweepGrid* ShardFile::find_grid(const std::string& name) const {
   return nullptr;
 }
 
+const SweepRecord* ShardFile::find_record(const std::string& grid,
+                                          std::size_t cell) const {
+  const auto it = records.find(grid);
+  if (it == records.end()) return nullptr;
+  const auto rec = it->second.find(cell);
+  return rec != it->second.end() ? &rec->second : nullptr;
+}
+
+std::vector<const SweepRecord*> ShardFile::records_of(const std::string& grid,
+                                                      std::size_t size) const {
+  std::vector<const SweepRecord*> cells(size);
+  for (std::size_t cell = 0; cell < size; ++cell) {
+    cells[cell] = find_record(grid, cell);
+  }
+  return cells;
+}
+
 ShardFile load_shard_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw ConfigError("cannot open shard file '" + path + "'");
@@ -162,56 +179,52 @@ ShardFile load_shard_file(const std::string& path) {
     } catch (const ConfigError& error) {
       throw fail(error.what());
     }
-    try {
-      const std::string& record = json.at("record").as_string();
-      if (record == "manifest") {
-        if (have_manifest) throw fail("duplicate manifest record");
-        file.manifest = manifest_from_json(json);
-        have_manifest = true;
-        continue;
-      }
-      if (!have_manifest) throw fail("first record must be the manifest");
-      if (file.complete) throw fail("record after the done record");
-      if (record == "grid") {
-        SweepGrid grid = grid_from_json(json);
-        if (file.find_grid(grid.name) != nullptr) {
-          throw fail("duplicate grid '" + grid.name + "'");
-        }
-        file.grids.push_back(std::move(grid));
-        continue;
-      }
-      if (record == "outcome") {
-        const std::string& grid_name = json.at("grid").as_string();
-        const SweepGrid* grid = file.find_grid(grid_name);
-        if (grid == nullptr) {
-          throw fail("outcome for unregistered grid '" + grid_name + "'");
-        }
-        SweepRecord rec;
-        rec.cell = static_cast<std::size_t>(json.at("cell").as_u64());
-        if (rec.cell >= grid->size) {
-          throw fail("cell " + std::to_string(rec.cell) +
-                     " out of range for grid '" + grid_name + "' (size " +
-                     std::to_string(grid->size) + ")");
-        }
-        rec.key = json.at("key").as_string();
-        rec.status = json.at("status").as_string();
-        if (!valid_status(rec.status)) {
-          throw fail("unknown status '" + rec.status + "'");
-        }
-        rec.data = json.at("data");
-        // Later records replace earlier ones: an appended re-run of a
-        // previously failed cell supersedes it.
-        file.records[grid_name].insert_or_assign(rec.cell, std::move(rec));
-        continue;
-      }
-      if (record == "done") {
-        file.complete = true;
-        continue;
-      }
-      throw fail("unknown record type '" + record + "'");
-    } catch (const ConfigError&) {
-      throw;
+    const std::string& record = json.at("record").as_string();
+    if (record == "manifest") {
+      if (have_manifest) throw fail("duplicate manifest record");
+      file.manifest = manifest_from_json(json);
+      have_manifest = true;
+      continue;
     }
+    if (!have_manifest) throw fail("first record must be the manifest");
+    if (file.complete) throw fail("record after the done record");
+    if (record == "grid") {
+      SweepGrid grid = grid_from_json(json);
+      if (file.find_grid(grid.name) != nullptr) {
+        throw fail("duplicate grid '" + grid.name + "'");
+      }
+      file.grids.push_back(std::move(grid));
+      continue;
+    }
+    if (record == "outcome") {
+      const std::string& grid_name = json.at("grid").as_string();
+      const SweepGrid* grid = file.find_grid(grid_name);
+      if (grid == nullptr) {
+        throw fail("outcome for unregistered grid '" + grid_name + "'");
+      }
+      SweepRecord rec;
+      rec.cell = static_cast<std::size_t>(json.at("cell").as_u64());
+      if (rec.cell >= grid->size) {
+        throw fail("cell " + std::to_string(rec.cell) +
+                   " out of range for grid '" + grid_name + "' (size " +
+                   std::to_string(grid->size) + ")");
+      }
+      rec.key = json.at("key").as_string();
+      rec.status = json.at("status").as_string();
+      if (!valid_status(rec.status)) {
+        throw fail("unknown status '" + rec.status + "'");
+      }
+      rec.data = json.at("data");
+      // Later records replace earlier ones: an appended re-run of a
+      // previously failed cell supersedes it.
+      file.records[grid_name].insert_or_assign(rec.cell, std::move(rec));
+      continue;
+    }
+    if (record == "done") {
+      file.complete = true;
+      continue;
+    }
+    throw fail("unknown record type '" + record + "'");
   }
   if (!have_manifest) {
     throw ConfigError(path + ": no manifest record (empty or truncated file)");
@@ -378,93 +391,25 @@ ShardFile merge_shards(const std::vector<ShardFile>& inputs,
 
 namespace {
 
-struct SaturationTraits {
-  using Spec = SaturationSpec;
-  using Outcome = SaturationOutcome;
-  static constexpr const char* kKind = "saturation";
-  static std::vector<Outcome> run(ExperimentRunner& runner,
-                                  const std::vector<Spec>& specs,
-                                  const BatchOptions& batch) {
-    return runner.run_saturation_grid(specs, batch);
+// Loads the merged file given by `flag`, refusing one produced by another
+// harness or seed (its `what` would not match this invocation's).
+ShardFile load_own_file(const std::string& flag, const std::string& path,
+                        const SweepOptions& options, const char* what) {
+  ShardFile file = load_shard_file(path);
+  const SweepManifest& m = file.manifest;
+  if (m.tool != options.tool) {
+    throw ConfigError(flag + " file '" + path + "' was produced by tool '" +
+                      m.tool + "', not by this harness ('" + options.tool +
+                      "')");
   }
-  static Outcome from_json(const Json& json) {
-    return saturation_outcome_from_json(json);
+  if (m.seed != options.seed) {
+    throw ConfigError(flag + " file '" + path + "' was produced with seed " +
+                      std::to_string(m.seed) + "; rerun with --seed " +
+                      std::to_string(m.seed) + " (" + what +
+                      " would not match)");
   }
-};
-
-struct LatencyTraits {
-  using Spec = LatencySpec;
-  using Outcome = LatencyOutcome;
-  static constexpr const char* kKind = "latency";
-  static std::vector<Outcome> run(ExperimentRunner& runner,
-                                  const std::vector<Spec>& specs,
-                                  const BatchOptions& batch) {
-    return runner.run_latency_sweep(specs, batch);
-  }
-  static Outcome from_json(const Json& json) {
-    return latency_outcome_from_json(json);
-  }
-};
-
-struct PowerTraits {
-  using Spec = PowerSpec;
-  using Outcome = PowerOutcome;
-  static constexpr const char* kKind = "power";
-  static std::vector<Outcome> run(ExperimentRunner& runner,
-                                  const std::vector<Spec>& specs,
-                                  const BatchOptions& batch) {
-    return runner.run_power_sweep(specs, batch);
-  }
-  static Outcome from_json(const Json& json) {
-    return power_outcome_from_json(json);
-  }
-};
-
-struct WorkloadTraits {
-  using Spec = WorkloadSpec;
-  using Outcome = WorkloadOutcome;
-  static constexpr const char* kKind = "workload";
-  static std::vector<Outcome> run(ExperimentRunner& runner,
-                                  const std::vector<Spec>& specs,
-                                  const BatchOptions& batch) {
-    return runner.run_workload_grid(specs, batch);
-  }
-  static Outcome from_json(const Json& json) {
-    return workload_outcome_from_json(json);
-  }
-};
-
-struct CmpTraits {
-  using Spec = CmpSpec;
-  using Outcome = CmpOutcome;
-  static constexpr const char* kKind = "cmp";
-  static std::vector<Outcome> run(ExperimentRunner& runner,
-                                  const std::vector<Spec>& specs,
-                                  const BatchOptions& batch) {
-    return runner.run_cmp_grid(specs, batch);
-  }
-  static Outcome from_json(const Json& json) {
-    return cmp_outcome_from_json(json);
-  }
-};
-
-/// Rendered saturation outcomes seed the runner's memoization cache so
-/// protocol methods (saturation(), power_at_baseline_fraction(), ...)
-/// reuse them exactly as a live run_saturation_grid() call would.
-void prime_runner(ExperimentRunner& runner,
-                  const std::vector<SaturationOutcome>& outcomes) {
-  for (const auto& outcome : outcomes) {
-    if (outcome.run.ok && outcome.spec.seed == 0 && !outcome.spec.factory &&
-        outcome.spec.custom.empty()) {
-      runner.prime_saturation(outcome.spec.arch, outcome.spec.bench,
-                              outcome.result);
-    }
-  }
+  return file;
 }
-void prime_runner(ExperimentRunner&, const std::vector<LatencyOutcome>&) {}
-void prime_runner(ExperimentRunner&, const std::vector<PowerOutcome>&) {}
-void prime_runner(ExperimentRunner&, const std::vector<WorkloadOutcome>&) {}
-void prime_runner(ExperimentRunner&, const std::vector<CmpOutcome>&) {}
 
 bool file_has_content(const std::string& path) {
   std::ifstream in(path);
@@ -483,158 +428,39 @@ ShardedSweep::ShardedSweep(SweepOptions options)
   if (options_.anchors_only && !options_.anchors_from.empty()) {
     throw ConfigError("--anchors-only cannot be combined with --anchors-from");
   }
-  switch (options_.mode) {
-    case SweepMode::kRun:
-      break;
-    case SweepMode::kWorker: {
-      if (options_.out_path.empty()) {
-        throw ConfigError("worker mode requires --out <shard.jsonl>");
-      }
-      if (!options_.anchors_from.empty()) {
-        anchors_ = load_shard_file(options_.anchors_from);
-        const SweepManifest& m = anchors_.manifest;
-        if (m.tool != options_.tool) {
-          throw ConfigError("--anchors-from file '" + options_.anchors_from +
-                            "' was produced by tool '" + m.tool +
-                            "', not by this harness ('" + options_.tool +
-                            "')");
-        }
-        if (m.seed != options_.seed) {
-          throw ConfigError("--anchors-from file '" + options_.anchors_from +
-                            "' was produced with seed " +
-                            std::to_string(m.seed) + "; rerun with --seed " +
-                            std::to_string(m.seed) +
-                            " (anchors would not match)");
-        }
-      }
-      file_.manifest.tool = options_.tool;
-      file_.manifest.shard = options_.shard;
-      file_.manifest.seed = options_.seed;
-      // An existing non-empty output resumes the shard: completed cells
-      // are carried over, failed and missing ones re-run. A file from a
-      // different sweep is an error, never silently clobbered.
-      if (file_has_content(options_.out_path)) {
-        resume_ = load_shard_file(options_.out_path);
-        const SweepManifest& m = resume_.manifest;
-        if (m.tool != options_.tool || m.seed != options_.seed ||
-            !(m.shard == options_.shard)) {
-          throw ConfigError(
-              "existing shard file '" + options_.out_path +
-              "' belongs to a different sweep (tool " + m.tool + ", shard " +
-              m.shard.to_string() + ", seed " + std::to_string(m.seed) +
-              "); delete it or choose another --out to start fresh");
-        }
-        resuming_ = true;
-      }
-      break;
-    }
-    case SweepMode::kRender: {
-      if (options_.from_path.empty()) {
-        throw ConfigError("render mode requires --from <merged.jsonl>");
-      }
-      file_ = load_shard_file(options_.from_path);
-      const SweepManifest& m = file_.manifest;
-      if (m.tool != options_.tool) {
-        throw ConfigError("--from file '" + options_.from_path +
-                          "' was produced by tool '" + m.tool +
-                          "', not by this harness ('" + options_.tool + "')");
-      }
-      if (m.seed != options_.seed) {
-        throw ConfigError("--from file '" + options_.from_path +
-                          "' was produced with seed " + std::to_string(m.seed) +
-                          "; rerun with --seed " + std::to_string(m.seed) +
-                          " (tables would not match)");
-      }
-      break;
-    }
-  }
-}
-
-std::vector<SaturationOutcome> ShardedSweep::anchor_saturation(
-    ExperimentRunner& runner, const std::vector<SaturationSpec>& specs,
-    const std::string& name) {
-  if (options_.mode == SweepMode::kRun) {
-    if (streaming()) {
-      return runner.run_saturation_grid(
-          specs, streaming_batch(name, spec_keys(specs), {}));
-    }
-    return runner.run_saturation_grid(specs, labeled_batch(name));
-  }
-
-  const std::vector<std::string> keys = spec_keys(specs);
-  SweepGrid grid{name, SaturationTraits::kKind, specs.size(),
-                 grid_hash(keys)};
-  grid.shared = true;
-
   if (options_.mode == SweepMode::kRender) {
-    if (file_.find_grid(name) == nullptr) {
-      // The merged file predates shared anchor grids (schema-1 workers
-      // never recorded anchors): simulate them, exactly as before.
-      return runner.run_saturation_grid(specs, labeled_batch(name));
+    if (options_.from_path.empty()) {
+      throw ConfigError("render mode requires --from <merged.jsonl>");
     }
-    auto outcomes = load_grid<SaturationTraits>(
-        file_, "--from file '" + options_.from_path + "'", grid, keys, specs,
-        /*strict=*/false);
-    prime_runner(runner, outcomes);
-    return outcomes;
+    file_ = load_own_file("--from", options_.from_path, options_, "tables");
   }
-
-  // Worker. --anchors-only and the classic single-invocation worker both
-  // go through run_grid, which registers the shared grid and records this
-  // shard's owned cells. --anchors-from skips simulation entirely.
+  if (options_.mode != SweepMode::kWorker) return;
+  if (options_.out_path.empty()) {
+    throw ConfigError("worker mode requires --out <shard.jsonl>");
+  }
   if (!options_.anchors_from.empty()) {
-    if (file_.find_grid(name) != nullptr) {
-      throw ConfigError("sweep grid '" + name + "' registered twice");
+    anchors_ = load_own_file("--anchors-from", options_.anchors_from,
+                             options_, "anchors");
+  }
+  file_.manifest.tool = options_.tool;
+  file_.manifest.shard = options_.shard;
+  file_.manifest.seed = options_.seed;
+  // An existing non-empty output resumes the shard: completed cells are
+  // carried over, failed and missing ones re-run. A file from a different
+  // sweep is an error, never silently clobbered.
+  if (file_has_content(options_.out_path)) {
+    resume_ = load_shard_file(options_.out_path);
+    const SweepManifest& m = resume_.manifest;
+    if (m.tool != options_.tool || m.seed != options_.seed ||
+        !(m.shard == options_.shard)) {
+      throw ConfigError(
+          "existing shard file '" + options_.out_path +
+          "' belongs to a different sweep (tool " + m.tool + ", shard " +
+          m.shard.to_string() + ", seed " + std::to_string(m.seed) +
+          "); delete it or choose another --out to start fresh");
     }
-    auto outcomes = load_grid<SaturationTraits>(
-        anchors_, "--anchors-from file '" + options_.anchors_from + "'", grid,
-        keys, specs, /*strict=*/true);
-    // Copy the anchor records into this shard file: the merged downstream
-    // file then carries the anchors itself, so --from never needs the
-    // phase-1 file. The merge accepts the K-way overlap (shared grid).
-    file_.grids.push_back(grid);
-    auto& out_records = file_.records[name];
-    const auto records = anchors_.records.find(name);
-    if (records != anchors_.records.end()) {
-      for (const auto& [cell, record] : records->second) {
-        out_records.emplace(cell, record);
-      }
-    }
-    flush();
-    prime_runner(runner, outcomes);
-    return outcomes;
+    resuming_ = true;
   }
-
-  if (options_.anchors_only) {
-    // Phase 1: simulate only the owned cells (resume carry-over included);
-    // the harness exits via finish() before building downstream grids.
-    return run_grid<SaturationTraits>(name, runner, specs, /*shared=*/true);
-  }
-
-  // Classic worker: every anchor result is needed to construct the
-  // downstream specs, so the full grid still runs — but the owned cells
-  // are now recorded, giving the merged file complete anchor coverage.
-  auto outcomes = runner.run_saturation_grid(
-      specs, streaming() ? streaming_batch(name, keys, {})
-                         : labeled_batch(name));
-  if (file_.find_grid(name) != nullptr) {
-    throw ConfigError("sweep grid '" + name + "' registered twice");
-  }
-  file_.grids.push_back(grid);
-  auto& out_records = file_.records[name];
-  const sim::ShardPlan plan(options_.shard.count);
-  for (const std::size_t cell :
-       plan.cells_of(keys, options_.shard.index)) {
-    SweepRecord record;
-    record.cell = cell;
-    record.key = keys[cell];
-    record.status = run_status(outcomes[cell].run);
-    record.data = to_json(outcomes[cell]);
-    out_records.insert_or_assign(cell, std::move(record));
-    if (!outcomes[cell].run.ok) ++failures_;
-  }
-  flush();
-  return outcomes;
 }
 
 BatchOptions ShardedSweep::labeled_batch(const std::string& name) const {
@@ -659,115 +485,54 @@ BatchOptions ShardedSweep::streaming_batch(
   return batch;
 }
 
-template <typename Traits>
-std::vector<typename Traits::Outcome> ShardedSweep::run_grid(
-    const std::string& name, ExperimentRunner& runner,
-    const std::vector<typename Traits::Spec>& specs, bool shared) {
-  using Outcome = typename Traits::Outcome;
-  using Spec = typename Traits::Spec;
-
-  if (options_.mode == SweepMode::kRun) {
-    if (streaming()) {
-      return Traits::run(runner, specs,
-                         streaming_batch(name, spec_keys(specs), {}));
-    }
-    return Traits::run(runner, specs, labeled_batch(name));
+void ShardedSweep::register_grid(const SweepGrid& grid) {
+  if (file_.find_grid(grid.name) != nullptr) {
+    throw ConfigError("sweep grid '" + grid.name + "' registered twice");
   }
-
-  const std::vector<std::string> keys = spec_keys(specs);
-  SweepGrid grid{name, Traits::kKind, specs.size(), grid_hash(keys)};
-  grid.shared = shared;
-
-  if (options_.mode == SweepMode::kWorker) {
-    if (file_.find_grid(name) != nullptr) {
-      throw ConfigError("sweep grid '" + name + "' registered twice");
-    }
-    file_.grids.push_back(grid);
-
-    const sim::ShardPlan plan(options_.shard.count);
-    const std::vector<std::size_t> mine =
-        plan.cells_of(keys, options_.shard.index);
-
-    std::vector<Outcome> outcomes(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      outcomes[i].spec = specs[i];
-      outcomes[i].run.ok = false;
-      outcomes[i].run.error =
-          "cell not owned by shard " + options_.shard.to_string();
-    }
-
-    const SweepGrid* prev =
-        resuming_ ? resume_.find_grid(name) : nullptr;
-    if (prev != nullptr && !same_grid(*prev, grid)) {
-      throw ConfigError("existing shard file '" + options_.out_path +
-                        "' recorded grid '" + name +
-                        "' with a different identity; it was produced from a "
-                        "different sweep configuration — delete it to rerun");
-    }
-    const std::map<std::size_t, SweepRecord>* prev_records = nullptr;
-    if (prev != nullptr) {
-      const auto it = resume_.records.find(name);
-      if (it != resume_.records.end()) prev_records = &it->second;
-    }
-
-    auto& out_records = file_.records[name];
-    std::vector<std::size_t> to_run;
-    for (const std::size_t cell : mine) {
-      const SweepRecord* carried = nullptr;
-      if (prev_records != nullptr) {
-        const auto it = prev_records->find(cell);
-        if (it != prev_records->end() && it->second.status != "failed") {
-          carried = &it->second;
-        }
-      }
-      if (carried != nullptr) {
-        outcomes[cell] = Traits::from_json(carried->data);
-        outcomes[cell].spec = specs[cell];
-        out_records.emplace(cell, *carried);
-        ++carried_;
-      } else {
-        to_run.push_back(cell);
-      }
-    }
-
-    std::vector<Spec> subset;
-    subset.reserve(to_run.size());
-    for (const std::size_t cell : to_run) subset.push_back(specs[cell]);
-    const std::vector<Outcome> fresh =
-        Traits::run(runner, subset,
-                    streaming() ? streaming_batch(name, keys, to_run)
-                                : labeled_batch(name));
-    for (std::size_t j = 0; j < to_run.size(); ++j) {
-      const std::size_t cell = to_run[j];
-      outcomes[cell] = fresh[j];
-      SweepRecord record;
-      record.cell = cell;
-      record.key = keys[cell];
-      record.status = run_status(fresh[j].run);
-      record.data = to_json(fresh[j]);
-      out_records.insert_or_assign(cell, std::move(record));
-      ++executed_;
-      if (!fresh[j].run.ok) ++failures_;
-    }
-    flush();
-    return outcomes;
-  }
-
-  // kRender: outcomes come from the loaded (merged) file.
-  auto outcomes = load_grid<Traits>(
-      file_, "--from file '" + options_.from_path + "'", grid, keys, specs,
-      /*strict=*/false);
-  prime_runner(runner, outcomes);
-  return outcomes;
+  file_.grids.push_back(grid);
 }
 
-template <typename Traits>
-std::vector<typename Traits::Outcome> ShardedSweep::load_grid(
-    const ShardFile& src, const std::string& origin, const SweepGrid& grid,
-    const std::vector<std::string>& keys,
-    const std::vector<typename Traits::Spec>& specs, bool strict) {
-  using Outcome = typename Traits::Outcome;
+void ShardedSweep::record(const std::string& grid, std::size_t cell,
+                          const std::string& key, const sim::RunOutcome& run,
+                          Json data) {
+  SweepRecord record;
+  record.cell = cell;
+  record.key = key;
+  record.status = run_status(run);
+  record.data = std::move(data);
+  file_.records[grid].insert_or_assign(cell, std::move(record));
+  if (!run.ok) ++failures_;
+}
 
+std::vector<std::size_t> ShardedSweep::claim(
+    const SweepGrid& grid, const std::vector<std::string>& keys) {
+  register_grid(grid);
+  const SweepGrid* prev = resuming_ ? resume_.find_grid(grid.name) : nullptr;
+  if (prev != nullptr && !same_grid(*prev, grid)) {
+    throw ConfigError("existing shard file '" + options_.out_path +
+                      "' recorded grid '" + grid.name +
+                      "' with a different identity; it was produced from a "
+                      "different sweep configuration — delete it to rerun");
+  }
+
+  std::vector<std::size_t> to_run;
+  const sim::ShardPlan plan(options_.shard.count);
+  for (const std::size_t cell : plan.cells_of(keys, options_.shard.index)) {
+    const SweepRecord* done =
+        prev != nullptr ? resume_.find_record(grid.name, cell) : nullptr;
+    if (done != nullptr && done->status != "failed") {
+      file_.records[grid.name].emplace(cell, *done);
+      ++carried_;
+    } else {
+      to_run.push_back(cell);
+    }
+  }
+  return to_run;
+}
+
+std::vector<const SweepRecord*> ShardedSweep::load_records(
+    const ShardFile& src, const std::string& origin, const SweepGrid& grid,
+    const std::vector<std::string>& keys, bool strict) {
   const SweepGrid* loaded = src.find_grid(grid.name);
   if (loaded == nullptr) {
     throw ConfigError(origin + " has no grid '" + grid.name + "'");
@@ -780,78 +545,34 @@ std::vector<typename Traits::Outcome> ShardedSweep::load_grid(
         std::to_string(grid.size) + ", hash " + grid.hash +
         "); was the sweep run with the same configuration?");
   }
-  const std::map<std::size_t, SweepRecord>* records = nullptr;
-  const auto it = src.records.find(grid.name);
-  if (it != src.records.end()) records = &it->second;
-
-  std::vector<Outcome> outcomes(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    outcomes[i].spec = specs[i];
-    const SweepRecord* record = nullptr;
-    if (records != nullptr) {
-      const auto rec = records->find(i);
-      if (rec != records->end()) record = &rec->second;
-    }
-    if (record == nullptr) {
+  const auto cells = src.records_of(grid.name, keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (cells[i] == nullptr) {
       if (strict) {
         throw ConfigError(origin + " is missing grid '" + grid.name +
                           "' cell " + std::to_string(i) +
                           " (merge every anchor shard before phase 2)");
       }
-      outcomes[i].run.ok = false;
-      outcomes[i].run.error = "cell missing from " + origin +
-                              " (partial merge?)";
       ++failures_;
       continue;
     }
-    if (record->key != keys[i]) {
+    if (cells[i]->key != keys[i]) {
       throw ConfigError(origin + " grid '" + grid.name + "' cell " +
-                        std::to_string(i) + " records key '" + record->key +
+                        std::to_string(i) + " records key '" + cells[i]->key +
                         "' but this invocation expects '" + keys[i] + "'");
     }
-    outcomes[i] = Traits::from_json(record->data);
-    outcomes[i].spec = specs[i];
-    if (!outcomes[i].run.ok) {
+    const sim::RunOutcome run = run_outcome_from_json(cells[i]->data.at("run"));
+    if (!run.ok) {
       if (strict) {
         throw ConfigError(origin + " grid '" + grid.name + "' cell " +
                           std::to_string(i) + " failed in phase 1 (" +
-                          outcomes[i].run.error +
+                          run.error +
                           "); re-run that anchor worker before phase 2");
       }
       ++failures_;
     }
   }
-  return outcomes;
-}
-
-std::vector<SaturationOutcome> ShardedSweep::saturation_grid(
-    const std::string& name, ExperimentRunner& runner,
-    const std::vector<SaturationSpec>& specs) {
-  return run_grid<SaturationTraits>(name, runner, specs);
-}
-
-std::vector<LatencyOutcome> ShardedSweep::latency_sweep(
-    const std::string& name, ExperimentRunner& runner,
-    const std::vector<LatencySpec>& specs) {
-  return run_grid<LatencyTraits>(name, runner, specs);
-}
-
-std::vector<PowerOutcome> ShardedSweep::power_sweep(
-    const std::string& name, ExperimentRunner& runner,
-    const std::vector<PowerSpec>& specs) {
-  return run_grid<PowerTraits>(name, runner, specs);
-}
-
-std::vector<WorkloadOutcome> ShardedSweep::workload_grid(
-    const std::string& name, ExperimentRunner& runner,
-    const std::vector<WorkloadSpec>& specs) {
-  return run_grid<WorkloadTraits>(name, runner, specs);
-}
-
-std::vector<CmpOutcome> ShardedSweep::cmp_grid(
-    const std::string& name, ExperimentRunner& runner,
-    const std::vector<CmpSpec>& specs) {
-  return run_grid<CmpTraits>(name, runner, specs);
+  return cells;
 }
 
 void ShardedSweep::flush() const {

@@ -17,7 +17,7 @@
 // version-1 files — which predate shared grids — still load):
 //   {"record":"manifest","format":"specnoc-sweep","schema":2,"tool":...,
 //    "shard":i,"shards":K,"seed":S}
-//   {"record":"grid","name":...,"kind":"saturation|latency|power",
+//   {"record":"grid","name":...,"kind":<Protocol::kind>,
 //    "size":N,"hash":<hex fnv1a64 of the N spec keys>[,"shared":true]}
 //   {"record":"outcome","grid":...,"cell":c,"key":...,
 //    "status":"ok|retried|failed","data":{spec,run[,result]}}   (x many)
@@ -79,9 +79,8 @@ struct SweepManifest {
 
 /// One registered grid: identity shared by every worker of the sweep.
 struct SweepGrid {
-  std::string name;  ///< unique within the tool ("latency", "power", ...)
-  std::string kind;  ///< "saturation" | "latency" | "power" | "workload" |
-                     ///< "cmp"
+  std::string name;  ///< unique within the tool (e.g. the harness grid name)
+  std::string kind;  ///< the grid's protocol (Protocol::kind)
   std::size_t size = 0;  ///< full grid size across all shards
   std::string hash;      ///< grid_hash() of all spec keys, in grid order
   /// Anchor grids: multiple workers may record the same cell (identical
@@ -108,6 +107,11 @@ struct ShardFile {
   bool complete = false;  ///< saw the "done" record
 
   const SweepGrid* find_grid(const std::string& name) const;
+  const SweepRecord* find_record(const std::string& grid,
+                                 std::size_t cell) const;
+  /// find_record() for cells [0, size) of `grid`.
+  std::vector<const SweepRecord*> records_of(const std::string& grid,
+                                             std::size_t size) const;
 };
 
 /// Parses a shard file; throws ConfigError (with the line number) on
@@ -191,8 +195,6 @@ class ShardedSweep {
  public:
   explicit ShardedSweep(SweepOptions options);
 
-  SweepMode mode() const { return options_.mode; }
-
   /// False in worker mode: the harness should skip its table rendering and
   /// return finish() instead.
   bool should_render() const { return options_.mode != SweepMode::kWorker; }
@@ -213,35 +215,26 @@ class ShardedSweep {
   ///    shard file so the final merge is self-contained.
   ///  - render: load from the --from file; files predating shared grids
   ///    (schema 1) fall back to simulating, as before.
-  std::vector<SaturationOutcome> anchor_saturation(
-      ExperimentRunner& runner, const std::vector<SaturationSpec>& specs,
-      const std::string& name = "anchor");
+  template <Protocol P>
+  std::vector<Outcome<P>> anchors(ExperimentRunner& runner,
+                                  const std::vector<typename P::Spec>& specs,
+                                  const std::string& name = "anchor") {
+    return execute<P>(name, runner, specs, /*anchor=*/true);
+  }
 
-  /// Sharded grids. `name` must be unique within the harness and identical
+  /// A sharded grid. `name` must be unique within the harness and identical
   /// across its workers. In worker mode, cells not owned by this shard
   /// come back with run.ok == false and an informative error (the harness
-  /// never renders them). In render mode, canonical saturation outcomes
-  /// also prime the runner's saturation() cache.
-  std::vector<SaturationOutcome> saturation_grid(
-      const std::string& name, ExperimentRunner& runner,
-      const std::vector<SaturationSpec>& specs);
-  std::vector<LatencyOutcome> latency_sweep(
-      const std::string& name, ExperimentRunner& runner,
-      const std::vector<LatencySpec>& specs);
-  std::vector<PowerOutcome> power_sweep(
-      const std::string& name, ExperimentRunner& runner,
-      const std::vector<PowerSpec>& specs);
-  /// Workload specs embed their trace hash in the spec key, so workers
-  /// replaying different trace bytes produce different grid hashes and the
-  /// merge refuses to combine them.
-  std::vector<WorkloadOutcome> workload_grid(
-      const std::string& name, ExperimentRunner& runner,
-      const std::vector<WorkloadSpec>& specs);
-  /// CMP co-simulation grids: like workload grids, the access-trace hash
-  /// rides each spec key, so mismatched trace bytes fail the merge.
-  std::vector<CmpOutcome> cmp_grid(const std::string& name,
-                                   ExperimentRunner& runner,
-                                   const std::vector<CmpSpec>& specs);
+  /// never renders them). In render mode, loaded outcomes also prime the
+  /// runner (ExperimentRunner::prime). Spec keys embed trace hashes where
+  /// a protocol has them, so workers replaying different trace bytes
+  /// produce different grid hashes and the merge refuses to combine them.
+  template <Protocol P>
+  std::vector<Outcome<P>> grid(const std::string& name,
+                               ExperimentRunner& runner,
+                               const std::vector<typename P::Spec>& specs) {
+    return execute<P>(name, runner, specs, /*anchor=*/false);
+  }
 
   /// Worker mode: writes the "done" record, prints a one-line summary to
   /// stderr, and returns the process exit code (1 if any owned cell
@@ -249,21 +242,144 @@ class ShardedSweep {
   int finish();
 
  private:
-  template <typename Traits>
-  std::vector<typename Traits::Outcome> run_grid(
-      const std::string& name, ExperimentRunner& runner,
-      const std::vector<typename Traits::Spec>& specs, bool shared = false);
+  template <Protocol P>
+  std::vector<Outcome<P>> execute(const std::string& name,
+                                  ExperimentRunner& runner,
+                                  const std::vector<typename P::Spec>& specs,
+                                  bool anchor) {
+    const std::vector<std::string> keys = spec_keys(specs);
+    if (options_.mode == SweepMode::kRun) {
+      return runner.run_grid<P>(specs, streaming_batch(name, keys, {}));
+    }
+    const SweepGrid grid{name, P::kind, specs.size(), grid_hash(keys), anchor};
+
+    if (options_.mode == SweepMode::kRender) {
+      if (anchor && file_.find_grid(name) == nullptr) {
+        // The merged file predates shared anchor grids (schema-1 workers
+        // never recorded anchors): simulate them, exactly as before.
+        return runner.run_grid<P>(specs, labeled_batch(name));
+      }
+      return load<P>(runner, file_,
+                     "--from file '" + options_.from_path + "'", grid, keys,
+                     specs, /*strict=*/false);
+    }
+
+    // Worker. Sharded grids — and anchors in phase 1 (--anchors-only, after
+    // which the harness exits via finish()) — simulate only the owned cells.
+    if (!anchor || options_.anchors_only) {
+      return run_owned<P>(grid, runner, specs, keys);
+    }
+
+    // --anchors-from skips simulation entirely: the anchor records are copied
+    // into this shard file, so the merged downstream file carries the anchors
+    // itself and --from never needs the phase-1 file. The merge accepts the
+    // K-way overlap (shared grid).
+    if (!options_.anchors_from.empty()) {
+      auto outcomes =
+          load<P>(runner, anchors_,
+                  "--anchors-from file '" + options_.anchors_from + "'", grid,
+                  keys, specs, /*strict=*/true);
+      register_grid(grid);
+      const auto records = anchors_.records.find(name);
+      if (records != anchors_.records.end()) {
+        file_.records[name].insert(records->second.begin(),
+                                   records->second.end());
+      }
+      flush();
+      return outcomes;
+    }
+
+    // Classic worker: every anchor result is needed to construct the
+    // downstream specs, so the full grid still runs — but the owned cells
+    // are recorded, giving the merged file complete anchor coverage.
+    auto outcomes = runner.run_grid<P>(specs, streaming_batch(name, keys, {}));
+    register_grid(grid);
+    const sim::ShardPlan plan(options_.shard.count);
+    for (const std::size_t cell : plan.cells_of(keys, options_.shard.index)) {
+      record(name, cell, keys[cell], outcomes[cell].run,
+             to_json(outcomes[cell]));
+    }
+    flush();
+    return outcomes;
+  }
+
+  /// Worker mode: runs this shard's cells of `grid` that a resumed file
+  /// has not completed, records them, and reads every owned cell back from
+  /// the shard file — exactly the outcomes a merge will see.
+  template <Protocol P>
+  std::vector<Outcome<P>> run_owned(const SweepGrid& grid,
+                                    ExperimentRunner& runner,
+                                    const std::vector<typename P::Spec>& specs,
+                                    const std::vector<std::string>& keys) {
+    const std::vector<std::size_t> to_run = claim(grid, keys);
+    std::vector<typename P::Spec> subset;
+    for (const std::size_t cell : to_run) subset.push_back(specs[cell]);
+    const std::vector<Outcome<P>> fresh =
+        runner.run_grid<P>(subset, streaming_batch(grid.name, keys, to_run));
+    for (std::size_t j = 0; j < to_run.size(); ++j) {
+      record(grid.name, to_run[j], keys[to_run[j]], fresh[j].run,
+             to_json(fresh[j]));
+      ++executed_;
+    }
+    flush();
+    return decode<P>(specs, file_.records_of(grid.name, specs.size()),
+                     "cell not owned by shard " + options_.shard.to_string());
+  }
 
   /// Reads a whole grid's outcomes out of `src` (a loaded --from or
-  /// --anchors-from file), validating grid identity and per-cell keys.
-  /// `strict` — used for anchors, whose results feed downstream spec
-  /// construction — turns missing or failed cells into ConfigError instead
-  /// of failed outcomes.
-  template <typename Traits>
-  std::vector<typename Traits::Outcome> load_grid(
+  /// --anchors-from file) and primes the runner with them.
+  template <Protocol P>
+  std::vector<Outcome<P>> load(ExperimentRunner& runner, const ShardFile& src,
+                               const std::string& origin,
+                               const SweepGrid& grid,
+                               const std::vector<std::string>& keys,
+                               const std::vector<typename P::Spec>& specs,
+                               bool strict) {
+    auto outcomes =
+        decode<P>(specs, load_records(src, origin, grid, keys, strict),
+                  "cell missing from " + origin + " (partial merge?)");
+    runner.prime(outcomes);
+    return outcomes;
+  }
+
+  /// Outcomes decoded from cell-indexed `records` (a null record yields a
+  /// failed outcome reporting `missing`), with the caller's specs attached.
+  template <Protocol P>
+  static std::vector<Outcome<P>> decode(
+      const std::vector<typename P::Spec>& specs,
+      const std::vector<const SweepRecord*>& records,
+      const std::string& missing) {
+    std::vector<Outcome<P>> outcomes(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      if (records[i] != nullptr) {
+        outcomes[i] = outcome_from_json<P>(records[i]->data);
+      } else {
+        outcomes[i].run.ok = false;
+        outcomes[i].run.error = missing;
+      }
+      outcomes[i].spec = specs[i];
+    }
+    return outcomes;
+  }
+
+  /// Registers `grid`, carries completed records of a resumed file over,
+  /// and returns the owned cells still to run.
+  std::vector<std::size_t> claim(const SweepGrid& grid,
+                                 const std::vector<std::string>& keys);
+
+  /// Validates `src`'s copy of `grid` (identity, per-cell keys) and returns
+  /// each cell's record, nullptr for a missing cell. `strict` — used for
+  /// anchors, whose results feed downstream spec construction — turns
+  /// missing or failed cells into ConfigError instead of failed outcomes.
+  std::vector<const SweepRecord*> load_records(
       const ShardFile& src, const std::string& origin, const SweepGrid& grid,
-      const std::vector<std::string>& keys,
-      const std::vector<typename Traits::Spec>& specs, bool strict);
+      const std::vector<std::string>& keys, bool strict);
+
+  void register_grid(const SweepGrid& grid);
+  /// Records one owned cell's outcome in this worker's shard file.
+  void record(const std::string& grid, std::size_t cell,
+              const std::string& key, const sim::RunOutcome& run,
+              util::Json data);
 
   /// options_.batch with "/<name>" appended to a non-empty progress label,
   /// so live progress lines identify the grid being executed.
@@ -276,7 +392,6 @@ class ShardedSweep {
   BatchOptions streaming_batch(const std::string& name,
                                std::vector<std::string> keys,
                                std::vector<std::size_t> cells) const;
-  bool streaming() const { return options_.telemetry_stream != nullptr; }
 
   void flush() const;
 

@@ -137,9 +137,10 @@ TEST(BatchDeterminismTest, LatencySweepIdenticalForAnyJobCount) {
   const stats::ExperimentRunner runner(cfg, /*seed=*/9);
   const auto specs = small_grid();
 
-  const auto serial = runner.run_latency_sweep(specs, {.jobs = 1});
-  const auto parallel = runner.run_latency_sweep(specs, {.jobs = 4});
-  const auto repeat = runner.run_latency_sweep(specs, {.jobs = 4});
+  using stats::LatencyProtocol;
+  const auto serial = runner.run_grid<LatencyProtocol>(specs, {.jobs = 1});
+  const auto parallel = runner.run_grid<LatencyProtocol>(specs, {.jobs = 4});
+  const auto repeat = runner.run_grid<LatencyProtocol>(specs, {.jobs = 4});
   ASSERT_EQ(serial.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     ASSERT_TRUE(serial[i].run.ok);
@@ -189,7 +190,8 @@ TEST(BatchDeterminismTest, BadSpecReportedPerOutcomeNotFatal) {
   auto specs = small_grid();
   specs[1].injected_flits_per_ns = 0.0;  // rejected by the rate check
   const auto outcomes =
-      runner.run_latency_sweep(specs, {.jobs = 4, .max_attempts = 2});
+      runner.run_grid<stats::LatencyProtocol>(specs,
+                                              {.jobs = 4, .max_attempts = 2});
   ASSERT_EQ(outcomes.size(), specs.size());
   EXPECT_FALSE(outcomes[1].run.ok);
   EXPECT_NE(outcomes[1].run.error.find("positive"), std::string::npos);

@@ -102,8 +102,11 @@ TEST_F(ExperimentTest, CustomFactoryRunsMatchArchitectureRuns) {
     return std::make_unique<core::MotNetwork>(
         Architecture::kOptNonSpeculative, cfg);
   };
+  SaturationSpec spec;
+  spec.bench = BenchmarkId::kShuffle;
+  spec.factory = factory;
   const auto via_factory =
-      runner.run_saturation(factory, BenchmarkId::kShuffle);
+      runner.run_grid<SaturationProtocol>({spec}).front().result;
   const auto& via_arch =
       runner.saturation(Architecture::kOptNonSpeculative,
                         BenchmarkId::kShuffle);

@@ -39,7 +39,7 @@ TEST(SerializationTest, SaturationOutcomeRoundTrips) {
   outcome.run = ok_run();
 
   const auto back =
-      saturation_outcome_from_json(util::json_parse(
+      outcome_from_json<SaturationProtocol>(util::json_parse(
           util::json_write(to_json(outcome))));
   EXPECT_EQ(back.spec.arch, outcome.spec.arch);
   EXPECT_EQ(back.spec.bench, outcome.spec.bench);
@@ -72,7 +72,7 @@ TEST(SerializationTest, LatencyOutcomeRoundTripsExactDoubles) {
   outcome.result.drained = true;
   outcome.run = ok_run(2);
 
-  const auto back = latency_outcome_from_json(
+  const auto back = outcome_from_json<LatencyProtocol>(
       util::json_parse(util::json_write(to_json(outcome))));
   EXPECT_EQ(back.spec.injected_flits_per_ns,
             outcome.spec.injected_flits_per_ns);
@@ -98,7 +98,7 @@ TEST(SerializationTest, PowerOutcomeRoundTrips) {
   outcome.result.broadcast_ops = 99;
   outcome.run = ok_run();
 
-  const auto back = power_outcome_from_json(
+  const auto back = outcome_from_json<PowerProtocol>(
       util::json_parse(util::json_write(to_json(outcome))));
   EXPECT_EQ(back.result.power_mw, outcome.result.power_mw);
   EXPECT_EQ(back.result.throttled_flits, outcome.result.throttled_flits);
@@ -115,7 +115,7 @@ TEST(SerializationTest, CustomHybridSpecCarriesLabel) {
   spec.factory = [] { return std::unique_ptr<core::MotNetwork>(); };
 
   const auto back =
-      saturation_spec_from_json(util::json_parse(
+      spec_from_json<SaturationProtocol>(util::json_parse(
           util::json_write(to_json(spec))));
   EXPECT_EQ(back.arch, Architecture::kCustomHybrid);
   EXPECT_EQ(back.custom, "{0,2}");
@@ -133,7 +133,7 @@ TEST(SerializationTest, FailedOutcomeOmitsResult) {
 
   const util::Json json = to_json(outcome);
   EXPECT_EQ(json.find("result"), nullptr);
-  const auto back = latency_outcome_from_json(json);
+  const auto back = outcome_from_json<LatencyProtocol>(json);
   EXPECT_FALSE(back.run.ok);
   EXPECT_EQ(back.run.error, "did not drain");
   // The round trip yields the default result, as the in-process path does
@@ -193,7 +193,7 @@ TEST(SerializationTest, WorkloadOutcomeRoundTrips) {
   outcome.result.completed = true;
   outcome.run = ok_run();
 
-  const auto back = workload_outcome_from_json(
+  const auto back = outcome_from_json<WorkloadProtocol>(
       util::json_parse(util::json_write(to_json(outcome))));
   EXPECT_EQ(back.spec.arch, outcome.spec.arch);
   EXPECT_EQ(back.spec.workload, "Coherence");
@@ -275,7 +275,7 @@ TEST(SerializationTest, CmpOutcomeRoundTrips) {
   outcome.result.completed = true;
   outcome.run = ok_run();
 
-  const auto back = cmp_outcome_from_json(
+  const auto back = outcome_from_json<CmpProtocol>(
       util::json_parse(util::json_write(to_json(outcome))));
   EXPECT_EQ(back.spec.arch, outcome.spec.arch);
   EXPECT_EQ(back.spec.workload, "LuBlocks");

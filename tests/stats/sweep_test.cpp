@@ -290,7 +290,8 @@ TEST(ShardedSweepTest, WorkerMergeRenderMatchesSingleProcess) {
 
   ExperimentRunner ref_runner(cfg, 42);
   ShardedSweep ref_sweep(base_options(SweepMode::kRun));
-  const auto reference = ref_sweep.latency_sweep("latency", ref_runner, specs);
+  const auto reference =
+      ref_sweep.grid<LatencyProtocol>("latency", ref_runner, specs);
   EXPECT_EQ(ref_sweep.finish(), 0);
 
   constexpr unsigned kShards = 2;
@@ -303,7 +304,7 @@ TEST(ShardedSweepTest, WorkerMergeRenderMatchesSingleProcess) {
     ExperimentRunner runner(cfg, 42);
     ShardedSweep sweep(options);
     EXPECT_FALSE(sweep.should_render());
-    const auto outcomes = sweep.latency_sweep("latency", runner, specs);
+    const auto outcomes = sweep.grid<LatencyProtocol>("latency", runner, specs);
     ASSERT_EQ(outcomes.size(), specs.size());
     // Non-owned cells are marked, never silently zero-filled.
     const sim::ShardPlan plan(kShards);
@@ -333,7 +334,7 @@ TEST(ShardedSweepTest, WorkerMergeRenderMatchesSingleProcess) {
   ShardedSweep render_sweep(render_options);
   EXPECT_TRUE(render_sweep.should_render());
   const auto rendered =
-      render_sweep.latency_sweep("latency", render_runner, specs);
+      render_sweep.grid<LatencyProtocol>("latency", render_runner, specs);
   EXPECT_EQ(render_sweep.finish(), 0);
 
   ASSERT_EQ(rendered.size(), reference.size());
@@ -369,8 +370,8 @@ TEST(ShardedSweepTest, WorkloadWorkerMergeRenderMatchesSingleProcess) {
 
   ExperimentRunner ref_runner(cfg, 42);
   ShardedSweep ref_sweep(base_options(SweepMode::kRun));
-  const auto reference = ref_sweep.workload_grid("workload", ref_runner,
-                                                 specs);
+  const auto reference =
+      ref_sweep.grid<WorkloadProtocol>("workload", ref_runner, specs);
   EXPECT_EQ(ref_sweep.finish(), 0);
 
   constexpr unsigned kShards = 2;
@@ -382,7 +383,8 @@ TEST(ShardedSweepTest, WorkloadWorkerMergeRenderMatchesSingleProcess) {
     write_text(options.out_path, "");
     ExperimentRunner runner(cfg, 42);
     ShardedSweep sweep(options);
-    const auto outcomes = sweep.workload_grid("workload", runner, specs);
+    const auto outcomes =
+        sweep.grid<WorkloadProtocol>("workload", runner, specs);
     ASSERT_EQ(outcomes.size(), specs.size());
     EXPECT_EQ(sweep.finish(), 0);
     inputs.push_back(load_shard_file(options.out_path));
@@ -399,7 +401,7 @@ TEST(ShardedSweepTest, WorkloadWorkerMergeRenderMatchesSingleProcess) {
   ExperimentRunner render_runner(cfg, 42);
   ShardedSweep render_sweep(render_options);
   const auto rendered =
-      render_sweep.workload_grid("workload", render_runner, specs);
+      render_sweep.grid<WorkloadProtocol>("workload", render_runner, specs);
   EXPECT_EQ(render_sweep.finish(), 0);
 
   ASSERT_EQ(rendered.size(), reference.size());
@@ -451,7 +453,7 @@ TEST(ShardedSweepTest, WorkerResumesCompletedCellsWithoutRerunning) {
 
   ExperimentRunner runner(cfg, 42);
   ShardedSweep sweep(options);
-  const auto outcomes = sweep.latency_sweep("latency", runner, specs);
+  const auto outcomes = sweep.grid<LatencyProtocol>("latency", runner, specs);
   EXPECT_EQ(sweep.finish(), 0);
 
   // Cell 0 was carried over verbatim (the sentinel survives — it was not
@@ -513,10 +515,12 @@ TEST(ShardedSweepTest, RenderValidatesManifestAndGridIdentity) {
     options.from_path = path;
     ExperimentRunner runner(cfg, 42);
     ShardedSweep sweep(options);
-    EXPECT_THROW(sweep.latency_sweep("other", runner, specs), ConfigError);
+    EXPECT_THROW(sweep.grid<LatencyProtocol>("other", runner, specs),
+                 ConfigError);
     auto changed = specs;
     changed[0].injected_flits_per_ns = 0.07;
-    EXPECT_THROW(sweep.latency_sweep("latency", runner, changed), ConfigError);
+    EXPECT_THROW(sweep.grid<LatencyProtocol>("latency", runner, changed),
+                 ConfigError);
   }
   {
     // Cells missing from a partial merge render as failed outcomes, not
@@ -525,7 +529,7 @@ TEST(ShardedSweepTest, RenderValidatesManifestAndGridIdentity) {
     options.from_path = path;
     ExperimentRunner runner(cfg, 42);
     ShardedSweep sweep(options);
-    const auto outcomes = sweep.latency_sweep("latency", runner, specs);
+    const auto outcomes = sweep.grid<LatencyProtocol>("latency", runner, specs);
     ASSERT_EQ(outcomes.size(), specs.size());
     for (const auto& outcome : outcomes) {
       EXPECT_FALSE(outcome.run.ok);
@@ -600,10 +604,11 @@ TEST(ShardedSweepTest, TwoPhaseAnchorProtocolMatchesSingleProcess) {
   // Reference: plain single-process run.
   ExperimentRunner ref_runner(cfg, 42);
   ShardedSweep ref_sweep(base_options(SweepMode::kRun));
-  const auto ref_anchors = ref_sweep.anchor_saturation(ref_runner, sat_specs);
+  const auto ref_anchors =
+      ref_sweep.anchors<SaturationProtocol>(ref_runner, sat_specs);
   const auto lat_specs = derived_latency_grid(sat_specs, ref_anchors);
-  const auto reference = ref_sweep.latency_sweep("latency", ref_runner,
-                                                 lat_specs);
+  const auto reference =
+      ref_sweep.grid<LatencyProtocol>("latency", ref_runner, lat_specs);
 
   // Phase 1: anchors only, sharded across 2 workers.
   constexpr unsigned kShards = 2;
@@ -617,7 +622,7 @@ TEST(ShardedSweepTest, TwoPhaseAnchorProtocolMatchesSingleProcess) {
     ExperimentRunner runner(cfg, 42);
     ShardedSweep sweep(options);
     EXPECT_TRUE(sweep.anchors_only());
-    const auto outcomes = sweep.anchor_saturation(runner, sat_specs);
+    const auto outcomes = sweep.anchors<SaturationProtocol>(runner, sat_specs);
     ASSERT_EQ(outcomes.size(), sat_specs.size());
     const sim::ShardPlan plan(kShards);
     for (std::size_t i = 0; i < sat_specs.size(); ++i) {
@@ -653,7 +658,7 @@ TEST(ShardedSweepTest, TwoPhaseAnchorProtocolMatchesSingleProcess) {
     ExperimentRunner runner(cfg, 42);
     ShardedSweep sweep(options);
     EXPECT_FALSE(sweep.anchors_only());
-    const auto anchors = sweep.anchor_saturation(runner, sat_specs);
+    const auto anchors = sweep.anchors<SaturationProtocol>(runner, sat_specs);
     // Loaded anchors carry the phase-1 numbers — identical to the
     // reference run's, so the derived specs (and grid hash) match.
     for (std::size_t i = 0; i < anchors.size(); ++i) {
@@ -662,7 +667,7 @@ TEST(ShardedSweepTest, TwoPhaseAnchorProtocolMatchesSingleProcess) {
                 ref_anchors[i].result.injected_flits_per_ns);
     }
     const auto derived = derived_latency_grid(sat_specs, anchors);
-    sweep.latency_sweep("latency", runner, derived);
+    sweep.grid<LatencyProtocol>("latency", runner, derived);
     EXPECT_EQ(sweep.finish(), 0);
     inputs.push_back(load_shard_file(options.out_path));
   }
@@ -678,8 +683,8 @@ TEST(ShardedSweepTest, TwoPhaseAnchorProtocolMatchesSingleProcess) {
   ExperimentRunner render_runner(cfg, 42);
   ShardedSweep render_sweep(render_options);
   const auto rendered_anchors =
-      render_sweep.anchor_saturation(render_runner, sat_specs);
-  const auto rendered = render_sweep.latency_sweep(
+      render_sweep.anchors<SaturationProtocol>(render_runner, sat_specs);
+  const auto rendered = render_sweep.grid<LatencyProtocol>(
       "latency", render_runner,
       derived_latency_grid(sat_specs, rendered_anchors));
   ASSERT_EQ(rendered.size(), reference.size());
@@ -730,7 +735,7 @@ TEST(ShardedSweepTest, AnchorsFromLoadsWithoutSimulating) {
   write_text(options.out_path, "");
   ExperimentRunner runner(cfg, 42);
   ShardedSweep sweep(options);
-  const auto outcomes = sweep.anchor_saturation(runner, specs);
+  const auto outcomes = sweep.anchors<SaturationProtocol>(runner, specs);
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_EQ(outcomes[0].result.injected_flits_per_ns, 123.25);
   // The runner's saturation cache is primed from the file too.
@@ -783,7 +788,7 @@ TEST(ShardedSweepTest, AnchorsFromRejectsIncompleteOrFailedAnchors) {
   {
     ExperimentRunner runner(cfg, 42);
     ShardedSweep sweep(make_worker("missing"));
-    EXPECT_THROW(sweep.anchor_saturation(runner, specs), ConfigError);
+    EXPECT_THROW(sweep.anchors<SaturationProtocol>(runner, specs), ConfigError);
   }
   {
     SaturationOutcome failed;
@@ -795,7 +800,7 @@ TEST(ShardedSweepTest, AnchorsFromRejectsIncompleteOrFailedAnchors) {
     write_shard_file(anchors, anchors_path);
     ExperimentRunner runner(cfg, 42);
     ShardedSweep sweep(make_worker("failed"));
-    EXPECT_THROW(sweep.anchor_saturation(runner, specs), ConfigError);
+    EXPECT_THROW(sweep.anchors<SaturationProtocol>(runner, specs), ConfigError);
   }
   {
     // A seed mismatch is caught at construction.
@@ -819,7 +824,7 @@ TEST(ShardedSweepTest, ClassicWorkerRecordsAnchorsForRender) {
   write_text(options.out_path, "");
   ExperimentRunner runner(cfg, 42);
   ShardedSweep sweep(options);
-  const auto outcomes = sweep.anchor_saturation(runner, specs);
+  const auto outcomes = sweep.anchors<SaturationProtocol>(runner, specs);
   for (const auto& outcome : outcomes) EXPECT_TRUE(outcome.run.ok);
   EXPECT_EQ(sweep.finish(), 0);
 
@@ -845,7 +850,8 @@ TEST(ShardedSweepTest, ClassicWorkerRecordsAnchorsForRender) {
   render_options.from_path = doctored_path;
   ExperimentRunner render_runner(cfg, 42);
   ShardedSweep render_sweep(render_options);
-  const auto rendered = render_sweep.anchor_saturation(render_runner, specs);
+  const auto rendered =
+      render_sweep.anchors<SaturationProtocol>(render_runner, specs);
   ASSERT_EQ(rendered.size(), specs.size());
   EXPECT_EQ(rendered[0].result.injected_flits_per_ns, 321.5);
 }
@@ -883,7 +889,8 @@ TEST(ShardedSweepTest, RenderPrimesSaturationCache) {
   options.from_path = path;
   ExperimentRunner runner(cfg, 42);
   ShardedSweep sweep(options);
-  const auto outcomes = sweep.saturation_grid("throughput", runner, specs);
+  const auto outcomes =
+      sweep.grid<SaturationProtocol>("throughput", runner, specs);
   ASSERT_TRUE(outcomes[0].run.ok);
   // saturation() now hits the primed cache — the sentinel value comes back
   // instead of a fresh simulation's.

@@ -228,12 +228,15 @@ WireLine key_line(const std::string& key) {
 std::vector<WireLine> wire_lines() {
   std::vector<WireLine> lines;
   for (const bool ok : {true, false}) {
-    lines.push_back(outcome_line(saturation(ok), saturation_outcome_from_json));
-    lines.push_back(outcome_line(latency(ok), latency_outcome_from_json));
-    lines.push_back(outcome_line(power(ok), power_outcome_from_json));
     lines.push_back(
-        outcome_line(workload_outcome(ok), workload_outcome_from_json));
-    lines.push_back(outcome_line(cmp_outcome(ok), cmp_outcome_from_json));
+        outcome_line(saturation(ok), outcome_from_json<SaturationProtocol>));
+    lines.push_back(
+        outcome_line(latency(ok), outcome_from_json<LatencyProtocol>));
+    lines.push_back(outcome_line(power(ok), outcome_from_json<PowerProtocol>));
+    lines.push_back(outcome_line(workload_outcome(ok),
+                                 outcome_from_json<WorkloadProtocol>));
+    lines.push_back(
+        outcome_line(cmp_outcome(ok), outcome_from_json<CmpProtocol>));
   }
 
   SaturationSpec custom = saturation(true).spec;
@@ -242,7 +245,7 @@ std::vector<WireLine> wire_lines() {
   SaturationOutcome custom_outcome = saturation(true);
   custom_outcome.spec = custom;
   lines.push_back(
-      outcome_line(custom_outcome, saturation_outcome_from_json));
+      outcome_line(custom_outcome, outcome_from_json<SaturationProtocol>));
 
   WorkloadSpec closed = workload_outcome(true).spec;
   closed.mode = workload::ReplayMode::kClosedLoop;
