@@ -84,7 +84,6 @@ int main(int argc, char** argv) {
       sat_specs.push_back({.arch = core::Architecture::kCustomHybrid,
                            .bench = bench,
                            .seed = 0,
-                           .factory = {},
                            .custom = point.label});
     }
   }
@@ -109,20 +108,18 @@ int main(int argc, char** argv) {
       lat_specs.push_back({.arch = core::Architecture::kCustomHybrid,
                            .bench = kBenches[b],
                            .injected_flits_per_ns =
-                               0.25 * sat.injected_flits_per_ns,
+                               stats::operating_rate(sat, 0.25),
                            .windows = windows,
                            .seed = 0,
-                           .factory = {},
                            .custom = point.label});
     }
     const auto& sat_uniform = sat_outcomes[2 * p].result;
     power_specs.push_back({.arch = core::Architecture::kCustomHybrid,
                            .bench = BenchmarkId::kUniformRandom,
                            .injected_flits_per_ns =
-                               0.25 * sat_uniform.injected_flits_per_ns,
+                               stats::operating_rate(sat_uniform, 0.25),
                            .windows = windows,
                            .seed = 0,
-                           .factory = {},
                            .custom = point.label});
   }
   const auto lat_outcomes =

@@ -26,41 +26,66 @@ int main(int argc, char** argv) {
       "Async vs synchronous switch implementations.");
   const TimePs periods[] = {0, 400, 600, 800};
   const auto bench = traffic::BenchmarkId::kUniformRandom;
+  using core::Architecture;
+  // Table rows are the first two; OptNonSpec is the speculation reference.
+  constexpr Architecture kArchs[] = {Architecture::kBaseline,
+                                     Architecture::kOptHybridSpeculative,
+                                     Architecture::kOptNonSpeculative};
+  specnoc::bench::TelemetryTable telemetry;
 
   Table table({"Clock", "Arch", "Saturation (flits/ns/src)",
                "Latency @25% (ns)", "p95 (ns)"});
-  double lat_nonspec = 0.0, lat_hybrid = 0.0;
   Table spec_benefit({"Clock", "OptNonSpec lat (ns)", "OptHybrid lat (ns)",
                       "Speculation benefit"});
 
   for (const TimePs period : periods) {
     core::NetworkConfig cfg;
     cfg.clock_period = period;
-    stats::ExperimentRunner runner(cfg, opts.seed);
+    const stats::ExperimentRunner runner(cfg, opts.seed);
     const std::string clock_label =
         period == 0 ? "async" : std::to_string(period) + " ps";
 
-    for (const auto arch : {core::Architecture::kBaseline,
-                            core::Architecture::kOptHybridSpeculative}) {
-      const auto& sat = runner.saturation(arch, bench);
-      const auto lat = runner.latency_at_fraction(arch, bench);
-      table.add_row({clock_label, core::to_string(arch),
-                     cell(sat.delivered_flits_per_ns, 2),
-                     cell(lat.mean_latency_ns, 2),
-                     cell(lat.p95_latency_ns, 2)});
+    // Each network's saturation, then its latency at 25% of it.
+    std::vector<stats::SaturationSpec> sat_specs;
+    for (const auto arch : kArchs) {
+      sat_specs.push_back({.arch = arch, .bench = bench, .seed = 0,
+                           .custom = {}});
     }
+    const auto sats =
+        runner.run_grid<stats::SaturationProtocol>(sat_specs, opts.batch());
+    std::vector<stats::LatencySpec> lat_specs;
+    for (const auto& sat : sats) {
+      lat_specs.push_back(
+          {.arch = sat.spec.arch,
+           .bench = bench,
+           .injected_flits_per_ns = stats::operating_rate(sat.result, 0.25),
+           .windows = traffic::default_windows(bench),
+           .seed = 0,
+           .custom = {}});
+    }
+    const auto lats =
+        runner.run_grid<stats::LatencyProtocol>(lat_specs, opts.batch());
+    telemetry.add_all(sats);
+    telemetry.add_all(lats);
 
-    lat_nonspec =
-        runner.latency_at_fraction(core::Architecture::kOptNonSpeculative,
-                                   bench)
-            .mean_latency_ns;
-    lat_hybrid =
-        runner.latency_at_fraction(core::Architecture::kOptHybridSpeculative,
-                                   bench)
-            .mean_latency_ns;
-    spec_benefit.add_row({clock_label, cell(lat_nonspec, 2),
-                          cell(lat_hybrid, 2),
-                          percent_cell(lat_hybrid / lat_nonspec - 1.0)});
+    auto latency = [&](std::size_t i, double value) {
+      return lats[i].run.ok ? cell(value, 2) : "FAIL";
+    };
+    for (std::size_t i = 0; i < 2; ++i) {
+      table.add_row({clock_label, core::to_string(kArchs[i]),
+                     sats[i].run.ok
+                         ? cell(sats[i].result.delivered_flits_per_ns, 2)
+                         : "FAIL",
+                     latency(i, lats[i].result.mean_latency_ns),
+                     latency(i, lats[i].result.p95_latency_ns)});
+    }
+    const double lat_hybrid = lats[1].result.mean_latency_ns;
+    const double lat_nonspec = lats[2].result.mean_latency_ns;
+    spec_benefit.add_row(
+        {clock_label, latency(2, lat_nonspec), latency(1, lat_hybrid),
+         lats[1].run.ok && lats[2].run.ok
+             ? percent_cell(lat_hybrid / lat_nonspec - 1.0)
+             : "n/a"});
   }
 
   specnoc::bench::emit(table, "Async vs synchronous switch implementations",
@@ -74,5 +99,6 @@ int main(int argc, char** argv) {
       "ps); a clocked switch pays a full period per stage regardless, so "
       "both absolute performance and the relative value of fast "
       "speculative nodes degrade with the clock.");
-  return 0;
+  telemetry.emit("Sync vs async grids", opts);
+  return telemetry.failures() == 0 ? 0 : 1;
 }

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   for (const auto arch : kRowOrder) {
     for (const auto bench : traffic::all_benchmarks()) {
       sat_specs.push_back({.arch = arch, .bench = bench, .seed = 0,
-                          .factory = {}, .custom = {}});
+                          .custom = {}});
     }
   }
   const auto sat_outcomes =
@@ -60,11 +60,9 @@ int main(int argc, char** argv) {
     lat_specs.push_back(
         {.arch = sat_specs[i].arch,
          .bench = sat_specs[i].bench,
-         .injected_flits_per_ns =
-             0.25 * sat.injected_flits_per_ns / sat.message_expansion,
+         .injected_flits_per_ns = stats::operating_rate(sat, 0.25),
          .windows = traffic::default_windows(sat_specs[i].bench),
          .seed = 0,
-         .factory = {},
          .custom = {}});
   }
   const auto lat_outcomes =

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   for (const auto bench : benches) {
     for (const auto arch : core::dse_architectures()) {
       sat_specs.push_back({.arch = arch, .bench = bench, .seed = 0,
-                          .factory = {}, .custom = {}});
+                          .custom = {}});
     }
   }
   const auto sat_outcomes =
@@ -56,11 +56,9 @@ int main(int argc, char** argv) {
         lat_specs.push_back(
             {.arch = core::dse_architectures()[a],
              .bench = bench,
-             .injected_flits_per_ns = fraction * sat.injected_flits_per_ns /
-                                      sat.message_expansion,
+             .injected_flits_per_ns = stats::operating_rate(sat, fraction),
              .windows = windows,
              .seed = 0,
-             .factory = {},
              .custom = {}});
       }
     }

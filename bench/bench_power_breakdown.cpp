@@ -18,14 +18,19 @@ int main(int argc, char** argv) {
       argc, argv, "bench_power_breakdown",
       "Per-component power breakdown at the paper's operating point.");
   core::NetworkConfig cfg;
-  stats::ExperimentRunner runner(cfg, opts.seed);
+  const stats::ExperimentRunner runner(cfg, opts.seed);
   const auto bench = traffic::BenchmarkId::kMulticast10;
 
   // The same commanded rate the Table-1 power protocol uses.
-  const auto& baseline_sat =
-      runner.saturation(core::Architecture::kBaseline, bench);
-  const double commanded = 0.25 * baseline_sat.injected_flits_per_ns /
-                           baseline_sat.message_expansion;
+  const auto anchor = runner.run_grid<stats::SaturationProtocol>(
+      {{.arch = core::Architecture::kBaseline, .bench = bench, .seed = 0,
+        .custom = {}}},
+      opts.batch())[0];
+  if (!anchor.run.ok) {
+    std::fprintf(stderr, "error: %s\n", anchor.run.error.c_str());
+    return 1;
+  }
+  const double commanded = stats::operating_rate(anchor.result, 0.25);
 
   Table table({"Architecture", "Total mW", "Fanout mW", "Fanin mW", "NI mW",
                "Wires mW", "Throttled flits", "Broadcast ops"});

@@ -67,7 +67,6 @@ int main(int argc, char** argv) {
     sat_specs.push_back({.arch = core::Architecture::kBaseline,
                          .bench = bench,
                          .seed = 0,
-                         .factory = {},
                          .custom = {}});
   }
   const auto sat_outcomes =
@@ -86,11 +85,9 @@ int main(int argc, char** argv) {
       power_specs.push_back(
           {.arch = arch,
            .bench = kBenchmarks[c],
-           .injected_flits_per_ns = 0.25 * baseline_sat.injected_flits_per_ns /
-                                    baseline_sat.message_expansion,
+           .injected_flits_per_ns = stats::operating_rate(baseline_sat, 0.25),
            .windows = traffic::default_windows(kBenchmarks[c]),
            .seed = 0,
-           .factory = {},
            .custom = {}});
     }
   }

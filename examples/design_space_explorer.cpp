@@ -20,8 +20,10 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/registry.h"
 #include "stats/experiment.h"
 #include "stats/serialization.h"
 #include "stats/sweep.h"
@@ -128,14 +130,13 @@ int main(int argc, char** argv) {
     point.addr_bits =
         mot::SourceRouteEncoder(topology, spec.flags()).address_bits();
     points.push_back(point);
+    // Specs name the point by its registry label alone, so shard files
+    // describe it fully.
+    core::ArchitectureRegistry::global().add_speculation_levels(
+        label, std::move(levels));
     sat_specs.push_back({.arch = core::Architecture::kCustomHybrid,
                          .bench = bench,
                          .seed = 0,
-                         .factory =
-                             [config, spec] {
-                               return std::make_unique<core::MotNetwork>(
-                                   config, spec);
-                             },
                          .custom = label});
   }
 
@@ -147,20 +148,18 @@ int main(int argc, char** argv) {
   std::vector<stats::LatencySpec> lat_specs;
   std::vector<stats::PowerSpec> power_specs;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    const double rate = 0.25 * sat_outcomes[i].result.injected_flits_per_ns;
+    const double rate = stats::operating_rate(sat_outcomes[i].result, 0.25);
     lat_specs.push_back({.arch = core::Architecture::kCustomHybrid,
                          .bench = bench,
                          .injected_flits_per_ns = rate,
                          .windows = windows,
                          .seed = 0,
-                         .factory = sat_specs[i].factory,
                          .custom = points[i].label});
     power_specs.push_back({.arch = core::Architecture::kCustomHybrid,
                            .bench = bench,
                            .injected_flits_per_ns = rate,
                            .windows = windows,
                            .seed = 0,
-                           .factory = sat_specs[i].factory,
                            .custom = points[i].label});
   }
   const auto lat_outcomes =

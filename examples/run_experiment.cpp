@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/registry.h"
@@ -142,11 +143,41 @@ Options parse(int argc, char** argv) {
                    std::exit(0);
                  });
   cli.parse_or_exit(argc, argv);
+  if (!(opts.fraction > 0.0 && opts.fraction < 1.0)) {
+    std::fprintf(stderr, "run_experiment: --fraction must lie in (0, 1)\n");
+    std::exit(2);
+  }
   if (opts.mode == "saturation" &&
       (!opts.workload_path.empty() || !opts.synth_name.empty())) {
     opts.mode = "workload";
   }
   return opts;
+}
+
+/// Runs one spec; a failed run prints "error: <why>" and yields nothing.
+template <stats::Protocol P>
+std::optional<typename P::Result> run_single(
+    const stats::ExperimentRunner& runner, const typename P::Spec& spec) {
+  const auto outcome =
+      runner.run_grid<P>({spec}, {.jobs = 1, .max_attempts = 1})[0];
+  if (!outcome.run.ok) {
+    std::fprintf(stderr, "error: %s\n", outcome.run.error.c_str());
+    return std::nullopt;
+  }
+  return outcome.result;
+}
+
+/// The commanded rate of --rate or, failing that, --fraction of `anchor`'s
+/// saturation (run first); nothing when that saturation run failed.
+std::optional<double> commanded_rate(const stats::ExperimentRunner& runner,
+                                     const Options& opts,
+                                     core::Architecture anchor,
+                                     traffic::BenchmarkId bench) {
+  if (opts.rate > 0.0) return opts.rate;
+  const auto sat = run_single<stats::SaturationProtocol>(
+      runner, {.arch = anchor, .bench = bench, .seed = 0, .custom = {}});
+  if (!sat) return std::nullopt;
+  return stats::operating_rate(*sat, opts.fraction);
 }
 
 int run(const Options& opts) {
@@ -177,23 +208,31 @@ int run(const Options& opts) {
   stats::ExperimentRunner runner(cfg, opts.seed);
 
   if (opts.mode == "saturation") {
-    const auto& sat = runner.saturation(arch, bench);
+    const auto sat = run_single<stats::SaturationProtocol>(
+        runner, {.arch = arch, .bench = bench, .seed = 0, .custom = {}});
+    if (!sat) return 1;
     std::printf("%s / %s (n=%u%s)\n", opts.arch.c_str(), opts.bench.c_str(),
                 opts.n, opts.clock ? ", clocked" : "");
     std::printf("  delivered: %.3f flits/ns/source\n",
-                sat.delivered_flits_per_ns);
+                sat->delivered_flits_per_ns);
     std::printf("  injected:  %.3f flits/ns/source\n",
-                sat.injected_flits_per_ns);
+                sat->injected_flits_per_ns);
     std::printf("  delivery factor: %.3f, serialization expansion: %.3f\n",
-                sat.delivery_factor, sat.message_expansion);
+                sat->delivery_factor, sat->message_expansion);
     return 0;
   }
   if (opts.mode == "latency") {
-    const auto result =
-        opts.rate > 0.0
-            ? runner.measure_latency(arch, bench, opts.rate,
-                                     traffic::default_windows(bench))
-            : runner.latency_at_fraction(arch, bench, opts.fraction);
+    // --fraction is of this network's own saturation.
+    const auto rate = commanded_rate(runner, opts, arch, bench);
+    if (!rate) return 1;
+    const auto result = run_single<stats::LatencyProtocol>(
+        runner, {.arch = arch,
+                 .bench = bench,
+                 .injected_flits_per_ns = *rate,
+                 .windows = traffic::default_windows(bench),
+                 .seed = 0,
+                 .custom = {}});
+    if (!result) return 1;
     if (opts.rate > 0.0) {
       std::printf("%s / %s at %.3f flits/ns/src\n", opts.arch.c_str(),
                   opts.bench.c_str(), opts.rate);
@@ -203,27 +242,35 @@ int run(const Options& opts) {
                   opts.fraction * 100.0);
     }
     std::printf("  mean latency: %.3f ns   p95: %.3f ns   max: %.3f ns\n",
-                result.mean_latency_ns, result.p95_latency_ns,
-                result.max_latency_ns);
+                result->mean_latency_ns, result->p95_latency_ns,
+                result->max_latency_ns);
     std::printf("  messages measured: %llu   drained: %s\n",
-                static_cast<unsigned long long>(result.messages_measured),
-                result.drained ? "yes" : "NO (saturated)");
+                static_cast<unsigned long long>(result->messages_measured),
+                result->drained ? "yes" : "NO (saturated)");
     return 0;
   }
   if (opts.mode == "power") {
-    const auto result =
-        opts.rate > 0.0
-            ? runner.measure_power(arch, bench, opts.rate,
-                                   traffic::default_windows(bench))
-            : runner.power_at_baseline_fraction(arch, bench, opts.fraction);
+    // --fraction is of the Baseline's saturation, for every network.
+    const auto rate =
+        commanded_rate(runner, opts, core::Architecture::kBaseline, bench);
+    if (!rate) return 1;
+    const auto result = run_single<stats::PowerProtocol>(
+        runner, {.arch = arch,
+                 .bench = bench,
+                 .injected_flits_per_ns = *rate,
+                 .windows = traffic::default_windows(bench),
+                 .seed = 0,
+                 .custom = {}});
+    if (!result) return 1;
     std::printf("%s / %s\n", opts.arch.c_str(), opts.bench.c_str());
     std::printf("  total power: %.2f mW (nodes %.2f + wires %.2f)\n",
-                result.power_mw, result.node_power_mw, result.wire_power_mw);
+                result->power_mw, result->node_power_mw,
+                result->wire_power_mw);
     std::printf("  delivered: %.3f flits/ns/src; throttled flits: %llu; "
                 "broadcast ops: %llu\n",
-                result.delivered_flits_per_ns,
-                static_cast<unsigned long long>(result.throttled_flits),
-                static_cast<unsigned long long>(result.broadcast_ops));
+                result->delivered_flits_per_ns,
+                static_cast<unsigned long long>(result->throttled_flits),
+                static_cast<unsigned long long>(result->broadcast_ops));
     return 0;
   }
   if (opts.mode == "workload") {
@@ -248,14 +295,9 @@ int run(const Options& opts) {
                   trace->records.size(), opts.dump_path.c_str(),
                   spec.trace_hash.c_str());
     }
-    const auto outcome = runner.run_grid<stats::WorkloadProtocol>(
-        {spec}, {.jobs = 1, .max_attempts = 1})[0];
-    if (!outcome.run.ok) {
-      std::fprintf(stderr, "error: %s\n",
-                   outcome.run.error.c_str());
-      return 1;
-    }
-    const auto& result = outcome.result;
+    const auto replayed = run_single<stats::WorkloadProtocol>(runner, spec);
+    if (!replayed) return 1;
+    const auto& result = *replayed;
     std::printf("%s / %s replay of %s (%llu messages, trace %s)\n",
                 opts.arch.c_str(), workload::to_string(mode),
                 trace->meta.generator.empty() ? "<trace>"

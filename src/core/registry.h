@@ -9,13 +9,13 @@
 //
 //  * Harnesses register design points under stable labels (e.g. the
 //    speculation-level set "{0,2}") and put only the label in their
-//    specs' `custom` field; ExperimentRunner rebuilds the factory from
-//    the registry whenever a spec carries a label but no factory.
-//  * Shard files serialize only the label (factories cannot travel
-//    between processes, see stats/serialization.h), so a phase-2 worker
-//    or a --from render process reconstructs exactly the same networks
-//    as long as it registered the same labels — which it does, because
-//    registration happens in the harness main() before any grid runs.
+//    specs' `custom` field; ExperimentRunner builds every labelled spec's
+//    network from the registry.
+//  * Shard files serialize that label like any other spec field, so a
+//    phase-2 worker or a --from render process reconstructs exactly the
+//    same networks as long as it registered the same labels — which it
+//    does, because registration happens in the harness main() before any
+//    grid runs.
 //
 // Entries are builders, not bound factories: they take the caller's
 // NetworkConfig, so one entry serves every radix/thread-count the

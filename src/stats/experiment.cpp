@@ -65,10 +65,8 @@ ExperimentRunner::ExperimentRunner(core::NetworkConfig config,
     : config_(std::move(config)), seed_(seed), energy_(energy) {}
 
 NetworkFactory ExperimentRunner::network_for(core::Architecture arch,
-                                             const NetworkFactory& factory,
                                              const std::string& custom,
                                              bool sequential) const {
-  if (factory) return factory;
   core::NetworkConfig config = sequential ? config_.sequential() : config_;
   if (!custom.empty()) {
     return [custom, config] {

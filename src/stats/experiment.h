@@ -1,11 +1,10 @@
 // ExperimentRunner: runs the measurement protocols — the paper's
 // saturation, latency and power (Section 5.1/5.2) plus trace replay and CMP
-// co-simulation, one file pair each under stats/protocols/ — serially or as
-// parallel batch grids (the Protocol trait is in stats/protocol.h).
+// co-simulation, one file pair each under stats/protocols/ — as parallel
+// batch grids (the Protocol trait is in stats/protocol.h).
 #pragma once
 
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "stats/protocol.h"
@@ -47,48 +46,26 @@ struct BatchOptions {
       on_run_done = {};
 };
 
+/// A stateless function from plain-data specs to outcomes: run_grid<P> is
+/// its one run API. Specs name their network by `arch` plus an optional
+/// ArchitectureRegistry `custom` label, so a spec decoded from a shard file
+/// runs exactly like the one that was encoded. Operating points relative to
+/// saturation (the paper's 25% loads) are two grids: saturation first, then
+/// the downstream specs at operating_rate() of its outcomes.
 class ExperimentRunner {
  public:
   explicit ExperimentRunner(core::NetworkConfig config, std::uint64_t seed = 1,
                             power::EnergyModelParams energy = {});
 
-  // The paper's protocols on canonical networks, serially (defined with
-  // their protocol in stats/protocols/). A run that throws propagates.
-
-  /// Saturation throughput (memoized per architecture x benchmark).
-  const SaturationResult& saturation(core::Architecture arch,
-                                     traffic::BenchmarkId bench);
-  /// Latency at an explicit injected rate (flits/ns/source).
-  LatencyResult measure_latency(core::Architecture arch,
-                                traffic::BenchmarkId bench,
-                                double injected_flits_per_ns,
-                                traffic::SimWindows windows);
-  /// Latency at `fraction` of this network's own saturation, with the
-  /// benchmark's default windows.
-  LatencyResult latency_at_fraction(core::Architecture arch,
-                                    traffic::BenchmarkId bench,
-                                    double fraction = 0.25);
-  /// Power at an explicit injected rate.
-  PowerResult measure_power(core::Architecture arch,
-                            traffic::BenchmarkId bench,
-                            double injected_flits_per_ns,
-                            traffic::SimWindows windows);
-  /// Power at `fraction` of the *Baseline's* saturation for this benchmark.
-  PowerResult power_at_baseline_fraction(core::Architecture arch,
-                                         traffic::BenchmarkId bench,
-                                         double fraction = 0.25);
-
-  const core::NetworkConfig& config() const { return config_; }
-
   /// Windows used for saturation runs (shorter than latency windows; the
   /// backlogged estimator converges quickly).
   static traffic::SimWindows saturation_windows();
 
-  /// Batch API: executes independent runs of protocol P on options.jobs
-  /// worker threads (sim::ParallelRunner). Outcomes are aggregated in spec
-  /// order, so results are bit-identical to the serial path for any thread
-  /// count. A run that throws is retried and, failing that, reported
-  /// per-spec in its outcome — never process-fatal. Outcomes prime().
+  /// Executes independent runs of protocol P on options.jobs worker
+  /// threads (sim::ParallelRunner). Outcomes are aggregated in spec order,
+  /// so results are bit-identical for any thread count. A run that throws
+  /// is retried and, failing that, reported per-spec in its outcome —
+  /// never process-fatal.
   template <Protocol P>
   std::vector<Outcome<P>> run_grid(const std::vector<typename P::Spec>& specs,
                                    const BatchOptions& options = {}) const;
@@ -105,39 +82,14 @@ class ExperimentRunner {
     return run_grid<CmpProtocol>(specs, options);
   }
 
-  /// Seeds the saturation() memo with canonical saturation outcomes (runner
-  /// seed, canonical network), live or loaded from a merged shard file, so
-  /// the protocol methods reuse them. Other protocols prime nothing. Like
-  /// saturation(), not safe to call concurrently on one runner.
-  void prime(const std::vector<SaturationOutcome>& outcomes) const;
-  template <typename P>
-  void prime(const std::vector<Outcome<P>>&) const {}
-
  private:
-  /// Resolves a spec's network: an explicit factory wins; otherwise a
-  /// non-empty `custom` label is rebuilt from the process-wide
-  /// ArchitectureRegistry (how deserialized design points — whose
-  /// factories cannot travel through shard files — come back to life);
-  /// otherwise the architecture's canonical network. `sequential` builds
-  /// the label/canonical network with sim_threads = 1 regardless of
-  /// config_ (explicit factories are the caller's contract).
+  /// Resolves a spec's network: a non-empty `custom` label is built by the
+  /// process-wide ArchitectureRegistry, otherwise the architecture's
+  /// canonical network. `sequential` builds it with sim_threads = 1
+  /// regardless of config_.
   NetworkFactory network_for(core::Architecture arch,
-                             const NetworkFactory& factory,
-                             const std::string& custom, bool sequential) const;
-
-  /// One run of `spec` on its resolved network, probed by `rig`.
-  template <Protocol P>
-  typename P::Result run(const typename P::Spec& spec, ProbeRig& rig) const {
-    return P::run(spec, {network_for(spec.arch, spec.factory, spec.custom,
-                                     P::sequential(spec)),
-                         seed_, energy_, rig});
-  }
-
-  template <Protocol P>
-  typename P::Result run_one(const typename P::Spec& spec) const {
-    ProbeRig unprobed;
-    return run<P>(spec, unprobed);
-  }
+                             const std::string& custom,
+                             bool sequential) const;
 
   /// The batch loop behind run_grid: runs cells [0, count) on the worker
   /// pool, handing run_cell a fresh rig for each attempt. metrics[i]
@@ -150,10 +102,6 @@ class ExperimentRunner {
   core::NetworkConfig config_;
   std::uint64_t seed_;
   power::EnergyModelParams energy_;
-  /// Memo of canonical saturation results; filling it changes no result.
-  mutable std::map<std::pair<core::Architecture, traffic::BenchmarkId>,
-                   SaturationResult>
-      saturation_cache_;
 };
 
 template <Protocol P>
@@ -165,7 +113,10 @@ std::vector<Outcome<P>> ExperimentRunner::run_grid(
   const std::vector<sim::RunOutcome> runs = run_cells(
       specs.size(), options, metrics,
       [&](std::size_t i, ProbeRig& rig) {
-        outcomes[i].result = run<P>(specs[i], rig);
+        const auto& spec = specs[i];
+        outcomes[i].result = P::run(
+            spec, {network_for(spec.arch, spec.custom, P::sequential(spec)),
+                   seed_, energy_, rig});
       });
   // Deterministic reduction: spec order, independent of completion order.
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -173,7 +124,6 @@ std::vector<Outcome<P>> ExperimentRunner::run_grid(
     outcomes[i].run = runs[i];
     outcomes[i].metrics = std::move(metrics[i]);
   }
-  prime(outcomes);
   return outcomes;
 }
 

@@ -81,7 +81,7 @@ core::Architecture arch_from_json(const Json& json) {
   const std::string& name = json.at("arch").as_string();
   // kCustomHybrid is not parseable via architecture_from_string (it has no
   // canonical speculation map), but serialized custom design points carry
-  // it; the factory must be rebuilt locally from the `custom` label.
+  // it; their network is the registry entry named by the `custom` label.
   if (name == core::to_string(core::Architecture::kCustomHybrid)) {
     return core::Architecture::kCustomHybrid;
   }

@@ -28,7 +28,8 @@
 namespace specnoc::stats {
 
 /// Builds a fresh network for one run; every measurement constructs its own
-/// network so runs are independent and deterministic.
+/// network so runs are independent and deterministic. The runner resolves
+/// one per spec (ExperimentRunner::network_for); specs never carry one.
 using NetworkFactory = std::function<std::unique_ptr<core::MotNetwork>()>;
 
 /// Per-run measurement rig: always records the run's kernel events and
@@ -41,7 +42,7 @@ class ProbeRig {
  public:
   /// Sampling is active only when collecting (the sampled series is
   /// delivered inside the snapshot).
-  explicit ProbeRig(bool collect = false, TelemetryOptions telemetry = {});
+  explicit ProbeRig(bool collect, TelemetryOptions telemetry);
 
   /// Installs the observer; call after the network is built, before it
   /// runs. Leaves hooks untouched when nothing is collected.
@@ -115,7 +116,6 @@ concept Protocol = requires(const typename P::Spec& spec,
   { P::run(spec, context) } -> std::same_as<typename P::Result>;
   // The spec names its network (see ExperimentRunner::network_for).
   { spec.arch } -> std::convertible_to<core::Architecture>;
-  { spec.factory } -> std::convertible_to<NetworkFactory>;
   { spec.custom } -> std::convertible_to<std::string>;
 };
 
@@ -180,9 +180,9 @@ typename P::Result result_from_json(const util::Json& json) {
   return result;
 }
 
-/// A spec's identity: its declarative fields. The NetworkFactory closure
-/// (and any attached trace) cannot travel between processes; deserialized
-/// specs come back without them and must be re-armed before running.
+/// A spec's identity: its declarative fields. An attached trace (workload
+/// and cmp specs) travels as its hash only; those deserialized specs must
+/// be re-armed with their trace before running.
 template <ProtocolSpec S>
 util::Json to_json(const S& spec) {
   util::Json json = util::Json::object();

@@ -40,7 +40,6 @@ struct CmpSpec {
   std::string workload;  ///< label ("LuBlocks", "BarnesRegions")
   std::shared_ptr<const workload::AccessTrace> access;
   std::string access_hash;  ///< workload::access_trace_hash(*access)
-  NetworkFactory factory;
   std::string custom;
 };
 
@@ -65,8 +64,8 @@ struct CmpProtocol {
       std::pair{"energy_nj", &Result::energy_nj},
       std::pair{"completed", &Result::completed}};
 
-  /// Closed-loop (zero-lookahead feedback) by construction; a partitioned
-  /// custom factory raises ConfigError.
+  /// Closed-loop (zero-lookahead feedback) by construction; the runner
+  /// builds every cmp network sequential.
   static bool sequential(const Spec&) { return true; }
   static std::string label(const Spec& spec) {
     return std::string(core::to_string(spec.arch)) + "/" + spec.workload;

@@ -1,9 +1,7 @@
 #include "stats/protocols/latency.h"
 
-#include "stats/experiment.h"
 #include "stats/recorder.h"
 #include "traffic/driver.h"
-#include "util/contract.h"
 #include "util/error.h"
 #include "util/log.h"
 
@@ -67,32 +65,6 @@ LatencyResult LatencyProtocol::run(const Spec& spec,
   }
   rig.harvest(network->net());
   return result;
-}
-
-LatencyResult ExperimentRunner::measure_latency(core::Architecture arch,
-                                                traffic::BenchmarkId bench,
-                                                double injected_flits_per_ns,
-                                                traffic::SimWindows windows) {
-  LatencySpec spec;
-  spec.arch = arch;
-  spec.bench = bench;
-  spec.injected_flits_per_ns = injected_flits_per_ns;
-  spec.windows = windows;
-  return run_one<LatencyProtocol>(spec);
-}
-
-LatencyResult ExperimentRunner::latency_at_fraction(
-    core::Architecture arch, traffic::BenchmarkId bench, double fraction) {
-  SPECNOC_EXPECTS(fraction > 0.0 && fraction < 1.0);
-  // fraction of this network's own saturation, expressed as an injected
-  // flit rate; the driver's rate parameter is a message rate in flit
-  // units, so divide by the serialization expansion (1 except on the
-  // Baseline) to land on the target flit rate.
-  const auto& sat = saturation(arch, bench);
-  const double commanded = fraction * sat.injected_flits_per_ns /
-                           sat.message_expansion;
-  return measure_latency(arch, bench, commanded,
-                         traffic::default_windows(bench));
 }
 
 }  // namespace specnoc::stats

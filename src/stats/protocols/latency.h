@@ -2,7 +2,7 @@
 // rate; messages generated during the measurement window are tagged, and
 // the run continues until all tagged messages have delivered every header
 // ("up to the arrival of all headers"). The paper's operating point — 25%
-// of *that network's* saturation — is ExperimentRunner::latency_at_fraction.
+// of *that network's* saturation — is operating_rate(own saturation, 0.25).
 #pragma once
 
 #include "stats/protocol.h"
@@ -23,8 +23,8 @@ struct LatencyResult {
   bool drained = true;
 };
 
-/// One open-loop latency run at an explicit injected rate. `seed`,
-/// `factory` and `custom` as in SaturationSpec.
+/// One open-loop latency run at an explicit injected rate. `seed` and
+/// `custom` as in SaturationSpec.
 struct LatencySpec {
   using Protocol = LatencyProtocol;
   core::Architecture arch = core::Architecture::kBaseline;
@@ -32,7 +32,6 @@ struct LatencySpec {
   double injected_flits_per_ns = 0.0;
   traffic::SimWindows windows;
   std::uint64_t seed = 0;
-  NetworkFactory factory;
   std::string custom;
 };
 
@@ -49,7 +48,7 @@ struct LatencyProtocol {
       std::pair{"drained", &Result::drained}};
 
   /// The drain loop steps event by event, which has no windowed
-  /// equivalent; a partitioned custom factory raises ConfigError.
+  /// equivalent; the runner builds every latency network sequential.
   static bool sequential(const Spec&) { return true; }
   static std::string label(const Spec& spec) {
     return bench_label(spec.arch, spec.bench);

@@ -1,10 +1,8 @@
 #include "stats/protocols/power.h"
 
 #include "power/power_meter.h"
-#include "stats/experiment.h"
 #include "stats/recorder.h"
 #include "traffic/driver.h"
-#include "util/contract.h"
 #include "util/error.h"
 
 namespace specnoc::stats {
@@ -60,38 +58,6 @@ PowerResult PowerProtocol::run(const Spec& spec, const RunContext& context) {
   result.broadcast_ops = meter.window_ops(noc::NodeOp::kBroadcast);
   rig.harvest(network->net());
   return result;
-}
-
-PowerResult ExperimentRunner::measure_power(core::Architecture arch,
-                                            traffic::BenchmarkId bench,
-                                            double injected_flits_per_ns,
-                                            traffic::SimWindows windows) {
-  PowerSpec spec;
-  spec.arch = arch;
-  spec.bench = bench;
-  spec.injected_flits_per_ns = injected_flits_per_ns;
-  spec.windows = windows;
-  return run_one<PowerProtocol>(spec);
-}
-
-PowerResult ExperimentRunner::power_at_baseline_fraction(
-    core::Architecture arch, traffic::BenchmarkId bench, double fraction) {
-  SPECNOC_EXPECTS(fraction > 0.0 && fraction < 1.0);
-  // The paper runs every network at the same offered load — 25% of the
-  // Baseline's saturation — for a normalized comparison of energy per
-  // packet. We equalize the *message* (application packet) rate: every
-  // network then performs the same application work per second; a
-  // k-destination message costs the Baseline k serialized unicasts and the
-  // parallel networks one tree packet. (Equalizing raw injected flits
-  // instead would hand the serial Baseline k-times less application work;
-  // the paper's per-packet framing and its Table 1 ratios match the
-  // message-rate reading — see EXPERIMENTS.md.)
-  const auto& baseline_sat =
-      saturation(core::Architecture::kBaseline, bench);
-  const double commanded = fraction * baseline_sat.injected_flits_per_ns /
-                           baseline_sat.message_expansion;
-  return measure_power(arch, bench, commanded,
-                       traffic::default_windows(bench));
 }
 
 }  // namespace specnoc::stats

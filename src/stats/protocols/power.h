@@ -2,7 +2,7 @@
 // switching energy over the measurement window / window duration. The
 // paper's operating point — 25% of the *Baseline's* saturation for every
 // architecture, the normalized energy-per-packet comparison — is
-// ExperimentRunner::power_at_baseline_fraction.
+// operating_rate(Baseline saturation, 0.25).
 #pragma once
 
 #include "stats/protocol.h"
@@ -22,8 +22,8 @@ struct PowerResult {
   std::uint64_t broadcast_ops = 0;
 };
 
-/// One open-loop power run at an explicit injected rate. `seed`, `factory`
-/// and `custom` as in SaturationSpec.
+/// One open-loop power run at an explicit injected rate. `seed` and
+/// `custom` as in SaturationSpec.
 struct PowerSpec {
   using Protocol = PowerProtocol;
   core::Architecture arch = core::Architecture::kBaseline;
@@ -31,7 +31,6 @@ struct PowerSpec {
   double injected_flits_per_ns = 0.0;
   traffic::SimWindows windows;
   std::uint64_t seed = 0;
-  NetworkFactory factory;
   std::string custom;
 };
 
@@ -48,8 +47,8 @@ struct PowerProtocol {
       std::pair{"throttled_flits", &Result::throttled_flits},
       std::pair{"broadcast_ops", &Result::broadcast_ops}};
 
-  /// Energy accumulation is event-order-dependent; a partitioned custom
-  /// factory raises ConfigError.
+  /// Energy accumulation is event-order-dependent; the runner builds every
+  /// power network sequential.
   static bool sequential(const Spec&) { return true; }
   static std::string label(const Spec& spec) {
     return bench_label(spec.arch, spec.bench);

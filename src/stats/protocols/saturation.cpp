@@ -57,32 +57,4 @@ traffic::SimWindows ExperimentRunner::saturation_windows() {
   return {.warmup = 1000_ns, .measure = 4000_ns};
 }
 
-const SaturationResult& ExperimentRunner::saturation(
-    core::Architecture arch, traffic::BenchmarkId bench) {
-  const auto key = std::make_pair(arch, bench);
-  auto it = saturation_cache_.find(key);
-  if (it == saturation_cache_.end()) {
-    SaturationSpec spec;
-    spec.arch = arch;
-    spec.bench = bench;
-    it = saturation_cache_.emplace(key, run_one<SaturationProtocol>(spec))
-             .first;
-  }
-  return it->second;
-}
-
-void ExperimentRunner::prime(
-    const std::vector<SaturationOutcome>& outcomes) const {
-  for (const auto& outcome : outcomes) {
-    // Only canonical cells (runner seed, canonical network) stand in for
-    // saturation(); an existing entry is left untouched.
-    if (outcome.run.ok && outcome.spec.seed == 0 && !outcome.spec.factory &&
-        outcome.spec.custom.empty()) {
-      saturation_cache_.emplace(
-          std::make_pair(outcome.spec.arch, outcome.spec.bench),
-          outcome.result);
-    }
-  }
-}
-
 }  // namespace specnoc::stats

@@ -21,19 +21,17 @@ struct SaturationResult {
   double message_expansion = 1.0;
 };
 
-/// One cell of a saturation grid. `factory` (when set) overrides the
-/// architecture's canonical network — used for custom design points;
-/// `seed` = 0 means the runner's own seed. `custom` is a stable label for
-/// the factory's network (e.g. "{0,2}" for a speculation-map design
-/// point): it is part of the cell's serialized identity (spec_key), so
-/// sharded sweeps require it to uniquely name any non-canonical factory.
-/// Leave it empty for canonical architectures.
+/// One cell of a saturation grid. `seed` = 0 means the runner's own seed.
+/// A non-empty `custom` names a core::ArchitectureRegistry design point
+/// (e.g. "{0,2}" for a speculation-level set) that replaces the
+/// architecture's canonical network; it is part of the cell's identity
+/// (spec_key), so the spec is plain data that runs the same after a trip
+/// through a shard file. Leave it empty for canonical architectures.
 struct SaturationSpec {
   using Protocol = SaturationProtocol;
   core::Architecture arch = core::Architecture::kBaseline;
   traffic::BenchmarkId bench = traffic::BenchmarkId::kUniformRandom;
   std::uint64_t seed = 0;
-  NetworkFactory factory;
   std::string custom;
 };
 
@@ -61,6 +59,22 @@ struct SaturationProtocol {
 };
 
 using SaturationOutcome = Outcome<SaturationProtocol>;
+
+/// The commanded injection rate of an operating point at `fraction` of
+/// `sat`'s saturation — the paper's 25% loads, for latency at a network's
+/// own saturation and for power at the Baseline's. TrafficDriver's rate
+/// parameter is a message rate in flit units, so dividing by the
+/// serialization expansion (1 except on the Baseline) equalizes the
+/// *message* (application packet) rate: every network then performs the
+/// same application work per second; a k-destination message costs the
+/// Baseline k serialized unicasts and the parallel networks one tree
+/// packet. (Equalizing raw injected flits instead would hand the serial
+/// Baseline k-times less application work; the paper's per-packet framing
+/// and its Table 1 ratios match the message-rate reading — see
+/// EXPERIMENTS.md.)
+inline double operating_rate(const SaturationResult& sat, double fraction) {
+  return fraction * sat.injected_flits_per_ns / sat.message_expansion;
+}
 
 /// Non-overloaded decoder, for callers that pass it as a function.
 inline SaturationResult saturation_result_from_json(const util::Json& json) {

@@ -40,7 +40,6 @@ struct WorkloadSpec {
   workload::ReplayMode mode = workload::ReplayMode::kClosedLoop;
   std::shared_ptr<const workload::Trace> trace;
   std::string trace_hash;  ///< workload::trace_hash(*trace)
-  NetworkFactory factory;
   std::string custom;
 };
 

@@ -7,12 +7,12 @@
 // decimal form, so a value that travels through a shard file renders the
 // same table bytes as one that never left the process.
 //
-// A spec's *identity* is its declarative fields. The NetworkFactory
-// closure is deliberately excluded: it cannot travel between processes.
-// Custom design points instead carry a `custom` label naming the factory's
-// network; deserialized specs come back with an empty factory, and any
-// process that wants to *run* (rather than merge/render) them must rebuild
-// the factory locally from the same label.
+// A spec's *identity* is its declarative fields, and for the saturation,
+// latency and power protocols those fields are the whole spec: a custom
+// design point is a `custom` label naming a core::ArchitectureRegistry
+// entry, so a decoded spec runs exactly like the one that was encoded in
+// any process that registered the same label. Workload and cmp specs also
+// carry a trace, which travels as its hash (see their protocol headers).
 //
 // spec_key() renders that identity as one canonical line — the sharding
 // key (sim::ShardPlan), the per-cell validation key in shard files, and

@@ -438,6 +438,9 @@ ShardedSweep::ShardedSweep(SweepOptions options)
   if (options_.out_path.empty()) {
     throw ConfigError("worker mode requires --out <shard.jsonl>");
   }
+  if (!options_.from_path.empty()) {
+    throw ConfigError("--from cannot be combined with --shard/--out");
+  }
   if (!options_.anchors_from.empty()) {
     anchors_ = load_own_file("--anchors-from", options_.anchors_from,
                              options_, "anchors");

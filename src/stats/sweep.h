@@ -216,7 +216,7 @@ class ShardedSweep {
   ///  - render: load from the --from file; files predating shared grids
   ///    (schema 1) fall back to simulating, as before.
   template <Protocol P>
-  std::vector<Outcome<P>> anchors(ExperimentRunner& runner,
+  std::vector<Outcome<P>> anchors(const ExperimentRunner& runner,
                                   const std::vector<typename P::Spec>& specs,
                                   const std::string& name = "anchor") {
     return execute<P>(name, runner, specs, /*anchor=*/true);
@@ -225,13 +225,13 @@ class ShardedSweep {
   /// A sharded grid. `name` must be unique within the harness and identical
   /// across its workers. In worker mode, cells not owned by this shard
   /// come back with run.ok == false and an informative error (the harness
-  /// never renders them). In render mode, loaded outcomes also prime the
-  /// runner (ExperimentRunner::prime). Spec keys embed trace hashes where
-  /// a protocol has them, so workers replaying different trace bytes
-  /// produce different grid hashes and the merge refuses to combine them.
+  /// never renders them). Render mode only loads outcomes; it simulates
+  /// nothing. Spec keys embed trace hashes where a protocol has them, so
+  /// workers replaying different trace bytes produce different grid hashes
+  /// and the merge refuses to combine them.
   template <Protocol P>
   std::vector<Outcome<P>> grid(const std::string& name,
-                               ExperimentRunner& runner,
+                               const ExperimentRunner& runner,
                                const std::vector<typename P::Spec>& specs) {
     return execute<P>(name, runner, specs, /*anchor=*/false);
   }
@@ -244,7 +244,7 @@ class ShardedSweep {
  private:
   template <Protocol P>
   std::vector<Outcome<P>> execute(const std::string& name,
-                                  ExperimentRunner& runner,
+                                  const ExperimentRunner& runner,
                                   const std::vector<typename P::Spec>& specs,
                                   bool anchor) {
     const std::vector<std::string> keys = spec_keys(specs);
@@ -259,9 +259,8 @@ class ShardedSweep {
         // never recorded anchors): simulate them, exactly as before.
         return runner.run_grid<P>(specs, labeled_batch(name));
       }
-      return load<P>(runner, file_,
-                     "--from file '" + options_.from_path + "'", grid, keys,
-                     specs, /*strict=*/false);
+      return load<P>(file_, "--from file '" + options_.from_path + "'",
+                     grid, keys, specs, /*strict=*/false);
     }
 
     // Worker. Sharded grids — and anchors in phase 1 (--anchors-only, after
@@ -276,7 +275,7 @@ class ShardedSweep {
     // K-way overlap (shared grid).
     if (!options_.anchors_from.empty()) {
       auto outcomes =
-          load<P>(runner, anchors_,
+          load<P>(anchors_,
                   "--anchors-from file '" + options_.anchors_from + "'", grid,
                   keys, specs, /*strict=*/true);
       register_grid(grid);
@@ -308,7 +307,7 @@ class ShardedSweep {
   /// the shard file — exactly the outcomes a merge will see.
   template <Protocol P>
   std::vector<Outcome<P>> run_owned(const SweepGrid& grid,
-                                    ExperimentRunner& runner,
+                                    const ExperimentRunner& runner,
                                     const std::vector<typename P::Spec>& specs,
                                     const std::vector<std::string>& keys) {
     const std::vector<std::size_t> to_run = claim(grid, keys);
@@ -327,19 +326,15 @@ class ShardedSweep {
   }
 
   /// Reads a whole grid's outcomes out of `src` (a loaded --from or
-  /// --anchors-from file) and primes the runner with them.
+  /// --anchors-from file).
   template <Protocol P>
-  std::vector<Outcome<P>> load(ExperimentRunner& runner, const ShardFile& src,
-                               const std::string& origin,
+  std::vector<Outcome<P>> load(const ShardFile& src, const std::string& origin,
                                const SweepGrid& grid,
                                const std::vector<std::string>& keys,
                                const std::vector<typename P::Spec>& specs,
                                bool strict) {
-    auto outcomes =
-        decode<P>(specs, load_records(src, origin, grid, keys, strict),
-                  "cell missing from " + origin + " (partial merge?)");
-    runner.prime(outcomes);
-    return outcomes;
+    return decode<P>(specs, load_records(src, origin, grid, keys, strict),
+                     "cell missing from " + origin + " (partial merge?)");
   }
 
   /// Outcomes decoded from cell-indexed `records` (a null record yields a

@@ -1,6 +1,7 @@
 #include "util/table.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <ostream>
 
@@ -83,6 +84,7 @@ std::string cell(long long value) {
 }
 
 std::string percent_cell(double ratio_minus_one) {
+  if (!std::isfinite(ratio_minus_one)) return "n/a";
   char buf[64];
   std::snprintf(buf, sizeof buf, "%+.1f%%", ratio_minus_one * 100.0);
   return buf;

@@ -41,7 +41,8 @@ std::string cell(double value, int decimals);
 /// Formats an integer.
 std::string cell(long long value);
 
-/// Formats a percentage delta, e.g. "+17.8%".
+/// Formats a percentage delta, e.g. "+17.8%"; "n/a" for a non-finite
+/// ratio (a claim built on a failed run).
 std::string percent_cell(double ratio_minus_one);
 
 }  // namespace specnoc

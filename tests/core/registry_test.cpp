@@ -89,10 +89,9 @@ TEST(ArchitectureRegistryTest, NamesAreSortedAndComplete) {
   EXPECT_NE(std::find(names.begin(), names.end(), "{1}"), names.end());
 }
 
-// The end-to-end contract: a spec that carries only a `custom` label (the
-// shape a deserialized shard-file spec comes back in — factories cannot
-// travel between processes) runs through ExperimentRunner by rebuilding
-// its network from the global registry.
+// The end-to-end contract: a spec that carries a `custom` label — plain
+// data, exactly what a shard file holds — runs through ExperimentRunner by
+// building its network from the global registry.
 TEST(ArchitectureRegistryTest, RunnerRebuildsCustomSpecsFromGlobalRegistry) {
   auto& global = ArchitectureRegistry::global();
   if (!global.contains("{0}")) global.add_speculation_levels("{0}", {0});
@@ -102,7 +101,7 @@ TEST(ArchitectureRegistryTest, RunnerRebuildsCustomSpecsFromGlobalRegistry) {
   stats::ExperimentRunner runner(config, /*seed=*/7);
   stats::SaturationSpec custom_spec;
   custom_spec.arch = Architecture::kCustomHybrid;
-  custom_spec.custom = "{0}";  // no factory: registry must resolve it
+  custom_spec.custom = "{0}";  // the registry must resolve it
   stats::SaturationSpec canonical_spec;
   canonical_spec.arch = Architecture::kOptHybridSpeculative;
 

@@ -1,6 +1,8 @@
 // Synchronous-equivalent mode: quantized switch delays (extension).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/mot_network.h"
 #include "stats/experiment.h"
 
@@ -69,15 +71,22 @@ TEST(SyncModeTest, ClockedNetworkStillRoutesCorrectly) {
   cfg.clock_period = 700;
   core::MotNetwork net(Architecture::kOptAllSpeculative, cfg);
   // Reuse the throughput recorder to check deliveries.
-  stats::ExperimentRunner runner(cfg, 3);
-  const auto& sat = runner.saturation(Architecture::kOptAllSpeculative,
-                                      BenchmarkId::kMulticast10);
-  EXPECT_GT(sat.delivered_flits_per_ns, 0.2);
+  const std::vector<stats::SaturationSpec> specs = {
+      {.arch = Architecture::kOptAllSpeculative,
+       .bench = BenchmarkId::kMulticast10,
+       .seed = 0,
+       .custom = {}}};
+  const auto sat =
+      stats::ExperimentRunner(cfg, 3).run_saturation_grid(specs)[0];
+  ASSERT_TRUE(sat.run.ok) << sat.run.error;
+  EXPECT_GT(sat.result.delivered_flits_per_ns, 0.2);
   // And a clocked run saturates below the async equivalent.
-  stats::ExperimentRunner async_runner(core::NetworkConfig{}, 3);
-  const auto& async_sat = async_runner.saturation(
-      Architecture::kOptAllSpeculative, BenchmarkId::kMulticast10);
-  EXPECT_LT(sat.delivered_flits_per_ns, async_sat.delivered_flits_per_ns);
+  const auto async_sat =
+      stats::ExperimentRunner(core::NetworkConfig{}, 3)
+          .run_saturation_grid(specs)[0];
+  ASSERT_TRUE(async_sat.run.ok) << async_sat.run.error;
+  EXPECT_LT(sat.result.delivered_flits_per_ns,
+            async_sat.result.delivered_flits_per_ns);
 }
 
 }  // namespace

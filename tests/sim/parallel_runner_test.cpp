@@ -119,7 +119,6 @@ std::vector<stats::LatencySpec> small_grid() {
                        .injected_flits_per_ns = 0.05,
                        .windows = windows,
                        .seed = 0,
-                       .factory = {},
                        .custom = {}});
     }
   }
@@ -161,7 +160,6 @@ TEST(BatchDeterminismTest, SaturationGridIdenticalForAnyJobCount) {
     specs.push_back({.arch = arch,
                      .bench = traffic::BenchmarkId::kMulticastStatic,
                      .seed = 0,
-                     .factory = {},
                      .custom = {}});
   }
   stats::ExperimentRunner a(cfg, 9), b(cfg, 9);
@@ -174,12 +172,6 @@ TEST(BatchDeterminismTest, SaturationGridIdenticalForAnyJobCount) {
     EXPECT_EQ(std::memcmp(&serial[i].result, &parallel[i].result,
                           sizeof(serial[i].result)),
               0);
-  }
-  // The grid warmed the memoization cache: the protocol accessor returns
-  // the very same values without re-running.
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const auto& cached = b.saturation(specs[i].arch, specs[i].bench);
-    EXPECT_EQ(std::memcmp(&cached, &parallel[i].result, sizeof(cached)), 0);
   }
 }
 

@@ -117,12 +117,10 @@ TEST(MetricsBatchTest, CollectionChangesNoResult) {
       {.arch = Architecture::kOptHybridSpeculative,
        .bench = traffic::BenchmarkId::kMulticast10,
        .seed = 0,
-       .factory = {},
        .custom = {}},
       {.arch = Architecture::kBaseline,
        .bench = traffic::BenchmarkId::kUniformRandom,
        .seed = 0,
-       .factory = {},
        .custom = {}},
   };
 
@@ -158,7 +156,6 @@ TEST(MetricsBatchTest, SnapshotsIdenticalForAnyThreadCount) {
     specs.push_back({.arch = arch,
                      .bench = traffic::BenchmarkId::kMulticast5,
                      .seed = 0,
-                     .factory = {},
                      .custom = {}});
   }
 

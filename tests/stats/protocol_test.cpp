@@ -42,7 +42,6 @@ struct HorizonSpec {
   using Protocol = HorizonProtocol;
   Architecture arch = Architecture::kBaseline;
   TimePs horizon = 200_ns;
-  stats::NetworkFactory factory;
   std::string custom;
 };
 

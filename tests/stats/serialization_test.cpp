@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "core/registry.h"
 #include "stats/experiment.h"
 #include "util/error.h"
 #include "util/json.h"
@@ -45,7 +46,6 @@ TEST(SerializationTest, SaturationOutcomeRoundTrips) {
   EXPECT_EQ(back.spec.bench, outcome.spec.bench);
   EXPECT_EQ(back.spec.seed, outcome.spec.seed);
   EXPECT_TRUE(back.spec.custom.empty());
-  EXPECT_FALSE(back.spec.factory);  // factories never travel
   EXPECT_EQ(back.result.delivered_flits_per_ns,
             outcome.result.delivered_flits_per_ns);
   EXPECT_EQ(back.result.delivery_factor, outcome.result.delivery_factor);
@@ -112,14 +112,73 @@ TEST(SerializationTest, CustomHybridSpecCarriesLabel) {
   spec.arch = Architecture::kCustomHybrid;
   spec.bench = BenchmarkId::kMulticast10;
   spec.custom = "{0,2}";
-  spec.factory = [] { return std::unique_ptr<core::MotNetwork>(); };
 
   const auto back =
       spec_from_json<SaturationProtocol>(util::json_parse(
           util::json_write(to_json(spec))));
   EXPECT_EQ(back.arch, Architecture::kCustomHybrid);
   EXPECT_EQ(back.custom, "{0,2}");
-  EXPECT_FALSE(back.factory);  // must be rebuilt locally from the label
+}
+
+/// Encodes and decodes a spec through its JSON text.
+template <ProtocolSpec S>
+S round_trip(const S& spec) {
+  return spec_from_json<typename S::Protocol>(
+      util::json_parse(util::json_write(to_json(spec))));
+}
+
+/// Runs `specs` and `decoded` and expects byte-identical outcomes (wall
+/// time aside) under the same spec keys.
+template <Protocol P>
+void expect_same_runs(const ExperimentRunner& runner,
+                      const std::vector<typename P::Spec>& specs,
+                      const std::vector<typename P::Spec>& decoded) {
+  ASSERT_EQ(spec_keys(decoded), spec_keys(specs));
+  auto original = runner.run_grid<P>(specs, {.jobs = 1});
+  auto replayed = runner.run_grid<P>(decoded, {.jobs = 1});
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    ASSERT_TRUE(original[i].run.ok) << original[i].run.error;
+    original[i].run.telemetry.wall_ms = 0.0;
+    replayed[i].run.telemetry.wall_ms = 0.0;
+    EXPECT_EQ(util::json_write(to_json(replayed[i])),
+              util::json_write(to_json(original[i])))
+        << spec_key(specs[i]);
+  }
+}
+
+// Saturation, latency and power specs are plain data: a registry-labelled
+// design point decoded from JSON has the same identity and runs
+// byte-identically, with nothing re-attached after decoding.
+TEST(SerializationTest, RegistryLabelledSpecsArePlainData) {
+  const std::string label = "serialization_test{0}";
+  core::ArchitectureRegistry::global().add_speculation_levels(label, {0});
+  core::NetworkConfig config;
+  config.n = 4;
+  const ExperimentRunner runner(config, 42);
+  const traffic::SimWindows windows{.warmup = 100_ns, .measure = 400_ns};
+
+  const std::vector<SaturationSpec> sat = {
+      {.arch = Architecture::kCustomHybrid,
+       .bench = BenchmarkId::kMulticast5,
+       .seed = 3,
+       .custom = label}};
+  const std::vector<LatencySpec> lat = {
+      {.arch = Architecture::kCustomHybrid,
+       .bench = BenchmarkId::kUniformRandom,
+       .injected_flits_per_ns = 0.1,
+       .windows = windows,
+       .seed = 0,
+       .custom = label}};
+  const std::vector<PowerSpec> power = {
+      {.arch = Architecture::kCustomHybrid,
+       .bench = BenchmarkId::kMulticast5,
+       .injected_flits_per_ns = 0.1,
+       .windows = windows,
+       .seed = 5,
+       .custom = label}};
+  expect_same_runs<SaturationProtocol>(runner, sat, {round_trip(sat[0])});
+  expect_same_runs<LatencyProtocol>(runner, lat, {round_trip(lat[0])});
+  expect_same_runs<PowerProtocol>(runner, power, {round_trip(power[0])});
 }
 
 TEST(SerializationTest, FailedOutcomeOmitsResult) {

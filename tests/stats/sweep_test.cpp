@@ -265,7 +265,6 @@ std::vector<LatencySpec> small_latency_grid() {
                        .injected_flits_per_ns = rate,
                        .windows = {.warmup = 100_ns, .measure = 800_ns},
                        .seed = 0,
-                       .factory = {},
                        .custom = {}});
     }
   }
@@ -567,7 +566,6 @@ std::vector<SaturationSpec> small_anchor_grid() {
     specs.push_back({.arch = arch,
                      .bench = BenchmarkId::kUniformRandom,
                      .seed = 0,
-                     .factory = {},
                      .custom = {}});
   }
   return specs;
@@ -583,10 +581,9 @@ std::vector<LatencySpec> derived_latency_grid(
     specs.push_back({.arch = sat_specs[i].arch,
                      .bench = sat_specs[i].bench,
                      .injected_flits_per_ns =
-                         0.25 * sat_outcomes[i].result.injected_flits_per_ns,
+                         operating_rate(sat_outcomes[i].result, 0.25),
                      .windows = {.warmup = 100_ns, .measure = 800_ns},
                      .seed = 0,
-                     .factory = {},
                      .custom = {}});
   }
   return specs;
@@ -705,7 +702,6 @@ TEST(ShardedSweepTest, AnchorsFromLoadsWithoutSimulating) {
   std::vector<SaturationSpec> specs = {{.arch = Architecture::kBaseline,
                                         .bench = BenchmarkId::kUniformRandom,
                                         .seed = 0,
-                                        .factory = {},
                                         .custom = {}}};
   const auto keys = spec_keys(specs);
 
@@ -738,12 +734,6 @@ TEST(ShardedSweepTest, AnchorsFromLoadsWithoutSimulating) {
   const auto outcomes = sweep.anchors<SaturationProtocol>(runner, specs);
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_EQ(outcomes[0].result.injected_flits_per_ns, 123.25);
-  // The runner's saturation cache is primed from the file too.
-  EXPECT_EQ(runner
-                .saturation(Architecture::kBaseline,
-                            BenchmarkId::kUniformRandom)
-                .injected_flits_per_ns,
-            123.25);
   // And the anchor records were copied into this worker's shard file, so
   // the final merge is self-contained.
   EXPECT_EQ(sweep.finish(), 0);
@@ -762,7 +752,6 @@ TEST(ShardedSweepTest, AnchorsFromRejectsIncompleteOrFailedAnchors) {
   std::vector<SaturationSpec> specs = {{.arch = Architecture::kBaseline,
                                         .bench = BenchmarkId::kUniformRandom,
                                         .seed = 0,
-                                        .factory = {},
                                         .custom = {}}};
   const auto keys = spec_keys(specs);
 
@@ -856,13 +845,14 @@ TEST(ShardedSweepTest, ClassicWorkerRecordsAnchorsForRender) {
   EXPECT_EQ(rendered[0].result.injected_flits_per_ns, 321.5);
 }
 
-TEST(ShardedSweepTest, RenderPrimesSaturationCache) {
+// Render mode loads a grid's outcomes and simulates nothing: a sentinel
+// planted in the merged file comes back verbatim.
+TEST(ShardedSweepTest, RenderLoadsGridWithoutSimulating) {
   const core::NetworkConfig cfg;
   std::vector<SaturationSpec> specs = {
       {.arch = Architecture::kOptNonSpeculative,
        .bench = BenchmarkId::kUniformRandom,
        .seed = 0,
-       .factory = {},
        .custom = {}}};
   const auto keys = spec_keys(specs);
 
@@ -882,7 +872,7 @@ TEST(ShardedSweepTest, RenderPrimesSaturationCache) {
   SweepRecord rec{0, keys[0], "ok", to_json(fabricated)};
   merged.records["throughput"].emplace(0, rec);
   merged.complete = true;
-  const std::string path = temp_path("prime.jsonl");
+  const std::string path = temp_path("render_sentinel.jsonl");
   write_shard_file(merged, path);
 
   auto options = base_options(SweepMode::kRender);
@@ -892,12 +882,19 @@ TEST(ShardedSweepTest, RenderPrimesSaturationCache) {
   const auto outcomes =
       sweep.grid<SaturationProtocol>("throughput", runner, specs);
   ASSERT_TRUE(outcomes[0].run.ok);
-  // saturation() now hits the primed cache — the sentinel value comes back
-  // instead of a fresh simulation's.
-  const auto& sat = runner.saturation(Architecture::kOptNonSpeculative,
-                                      BenchmarkId::kUniformRandom);
-  EXPECT_EQ(sat.delivered_flits_per_ns, 0.777);
-  EXPECT_EQ(sat.injected_flits_per_ns, 0.888);
+  EXPECT_EQ(outcomes[0].result.delivered_flits_per_ns, 0.777);
+  EXPECT_EQ(outcomes[0].result.injected_flits_per_ns, 0.888);
+}
+
+// A worker (--shard/--out) given a --from file too is a conflict, refused
+// before anything runs rather than silently ignoring --from.
+TEST(ShardedSweepTest, WorkerRefusesFromFile) {
+  auto options = base_options(SweepMode::kWorker);
+  options.shard = {0, 1};
+  options.out_path = temp_path("worker_with_from.jsonl");
+  options.from_path = temp_path("never_read.jsonl");
+  write_text(options.out_path, "");
+  EXPECT_THROW(ShardedSweep{options}, ConfigError);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "util/table.h"
 
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -44,6 +45,16 @@ TEST(TableTest, CellFormatting) {
 TEST(TableTest, PercentCell) {
   EXPECT_EQ(percent_cell(0.178), "+17.8%");
   EXPECT_EQ(percent_cell(-0.391), "-39.1%");
+}
+
+TEST(TableTest, PercentCellOfNonFiniteRatioIsNotApplicable) {
+  // A claim built on a failed run divides by NaN or zero.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(percent_cell(nan), "n/a");
+  EXPECT_EQ(percent_cell(1.26 / 0.0 - 1.0), "n/a");
+  EXPECT_EQ(percent_cell(-inf), "n/a");
+  EXPECT_EQ(percent_cell(0.0), "+0.0%");
 }
 
 }  // namespace
