@@ -58,12 +58,10 @@ int main(int argc, char** argv) {
   const HarnessOptions opts = specnoc::bench::parse_args(
       argc, argv, "bench_ablation_hybrid16",
       "Hybrid speculation-placement ablation on a 16x16 MoT.",
-      specnoc::bench::Sharding::kSupported);
+      specnoc::bench::Flags::kGrid);
   core::NetworkConfig cfg;
   cfg.n = 16;
-  stats::ExperimentRunner runner(cfg, opts.seed);
-  stats::ShardedSweep sweep = specnoc::bench::make_sweep(opts);
-  specnoc::bench::TelemetryTable telemetry;
+  stats::ShardedSweep sweep = specnoc::bench::make_sweep(opts, cfg);
   const mot::MotTopology topo(cfg.n);
   const auto points = design_points(topo);
   auto& registry = core::ArchitectureRegistry::global();
@@ -88,13 +86,10 @@ int main(int argc, char** argv) {
     }
   }
   const auto sat_outcomes =
-      sweep.anchors<stats::SaturationProtocol>(runner, sat_specs);
+      sweep.anchors<stats::SaturationProtocol>(sat_specs);
   // Phase-1 workers stop here: the downstream specs need anchor results
   // this shard did not simulate.
   if (sweep.anchors_only()) return sweep.finish();
-  telemetry.add_all(sat_outcomes);
-  specnoc::bench::MetricsReport metrics;
-  metrics.add_all("anchor", sat_outcomes);
 
   // Phase 2: the sharded grids — 25%-of-own-saturation latency for both
   // benchmarks, and power under UniformRandom.
@@ -123,15 +118,10 @@ int main(int argc, char** argv) {
                            .custom = point.label});
   }
   const auto lat_outcomes =
-      sweep.grid<stats::LatencyProtocol>("latency", runner, lat_specs);
+      sweep.grid<stats::LatencyProtocol>("latency", lat_specs);
   const auto power_outcomes =
-      sweep.grid<stats::PowerProtocol>("power", runner, power_specs);
-  metrics.add_all("latency", lat_outcomes);
-  metrics.add_all("power", power_outcomes);
-  metrics.write(opts);
+      sweep.grid<stats::PowerProtocol>("power", power_specs);
   if (!sweep.should_render()) return sweep.finish();
-  telemetry.add_all(lat_outcomes);
-  telemetry.add_all(power_outcomes);
 
   Table table({"Spec levels", "Local?", "Addr bits", "Sat uniform",
                "Sat mcast10", "Lat uniform (ns)", "Lat mcast10 (ns)",
@@ -161,6 +151,6 @@ int main(int argc, char** argv) {
   specnoc::bench::note(
       "'Local? yes' = no speculative node feeds another speculative node "
       "(redundant copies throttled after one hop).");
-  telemetry.emit("Hybrid16 ablation grids", opts);
-  return telemetry.failures() == 0 ? 0 : 1;
+  specnoc::bench::emit_runs(sweep, "Hybrid16 ablation grids", opts);
+  return sweep.finish();
 }

@@ -12,9 +12,12 @@
 // saturation beat every clocked variant, and the *benefit of speculation
 // shrinks* as the clock coarsens — a 52 ps speculative root still costs a
 // full cycle in a clocked switch.
+#include <iterator>
+#include <memory>
 #include <vector>
 
 #include "bench_common.h"
+#include "core/registry.h"
 #include "stats/experiment.h"
 
 using namespace specnoc;
@@ -23,7 +26,8 @@ using specnoc::bench::HarnessOptions;
 int main(int argc, char** argv) {
   const HarnessOptions opts = specnoc::bench::parse_args(
       argc, argv, "bench_ablation_sync_vs_async",
-      "Async vs synchronous switch implementations.");
+      "Async vs synchronous switch implementations.",
+      specnoc::bench::Flags::kGrid);
   const TimePs periods[] = {0, 400, 600, 800};
   const auto bench = traffic::BenchmarkId::kUniformRandom;
   using core::Architecture;
@@ -31,59 +35,75 @@ int main(int argc, char** argv) {
   constexpr Architecture kArchs[] = {Architecture::kBaseline,
                                      Architecture::kOptHybridSpeculative,
                                      Architecture::kOptNonSpeculative};
-  specnoc::bench::TelemetryTable telemetry;
+  constexpr std::size_t kNumArchs = std::size(kArchs);
+
+  // Every clocked variant is a registry design point: "<arch>@<period>ps"
+  // builds the canonical network with that clock_period, so one runner
+  // serves every period and shard files name each variant by its label.
+  auto& registry = core::ArchitectureRegistry::global();
+  std::vector<stats::SaturationSpec> sat_specs;
+  for (const TimePs period : periods) {
+    for (const auto arch : kArchs) {
+      std::string label;
+      if (period != 0) {
+        label = std::string(core::to_string(arch)) + "@" +
+                std::to_string(period) + "ps";
+        registry.add(
+            label,
+            [arch, period](const core::NetworkConfig& base) {
+              core::NetworkConfig cfg = base;
+              cfg.clock_period = period;
+              return std::make_unique<core::MotNetwork>(arch, cfg);
+            },
+            arch);
+      }
+      sat_specs.push_back({.arch = arch, .bench = bench, .seed = 0,
+                           .custom = label});
+    }
+  }
+  stats::ShardedSweep sweep = specnoc::bench::make_sweep(opts);
+
+  // Each network's saturation, then its latency at 25% of it.
+  const auto sats = sweep.anchors<stats::SaturationProtocol>(sat_specs);
+  if (sweep.anchors_only()) return sweep.finish();
+  std::vector<stats::LatencySpec> lat_specs;
+  for (const auto& sat : sats) {
+    lat_specs.push_back(
+        {.arch = sat.spec.arch,
+         .bench = bench,
+         .injected_flits_per_ns = stats::operating_rate(sat.result, 0.25),
+         .windows = traffic::default_windows(bench),
+         .seed = 0,
+         .custom = sat.spec.custom});
+  }
+  const auto lats = sweep.grid<stats::LatencyProtocol>("latency", lat_specs);
+  if (!sweep.should_render()) return sweep.finish();
 
   Table table({"Clock", "Arch", "Saturation (flits/ns/src)",
                "Latency @25% (ns)", "p95 (ns)"});
   Table spec_benefit({"Clock", "OptNonSpec lat (ns)", "OptHybrid lat (ns)",
                       "Speculation benefit"});
-
-  for (const TimePs period : periods) {
-    core::NetworkConfig cfg;
-    cfg.clock_period = period;
-    const stats::ExperimentRunner runner(cfg, opts.seed);
+  for (std::size_t p = 0; p < std::size(periods); ++p) {
     const std::string clock_label =
-        period == 0 ? "async" : std::to_string(period) + " ps";
-
-    // Each network's saturation, then its latency at 25% of it.
-    std::vector<stats::SaturationSpec> sat_specs;
-    for (const auto arch : kArchs) {
-      sat_specs.push_back({.arch = arch, .bench = bench, .seed = 0,
-                           .custom = {}});
-    }
-    const auto sats =
-        runner.run_grid<stats::SaturationProtocol>(sat_specs, opts.batch());
-    std::vector<stats::LatencySpec> lat_specs;
-    for (const auto& sat : sats) {
-      lat_specs.push_back(
-          {.arch = sat.spec.arch,
-           .bench = bench,
-           .injected_flits_per_ns = stats::operating_rate(sat.result, 0.25),
-           .windows = traffic::default_windows(bench),
-           .seed = 0,
-           .custom = {}});
-    }
-    const auto lats =
-        runner.run_grid<stats::LatencyProtocol>(lat_specs, opts.batch());
-    telemetry.add_all(sats);
-    telemetry.add_all(lats);
-
+        periods[p] == 0 ? "async" : std::to_string(periods[p]) + " ps";
+    const std::size_t base = p * kNumArchs;
     auto latency = [&](std::size_t i, double value) {
-      return lats[i].run.ok ? cell(value, 2) : "FAIL";
+      return lats[base + i].run.ok ? cell(value, 2) : "FAIL";
     };
     for (std::size_t i = 0; i < 2; ++i) {
+      const auto& sat = sats[base + i];
+      const auto& lat = lats[base + i];
       table.add_row({clock_label, core::to_string(kArchs[i]),
-                     sats[i].run.ok
-                         ? cell(sats[i].result.delivered_flits_per_ns, 2)
-                         : "FAIL",
-                     latency(i, lats[i].result.mean_latency_ns),
-                     latency(i, lats[i].result.p95_latency_ns)});
+                     sat.run.ok ? cell(sat.result.delivered_flits_per_ns, 2)
+                                : "FAIL",
+                     latency(i, lat.result.mean_latency_ns),
+                     latency(i, lat.result.p95_latency_ns)});
     }
-    const double lat_hybrid = lats[1].result.mean_latency_ns;
-    const double lat_nonspec = lats[2].result.mean_latency_ns;
+    const double lat_hybrid = lats[base + 1].result.mean_latency_ns;
+    const double lat_nonspec = lats[base + 2].result.mean_latency_ns;
     spec_benefit.add_row(
         {clock_label, latency(2, lat_nonspec), latency(1, lat_hybrid),
-         lats[1].run.ok && lats[2].run.ok
+         lats[base + 1].run.ok && lats[base + 2].run.ok
              ? percent_cell(lat_hybrid / lat_nonspec - 1.0)
              : "n/a"});
   }
@@ -99,6 +119,6 @@ int main(int argc, char** argv) {
       "ps); a clocked switch pays a full period per stage regardless, so "
       "both absolute performance and the relative value of fast "
       "speculative nodes degrade with the clock.");
-  telemetry.emit("Sync vs async grids", opts);
-  return telemetry.failures() == 0 ? 0 : 1;
+  specnoc::bench::emit_runs(sweep, "Sync vs async grids", opts);
+  return sweep.finish();
 }

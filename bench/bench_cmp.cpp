@@ -54,15 +54,14 @@ int main(int argc, char** argv) {
       "CMP co-simulation: per-endpoint MSI caches, directory-generated "
       "multicast invalidations, and banked DRAM driven closed loop on all "
       "six networks; the figure of merit is application makespan.",
-      specnoc::bench::Sharding::kSupported, [&smoke](util::CliParser& cli) {
+      specnoc::bench::Flags::kGrid, [&smoke](util::CliParser& cli) {
         cli.add_flag("--smoke", &smoke,
                      "small CI grid: LU pattern on Baseline and "
                      "OptHybridSpeculative only");
       });
-  core::NetworkConfig cfg;  // 8x8, 5-flit packets
-  opts.apply_kernel(cfg);   // --sim-threads/--partition (cmp runs force 1)
-  stats::ExperimentRunner runner(cfg, opts.seed);
-  stats::ShardedSweep sweep = specnoc::bench::make_sweep(opts);
+  const core::NetworkConfig cfg;  // 8x8, 5-flit packets
+  // --sim-threads/--partition reach the runner, but cmp runs force 1.
+  stats::ShardedSweep sweep = specnoc::bench::make_sweep(opts, cfg);
 
   const std::vector<workload::AccessSynthId> workloads =
       smoke ? std::vector<workload::AccessSynthId>{kWorkloads[0]}
@@ -91,14 +90,8 @@ int main(int argc, char** argv) {
           arch, workload::to_string(workloads[w]), traces[w]));
     }
   }
-  const auto outcomes = sweep.grid<stats::CmpProtocol>("cmp", runner, specs);
-  specnoc::bench::MetricsReport metrics;
-  metrics.add_all("cmp", outcomes);
-  metrics.write(opts);
+  const auto outcomes = sweep.grid<stats::CmpProtocol>("cmp", specs);
   if (!sweep.should_render()) return sweep.finish();
-
-  specnoc::bench::TelemetryTable telemetry;
-  telemetry.add_all(outcomes);
 
   // One table per workload: end-to-end makespan plus the protocol shape
   // that produced it.
@@ -185,6 +178,6 @@ int main(int argc, char** argv) {
     }
   }
   specnoc::bench::emit(claims, "CMP co-simulation claims", opts);
-  telemetry.emit("CMP grid", opts);
-  return telemetry.failures() == 0 ? 0 : 1;
+  specnoc::bench::emit_runs(sweep, "CMP grid", opts);
+  return sweep.finish();
 }

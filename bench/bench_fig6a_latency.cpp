@@ -36,11 +36,8 @@ int main(int argc, char** argv) {
   const HarnessOptions opts = specnoc::bench::parse_args(
       argc, argv, "bench_fig6a_latency",
       "Figure 6(a): avg network latency at 25% of each network's saturation.",
-      specnoc::bench::Sharding::kSupported);
-  core::NetworkConfig cfg;
-  stats::ExperimentRunner runner(cfg, opts.seed);
+      specnoc::bench::Flags::kGrid);
   stats::ShardedSweep sweep = specnoc::bench::make_sweep(opts);
-  specnoc::bench::TelemetryTable telemetry;
 
   // Phase 1: every cell's own saturation point (the 25% operating point is
   // relative to it) — a sweep anchor, run in full in every mode so shard
@@ -56,13 +53,10 @@ int main(int argc, char** argv) {
     }
   }
   const auto sat_outcomes =
-      sweep.anchors<stats::SaturationProtocol>(runner, sat_specs);
+      sweep.anchors<stats::SaturationProtocol>(sat_specs);
   // Phase-1 workers stop here: the downstream specs need anchor results
   // this shard did not simulate.
   if (sweep.anchors_only()) return sweep.finish();
-  telemetry.add_all(sat_outcomes);
-  specnoc::bench::MetricsReport metrics;
-  metrics.add_all("anchor", sat_outcomes);
 
   std::vector<stats::LatencySpec> lat_specs;
   for (std::size_t i = 0; i < sat_specs.size(); ++i) {
@@ -76,11 +70,8 @@ int main(int argc, char** argv) {
          .custom = {}});
   }
   const auto lat_outcomes =
-      sweep.grid<stats::LatencyProtocol>("latency", runner, lat_specs);
-  metrics.add_all("latency", lat_outcomes);
-  metrics.write(opts);
+      sweep.grid<stats::LatencyProtocol>("latency", lat_specs);
   if (!sweep.should_render()) return sweep.finish();
-  telemetry.add_all(lat_outcomes);
 
   double lat[4][6] = {};
   Table table(header_row());
@@ -133,6 +124,6 @@ int main(int argc, char** argv) {
                   percent_cell(impr(2, 1, 0)) + " / " +
                       percent_cell(impr(3, 1, 0))});
   specnoc::bench::emit(claims, "Figure 6(a) relative claims", opts);
-  telemetry.emit("Figure 6(a) grid", opts);
-  return telemetry.failures() == 0 ? 0 : 1;
+  specnoc::bench::emit_runs(sweep, "Figure 6(a) grid", opts);
+  return sweep.finish();
 }

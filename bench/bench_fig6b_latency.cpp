@@ -29,11 +29,8 @@ int main(int argc, char** argv) {
   const HarnessOptions opts = specnoc::bench::parse_args(
       argc, argv, "bench_fig6b_latency",
       "Figure 6(b): design-space-exploration average network latency.",
-      specnoc::bench::Sharding::kSupported);
-  core::NetworkConfig cfg;
-  stats::ExperimentRunner runner(cfg, opts.seed);
+      specnoc::bench::Flags::kGrid);
   stats::ShardedSweep sweep = specnoc::bench::make_sweep(opts);
-  specnoc::bench::TelemetryTable telemetry;
 
   // Same two-phase parallel grid as Figure 6(a): saturation anchors first
   // (full in every mode), then the sharded 25%-load latency runs, both
@@ -46,13 +43,10 @@ int main(int argc, char** argv) {
     }
   }
   const auto sat_outcomes =
-      sweep.anchors<stats::SaturationProtocol>(runner, sat_specs);
+      sweep.anchors<stats::SaturationProtocol>(sat_specs);
   // Phase-1 workers stop here: the downstream specs need anchor results
   // this shard did not simulate.
   if (sweep.anchors_only()) return sweep.finish();
-  telemetry.add_all(sat_outcomes);
-  specnoc::bench::MetricsReport metrics;
-  metrics.add_all("anchor", sat_outcomes);
 
   std::vector<stats::LatencySpec> lat_specs;
   for (std::size_t i = 0; i < sat_specs.size(); ++i) {
@@ -66,11 +60,8 @@ int main(int argc, char** argv) {
          .custom = {}});
   }
   const auto lat_outcomes =
-      sweep.grid<stats::LatencyProtocol>("latency", runner, lat_specs);
-  metrics.add_all("latency", lat_outcomes);
-  metrics.write(opts);
+      sweep.grid<stats::LatencyProtocol>("latency", lat_specs);
   if (!sweep.should_render()) return sweep.finish();
-  telemetry.add_all(lat_outcomes);
 
   double lat[3][6] = {};
   Table table(header_row());
@@ -112,6 +103,6 @@ int main(int argc, char** argv) {
   claims.add_row({"OptAllSpec vs OptHybrid", "8.7..12.0%", range(2, 1)});
   claims.add_row({"OptAllSpec vs OptNonSpec", "18.5..21.7%", range(2, 0)});
   specnoc::bench::emit(claims, "Figure 6(b) relative claims", opts);
-  telemetry.emit("Figure 6(b) grid", opts);
-  return telemetry.failures() == 0 ? 0 : 1;
+  specnoc::bench::emit_runs(sweep, "Figure 6(b) grid", opts);
+  return sweep.finish();
 }

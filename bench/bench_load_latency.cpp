@@ -19,11 +19,8 @@ int main(int argc, char** argv) {
   const HarnessOptions opts = specnoc::bench::parse_args(
       argc, argv, "bench_load_latency",
       "Load-latency curves for the optimized architectures.",
-      specnoc::bench::Sharding::kSupported);
-  core::NetworkConfig cfg;
-  stats::ExperimentRunner runner(cfg, opts.seed);
+      specnoc::bench::Flags::kGrid);
   stats::ShardedSweep sweep = specnoc::bench::make_sweep(opts);
-  specnoc::bench::TelemetryTable telemetry;
   const double fractions[] = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9};
   const traffic::SimWindows windows{.warmup = 300_ns, .measure = 2000_ns};
   const auto benches = {traffic::BenchmarkId::kUniformRandom,
@@ -39,13 +36,10 @@ int main(int argc, char** argv) {
     }
   }
   const auto sat_outcomes =
-      sweep.anchors<stats::SaturationProtocol>(runner, sat_specs);
+      sweep.anchors<stats::SaturationProtocol>(sat_specs);
   // Phase-1 workers stop here: the downstream specs need anchor results
   // this shard did not simulate.
   if (sweep.anchors_only()) return sweep.finish();
-  telemetry.add_all(sat_outcomes);
-  specnoc::bench::MetricsReport metrics;
-  metrics.add_all("anchor", sat_outcomes);
 
   std::vector<stats::LatencySpec> lat_specs;
   std::size_t anchor = 0;
@@ -65,11 +59,8 @@ int main(int argc, char** argv) {
     anchor += core::dse_architectures().size();
   }
   const auto lat_outcomes =
-      sweep.grid<stats::LatencyProtocol>("latency", runner, lat_specs);
-  metrics.add_all("latency", lat_outcomes);
-  metrics.write(opts);
+      sweep.grid<stats::LatencyProtocol>("latency", lat_specs);
   if (!sweep.should_render()) return sweep.finish();
-  telemetry.add_all(lat_outcomes);
 
   std::size_t cursor = 0;
   for (const auto bench : benches) {
@@ -92,6 +83,6 @@ int main(int argc, char** argv) {
                              " ('*' = undrained/saturated)",
                          opts);
   }
-  telemetry.emit("Load-latency sweep", opts);
-  return telemetry.failures() == 0 ? 0 : 1;
+  specnoc::bench::emit_runs(sweep, "Load-latency sweep", opts);
+  return sweep.finish();
 }

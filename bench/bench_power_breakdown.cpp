@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   const auto anchor = runner.run_grid<stats::SaturationProtocol>(
       {{.arch = core::Architecture::kBaseline, .bench = bench, .seed = 0,
         .custom = {}}},
-      opts.batch())[0];
+      {.jobs = opts.jobs})[0];
   if (!anchor.run.ok) {
     std::fprintf(stderr, "error: %s\n", anchor.run.error.c_str());
     return 1;

@@ -139,18 +139,22 @@ CellResult run_cell(std::uint32_t n, core::Architecture arch,
 int main(int argc, char** argv) {
   std::string json_out;
   unsigned max_radix = 1024;
+  unsigned partitioned_threads = 4;
   const HarnessOptions opts = specnoc::bench::parse_args(
       argc, argv, "bench_radix",
       "E10: events/s, arena footprint and peak RSS across radixes 64..1024 "
       "(or 4096) — the cost profile of the multi-word DestSet addressing "
       "and the arena memory layout.",
-      specnoc::bench::Sharding::kNone, [&](util::CliParser& cli) {
+      specnoc::bench::Flags::kCommon, [&](util::CliParser& cli) {
         cli.add_string("--json-out", &json_out,
                        "write the grid as one JSON document (BENCH_radix "
                        "format) to this path");
         cli.add_unsigned("--max-radix", &max_radix,
                          "largest endpoint count to run (default 1024; "
                          "4096 exercises the full DestSet range)");
+        cli.add_unsigned("--sim-threads", &partitioned_threads,
+                         "partitioned-kernel worker threads for the "
+                         "largest radix's extra cells (default 4)");
       });
 
   std::vector<std::uint32_t> radixes;
@@ -158,7 +162,7 @@ int main(int argc, char** argv) {
   // The largest radix also runs under the partitioned kernel: same
   // simulation (byte-identical results), different execution engine.
   const unsigned kPartitionedThreads =
-      opts.sim_threads > 1 ? opts.sim_threads : 4;
+      partitioned_threads > 1 ? partitioned_threads : 4;
   constexpr core::Architecture kArch =
       core::Architecture::kOptHybridSpeculative;
   constexpr traffic::BenchmarkId kBenches[] = {

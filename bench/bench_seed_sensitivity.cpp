@@ -52,14 +52,13 @@ std::string mean_pm_std(const SummaryStats& stats, int decimals) {
 int main(int argc, char** argv) {
   const HarnessOptions opts = specnoc::bench::parse_args(
       argc, argv, "bench_seed_sensitivity",
-      "Seed sensitivity of the headline numbers.");
-  const stats::ExperimentRunner runner(core::NetworkConfig{}, opts.seed);
-  specnoc::bench::TelemetryTable telemetry;
-  specnoc::bench::MetricsReport metrics;
+      "Seed sensitivity of the headline numbers.",
+      specnoc::bench::Flags::kGrid);
+  stats::ShardedSweep sweep = specnoc::bench::make_sweep(opts);
 
-  // One saturation grid — every seed's latency anchors, then its reported
-  // figures — and one latency grid over the anchors. Specs carry their
-  // seed, so the runner's own seed plays no part.
+  // One saturation anchor grid — every seed's latency anchors, then its
+  // reported figures — and one sharded latency grid over the anchors.
+  // Specs carry their seed, so the runner's own seed plays no part.
   std::vector<stats::SaturationSpec> sat_specs;
   for (const auto seed : kSeeds) {
     for (const auto& [arch, bench] : kLatencyCells) {
@@ -75,7 +74,8 @@ int main(int argc, char** argv) {
     }
   }
   const auto sats =
-      runner.run_grid<stats::SaturationProtocol>(sat_specs, opts.batch());
+      sweep.anchors<stats::SaturationProtocol>(sat_specs, "saturation");
+  if (sweep.anchors_only()) return sweep.finish();
   std::vector<stats::LatencySpec> lat_specs;
   for (std::size_t i = 0; i < num_anchors; ++i) {
     const auto& spec = sats[i].spec;
@@ -87,13 +87,8 @@ int main(int argc, char** argv) {
          .seed = spec.seed,
          .custom = {}});
   }
-  const auto lats =
-      runner.run_grid<stats::LatencyProtocol>(lat_specs, opts.batch());
-  telemetry.add_all(sats);
-  telemetry.add_all(lats);
-  metrics.add_all("saturation", sats);
-  metrics.add_all("latency", lats);
-  metrics.write(opts);
+  const auto lats = sweep.grid<stats::LatencyProtocol>("latency", lat_specs);
+  if (!sweep.should_render()) return sweep.finish();
 
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
   auto delivered = [&](std::size_t i) {
@@ -133,6 +128,6 @@ int main(int argc, char** argv) {
                  "9.7..11.9", mean_pm_std(impr_hybrid_vs_nonspec, 1)});
   specnoc::bench::emit(table, "Seed sensitivity of the headline numbers",
                        opts);
-  telemetry.emit("Seed sensitivity grids", opts);
-  return telemetry.failures() == 0 ? 0 : 1;
+  specnoc::bench::emit_runs(sweep, "Seed sensitivity grids", opts);
+  return sweep.finish();
 }

@@ -51,11 +51,8 @@ int main(int argc, char** argv) {
   const HarnessOptions opts = specnoc::bench::parse_args(
       argc, argv, "bench_table1_power",
       "Table 1 (right): total network power, 4 benchmarks x 6 networks.",
-      specnoc::bench::Sharding::kSupported);
-  core::NetworkConfig cfg;
-  stats::ExperimentRunner runner(cfg, opts.seed);
+      specnoc::bench::Flags::kGrid);
   stats::ShardedSweep sweep = specnoc::bench::make_sweep(opts);
-  specnoc::bench::TelemetryTable telemetry;
 
   // Phase 1: the Baseline's saturation per benchmark fixes the common
   // offered load. This is a sweep *anchor*: it runs in full in every mode
@@ -70,13 +67,10 @@ int main(int argc, char** argv) {
                          .custom = {}});
   }
   const auto sat_outcomes =
-      sweep.anchors<stats::SaturationProtocol>(runner, sat_specs);
+      sweep.anchors<stats::SaturationProtocol>(sat_specs);
   // Phase-1 workers stop here: the downstream specs need anchor results
   // this shard did not simulate.
   if (sweep.anchors_only()) return sweep.finish();
-  telemetry.add_all(sat_outcomes);
-  specnoc::bench::MetricsReport metrics;
-  metrics.add_all("anchor", sat_outcomes);
 
   std::vector<stats::PowerSpec> power_specs;
   for (const auto arch : kRowOrder) {
@@ -92,11 +86,8 @@ int main(int argc, char** argv) {
     }
   }
   const auto power_outcomes =
-      sweep.grid<stats::PowerProtocol>("power", runner, power_specs);
-  metrics.add_all("power", power_outcomes);
-  metrics.write(opts);
+      sweep.grid<stats::PowerProtocol>("power", power_specs);
   if (!sweep.should_render()) return sweep.finish();
-  telemetry.add_all(power_outcomes);
 
   double measured[6][4] = {};
   Table table(header_row());
@@ -142,6 +133,6 @@ int main(int argc, char** argv) {
   claims.add_row({"OptAllSpec over OptNonSpec", "+14.7..22.9%",
                   percent_cell(rel(5, 3, 0)), percent_cell(rel(5, 3, 3))});
   specnoc::bench::emit(claims, "Relative power claims", opts);
-  telemetry.emit("Table 1 power grid", opts);
-  return telemetry.failures() == 0 ? 0 : 1;
+  specnoc::bench::emit_runs(sweep, "Table 1 power grid", opts);
+  return sweep.finish();
 }

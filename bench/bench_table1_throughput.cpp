@@ -48,10 +48,8 @@ int main(int argc, char** argv) {
   const HarnessOptions opts = specnoc::bench::parse_args(
       argc, argv, "bench_table1_throughput",
       "Table 1 (left): saturation throughput, 6 benchmarks x 6 networks.",
-      specnoc::bench::Sharding::kSupported);
-  core::NetworkConfig cfg;  // 8x8, 5-flit packets
-  opts.apply_kernel(cfg);  // --sim-threads/--partition (default: sequential)
-  stats::ExperimentRunner runner(cfg, opts.seed);
+      specnoc::bench::Flags::kGrid);
+  // The default network: 8x8, 5-flit packets.
   stats::ShardedSweep sweep = specnoc::bench::make_sweep(opts);
 
   // All 36 grid cells are independent runs; execute them on the pool. The
@@ -64,13 +62,8 @@ int main(int argc, char** argv) {
     }
   }
   const auto outcomes =
-      sweep.grid<stats::SaturationProtocol>("throughput", runner, specs);
-  specnoc::bench::MetricsReport metrics;
-  metrics.add_all("throughput", outcomes);
-  metrics.write(opts);
+      sweep.grid<stats::SaturationProtocol>("throughput", specs);
   if (!sweep.should_render()) return sweep.finish();
-  specnoc::bench::TelemetryTable telemetry;
-  telemetry.add_all(outcomes);
 
   Table measured(header_row());
   Table reference(header_row());
@@ -146,6 +139,6 @@ int main(int argc, char** argv) {
                         sat(Architecture::kBaseline, BenchmarkId::kHotspot) -
                     1.0)});
   specnoc::bench::emit(claims, "Relative claims", opts);
-  telemetry.emit("Table 1 throughput grid", opts);
-  return telemetry.failures() == 0 ? 0 : 1;
+  specnoc::bench::emit_runs(sweep, "Table 1 throughput grid", opts);
+  return sweep.finish();
 }

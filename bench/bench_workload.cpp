@@ -46,11 +46,9 @@ int main(int argc, char** argv) {
       argc, argv, "bench_workload",
       "Trace-driven workloads: DNN-layer and coherence traces replayed on "
       "all six networks, closed loop and timed.",
-      specnoc::bench::Sharding::kSupported);
-  core::NetworkConfig cfg;  // 8x8, 5-flit packets
-  opts.apply_kernel(cfg);  // --sim-threads/--partition (default: sequential)
-  stats::ExperimentRunner runner(cfg, opts.seed);
-  stats::ShardedSweep sweep = specnoc::bench::make_sweep(opts);
+      specnoc::bench::Flags::kGrid);
+  const core::NetworkConfig cfg;  // 8x8, 5-flit packets
+  stats::ShardedSweep sweep = specnoc::bench::make_sweep(opts, cfg);
 
   // Every worker of a sweep synthesizes the same traces (pure functions of
   // n/flits/seed), so their spec keys — which embed the trace hash — and
@@ -73,14 +71,8 @@ int main(int argc, char** argv) {
     }
   }
   const auto outcomes =
-      sweep.grid<stats::WorkloadProtocol>("workload", runner, specs);
-  specnoc::bench::MetricsReport metrics;
-  metrics.add_all("workload", outcomes);
-  metrics.write(opts);
+      sweep.grid<stats::WorkloadProtocol>("workload", specs);
   if (!sweep.should_render()) return sweep.finish();
-
-  specnoc::bench::TelemetryTable telemetry;
-  telemetry.add_all(outcomes);
 
   // One table per workload: completion time and latency profile per
   // network, closed loop next to timed.
@@ -142,6 +134,6 @@ int main(int argc, char** argv) {
     }
   }
   specnoc::bench::emit(claims, "Workload claims", opts);
-  telemetry.emit("Workload grid", opts);
-  return telemetry.failures() == 0 ? 0 : 1;
+  specnoc::bench::emit_runs(sweep, "Workload grid", opts);
+  return sweep.finish();
 }

@@ -18,17 +18,14 @@
 // sweep_merge, and ranked from the merged file with --from.
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/registry.h"
 #include "stats/experiment.h"
-#include "stats/serialization.h"
 #include "stats/sweep.h"
 #include "util/cli.h"
-#include "util/json.h"
 
 using namespace specnoc;
 
@@ -49,7 +46,6 @@ struct DesignPoint {
 int main(int argc, char** argv) {
   std::uint32_t n = 16;
   std::uint64_t seed = 42;
-  std::string metrics_path;
   stats::SweepOptions sweep_options;
   sweep_options.tool = "design_space_explorer";
 
@@ -60,7 +56,7 @@ int main(int argc, char** argv) {
   cli.add_unsigned("--jobs", &sweep_options.batch.jobs,
                    "worker threads (0: hardware concurrency, 1: serial)");
   cli.add_uint64("--seed", &seed, "experiment seed");
-  cli.add_string("--metrics", &metrics_path,
+  cli.add_string("--metrics", &sweep_options.metrics_path,
                  "collect per-run speculation/stall metrics and write them "
                  "to this JSON file (observational; ranking is unchanged)");
   cli.add_unsigned("--progress", &sweep_options.batch.progress_interval_ms,
@@ -69,36 +65,17 @@ int main(int argc, char** argv) {
                  "worker mode: run only shard i of K (requires --out)",
                  [&sweep_options](const std::string& value) {
                    sweep_options.shard = sim::ShardRef::parse(value);
-                   sweep_options.mode = stats::SweepMode::kWorker;
                  });
   cli.add_string("--out", &sweep_options.out_path,
                  "worker mode: write this shard's results to a JSONL file");
   cli.add_string("--from", &sweep_options.from_path,
                  "rank from a merged shard file instead of simulating");
   cli.parse_or_exit(argc, argv);
-  if (!sweep_options.out_path.empty()) {
-    sweep_options.mode = stats::SweepMode::kWorker;
-  } else if (!sweep_options.from_path.empty()) {
-    sweep_options.mode = stats::SweepMode::kRender;
-  }
-  sweep_options.seed = seed;
-  sweep_options.batch.collect_metrics = !metrics_path.empty();
-  if (sweep_options.batch.progress_interval_ms > 0) {
-    sweep_options.batch.progress_label = "design_space_explorer";
-  }
 
   core::NetworkConfig config;
   config.n = n;
-  stats::ExperimentRunner runner(config, seed);
-  auto make_sweep = [&sweep_options]() -> stats::ShardedSweep {
-    try {
-      return stats::ShardedSweep(sweep_options);
-    } catch (const ConfigError& error) {
-      std::fprintf(stderr, "design_space_explorer: %s\n", error.what());
-      std::exit(2);
-    }
-  };
-  stats::ShardedSweep sweep = make_sweep();
+  stats::ShardedSweep sweep =
+      stats::ShardedSweep::open_or_exit(config, seed, sweep_options);
   const mot::MotTopology topology(n);
   const auto bench = traffic::BenchmarkId::kMulticast10;
   const auto windows = traffic::default_windows(bench);
@@ -144,7 +121,7 @@ int main(int argc, char** argv) {
   // all shard workers derive identical latency/power grids. Phase 2:
   // latency and power at 25% of it, the grids that get sharded.
   const auto sat_outcomes =
-      sweep.anchors<stats::SaturationProtocol>(runner, sat_specs);
+      sweep.anchors<stats::SaturationProtocol>(sat_specs);
   std::vector<stats::LatencySpec> lat_specs;
   std::vector<stats::PowerSpec> power_specs;
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -163,41 +140,9 @@ int main(int argc, char** argv) {
                            .custom = points[i].label});
   }
   const auto lat_outcomes =
-      sweep.grid<stats::LatencyProtocol>("latency", runner, lat_specs);
+      sweep.grid<stats::LatencyProtocol>("latency", lat_specs);
   const auto power_outcomes =
-      sweep.grid<stats::PowerProtocol>("power", runner, power_specs);
-  if (!metrics_path.empty()) {
-    // Same document shape as the harnesses' --metrics files (see
-    // EXPERIMENTS.md): one entry per run that carried a snapshot.
-    util::Json doc = util::Json::object();
-    doc.set("format", "specnoc-metrics");
-    doc.set("schema", std::uint64_t{1});
-    doc.set("tool", "design_space_explorer");
-    doc.set("seed", seed);
-    util::Json runs = util::Json::array();
-    auto add_all = [&runs](const std::string& grid, const auto& outcomes) {
-      for (const auto& outcome : outcomes) {
-        if (!outcome.metrics.has_value()) continue;
-        util::Json entry = util::Json::object();
-        entry.set("grid", grid);
-        entry.set("key", stats::spec_key(outcome.spec));
-        entry.set("metrics", stats::to_json(*outcome.metrics));
-        runs.push_back(std::move(entry));
-      }
-    };
-    add_all("anchor", sat_outcomes);
-    add_all("latency", lat_outcomes);
-    add_all("power", power_outcomes);
-    doc.set("runs", std::move(runs));
-    std::ofstream out(metrics_path, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr,
-                   "design_space_explorer: cannot write metrics file '%s'\n",
-                   metrics_path.c_str());
-      return 2;
-    }
-    out << util::json_write(doc) << "\n";
-  }
+      sweep.grid<stats::PowerProtocol>("power", power_specs);
   if (!sweep.should_render()) return sweep.finish();
   for (std::size_t i = 0; i < points.size(); ++i) {
     points[i].latency_ns = lat_outcomes[i].result.mean_latency_ns;
@@ -248,5 +193,5 @@ int main(int argc, char** argv) {
                 local_points.front()->power_cost * 100.0,
                 local_points.front()->addr_bits);
   }
-  return 0;
+  return sweep.finish();
 }

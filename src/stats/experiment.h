@@ -57,6 +57,9 @@ class ExperimentRunner {
   explicit ExperimentRunner(core::NetworkConfig config, std::uint64_t seed = 1,
                             power::EnergyModelParams energy = {});
 
+  /// The seed runs use unless their spec carries its own.
+  std::uint64_t seed() const { return seed_; }
+
   /// Windows used for saturation runs (shorter than latency windows; the
   /// backlogged estimator converges quickly).
   static traffic::SimWindows saturation_windows();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 
 #include "util/error.h"
@@ -394,7 +395,8 @@ namespace {
 // Loads the merged file given by `flag`, refusing one produced by another
 // harness or seed (its `what` would not match this invocation's).
 ShardFile load_own_file(const std::string& flag, const std::string& path,
-                        const SweepOptions& options, const char* what) {
+                        const SweepOptions& options, std::uint64_t seed,
+                        const char* what) {
   ShardFile file = load_shard_file(path);
   const SweepManifest& m = file.manifest;
   if (m.tool != options.tool) {
@@ -402,7 +404,7 @@ ShardFile load_own_file(const std::string& flag, const std::string& path,
                       m.tool + "', not by this harness ('" + options.tool +
                       "')");
   }
-  if (m.seed != options.seed) {
+  if (m.seed != seed) {
     throw ConfigError(flag + " file '" + path + "' was produced with seed " +
                       std::to_string(m.seed) + "; rerun with --seed " +
                       std::to_string(m.seed) + " (" + what +
@@ -418,9 +420,18 @@ bool file_has_content(const std::string& path) {
 
 }  // namespace
 
-ShardedSweep::ShardedSweep(SweepOptions options)
-    : options_(std::move(options)) {
-  if (options_.mode != SweepMode::kWorker &&
+ShardedSweep::ShardedSweep(core::NetworkConfig config, std::uint64_t seed,
+                           SweepOptions options)
+    : options_(std::move(options)), runner_(std::move(config), seed) {
+  const bool sharded = options_.shard.count > 1;
+  if (!options_.from_path.empty() &&
+      (sharded || !options_.out_path.empty())) {
+    throw ConfigError("--from cannot be combined with --shard/--out");
+  }
+  if (sharded && options_.out_path.empty()) {
+    throw ConfigError("--shard requires --out <shard.jsonl>");
+  }
+  if (mode() != SweepMode::kWorker &&
       (options_.anchors_only || !options_.anchors_from.empty())) {
     throw ConfigError(
         "--anchors-only/--anchors-from apply to worker mode (--shard/--out)");
@@ -428,33 +439,30 @@ ShardedSweep::ShardedSweep(SweepOptions options)
   if (options_.anchors_only && !options_.anchors_from.empty()) {
     throw ConfigError("--anchors-only cannot be combined with --anchors-from");
   }
-  if (options_.mode == SweepMode::kRender) {
-    if (options_.from_path.empty()) {
-      throw ConfigError("render mode requires --from <merged.jsonl>");
-    }
-    file_ = load_own_file("--from", options_.from_path, options_, "tables");
+  // A live frame stream wants per-run counters even without a metrics
+  // document; collection is observational either way.
+  options_.batch.collect_metrics = options_.batch.collect_metrics ||
+                                   !options_.metrics_path.empty() ||
+                                   options_.telemetry_stream != nullptr;
+  if (mode() == SweepMode::kRender) {
+    file_ = load_own_file("--from", options_.from_path, options_, seed,
+                          "tables");
   }
-  if (options_.mode != SweepMode::kWorker) return;
-  if (options_.out_path.empty()) {
-    throw ConfigError("worker mode requires --out <shard.jsonl>");
-  }
-  if (!options_.from_path.empty()) {
-    throw ConfigError("--from cannot be combined with --shard/--out");
-  }
+  if (mode() != SweepMode::kWorker) return;
   if (!options_.anchors_from.empty()) {
     anchors_ = load_own_file("--anchors-from", options_.anchors_from,
-                             options_, "anchors");
+                             options_, seed, "anchors");
   }
   file_.manifest.tool = options_.tool;
   file_.manifest.shard = options_.shard;
-  file_.manifest.seed = options_.seed;
+  file_.manifest.seed = seed;
   // An existing non-empty output resumes the shard: completed cells are
   // carried over, failed and missing ones re-run. A file from a different
   // sweep is an error, never silently clobbered.
   if (file_has_content(options_.out_path)) {
     resume_ = load_shard_file(options_.out_path);
     const SweepManifest& m = resume_.manifest;
-    if (m.tool != options_.tool || m.seed != options_.seed ||
+    if (m.tool != options_.tool || m.seed != seed ||
         !(m.shard == options_.shard)) {
       throw ConfigError(
           "existing shard file '" + options_.out_path +
@@ -466,9 +474,23 @@ ShardedSweep::ShardedSweep(SweepOptions options)
   }
 }
 
+ShardedSweep ShardedSweep::open_or_exit(core::NetworkConfig config,
+                                        std::uint64_t seed,
+                                        SweepOptions options) {
+  const std::string tool = options.tool;
+  try {
+    return ShardedSweep(std::move(config), seed, std::move(options));
+  } catch (const ConfigError& error) {
+    std::fprintf(stderr, "%s: %s\n", tool.c_str(), error.what());
+    std::exit(2);
+  }
+}
+
 BatchOptions ShardedSweep::labeled_batch(const std::string& name) const {
   BatchOptions batch = options_.batch;
-  if (!batch.progress_label.empty()) batch.progress_label += "/" + name;
+  if (batch.progress_interval_ms > 0) {
+    batch.progress_label = options_.tool + "/" + name;
+  }
   return batch;
 }
 
@@ -556,7 +578,6 @@ std::vector<const SweepRecord*> ShardedSweep::load_records(
                           "' cell " + std::to_string(i) +
                           " (merge every anchor shard before phase 2)");
       }
-      ++failures_;
       continue;
     }
     if (cells[i]->key != keys[i]) {
@@ -564,15 +585,13 @@ std::vector<const SweepRecord*> ShardedSweep::load_records(
                         std::to_string(i) + " records key '" + cells[i]->key +
                         "' but this invocation expects '" + keys[i] + "'");
     }
+    if (!strict) continue;
     const sim::RunOutcome run = run_outcome_from_json(cells[i]->data.at("run"));
     if (!run.ok) {
-      if (strict) {
-        throw ConfigError(origin + " grid '" + grid.name + "' cell " +
-                          std::to_string(i) + " failed in phase 1 (" +
-                          run.error +
-                          "); re-run that anchor worker before phase 2");
-      }
-      ++failures_;
+      throw ConfigError(origin + " grid '" + grid.name + "' cell " +
+                        std::to_string(i) + " failed in phase 1 (" +
+                        run.error +
+                        "); re-run that anchor worker before phase 2");
     }
   }
   return cells;
@@ -582,15 +601,58 @@ void ShardedSweep::flush() const {
   write_shard_file(file_, options_.out_path);
 }
 
+void ShardedSweep::keep_metrics(const std::string& grid,
+                                const std::string& key,
+                                const MetricsSnapshot& metrics) {
+  Json entry = Json::object();
+  entry.set("grid", grid);
+  entry.set("key", key);
+  entry.set("metrics", to_json(metrics));
+  metrics_runs_.push_back(std::move(entry));
+  spills_total_ += metrics.dest_spills;
+  spill_bytes_total_ += metrics.dest_spill_bytes;
+  std::uint64_t arena_bytes = 0;
+  for (const auto& pool : metrics.arena) arena_bytes += pool.reserved_bytes;
+  arena_bytes_peak_ = std::max(arena_bytes_peak_, arena_bytes);
+}
+
+void ShardedSweep::write_metrics() {
+  Json doc = Json::object();
+  doc.set("format", "specnoc-metrics");
+  doc.set("schema", std::uint64_t{1});
+  doc.set("tool", options_.tool);
+  doc.set("seed", runner_.seed());
+  // Aggregate DestSet heap-spill count: the zero-spill-at-radix-64 claim
+  // is checkable from the report alone (exact at --jobs 1, an upper
+  // bound under concurrent grids).
+  doc.set("dest_spills_total", spills_total_);
+  doc.set("dest_spill_bytes_total", spill_bytes_total_);
+  // Largest single-run arena footprint (slab reservations, all pools) —
+  // the peak simulated-structure memory any one network needed.
+  doc.set("arena_bytes_peak", arena_bytes_peak_);
+  Json runs = Json::array();
+  for (auto& entry : metrics_runs_) runs.push_back(std::move(entry));
+  metrics_runs_.clear();
+  doc.set("runs", std::move(runs));
+  std::ofstream out(options_.metrics_path, std::ios::trunc);
+  if (!out) {
+    throw ConfigError("cannot write metrics file '" + options_.metrics_path +
+                      "'");
+  }
+  out << util::json_write(doc) << "\n";
+}
+
 int ShardedSweep::finish() {
-  if (options_.mode != SweepMode::kWorker) return 0;
-  file_.complete = true;
-  flush();
-  std::fprintf(stderr,
-               "[%s] shard %s: %zu cells run, %zu carried over, %zu failed "
-               "-> %s\n",
-               options_.tool.c_str(), options_.shard.to_string().c_str(),
-               executed_, carried_, failures_, options_.out_path.c_str());
+  if (!options_.metrics_path.empty()) write_metrics();
+  if (mode() == SweepMode::kWorker) {
+    file_.complete = true;
+    flush();
+    std::fprintf(stderr,
+                 "[%s] shard %s: %zu cells run, %zu carried over, %zu failed "
+                 "-> %s\n",
+                 options_.tool.c_str(), options_.shard.to_string().c_str(),
+                 executed_, carried_, failures_, options_.out_path.c_str());
+  }
   return failures_ == 0 ? 0 : 1;
 }
 

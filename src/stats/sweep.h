@@ -156,7 +156,8 @@ struct MergeReport {
 ShardFile merge_shards(const std::vector<ShardFile>& inputs,
                        MergeReport* report);
 
-/// How a harness executes its grids this invocation.
+/// How a harness executes its grids this invocation. It follows from the
+/// options: from_path selects render mode, out_path worker mode.
 enum class SweepMode {
   kRun,     ///< plain single-process run (no sharding involved)
   kWorker,  ///< --shard i/K --out: run our cells, write the shard file
@@ -164,19 +165,24 @@ enum class SweepMode {
 };
 
 struct SweepOptions {
-  SweepMode mode = SweepMode::kRun;
   std::string tool;       ///< manifest identity; must match across workers
-  std::uint64_t seed = 0; ///< ExperimentRunner seed; validated on --from
+  /// How grids execute. The session derives the rest: collect_metrics
+  /// when metrics_path or telemetry_stream is set, and under progress
+  /// reporting a "<tool>/<grid>" progress_label.
   BatchOptions batch;
   sim::ShardRef shard;    ///< worker mode
-  std::string out_path;   ///< worker mode
-  std::string from_path;  ///< render mode
+  std::string out_path;   ///< set: worker mode, this shard's file
+  std::string from_path;  ///< set: render mode, the merged file
   /// Worker mode, phase 1: simulate only this shard's anchor cells and
   /// stop — the harness must skip its downstream grids (anchors_only()).
   bool anchors_only = false;
   /// Worker mode, phase 2: load anchor outcomes from this merged shard
   /// file instead of simulating them.
   std::string anchors_from;
+  /// Set: finish() writes the specnoc-metrics document (EXPERIMENTS.md)
+  /// here — one entry per returned cell that carried a MetricsSnapshot,
+  /// in grid order.
+  std::string metrics_path;
   /// Live telemetry sink (non-owning; the harness opens it from
   /// --telemetry-out). Every simulated grid then emits one NDJSON "run"
   /// frame per cell as it completes, mid-batch — grid, cell, key, status,
@@ -186,18 +192,42 @@ struct SweepOptions {
   TelemetryStream* telemetry_stream = nullptr;
 };
 
-/// The harness-facing session. Grids registered through it execute
-/// according to the mode; anchor grids (cheap prerequisites whose results
-/// parameterize the sharded specs, e.g. the saturation points that fix
-/// 25%-load operating rates) always run in full so every worker can build
-/// identical downstream grids.
+/// One cell the session handed back to the harness: a per-run table row.
+struct SweepRun {
+  std::string label;  ///< Protocol::label of the cell's spec
+  sim::RunOutcome run;
+};
+
+/// The harness-facing session. It owns the harness's one ExperimentRunner;
+/// grids registered through it execute according to the mode; anchor
+/// grids (cheap prerequisites whose results parameterize the sharded
+/// specs, e.g. the saturation points that fix 25%-load operating rates)
+/// always run in full so every worker can build identical downstream
+/// grids. It keeps every returned cell for the per-run table and the
+/// metrics document, and finish() turns them into the exit code.
 class ShardedSweep {
  public:
-  explicit ShardedSweep(SweepOptions options);
+  /// Builds the runner from `config` and `seed`; the seed is also the
+  /// sweep's identity in shard files and the metrics document. Throws
+  /// ConfigError for conflicting options, or a --from, --anchors-from or
+  /// --out file that belongs to another sweep.
+  ShardedSweep(core::NetworkConfig config, std::uint64_t seed,
+               SweepOptions options);
+
+  /// The constructor for a harness main(): a ConfigError is a usage error,
+  /// printed as "<tool>: <what>" to stderr, and the process exits 2.
+  static ShardedSweep open_or_exit(core::NetworkConfig config,
+                                   std::uint64_t seed, SweepOptions options);
+
+  SweepMode mode() const {
+    if (!options_.from_path.empty()) return SweepMode::kRender;
+    if (!options_.out_path.empty()) return SweepMode::kWorker;
+    return SweepMode::kRun;
+  }
 
   /// False in worker mode: the harness should skip its table rendering and
   /// return finish() instead.
-  bool should_render() const { return options_.mode != SweepMode::kWorker; }
+  bool should_render() const { return mode() != SweepMode::kWorker; }
 
   /// True when this worker runs with --anchors-only: the harness should
   /// return finish() right after its anchor grids, never constructing the
@@ -216,10 +246,9 @@ class ShardedSweep {
   ///  - render: load from the --from file; files predating shared grids
   ///    (schema 1) fall back to simulating, as before.
   template <Protocol P>
-  std::vector<Outcome<P>> anchors(const ExperimentRunner& runner,
-                                  const std::vector<typename P::Spec>& specs,
+  std::vector<Outcome<P>> anchors(const std::vector<typename P::Spec>& specs,
                                   const std::string& name = "anchor") {
-    return execute<P>(name, runner, specs, /*anchor=*/true);
+    return keep<P>(name, execute<P>(name, specs, /*anchor=*/true));
   }
 
   /// A sharded grid. `name` must be unique within the harness and identical
@@ -231,33 +260,36 @@ class ShardedSweep {
   /// and the merge refuses to combine them.
   template <Protocol P>
   std::vector<Outcome<P>> grid(const std::string& name,
-                               const ExperimentRunner& runner,
                                const std::vector<typename P::Spec>& specs) {
-    return execute<P>(name, runner, specs, /*anchor=*/false);
+    return keep<P>(name, execute<P>(name, specs, /*anchor=*/false));
   }
 
-  /// Worker mode: writes the "done" record, prints a one-line summary to
-  /// stderr, and returns the process exit code (1 if any owned cell
-  /// failed). Other modes: returns 0.
+  /// Every cell handed back so far, in grid order: the per-run table.
+  const std::vector<SweepRun>& runs() const { return runs_; }
+
+  /// Ends the invocation: writes the metrics document when metrics_path
+  /// is set and, in worker mode, the "done" record plus a one-line summary
+  /// on stderr. Returns the process exit code: 1 if any cell this
+  /// invocation ran or loaded failed (in worker mode, any cell this shard
+  /// owns; cells owned by other shards do not count), else 0.
   int finish();
 
  private:
   template <Protocol P>
   std::vector<Outcome<P>> execute(const std::string& name,
-                                  const ExperimentRunner& runner,
                                   const std::vector<typename P::Spec>& specs,
                                   bool anchor) {
     const std::vector<std::string> keys = spec_keys(specs);
-    if (options_.mode == SweepMode::kRun) {
-      return runner.run_grid<P>(specs, streaming_batch(name, keys, {}));
+    if (mode() == SweepMode::kRun) {
+      return runner_.run_grid<P>(specs, streaming_batch(name, keys, {}));
     }
     const SweepGrid grid{name, P::kind, specs.size(), grid_hash(keys), anchor};
 
-    if (options_.mode == SweepMode::kRender) {
+    if (mode() == SweepMode::kRender) {
       if (anchor && file_.find_grid(name) == nullptr) {
         // The merged file predates shared anchor grids (schema-1 workers
         // never recorded anchors): simulate them, exactly as before.
-        return runner.run_grid<P>(specs, labeled_batch(name));
+        return runner_.run_grid<P>(specs, labeled_batch(name));
       }
       return load<P>(file_, "--from file '" + options_.from_path + "'",
                      grid, keys, specs, /*strict=*/false);
@@ -266,7 +298,7 @@ class ShardedSweep {
     // Worker. Sharded grids — and anchors in phase 1 (--anchors-only, after
     // which the harness exits via finish()) — simulate only the owned cells.
     if (!anchor || options_.anchors_only) {
-      return run_owned<P>(grid, runner, specs, keys);
+      return run_owned<P>(grid, specs, keys);
     }
 
     // --anchors-from skips simulation entirely: the anchor records are copied
@@ -291,7 +323,7 @@ class ShardedSweep {
     // Classic worker: every anchor result is needed to construct the
     // downstream specs, so the full grid still runs — but the owned cells
     // are recorded, giving the merged file complete anchor coverage.
-    auto outcomes = runner.run_grid<P>(specs, streaming_batch(name, keys, {}));
+    auto outcomes = runner_.run_grid<P>(specs, streaming_batch(name, keys, {}));
     register_grid(grid);
     const sim::ShardPlan plan(options_.shard.count);
     for (const std::size_t cell : plan.cells_of(keys, options_.shard.index)) {
@@ -307,14 +339,13 @@ class ShardedSweep {
   /// the shard file — exactly the outcomes a merge will see.
   template <Protocol P>
   std::vector<Outcome<P>> run_owned(const SweepGrid& grid,
-                                    const ExperimentRunner& runner,
                                     const std::vector<typename P::Spec>& specs,
                                     const std::vector<std::string>& keys) {
     const std::vector<std::size_t> to_run = claim(grid, keys);
     std::vector<typename P::Spec> subset;
     for (const std::size_t cell : to_run) subset.push_back(specs[cell]);
     const std::vector<Outcome<P>> fresh =
-        runner.run_grid<P>(subset, streaming_batch(grid.name, keys, to_run));
+        runner_.run_grid<P>(subset, streaming_batch(grid.name, keys, to_run));
     for (std::size_t j = 0; j < to_run.size(); ++j) {
       record(grid.name, to_run[j], keys[to_run[j]], fresh[j].run,
              to_json(fresh[j]));
@@ -323,6 +354,22 @@ class ShardedSweep {
     flush();
     return decode<P>(specs, file_.records_of(grid.name, specs.size()),
                      "cell not owned by shard " + options_.shard.to_string());
+  }
+
+  /// Keeps what the harness is handed: the per-run rows, failures outside
+  /// worker mode (a worker counts the cells it owns as it records them;
+  /// the rest belong to other shards) and the metrics entries.
+  template <Protocol P>
+  std::vector<Outcome<P>> keep(const std::string& grid,
+                               std::vector<Outcome<P>> outcomes) {
+    for (const auto& outcome : outcomes) {
+      runs_.push_back({P::label(outcome.spec), outcome.run});
+      if (!outcome.run.ok && mode() != SweepMode::kWorker) ++failures_;
+      if (outcome.metrics.has_value()) {
+        keep_metrics(grid, P::spec_key(outcome.spec), *outcome.metrics);
+      }
+    }
+    return outcomes;
   }
 
   /// Reads a whole grid's outcomes out of `src` (a loaded --from or
@@ -390,7 +437,13 @@ class ShardedSweep {
 
   void flush() const;
 
+  /// Adds one run to the metrics document.
+  void keep_metrics(const std::string& grid, const std::string& key,
+                    const MetricsSnapshot& metrics);
+  void write_metrics();
+
   SweepOptions options_;
+  ExperimentRunner runner_;
   ShardFile file_;     ///< worker: being built; render: the loaded file
   ShardFile anchors_;  ///< worker: the loaded --anchors-from file, if any
   ShardFile resume_;   ///< worker: previous contents of out_path, if any
@@ -398,6 +451,11 @@ class ShardedSweep {
   std::size_t executed_ = 0;
   std::size_t carried_ = 0;
   std::size_t failures_ = 0;
+  std::vector<SweepRun> runs_;
+  std::vector<util::Json> metrics_runs_;
+  std::uint64_t spills_total_ = 0;
+  std::uint64_t spill_bytes_total_ = 0;
+  std::uint64_t arena_bytes_peak_ = 0;
 };
 
 }  // namespace specnoc::stats

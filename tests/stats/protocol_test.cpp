@@ -129,11 +129,9 @@ std::string render(const std::vector<stats::Outcome<HorizonProtocol>>& rows) {
   return text;
 }
 
-stats::SweepOptions sweep_options(stats::SweepMode mode) {
+stats::SweepOptions sweep_options() {
   stats::SweepOptions options;
-  options.mode = mode;
   options.tool = "toy_protocol_test";
-  options.seed = 42;
   options.batch.jobs = 1;
   return options;
 }
@@ -172,21 +170,19 @@ TEST(ProtocolTest, ToyProtocolShardsMergeAndRenderLikeASerialRun) {
   const core::NetworkConfig cfg;
   const auto specs = horizon_grid();
 
-  stats::ExperimentRunner ref_runner(cfg, 42);
-  stats::ShardedSweep ref_sweep(sweep_options(stats::SweepMode::kRun));
+  stats::ShardedSweep ref_sweep(cfg, 42, sweep_options());
   const std::string reference =
-      render(ref_sweep.grid<HorizonProtocol>("horizon", ref_runner, specs));
+      render(ref_sweep.grid<HorizonProtocol>("horizon", specs));
 
   constexpr unsigned kShards = 2;
   std::vector<stats::ShardFile> inputs;
   for (unsigned shard = 0; shard < kShards; ++shard) {
-    auto options = sweep_options(stats::SweepMode::kWorker);
+    auto options = sweep_options();
     options.shard = {shard, kShards};
     options.out_path = temp_path("s" + std::to_string(shard) + ".jsonl");
     std::remove(options.out_path.c_str());  // start fresh across reruns
-    stats::ExperimentRunner runner(cfg, 42);
-    stats::ShardedSweep sweep(options);
-    sweep.grid<HorizonProtocol>("horizon", runner, specs);
+    stats::ShardedSweep sweep(cfg, 42, options);
+    sweep.grid<HorizonProtocol>("horizon", specs);
     EXPECT_EQ(sweep.finish(), 0);
     inputs.push_back(stats::load_shard_file(options.out_path));
     EXPECT_EQ(inputs.back().grids.at(0).kind, "horizon");
@@ -195,14 +191,12 @@ TEST(ProtocolTest, ToyProtocolShardsMergeAndRenderLikeASerialRun) {
   stats::MergeReport report;
   const stats::ShardFile merged = stats::merge_shards(inputs, &report);
   ASSERT_TRUE(report.complete()) << report.summary();
-  auto render_options = sweep_options(stats::SweepMode::kRender);
+  auto render_options = sweep_options();
   render_options.from_path = temp_path("merged.jsonl");
   stats::write_shard_file(merged, render_options.from_path);
 
-  stats::ExperimentRunner render_runner(cfg, 42);
-  stats::ShardedSweep render_sweep(render_options);
-  EXPECT_EQ(render(render_sweep.grid<HorizonProtocol>("horizon",
-                                                      render_runner, specs)),
+  stats::ShardedSweep render_sweep(cfg, 42, render_options);
+  EXPECT_EQ(render(render_sweep.grid<HorizonProtocol>("horizon", specs)),
             reference);
 }
 

@@ -271,11 +271,9 @@ std::vector<LatencySpec> small_latency_grid() {
   return specs;
 }
 
-SweepOptions base_options(SweepMode mode) {
+SweepOptions base_options() {
   SweepOptions options;
-  options.mode = mode;
   options.tool = "sweep_test";
-  options.seed = 42;
   options.batch.jobs = 1;
   return options;
 }
@@ -287,23 +285,21 @@ TEST(ShardedSweepTest, WorkerMergeRenderMatchesSingleProcess) {
   const core::NetworkConfig cfg;  // default 8x8
   const auto specs = small_latency_grid();
 
-  ExperimentRunner ref_runner(cfg, 42);
-  ShardedSweep ref_sweep(base_options(SweepMode::kRun));
+  ShardedSweep ref_sweep(cfg, 42, base_options());
   const auto reference =
-      ref_sweep.grid<LatencyProtocol>("latency", ref_runner, specs);
+      ref_sweep.grid<LatencyProtocol>("latency", specs);
   EXPECT_EQ(ref_sweep.finish(), 0);
 
   constexpr unsigned kShards = 2;
   std::vector<std::string> shard_paths;
   for (unsigned shard = 0; shard < kShards; ++shard) {
-    auto options = base_options(SweepMode::kWorker);
+    auto options = base_options();
     options.shard = {shard, kShards};
     options.out_path = temp_path("e2e_s" + std::to_string(shard) + ".jsonl");
     write_text(options.out_path, "");  // start fresh even across test reruns
-    ExperimentRunner runner(cfg, 42);
-    ShardedSweep sweep(options);
+    ShardedSweep sweep(cfg, 42, options);
     EXPECT_FALSE(sweep.should_render());
-    const auto outcomes = sweep.grid<LatencyProtocol>("latency", runner, specs);
+    const auto outcomes = sweep.grid<LatencyProtocol>("latency", specs);
     ASSERT_EQ(outcomes.size(), specs.size());
     // Non-owned cells are marked, never silently zero-filled.
     const sim::ShardPlan plan(kShards);
@@ -327,13 +323,12 @@ TEST(ShardedSweepTest, WorkerMergeRenderMatchesSingleProcess) {
   const std::string merged_path = temp_path("e2e_merged.jsonl");
   write_shard_file(merged, merged_path);
 
-  auto render_options = base_options(SweepMode::kRender);
+  auto render_options = base_options();
   render_options.from_path = merged_path;
-  ExperimentRunner render_runner(cfg, 42);
-  ShardedSweep render_sweep(render_options);
+  ShardedSweep render_sweep(cfg, 42, render_options);
   EXPECT_TRUE(render_sweep.should_render());
   const auto rendered =
-      render_sweep.grid<LatencyProtocol>("latency", render_runner, specs);
+      render_sweep.grid<LatencyProtocol>("latency", specs);
   EXPECT_EQ(render_sweep.finish(), 0);
 
   ASSERT_EQ(rendered.size(), reference.size());
@@ -367,23 +362,21 @@ TEST(ShardedSweepTest, WorkloadWorkerMergeRenderMatchesSingleProcess) {
     }
   }
 
-  ExperimentRunner ref_runner(cfg, 42);
-  ShardedSweep ref_sweep(base_options(SweepMode::kRun));
+  ShardedSweep ref_sweep(cfg, 42, base_options());
   const auto reference =
-      ref_sweep.grid<WorkloadProtocol>("workload", ref_runner, specs);
+      ref_sweep.grid<WorkloadProtocol>("workload", specs);
   EXPECT_EQ(ref_sweep.finish(), 0);
 
   constexpr unsigned kShards = 2;
   std::vector<ShardFile> inputs;
   for (unsigned shard = 0; shard < kShards; ++shard) {
-    auto options = base_options(SweepMode::kWorker);
+    auto options = base_options();
     options.shard = {shard, kShards};
     options.out_path = temp_path("wl_s" + std::to_string(shard) + ".jsonl");
     write_text(options.out_path, "");
-    ExperimentRunner runner(cfg, 42);
-    ShardedSweep sweep(options);
+    ShardedSweep sweep(cfg, 42, options);
     const auto outcomes =
-        sweep.grid<WorkloadProtocol>("workload", runner, specs);
+        sweep.grid<WorkloadProtocol>("workload", specs);
     ASSERT_EQ(outcomes.size(), specs.size());
     EXPECT_EQ(sweep.finish(), 0);
     inputs.push_back(load_shard_file(options.out_path));
@@ -395,12 +388,11 @@ TEST(ShardedSweepTest, WorkloadWorkerMergeRenderMatchesSingleProcess) {
   const std::string merged_path = temp_path("wl_merged.jsonl");
   write_shard_file(merged, merged_path);
 
-  auto render_options = base_options(SweepMode::kRender);
+  auto render_options = base_options();
   render_options.from_path = merged_path;
-  ExperimentRunner render_runner(cfg, 42);
-  ShardedSweep render_sweep(render_options);
+  ShardedSweep render_sweep(cfg, 42, render_options);
   const auto rendered =
-      render_sweep.grid<WorkloadProtocol>("workload", render_runner, specs);
+      render_sweep.grid<WorkloadProtocol>("workload", specs);
   EXPECT_EQ(render_sweep.finish(), 0);
 
   ASSERT_EQ(rendered.size(), reference.size());
@@ -424,13 +416,13 @@ TEST(ShardedSweepTest, WorkerResumesCompletedCellsWithoutRerunning) {
 
   // Fabricate a partial shard file: cell 0 "done" with a sentinel latency
   // no real run would produce, cell 1 failed; cells 2..3 missing.
-  auto options = base_options(SweepMode::kWorker);
+  auto options = base_options();
   options.shard = {0, 1};
   options.out_path = temp_path("resume_worker.jsonl");
   ShardFile prior;
   prior.manifest.tool = options.tool;
   prior.manifest.shard = options.shard;
-  prior.manifest.seed = options.seed;
+  prior.manifest.seed = 42;
   prior.grids.push_back(
       {"latency", "latency", specs.size(), grid_hash(keys)});
   LatencyOutcome fabricated;
@@ -450,9 +442,8 @@ TEST(ShardedSweepTest, WorkerResumesCompletedCellsWithoutRerunning) {
   prior.records["latency"].emplace(1, failed_rec);
   write_shard_file(prior, options.out_path);
 
-  ExperimentRunner runner(cfg, 42);
-  ShardedSweep sweep(options);
-  const auto outcomes = sweep.grid<LatencyProtocol>("latency", runner, specs);
+  ShardedSweep sweep(cfg, 42, options);
+  const auto outcomes = sweep.grid<LatencyProtocol>("latency", specs);
   EXPECT_EQ(sweep.finish(), 0);
 
   // Cell 0 was carried over verbatim (the sentinel survives — it was not
@@ -469,7 +460,7 @@ TEST(ShardedSweepTest, WorkerResumesCompletedCellsWithoutRerunning) {
 }
 
 TEST(ShardedSweepTest, WorkerRefusesForeignOutputFile) {
-  auto options = base_options(SweepMode::kWorker);
+  auto options = base_options();
   options.shard = {0, 1};
   options.out_path = temp_path("foreign.jsonl");
   ShardFile foreign;
@@ -477,7 +468,8 @@ TEST(ShardedSweepTest, WorkerRefusesForeignOutputFile) {
   foreign.manifest.shard = {0, 1};
   foreign.manifest.seed = 42;
   write_shard_file(foreign, options.out_path);
-  EXPECT_THROW(ShardedSweep{options}, ConfigError);
+  EXPECT_THROW((ShardedSweep{core::NetworkConfig{}, 42, options}),
+               ConfigError);
 }
 
 TEST(ShardedSweepTest, RenderValidatesManifestAndGridIdentity) {
@@ -496,39 +488,37 @@ TEST(ShardedSweepTest, RenderValidatesManifestAndGridIdentity) {
   write_shard_file(merged, path);
 
   {
-    auto options = base_options(SweepMode::kRender);
+    auto options = base_options();
     options.from_path = path;
     options.tool = "different_tool";
-    EXPECT_THROW(ShardedSweep{options}, ConfigError);
+    EXPECT_THROW((ShardedSweep{core::NetworkConfig{}, 42, options}),
+               ConfigError);
   }
   {
-    auto options = base_options(SweepMode::kRender);
+    auto options = base_options();
     options.from_path = path;
-    options.seed = 7;
-    EXPECT_THROW(ShardedSweep{options}, ConfigError);
+    EXPECT_THROW((ShardedSweep{cfg, 7, options}), ConfigError);
   }
   {
     // Same manifest but a grid the file does not contain, then a grid
     // whose specs differ (hash mismatch).
-    auto options = base_options(SweepMode::kRender);
+    auto options = base_options();
     options.from_path = path;
-    ExperimentRunner runner(cfg, 42);
-    ShardedSweep sweep(options);
-    EXPECT_THROW(sweep.grid<LatencyProtocol>("other", runner, specs),
+    ShardedSweep sweep(cfg, 42, options);
+    EXPECT_THROW(sweep.grid<LatencyProtocol>("other", specs),
                  ConfigError);
     auto changed = specs;
     changed[0].injected_flits_per_ns = 0.07;
-    EXPECT_THROW(sweep.grid<LatencyProtocol>("latency", runner, changed),
+    EXPECT_THROW(sweep.grid<LatencyProtocol>("latency", changed),
                  ConfigError);
   }
   {
     // Cells missing from a partial merge render as failed outcomes, not
     // crashes — and the harness can report them.
-    auto options = base_options(SweepMode::kRender);
+    auto options = base_options();
     options.from_path = path;
-    ExperimentRunner runner(cfg, 42);
-    ShardedSweep sweep(options);
-    const auto outcomes = sweep.grid<LatencyProtocol>("latency", runner, specs);
+    ShardedSweep sweep(cfg, 42, options);
+    const auto outcomes = sweep.grid<LatencyProtocol>("latency", specs);
     ASSERT_EQ(outcomes.size(), specs.size());
     for (const auto& outcome : outcomes) {
       EXPECT_FALSE(outcome.run.ok);
@@ -599,27 +589,25 @@ TEST(ShardedSweepTest, TwoPhaseAnchorProtocolMatchesSingleProcess) {
   const auto sat_keys = spec_keys(sat_specs);
 
   // Reference: plain single-process run.
-  ExperimentRunner ref_runner(cfg, 42);
-  ShardedSweep ref_sweep(base_options(SweepMode::kRun));
+  ShardedSweep ref_sweep(cfg, 42, base_options());
   const auto ref_anchors =
-      ref_sweep.anchors<SaturationProtocol>(ref_runner, sat_specs);
+      ref_sweep.anchors<SaturationProtocol>(sat_specs);
   const auto lat_specs = derived_latency_grid(sat_specs, ref_anchors);
   const auto reference =
-      ref_sweep.grid<LatencyProtocol>("latency", ref_runner, lat_specs);
+      ref_sweep.grid<LatencyProtocol>("latency", lat_specs);
 
   // Phase 1: anchors only, sharded across 2 workers.
   constexpr unsigned kShards = 2;
   std::vector<ShardFile> anchor_inputs;
   for (unsigned shard = 0; shard < kShards; ++shard) {
-    auto options = base_options(SweepMode::kWorker);
+    auto options = base_options();
     options.shard = {shard, kShards};
     options.anchors_only = true;
     options.out_path = temp_path("p1_s" + std::to_string(shard) + ".jsonl");
     write_text(options.out_path, "");
-    ExperimentRunner runner(cfg, 42);
-    ShardedSweep sweep(options);
+    ShardedSweep sweep(cfg, 42, options);
     EXPECT_TRUE(sweep.anchors_only());
-    const auto outcomes = sweep.anchors<SaturationProtocol>(runner, sat_specs);
+    const auto outcomes = sweep.anchors<SaturationProtocol>(sat_specs);
     ASSERT_EQ(outcomes.size(), sat_specs.size());
     const sim::ShardPlan plan(kShards);
     for (std::size_t i = 0; i < sat_specs.size(); ++i) {
@@ -647,15 +635,14 @@ TEST(ShardedSweepTest, TwoPhaseAnchorProtocolMatchesSingleProcess) {
   // Phase 2: anchors load from the merged file; downstream grid shards.
   std::vector<ShardFile> inputs;
   for (unsigned shard = 0; shard < kShards; ++shard) {
-    auto options = base_options(SweepMode::kWorker);
+    auto options = base_options();
     options.shard = {shard, kShards};
     options.anchors_from = anchors_path;
     options.out_path = temp_path("p2_s" + std::to_string(shard) + ".jsonl");
     write_text(options.out_path, "");
-    ExperimentRunner runner(cfg, 42);
-    ShardedSweep sweep(options);
+    ShardedSweep sweep(cfg, 42, options);
     EXPECT_FALSE(sweep.anchors_only());
-    const auto anchors = sweep.anchors<SaturationProtocol>(runner, sat_specs);
+    const auto anchors = sweep.anchors<SaturationProtocol>(sat_specs);
     // Loaded anchors carry the phase-1 numbers — identical to the
     // reference run's, so the derived specs (and grid hash) match.
     for (std::size_t i = 0; i < anchors.size(); ++i) {
@@ -664,7 +651,7 @@ TEST(ShardedSweepTest, TwoPhaseAnchorProtocolMatchesSingleProcess) {
                 ref_anchors[i].result.injected_flits_per_ns);
     }
     const auto derived = derived_latency_grid(sat_specs, anchors);
-    sweep.grid<LatencyProtocol>("latency", runner, derived);
+    sweep.grid<LatencyProtocol>("latency", derived);
     EXPECT_EQ(sweep.finish(), 0);
     inputs.push_back(load_shard_file(options.out_path));
   }
@@ -675,15 +662,13 @@ TEST(ShardedSweepTest, TwoPhaseAnchorProtocolMatchesSingleProcess) {
   write_shard_file(merged, merged_path);
 
   // Render: anchors and latency cells both come from the merged file.
-  auto render_options = base_options(SweepMode::kRender);
+  auto render_options = base_options();
   render_options.from_path = merged_path;
-  ExperimentRunner render_runner(cfg, 42);
-  ShardedSweep render_sweep(render_options);
+  ShardedSweep render_sweep(cfg, 42, render_options);
   const auto rendered_anchors =
-      render_sweep.anchors<SaturationProtocol>(render_runner, sat_specs);
+      render_sweep.anchors<SaturationProtocol>(sat_specs);
   const auto rendered = render_sweep.grid<LatencyProtocol>(
-      "latency", render_runner,
-      derived_latency_grid(sat_specs, rendered_anchors));
+      "latency", derived_latency_grid(sat_specs, rendered_anchors));
   ASSERT_EQ(rendered.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
     auto a = rendered[i];
@@ -724,14 +709,13 @@ TEST(ShardedSweepTest, AnchorsFromLoadsWithoutSimulating) {
   const std::string anchors_path = temp_path("sentinel_anchors.jsonl");
   write_shard_file(anchors, anchors_path);
 
-  auto options = base_options(SweepMode::kWorker);
+  auto options = base_options();
   options.shard = {0, 1};
   options.anchors_from = anchors_path;
   options.out_path = temp_path("sentinel_worker.jsonl");
   write_text(options.out_path, "");
-  ExperimentRunner runner(cfg, 42);
-  ShardedSweep sweep(options);
-  const auto outcomes = sweep.anchors<SaturationProtocol>(runner, specs);
+  ShardedSweep sweep(cfg, 42, options);
+  const auto outcomes = sweep.anchors<SaturationProtocol>(specs);
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_EQ(outcomes[0].result.injected_flits_per_ns, 123.25);
   // And the anchor records were copied into this worker's shard file, so
@@ -767,7 +751,7 @@ TEST(ShardedSweepTest, AnchorsFromRejectsIncompleteOrFailedAnchors) {
   write_shard_file(anchors, anchors_path);
 
   auto make_worker = [&](const std::string& suffix) {
-    auto options = base_options(SweepMode::kWorker);
+    auto options = base_options();
     options.shard = {0, 1};
     options.anchors_from = anchors_path;
     options.out_path = temp_path("strict_worker_" + suffix + ".jsonl");
@@ -775,9 +759,8 @@ TEST(ShardedSweepTest, AnchorsFromRejectsIncompleteOrFailedAnchors) {
     return options;
   };
   {
-    ExperimentRunner runner(cfg, 42);
-    ShardedSweep sweep(make_worker("missing"));
-    EXPECT_THROW(sweep.anchors<SaturationProtocol>(runner, specs), ConfigError);
+    ShardedSweep sweep(cfg, 42, make_worker("missing"));
+    EXPECT_THROW(sweep.anchors<SaturationProtocol>(specs), ConfigError);
   }
   {
     SaturationOutcome failed;
@@ -787,15 +770,13 @@ TEST(ShardedSweepTest, AnchorsFromRejectsIncompleteOrFailedAnchors) {
     anchors.records["anchor"].emplace(
         0, SweepRecord{0, keys[0], "failed", to_json(failed)});
     write_shard_file(anchors, anchors_path);
-    ExperimentRunner runner(cfg, 42);
-    ShardedSweep sweep(make_worker("failed"));
-    EXPECT_THROW(sweep.anchors<SaturationProtocol>(runner, specs), ConfigError);
+    ShardedSweep sweep(cfg, 42, make_worker("failed"));
+    EXPECT_THROW(sweep.anchors<SaturationProtocol>(specs), ConfigError);
   }
   {
     // A seed mismatch is caught at construction.
     auto options = make_worker("seed");
-    options.seed = 7;
-    EXPECT_THROW(ShardedSweep{options}, ConfigError);
+    EXPECT_THROW((ShardedSweep{cfg, 7, options}), ConfigError);
   }
 }
 
@@ -807,13 +788,12 @@ TEST(ShardedSweepTest, ClassicWorkerRecordsAnchorsForRender) {
   const auto specs = small_anchor_grid();
   const auto keys = spec_keys(specs);
 
-  auto options = base_options(SweepMode::kWorker);
+  auto options = base_options();
   options.shard = {0, 1};
   options.out_path = temp_path("classic_worker.jsonl");
   write_text(options.out_path, "");
-  ExperimentRunner runner(cfg, 42);
-  ShardedSweep sweep(options);
-  const auto outcomes = sweep.anchors<SaturationProtocol>(runner, specs);
+  ShardedSweep sweep(cfg, 42, options);
+  const auto outcomes = sweep.anchors<SaturationProtocol>(specs);
   for (const auto& outcome : outcomes) EXPECT_TRUE(outcome.run.ok);
   EXPECT_EQ(sweep.finish(), 0);
 
@@ -835,12 +815,11 @@ TEST(ShardedSweepTest, ClassicWorkerRecordsAnchorsForRender) {
   const std::string doctored_path = temp_path("classic_doctored.jsonl");
   write_shard_file(doctored, doctored_path);
 
-  auto render_options = base_options(SweepMode::kRender);
+  auto render_options = base_options();
   render_options.from_path = doctored_path;
-  ExperimentRunner render_runner(cfg, 42);
-  ShardedSweep render_sweep(render_options);
+  ShardedSweep render_sweep(cfg, 42, render_options);
   const auto rendered =
-      render_sweep.anchors<SaturationProtocol>(render_runner, specs);
+      render_sweep.anchors<SaturationProtocol>(specs);
   ASSERT_EQ(rendered.size(), specs.size());
   EXPECT_EQ(rendered[0].result.injected_flits_per_ns, 321.5);
 }
@@ -875,12 +854,11 @@ TEST(ShardedSweepTest, RenderLoadsGridWithoutSimulating) {
   const std::string path = temp_path("render_sentinel.jsonl");
   write_shard_file(merged, path);
 
-  auto options = base_options(SweepMode::kRender);
+  auto options = base_options();
   options.from_path = path;
-  ExperimentRunner runner(cfg, 42);
-  ShardedSweep sweep(options);
+  ShardedSweep sweep(cfg, 42, options);
   const auto outcomes =
-      sweep.grid<SaturationProtocol>("throughput", runner, specs);
+      sweep.grid<SaturationProtocol>("throughput", specs);
   ASSERT_TRUE(outcomes[0].run.ok);
   EXPECT_EQ(outcomes[0].result.delivered_flits_per_ns, 0.777);
   EXPECT_EQ(outcomes[0].result.injected_flits_per_ns, 0.888);
@@ -889,12 +867,145 @@ TEST(ShardedSweepTest, RenderLoadsGridWithoutSimulating) {
 // A worker (--shard/--out) given a --from file too is a conflict, refused
 // before anything runs rather than silently ignoring --from.
 TEST(ShardedSweepTest, WorkerRefusesFromFile) {
-  auto options = base_options(SweepMode::kWorker);
+  auto options = base_options();
   options.shard = {0, 1};
   options.out_path = temp_path("worker_with_from.jsonl");
   options.from_path = temp_path("never_read.jsonl");
   write_text(options.out_path, "");
-  EXPECT_THROW(ShardedSweep{options}, ConfigError);
+  EXPECT_THROW((ShardedSweep{core::NetworkConfig{}, 42, options}),
+               ConfigError);
+}
+
+// The mode follows from the paths: from_path renders, out_path works a
+// shard, neither runs in-process; contradictory combinations are refused.
+TEST(ShardedSweepTest, ModeFollowsOutAndFromPaths) {
+  const core::NetworkConfig cfg;
+  EXPECT_EQ(ShardedSweep(cfg, 42, base_options()).mode(), SweepMode::kRun);
+
+  auto worker = base_options();
+  worker.out_path = temp_path("mode_worker.jsonl");
+  write_text(worker.out_path, "");
+  EXPECT_EQ(ShardedSweep(cfg, 42, worker).mode(), SweepMode::kWorker);
+
+  ShardFile merged;
+  merged.manifest.tool = "sweep_test";
+  merged.manifest.seed = 42;
+  merged.complete = true;
+  auto render = base_options();
+  render.from_path = temp_path("mode_render.jsonl");
+  write_shard_file(merged, render.from_path);
+  EXPECT_EQ(ShardedSweep(cfg, 42, render).mode(), SweepMode::kRender);
+
+  auto sharded_render = render;
+  sharded_render.shard = {1, 2};
+  EXPECT_THROW((ShardedSweep{cfg, 42, sharded_render}), ConfigError);
+  auto sharded_run = base_options();
+  sharded_run.shard = {1, 2};
+  EXPECT_THROW((ShardedSweep{cfg, 42, sharded_run}), ConfigError);
+  auto anchors_run = base_options();
+  anchors_run.anchors_only = true;
+  EXPECT_THROW((ShardedSweep{cfg, 42, anchors_run}), ConfigError);
+}
+
+// finish() is the harness's exit code in every mode: 1 when a cell this
+// invocation ran or loaded failed. A worker answers only for the cells it
+// owns; the failed-looking cells of other shards do not count.
+TEST(ShardedSweepTest, FinishReportsFailedCellsInEveryMode) {
+  const core::NetworkConfig cfg;
+  auto specs = small_latency_grid();
+  specs.resize(2);
+  specs[1].custom = "sweep_test_unregistered_design_point";  // cannot build
+
+  {
+    ShardedSweep sweep(cfg, 42, base_options());
+    const auto outcomes = sweep.grid<LatencyProtocol>("latency", specs);
+    ASSERT_TRUE(outcomes[0].run.ok);
+    ASSERT_FALSE(outcomes[1].run.ok);
+    ASSERT_EQ(sweep.runs().size(), specs.size());
+    EXPECT_FALSE(sweep.runs()[1].run.ok);
+    EXPECT_EQ(sweep.finish(), 1);
+  }
+
+  auto worker = base_options();
+  worker.out_path = temp_path("finish_worker.jsonl");
+  write_text(worker.out_path, "");
+  {
+    ShardedSweep sweep(cfg, 42, worker);
+    sweep.grid<LatencyProtocol>("latency", specs);
+    EXPECT_EQ(sweep.finish(), 1);
+  }
+
+  auto render = base_options();
+  render.from_path = worker.out_path;  // one shard of one: a full merge
+  {
+    ShardedSweep sweep(cfg, 42, render);
+    const auto outcomes = sweep.grid<LatencyProtocol>("latency", specs);
+    EXPECT_TRUE(outcomes[0].run.ok);
+    EXPECT_FALSE(outcomes[1].run.ok);
+    EXPECT_EQ(sweep.finish(), 1);
+  }
+
+  const sim::ShardPlan plan(2);
+  const unsigned bad_owner = plan.shard_of(spec_key(specs[1]));
+  for (unsigned shard = 0; shard < 2; ++shard) {
+    auto options = base_options();
+    options.shard = {shard, 2};
+    options.out_path = temp_path("finish_s" + std::to_string(shard) + ".jsonl");
+    write_text(options.out_path, "");
+    ShardedSweep sweep(cfg, 42, options);
+    sweep.grid<LatencyProtocol>("latency", specs);
+    EXPECT_EQ(sweep.finish(), shard == bad_owner ? 1 : 0) << "shard " << shard;
+  }
+}
+
+// The --metrics document a render writes from merged worker files is the
+// single-process document, byte for byte (anchors and sharded grids).
+TEST(ShardedSweepTest, MetricsDocumentFromShardsMatchesSingleProcess) {
+  const core::NetworkConfig cfg;
+  const auto sat_specs = small_anchor_grid();
+  auto run_grids = [&](ShardedSweep& sweep) {
+    const auto anchors = sweep.anchors<SaturationProtocol>(sat_specs);
+    sweep.grid<LatencyProtocol>("latency",
+                                derived_latency_grid(sat_specs, anchors));
+    return sweep.finish();
+  };
+
+  auto single = base_options();
+  single.metrics_path = temp_path("metrics_single.json");
+  ShardedSweep ref_sweep(cfg, 42, single);
+  ASSERT_EQ(run_grids(ref_sweep), 0);
+  const std::string reference = read_text(single.metrics_path);
+  const util::Json doc = util::json_parse(reference);
+  EXPECT_EQ(doc.at("format").as_string(), "specnoc-metrics");
+  EXPECT_EQ(doc.at("tool").as_string(), "sweep_test");
+  EXPECT_EQ(doc.at("seed").as_u64(), 42u);
+  EXPECT_NE(doc.find("arena_bytes_peak"), nullptr);
+  EXPECT_EQ(doc.at("runs").items().size(), 2 * sat_specs.size());
+
+  constexpr unsigned kShards = 2;
+  std::vector<ShardFile> inputs;
+  for (unsigned shard = 0; shard < kShards; ++shard) {
+    auto options = base_options();
+    options.shard = {shard, kShards};
+    options.out_path = temp_path("metrics_s" + std::to_string(shard) +
+                                 ".jsonl");
+    options.metrics_path = temp_path("metrics_worker.json");
+    write_text(options.out_path, "");
+    ShardedSweep sweep(cfg, 42, options);
+    ASSERT_EQ(run_grids(sweep), 0);
+    inputs.push_back(load_shard_file(options.out_path));
+  }
+  MergeReport report;
+  const ShardFile merged = merge_shards(inputs, &report);
+  ASSERT_TRUE(report.complete()) << report.summary();
+
+  auto render = base_options();
+  render.from_path = temp_path("metrics_merged.jsonl");
+  render.metrics_path = temp_path("metrics_render.json");
+  write_shard_file(merged, render.from_path);
+  ShardedSweep render_sweep(cfg, 42, render);
+  ASSERT_EQ(run_grids(render_sweep), 0);
+  EXPECT_EQ(read_text(render.metrics_path), reference);
 }
 
 }  // namespace
