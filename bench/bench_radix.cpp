@@ -20,15 +20,11 @@
 //     total events / the largest per-worker event share (the
 //     machine-independent speedup bound; wall time on a shared builder is
 //     not it).
-// With --json-out the grid is written as one JSON document — committed as
-// BENCH_radix.json at the repo root and refreshed with
-// bench/run_radix_bench.sh.
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <vector>
 
 #include "bench_common.h"
@@ -57,10 +53,7 @@ struct CellResult {
   double events_per_sec = 0.0;
   double delivered_flits_per_ns = 0.0;  ///< per source
   std::uint64_t spill_allocations = 0;
-  std::uint64_t spill_bytes = 0;
-  std::uint64_t spill_reuses = 0;
   std::uint64_t arena_reserved_bytes = 0;
-  std::uint64_t arena_object_bytes = 0;
   double model_speedup = 0.0;  ///< 0 when the cell ran sequentially
   long peak_rss_kb = 0;
 };
@@ -83,8 +76,6 @@ CellResult run_cell(std::uint32_t n, core::Architecture arch,
   network.net().hooks().traffic = &recorder;
 
   const auto spills_before = noc::DestSet::spill_allocations();
-  const auto spill_bytes_before = noc::DestSet::spill_bytes();
-  const auto spill_reuses_before = noc::DestSet::spill_reuses();
   const auto start = std::chrono::steady_clock::now();
   driver.start();
   auto& net = network.net();
@@ -105,10 +96,7 @@ CellResult run_cell(std::uint32_t n, core::Architecture arch,
   result.delivered_flits_per_ns = recorder.delivered_flits_per_ns(n);
   result.spill_allocations =
       noc::DestSet::spill_allocations() - spills_before;
-  result.spill_bytes = noc::DestSet::spill_bytes() - spill_bytes_before;
-  result.spill_reuses = noc::DestSet::spill_reuses() - spill_reuses_before;
   result.arena_reserved_bytes = net.arena().total_reserved_bytes();
-  result.arena_object_bytes = net.arena().total_bytes();
   if (const sim::PartitionedScheduler* psched = net.partitioned_scheduler();
       psched != nullptr && sim_threads > 1) {
     // Static contiguous lane blocks, as the worker pool assigns them: the
@@ -137,7 +125,6 @@ CellResult run_cell(std::uint32_t n, core::Architecture arch,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_out;
   unsigned max_radix = 1024;
   unsigned partitioned_threads = 4;
   const HarnessOptions opts = specnoc::bench::parse_args(
@@ -146,9 +133,6 @@ int main(int argc, char** argv) {
       "(or 4096) — the cost profile of the multi-word DestSet addressing "
       "and the arena memory layout.",
       specnoc::bench::Flags::kCommon, [&](util::CliParser& cli) {
-        cli.add_string("--json-out", &json_out,
-                       "write the grid as one JSON document (BENCH_radix "
-                       "format) to this path");
         cli.add_unsigned("--max-radix", &max_radix,
                          "largest endpoint count to run (default 1024; "
                          "4096 exercises the full DestSet range)");
@@ -172,7 +156,6 @@ int main(int argc, char** argv) {
   Table table({"Endpoints", "Benchmark", "Threads", "Events", "Wall (ms)",
                "Events/s", "Delivered (flits/ns/src)", "DestSet spills",
                "Model speedup", "Arena (MiB)", "Peak RSS (KiB)"});
-  util::Json cells = util::Json::array();
   for (const auto n : radixes) {
     std::vector<unsigned> thread_counts = {1};
     if (n == radixes.back()) thread_counts.push_back(kPartitionedThreads);
@@ -193,28 +176,6 @@ int main(int argc, char** argv) {
                       (1024.0 * 1024.0),
                   1),
              cell(static_cast<long long>(cell_result.peak_rss_kb))});
-        util::Json record = util::Json::object();
-        record.set("endpoints", n);
-        record.set("arch", core::to_string(kArch));
-        record.set("bench", traffic::to_string(bench));
-        record.set("sim_threads", sim_threads);
-        record.set("events", cell_result.events);
-        record.set("wall_ms", cell_result.wall_ms);
-        record.set("events_per_sec", cell_result.events_per_sec);
-        record.set("delivered_flits_per_ns",
-                   cell_result.delivered_flits_per_ns);
-        record.set("destset_spill_allocations",
-                   cell_result.spill_allocations);
-        record.set("destset_spill_bytes", cell_result.spill_bytes);
-        record.set("destset_spill_reuses", cell_result.spill_reuses);
-        record.set("arena_reserved_bytes", cell_result.arena_reserved_bytes);
-        record.set("arena_object_bytes", cell_result.arena_object_bytes);
-        if (sim_threads > 1) {
-          record.set("model_speedup", cell_result.model_speedup);
-        }
-        record.set("peak_rss_kb",
-                   static_cast<std::uint64_t>(cell_result.peak_rss_kb));
-        cells.push_back(std::move(record));
         // The inline-word claim, enforced: radix <= 64 must not allocate.
         if (n <= noc::DestSet::kWordBits &&
             cell_result.spill_allocations != 0) {
@@ -252,35 +213,5 @@ int main(int argc, char** argv) {
       "radix order so each value is the watermark after that cell. "
       "Model speedup (partitioned cells) is total events over the largest "
       "per-worker share — the machine-independent bound.");
-
-  if (!json_out.empty()) {
-    util::Json doc = util::Json::object();
-    doc.set("format", "specnoc-bench-radix");
-    doc.set("schema", 2);
-    doc.set("arch", core::to_string(kArch));
-    doc.set("windows", [] {
-      util::Json windows = util::Json::object();
-      windows.set("warmup_ns", 100);
-      windows.set("measure_ns", 300);
-      return windows;
-    }());
-    doc.set("destset_spill_pool", [] {
-      util::Json pool = util::Json::object();
-      pool.set("pooling", noc::DestSet::spill_pooling());
-      pool.set("raw_allocations", noc::DestSet::spill_allocations());
-      pool.set("raw_bytes", noc::DestSet::spill_bytes());
-      pool.set("reuses", noc::DestSet::spill_reuses());
-      pool.set("outstanding_high_water", noc::DestSet::spill_high_water());
-      return pool;
-    }());
-    doc.set("cells", std::move(cells));
-    std::ofstream out(json_out);
-    out << util::json_write(doc) << "\n";
-    if (!out) {
-      std::fprintf(stderr, "bench_radix: cannot write %s\n",
-                   json_out.c_str());
-      return 1;
-    }
-  }
   return 0;
 }

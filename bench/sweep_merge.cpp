@@ -18,6 +18,7 @@
 // --telemetry-out) instead of merging: one rendered line per completed run
 // as frames arrive, a summary on the end frame. --once renders what is
 // already in the file and exits; --poll-ms sets the tail poll interval.
+// A malformed frame exits 2 with an error naming FILE:line.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -198,6 +199,7 @@ int follow_stream(const std::string& path, bool once, unsigned poll_ms) {
 
   FollowView view;
   std::string line;
+  std::size_t line_no = 0;
   while (!view.done) {
     if (!std::getline(in, line)) {
       if (from_stdin || once) break;
@@ -214,7 +216,13 @@ int follow_stream(const std::string& path, bool once, unsigned poll_ms) {
       std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
       continue;
     }
-    view.render(specnoc::stats::telemetry_frame_parse(line));
+    ++line_no;
+    try {
+      view.render(specnoc::stats::telemetry_frame_parse(line));
+    } catch (const specnoc::ConfigError& error) {
+      throw specnoc::ConfigError(path + ":" + std::to_string(line_no) + ": " +
+                                 error.what());
+    }
   }
   return view.done ? 0 : 3;
 }

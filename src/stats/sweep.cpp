@@ -171,61 +171,63 @@ ShardFile load_shard_file(const std::string& path) {
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
-    const auto fail = [&](const std::string& why) -> ConfigError {
-      return ConfigError(path + ":" + std::to_string(line_no) + ": " + why);
-    };
-    Json json;
+    // Whatever is wrong with a line -- its syntax, a missing or mistyped
+    // field, its place in the file -- the error names path:line.
     try {
-      json = util::json_parse(line);
+      const Json json = util::json_parse(line);
+      const std::string& record = json.at("record").as_string();
+      if (record == "manifest") {
+        if (have_manifest) throw ConfigError("duplicate manifest record");
+        file.manifest = manifest_from_json(json);
+        have_manifest = true;
+        continue;
+      }
+      if (!have_manifest) {
+        throw ConfigError("first record must be the manifest");
+      }
+      if (file.complete) throw ConfigError("record after the done record");
+      if (record == "grid") {
+        SweepGrid grid = grid_from_json(json);
+        if (file.find_grid(grid.name) != nullptr) {
+          throw ConfigError("duplicate grid '" + grid.name + "'");
+        }
+        file.grids.push_back(std::move(grid));
+        continue;
+      }
+      if (record == "outcome") {
+        const std::string& grid_name = json.at("grid").as_string();
+        const SweepGrid* grid = file.find_grid(grid_name);
+        if (grid == nullptr) {
+          throw ConfigError("outcome for unregistered grid '" + grid_name +
+                            "'");
+        }
+        SweepRecord rec;
+        rec.cell = static_cast<std::size_t>(json.at("cell").as_u64());
+        if (rec.cell >= grid->size) {
+          throw ConfigError("cell " + std::to_string(rec.cell) +
+                            " out of range for grid '" + grid_name +
+                            "' (size " + std::to_string(grid->size) + ")");
+        }
+        rec.key = json.at("key").as_string();
+        rec.status = json.at("status").as_string();
+        if (!valid_status(rec.status)) {
+          throw ConfigError("unknown status '" + rec.status + "'");
+        }
+        rec.data = json.at("data");
+        // Later records replace earlier ones: an appended re-run of a
+        // previously failed cell supersedes it.
+        file.records[grid_name].insert_or_assign(rec.cell, std::move(rec));
+        continue;
+      }
+      if (record == "done") {
+        file.complete = true;
+        continue;
+      }
+      throw ConfigError("unknown record type '" + record + "'");
     } catch (const ConfigError& error) {
-      throw fail(error.what());
+      throw ConfigError(path + ":" + std::to_string(line_no) + ": " +
+                        error.what());
     }
-    const std::string& record = json.at("record").as_string();
-    if (record == "manifest") {
-      if (have_manifest) throw fail("duplicate manifest record");
-      file.manifest = manifest_from_json(json);
-      have_manifest = true;
-      continue;
-    }
-    if (!have_manifest) throw fail("first record must be the manifest");
-    if (file.complete) throw fail("record after the done record");
-    if (record == "grid") {
-      SweepGrid grid = grid_from_json(json);
-      if (file.find_grid(grid.name) != nullptr) {
-        throw fail("duplicate grid '" + grid.name + "'");
-      }
-      file.grids.push_back(std::move(grid));
-      continue;
-    }
-    if (record == "outcome") {
-      const std::string& grid_name = json.at("grid").as_string();
-      const SweepGrid* grid = file.find_grid(grid_name);
-      if (grid == nullptr) {
-        throw fail("outcome for unregistered grid '" + grid_name + "'");
-      }
-      SweepRecord rec;
-      rec.cell = static_cast<std::size_t>(json.at("cell").as_u64());
-      if (rec.cell >= grid->size) {
-        throw fail("cell " + std::to_string(rec.cell) +
-                   " out of range for grid '" + grid_name + "' (size " +
-                   std::to_string(grid->size) + ")");
-      }
-      rec.key = json.at("key").as_string();
-      rec.status = json.at("status").as_string();
-      if (!valid_status(rec.status)) {
-        throw fail("unknown status '" + rec.status + "'");
-      }
-      rec.data = json.at("data");
-      // Later records replace earlier ones: an appended re-run of a
-      // previously failed cell supersedes it.
-      file.records[grid_name].insert_or_assign(rec.cell, std::move(rec));
-      continue;
-    }
-    if (record == "done") {
-      file.complete = true;
-      continue;
-    }
-    throw fail("unknown record type '" + record + "'");
   }
   if (!have_manifest) {
     throw ConfigError(path + ": no manifest record (empty or truncated file)");
@@ -234,8 +236,9 @@ ShardFile load_shard_file(const std::string& path) {
 }
 
 void write_shard_file(const ShardFile& file, const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw ConfigError("cannot write shard file '" + path + "'");
+  const std::string tmp_path = path + ".tmp";
+  std::ofstream out(tmp_path, std::ios::trunc);
+  if (!out) throw ConfigError("cannot write shard file '" + tmp_path + "'");
   out << util::json_write(manifest_to_json(file.manifest)) << "\n";
   std::size_t outcomes = 0;
   for (const auto& grid : file.grids) {
@@ -254,8 +257,12 @@ void write_shard_file(const ShardFile& file, const std::string& path) {
     done.set("outcomes", static_cast<std::uint64_t>(outcomes));
     out << util::json_write(done) << "\n";
   }
-  out.flush();
-  if (!out) throw ConfigError("short write to shard file '" + path + "'");
+  out.close();
+  if (!out) throw ConfigError("short write to shard file '" + tmp_path + "'");
+  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
+    throw ConfigError("cannot replace shard file '" + path + "' with '" +
+                      tmp_path + "'");
+  }
 }
 
 bool MergeReport::complete() const {

@@ -114,12 +114,15 @@ struct ShardFile {
                                              std::size_t size) const;
 };
 
-/// Parses a shard file; throws ConfigError (with the line number) on
-/// malformed records or schema mismatches.
+/// Parses a shard file; throws ConfigError naming `path:line` on any
+/// malformed record (syntax, missing or mistyped field, misplaced record)
+/// or schema mismatch.
 ShardFile load_shard_file(const std::string& path);
 
 /// Serializes a ShardFile back to disk (manifest, grids, outcomes in cell
-/// order, plus the "done" record when `file.complete`).
+/// order, plus the "done" record when `file.complete`). The file is
+/// written to `<path>.tmp` and renamed over `path`, so a failed or killed
+/// write leaves the previous file intact; throws ConfigError on failure.
 void write_shard_file(const ShardFile& file, const std::string& path);
 
 /// What the merge found, per grid. Cells are indexes into the grid.

@@ -171,67 +171,64 @@ Trace read_trace(std::istream& in, const std::string& origin) {
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
-    const auto fail = [&](const std::string& why) -> ConfigError {
-      return ConfigError(origin + ":" + std::to_string(line_no) + ": " + why);
-    };
-    Json json;
+    // Whatever is wrong with a line -- its syntax, a missing or mistyped
+    // field, its place in the file -- the error names origin:line.
     try {
-      json = util::json_parse(line);
-    } catch (const ConfigError& error) {
-      throw fail(error.what());
-    }
-    try {
+      const Json json = util::json_parse(line);
       const std::string& record = json.at("record").as_string();
       if (record == "header") {
-        if (have_header) throw fail("duplicate header record");
+        if (have_header) throw ConfigError("duplicate header record");
         if (json.at("format").as_string() != kTraceFormat) {
-          throw fail("not a " + std::string(kTraceFormat) + " file (format '" +
-                     json.at("format").as_string() + "')");
+          throw ConfigError("not a " + std::string(kTraceFormat) +
+                            " file (format '" +
+                            json.at("format").as_string() + "')");
         }
         const auto declared_schema = json.at("schema").as_i64();
         if (declared_schema != kTraceSchemaVersion &&
             declared_schema != kTraceSchemaVersionLarge) {
-          throw fail("unsupported trace schema version " +
-                     std::to_string(declared_schema) +
-                     " (this build reads versions " +
-                     std::to_string(kTraceSchemaVersion) + " and " +
-                     std::to_string(kTraceSchemaVersionLarge) + ")");
+          throw ConfigError("unsupported trace schema version " +
+                            std::to_string(declared_schema) +
+                            " (this build reads versions " +
+                            std::to_string(kTraceSchemaVersion) + " and " +
+                            std::to_string(kTraceSchemaVersionLarge) + ")");
         }
         schema = static_cast<int>(declared_schema);
         trace.meta.n = static_cast<std::uint32_t>(json.at("n").as_u64());
         if (trace.meta.n < 2 || trace.meta.n > noc::kMaxEndpoints) {
-          throw fail("trace radix n=" + std::to_string(trace.meta.n) +
-                     " outside the supported range [2, " +
-                     std::to_string(noc::kMaxEndpoints) + "]");
+          throw ConfigError("trace radix n=" + std::to_string(trace.meta.n) +
+                            " outside the supported range [2, " +
+                            std::to_string(noc::kMaxEndpoints) + "]");
         }
         // The schema <-> radix pairing is strict both ways: integer masks
         // cannot express n > 64, and hex sets for n <= 64 would fork the
         // byte-exact wire form the goldens pin.
         if (schema == kTraceSchemaVersion && trace.meta.n > 64) {
-          throw fail("schema 1 carries integer 64-bit destination masks and "
-                     "cannot address n=" + std::to_string(trace.meta.n) +
-                     " endpoints (schema 2 required beyond radix 64)");
+          throw ConfigError(
+              "schema 1 carries integer 64-bit destination masks and "
+              "cannot address n=" + std::to_string(trace.meta.n) +
+              " endpoints (schema 2 required beyond radix 64)");
         }
         if (schema == kTraceSchemaVersionLarge && trace.meta.n <= 64) {
-          throw fail("schema 2 is reserved for radixes above 64; a trace "
-                     "with n=" + std::to_string(trace.meta.n) +
-                     " must use schema 1");
+          throw ConfigError(
+              "schema 2 is reserved for radixes above 64; a trace "
+              "with n=" + std::to_string(trace.meta.n) +
+              " must use schema 1");
         }
         const Json* generator = json.find("generator");
         if (generator != nullptr) trace.meta.generator = generator->as_string();
         have_header = true;
         continue;
       }
-      if (!have_header) throw fail("first record must be the header");
-      if (have_end) throw fail("record after the end record");
+      if (!have_header) throw ConfigError("first record must be the header");
+      if (have_end) throw ConfigError("record after the end record");
       if (record == "msg") {
         TraceRecord rec = record_from_json(json, schema);
         if (!rec.dests.within(trace.meta.n)) {
-          throw fail("destination set of message " + std::to_string(rec.id) +
-                     " addresses endpoint " +
-                     std::to_string(highest_dest(rec.dests)) +
-                     ", beyond the configured radix n=" +
-                     std::to_string(trace.meta.n));
+          throw ConfigError("destination set of message " +
+                            std::to_string(rec.id) + " addresses endpoint " +
+                            std::to_string(highest_dest(rec.dests)) +
+                            ", beyond the configured radix n=" +
+                            std::to_string(trace.meta.n));
         }
         trace.records.push_back(std::move(rec));
         continue;
@@ -241,9 +238,10 @@ Trace read_trace(std::istream& in, const std::string& origin) {
         have_end = true;
         continue;
       }
-      throw fail("unknown record type '" + record + "'");
-    } catch (const ConfigError&) {
-      throw;
+      throw ConfigError("unknown record type '" + record + "'");
+    } catch (const ConfigError& error) {
+      throw ConfigError(origin + ":" + std::to_string(line_no) + ": " +
+                        error.what());
     }
   }
   if (!have_header) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -124,16 +125,52 @@ TEST(ShardFileTest, LoaderRejectsMalformedFiles) {
   // Duplicate grid registration.
   write_text(path, std::string(kManifestLine) + kGridLine + kGridLine);
   EXPECT_THROW(load_shard_file(path), ConfigError);
-  // Error messages carry the offending line number.
-  write_text(path, std::string(kManifestLine) + kGridLine +
-                       outcome_line(0, "maybe"));
-  try {
-    load_shard_file(path);
-    FAIL() << "expected ConfigError";
-  } catch (const ConfigError& error) {
-    EXPECT_NE(std::string(error.what()).find(":3:"), std::string::npos)
-        << error.what();
-  }
+  // Every malformed line names the file and the line: a bad value, a
+  // missing key, a mistyped field and a line that is not an object.
+  const auto expect_line_3_error = [&path](const std::string& line3) {
+    write_text(path, std::string(kManifestLine) + kGridLine + line3);
+    try {
+      load_shard_file(path);
+      ADD_FAILURE() << "expected ConfigError for " << line3;
+    } catch (const ConfigError& error) {
+      EXPECT_NE(std::string(error.what()).find(path + ":3:"),
+                std::string::npos)
+          << error.what();
+    }
+  };
+  expect_line_3_error(outcome_line(0, "maybe"));
+  expect_line_3_error(
+      "{\"record\":\"outcome\",\"grid\":\"g\",\"key\":\"k\","
+      "\"status\":\"ok\",\"data\":{}}\n");
+  expect_line_3_error(
+      "{\"record\":\"outcome\",\"grid\":\"g\",\"cell\":\"0\","
+      "\"key\":\"k\",\"status\":\"ok\",\"data\":{}}\n");
+  expect_line_3_error("[\"record\",\"outcome\"]\n");
+}
+
+// The writer replaces the file by renaming a finished <path>.tmp over it,
+// so a write that fails part way leaves the previous file byte-identical.
+TEST(ShardFileTest, FailedWriteKeepsThePreviousFile) {
+  const std::string path = temp_path("atomic.jsonl");
+  ShardFile before;
+  before.manifest.tool = "t";
+  before.manifest.seed = 42;
+  write_shard_file(before, path);
+  const std::string bytes = read_text(path);
+
+  ShardFile after = before;
+  after.grids.push_back({"g", "latency", 2, "00000000000000aa"});
+  after.complete = true;
+  const std::filesystem::path tmp = path + ".tmp";
+  std::filesystem::remove_all(tmp);
+  ASSERT_TRUE(std::filesystem::create_directory(tmp));
+  EXPECT_THROW(write_shard_file(after, path), ConfigError);
+  std::filesystem::remove_all(tmp);
+  EXPECT_EQ(read_text(path), bytes);
+
+  write_shard_file(after, path);
+  EXPECT_EQ(load_shard_file(path).grids.size(), 1u);
+  EXPECT_FALSE(std::filesystem::exists(tmp));
 }
 
 TEST(ShardFileTest, AppendedRecordsReplaceEarlierOnes) {
@@ -457,6 +494,32 @@ TEST(ShardedSweepTest, WorkerResumesCompletedCellsWithoutRerunning) {
   EXPECT_TRUE(after.complete);
   EXPECT_EQ(after.records.at("latency").size(), specs.size());
   EXPECT_EQ(after.records.at("latency").at(1).status, "ok");  // re-run
+}
+
+// A shard file cut short anywhere (a partial copy, a torn write) loads or
+// fails with a ConfigError naming the file; it never crashes or throws
+// anything else.
+TEST(ShardFileTest, EveryTruncationLoadsOrNamesTheFile) {
+  auto options = base_options();
+  options.shard = {0, 1};
+  options.out_path = temp_path("truncation_source.jsonl");
+  write_text(options.out_path, "");
+  ShardedSweep sweep(core::NetworkConfig{}, 42, options);
+  sweep.grid<LatencyProtocol>("latency", small_latency_grid());
+  ASSERT_EQ(sweep.finish(), 0);
+  const std::string full = read_text(options.out_path);
+  ASSERT_FALSE(full.empty());
+
+  const std::string path = temp_path("truncated.jsonl");
+  for (std::size_t length = 0; length <= full.size(); ++length) {
+    write_text(path, full.substr(0, length));
+    try {
+      load_shard_file(path);
+    } catch (const ConfigError& error) {
+      ASSERT_NE(std::string(error.what()).find(path), std::string::npos)
+          << "prefix of " << length << " bytes: " << error.what();
+    }
+  }
 }
 
 TEST(ShardedSweepTest, WorkerRefusesForeignOutputFile) {

@@ -198,6 +198,30 @@ TEST(TraceTest, ParserNamesOffendingLine) {
     EXPECT_NE(std::string(e.what()).find("lined:2"), std::string::npos)
         << e.what();
   }
+
+  // Field-level errors name the line too: a missing key, a mistyped field
+  // and a line that is not an object, each after a valid message.
+  const std::string head =
+      "{\"record\":\"header\",\"format\":\"specnoc-workload-trace\","
+      "\"schema\":1,\"n\":8,\"generator\":\"t\"}\n"
+      "{\"record\":\"msg\",\"id\":0,\"src\":0,\"dests\":2,\"size\":1,"
+      "\"earliest\":0,\"deps\":[]}\n";
+  for (const std::string line3 : {
+           "{\"record\":\"msg\",\"id\":1,\"src\":0,\"size\":1,"
+           "\"earliest\":0,\"deps\":[]}",
+           "{\"record\":\"msg\",\"id\":1,\"src\":0,\"dests\":\"2\","
+           "\"size\":1,\"earliest\":0,\"deps\":[]}",
+           "7",
+       }) {
+    std::istringstream bad(head + line3 + "\n");
+    try {
+      read_trace(bad, "lined");
+      ADD_FAILURE() << "expected ConfigError for " << line3;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("lined:3:"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace
