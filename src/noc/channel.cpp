@@ -8,10 +8,42 @@
 
 namespace specnoc::noc {
 
+const char* to_string(ChannelClass klass) {
+  switch (klass) {
+    case ChannelClass::kFanin: return "fanin";
+    case ChannelClass::kFanout: return "fanout";
+    case ChannelClass::kMeshEject: return "mesh_eject";
+    case ChannelClass::kMeshHop: return "mesh_hop";
+    case ChannelClass::kMeshInject: return "mesh_inject";
+    case ChannelClass::kMiddle: return "middle";
+    case ChannelClass::kOther: return "other";
+    case ChannelClass::kSinkIf: return "sink_if";
+    case ChannelClass::kSourceIf: return "source_if";
+  }
+  return "?";
+}
+
+ChannelClass channel_class_of(std::string_view name) {
+  const auto has_prefix = [name](std::string_view prefix) {
+    return name.substr(0, prefix.size()) == prefix;
+  };
+  if (has_prefix("src")) return ChannelClass::kSourceIf;
+  if (has_prefix("root->")) return ChannelClass::kSinkIf;
+  if (has_prefix("mid.")) return ChannelClass::kMiddle;
+  if (has_prefix("fo")) return ChannelClass::kFanout;
+  if (has_prefix("fi")) return ChannelClass::kFanin;
+  if (has_prefix("ni")) return ChannelClass::kMeshInject;
+  if (has_prefix("r>ni") || has_prefix("sr>ni")) {
+    return ChannelClass::kMeshEject;
+  }
+  if (has_prefix("r") || has_prefix("sr")) return ChannelClass::kMeshHop;
+  return ChannelClass::kOther;
+}
+
 Channel::Channel(sim::Scheduler& scheduler, SimHooks& hooks,
                  ChannelParams params, std::string name)
     : scheduler_(scheduler), hooks_(hooks), params_(params),
-      name_(std::move(name)) {
+      name_(std::move(name)), klass_(channel_class_of(name_)) {
   SPECNOC_EXPECTS(params_.delay_fwd >= 0 && params_.delay_ack >= 0);
   SPECNOC_EXPECTS(params_.capacity >= 1);
   queue_.reserve(params_.capacity);

@@ -69,6 +69,8 @@ class Channel {
 
   const ChannelParams& params() const { return params_; }
   const std::string& name() const { return name_; }
+  /// Aggregation class, classified from the name at construction.
+  ChannelClass klass() const { return klass_; }
   Node* upstream() const { return up_; }
   Node* downstream() const { return down_; }
 
@@ -145,6 +147,7 @@ class Channel {
   bool awaiting_node_ack_ = false; ///< a flit is at the node, not yet acked
   bool send_outstanding_ = false;  ///< upstream has not been re-acked yet
   bool stalled_ = false;           ///< last send filled the pipe to capacity
+  ChannelClass klass_;             ///< fits the padding after the bools
   TimePs stall_start_ = 0;         ///< when the pipe went full
   std::uint64_t flits_carried_ = 0;
 

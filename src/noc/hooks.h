@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/units.h"
@@ -54,6 +55,39 @@ constexpr std::array<NodeKind, 10> all_node_kinds() {
           NodeKind::kFanin,
           NodeKind::kMeshRouter,
           NodeKind::kMeshRouterSpec};
+}
+
+/// Aggregation class of a channel, derived once at construction from its
+/// builder-assigned name ("mid.s3.d5" -> kMiddle, "fo2.l1i0>1" -> kFanout,
+/// ...; see channel_class_of). Enumerators are declared in the alphabetical
+/// order of their to_string() names, the order metrics list classes in.
+enum class ChannelClass : std::uint8_t {
+  kFanin,
+  kFanout,
+  kMeshEject,
+  kMeshHop,
+  kMeshInject,
+  kMiddle,
+  kOther,
+  kSinkIf,
+  kSourceIf,
+};
+
+/// "fanin", "fanout", "mesh_eject", ..., "source_if".
+const char* to_string(ChannelClass klass);
+
+/// Classifies a builder channel name by prefix: "src" source_if,
+/// "root->" sink_if, "mid." middle, "fo" fanout, "fi" fanin, "ni"
+/// mesh_inject, "r>ni"/"sr>ni" mesh_eject, "r"/"sr" mesh_hop, else other.
+ChannelClass channel_class_of(std::string_view name);
+
+/// Every ChannelClass enumerator, in declaration (= name) order.
+constexpr std::array<ChannelClass, 9> all_channel_classes() {
+  return {ChannelClass::kFanin,      ChannelClass::kFanout,
+          ChannelClass::kMeshEject,  ChannelClass::kMeshHop,
+          ChannelClass::kMeshInject, ChannelClass::kMiddle,
+          ChannelClass::kOther,      ChannelClass::kSinkIf,
+          ChannelClass::kSourceIf};
 }
 
 /// Structural position of a node inside its network, attached by the network
@@ -145,6 +179,14 @@ class EnergyObserver {
 /// Speculation-mechanism events, implemented by the metrics layer
 /// (stats::MetricsRegistry, stats::PerfettoTracer). Every node event
 /// carries the emitting node, whose kind() and site() key the aggregation.
+///
+/// Concurrency: unlike the traffic and energy streams, which a partitioned
+/// run serializes behind one mutex, metrics calls are forwarded unlocked,
+/// so during a multi-threaded partitioned run they may arrive concurrently
+/// from different workers (sim::current_worker() names the caller's). An
+/// observer attached to such a run must tolerate that, as
+/// stats::MetricsRegistry does with per-worker shards. PerfettoTracer is
+/// sequential-only: trace mode forces sim_threads = 1.
 class MetricsObserver {
  public:
   virtual ~MetricsObserver() = default;

@@ -11,13 +11,15 @@
 namespace specnoc::noc {
 namespace {
 
-// Observer hooks are implemented by single-threaded stats/power code, but
-// partitioned runs emit them from several lanes at once. These forwarders
-// serialize every hook call behind one shared mutex for the duration of a
-// multi-threaded run (installed by HookSerializer below). One mutex for all
-// three streams keeps cross-stream consumers (e.g. a recorder that reads
-// packet state a metrics observer also touches) trivially safe; hook
-// callbacks are tiny, so a single lock is cheaper than it looks.
+// The traffic and energy observers are single-threaded code (the traffic
+// recorder's pending-message map spans lanes), but partitioned runs emit
+// hooks from several lanes at once. These forwarders serialize those two
+// streams behind one shared mutex for the duration of a multi-threaded run
+// (installed by HookSerializer below); one mutex for both keeps a consumer
+// that implements both trivially safe. Metrics hooks are forwarded
+// unlocked: MetricsObserver implementations take concurrent calls from
+// different workers (see noc/hooks.h), stats::MetricsRegistry through
+// per-worker shards.
 class LockedTraffic final : public TrafficObserver {
  public:
   LockedTraffic(std::mutex& mutex, TrafficObserver& inner)
@@ -55,41 +57,9 @@ class LockedEnergy final : public EnergyObserver {
   EnergyObserver& inner_;
 };
 
-class LockedMetrics final : public MetricsObserver {
- public:
-  LockedMetrics(std::mutex& mutex, MetricsObserver& inner)
-      : mutex_(mutex), inner_(inner) {}
-  void on_flit_killed(const Node& node, const Flit& flit,
-                      TimePs when) override {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    inner_.on_flit_killed(node, flit, when);
-  }
-  void on_prealloc(const Node& node, bool hit, TimePs when) override {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    inner_.on_prealloc(node, hit, when);
-  }
-  void on_contended_grant(const Node& node, TimePs when) override {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    inner_.on_contended_grant(node, when);
-  }
-  void on_watchdog_release(const Node& node, TimePs when) override {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    inner_.on_watchdog_release(node, when);
-  }
-  void on_channel_stall(const Channel& channel, TimePs start,
-                        TimePs end) override {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    inner_.on_channel_stall(channel, start, end);
-  }
-
- private:
-  std::mutex& mutex_;
-  MetricsObserver& inner_;
-};
-
-/// Scoped swap of the hook pointers for locking forwarders. Restores the
-/// originals on destruction, so observers attached by tests/experiments
-/// never see the wrappers outside the run call.
+/// Scoped swap of the traffic/energy hook pointers for locking forwarders.
+/// Restores the originals on destruction, so observers attached by
+/// tests/experiments never see the wrappers outside the run call.
 class HookSerializer {
  public:
   explicit HookSerializer(SimHooks& hooks) : hooks_(hooks), saved_(hooks) {
@@ -100,10 +70,6 @@ class HookSerializer {
     if (saved_.energy != nullptr) {
       energy_.emplace(mutex_, *saved_.energy);
       hooks_.energy = &*energy_;
-    }
-    if (saved_.metrics != nullptr) {
-      metrics_.emplace(mutex_, *saved_.metrics);
-      hooks_.metrics = &*metrics_;
     }
   }
   ~HookSerializer() { hooks_ = saved_; }
@@ -116,7 +82,6 @@ class HookSerializer {
   std::mutex mutex_;
   std::optional<LockedTraffic> traffic_;
   std::optional<LockedEnergy> energy_;
-  std::optional<LockedMetrics> metrics_;
 };
 
 }  // namespace

@@ -119,6 +119,7 @@ void PartitionedScheduler::worker_loop(std::uint32_t worker,
   // mid-run (no per-window handoff to order).
   const std::uint32_t first = worker * lanes() / num_workers;
   const std::uint32_t last = (worker + 1) * lanes() / num_workers;
+  set_current_worker(worker);
   std::uint64_t gen = generation_.load(std::memory_order_acquire);
   for (;;) {
     if (done_) return;

@@ -36,6 +36,23 @@
 
 namespace specnoc::sim {
 
+namespace detail {
+inline thread_local std::uint32_t current_worker = 0;
+}  // namespace detail
+
+/// Index of the window-executor worker running on this thread. The worker
+/// loop sets it (worker 0 runs on the calling thread); every other thread
+/// reads 0, so sequential runs are worker 0. Hook observers key per-worker
+/// state on it to take concurrent calls without a lock (see
+/// stats::MetricsRegistry).
+inline std::uint32_t current_worker() { return detail::current_worker; }
+
+/// Sets this thread's worker index: the worker loop does, and tests that
+/// stand in for workers may.
+inline void set_current_worker(std::uint32_t worker) {
+  detail::current_worker = worker;
+}
+
 /// Lockstep-window conservative PDES executor over K scheduler lanes.
 class PartitionedScheduler {
  public:

@@ -1,9 +1,11 @@
 #include "stats/metrics.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 
 #include "util/contract.h"
+#include "sim/partitioned_scheduler.h"
 #include "noc/channel.h"
 #include "noc/node.h"
 
@@ -31,21 +33,6 @@ std::string stall_bucket_label(std::size_t bucket) {
                   static_cast<long long>(kStallBucketUnitPs << (bucket + 1)));
   }
   return label;
-}
-
-std::string channel_class(const std::string& name) {
-  const auto has_prefix = [&name](const char* prefix) {
-    return name.rfind(prefix, 0) == 0;
-  };
-  if (has_prefix("src")) return "source_if";
-  if (has_prefix("root->")) return "sink_if";
-  if (has_prefix("mid.")) return "middle";
-  if (has_prefix("fo")) return "fanout";
-  if (has_prefix("fi")) return "fanin";
-  if (has_prefix("ni")) return "mesh_inject";
-  if (has_prefix("r>ni") || has_prefix("sr>ni")) return "mesh_eject";
-  if (has_prefix("r") || has_prefix("sr")) return "mesh_hop";
-  return "other";
 }
 
 std::uint64_t MetricsSnapshot::total_kills() const {
@@ -100,53 +87,148 @@ const MetricsSite* MetricsSnapshot::find_site(noc::NodeKind kind,
   return nullptr;
 }
 
-SiteCounters& MetricsRegistry::site(const noc::Node& node) {
-  return sites_[{node.kind(), node.site().level}];
+namespace {
+
+constexpr std::size_t kNumNodeKinds = noc::all_node_kinds().size();
+constexpr std::size_t kNumChannelClasses = noc::all_channel_classes().size();
+
+/// Registry ids start at 1, so a zeroed cache matches no registry.
+std::atomic<std::uint64_t> next_registry_id{1};
+
+}  // namespace
+
+/// One worker's counters. Only that worker writes them, without a lock;
+/// sums read them while the run is quiescent. Aligned so two workers'
+/// shards never share a cache line.
+struct alignas(64) MetricsRegistry::Shard {
+  struct Stalls {
+    std::uint64_t stalls = 0;
+    std::uint64_t stall_time_ps = 0;
+    std::array<std::uint64_t, kNumStallBuckets> histogram{};
+  };
+
+  /// Site (kind, level) lives at (level + 1) * kNumNodeKinds + kind; rows
+  /// grow on demand, so the deepest tree sets the size.
+  std::vector<SiteCounters> sites;
+  std::array<Stalls, kNumChannelClasses> channels{};
+
+  SiteCounters& site(const noc::Node& node) {
+    SPECNOC_ASSERT(node.site().level >= -1);
+    const auto row = static_cast<std::size_t>(node.site().level + 1);
+    const std::size_t index =
+        row * kNumNodeKinds + static_cast<std::size_t>(node.kind());
+    if (index >= sites.size()) sites.resize((row + 1) * kNumNodeKinds);
+    return sites[index];
+  }
+};
+
+MetricsRegistry::MetricsRegistry() : id_(next_registry_id++) {}
+
+MetricsRegistry::~MetricsRegistry() = default;
+
+MetricsRegistry::Shard& MetricsRegistry::shard() {
+  // The last shard this thread used, with the registry and worker it
+  // belongs to. Registry ids are never reused, so a stale entry cannot
+  // match a later registry at the same address.
+  struct Cache {
+    std::uint64_t registry = 0;
+    std::uint32_t worker = 0;
+    Shard* shard = nullptr;
+  };
+  thread_local Cache cache;
+  const std::uint32_t worker = sim::current_worker();
+  if (cache.registry != id_ || cache.worker != worker) {
+    cache = {id_, worker, &register_shard(worker)};
+  }
+  return *cache.shard;
+}
+
+MetricsRegistry::Shard& MetricsRegistry::register_shard(std::uint32_t worker) {
+  // Keyed by worker index, not by thread: PDES workers are new threads on
+  // every run call, and they reuse the shards of the previous call.
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (worker >= shards_.size()) shards_.resize(worker + 1);
+  if (shards_[worker] == nullptr) shards_[worker] = std::make_unique<Shard>();
+  return *shards_[worker];
 }
 
 void MetricsRegistry::on_flit_killed(const noc::Node& node, const noc::Flit&,
                                      TimePs) {
-  ++site(node).kills;
+  ++shard().site(node).kills;
 }
 
 void MetricsRegistry::on_prealloc(const noc::Node& node, bool hit, TimePs) {
+  SiteCounters& site = shard().site(node);
   if (hit) {
-    ++site(node).prealloc_hits;
+    ++site.prealloc_hits;
   } else {
-    ++site(node).prealloc_misses;
+    ++site.prealloc_misses;
   }
 }
 
 void MetricsRegistry::on_contended_grant(const noc::Node& node, TimePs) {
-  ++site(node).contended_grants;
+  ++shard().site(node).contended_grants;
 }
 
 void MetricsRegistry::on_watchdog_release(const noc::Node& node, TimePs) {
-  ++site(node).watchdog_releases;
+  ++shard().site(node).watchdog_releases;
 }
 
 void MetricsRegistry::on_channel_stall(const noc::Channel& channel,
                                        TimePs start, TimePs end) {
   SPECNOC_EXPECTS(end >= start);
   const TimePs duration = end - start;
-  auto [it, inserted] = channels_.try_emplace(channel_class(channel.name()));
-  ChannelClassMetrics& metrics = it->second;
-  if (inserted) metrics.klass = it->first;
-  ++metrics.stalls;
-  metrics.stall_time_ps += static_cast<std::uint64_t>(duration);
-  ++metrics.histogram[stall_bucket(duration)];
+  Shard::Stalls& stalls =
+      shard().channels[static_cast<std::size_t>(channel.klass())];
+  ++stalls.stalls;
+  stalls.stall_time_ps += static_cast<std::uint64_t>(duration);
+  ++stalls.histogram[stall_bucket(duration)];
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
-  // std::map iteration is already (kind, level)- and name-sorted.
-  snap.sites.reserve(sites_.size());
-  for (const auto& [key, counters] : sites_) {
-    snap.sites.push_back({key.first, key.second, counters});
-  }
-  snap.channels.reserve(channels_.size());
-  for (const auto& [klass, metrics] : channels_) {
-    snap.channels.push_back(metrics);
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    std::size_t rows = 0;
+    for (const auto& shard : shards_) {
+      if (shard != nullptr) {
+        rows = std::max(rows, shard->sites.size() / kNumNodeKinds);
+      }
+    }
+    // Kind-major, level-minor: the (kind, level) order snapshots promise.
+    // A site appears once any of its counters moved.
+    for (const noc::NodeKind kind : noc::all_node_kinds()) {
+      for (std::size_t row = 0; row < rows; ++row) {
+        const std::size_t index =
+            row * kNumNodeKinds + static_cast<std::size_t>(kind);
+        SiteCounters sum;
+        for (const auto& shard : shards_) {
+          if (shard != nullptr && index < shard->sites.size()) {
+            sum += shard->sites[index];
+          }
+        }
+        if (sum.any()) {
+          snap.sites.push_back(
+              {kind, static_cast<std::int32_t>(row) - 1, sum});
+        }
+      }
+    }
+    // Enumerator order is name order, so classes come out name-sorted.
+    for (const noc::ChannelClass klass : noc::all_channel_classes()) {
+      ChannelClassMetrics sum;
+      sum.klass = noc::to_string(klass);
+      for (const auto& shard : shards_) {
+        if (shard == nullptr) continue;
+        const Shard::Stalls& c =
+            shard->channels[static_cast<std::size_t>(klass)];
+        sum.stalls += c.stalls;
+        sum.stall_time_ps += c.stall_time_ps;
+        for (std::size_t b = 0; b < kNumStallBuckets; ++b) {
+          sum.histogram[b] += c.histogram[b];
+        }
+      }
+      if (sum.stalls != 0) snap.channels.push_back(std::move(sum));
+    }
   }
   snap.pdes = pdes_;
   snap.telemetry = telemetry_;
@@ -159,16 +241,20 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 
 TelemetryCounters MetricsRegistry::telemetry_counters() const {
   TelemetryCounters totals;
-  for (const auto& [key, counters] : sites_) {
-    totals.kills += counters.kills;
-    totals.prealloc_hits += counters.prealloc_hits;
-    totals.prealloc_misses += counters.prealloc_misses;
-    totals.contended_grants += counters.contended_grants;
-    totals.watchdog_releases += counters.watchdog_releases;
+  SiteCounters sites;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& shard : shards_) {
+    if (shard == nullptr) continue;
+    for (const SiteCounters& c : shard->sites) sites += c;
+    for (std::size_t k = 0; k < kNumChannelClasses; ++k) {
+      totals.stall_time_ps[k] += shard->channels[k].stall_time_ps;
+    }
   }
-  for (const auto& [klass, metrics] : channels_) {
-    totals.stall_time_ps.emplace(klass, metrics.stall_time_ps);
-  }
+  totals.kills = sites.kills;
+  totals.prealloc_hits = sites.prealloc_hits;
+  totals.prealloc_misses = sites.prealloc_misses;
+  totals.contended_grants = sites.contended_grants;
+  totals.watchdog_releases = sites.watchdog_releases;
   return totals;
 }
 

@@ -3,6 +3,12 @@
 //
 // MetricsRegistry implements noc::MetricsObserver; attach it to
 // SimHooks::metrics before running and take a MetricsSnapshot afterwards.
+// It takes concurrent hook calls from the workers of a partitioned run
+// without a lock: each worker (sim::current_worker()) counts into its own
+// shard of flat integer arrays, indexed by (node kind, tree level) site and
+// by noc::ChannelClass, and snapshot()/telemetry_counters() sum the shards
+// while the run is quiescent. Integer sums do not depend on how events
+// split across workers, so snapshots are identical at any worker count.
 // The snapshot is plain sorted data — deterministic for a deterministic
 // simulation — and serializes exactly through util::Json (see
 // stats/serialization.h), so it rides sweep JSONL records and sweep_merge
@@ -16,7 +22,8 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,6 +57,15 @@ struct SiteCounters {
     return kills != 0 || prealloc_hits != 0 || prealloc_misses != 0 ||
            contended_grants != 0 || watchdog_releases != 0;
   }
+
+  SiteCounters& operator+=(const SiteCounters& other) {
+    kills += other.kills;
+    prealloc_hits += other.prealloc_hits;
+    prealloc_misses += other.prealloc_misses;
+    contended_grants += other.contended_grants;
+    watchdog_releases += other.watchdog_releases;
+    return *this;
+  }
 };
 
 /// One aggregation site: all nodes of `kind` at tree level `level`
@@ -60,17 +76,14 @@ struct MetricsSite {
   SiteCounters counters;
 };
 
-/// Backpressure-stall statistics for one channel class.
+/// Backpressure-stall statistics for one channel class (`klass` is
+/// noc::to_string of the class).
 struct ChannelClassMetrics {
   std::string klass;
   std::uint64_t stalls = 0;         ///< completed stall intervals
   std::uint64_t stall_time_ps = 0;  ///< summed interval durations
   std::array<std::uint64_t, kNumStallBuckets> histogram{};
 };
-
-/// Aggregation class of a channel, derived from its builder-assigned name
-/// ("mid.s3.d5" -> "middle", "fo2.l1i0>1" -> "fanout", ...).
-std::string channel_class(const std::string& name);
 
 /// One slab pool of the network arena (see noc/arena.h), harvested after a
 /// run: `label` is the node-kind string (or "channel"), `bytes` the live
@@ -166,7 +179,13 @@ struct MetricsSnapshot {
 
 class MetricsRegistry final : public noc::MetricsObserver {
  public:
-  MetricsRegistry() = default;
+  MetricsRegistry();
+  ~MetricsRegistry() override;
+  MetricsRegistry(const MetricsRegistry&) = delete;
+  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+
+  // Hook calls: safe concurrently from different workers; one worker's
+  // calls must not overlap each other.
 
   void on_flit_killed(const noc::Node& node, const noc::Flit& flit,
                       TimePs when) override;
@@ -199,17 +218,26 @@ class MetricsRegistry final : public noc::MetricsObserver {
   /// Attaches the cmp co-simulation counters (see MetricsSnapshot field).
   void record_cmp(CmpMetrics cmp) { cmp_ = cmp; }
 
+  /// Sums the shards. Call only while no worker is emitting: after the
+  /// run, or from the window barrier's serial section.
   MetricsSnapshot snapshot() const;
 
   /// Running totals for the epoch sampler (TelemetrySampler diffs these at
-  /// epoch boundaries); much cheaper than snapshot().
+  /// epoch boundaries); much cheaper than snapshot(). Same quiescence
+  /// requirement as snapshot().
   TelemetryCounters telemetry_counters() const;
 
  private:
-  SiteCounters& site(const noc::Node& node);
+  struct Shard;
 
-  std::map<std::pair<noc::NodeKind, std::int32_t>, SiteCounters> sites_;
-  std::map<std::string, ChannelClassMetrics> channels_;
+  /// The calling worker's shard: a thread-local cache hit on the hot path,
+  /// a registration under mutex_ on a thread's first call.
+  Shard& shard();
+  Shard& register_shard(std::uint32_t worker);
+
+  const std::uint64_t id_;  ///< process-unique, keys the thread-local cache
+  mutable std::mutex mutex_;  ///< guards shards_ (not the shards' counters)
+  std::vector<std::unique_ptr<Shard>> shards_;  ///< indexed by worker
   PdesMetrics pdes_;
   TelemetrySeries telemetry_;
   std::uint64_t dest_spills_ = 0;

@@ -161,12 +161,15 @@ void TelemetrySampler::close_interval(TimePs end) {
   epoch.pending = net_->pending();
   epoch.overflow_pending = net_->overflow_pending();
   // Interval stall time = run total minus the total at the previous close;
-  // classes quiet in this interval are omitted (delta 0).
-  for (const auto& [klass, total] : now.stall_time_ps) {
-    const auto it = counters_at_start_.stall_time_ps.find(klass);
-    const std::uint64_t before =
-        it != counters_at_start_.stall_time_ps.end() ? it->second : 0;
-    if (total != before) epoch.stall_time_ps.emplace_back(klass, total - before);
+  // classes quiet in this interval are omitted (delta 0). Enumerator order
+  // is name order, so the list comes out name-sorted.
+  for (const noc::ChannelClass klass : noc::all_channel_classes()) {
+    const auto k = static_cast<std::size_t>(klass);
+    const std::uint64_t delta =
+        now.stall_time_ps[k] - counters_at_start_.stall_time_ps[k];
+    if (delta != 0) {
+      epoch.stall_time_ps.emplace_back(noc::to_string(klass), delta);
+    }
   }
   if (sim::PartitionedScheduler* psched = net_->partitioned_scheduler()) {
     std::vector<std::uint64_t> lane_now = psched->per_lane_executed();
@@ -187,12 +190,14 @@ void TelemetrySampler::close_interval(TimePs end) {
 
 void TelemetrySampler::push_epoch(TelemetryEpoch epoch) {
   ++series_.epochs_total;
-  if (series_.epochs.size() >= options_.ring_capacity) {
-    // Flight-recorder semantics: keep the most recent epochs.
-    series_.epochs.erase(series_.epochs.begin());
-    ++series_.dropped;
+  if (ring_.size() < options_.ring_capacity) {
+    ring_.push_back(std::move(epoch));
+    return;
   }
-  series_.epochs.push_back(std::move(epoch));
+  // Flight-recorder semantics: the newest epoch overwrites the oldest.
+  ring_[ring_head_] = std::move(epoch);
+  ring_head_ = (ring_head_ + 1) % ring_.size();
+  ++series_.dropped;
 }
 
 TelemetrySeries TelemetrySampler::finish() {
@@ -203,6 +208,12 @@ TelemetrySeries TelemetrySampler::finish() {
     net_ = nullptr;
     registry_ = nullptr;
   }
+  std::rotate(ring_.begin(),
+              ring_.begin() + static_cast<std::ptrdiff_t>(ring_head_),
+              ring_.end());
+  series_.epochs = std::move(ring_);
+  ring_.clear();
+  ring_head_ = 0;
   return std::move(series_);
 }
 
@@ -211,10 +222,11 @@ void TelemetrySampler::dump_flight_recorder(std::FILE* out) const {
                "[telemetry] flight recorder: %llu interval(s) observed, "
                "%zu retained, %llu dropped (epoch %llu ps)\n",
                static_cast<unsigned long long>(series_.epochs_total),
-               series_.epochs.size(),
+               ring_.size(),
                static_cast<unsigned long long>(series_.dropped),
                static_cast<unsigned long long>(options_.epoch_ps));
-  for (const TelemetryEpoch& epoch : series_.epochs) {
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    const TelemetryEpoch& epoch = ring_[(ring_head_ + i) % ring_.size()];
     std::uint64_t stall = 0;
     for (const auto& [klass, ps] : epoch.stall_time_ps) stall += ps;
     std::fprintf(out,

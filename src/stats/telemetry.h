@@ -28,12 +28,12 @@
 //
 // Layering: this header must not include stats/metrics.h —
 // MetricsSnapshot embeds a TelemetrySeries, so metrics.h includes this
-// file. The .cpp uses channel_class() from metrics.h freely.
+// file. The .cpp uses metrics.h freely.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -42,6 +42,7 @@
 
 #include "util/json.h"
 #include "util/units.h"
+#include "noc/hooks.h"
 
 namespace specnoc::noc {
 class Network;
@@ -53,14 +54,15 @@ class MetricsRegistry;
 
 /// The registry's running totals a sampler diffs at epoch boundaries
 /// (MetricsRegistry::telemetry_counters()). Cheap to build: five integers
-/// plus one small map keyed by channel class.
+/// plus stall time indexed by noc::ChannelClass.
 struct TelemetryCounters {
   std::uint64_t kills = 0;
   std::uint64_t prealloc_hits = 0;
   std::uint64_t prealloc_misses = 0;
   std::uint64_t contended_grants = 0;
   std::uint64_t watchdog_releases = 0;
-  std::map<std::string, std::uint64_t> stall_time_ps;
+  std::array<std::uint64_t, noc::all_channel_classes().size()>
+      stall_time_ps{};
 };
 
 struct TelemetryOptions {
@@ -166,7 +168,12 @@ class TelemetrySampler final {
   TelemetryOptions options_;
   noc::Network* net_ = nullptr;
   const MetricsRegistry* registry_ = nullptr;
-  TelemetrySeries series_;
+  TelemetrySeries series_;  ///< metadata; finish() moves the ring in
+
+  /// Retained epochs: appended until the ring is full, then each new epoch
+  /// overwrites the oldest, at ring_head_ (time order starts there).
+  std::vector<TelemetryEpoch> ring_;
+  std::size_t ring_head_ = 0;
 
   // Baselines at the open interval's start; deltas are taken at close.
   TimePs interval_start_ = 0;

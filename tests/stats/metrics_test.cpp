@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "core/mot_network.h"
+#include "noc/channel.h"
+#include "noc/node.h"
+#include "sim/partitioned_scheduler.h"
 #include "stats/experiment.h"
 #include "stats/serialization.h"
 #include "util/json.h"
@@ -38,17 +47,41 @@ TEST(StallBucketTest, Labels) {
 }
 
 TEST(ChannelClassTest, BuilderNamePrefixes) {
-  EXPECT_EQ(channel_class("src3"), "source_if");
-  EXPECT_EQ(channel_class("root->5"), "sink_if");
-  EXPECT_EQ(channel_class("mid.s1.d2"), "middle");
-  EXPECT_EQ(channel_class("fo2.l1i0>1"), "fanout");
-  EXPECT_EQ(channel_class("fi4.l0i1>0"), "fanin");
-  EXPECT_EQ(channel_class("ni7"), "mesh_inject");
-  EXPECT_EQ(channel_class("r>ni3"), "mesh_eject");
-  EXPECT_EQ(channel_class("sr>ni3"), "mesh_eject");
-  EXPECT_EQ(channel_class("r1>2"), "mesh_hop");
-  EXPECT_EQ(channel_class("sr0>1"), "mesh_hop");
-  EXPECT_EQ(channel_class("weird"), "other");
+  const auto klass = [](const char* name) {
+    return std::string(noc::to_string(noc::channel_class_of(name)));
+  };
+  EXPECT_EQ(klass("src3"), "source_if");
+  EXPECT_EQ(klass("root->5"), "sink_if");
+  EXPECT_EQ(klass("mid.s1.d2"), "middle");
+  EXPECT_EQ(klass("fo2.l1i0>1"), "fanout");
+  EXPECT_EQ(klass("fi4.l0i1>0"), "fanin");
+  EXPECT_EQ(klass("ni7"), "mesh_inject");
+  EXPECT_EQ(klass("r>ni3"), "mesh_eject");
+  EXPECT_EQ(klass("sr>ni3"), "mesh_eject");
+  EXPECT_EQ(klass("r1>2"), "mesh_hop");
+  EXPECT_EQ(klass("sr0>1"), "mesh_hop");
+  EXPECT_EQ(klass("weird"), "other");
+}
+
+TEST(ChannelClassTest, EnumeratorsAreInNameOrder) {
+  // Snapshots and telemetry epochs list classes in enumerator order and
+  // promise name order; the declaration order is what keeps that true.
+  const auto classes = noc::all_channel_classes();
+  for (std::size_t i = 0; i < classes.size(); ++i) {
+    EXPECT_EQ(static_cast<std::size_t>(classes[i]), i);
+    if (i > 0) {
+      EXPECT_LT(std::string(noc::to_string(classes[i - 1])),
+                std::string(noc::to_string(classes[i])));
+    }
+  }
+}
+
+TEST(ChannelClassTest, ChannelIsClassifiedAtConstruction) {
+  sim::Scheduler scheduler;
+  noc::SimHooks hooks;
+  const noc::Channel channel(scheduler, hooks, noc::ChannelParams{},
+                             "mid.s3.d5");
+  EXPECT_EQ(channel.klass(), noc::ChannelClass::kMiddle);
 }
 
 /// Congested multicast run on the 8x8 hybrid network with a registry
@@ -181,6 +214,113 @@ TEST(MetricsBatchTest, SnapshotsIdenticalForAnyThreadCount) {
     EXPECT_EQ(util::json_write(to_json(*one[i].metrics)),
               util::json_write(to_json(*four[i].metrics)));
   }
+}
+
+/// A node that only carries a (kind, level) site, for feeding a registry
+/// synthetic events.
+class SiteNode final : public noc::Node {
+ public:
+  SiteNode(sim::Scheduler& scheduler, noc::SimHooks& hooks, NodeKind kind,
+           std::int32_t level)
+      : Node(scheduler, hooks, kind, "site") {
+    set_site({.tree = 0, .level = level, .index = 0});
+  }
+  void deliver(const noc::Flit&, std::uint32_t) override {}
+  void on_output_ack(std::uint32_t) override {}
+};
+
+/// Synthetic hook traffic for the registry: nodes at several (kind, level)
+/// sites, unlevelled ones included, and one channel of every class.
+struct SyntheticNetwork {
+  sim::Scheduler scheduler;
+  noc::SimHooks hooks;
+  std::vector<std::unique_ptr<SiteNode>> nodes;
+  std::vector<std::unique_ptr<noc::Channel>> channels;
+
+  SyntheticNetwork() {
+    const std::pair<NodeKind, std::int32_t> sites[] = {
+        {NodeKind::kSource, -1},
+        {NodeKind::kFanoutOptSpeculative, 0},
+        {NodeKind::kFanoutOptNonSpeculative, 1},
+        {NodeKind::kFanoutOptNonSpeculative, 9},
+        {NodeKind::kFanin, 2},
+        {NodeKind::kMeshRouterSpec, -1},
+    };
+    for (const auto& [kind, level] : sites) {
+      nodes.push_back(
+          std::make_unique<SiteNode>(scheduler, hooks, kind, level));
+    }
+    for (const char* name : {"src0", "root->1", "mid.s0.d1", "fo0.l0i0>1",
+                             "fi1.l1i0>0", "ni2", "r>ni2", "r0>1", "x"}) {
+      channels.push_back(std::make_unique<noc::Channel>(
+          scheduler, hooks, noc::ChannelParams{}, name));
+    }
+  }
+
+  /// Worker `worker`'s fixed share of the event mix.
+  void emit(noc::MetricsObserver& observer, std::uint32_t worker) const {
+    const noc::Flit flit;
+    for (std::uint32_t i = 0; i < 6000; ++i) {
+      const noc::Node& node = *nodes[(i + worker) % nodes.size()];
+      switch (i % 7) {
+        case 0: observer.on_flit_killed(node, flit, i); break;
+        case 1: observer.on_prealloc(node, true, i); break;
+        case 2: observer.on_prealloc(node, false, i); break;
+        case 3: observer.on_contended_grant(node, i); break;
+        case 4: observer.on_watchdog_release(node, i); break;
+        default: {
+          const noc::Channel& channel =
+              *channels[(i / 7 + worker) % channels.size()];
+          const TimePs start = i;
+          observer.on_channel_stall(channel, start,
+                                    start + (i * 37 + worker) % 30000);
+        }
+      }
+    }
+  }
+};
+
+TEST(MetricsRegistryTest, ConcurrentWorkersMatchSingleThreadRun) {
+  const SyntheticNetwork synthetic;
+  constexpr std::uint32_t kWorkers = 4;
+
+  MetricsRegistry serial;
+  for (std::uint32_t w = 0; w < kWorkers; ++w) synthetic.emit(serial, w);
+
+  MetricsRegistry concurrent;
+  std::vector<std::thread> threads;
+  for (std::uint32_t w = 0; w < kWorkers; ++w) {
+    threads.emplace_back([&synthetic, &concurrent, w] {
+      sim::set_current_worker(w);
+      synthetic.emit(concurrent, w);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  const MetricsSnapshot snap = serial.snapshot();
+  EXPECT_EQ(snap.sites.size(), synthetic.nodes.size());
+  EXPECT_EQ(snap.channels.size(), noc::all_channel_classes().size());
+  EXPECT_EQ(util::json_write(to_json(snap)),
+            util::json_write(to_json(concurrent.snapshot())));
+}
+
+TEST(MetricsRegistryTest, ThreadCacheFollowsRegistryAndWorker) {
+  // One thread alternating between two registries and two worker indices
+  // must land every event in the registry it was sent to.
+  const SyntheticNetwork synthetic;
+  const noc::Node& node = *synthetic.nodes.front();
+  MetricsRegistry a;
+  MetricsRegistry b;
+  for (int i = 0; i < 10; ++i) {
+    sim::set_current_worker(static_cast<std::uint32_t>(i % 2));
+    a.on_contended_grant(node, i);
+    b.on_contended_grant(node, i);
+    b.on_contended_grant(node, i);
+  }
+  sim::set_current_worker(0);
+  EXPECT_EQ(a.snapshot().total_contended_grants(), 10u);
+  EXPECT_EQ(b.snapshot().total_contended_grants(), 20u);
+  EXPECT_EQ(a.telemetry_counters().contended_grants, 10u);
 }
 
 }  // namespace

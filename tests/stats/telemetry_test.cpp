@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/mot_network.h"
 #include "noc/hooks.h"
@@ -32,8 +33,9 @@ struct SampledRun {
 
 /// Saturated multicast on the 8x8 hybrid network with a sampler armed on
 /// the registry — the same attachment shape the experiment layer uses.
+/// `dump`, when given, receives the flight recorder before finish().
 SampledRun run_sampled(TimePs epoch_ps, std::size_t ring, TimePs horizon,
-                       unsigned sim_threads = 1) {
+                       unsigned sim_threads = 1, std::FILE* dump = nullptr) {
   core::NetworkConfig cfg;  // 8x8
   cfg.sim_threads = sim_threads;
   core::MotNetwork net(core::Architecture::kOptHybridSpeculative, cfg);
@@ -52,6 +54,7 @@ SampledRun run_sampled(TimePs epoch_ps, std::size_t ring, TimePs horizon,
   traffic::TrafficDriver driver(net, *pattern, dcfg);
   driver.start();
   net.net().run_until(horizon);
+  if (dump != nullptr) sampler.dump_flight_recorder(dump);
   SampledRun run;
   run.series = sampler.finish();
   run.snapshot = registry.snapshot();
@@ -124,6 +127,51 @@ TEST(TelemetrySamplerTest, RingEvictsOldestAndCountsDropped) {
   // The retained suffix is the most recent one.
   EXPECT_GT(series.epochs.front().start_ps, 0);
   EXPECT_LE(series.epochs.back().end_ps, run.end_time);
+}
+
+TEST(TelemetrySamplerTest, WrappedRingKeepsTheNewestEpochsInTimeOrder) {
+  // 200 one-nanosecond epochs through a capacity-4 ring wrap it ~50 times.
+  const SampledRun full = run_sampled(1_ns, 4096, 200_ns);
+  std::FILE* dump = std::tmpfile();
+  ASSERT_NE(dump, nullptr);
+  const SampledRun ring = run_sampled(1_ns, 4, 200_ns, 1, dump);
+
+  const auto& all = full.series.epochs;
+  ASSERT_GT(all.size(), 4u * 8);
+  EXPECT_EQ(full.series.dropped, 0u);
+  EXPECT_EQ(ring.series.epochs_total, full.series.epochs_total);
+  EXPECT_EQ(ring.series.dropped, ring.series.epochs_total - 4);
+  // The retained suffix is exactly the last four epochs, oldest first.
+  ASSERT_EQ(ring.series.epochs.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_TRUE(ring.series.epochs[i] == all[all.size() - 4 + i]) << i;
+  }
+
+  // The dump, taken before finish() closed the final interval, lists the
+  // ring in the same order, shifted by the intervals closed after it.
+  std::rewind(dump);
+  unsigned long long observed = 0;
+  std::vector<TimePs> dumped_starts;
+  char line[512];
+  while (std::fgets(line, sizeof line, dump) != nullptr) {
+    unsigned long long start = 0;
+    unsigned long long end = 0;
+    if (std::sscanf(line, "[telemetry] flight recorder: %llu", &observed) ==
+        1) {
+      continue;
+    }
+    if (std::sscanf(line, "[telemetry]   [%llu, %llu)", &start, &end) == 2) {
+      dumped_starts.push_back(static_cast<TimePs>(start));
+    }
+  }
+  std::fclose(dump);
+  ASSERT_EQ(dumped_starts.size(), 4u);
+  ASSERT_LE(observed, ring.series.epochs_total);
+  const std::size_t shift = ring.series.epochs_total - observed;
+  ASSERT_LE(shift, 1u);
+  for (std::size_t i = 0; i + shift < 4; ++i) {
+    EXPECT_EQ(dumped_starts[i + shift], ring.series.epochs[i].start_ps) << i;
+  }
 }
 
 TEST(TelemetrySamplerTest, FlightRecorderDumpIsNonEmpty) {
