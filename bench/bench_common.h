@@ -270,6 +270,16 @@ inline void emit(const Table& table, const std::string& title,
 
 inline void note(const std::string& text) { std::cout << text << "\n"; }
 
+/// Runs protocol P once on a network the harness built itself, outside any
+/// grid and collecting nothing: for networks no spec can name, such as the
+/// 2D mesh. The network must be fresh; it keeps the run's event count.
+template <stats::Protocol P>
+typename P::Result run_on(noc::MessageNetwork& network,
+                          const typename P::Spec& spec, std::uint64_t seed) {
+  stats::ProbeRig rig(/*collect=*/false, {});
+  return P::run(spec, {network, seed, {}, rig});
+}
+
 /// Accumulates per-run telemetry rows; emitted only under --telemetry.
 /// A failed run shows its (truncated) error in place of numbers, so one bad
 /// cell is visible without poisoning the batch.

@@ -11,64 +11,42 @@
 #include "bench_common.h"
 #include "core/mot_network.h"
 #include "mesh/mesh_network.h"
-#include "stats/recorder.h"
-#include "traffic/benchmark.h"
-#include "traffic/driver.h"
 
 using namespace specnoc;
 using specnoc::bench::HarnessOptions;
+using specnoc::bench::run_on;
 using namespace specnoc::literals;
 
 namespace {
 
+using NetworkMaker = std::function<std::unique_ptr<noc::MessageNetwork>()>;
+
 struct Measured {
   double saturation = 0.0;
   double latency_ns = 0.0;
+  std::uint64_t events = 0;
 };
 
-Measured measure(noc::MessageNetwork& saturation_net,
-                 noc::MessageNetwork& latency_net,
-                 traffic::BenchmarkId bench, std::uint64_t seed) {
+// Saturation (backlogged) and latency at a fixed light load (0.2
+// flits/ns/source, for a like-for-like zero-ish-load comparison across
+// topologies), each on its own fresh network.
+Measured measure(const NetworkMaker& make, traffic::BenchmarkId bench,
+                 std::uint64_t seed) {
+  const auto saturation_net = make();
+  const auto latency_net = make();
+  stats::SaturationSpec saturation;
+  saturation.bench = bench;
+  stats::LatencySpec latency;
+  latency.bench = bench;
+  latency.injected_flits_per_ns = 0.2;
+  latency.windows = {.warmup = 300_ns, .measure = 2000_ns};
   Measured out;
-  // Saturation: backlogged.
-  {
-    stats::TrafficRecorder rec(saturation_net.net().packets());
-    saturation_net.net().hooks().traffic = &rec;
-    auto pattern = traffic::make_benchmark(bench, saturation_net.endpoints());
-    traffic::DriverConfig cfg;
-    cfg.mode = traffic::InjectionMode::kBacklogged;
-    cfg.seed = seed;
-    traffic::TrafficDriver driver(saturation_net, *pattern, cfg);
-    driver.start();
-    auto& sched = saturation_net.net().scheduler();
-    sched.run_until(1000_ns);
-    rec.open_window(sched.now());
-    sched.run_until(5000_ns);
-    rec.close_window(sched.now());
-    out.saturation = rec.delivered_flits_per_ns(saturation_net.endpoints());
-  }
-  // Latency at a fixed light load (0.2 flits/ns/source) for a like-for-like
-  // zero-ish-load comparison across topologies.
-  {
-    stats::TrafficRecorder rec(latency_net.net().packets());
-    latency_net.net().hooks().traffic = &rec;
-    auto pattern = traffic::make_benchmark(bench, latency_net.endpoints());
-    traffic::DriverConfig cfg;
-    cfg.mode = traffic::InjectionMode::kOpenLoop;
-    cfg.flits_per_ns_per_source = 0.2;
-    cfg.seed = seed;
-    traffic::TrafficDriver driver(latency_net, *pattern, cfg);
-    driver.start();
-    auto& sched = latency_net.net().scheduler();
-    sched.run_until(300_ns);
-    driver.set_measured(true);
-    sched.run_until(2300_ns);
-    driver.set_measured(false);
-    while (rec.pending_measured() > 0 && sched.now() < 40000_ns) {
-      if (!sched.step()) break;
-    }
-    out.latency_ns = rec.mean_latency_ps() / 1e3;
-  }
+  out.saturation =
+      run_on<stats::SaturationProtocol>(*saturation_net, saturation, seed)
+          .delivered_flits_per_ns;
+  out.latency_ns = run_on<stats::LatencyProtocol>(*latency_net, latency, seed)
+                       .mean_latency_ns;
+  out.events = saturation_net->net().executed() + latency_net->net().executed();
   return out;
 }
 
@@ -87,7 +65,7 @@ int main(int argc, char** argv) {
 
   struct RowSpec {
     const char* name;
-    std::function<std::unique_ptr<noc::MessageNetwork>()> make;
+    NetworkMaker make;
   };
   const RowSpec rows[] = {
       {"MoT-16 OptHybridSpeculative",
@@ -120,14 +98,10 @@ int main(int argc, char** argv) {
   const sim::ParallelRunner pool({.jobs = opts.jobs});
   const auto runs =
       pool.run(kNumRows * kNumBenches, [&](std::size_t index) {
-        const auto& row = rows[index / kNumBenches];
-        const auto bench = benches[index % kNumBenches];
-        auto sat_net = row.make();
-        auto lat_net = row.make();
-        grid[index / kNumBenches][index % kNumBenches] =
-            measure(*sat_net, *lat_net, bench, opts.seed);
-        return sat_net->net().scheduler().executed() +
-               lat_net->net().scheduler().executed();
+        Measured& out = grid[index / kNumBenches][index % kNumBenches];
+        out = measure(rows[index / kNumBenches].make,
+                      benches[index % kNumBenches], opts.seed);
+        return out.events;
       });
   specnoc::bench::TelemetryTable telemetry;
   for (std::size_t index = 0; index < runs.size(); ++index) {

@@ -5,17 +5,12 @@
 // must be opportunistic rather than the MoT's always-broadcast): latency
 // at light load where idle ports make speculation bite, saturation, and
 // the redundant-copy cost (throttled flits, power).
-#include <memory>
-
 #include "bench_common.h"
 #include "mesh/mesh_network.h"
-#include "power/power_meter.h"
-#include "stats/recorder.h"
-#include "traffic/benchmark.h"
-#include "traffic/driver.h"
 
 using namespace specnoc;
 using specnoc::bench::HarnessOptions;
+using specnoc::bench::run_on;
 using namespace specnoc::literals;
 
 namespace {
@@ -38,53 +33,35 @@ struct Row {
   std::uint64_t throttled = 0;
 };
 
+// Saturation, then latency and power at `load` over the same window, each
+// on its own fresh mesh.
 Row measure(const mesh::MeshConfig& cfg, traffic::BenchmarkId bench,
             double load, std::uint64_t seed) {
+  const traffic::SimWindows windows{.warmup = 300_ns, .measure = 2500_ns};
+  stats::SaturationSpec saturation;
+  saturation.bench = bench;
+  stats::LatencySpec latency;
+  latency.bench = bench;
+  latency.injected_flits_per_ns = load;
+  latency.windows = windows;
+  stats::PowerSpec power;
+  power.bench = bench;
+  power.injected_flits_per_ns = load;
+  power.windows = windows;
+
   Row row;
-  {
-    mesh::MeshNetwork net(cfg);
-    stats::TrafficRecorder rec(net.net().packets());
-    net.net().hooks().traffic = &rec;
-    auto pattern = traffic::make_benchmark(bench, net.endpoints());
-    traffic::DriverConfig dcfg;
-    dcfg.mode = traffic::InjectionMode::kBacklogged;
-    dcfg.seed = seed;
-    traffic::TrafficDriver driver(net, *pattern, dcfg);
-    driver.start();
-    net.scheduler().run_until(1000_ns);
-    rec.open_window(net.scheduler().now());
-    net.scheduler().run_until(5000_ns);
-    rec.close_window(net.scheduler().now());
-    row.saturation = rec.delivered_flits_per_ns(net.endpoints());
-  }
-  {
-    mesh::MeshNetwork net(cfg);
-    stats::TrafficRecorder rec(net.net().packets());
-    power::PowerMeter meter;
-    net.net().hooks().traffic = &rec;
-    net.net().hooks().energy = &meter;
-    auto pattern = traffic::make_benchmark(bench, net.endpoints());
-    traffic::DriverConfig dcfg;
-    dcfg.mode = traffic::InjectionMode::kOpenLoop;
-    dcfg.flits_per_ns_per_source = load;
-    dcfg.seed = seed;
-    traffic::TrafficDriver driver(net, *pattern, dcfg);
-    driver.start();
-    auto& sched = net.scheduler();
-    sched.run_until(300_ns);
-    driver.set_measured(true);
-    meter.open_window(sched.now());
-    sched.run_until(2800_ns);
-    driver.set_measured(false);
-    meter.close_window(sched.now());
-    while (rec.pending_measured() > 0 && sched.now() < 50000_ns) {
-      if (!sched.step()) break;
-    }
-    row.latency_ns = rec.mean_latency_ps() / 1e3;
-    row.p95_ns = rec.latency_percentile_ps(95.0) / 1e3;
-    row.power_mw = meter.window_power_mw();
-    row.throttled = meter.window_ops(noc::NodeOp::kThrottle);
-  }
+  mesh::MeshNetwork saturation_net(cfg);
+  row.saturation =
+      run_on<stats::SaturationProtocol>(saturation_net, saturation, seed)
+          .delivered_flits_per_ns;
+  mesh::MeshNetwork latency_net(cfg);
+  const auto lat = run_on<stats::LatencyProtocol>(latency_net, latency, seed);
+  row.latency_ns = lat.mean_latency_ns;
+  row.p95_ns = lat.p95_latency_ns;
+  mesh::MeshNetwork power_net(cfg);
+  const auto used = run_on<stats::PowerProtocol>(power_net, power, seed);
+  row.power_mw = used.power_mw;
+  row.throttled = used.throttled_flits;
   return row;
 }
 

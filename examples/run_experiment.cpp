@@ -8,9 +8,10 @@
 //   ./run_experiment --mode power --arch OptAllSpeculative
 //                    --bench Multicast5 --n 16 --clock 600
 //   ./run_experiment --mode trace --arch OptHybridSpeculative
-//                    --bench Multicast10 --trace out.csv --horizon-ns 200
+//                    --bench Multicast10 --perfetto out.json --horizon-ns 200
 //   ./run_experiment --mode trace --arch OptHybridSpeculative
 //                    --bench Multicast10 --perfetto out.json --horizon-ns 200
+//                    --telemetry-epoch-ns 20
 //   ./run_experiment --mode capture --arch Baseline --bench Multicast10
 //                    --dump-trace run.jsonl --horizon-ns 200
 //   ./run_experiment --workload run.jsonl --arch OptHybridSpeculative
@@ -33,7 +34,6 @@
 #include "stats/perfetto_trace.h"
 #include "stats/telemetry.h"
 #include "stats/recorder.h"
-#include "stats/trace.h"
 #include "traffic/driver.h"
 #include "util/cli.h"
 #include "util/error.h"
@@ -56,7 +56,6 @@ struct Options {
   double rate = 0.0;  // explicit flits/ns/source (overrides fraction)
   std::uint64_t seed = 42;
   TimePs clock = 0;
-  std::string trace_path;
   std::string perfetto_path;
   TimePs telemetry_epoch = 0;  ///< --telemetry-epoch-ns: counter-track period
   TimePs horizon = 200_ns;
@@ -102,13 +101,12 @@ Options parse(int argc, char** argv) {
                  "explicit flits/ns/source (overrides --fraction)");
   cli.add_uint64("--seed", &opts.seed, "traffic seed");
   cli.add_int64("--clock", &opts.clock, "clock period in ps (0 = async)");
-  cli.add_string("--trace", &opts.trace_path, "trace CSV path (trace mode)");
   cli.add_string("--perfetto", &opts.perfetto_path,
                  "Chrome-trace JSON path (trace mode; open in ui.perfetto.dev "
                  "or chrome://tracing)");
   cli.add_custom("--telemetry-epoch-ns", "NS",
                  "sample epoch-delta counter tracks every NS simulated ns "
-                 "(trace mode with --perfetto; 0 = off)",
+                 "(trace mode; 0 = off)",
                  [&opts](const std::string& v) {
                    opts.telemetry_epoch =
                        util::parse_i64(v, "--telemetry-epoch-ns") * 1000;
@@ -353,47 +351,34 @@ int run(const Options& opts) {
     return 0;
   }
   if (opts.mode == "trace") {
-    if (opts.trace_path.empty() == opts.perfetto_path.empty()) {
+    if (opts.perfetto_path.empty()) {
       std::fprintf(stderr,
-                   "trace mode needs exactly one of --trace FILE (CSV) or "
-                   "--perfetto FILE (Chrome-trace JSON)\n");
+                   "trace mode needs --perfetto FILE (Chrome-trace JSON)\n");
       return 2;
     }
-    const std::string& path =
-        opts.trace_path.empty() ? opts.perfetto_path : opts.trace_path;
-    std::ofstream out(path);
+    std::ofstream out(opts.perfetto_path);
     if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", path.c_str());
+      std::fprintf(stderr, "cannot open %s\n", opts.perfetto_path.c_str());
       return 2;
     }
-    stats::TraceFilter filter;
-    filter.node_ops = true;
-    std::unique_ptr<stats::FlitTracer> csv;
-    std::unique_ptr<stats::PerfettoTracer> perfetto;
+    core::MotNetwork network(arch, cfg);
+    stats::PerfettoTracer perfetto;
+    network.net().hooks().traffic = &perfetto;
+    network.net().hooks().energy = &perfetto;
+    network.net().hooks().metrics = &perfetto;
     std::unique_ptr<stats::TelemetrySampler> sampler;
     stats::MetricsRegistry telemetry_registry;
     noc::TeeMetricsObserver metrics_tee;
-    core::MotNetwork network(arch, cfg);
-    if (!opts.trace_path.empty()) {
-      csv = std::make_unique<stats::FlitTracer>(out, filter);
-      network.net().hooks().traffic = csv.get();
-      network.net().hooks().energy = csv.get();
-    } else {
-      perfetto = std::make_unique<stats::PerfettoTracer>();
-      network.net().hooks().traffic = perfetto.get();
-      network.net().hooks().energy = perfetto.get();
-      network.net().hooks().metrics = perfetto.get();
-      if (opts.telemetry_epoch > 0) {
-        stats::TelemetryOptions topts;
-        topts.epoch_ps = opts.telemetry_epoch;
-        sampler = std::make_unique<stats::TelemetrySampler>(topts);
-        // The sampler diffs a registry's totals, so tee one in beside the
-        // tracer's own metrics instants.
-        metrics_tee.add(perfetto.get());
-        metrics_tee.add(&telemetry_registry);
-        network.net().hooks().metrics = &metrics_tee;
-        sampler->arm(network.net(), telemetry_registry);
-      }
+    if (opts.telemetry_epoch > 0) {
+      stats::TelemetryOptions topts;
+      topts.epoch_ps = opts.telemetry_epoch;
+      sampler = std::make_unique<stats::TelemetrySampler>(topts);
+      // The sampler diffs a registry's totals, so tee one in beside the
+      // tracer's own metrics instants.
+      metrics_tee.add(&perfetto);
+      metrics_tee.add(&telemetry_registry);
+      network.net().hooks().metrics = &metrics_tee;
+      sampler->arm(network.net(), telemetry_registry);
     }
     auto pattern = traffic::make_benchmark(bench, cfg.n);
     traffic::DriverConfig dcfg;
@@ -403,24 +388,19 @@ int run(const Options& opts) {
     traffic::TrafficDriver driver(network, *pattern, dcfg);
     driver.start();
     network.scheduler().run_until(opts.horizon);
-    if (csv != nullptr) {
-      std::printf("wrote %llu trace rows to %s (%lld ns simulated)\n",
-                  static_cast<unsigned long long>(csv->rows_written()),
-                  path.c_str(), static_cast<long long>(opts.horizon / 1000));
-    } else {
-      if (sampler != nullptr) {
-        stats::TelemetrySeries series = sampler->finish();
-        std::printf("sampled %zu telemetry epochs (%llu ps period)\n",
-                    series.epochs.size(),
-                    static_cast<unsigned long long>(series.epoch_ps));
-        perfetto->set_telemetry(std::move(series));
-      }
-      perfetto->write(out);
-      std::printf("wrote %llu trace events to %s (%lld ns simulated); open "
-                  "in ui.perfetto.dev or chrome://tracing\n",
-                  static_cast<unsigned long long>(perfetto->num_events()),
-                  path.c_str(), static_cast<long long>(opts.horizon / 1000));
+    if (sampler != nullptr) {
+      stats::TelemetrySeries series = sampler->finish();
+      std::printf("sampled %zu telemetry epochs (%llu ps period)\n",
+                  series.epochs.size(),
+                  static_cast<unsigned long long>(series.epoch_ps));
+      perfetto.set_telemetry(std::move(series));
     }
+    perfetto.write(out);
+    std::printf("wrote %llu trace events to %s (%lld ns simulated); open "
+                "in ui.perfetto.dev or chrome://tracing\n",
+                static_cast<unsigned long long>(perfetto.num_events()),
+                opts.perfetto_path.c_str(),
+                static_cast<long long>(opts.horizon / 1000));
     return 0;
   }
   std::fprintf(stderr, "unknown mode '%s'\n", opts.mode.c_str());

@@ -42,8 +42,8 @@ const char* to_string(NodeKind kind);
 NodeKind node_kind_from_string(const std::string& name);
 
 /// Every NodeKind enumerator, in declaration order. Keep in sync with the
-/// enum; trace_test.cpp fails when an enumerator is missing here or in
-/// to_string().
+/// enum; tests/noc/enum_names_test.cpp fails when an enumerator is
+/// missing here or in to_string().
 constexpr std::array<NodeKind, 10> all_node_kinds() {
   return {NodeKind::kSource,
           NodeKind::kSink,

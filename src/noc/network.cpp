@@ -84,6 +84,17 @@ class HookSerializer {
   std::optional<LockedEnergy> energy_;
 };
 
+/// Runs `body` on the partitioned kernel at `threads` workers, with the
+/// traffic/energy hooks serialized while more than one worker runs.
+template <typename Body>
+void run_workers(sim::PartitionedScheduler& psched, unsigned threads,
+                 SimHooks& hooks, Body body) {
+  psched.set_threads(threads);
+  std::optional<HookSerializer> serialize;
+  if (threads > 1) serialize.emplace(hooks);
+  body();
+}
+
 }  // namespace
 
 void Network::enable_partitions(std::uint32_t lanes, TimePs lookahead) {
@@ -121,13 +132,8 @@ void Network::run() {
     scheduler_.run();
     return;
   }
-  psched_->set_threads(effective_threads());
-  if (effective_threads() > 1) {
-    HookSerializer serialize(hooks_);
-    psched_->run();
-  } else {
-    psched_->run();
-  }
+  run_workers(*psched_, effective_threads(), hooks_,
+              [this] { psched_->run(); });
 }
 
 void Network::run_until(TimePs t) {
@@ -135,13 +141,8 @@ void Network::run_until(TimePs t) {
     scheduler_.run_until(t);
     return;
   }
-  psched_->set_threads(effective_threads());
-  if (effective_threads() > 1) {
-    HookSerializer serialize(hooks_);
-    psched_->run_until(t);
-  } else {
-    psched_->run_until(t);
-  }
+  run_workers(*psched_, effective_threads(), hooks_,
+              [this, t] { psched_->run_until(t); });
 }
 
 TimePs Network::now() const {

@@ -102,15 +102,6 @@ void PartitionedScheduler::run_lane_window(std::uint32_t lane,
   if (sched.executed() == before) ++idle_windows_[lane];
 }
 
-void PartitionedScheduler::run_windows_sequential(TimePs horizon) {
-  while (advance_window(horizon)) {
-    const TimePs window_end = window_end_;
-    for (std::uint32_t lane = 0; lane < lanes(); ++lane) {
-      run_lane_window(lane, window_end);
-    }
-  }
-}
-
 void PartitionedScheduler::worker_loop(std::uint32_t worker,
                                        std::uint32_t num_workers,
                                        TimePs horizon) {
@@ -151,10 +142,11 @@ void PartitionedScheduler::worker_loop(std::uint32_t worker,
   }
 }
 
-void PartitionedScheduler::run_windows_parallel(TimePs horizon) {
+void PartitionedScheduler::run_windows(TimePs horizon) {
+  // Worker 0 is the calling thread, so one worker spawns no thread and
+  // runs every lane each window. Publish the first window before the other
+  // workers exist; thread creation is the synchronization point.
   const std::uint32_t num_workers = std::min(threads_, lanes());
-  // Publish the first window before the workers exist; thread creation is
-  // the synchronization point.
   done_ = !advance_window(horizon);
   if (done_) return;
   arrivals_.store(0, std::memory_order_relaxed);
@@ -167,14 +159,6 @@ void PartitionedScheduler::run_windows_parallel(TimePs horizon) {
   }
   worker_loop(0, num_workers, horizon);
   for (std::thread& t : pool) t.join();
-}
-
-void PartitionedScheduler::run_windows(TimePs horizon) {
-  if (std::min(threads_, lanes()) <= 1) {
-    run_windows_sequential(horizon);
-  } else {
-    run_windows_parallel(horizon);
-  }
 }
 
 void PartitionedScheduler::run() { run_windows(Scheduler::kIdleTime - 1); }

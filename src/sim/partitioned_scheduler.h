@@ -71,8 +71,9 @@ class PartitionedScheduler {
   TimePs lookahead() const { return lookahead_; }
   Scheduler& lane(std::uint32_t i) { return *lanes_[i]; }
 
-  /// Worker threads used per window; clamped to [1, lanes]. 1 executes the
-  /// identical window schedule on the calling thread.
+  /// Worker threads used per window; clamped to [1, lanes]. 1 runs the same
+  /// worker loop, with the identical window schedule, on the calling thread
+  /// alone.
   void set_threads(std::uint32_t threads);
   std::uint32_t threads() const { return threads_; }
 
@@ -128,8 +129,6 @@ class PartitionedScheduler {
   /// false when no events <= horizon remain.
   bool advance_window(TimePs horizon);
   void run_windows(TimePs horizon);
-  void run_windows_sequential(TimePs horizon);
-  void run_windows_parallel(TimePs horizon);
   void worker_loop(std::uint32_t worker, std::uint32_t num_workers,
                    TimePs horizon);
   void run_lane_window(std::uint32_t lane, TimePs window_end);
@@ -153,7 +152,7 @@ class PartitionedScheduler {
   TimePs epoch_ps_ = 0;
   Scheduler::EpochHook epoch_hook_;
 
-  // Barrier state for the parallel path. Workers arrive by incrementing
+  // Barrier state of the worker loop. Workers arrive by incrementing
   // arrivals_; the last arriver runs the serial section and publishes the
   // next window by bumping generation_ (release), which the spinners
   // observe (acquire). window_end_/done_ are plain fields written only in

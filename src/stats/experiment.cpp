@@ -64,18 +64,15 @@ ExperimentRunner::ExperimentRunner(core::NetworkConfig config,
                                    power::EnergyModelParams energy)
     : config_(std::move(config)), seed_(seed), energy_(energy) {}
 
-NetworkFactory ExperimentRunner::network_for(core::Architecture arch,
-                                             const std::string& custom,
-                                             bool sequential) const {
-  core::NetworkConfig config = sequential ? config_.sequential() : config_;
+std::unique_ptr<noc::MessageNetwork> ExperimentRunner::build_network(
+    core::Architecture arch, const std::string& custom,
+    bool sequential) const {
+  const core::NetworkConfig config =
+      sequential ? config_.sequential() : config_;
   if (!custom.empty()) {
-    return [custom, config] {
-      return core::ArchitectureRegistry::global().build(custom, config);
-    };
+    return core::ArchitectureRegistry::global().build(custom, config);
   }
-  return [arch, config] {
-    return std::make_unique<core::MotNetwork>(arch, config);
-  };
+  return std::make_unique<core::MotNetwork>(arch, config);
 }
 
 std::vector<sim::RunOutcome> ExperimentRunner::run_cells(

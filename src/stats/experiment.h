@@ -5,8 +5,10 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <vector>
 
+#include "core/config.h"
 #include "stats/protocol.h"
 #include "stats/protocols/cmp.h"
 #include "stats/protocols/latency.h"
@@ -86,13 +88,14 @@ class ExperimentRunner {
   }
 
  private:
-  /// Resolves a spec's network: a non-empty `custom` label is built by the
+  /// Builds a spec's network, fresh for every run so runs are independent
+  /// and deterministic: a non-empty `custom` label is built by the
   /// process-wide ArchitectureRegistry, otherwise the architecture's
   /// canonical network. `sequential` builds it with sim_threads = 1
   /// regardless of config_.
-  NetworkFactory network_for(core::Architecture arch,
-                             const std::string& custom,
-                             bool sequential) const;
+  std::unique_ptr<noc::MessageNetwork> build_network(
+      core::Architecture arch, const std::string& custom,
+      bool sequential) const;
 
   /// The batch loop behind run_grid: runs cells [0, count) on the worker
   /// pool, handing run_cell a fresh rig for each attempt. metrics[i]
@@ -117,9 +120,9 @@ std::vector<Outcome<P>> ExperimentRunner::run_grid(
       specs.size(), options, metrics,
       [&](std::size_t i, ProbeRig& rig) {
         const auto& spec = specs[i];
-        outcomes[i].result = P::run(
-            spec, {network_for(spec.arch, spec.custom, P::sequential(spec)),
-                   seed_, energy_, rig});
+        const auto network =
+            build_network(spec.arch, spec.custom, P::sequential(spec));
+        outcomes[i].result = P::run(spec, {*network, seed_, energy_, rig});
       });
   // Deterministic reduction: spec order, independent of completion order.
   for (std::size_t i = 0; i < specs.size(); ++i) {

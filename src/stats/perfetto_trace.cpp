@@ -4,7 +4,6 @@
 #include <numeric>
 #include <ostream>
 
-#include "stats/trace.h"
 #include "noc/channel.h"
 #include "noc/node.h"
 #include "noc/packet.h"

@@ -11,9 +11,11 @@
 // (fractional, preserving the simulator's picosecond resolution) and events
 // are emitted sorted by timestamp within each track.
 //
-// This complements the CSV FlitTracer (stats/trace.h): the CSV is for
-// scripted offline analysis, the Perfetto JSON for interactive timeline
-// inspection.
+// This is the simulator's one event-trace export (run_experiment --mode
+// trace --perfetto FILE). The JSON serves interactive timeline inspection
+// and, being plain JSON with per-event names and args, scripted offline
+// analysis too. Events are buffered until write(), so trace short
+// horizons.
 #pragma once
 
 #include <cstdint>

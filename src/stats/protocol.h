@@ -11,14 +11,13 @@
 #include <concepts>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
 
-#include "core/mot_network.h"
+#include "core/architecture.h"
+#include "noc/message_network.h"
 #include "power/energy_model.h"
 #include "sim/parallel_runner.h"
 #include "stats/metrics.h"
@@ -26,11 +25,6 @@
 #include "util/json.h"
 
 namespace specnoc::stats {
-
-/// Builds a fresh network for one run; every measurement constructs its own
-/// network so runs are independent and deterministic. The runner resolves
-/// one per spec (ExperimentRunner::network_for); specs never carry one.
-using NetworkFactory = std::function<std::unique_ptr<core::MotNetwork>()>;
 
 /// Per-run measurement rig: always records the run's kernel events and
 /// PDES window shape (empty when sequential); when collecting, also wires a
@@ -82,10 +76,13 @@ class ProbeRig {
   PdesMetrics pdes_;
 };
 
-/// What the runner hands a protocol's worker besides the spec.
+/// What the runner hands a protocol's worker besides the spec. The worker
+/// measures whatever network it is handed: ExperimentRunner::run_grid
+/// builds a fresh one per run from the spec, and a harness may hand over
+/// any other noc::MessageNetwork (the 2D mesh, say) it built itself.
 struct RunContext {
-  NetworkFactory network;  ///< resolved by ExperimentRunner::network_for
-  std::uint64_t seed = 0;  ///< the runner's seed
+  noc::MessageNetwork& network;  ///< fresh, unrun; the worker attaches hooks
+  std::uint64_t seed = 0;        ///< the runner's seed
   power::EnergyModelParams energy;
   ProbeRig& rig;
 
@@ -114,7 +111,7 @@ concept Protocol = requires(const typename P::Spec& spec,
   P::write_spec(json, spec);
   P::read_spec(std::as_const(json), out);
   { P::run(spec, context) } -> std::same_as<typename P::Result>;
-  // The spec names its network (see ExperimentRunner::network_for).
+  // The spec names its network (see ExperimentRunner::build_network).
   { spec.arch } -> std::convertible_to<core::Architecture>;
   { spec.custom } -> std::convertible_to<std::string>;
 };

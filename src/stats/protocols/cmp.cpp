@@ -30,11 +30,10 @@ CmpResult CmpProtocol::run(const Spec& spec, const RunContext& context) {
   const workload::AccessTrace& access = *spec.access;
   const cmp::CmpConfig cmp{};
   ProbeRig& rig = context.rig;
-  const auto network = context.network();
-  auto& net = network->net();
+  auto& net = context.network.net();
   TrafficRecorder recorder(net.packets());
   cmp::AccessTraceSource source(access, cmp.line_bytes);
-  cmp::CmpSystem system(*network, source, cmp);
+  cmp::CmpSystem system(context.network, source, cmp);
   system.set_downstream(&recorder);
   power::PowerMeter meter(context.energy);
   net.hooks().traffic = &system;
@@ -69,7 +68,7 @@ CmpResult CmpProtocol::run(const Spec& spec, const RunContext& context) {
   result.completed = system.finished();
   if (!result.completed) {
     SPECNOC_LOG(kWarn) << "cmp co-simulation did not complete: "
-                       << to_string(network->architecture()) << "/"
+                       << to_string(spec.arch) << "/"
                        << access.generator << " retired " << system.retired()
                        << "/" << source.total_accesses();
   }

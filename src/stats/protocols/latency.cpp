@@ -14,26 +14,27 @@ LatencyResult LatencyProtocol::run(const Spec& spec,
                       std::to_string(spec.injected_flits_per_ns));
   }
   ProbeRig& rig = context.rig;
-  const auto network = context.network();
-  if (network->net().partitioned()) {
+  noc::MessageNetwork& network = context.network;
+  auto& net = network.net();
+  if (net.partitioned()) {
     throw ConfigError(
         "the latency protocol drains the network event-by-event, which has "
         "no windowed equivalent; build the network with sim_threads = 1");
   }
-  TrafficRecorder recorder(network->net().packets());
-  network->net().hooks().traffic = &recorder;
-  rig.attach(network->net());
+  TrafficRecorder recorder(net.packets());
+  net.hooks().traffic = &recorder;
+  rig.attach(net);
   const auto pattern =
-      traffic::make_benchmark(spec.bench, network->topology().n());
+      traffic::make_benchmark(spec.bench, network.endpoints());
   traffic::DriverConfig driver_cfg;
   driver_cfg.mode = traffic::InjectionMode::kOpenLoop;
   driver_cfg.flits_per_ns_per_source = spec.injected_flits_per_ns;
   driver_cfg.seed = context.seed_or(spec.seed);
-  traffic::TrafficDriver driver(*network, *pattern, driver_cfg);
+  traffic::TrafficDriver driver(network, *pattern, driver_cfg);
   driver.start();
 
   const traffic::SimWindows& windows = spec.windows;
-  auto& sched = network->scheduler();
+  auto& sched = net.scheduler();
   rig.guard([&] {
     sched.run_until(windows.warmup);
     driver.set_measured(true);
@@ -58,12 +59,12 @@ LatencyResult LatencyProtocol::run(const Spec& spec,
   result.drained = recorder.pending_measured() == 0;
   if (!result.drained) {
     SPECNOC_LOG(kWarn) << "latency run did not drain: "
-                       << to_string(network->architecture()) << "/"
+                       << to_string(spec.arch) << "/"
                        << to_string(spec.bench)
                        << " offered=" << spec.injected_flits_per_ns
                        << " pending=" << recorder.pending_measured();
   }
-  rig.harvest(network->net());
+  rig.harvest(net);
   return result;
 }
 

@@ -13,29 +13,30 @@ PowerResult PowerProtocol::run(const Spec& spec, const RunContext& context) {
                       std::to_string(spec.injected_flits_per_ns));
   }
   ProbeRig& rig = context.rig;
-  const auto network = context.network();
-  if (network->net().partitioned()) {
+  noc::MessageNetwork& network = context.network;
+  auto& net = network.net();
+  if (net.partitioned()) {
     throw ConfigError(
         "the power protocol's energy accumulation is event-order-dependent, "
         "so it requires sequential execution; build the network with "
         "sim_threads = 1");
   }
-  TrafficRecorder recorder(network->net().packets());
+  TrafficRecorder recorder(net.packets());
   power::PowerMeter meter(context.energy);
-  network->net().hooks().traffic = &recorder;
-  network->net().hooks().energy = &meter;
-  rig.attach(network->net());
+  net.hooks().traffic = &recorder;
+  net.hooks().energy = &meter;
+  rig.attach(net);
   const auto pattern =
-      traffic::make_benchmark(spec.bench, network->topology().n());
+      traffic::make_benchmark(spec.bench, network.endpoints());
   traffic::DriverConfig driver_cfg;
   driver_cfg.mode = traffic::InjectionMode::kOpenLoop;
   driver_cfg.flits_per_ns_per_source = spec.injected_flits_per_ns;
   driver_cfg.seed = context.seed_or(spec.seed);
-  traffic::TrafficDriver driver(*network, *pattern, driver_cfg);
+  traffic::TrafficDriver driver(network, *pattern, driver_cfg);
   driver.start();
 
   const traffic::SimWindows& windows = spec.windows;
-  auto& sched = network->scheduler();
+  auto& sched = net.scheduler();
   rig.guard([&] {
     sched.run_until(windows.warmup);
     recorder.open_window(sched.now());
@@ -52,11 +53,11 @@ PowerResult PowerProtocol::run(const Spec& spec, const RunContext& context) {
   result.wire_power_mw =
       fj_over_ps_to_mw(meter.window_wire_energy(), meter.window_duration());
   result.delivered_flits_per_ns =
-      recorder.delivered_flits_per_ns(network->topology().n());
+      recorder.delivered_flits_per_ns(network.endpoints());
   result.offered_flits_per_ns = spec.injected_flits_per_ns;
   result.throttled_flits = meter.window_ops(noc::NodeOp::kThrottle);
   result.broadcast_ops = meter.window_ops(noc::NodeOp::kBroadcast);
-  rig.harvest(network->net());
+  rig.harvest(net);
   return result;
 }
 

@@ -11,23 +11,23 @@ using namespace specnoc::literals;
 SaturationResult SaturationProtocol::run(const Spec& spec,
                                          const RunContext& context) {
   ProbeRig& rig = context.rig;
-  const auto network = context.network();
-  TrafficRecorder recorder(network->net().packets());
-  network->net().hooks().traffic = &recorder;
-  rig.attach(network->net());
-  const auto pattern =
-      traffic::make_benchmark(spec.bench, network->topology().n());
+  noc::MessageNetwork& network = context.network;
+  auto& net = network.net();
+  TrafficRecorder recorder(net.packets());
+  net.hooks().traffic = &recorder;
+  rig.attach(net);
+  const std::uint32_t n = network.endpoints();
+  const auto pattern = traffic::make_benchmark(spec.bench, n);
   traffic::DriverConfig driver_cfg;
   driver_cfg.mode = traffic::InjectionMode::kBacklogged;
   driver_cfg.seed = context.seed_or(spec.seed);
-  traffic::TrafficDriver driver(*network, *pattern, driver_cfg);
+  traffic::TrafficDriver driver(network, *pattern, driver_cfg);
   driver.start();
 
   // Time-bounded driving goes through the network's unified run surface, so
   // a partitioned network (config.sim_threads != 1) executes its lanes in
   // parallel; results are identical at any thread count (DESIGN.md §9).
   const auto windows = ExperimentRunner::saturation_windows();
-  auto& net = network->net();
   rig.guard([&] {
     net.run_until(windows.warmup);
     recorder.open_window(net.now());
@@ -36,14 +36,13 @@ SaturationResult SaturationProtocol::run(const Spec& spec,
   });
 
   SaturationResult result;
-  const std::uint32_t n = network->topology().n();
   result.delivered_flits_per_ns = recorder.delivered_flits_per_ns(n);
   result.injected_flits_per_ns = recorder.injected_flits_per_ns(n);
   result.delivery_factor =
       result.injected_flits_per_ns > 0.0
           ? result.delivered_flits_per_ns / result.injected_flits_per_ns
           : 1.0;
-  const auto& store = network->net().packets();
+  const auto& store = net.packets();
   result.message_expansion =
       store.num_messages() > 0
           ? static_cast<double>(store.num_packets()) /

@@ -29,16 +29,15 @@ WorkloadResult WorkloadProtocol::run(const Spec& spec,
   }
   const workload::Trace& trace = *spec.trace;
   ProbeRig& rig = context.rig;
-  const auto network = context.network();
-  TrafficRecorder recorder(network->net().packets());
+  auto& net = context.network.net();
+  TrafficRecorder recorder(net.packets());
   workload::ReplayConfig replay_cfg;
   replay_cfg.mode = spec.mode;
-  workload::TraceReplayDriver driver(*network, trace, replay_cfg);
+  workload::TraceReplayDriver driver(context.network, trace, replay_cfg);
   driver.set_downstream(&recorder);
-  network->net().hooks().traffic = &driver;
-  rig.attach(network->net());
+  net.hooks().traffic = &driver;
+  rig.attach(net);
 
-  auto& net = network->net();
   recorder.open_window(net.now());
   driver.start();
   // The trace is finite, so the event queue drains once every injected
@@ -57,7 +56,7 @@ WorkloadResult WorkloadProtocol::run(const Spec& spec,
   result.completed = driver.finished();
   if (!result.completed) {
     SPECNOC_LOG(kWarn) << "workload replay did not complete: "
-                       << to_string(network->architecture()) << "/"
+                       << to_string(spec.arch) << "/"
                        << trace.meta.generator << " delivered "
                        << result.messages_delivered << "/" << result.messages;
   }

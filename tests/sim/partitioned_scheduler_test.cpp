@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "../support/test_nodes.h"
@@ -82,6 +83,54 @@ TEST(PartitionedSchedulerTest, ThreadCountClampsToAtLeastOne) {
   EXPECT_EQ(ps.threads(), 1u);
   ps.set_threads(8);
   EXPECT_EQ(ps.threads(), 8u);
+}
+
+/// Which OS thread and worker index executed each lane's events.
+struct LaneExecutors {
+  std::vector<std::thread::id> thread;
+  std::vector<std::uint32_t> worker;
+};
+
+LaneExecutors run_one_event_per_lane(std::uint32_t lanes,
+                                     std::uint32_t threads) {
+  sim::Scheduler lane0;
+  sim::PartitionedScheduler ps(lane0, lanes, 100);
+  ps.set_threads(threads);
+  LaneExecutors seen;
+  seen.thread.resize(lanes);
+  seen.worker.resize(lanes, ~0u);
+  for (std::uint32_t lane = 0; lane < lanes; ++lane) {
+    // Spread over several windows, so every window re-runs the same block.
+    ps.lane(lane).schedule_at(10 + 150 * lane, [&seen, lane] {
+      seen.thread[lane] = std::this_thread::get_id();
+      seen.worker[lane] = sim::current_worker();
+    });
+  }
+  ps.run();
+  EXPECT_EQ(ps.executed(), lanes);
+  EXPECT_EQ(ps.windows(), lanes);
+  return seen;
+}
+
+TEST(PartitionedSchedulerTest, OneWorkerRunsEveryLaneOnTheCallingThread) {
+  sim::set_current_worker(3);  // the worker loop resets it to worker 0
+  const LaneExecutors seen = run_one_event_per_lane(4, 1);
+  for (std::uint32_t lane = 0; lane < 4; ++lane) {
+    EXPECT_EQ(seen.thread[lane], std::this_thread::get_id()) << lane;
+    EXPECT_EQ(seen.worker[lane], 0u) << lane;
+  }
+  EXPECT_EQ(sim::current_worker(), 0u);
+}
+
+TEST(PartitionedSchedulerTest, WorkersRunContiguousLaneBlocks) {
+  // Two workers over four lanes: worker 0 (the calling thread) owns lanes
+  // 0-1, worker 1 (one spawned thread) owns lanes 2-3.
+  const LaneExecutors seen = run_one_event_per_lane(4, 2);
+  EXPECT_EQ(seen.thread[0], std::this_thread::get_id());
+  EXPECT_EQ(seen.thread[1], std::this_thread::get_id());
+  EXPECT_NE(seen.thread[2], std::this_thread::get_id());
+  EXPECT_EQ(seen.thread[3], seen.thread[2]);
+  EXPECT_EQ(seen.worker, (std::vector<std::uint32_t>{0, 0, 1, 1}));
 }
 
 TEST(PartitionedNetworkTest, SingleLaneEnableIsANoOp) {

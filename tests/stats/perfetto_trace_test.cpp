@@ -1,9 +1,11 @@
 #include "stats/perfetto_trace.h"
 
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -109,6 +111,117 @@ TEST(PerfettoTracerTest, KillEventsCarryPacketArgs) {
     EXPECT_LT(args->at("src").as_u64(), 8u);
   }
   EXPECT_GT(kills, 0u);
+}
+
+/// Non-metadata events of `tracer`'s document, in emission order.
+std::vector<util::Json> timeline(const PerfettoTracer& tracer) {
+  const util::Json doc = tracer.trace_json();
+  std::vector<util::Json> events;
+  for (const util::Json& event : doc.at("traceEvents").items()) {
+    if (event.at("ph").as_string() != "M") events.push_back(event);
+  }
+  return events;
+}
+
+std::size_t count_named(const std::vector<util::Json>& events,
+                        const std::string& name) {
+  std::size_t count = 0;
+  for (const util::Json& event : events) {
+    if (event.at("name").as_string() == name) ++count;
+  }
+  return count;
+}
+
+/// One 5-flit message from `src` to `dests`, traced on every hook.
+PerfettoTracer traced_message(Architecture arch, std::uint32_t src,
+                              DestSet dests) {
+  core::NetworkConfig cfg;
+  core::MotNetwork net(arch, cfg);
+  PerfettoTracer tracer;
+  net.net().hooks().traffic = &tracer;
+  net.net().hooks().energy = &tracer;
+  net.send_message(src, dests, false);
+  net.scheduler().run();
+  return tracer;
+}
+
+TEST(PerfettoTracerTest, RecordsOneInjectionAndEveryEjection) {
+  const auto events = timeline(traced_message(
+      Architecture::kOptHybridSpeculative, 2,
+      DestSet::single(5) | DestSet::single(6)));
+  EXPECT_EQ(count_named(events, "inject.multicast"), 1u);
+  EXPECT_EQ(count_named(events, "inject.unicast"), 0u);
+  // 5 flits to each of 2 destinations.
+  EXPECT_EQ(count_named(events, "eject.header"), 2u);
+  EXPECT_EQ(count_named(events, "eject.body"), 6u);
+  EXPECT_EQ(count_named(events, "eject.tail"), 2u);
+}
+
+TEST(PerfettoTracerTest, EjectionsCarryTheInjectedPacketAndSource) {
+  const PerfettoTracer tracer = traced_message(
+      Architecture::kOptHybridSpeculative, 2,
+      DestSet::single(5) | DestSet::single(6));
+  const util::Json doc = tracer.trace_json();
+  std::map<std::uint64_t, std::string> track_of;
+  for (const util::Json& event : doc.at("traceEvents").items()) {
+    if (event.at("ph").as_string() == "M") {
+      track_of[event.at("tid").as_u64()] =
+          event.at("args").at("name").as_string();
+    }
+  }
+  std::optional<std::uint64_t> packet;
+  std::map<std::string, std::size_t> ejections_per_track;
+  for (const util::Json& event : timeline(tracer)) {
+    const std::string name = event.at("name").as_string();
+    if (name == "inject.multicast") {
+      EXPECT_EQ(track_of[event.at("tid").as_u64()], "ni.src2");
+      EXPECT_EQ(event.at("args").at("src").as_u64(), 2u);
+      packet = event.at("args").at("packet").as_u64();
+    } else if (name.starts_with("eject.")) {
+      ASSERT_TRUE(packet.has_value()) << "ejection before injection";
+      EXPECT_EQ(event.at("args").at("packet").as_u64(), *packet);
+      EXPECT_EQ(event.at("args").at("src").as_u64(), 2u);
+      ++ejections_per_track[track_of[event.at("tid").as_u64()]];
+    }
+  }
+  const std::map<std::string, std::size_t> expected = {{"ni.dst5", 5},
+                                                       {"ni.dst6", 5}};
+  EXPECT_EQ(ejections_per_track, expected);
+}
+
+TEST(PerfettoTracerTest, RecordsNodeOpsOnEverySwitchOfAUnicast) {
+  const PerfettoTracer tracer =
+      traced_message(Architecture::kBasicNonSpeculative, 0,
+                     DestSet::single(3));
+  const auto events = timeline(tracer);
+  EXPECT_EQ(count_named(events, "inject.unicast"), 1u);
+  // Every flit is routed by the 3 fanout switches on its path.
+  EXPECT_EQ(count_named(events, "route_forward"), 15u);
+  // A non-speculative network neither kills nor broadcasts.
+  EXPECT_EQ(count_named(events, "kill"), 0u);
+  EXPECT_EQ(count_named(events, "broadcast"), 0u);
+  // Node ops land on the switches' tracks: 3 fanout + 3 fanin levels.
+  std::set<std::uint64_t> op_tracks;
+  for (const util::Json& event : events) {
+    if (event.at("cat").as_string() == "op") {
+      op_tracks.insert(event.at("tid").as_u64());
+    }
+  }
+  EXPECT_GE(op_tracks.size(), 6u);
+}
+
+TEST(PerfettoTracerTest, NodeOpsComeOnlyFromTheEnergyHook) {
+  core::NetworkConfig cfg;
+  core::MotNetwork net(Architecture::kBasicNonSpeculative, cfg);
+  PerfettoTracer tracer;
+  net.net().hooks().traffic = &tracer;
+  net.send_message(0, DestSet::single(3), false);
+  net.scheduler().run();
+  const auto events = timeline(tracer);
+  // Traffic alone: the injection and the 5 ejections, no switch events.
+  EXPECT_EQ(events.size(), 6u);
+  EXPECT_EQ(count_named(events, "inject.unicast"), 1u);
+  EXPECT_EQ(count_named(events, "route_forward"), 0u);
 }
 
 TEST(PerfettoTracerTest, EmptyTracerWritesValidDocument) {

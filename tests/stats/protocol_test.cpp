@@ -2,7 +2,9 @@
 // self-contained definition. The toy protocol below lives entirely in this
 // file — nothing in src/stats knows about it — yet it runs through
 // ExperimentRunner::run_grid, round-trips the outcome codec, and survives a
-// 2-shard worker -> merge_shards -> render sweep byte-identically.
+// 2-shard worker -> merge_shards -> render sweep byte-identically. And a
+// protocol measures whatever noc::MessageNetwork it is handed: the stock
+// protocols reproduce hand-driven windows on a 2D mesh.
 #include "stats/protocol.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +16,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/mot_network.h"
+#include "mesh/mesh_network.h"
+#include "power/power_meter.h"
 #include "stats/experiment.h"
 #include "stats/recorder.h"
 #include "stats/serialization.h"
@@ -73,17 +78,17 @@ struct HorizonProtocol {
   }
   static Result run(const Spec& spec, const stats::RunContext& context) {
     stats::ProbeRig& rig = context.rig;
-    const auto network = context.network();
-    auto& net = network->net();
+    noc::MessageNetwork& network = context.network;
+    auto& net = network.net();
     stats::TrafficRecorder recorder(net.packets());
     net.hooks().traffic = &recorder;
     rig.attach(net);
     const auto pattern = traffic::make_benchmark(
-        traffic::BenchmarkId::kUniformRandom, network->topology().n());
+        traffic::BenchmarkId::kUniformRandom, network.endpoints());
     traffic::DriverConfig driver_cfg;
     driver_cfg.mode = traffic::InjectionMode::kBacklogged;
     driver_cfg.seed = context.seed;
-    traffic::TrafficDriver driver(*network, *pattern, driver_cfg);
+    traffic::TrafficDriver driver(network, *pattern, driver_cfg);
     driver.start();
     recorder.open_window(net.now());
     net.run_until(spec.horizon);
@@ -93,7 +98,7 @@ struct HorizonProtocol {
     result.events = net.executed();
     result.packets = net.packets().num_packets();
     result.delivered_flits_per_ns =
-        recorder.delivered_flits_per_ns(network->topology().n());
+        recorder.delivered_flits_per_ns(network.endpoints());
     result.drained = net.pending() == 0;
     rig.harvest(net);
     return result;
@@ -198,6 +203,187 @@ TEST(ProtocolTest, ToyProtocolShardsMergeAndRenderLikeASerialRun) {
   stats::ShardedSweep render_sweep(cfg, 42, render_options);
   EXPECT_EQ(render(render_sweep.grid<HorizonProtocol>("horizon", specs)),
             reference);
+}
+
+// Saturation and latency windows driven by hand on a mesh, straight
+// through its scheduler: the reference the protocols must reproduce on a
+// network no spec names.
+double hand_saturation(mesh::MeshNetwork& net, traffic::BenchmarkId bench,
+                       std::uint64_t seed) {
+  stats::TrafficRecorder rec(net.net().packets());
+  net.net().hooks().traffic = &rec;
+  auto pattern = traffic::make_benchmark(bench, net.endpoints());
+  traffic::DriverConfig cfg;
+  cfg.mode = traffic::InjectionMode::kBacklogged;
+  cfg.seed = seed;
+  traffic::TrafficDriver driver(net, *pattern, cfg);
+  driver.start();
+  auto& sched = net.scheduler();
+  sched.run_until(1000_ns);
+  rec.open_window(sched.now());
+  sched.run_until(5000_ns);
+  rec.close_window(sched.now());
+  return rec.delivered_flits_per_ns(net.endpoints());
+}
+
+struct HandLatency {
+  double mean_ns = 0.0;
+  double p95_ns = 0.0;
+  std::uint64_t measured = 0;
+};
+
+HandLatency hand_latency(mesh::MeshNetwork& net, traffic::BenchmarkId bench,
+                         double load, std::uint64_t seed) {
+  stats::TrafficRecorder rec(net.net().packets());
+  net.net().hooks().traffic = &rec;
+  auto pattern = traffic::make_benchmark(bench, net.endpoints());
+  traffic::DriverConfig cfg;
+  cfg.mode = traffic::InjectionMode::kOpenLoop;
+  cfg.flits_per_ns_per_source = load;
+  cfg.seed = seed;
+  traffic::TrafficDriver driver(net, *pattern, cfg);
+  driver.start();
+  auto& sched = net.scheduler();
+  sched.run_until(300_ns);
+  driver.set_measured(true);
+  sched.run_until(2300_ns);
+  driver.set_measured(false);
+  while (rec.pending_measured() > 0 && sched.now() < 40000_ns) {
+    if (!sched.step()) break;
+  }
+  return {rec.mean_latency_ps() / 1e3, rec.latency_percentile_ps(95.0) / 1e3,
+          rec.completed_measured()};
+}
+
+TEST(ProtocolTest, ProtocolsMeasureAHandedMeshLikeItsHandDrivenWindows) {
+  constexpr std::uint64_t kSeed = 42;
+  mesh::MeshConfig cfg;  // 4x4
+  cfg.speculative_routers =
+      mesh::MeshNetwork::checkerboard_speculation(mesh::MeshTopology(4, 4));
+  for (const auto bench : {traffic::BenchmarkId::kUniformRandom,
+                           traffic::BenchmarkId::kMulticast10}) {
+    SCOPED_TRACE(traffic::to_string(bench));
+    {
+      mesh::MeshNetwork handed(cfg);
+      mesh::MeshNetwork reference(cfg);
+      stats::SaturationSpec spec;
+      spec.bench = bench;
+      stats::ProbeRig rig(/*collect=*/false, {});
+      const auto result =
+          stats::SaturationProtocol::run(spec, {handed, kSeed, {}, rig});
+      EXPECT_EQ(result.delivered_flits_per_ns,
+                hand_saturation(reference, bench, kSeed));
+      EXPECT_GT(result.delivered_flits_per_ns, 0.0);
+      EXPECT_EQ(rig.events(), reference.net().executed());
+    }
+    {
+      mesh::MeshNetwork handed(cfg);
+      mesh::MeshNetwork reference(cfg);
+      stats::LatencySpec spec;
+      spec.bench = bench;
+      spec.injected_flits_per_ns = 0.2;
+      spec.windows = {.warmup = 300_ns, .measure = 2000_ns};
+      // A collecting rig attaches the metrics registry to the mesh too;
+      // observation changes nothing.
+      stats::ProbeRig rig(/*collect=*/true, {});
+      const auto result =
+          stats::LatencyProtocol::run(spec, {handed, kSeed, {}, rig});
+      const HandLatency expected = hand_latency(reference, bench, 0.2, kSeed);
+      EXPECT_TRUE(result.drained);
+      EXPECT_GT(result.messages_measured, 0u);
+      EXPECT_EQ(result.messages_measured, expected.measured);
+      EXPECT_EQ(result.mean_latency_ns, expected.mean_ns);
+      EXPECT_EQ(result.p95_latency_ns, expected.p95_ns);
+      EXPECT_EQ(rig.events(), reference.net().executed());
+    }
+  }
+}
+
+struct HandPower {
+  double power_mw = 0.0;
+  std::uint64_t throttled = 0;
+  std::uint64_t broadcasts = 0;
+};
+
+// A power meter riding a hand-driven open-loop run over the same window.
+HandPower hand_power(mesh::MeshNetwork& net, traffic::BenchmarkId bench,
+                     double load, std::uint64_t seed) {
+  stats::TrafficRecorder rec(net.net().packets());
+  power::PowerMeter meter;
+  net.net().hooks().traffic = &rec;
+  net.net().hooks().energy = &meter;
+  auto pattern = traffic::make_benchmark(bench, net.endpoints());
+  traffic::DriverConfig cfg;
+  cfg.mode = traffic::InjectionMode::kOpenLoop;
+  cfg.flits_per_ns_per_source = load;
+  cfg.seed = seed;
+  traffic::TrafficDriver driver(net, *pattern, cfg);
+  driver.start();
+  auto& sched = net.scheduler();
+  sched.run_until(300_ns);
+  driver.set_measured(true);
+  meter.open_window(sched.now());
+  sched.run_until(2800_ns);
+  driver.set_measured(false);
+  meter.close_window(sched.now());
+  return {meter.window_power_mw(), meter.window_ops(noc::NodeOp::kThrottle),
+          meter.window_ops(noc::NodeOp::kBroadcast)};
+}
+
+TEST(ProtocolTest, PowerProtocolOnAMeshMatchesAMeterRidingItsWindow) {
+  constexpr std::uint64_t kSeed = 7;
+  mesh::MeshConfig cfg;  // 4x4
+  cfg.speculative_routers =
+      mesh::MeshNetwork::checkerboard_speculation(mesh::MeshTopology(4, 4));
+  mesh::MeshNetwork handed(cfg);
+  mesh::MeshNetwork reference(cfg);
+  stats::PowerSpec spec;
+  spec.bench = traffic::BenchmarkId::kMulticast10;
+  spec.injected_flits_per_ns = 0.2;
+  spec.windows = {.warmup = 300_ns, .measure = 2500_ns};
+  stats::ProbeRig rig(/*collect=*/false, {});
+  const auto result =
+      stats::PowerProtocol::run(spec, {handed, kSeed, {}, rig});
+  const HandPower expected =
+      hand_power(reference, spec.bench, spec.injected_flits_per_ns, kSeed);
+  EXPECT_GT(result.power_mw, 0.0);
+  EXPECT_EQ(result.power_mw, expected.power_mw);
+  // Speculative routers on multicast traffic throttle redundant copies.
+  EXPECT_GT(result.throttled_flits, 0u);
+  EXPECT_EQ(result.throttled_flits, expected.throttled);
+  EXPECT_EQ(result.broadcast_ops, expected.broadcasts);
+  EXPECT_EQ(rig.events(), reference.net().executed());
+}
+
+TEST(ProtocolTest, RunGridBuildsASequentialNetworkWhenTheProtocolAsks) {
+  // The power protocol refuses a partitioned network, so under a threaded
+  // config run_grid must build its networks with sim_threads = 1.
+  core::NetworkConfig threaded;
+  threaded.sim_threads = 2;
+  ASSERT_TRUE(core::MotNetwork(Architecture::kOptHybridSpeculative, threaded)
+                  .net()
+                  .partitioned());
+  stats::PowerSpec spec;
+  spec.arch = Architecture::kOptHybridSpeculative;
+  spec.bench = traffic::BenchmarkId::kMulticast10;
+  spec.injected_flits_per_ns = 0.1;
+  spec.windows = {.warmup = 100_ns, .measure = 500_ns};
+  ASSERT_TRUE(stats::PowerProtocol::sequential(spec));
+  const auto run = [&](const core::NetworkConfig& cfg) {
+    stats::ExperimentRunner runner(cfg, 42);
+    const auto outcomes =
+        runner.run_grid<stats::PowerProtocol>({spec}, {.jobs = 1});
+    EXPECT_EQ(outcomes.size(), 1u);
+    EXPECT_TRUE(outcomes[0].run.ok) << outcomes[0].run.error;
+    return outcomes[0].result;
+  };
+  const stats::PowerResult sequential = run(core::NetworkConfig{});
+  const stats::PowerResult from_threaded = run(threaded);
+  EXPECT_GT(sequential.power_mw, 0.0);
+  EXPECT_EQ(from_threaded.power_mw, sequential.power_mw);
+  EXPECT_EQ(from_threaded.delivered_flits_per_ns,
+            sequential.delivered_flits_per_ns);
+  EXPECT_EQ(from_threaded.broadcast_ops, sequential.broadcast_ops);
 }
 
 }  // namespace
