@@ -17,6 +17,7 @@
 
 #include "bench_common.h"
 #include "core/registry.h"
+#include "mot/addressing.h"
 #include "stats/experiment.h"
 
 using namespace specnoc;

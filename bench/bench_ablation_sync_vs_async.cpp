@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/mot_network.h"
 #include "core/registry.h"
 #include "stats/experiment.h"
 

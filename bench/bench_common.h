@@ -30,7 +30,6 @@
 #include "core/config.h"
 #include "core/registry.h"
 #include "noc/partition.h"
-#include "sim/parallel_runner.h"
 #include "sim/shard.h"
 #include "stats/experiment.h"
 #include "stats/sweep.h"
@@ -155,7 +154,8 @@ inline HarnessOptions parse_args(
   bool list_arch = false;
   cli.add_flag("--list-arch", &list_arch,
                "list the registered network architectures and exit (the "
-               "canonical set; harnesses may register design points later)");
+               "canonical MoTs and the 2D meshes; harnesses may register "
+               "design points later)");
   std::string telemetry_out;
   if (flags == Flags::kGrid) {
     cli.add_string("--metrics", &sweep.metrics_path,
@@ -270,69 +270,33 @@ inline void emit(const Table& table, const std::string& title,
 
 inline void note(const std::string& text) { std::cout << text << "\n"; }
 
-/// Runs protocol P once on a network the harness built itself, outside any
-/// grid and collecting nothing: for networks no spec can name, such as the
-/// 2D mesh. The network must be fresh; it keeps the run's event count.
-template <stats::Protocol P>
-typename P::Result run_on(noc::MessageNetwork& network,
-                          const typename P::Spec& spec, std::uint64_t seed) {
-  stats::ProbeRig rig(/*collect=*/false, {});
-  return P::run(spec, {network, seed, {}, rig});
-}
-
-/// Accumulates per-run telemetry rows; emitted only under --telemetry.
+/// The per-run table (--telemetry) over every cell the sweep handed back.
 /// A failed run shows its (truncated) error in place of numbers, so one bad
 /// cell is visible without poisoning the batch.
-class TelemetryTable {
- public:
-  void add(const std::string& label, const sim::RunOutcome& run) {
-    rows_.push_back({label, run});
-    events_total_ += run.telemetry.events_executed;
-    wall_total_ms_ += run.telemetry.wall_ms;
-    if (!run.ok) ++failures_;
-  }
-
-  std::uint64_t failures() const { return failures_; }
-
-  void emit(const std::string& title, const HarnessOptions& opts) const {
-    if (!opts.telemetry) return;
-    Table table({"Run", "Status", "Attempts", "Events", "Wall (ms)"});
-    for (const auto& row : rows_) {
-      if (row.run.ok) {
-        table.add_row({row.label, "ok",
-                       std::to_string(row.run.telemetry.attempts),
-                       std::to_string(row.run.telemetry.events_executed),
-                       cell(row.run.telemetry.wall_ms, 1)});
-      } else {
-        table.add_row({row.label, "FAIL: " + row.run.error.substr(0, 40),
-                       std::to_string(row.run.telemetry.attempts), "-", "-"});
-      }
-    }
-    table.add_row({"total",
-                   failures_ == 0 ? "ok"
-                                  : std::to_string(failures_) + " failed",
-                   "-", std::to_string(events_total_),
-                   cell(wall_total_ms_, 1)});
-    bench::emit(table, title + " (per-run telemetry)", opts);
-  }
-
- private:
-  struct Row {
-    std::string label;
-    sim::RunOutcome run;
-  };
-  std::vector<Row> rows_;
-  std::uint64_t events_total_ = 0;
-  double wall_total_ms_ = 0.0;
-  std::uint64_t failures_ = 0;
-};
-
-/// The per-run table (--telemetry) over every cell the sweep handed back.
 inline void emit_runs(const stats::ShardedSweep& sweep,
                       const std::string& title, const HarnessOptions& opts) {
-  TelemetryTable table;
-  for (const auto& [label, run] : sweep.runs()) table.add(label, run);
-  table.emit(title, opts);
+  if (!opts.telemetry) return;
+  Table table({"Run", "Status", "Attempts", "Events", "Wall (ms)"});
+  std::uint64_t events_total = 0;
+  double wall_total_ms = 0.0;
+  std::uint64_t failures = 0;
+  for (const auto& [label, run] : sweep.runs()) {
+    events_total += run.telemetry.events_executed;
+    wall_total_ms += run.telemetry.wall_ms;
+    if (run.ok) {
+      table.add_row({label, "ok", std::to_string(run.telemetry.attempts),
+                     std::to_string(run.telemetry.events_executed),
+                     cell(run.telemetry.wall_ms, 1)});
+    } else {
+      ++failures;
+      table.add_row({label, "FAIL: " + run.error.substr(0, 40),
+                     std::to_string(run.telemetry.attempts), "-", "-"});
+    }
+  }
+  table.add_row({"total",
+                 failures == 0 ? "ok" : std::to_string(failures) + " failed",
+                 "-", std::to_string(events_total), cell(wall_total_ms, 1)});
+  emit(table, title + " (per-run telemetry)", opts);
 }
 
 }  // namespace specnoc::bench

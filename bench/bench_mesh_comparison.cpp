@@ -5,121 +5,79 @@
 // packet size, NI delays, and wire-delay constants, and driven by the same
 // benchmarks and measurement protocols. Reported: zero-ish-load latency,
 // saturation throughput, switch area, and the serial-vs-tree multicast gap
-// on each topology.
-#include <memory>
-
+// on each topology. The meshes are core::ArchitectureRegistry entries, so
+// every row is a plain spec and both grids shard like any other sweep.
 #include "bench_common.h"
 #include "core/mot_network.h"
 #include "mesh/mesh_network.h"
 
 using namespace specnoc;
 using specnoc::bench::HarnessOptions;
-using specnoc::bench::run_on;
 using namespace specnoc::literals;
-
-namespace {
-
-using NetworkMaker = std::function<std::unique_ptr<noc::MessageNetwork>()>;
-
-struct Measured {
-  double saturation = 0.0;
-  double latency_ns = 0.0;
-  std::uint64_t events = 0;
-};
-
-// Saturation (backlogged) and latency at a fixed light load (0.2
-// flits/ns/source, for a like-for-like zero-ish-load comparison across
-// topologies), each on its own fresh network.
-Measured measure(const NetworkMaker& make, traffic::BenchmarkId bench,
-                 std::uint64_t seed) {
-  const auto saturation_net = make();
-  const auto latency_net = make();
-  stats::SaturationSpec saturation;
-  saturation.bench = bench;
-  stats::LatencySpec latency;
-  latency.bench = bench;
-  latency.injected_flits_per_ns = 0.2;
-  latency.windows = {.warmup = 300_ns, .measure = 2000_ns};
-  Measured out;
-  out.saturation =
-      run_on<stats::SaturationProtocol>(*saturation_net, saturation, seed)
-          .delivered_flits_per_ns;
-  out.latency_ns = run_on<stats::LatencyProtocol>(*latency_net, latency, seed)
-                       .mean_latency_ns;
-  out.events = saturation_net->net().executed() + latency_net->net().executed();
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const HarnessOptions opts = specnoc::bench::parse_args(
       argc, argv, "bench_mesh_comparison",
-      "MoT vs mesh: saturation, latency, and cost comparison.");
+      "MoT vs mesh: saturation, latency, and cost comparison.",
+      specnoc::bench::Flags::kGrid);
+  core::NetworkConfig cfg;
+  cfg.n = 16;  // the meshes derive their 4x4 shape from the radix
+  stats::ShardedSweep sweep = specnoc::bench::make_sweep(opts, cfg);
 
-  core::NetworkConfig mot_cfg;
-  mot_cfg.n = 16;
-  mesh::MeshConfig mesh_cfg;  // 4x4 = 16 endpoints
-  mesh::MeshConfig mesh_serial_cfg;
-  mesh_serial_cfg.multicast = mesh::MulticastMode::kSerial;
-
-  struct RowSpec {
+  struct Row {
     const char* name;
-    NetworkMaker make;
+    core::Architecture arch;
+    const char* custom;  ///< registry entry of a mesh row, else empty
   };
-  const RowSpec rows[] = {
-      {"MoT-16 OptHybridSpeculative",
-       [&] {
-         return std::make_unique<core::MotNetwork>(
-             core::Architecture::kOptHybridSpeculative, mot_cfg);
-       }},
-      {"MoT-16 Baseline (serial mcast)",
-       [&] {
-         return std::make_unique<core::MotNetwork>(
-             core::Architecture::kBaseline, mot_cfg);
-       }},
-      {"Mesh-4x4 tree mcast",
-       [&] { return std::make_unique<mesh::MeshNetwork>(mesh_cfg); }},
-      {"Mesh-4x4 serial mcast",
-       [&] { return std::make_unique<mesh::MeshNetwork>(mesh_serial_cfg); }},
+  const Row rows[] = {
+      {"MoT-16 OptHybridSpeculative", core::Architecture::kOptHybridSpeculative,
+       ""},
+      {"MoT-16 Baseline (serial mcast)", core::Architecture::kBaseline, ""},
+      {"Mesh-4x4 tree mcast", core::Architecture::kCustomHybrid, "MeshXY"},
+      {"Mesh-4x4 serial mcast", core::Architecture::kCustomHybrid,
+       "MeshXYSerial"},
   };
-
   const traffic::BenchmarkId benches[] = {
       traffic::BenchmarkId::kUniformRandom,
       traffic::BenchmarkId::kMulticast10,
       traffic::BenchmarkId::kMulticastStatic,
   };
 
-  // The 12 (network, benchmark) cells are independent simulations; run them
-  // on the work-stealing pool and collect results keyed by cell index.
-  constexpr std::size_t kNumRows = std::size(rows);
-  constexpr std::size_t kNumBenches = std::size(benches);
-  Measured grid[kNumRows][kNumBenches] = {};
-  const sim::ParallelRunner pool({.jobs = opts.jobs});
-  const auto runs =
-      pool.run(kNumRows * kNumBenches, [&](std::size_t index) {
-        Measured& out = grid[index / kNumBenches][index % kNumBenches];
-        out = measure(rows[index / kNumBenches].make,
-                      benches[index % kNumBenches], opts.seed);
-        return out.events;
-      });
-  specnoc::bench::TelemetryTable telemetry;
-  for (std::size_t index = 0; index < runs.size(); ++index) {
-    telemetry.add(std::string(rows[index / kNumBenches].name) + "/" +
-                      traffic::to_string(benches[index % kNumBenches]),
-                  runs[index]);
+  // Saturation (backlogged) and latency at a fixed light load (0.2
+  // flits/ns/source, for a like-for-like zero-ish-load comparison across
+  // topologies), row-major over (network, benchmark).
+  std::vector<stats::SaturationSpec> saturation;
+  std::vector<stats::LatencySpec> latency;
+  for (const auto& row : rows) {
+    for (const auto bench : benches) {
+      saturation.push_back(
+          {.arch = row.arch, .bench = bench, .seed = 0, .custom = row.custom});
+      latency.push_back({.arch = row.arch,
+                         .bench = bench,
+                         .injected_flits_per_ns = 0.2,
+                         .windows = {.warmup = 300_ns, .measure = 2000_ns},
+                         .seed = 0,
+                         .custom = row.custom});
+    }
   }
+  const auto sat_out =
+      sweep.grid<stats::SaturationProtocol>("saturation", saturation);
+  const auto lat_out = sweep.grid<stats::LatencyProtocol>("latency", latency);
+  if (!sweep.should_render()) return sweep.finish();
 
   Table sat({"Network", "Uniform sat", "Mcast10 sat", "Mcast_static sat"});
   Table lat({"Network", "Uniform lat (ns)", "Mcast10 lat (ns)",
              "Mcast_static lat (ns)"});
-  for (std::size_t r = 0; r < kNumRows; ++r) {
-    std::vector<std::string> sat_row{rows[r].name};
-    std::vector<std::string> lat_row{rows[r].name};
-    for (std::size_t b = 0; b < kNumBenches; ++b) {
-      const bool ok = runs[r * kNumBenches + b].ok;
-      sat_row.push_back(ok ? cell(grid[r][b].saturation, 2) : "FAIL");
-      lat_row.push_back(ok ? cell(grid[r][b].latency_ns, 2) : "FAIL");
+  std::size_t cursor = 0;
+  for (const auto& row : rows) {
+    std::vector<std::string> sat_row{row.name};
+    std::vector<std::string> lat_row{row.name};
+    for ([[maybe_unused]] const auto bench : benches) {
+      const auto& s = sat_out[cursor];
+      const auto& l = lat_out[cursor++];
+      sat_row.push_back(
+          s.run.ok ? cell(s.result.delivered_flits_per_ns, 2) : "FAIL");
+      lat_row.push_back(l.run.ok ? cell(l.result.mean_latency_ns, 2) : "FAIL");
     }
     sat.add_row(std::move(sat_row));
     lat.add_row(std::move(lat_row));
@@ -132,20 +90,21 @@ int main(int argc, char** argv) {
                        opts);
 
   Table area({"Network", "Switch area (um^2)", "Hops (min..max)"});
-  area.add_row({"MoT-16 OptHybridSpeculative",
-                cell(core::MotNetwork(core::Architecture::kOptHybridSpeculative,
-                                      mot_cfg)
-                         .total_node_area(),
-                     0),
-                "8..8"});
+  area.add_row(
+      {"MoT-16 OptHybridSpeculative",
+       cell(core::MotNetwork(core::Architecture::kOptHybridSpeculative, cfg)
+                .total_node_area(),
+            0),
+       "8..8"});
   area.add_row({"Mesh-4x4",
-                cell(mesh::MeshNetwork(mesh_cfg).total_node_area(), 0),
+                cell(mesh::MeshNetwork(mesh::MeshConfig{}).total_node_area(),
+                     0),
                 "1..7"});
   specnoc::bench::emit(area, "Cost comparison", opts);
   specnoc::bench::note(
       "The MoT's constant log-depth paths give it flat latency and high "
       "multicast saturation; the mesh wins on switch area at this size but "
       "pays distance-dependent latency and serializes at hot rows/columns.");
-  telemetry.emit("MoT vs mesh grid", opts);
-  return telemetry.failures() == 0 ? 0 : 1;
+  specnoc::bench::emit_runs(sweep, "MoT vs mesh grid", opts);
+  return sweep.finish();
 }

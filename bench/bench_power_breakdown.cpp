@@ -5,6 +5,7 @@
 // network interfaces, and wires, plus the redundant-activity counters that
 // explain the speculation overheads (throttled flits, broadcast ops).
 #include "bench_common.h"
+#include "core/mot_network.h"
 #include "power/power_meter.h"
 #include "stats/recorder.h"
 #include "stats/experiment.h"

@@ -190,13 +190,12 @@ int main(int argc, char** argv) {
       }
     }
   }
-  // The pooled-spill claim, enforced: with pooling on, a raw allocation
-  // happens only when every previously allocated block is live, so the
-  // process-wide raw-allocation count can never exceed the high-water mark
-  // of simultaneously outstanding blocks. Unbounded raw spills (a leak or
-  // a pool bypass) break this immediately.
-  if (noc::DestSet::spill_pooling() &&
-      noc::DestSet::spill_allocations() > noc::DestSet::spill_high_water()) {
+  // The pooled-spill claim, enforced: a raw allocation happens only when
+  // every previously allocated block is live, so the process-wide
+  // raw-allocation count can never exceed the high-water mark of
+  // simultaneously outstanding blocks. Unbounded raw spills (a leak or a
+  // pool bypass) break this immediately.
+  if (noc::DestSet::spill_allocations() > noc::DestSet::spill_high_water()) {
     std::fprintf(
         stderr,
         "bench_radix: %llu raw spill allocations exceed the outstanding "

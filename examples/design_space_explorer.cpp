@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/registry.h"
+#include "mot/addressing.h"
 #include "stats/experiment.h"
 #include "stats/sweep.h"
 #include "util/cli.h"

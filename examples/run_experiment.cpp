@@ -169,17 +169,20 @@ std::optional<typename P::Result> run_single(
 /// saturation (run first); nothing when that saturation run failed.
 std::optional<double> commanded_rate(const stats::ExperimentRunner& runner,
                                      const Options& opts,
-                                     core::Architecture anchor,
-                                     traffic::BenchmarkId bench) {
+                                     const stats::SaturationSpec& anchor) {
   if (opts.rate > 0.0) return opts.rate;
-  const auto sat = run_single<stats::SaturationProtocol>(
-      runner, {.arch = anchor, .bench = bench, .seed = 0, .custom = {}});
+  const auto sat = run_single<stats::SaturationProtocol>(runner, anchor);
   if (!sat) return std::nullopt;
   return stats::operating_rate(*sat, opts.fraction);
 }
 
 int run(const Options& opts) {
-  const auto arch = core::architecture_from_string(opts.arch);
+  // --arch is any registry name: a spec carries the architecture the entry
+  // reports, plus the name itself when the entry is not canonical.
+  const auto& registry = core::ArchitectureRegistry::global();
+  const auto arch = registry.reported(opts.arch);
+  const std::string custom =
+      opts.arch == core::to_string(arch) ? std::string() : opts.arch;
   const auto bench = traffic::benchmark_from_string(opts.bench);
   core::NetworkConfig cfg;
   cfg.n = opts.n;
@@ -204,10 +207,11 @@ int run(const Options& opts) {
     cfg.sim_threads = 1;
   }
   stats::ExperimentRunner runner(cfg, opts.seed);
+  const stats::SaturationSpec saturation{
+      .arch = arch, .bench = bench, .seed = 0, .custom = custom};
 
   if (opts.mode == "saturation") {
-    const auto sat = run_single<stats::SaturationProtocol>(
-        runner, {.arch = arch, .bench = bench, .seed = 0, .custom = {}});
+    const auto sat = run_single<stats::SaturationProtocol>(runner, saturation);
     if (!sat) return 1;
     std::printf("%s / %s (n=%u%s)\n", opts.arch.c_str(), opts.bench.c_str(),
                 opts.n, opts.clock ? ", clocked" : "");
@@ -221,7 +225,7 @@ int run(const Options& opts) {
   }
   if (opts.mode == "latency") {
     // --fraction is of this network's own saturation.
-    const auto rate = commanded_rate(runner, opts, arch, bench);
+    const auto rate = commanded_rate(runner, opts, saturation);
     if (!rate) return 1;
     const auto result = run_single<stats::LatencyProtocol>(
         runner, {.arch = arch,
@@ -229,7 +233,7 @@ int run(const Options& opts) {
                  .injected_flits_per_ns = *rate,
                  .windows = traffic::default_windows(bench),
                  .seed = 0,
-                 .custom = {}});
+                 .custom = custom});
     if (!result) return 1;
     if (opts.rate > 0.0) {
       std::printf("%s / %s at %.3f flits/ns/src\n", opts.arch.c_str(),
@@ -249,8 +253,11 @@ int run(const Options& opts) {
   }
   if (opts.mode == "power") {
     // --fraction is of the Baseline's saturation, for every network.
-    const auto rate =
-        commanded_rate(runner, opts, core::Architecture::kBaseline, bench);
+    const auto rate = commanded_rate(runner, opts,
+                                     {.arch = core::Architecture::kBaseline,
+                                      .bench = bench,
+                                      .seed = 0,
+                                      .custom = {}});
     if (!rate) return 1;
     const auto result = run_single<stats::PowerProtocol>(
         runner, {.arch = arch,
@@ -258,7 +265,7 @@ int run(const Options& opts) {
                  .injected_flits_per_ns = *rate,
                  .windows = traffic::default_windows(bench),
                  .seed = 0,
-                 .custom = {}});
+                 .custom = custom});
     if (!result) return 1;
     std::printf("%s / %s\n", opts.arch.c_str(), opts.bench.c_str());
     std::printf("  total power: %.2f mW (nodes %.2f + wires %.2f)\n",
@@ -285,8 +292,9 @@ int run(const Options& opts) {
                   cfg.flits_per_packet, opts.seed)
             : workload::load_trace(opts.workload_path));
     const auto mode = workload::replay_mode_from_string(opts.replay_mode);
-    const stats::WorkloadSpec spec =
+    stats::WorkloadSpec spec =
         stats::make_workload_spec(arch, trace->meta.generator, mode, trace);
+    spec.custom = custom;
     if (!opts.dump_path.empty()) {
       workload::save_trace(*trace, opts.dump_path);
       std::printf("wrote %zu-message trace to %s (hash %s)\n",
@@ -322,23 +330,24 @@ int run(const Options& opts) {
       std::fprintf(stderr, "capture mode needs --dump-trace FILE\n");
       return 2;
     }
-    core::MotNetwork network(arch, cfg);
-    workload::TraceRecorder capture(network.net().packets(), cfg.n,
+    const auto network = registry.build(opts.arch, cfg);
+    noc::Network& net = network->net();
+    workload::TraceRecorder capture(net.packets(), cfg.n,
                                     std::string("capture:") + opts.bench);
-    stats::TrafficRecorder recorder(network.net().packets());
-    noc::TeeTrafficObserver tee{&capture, &recorder};
-    network.net().hooks().traffic = &tee;
+    stats::TrafficRecorder recorder(net.packets());
+    capture.set_downstream(&recorder);
+    net.hooks().traffic = &capture;
     auto pattern = traffic::make_benchmark(bench, cfg.n);
     traffic::DriverConfig dcfg;
     dcfg.mode = traffic::InjectionMode::kOpenLoop;
     dcfg.flits_per_ns_per_source = opts.rate > 0.0 ? opts.rate : 0.3;
     dcfg.seed = opts.seed;
-    traffic::TrafficDriver driver(network, *pattern, dcfg);
+    traffic::TrafficDriver driver(*network, *pattern, dcfg);
     driver.set_measured(true);
     recorder.open_window(0);
     driver.start();
-    network.scheduler().run_until(opts.horizon);
-    recorder.close_window(network.scheduler().now());
+    net.run_until(opts.horizon);
+    recorder.close_window(net.now());
     const workload::Trace trace = capture.trace();
     workload::save_trace(trace, opts.dump_path);
     std::printf("captured %zu messages (%llu flits delivered, %lld ns) to "
@@ -361,11 +370,12 @@ int run(const Options& opts) {
       std::fprintf(stderr, "cannot open %s\n", opts.perfetto_path.c_str());
       return 2;
     }
-    core::MotNetwork network(arch, cfg);
+    const auto network = registry.build(opts.arch, cfg);
+    noc::Network& net = network->net();
     stats::PerfettoTracer perfetto;
-    network.net().hooks().traffic = &perfetto;
-    network.net().hooks().energy = &perfetto;
-    network.net().hooks().metrics = &perfetto;
+    net.hooks().traffic = &perfetto;
+    net.hooks().energy = &perfetto;
+    net.hooks().metrics = &perfetto;
     std::unique_ptr<stats::TelemetrySampler> sampler;
     stats::MetricsRegistry telemetry_registry;
     noc::TeeMetricsObserver metrics_tee;
@@ -377,17 +387,17 @@ int run(const Options& opts) {
       // tracer's own metrics instants.
       metrics_tee.add(&perfetto);
       metrics_tee.add(&telemetry_registry);
-      network.net().hooks().metrics = &metrics_tee;
-      sampler->arm(network.net(), telemetry_registry);
+      net.hooks().metrics = &metrics_tee;
+      sampler->arm(net, telemetry_registry);
     }
     auto pattern = traffic::make_benchmark(bench, cfg.n);
     traffic::DriverConfig dcfg;
     dcfg.mode = traffic::InjectionMode::kOpenLoop;
     dcfg.flits_per_ns_per_source = opts.rate > 0.0 ? opts.rate : 0.3;
     dcfg.seed = opts.seed;
-    traffic::TrafficDriver driver(network, *pattern, dcfg);
+    traffic::TrafficDriver driver(*network, *pattern, dcfg);
     driver.start();
-    network.scheduler().run_until(opts.horizon);
+    net.run_until(opts.horizon);
     if (sampler != nullptr) {
       stats::TelemetrySeries series = sampler->finish();
       std::printf("sampled %zu telemetry epochs (%llu ps period)\n",

@@ -3,9 +3,10 @@
 // The Architecture enum is closed: it names the six networks the paper
 // evaluates (plus kCustomHybrid as an escape hatch), and every harness
 // used to dispatch on it directly. The registry replaces that closed
-// dispatch with a process-wide table so new design points — or entirely
-// third-party MessageNetwork implementations wrapped in a MotNetwork
-// builder — plug into every harness and sharded sweep for free:
+// dispatch with a process-wide table of noc::MessageNetwork builders, so
+// new design points and other topologies (the 2D-mesh variants are seeded
+// next to the six canonical MoTs) plug into every harness and sharded
+// sweep for free:
 //
 //  * Harnesses register design points under stable labels (e.g. the
 //    speculation-level set "{0,2}") and put only the label in their
@@ -31,15 +32,15 @@
 
 #include "core/architecture.h"
 #include "core/config.h"
-#include "core/mot_network.h"
+#include "noc/message_network.h"
 
 namespace specnoc::core {
 
 /// Builds a fresh network for one run under the caller's config. Every
 /// measurement constructs its own network, so builders must be safe to
 /// invoke repeatedly and from worker threads.
-using NetworkBuilder =
-    std::function<std::unique_ptr<MotNetwork>(const NetworkConfig&)>;
+using NetworkBuilder = std::function<std::unique_ptr<noc::MessageNetwork>(
+    const NetworkConfig&)>;
 
 class ArchitectureRegistry {
  public:
@@ -52,7 +53,13 @@ class ArchitectureRegistry {
   };
 
   /// A fresh registry seeded with the six canonical architectures under
-  /// their to_string() names.
+  /// their to_string() names, plus the 2D-mesh variants: "MeshXY" (XY
+  /// tree multicast), "MeshXYSerial" (one unicast per destination),
+  /// "MeshSpecCheckerboard" and "MeshSpecSparse" (speculative routers at
+  /// even x+y, or at even x and even y). A mesh entry derives its shape
+  /// from config.n — the squarest power-of-two grid, cols >= rows (4x2 at
+  /// 8, 4x4 at 16, 8x8 at 64) — and takes only flits_per_packet,
+  /// clock_period, sim_threads and partition from the config.
   ArchitectureRegistry();
 
   /// The process-wide instance every ExperimentRunner consults.
@@ -78,8 +85,8 @@ class ArchitectureRegistry {
 
   /// Looks up `name` and builds a network. Throws ConfigError for
   /// unknown names, listing what is registered.
-  std::unique_ptr<MotNetwork> build(const std::string& name,
-                                    const NetworkConfig& config) const;
+  std::unique_ptr<noc::MessageNetwork> build(
+      const std::string& name, const NetworkConfig& config) const;
 
   /// The architecture `name` reports in spec identity.
   Architecture reported(const std::string& name) const;

@@ -188,6 +188,16 @@ std::uint64_t MeshNetwork::checkerboard_speculation(
   return mask;
 }
 
+std::uint64_t MeshNetwork::sparse_speculation(const MeshTopology& topology) {
+  std::uint64_t mask = 0;
+  for (std::uint32_t id = 0; id < topology.n(); ++id) {
+    if (topology.x_of(id) % 2 == 0 && topology.y_of(id) % 2 == 0) {
+      mask |= std::uint64_t{1} << id;
+    }
+  }
+  return mask;
+}
+
 AreaUm2 MeshNetwork::total_node_area() const {
   AreaUm2 total = 0.0;
   for (const auto& node : net_.nodes()) {

@@ -68,7 +68,7 @@ class MeshNetwork final : public noc::MessageNetwork {
 
   MeshRouter& router(std::uint32_t id) { return *routers_.at(id); }
   bool speculative(std::uint32_t id) const {
-    return (config_.speculative_routers >> id) & 1u;
+    return id < 64 && ((config_.speculative_routers >> id) & 1u);
   }
 
   /// Sum of characterized switch areas.
@@ -77,6 +77,8 @@ class MeshNetwork final : public noc::MessageNetwork {
   /// Maximum-density legal speculative placement: routers with even x+y
   /// (a checkerboard), guaranteeing every neighbor is non-speculative.
   static std::uint64_t checkerboard_speculation(const MeshTopology& topology);
+  /// A quarter-density legal placement: routers with even x and even y.
+  static std::uint64_t sparse_speculation(const MeshTopology& topology);
 
  private:
   void build();

@@ -13,7 +13,6 @@ namespace {
 std::atomic<std::uint64_t> g_spill_allocations{0};
 std::atomic<std::uint64_t> g_spill_bytes{0};
 std::atomic<std::uint64_t> g_spill_reuses{0};
-std::atomic<bool> g_spill_pooling{true};
 
 // Outstanding blocks and their high-water mark, tracked *per word count*:
 // the freelists are size-segregated, so the bound "raw allocations never
@@ -62,13 +61,6 @@ std::uint64_t DestSet::spill_high_water() {
   }
   return total;
 }
-void DestSet::set_spill_pooling(bool enabled) {
-  g_spill_pooling.store(enabled, std::memory_order_relaxed);
-}
-bool DestSet::spill_pooling() {
-  return g_spill_pooling.load(std::memory_order_relaxed);
-}
-
 void DestSet::trim_spill_pool() {
   SpillPool& pool = spill_pool();
   const std::lock_guard<std::mutex> lock(pool.mu);
@@ -78,6 +70,12 @@ void DestSet::trim_spill_pool() {
     while (block != nullptr) {
       std::uint64_t* next = std::bit_cast<std::uint64_t*>(block[0]);
       delete[] block;
+      // A freed block leaves the pool's footprint, so a later raw
+      // allocation replacing it keeps spill_allocations() <=
+      // spill_high_water().
+      g_spill_allocations.fetch_sub(1, std::memory_order_relaxed);
+      g_spill_bytes.fetch_sub(std::uint64_t{words} * sizeof(std::uint64_t),
+                              std::memory_order_relaxed);
       block = next;
     }
   }
@@ -86,7 +84,7 @@ void DestSet::trim_spill_pool() {
 std::uint64_t* DestSet::acquire_block(std::uint32_t words) {
   SPECNOC_EXPECTS(words >= 2 && words <= kMaxWords);
   std::uint64_t* block = nullptr;
-  if (g_spill_pooling.load(std::memory_order_relaxed)) {
+  {
     SpillPool& pool = spill_pool();
     const std::lock_guard<std::mutex> lock(pool.mu);
     block = pool.free_head[words];
@@ -114,14 +112,10 @@ std::uint64_t* DestSet::acquire_block(std::uint32_t words) {
 
 void DestSet::release_block(std::uint64_t* block, std::uint32_t words) {
   g_spill_out_by_words[words].fetch_sub(1, std::memory_order_relaxed);
-  if (g_spill_pooling.load(std::memory_order_relaxed)) {
-    SpillPool& pool = spill_pool();
-    const std::lock_guard<std::mutex> lock(pool.mu);
-    block[0] = std::bit_cast<std::uint64_t>(pool.free_head[words]);
-    pool.free_head[words] = block;
-    return;
-  }
-  delete[] block;
+  SpillPool& pool = spill_pool();
+  const std::lock_guard<std::mutex> lock(pool.mu);
+  block[0] = std::bit_cast<std::uint64_t>(pool.free_head[words]);
+  pool.free_head[words] = block;
 }
 
 void DestSet::copy_from(const DestSet& other) {

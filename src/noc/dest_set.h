@@ -369,17 +369,16 @@ class DestSet {
   // -- allocation accounting / spill pool ----------------------------------
 
   /// Process-wide count of *raw* heap spills (operator new[] calls on the
-  /// spill path). With pooling on (the default) a released multi-word block
-  /// goes to a per-word-count freelist and is reused, so this counter is
-  /// the pool's high-water mark of simultaneously live blocks, not the
-  /// multicast traffic volume — bounded for any steady-state workload. With
-  /// pooling off every spill is a raw allocation, restoring the pre-pool
-  /// meaning (the differential tests compare both modes). The zero-alloc CI
-  /// assertion at radix <= 64 is unaffected: inline sets never touch the
-  /// spill path in either mode.
+  /// spill path), less the blocks trim_spill_pool() freed. A released
+  /// multi-word block goes to a per-word-count freelist and is reused, so
+  /// this counter is the pool's high-water mark of simultaneously live
+  /// blocks, not the multicast traffic volume — bounded for any
+  /// steady-state workload. Inline sets (radix <= 64) never touch the
+  /// spill path.
   static std::uint64_t spill_allocations();
   /// Bytes obtained via raw spill allocations (the pool's footprint —
-  /// monotonic, since pooled blocks are recycled rather than freed).
+  /// monotonic between trims, since pooled blocks are recycled rather than
+  /// freed).
   static std::uint64_t spill_bytes();
   /// Freelist hits (spills served without allocating).
   static std::uint64_t spill_reuses();
@@ -387,18 +386,15 @@ class DestSet {
   static std::uint64_t spill_outstanding();
   /// Peak simultaneous demand, summed per block size (the freelists are
   /// size-segregated, so the per-size high-water marks are what bound
-  /// allocations). With pooling on, spill_allocations() <=
-  /// spill_high_water() always holds: a raw allocation of a given size
-  /// happens only when every previously allocated block of that size is
-  /// outstanding — the CI gate.
+  /// allocations). spill_allocations() <= spill_high_water() always
+  /// holds: a raw allocation of a given size happens only when every block
+  /// of that size the pool owns is outstanding — the CI gate.
   static std::uint64_t spill_high_water();
-  /// Toggles pooled spills (default on). Safe at any point: blocks are
-  /// new[]-allocated in both modes, so either mode can release blocks
-  /// acquired under the other.
-  static void set_spill_pooling(bool enabled);
-  static bool spill_pooling();
-  /// Frees every block parked on the freelists (counters keep their
-  /// values). For tests that want a clean heap between modes.
+  /// Frees every block parked on the freelists and takes them off
+  /// spill_allocations()/spill_bytes() (the other counters keep their
+  /// values), so the next spills allocate afresh. For tests that want a
+  /// cold pool; call it between runs, not during one (per-run deltas of
+  /// the two counters assume no trim in between).
   static void trim_spill_pool();
 
  private:

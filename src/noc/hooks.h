@@ -121,7 +121,9 @@ constexpr std::array<NodeOp, 7> all_node_ops() {
           NodeOp::kSinkConsume};
 }
 
-/// Traffic-side events, implemented by the stats layer.
+/// Traffic-side events, implemented by the stats layer. SimHooks holds a
+/// single traffic pointer; observers that want the stream too chain behind
+/// one another (workload::TraceRecorder::set_downstream, for one).
 class TrafficObserver {
  public:
   virtual ~TrafficObserver() = default;
@@ -132,36 +134,6 @@ class TrafficObserver {
 
   /// A packet's header left its source queue and entered the network.
   virtual void on_packet_injected(const Packet& packet, TimePs when) = 0;
-};
-
-/// Fans one traffic-event stream out to several observers, in registration
-/// order (deterministic: observers always see events in the same order).
-/// SimHooks holds a single traffic pointer; point it at a tee when more
-/// than one consumer wants the stream — e.g. a workload::TraceRecorder
-/// capturing a run that a stats::TrafficRecorder is also measuring.
-class TeeTrafficObserver final : public TrafficObserver {
- public:
-  TeeTrafficObserver() = default;
-  TeeTrafficObserver(std::initializer_list<TrafficObserver*> observers)
-      : observers_(observers) {}
-
-  void add(TrafficObserver* observer) { observers_.push_back(observer); }
-
-  void on_flit_ejected(const Packet& packet, std::uint32_t dest, FlitKind kind,
-                       TimePs when) override {
-    for (TrafficObserver* observer : observers_) {
-      observer->on_flit_ejected(packet, dest, kind, when);
-    }
-  }
-
-  void on_packet_injected(const Packet& packet, TimePs when) override {
-    for (TrafficObserver* observer : observers_) {
-      observer->on_packet_injected(packet, when);
-    }
-  }
-
- private:
-  std::vector<TrafficObserver*> observers_;
 };
 
 /// Switching-activity events, implemented by the power layer.
@@ -218,10 +190,11 @@ class MetricsObserver {
 };
 
 /// Fans one metrics-event stream out to several observers, in registration
-/// order (deterministic, like TeeTrafficObserver). SimHooks holds a single
-/// metrics pointer; point it at a tee when more than one consumer wants the
-/// stream — e.g. a stats::MetricsRegistry aggregating run totals while a
-/// stats::TelemetrySampler slices the same events into time epochs.
+/// order (deterministic: observers always see events in the same order).
+/// SimHooks holds a single metrics pointer; point it at a tee when more
+/// than one consumer wants the stream — e.g. a stats::MetricsRegistry
+/// aggregating run totals while a stats::TelemetrySampler slices the same
+/// events into time epochs.
 class TeeMetricsObserver final : public MetricsObserver {
  public:
   TeeMetricsObserver() = default;

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 
+#include "noc/hooks.h"
 #include "power/energy_model.h"
 
 namespace specnoc::power {
@@ -49,8 +50,8 @@ class PowerMeter final : public noc::EnergyObserver {
   TimePs window_end_ = 0;
   bool window_open_ = false;
   bool window_closed_ = false;
-  std::array<std::uint64_t, 8> window_op_counts_{};
-  std::array<EnergyFj, 8> window_kind_energy_{};
+  std::array<std::uint64_t, noc::all_node_ops().size()> window_op_counts_{};
+  std::array<EnergyFj, noc::all_node_kinds().size()> window_kind_energy_{};
   std::uint64_t window_channel_flits_ = 0;
 };
 

@@ -5,7 +5,6 @@
 #include <mutex>
 #include <string>
 
-#include "core/mot_network.h"
 #include "core/registry.h"
 
 namespace specnoc::stats {
@@ -69,10 +68,8 @@ std::unique_ptr<noc::MessageNetwork> ExperimentRunner::build_network(
     bool sequential) const {
   const core::NetworkConfig config =
       sequential ? config_.sequential() : config_;
-  if (!custom.empty()) {
-    return core::ArchitectureRegistry::global().build(custom, config);
-  }
-  return std::make_unique<core::MotNetwork>(arch, config);
+  return core::ArchitectureRegistry::global().build(
+      custom.empty() ? core::to_string(arch) : custom, config);
 }
 
 std::vector<sim::RunOutcome> ExperimentRunner::run_cells(

@@ -88,11 +88,11 @@ class ExperimentRunner {
   }
 
  private:
-  /// Builds a spec's network, fresh for every run so runs are independent
-  /// and deterministic: a non-empty `custom` label is built by the
-  /// process-wide ArchitectureRegistry, otherwise the architecture's
-  /// canonical network. `sequential` builds it with sim_threads = 1
-  /// regardless of config_.
+  /// Builds a spec's network from the process-wide ArchitectureRegistry,
+  /// fresh for every run so runs are independent and deterministic: the
+  /// entry a non-empty `custom` label names, otherwise the architecture's
+  /// canonical one. `sequential` builds it with sim_threads = 1 regardless
+  /// of config_.
   std::unique_ptr<noc::MessageNetwork> build_network(
       core::Architecture arch, const std::string& custom,
       bool sequential) const;

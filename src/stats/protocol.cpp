@@ -124,8 +124,4 @@ std::string bench_key(const char* tag, core::Architecture arch,
                      custom);
 }
 
-std::string bench_label(core::Architecture arch, traffic::BenchmarkId bench) {
-  return std::string(core::to_string(arch)) + "/" + traffic::to_string(bench);
-}
-
 }  // namespace specnoc::stats

@@ -78,8 +78,8 @@ class ProbeRig {
 
 /// What the runner hands a protocol's worker besides the spec. The worker
 /// measures whatever network it is handed: ExperimentRunner::run_grid
-/// builds a fresh one per run from the spec, and a harness may hand over
-/// any other noc::MessageNetwork (the 2D mesh, say) it built itself.
+/// builds a fresh one per run from the spec's registry entry, a MoT or a
+/// 2D mesh alike, and the worker reads only its endpoints() and net().
 struct RunContext {
   noc::MessageNetwork& network;  ///< fresh, unrun; the worker attaches hooks
   std::uint64_t seed = 0;        ///< the runner's seed
@@ -221,8 +221,20 @@ traffic::SimWindows windows_from_json(const util::Json& json);
 std::string bench_key(const char* tag, core::Architecture arch,
                       traffic::BenchmarkId bench, std::uint64_t seed,
                       const std::string& custom);
-/// "<arch>/<bench>": their harness row label.
-std::string bench_label(core::Architecture arch, traffic::BenchmarkId bench);
+
+/// The network a spec runs on, as row labels and warnings name it: the
+/// registry name in `custom` when set, else the architecture.
+template <typename Spec>
+std::string network_name(const Spec& spec) {
+  return spec.custom.empty() ? std::string(core::to_string(spec.arch))
+                             : spec.custom;
+}
+
+/// "<network>/<bench>": the benchmark-driven protocols' row label.
+template <typename Spec>
+std::string bench_label(const Spec& spec) {
+  return network_name(spec) + "/" + traffic::to_string(spec.bench);
+}
 
 /// The spec fields the benchmark-driven protocols share, in wire order.
 template <typename Spec>

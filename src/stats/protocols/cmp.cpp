@@ -68,7 +68,7 @@ CmpResult CmpProtocol::run(const Spec& spec, const RunContext& context) {
   result.completed = system.finished();
   if (!result.completed) {
     SPECNOC_LOG(kWarn) << "cmp co-simulation did not complete: "
-                       << to_string(spec.arch) << "/"
+                       << network_name(spec) << "/"
                        << access.generator << " retired " << system.retired()
                        << "/" << source.total_accesses();
   }

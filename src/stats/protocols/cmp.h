@@ -68,7 +68,7 @@ struct CmpProtocol {
   /// builds every cmp network sequential.
   static bool sequential(const Spec&) { return true; }
   static std::string label(const Spec& spec) {
-    return std::string(core::to_string(spec.arch)) + "/" + spec.workload;
+    return network_name(spec) + "/" + spec.workload;
   }
   /// Like the workload key, the access-trace hash is part of the identity.
   static std::string spec_key(const Spec& spec) {

@@ -59,8 +59,7 @@ LatencyResult LatencyProtocol::run(const Spec& spec,
   result.drained = recorder.pending_measured() == 0;
   if (!result.drained) {
     SPECNOC_LOG(kWarn) << "latency run did not drain: "
-                       << to_string(spec.arch) << "/"
-                       << to_string(spec.bench)
+                       << bench_label(spec)
                        << " offered=" << spec.injected_flits_per_ns
                        << " pending=" << recorder.pending_measured();
   }

@@ -51,7 +51,7 @@ struct PowerProtocol {
   /// power network sequential.
   static bool sequential(const Spec&) { return true; }
   static std::string label(const Spec& spec) {
-    return bench_label(spec.arch, spec.bench);
+    return bench_label(spec);
   }
   static std::string spec_key(const Spec& spec) {
     return bench_key("pow", spec.arch, spec.bench, spec.seed, spec.custom) +

@@ -56,7 +56,7 @@ WorkloadResult WorkloadProtocol::run(const Spec& spec,
   result.completed = driver.finished();
   if (!result.completed) {
     SPECNOC_LOG(kWarn) << "workload replay did not complete: "
-                       << to_string(spec.arch) << "/"
+                       << network_name(spec) << "/"
                        << trace.meta.generator << " delivered "
                        << result.messages_delivered << "/" << result.messages;
   }

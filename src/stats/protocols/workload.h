@@ -64,8 +64,8 @@ struct WorkloadProtocol {
     return spec.mode == workload::ReplayMode::kClosedLoop;
   }
   static std::string label(const Spec& spec) {
-    return std::string(core::to_string(spec.arch)) + "/" + spec.workload +
-           "/" + workload::to_string(spec.mode);
+    return network_name(spec) + "/" + spec.workload + "/" +
+           workload::to_string(spec.mode);
   }
   /// The trace hash is part of the identity: shards replayed from different
   /// trace bytes hash to different grids, so the merge refuses to mix them.

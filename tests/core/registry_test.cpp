@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <string>
+#include <tuple>
 
+#include "core/mot_network.h"
+#include "mesh/mesh_network.h"
 #include "stats/experiment.h"
 #include "util/error.h"
 
@@ -29,7 +34,8 @@ TEST(ArchitectureRegistryTest, CanonicalBuildersHonorConfig) {
       registry.build(to_string(Architecture::kOptHybridSpeculative), config);
   ASSERT_NE(network, nullptr);
   EXPECT_EQ(network->endpoints(), 16u);
-  EXPECT_EQ(network->architecture(), Architecture::kOptHybridSpeculative);
+  const auto& mot = dynamic_cast<const MotNetwork&>(*network);
+  EXPECT_EQ(mot.architecture(), Architecture::kOptHybridSpeculative);
 }
 
 TEST(ArchitectureRegistryTest, UnknownNameListsRegistered) {
@@ -68,25 +74,92 @@ TEST(ArchitectureRegistryTest, SpeculationLevelEntriesBuildAtAnyRadix) {
   config.n = 16;
   auto network = registry.build("{0,2}", config);
   EXPECT_EQ(network->endpoints(), 16u);
-  EXPECT_EQ(network->architecture(), Architecture::kCustomHybrid);
-  EXPECT_TRUE(network->speculation().speculative(0, 0));
-  EXPECT_FALSE(network->speculation().speculative(1, 0));
-  EXPECT_TRUE(network->speculation().speculative(2, 0));
+  const auto* mot = dynamic_cast<const MotNetwork*>(network.get());
+  ASSERT_NE(mot, nullptr);
+  EXPECT_EQ(mot->architecture(), Architecture::kCustomHybrid);
+  EXPECT_TRUE(mot->speculation().speculative(0, 0));
+  EXPECT_FALSE(mot->speculation().speculative(1, 0));
+  EXPECT_TRUE(mot->speculation().speculative(2, 0));
 
   // Same entry, larger radix: the map is re-derived per build.
   config.n = 64;
   network = registry.build("{0,2}", config);
   EXPECT_EQ(network->endpoints(), 64u);
-  EXPECT_TRUE(network->speculation().speculative(2, 1));
+  mot = dynamic_cast<const MotNetwork*>(network.get());
+  ASSERT_NE(mot, nullptr);
+  EXPECT_TRUE(mot->speculation().speculative(2, 1));
 }
 
 TEST(ArchitectureRegistryTest, NamesAreSortedAndComplete) {
   ArchitectureRegistry registry;
   registry.add_speculation_levels("{1}", {1});
   const auto names = registry.names();
-  EXPECT_EQ(names.size(), all_architectures().size() + 1);
+  // The canonical MoTs, the four seeded meshes and the added entry.
+  EXPECT_EQ(names.size(), all_architectures().size() + 4 + 1);
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
   EXPECT_NE(std::find(names.begin(), names.end(), "{1}"), names.end());
+}
+
+TEST(ArchitectureRegistryTest, MeshEntriesDeriveTheirShapeFromTheRadix) {
+  ArchitectureRegistry registry;
+  NetworkConfig config;
+  config.flits_per_packet = 3;
+  config.clock_period = 600;
+  for (const char* name :
+       {"MeshXY", "MeshXYSerial", "MeshSpecCheckerboard", "MeshSpecSparse"}) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(registry.reported(name), Architecture::kCustomHybrid);
+    const std::tuple<std::uint32_t, std::uint32_t, std::uint32_t> shapes[] =
+        {{8, 4, 2}, {16, 4, 4}, {64, 8, 8}};
+    for (const auto& [n, cols, rows] : shapes) {
+      config.n = n;
+      const auto network = registry.build(name, config);
+      const auto* mesh = dynamic_cast<const mesh::MeshNetwork*>(network.get());
+      ASSERT_NE(mesh, nullptr);
+      EXPECT_EQ(mesh->topology().cols(), cols);
+      EXPECT_EQ(mesh->topology().rows(), rows);
+      EXPECT_EQ(network->endpoints(), n);
+      // The builder maps the packet size and clocking; every other mesh
+      // field keeps its default.
+      EXPECT_EQ(mesh->config().flits_per_packet, 3u);
+      EXPECT_EQ(mesh->config().clock_period, 600);
+      EXPECT_EQ(mesh->config().router_buffer_flits,
+                mesh::MeshConfig{}.router_buffer_flits);
+    }
+  }
+  config.n = 16;
+  const auto mask = [&](const char* name) {
+    const auto network = registry.build(name, config);
+    return dynamic_cast<const mesh::MeshNetwork&>(*network)
+        .config()
+        .speculative_routers;
+  };
+  const mesh::MeshTopology grid(4, 4);
+  EXPECT_EQ(mask("MeshXY"), 0u);
+  EXPECT_EQ(mask("MeshSpecCheckerboard"),
+            mesh::MeshNetwork::checkerboard_speculation(grid));
+  EXPECT_EQ(mask("MeshSpecSparse"),
+            mesh::MeshNetwork::sparse_speculation(grid));
+  EXPECT_EQ(std::popcount(mask("MeshSpecSparse")), 4);
+}
+
+TEST(ArchitectureRegistryTest, MeshEntriesNameThemselvesForAnUnfitRadix) {
+  ArchitectureRegistry registry;
+  NetworkConfig config;
+  const auto error_for = [&](const char* name, std::uint32_t n) {
+    config.n = n;
+    try {
+      registry.build(name, config);
+    } catch (const ConfigError& error) {
+      return std::string(error.what());
+    }
+    return std::string();
+  };
+  EXPECT_NE(error_for("MeshXY", 12).find("MeshXY"), std::string::npos);
+  // A speculative mesh's router mask is 64 bits wide.
+  EXPECT_NE(error_for("MeshSpecSparse", 128).find("MeshSpecSparse"),
+            std::string::npos);
+  EXPECT_EQ(error_for("MeshXY", 128), "");
 }
 
 // The end-to-end contract: a spec that carries a `custom` label — plain

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <bitset>
 #include <cstdint>
 #include <vector>
 
@@ -281,78 +282,106 @@ TEST(DestSetMultiWordTest, CopyAndMovePreserveValue) {
 }
 
 // ---------------------------------------------------------------------------
-// Spill pool: pooled and raw modes must be observably identical, and the
+// Spill pool: a reused block must behave exactly like a fresh one, and the
 // pool's accounting must uphold the boundedness invariant CI gates on.
 
+using Mirror = std::bitset<kMaxEndpoints>;
+
+/// Member-by-member comparison of a DestSet with its bitset mirror.
+void expect_mirrors(const DestSet& set, const Mirror& mirror) {
+  ASSERT_EQ(set.count(), mirror.count());
+  for (std::uint32_t d = 0; d < kMaxEndpoints; ++d) {
+    ASSERT_EQ(set.test(d), mirror.test(d)) << "endpoint " << d;
+  }
+}
+
 /// The randomized multi-word op sequence (the radix-4096 counterpart of the
-/// differential suite above), fingerprinted: every observable output —
-/// membership, algebra results, codec round-trips, hashes — folds into the
-/// returned strings, so two runs agree iff every observable byte agreed.
-std::vector<std::string> spill_op_fingerprint(std::uint64_t seed) {
+/// differential suite above), replayed on a std::bitset mirror and checked
+/// member by member along the way. Spilled copies are made and destroyed
+/// throughout, so a warm pool hands recycled blocks back to the sequence.
+void run_spill_ops_against_mirror(std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<std::string> log;
   DestSet a;
   DestSet b;
+  Mirror ma;
+  Mirror mb;
   for (int op = 0; op < 2000; ++op) {
     const auto d = static_cast<std::uint32_t>(rng.uniform_below(4096));
     switch (rng.uniform_below(8)) {
       case 0:
         a.set(d);
+        ma.set(d);
         break;
       case 1:
         b.set(d);
+        mb.set(d);
         break;
       case 2:
         a.reset(d);
+        ma.reset(d);
         break;
       case 3:
         a |= b;
+        ma |= mb;
         break;
       case 4:
         b &= a;
+        mb &= ma;
         break;
       case 5:
         a.remove(b);
+        ma &= ~mb;
         break;
       case 6: {
         const auto lo = static_cast<std::uint32_t>(rng.uniform_below(4096));
         const auto hi = lo + static_cast<std::uint32_t>(
                                  rng.uniform_below(4097 - lo));
         a = a.subtree_slice({lo, hi}) | b;
+        Mirror slice;
+        for (std::uint32_t i = lo; i < hi; ++i) slice.set(i, ma.test(i));
+        ma = slice | mb;
         break;
       }
       default: {
         DestSet copy = a;  // exercise spill copy + destroy
         copy.set(d);
-        log.push_back(copy.to_hex());
+        Mirror expected = ma;
+        expected.set(d);
+        expect_mirrors(copy, expected);
         break;
       }
     }
     if (op % 97 == 0) {
-      log.push_back(a.to_hex() + "/" + std::to_string(a.hash()) + "/" +
-                    std::to_string(b.count()));
+      expect_mirrors(a, ma);
+      expect_mirrors(b, mb);
       EXPECT_EQ(DestSet::from_hex(a.to_hex()), a);
     }
   }
-  log.push_back(a.to_hex());
-  log.push_back(b.to_hex());
-  return log;
+  expect_mirrors(a, ma);
+  expect_mirrors(b, mb);
 }
 
-TEST(DestSetSpillPoolTest, PooledAndRawModesAreObservablyIdentical) {
-  const bool was_pooling = DestSet::spill_pooling();
-  DestSet::set_spill_pooling(true);
-  const auto pooled = spill_op_fingerprint(0x9001u);
-  DestSet::set_spill_pooling(false);
-  const auto raw = spill_op_fingerprint(0x9001u);
-  DestSet::set_spill_pooling(was_pooling);
+TEST(DestSetSpillPoolTest, ColdAndWarmPoolsMatchABitsetMirror) {
   DestSet::trim_spill_pool();
-  EXPECT_EQ(pooled, raw);
+  const auto allocs_before = DestSet::spill_allocations();
+  const auto reuses_before = DestSet::spill_reuses();
+  {
+    SCOPED_TRACE("cold pool");
+    run_spill_ops_against_mirror(0x9001u);
+  }
+  EXPECT_GT(DestSet::spill_allocations(), allocs_before);
+  const auto allocs_cold = DestSet::spill_allocations();
+  {
+    SCOPED_TRACE("warm pool");
+    run_spill_ops_against_mirror(0x9001u);
+  }
+  // The warm replay needs no block the cold one did not already return.
+  EXPECT_EQ(DestSet::spill_allocations(), allocs_cold);
+  EXPECT_GT(DestSet::spill_reuses(), reuses_before);
+  EXPECT_LE(DestSet::spill_allocations(), DestSet::spill_high_water());
 }
 
 TEST(DestSetSpillPoolTest, PoolReusesBlocksAndBoundsRawAllocations) {
-  const bool was_pooling = DestSet::spill_pooling();
-  DestSet::set_spill_pooling(true);
   const auto allocs_before = DestSet::spill_allocations();
   const auto reuses_before = DestSet::spill_reuses();
   // Sequentially create and destroy spilled sets of one size: after the
@@ -369,7 +398,6 @@ TEST(DestSetSpillPoolTest, PoolReusesBlocksAndBoundsRawAllocations) {
   // The process-wide boundedness invariant (the CI gate): raw allocations
   // of each size only happen when all prior blocks of that size are live.
   EXPECT_LE(DestSet::spill_allocations(), DestSet::spill_high_water());
-  DestSet::set_spill_pooling(was_pooling);
 }
 
 TEST(DestSetSpillPoolTest, OutstandingTracksLiveSpilledSets) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/mot_network.h"
+#include "mesh/mesh_network.h"
 #include "nodes/fanout_nodes.h"
 
 namespace specnoc::power {
@@ -54,6 +55,32 @@ TEST(PowerMeterTest, PowerIsEnergyOverDuration) {
   EXPECT_DOUBLE_EQ(meter.window_energy(), 1000.0);
   EXPECT_DOUBLE_EQ(meter.window_power_mw(), 1.0);  // 1000 fJ / 1000 ps
   EXPECT_EQ(meter.window_channel_flits(), 2u);
+}
+
+TEST(PowerMeterTest, EveryNodeKindHasItsOwnEnergySlot) {
+  // Mesh routers are the last node kinds; their energy must land in their
+  // own slots, not past the end of the per-kind table.
+  mesh::MeshConfig cfg;  // 4x4
+  cfg.speculative_routers =
+      mesh::MeshNetwork::checkerboard_speculation(mesh::MeshTopology(4, 4));
+  mesh::MeshNetwork net(cfg);
+  PowerMeter meter;
+  net.net().hooks().energy = &meter;
+  meter.open_window(0);
+  net.send_message(0, DestSet::first_n(16), false);
+  net.scheduler().run();
+  meter.close_window(net.scheduler().now());
+  EXPECT_GT(meter.window_kind_energy(noc::NodeKind::kMeshRouter), 0.0);
+  EXPECT_GT(meter.window_kind_energy(noc::NodeKind::kMeshRouterSpec), 0.0);
+  EnergyFj by_kind = 0.0;
+  for (const auto kind : noc::all_node_kinds()) {
+    by_kind += meter.window_kind_energy(kind);
+  }
+  EXPECT_NEAR(by_kind, meter.window_node_energy(),
+              meter.window_node_energy() * 1e-9);
+  // One 5-flit broadcast crosses a few dozen channels per flit.
+  EXPECT_GT(meter.window_channel_flits(), 0u);
+  EXPECT_LT(meter.window_channel_flits(), 1000u);
 }
 
 TEST(PowerMeterTest, SpeculationCostsMoreEnergyPerMessage) {

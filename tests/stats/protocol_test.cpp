@@ -355,6 +355,70 @@ TEST(ProtocolTest, PowerProtocolOnAMeshMatchesAMeterRidingItsWindow) {
   EXPECT_EQ(rig.events(), reference.net().executed());
 }
 
+TEST(ProtocolTest, RegistryMeshEntriesRunLikeAHandBuiltMesh) {
+  // The runner builds a spec's mesh from its registry entry: the same
+  // network, so the same numbers, as a protocol measuring a hand-built one.
+  constexpr std::uint64_t kSeed = 42;
+  core::NetworkConfig config;
+  config.n = 16;
+  stats::ExperimentRunner runner(config, kSeed);
+  stats::SaturationSpec spec;
+  spec.arch = Architecture::kCustomHybrid;
+  spec.bench = traffic::BenchmarkId::kMulticast10;
+  spec.custom = "MeshSpecCheckerboard";
+  const auto outcomes = runner.run_grid<stats::SaturationProtocol>({spec});
+  ASSERT_TRUE(outcomes[0].run.ok) << outcomes[0].run.error;
+
+  mesh::MeshConfig cfg;  // 4x4
+  cfg.speculative_routers =
+      mesh::MeshNetwork::checkerboard_speculation(mesh::MeshTopology(4, 4));
+  mesh::MeshNetwork handed(cfg);
+  stats::ProbeRig rig(/*collect=*/false, {});
+  const auto expected =
+      stats::SaturationProtocol::run(spec, {handed, kSeed, {}, rig});
+  EXPECT_EQ(outcomes[0].result.delivered_flits_per_ns,
+            expected.delivered_flits_per_ns);
+  EXPECT_EQ(outcomes[0].run.telemetry.events_executed, rig.events());
+}
+
+TEST(ProtocolTest, LabelsNameACustomSpecByItsRegistryName) {
+  stats::SaturationSpec sat;
+  sat.arch = Architecture::kOptHybridSpeculative;
+  sat.bench = traffic::BenchmarkId::kMulticast10;
+  EXPECT_EQ(stats::SaturationProtocol::label(sat),
+            "OptHybridSpeculative/Multicast10");
+  sat.arch = Architecture::kCustomHybrid;
+  sat.custom = "{0,2}";
+  EXPECT_EQ(stats::SaturationProtocol::label(sat), "{0,2}/Multicast10");
+  // The identity keeps the reported architecture plus the name.
+  EXPECT_EQ(stats::spec_key(sat), "sat|CustomHybrid|Multicast10|seed=0|{0,2}");
+
+  stats::LatencySpec lat;
+  lat.arch = Architecture::kCustomHybrid;
+  lat.bench = traffic::BenchmarkId::kUniformRandom;
+  lat.custom = "MeshXY";
+  EXPECT_EQ(stats::LatencyProtocol::label(lat), "MeshXY/UniformRandom");
+  stats::PowerSpec pow;
+  pow.arch = Architecture::kCustomHybrid;
+  pow.bench = traffic::BenchmarkId::kUniformRandom;
+  pow.custom = "MeshXYSerial";
+  EXPECT_EQ(stats::PowerProtocol::label(pow), "MeshXYSerial/UniformRandom");
+
+  stats::WorkloadSpec wl;
+  wl.arch = Architecture::kCustomHybrid;
+  wl.workload = "DnnLayers";
+  wl.custom = "{1}";
+  EXPECT_EQ(stats::WorkloadProtocol::label(wl),
+            std::string("{1}/DnnLayers/") + workload::to_string(wl.mode));
+  stats::CmpSpec cmp;
+  cmp.arch = Architecture::kBaseline;
+  cmp.workload = "LuBlocks";
+  EXPECT_EQ(stats::CmpProtocol::label(cmp), "Baseline/LuBlocks");
+  cmp.arch = Architecture::kCustomHybrid;
+  cmp.custom = "{0}";
+  EXPECT_EQ(stats::CmpProtocol::label(cmp), "{0}/LuBlocks");
+}
+
 TEST(ProtocolTest, RunGridBuildsASequentialNetworkWhenTheProtocolAsks) {
   // The power protocol refuses a partitioned network, so under a threaded
   // config run_grid must build its networks with sim_threads = 1.
