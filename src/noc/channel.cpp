@@ -1,6 +1,8 @@
 #include "noc/channel.h"
 
 #include <algorithm>
+#include <cstring>
+#include <type_traits>
 #include <utility>
 
 #include "sim/partitioned_scheduler.h"
@@ -47,7 +49,6 @@ Channel::Channel(sim::Scheduler& scheduler, SimHooks& hooks,
   SPECNOC_EXPECTS(params_.delay_fwd >= 0 && params_.delay_ack >= 0);
   SPECNOC_EXPECTS(params_.capacity >= 1);
   queue_.reserve(params_.capacity);
-  down_sched_ = &scheduler_;
 }
 
 void Channel::connect(Node& up, std::uint32_t up_port, Node& down,
@@ -61,18 +62,21 @@ void Channel::connect(Node& up, std::uint32_t up_port, Node& down,
   down.attach_input(down_port, *this);
 }
 
-void Channel::make_cross_partition(sim::PartitionedScheduler& psched,
-                                   std::uint32_t up_lane,
-                                   std::uint32_t down_lane) {
-  SPECNOC_EXPECTS(cross_ == nullptr && queue_.empty() && !send_outstanding_);
+void Channel::make_cross_partition(std::uint32_t up_lane,
+                                   std::uint32_t down_lane,
+                                   std::uint32_t index) {
+  SPECNOC_EXPECTS(!cross_partition() && queue_.empty() && !send_outstanding_);
   SPECNOC_EXPECTS(up_lane != down_lane);
-  cross_ = std::make_unique<CrossState>();
-  cross_->psched = &psched;
-  cross_->up_lane = up_lane;
-  cross_->down_lane = down_lane;
-  down_sched_ = &psched.lane(down_lane);
-  cross_->fwd_drain = psched.add_drain([this] { drain_forward(); });
-  cross_->credit_drain = psched.add_drain([this] { drain_credits(); });
+  SPECNOC_EXPECTS(scheduler_.partitioned() != nullptr &&
+                  &scheduler_.partitioned()->lane(up_lane) == &scheduler_);
+  up_lane_ = up_lane;
+  down_lane_ = down_lane;
+  mail_key_ = 2 * index;
+}
+
+sim::Scheduler& Channel::down_sched() const {
+  return cross_partition() ? scheduler_.partitioned()->lane(down_lane_)
+                           : scheduler_;
 }
 
 std::uint32_t Channel::occupancy() const {
@@ -87,7 +91,7 @@ void Channel::send(const Flit& flit) {
   if (hooks_.energy != nullptr) {
     hooks_.energy->on_channel_flit(params_.length, scheduler_.now());
   }
-  if (cross_ != nullptr) {
+  if (cross_partition()) {
     send_cross(flit);
     return;
   }
@@ -104,55 +108,69 @@ void Channel::send(const Flit& flit) {
   try_deliver();
 }
 
+void Channel::post(std::uint32_t producer, std::uint32_t consumer,
+                   std::uint32_t key, TimePs time, const Flit& flit) {
+  static_assert(std::is_trivially_copyable_v<Flit> &&
+                sizeof(Flit) <= sizeof(sim::Mail::payload));
+  sim::Mail mail;
+  mail.target = this;
+  mail.time = time;
+  mail.key = key;
+  std::memcpy(mail.payload.data(), &flit, sizeof(Flit));
+  scheduler_.partitioned()->post(producer, consumer, mail);
+}
+
 void Channel::send_cross(const Flit& flit) {
   const TimePs now = scheduler_.now();
-  CrossState& x = *cross_;
-  if (x.fwd_box.empty()) x.psched->note_dirty(x.up_lane, x.fwd_drain);
-  x.fwd_box.push_back({flit, now + params_.delay_fwd});
-  const std::uint64_t k = ++x.sends;
-  // Credit-counted mirror of the sequential occupancy check: the k-th flit
-  // finds a free FIFO slot iff at least k - capacity + 1 downstream acks
-  // have already happened. Acks from the current window are still in the
-  // mailbox; deferring the release to the credit drain yields the identical
-  // release time max(send, ack) + delay_ack either way.
-  if (x.credits_seen + params_.capacity >= k + 1) {
+  post(up_lane_, down_lane_, mail_key_, now + params_.delay_fwd, flit);
+  // Credit-counted mirror of the sequential occupancy check: the flit finds
+  // a free FIFO slot iff fewer than `capacity` flits are in flight. Credits
+  // from the current window are still in the mail; deferring the release
+  // to the credit yields the identical release time
+  // max(send, ack) + delay_ack either way.
+  if (++in_flight_ < params_.capacity) {
     release_upstream();
   } else {
-    SPECNOC_ASSERT(!x.release_pending);
-    x.release_pending = true;
-    x.release_needs = k + 1 - params_.capacity;
-    x.release_send_time = now;
+    SPECNOC_ASSERT(!stalled_ && in_flight_ == params_.capacity);
+    stalled_ = true;
+    stall_start_ = now;
   }
 }
 
-void Channel::drain_forward() {
-  CrossState& x = *cross_;
-  for (const QueuedFlit& queued : x.fwd_box) queue_.push_back(queued);
-  x.fwd_box.clear();
-  try_deliver();
+void Channel::apply_mail(const sim::Mail& mail) {
+  Channel& channel = *static_cast<Channel*>(mail.target);
+  if (mail.key != channel.mail_key_) {
+    channel.apply_credit(mail.time);
+    return;
+  }
+  // A flit reaching the downstream half; try_deliver is a no-op while an
+  // earlier flit is still ahead of it.
+  Flit flit;
+  std::memcpy(&flit, mail.payload.data(), sizeof(Flit));
+  channel.queue_.push_back({flit, mail.time});
+  channel.try_deliver();
 }
 
-void Channel::drain_credits() {
-  CrossState& x = *cross_;
-  for (const TimePs when : x.credit_box) {
-    ++x.credits_seen;
-    if (!x.release_pending || x.credits_seen != x.release_needs) continue;
-    x.release_pending = false;
-    // The upstream genuinely stalled only if the freeing ack came after the
-    // send. (A same-picosecond tie is counted as no stall; the sequential
-    // kernel's answer would depend on intra-tick event order, which has no
-    // cross-lane equivalent — see DESIGN.md.)
-    if (when > x.release_send_time && hooks_.metrics != nullptr) {
-      hooks_.metrics->on_channel_stall(*this, x.release_send_time, when);
-    }
-    const TimePs at = std::max(x.release_send_time, when) + params_.delay_ack;
-    SPECNOC_ASSERT(send_outstanding_);
-    scheduler_.schedule_at(at, [this] {
-      send_outstanding_ = false;
-      up_->on_output_ack(up_port_);
-    });
+void Channel::apply_credit(TimePs when) {
+  SPECNOC_ASSERT(in_flight_ > 0);
+  --in_flight_;
+  // Only a send that found the pipe full waits for a credit, and no other
+  // send can follow it before its release, so the first credit frees it.
+  if (!stalled_) return;
+  stalled_ = false;
+  // The upstream genuinely stalled only if the freeing ack came after the
+  // send. (A same-picosecond tie is counted as no stall; the sequential
+  // kernel's answer would depend on intra-tick event order, which has no
+  // cross-lane equivalent — see DESIGN.md.)
+  if (when > stall_start_ && hooks_.metrics != nullptr) {
+    hooks_.metrics->on_channel_stall(*this, stall_start_, when);
   }
-  x.credit_box.clear();
+  const TimePs at = std::max(stall_start_, when) + params_.delay_ack;
+  SPECNOC_ASSERT(send_outstanding_);
+  scheduler_.schedule_at(at, [this] {
+    send_outstanding_ = false;
+    up_->on_output_ack(up_port_);
+  });
 }
 
 void Channel::try_deliver() {
@@ -160,8 +178,9 @@ void Channel::try_deliver() {
     return;
   }
   head_scheduled_ = true;
-  const TimePs at = std::max(down_sched_->now(), queue_.front().ready_at);
-  down_sched_->schedule_at(at, [this] {
+  sim::Scheduler& down = down_sched();
+  const TimePs at = std::max(down.now(), queue_.front().ready_at);
+  down.schedule_at(at, [this] {
     SPECNOC_ASSERT(head_scheduled_ && !awaiting_node_ack_);
     SPECNOC_ASSERT(!queue_.empty());
     head_scheduled_ = false;
@@ -175,12 +194,10 @@ void Channel::try_deliver() {
 void Channel::ack() {
   SPECNOC_EXPECTS(awaiting_node_ack_);
   awaiting_node_ack_ = false;
-  if (cross_ != nullptr) {
-    // Every ack is a credit for the upstream half, consumed at the next
-    // window barrier.
-    CrossState& x = *cross_;
-    if (x.credit_box.empty()) x.psched->note_dirty(x.down_lane, x.credit_drain);
-    x.credit_box.push_back(down_sched_->now());
+  if (cross_partition()) {
+    // Every ack is a credit for the upstream half, applied after the
+    // window by the upstream lane's worker.
+    post(down_lane_, up_lane_, mail_key_ + 1, down_sched().now(), Flit{});
   } else if (send_outstanding_ && occupancy() + 1 == params_.capacity) {
     // The upstream was stalled on a full pipe; this ack frees a slot.
     if (stalled_) {

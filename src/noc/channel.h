@@ -16,12 +16,18 @@
 // arbiter absorbs its whole packet, so replicated branches never hold the
 // fanout fork hostage while waiting for each other's fanin locks
 // (see DESIGN.md "Multicast deadlock freedom").
+//
+// A channel whose endpoints sit on different lanes of a partitioned network
+// is split (make_cross_partition): the upstream half counts credits on the
+// upstream lane, the downstream half delivers on the downstream lane, and
+// each flit or ack crossing between them is one sim::Mail. Mail posted in
+// a window is applied after the window's first barrier, by the worker that
+// owns the receiving lane, in key order (sim::PartitionedScheduler); the
+// flit or credit then continues as ordinary events on that lane.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "sim/scheduler.h"
 #include "util/ring.h"
@@ -30,7 +36,7 @@
 #include "noc/hooks.h"
 
 namespace specnoc::sim {
-class PartitionedScheduler;
+struct Mail;
 }  // namespace specnoc::sim
 
 namespace specnoc::noc {
@@ -84,15 +90,20 @@ class Channel {
   std::uint64_t flits_carried() const { return flits_carried_; }
 
   /// Splits the channel across a partition boundary: the upstream half
-  /// (send/ack-release accounting) stays on the constructing scheduler —
-  /// which must be the upstream node's lane — while delivery runs on
-  /// `down_lane`. Flits and downstream acks travel through mailboxes whose
-  /// drains are registered with `psched` here, so registration order (=
-  /// channel creation order) is the canonical cross-partition merge order.
-  /// Must be called before any traffic flows.
-  void make_cross_partition(sim::PartitionedScheduler& psched,
-                            std::uint32_t up_lane, std::uint32_t down_lane);
-  bool cross_partition() const { return cross_ != nullptr; }
+  /// (send/credit accounting) stays on the constructing scheduler, which
+  /// must be lane `up_lane` of a sim::PartitionedScheduler, while delivery
+  /// runs on `down_lane`. Flits and downstream acks travel as sim::Mail
+  /// keyed 2 * `index` and 2 * `index` + 1; `index` is the channel's
+  /// position among its network's cross channels, so creation order is the
+  /// canonical cross-partition merge order. Must be called before any
+  /// traffic flows.
+  void make_cross_partition(std::uint32_t up_lane, std::uint32_t down_lane,
+                            std::uint32_t index);
+  bool cross_partition() const { return up_lane_ != down_lane_; }
+
+  /// sim::MailHandler for cross-channel mail: a flit arriving at the
+  /// downstream half, or a credit arriving at the upstream half.
+  static void apply_mail(const sim::Mail& mail);
 
  private:
   struct QueuedFlit {
@@ -100,35 +111,13 @@ class Channel {
     TimePs ready_at;  ///< when it reaches the far end of the wire
   };
 
-  // Cross-partition state, boxed: almost every channel of a partitioned
-  // network is intra-partition (only the MoT middle / mesh row-boundary
-  // links cross lanes), so the mailboxes and credit bookkeeping live behind
-  // one pointer instead of widening all ~3M channels of a large-radix
-  // build. The upstream lane owns sends/credits_seen and the release
-  // bookkeeping; the downstream lane owns queue_ and the delivery
-  // handshake. The mailboxes are written by one lane during a window and
-  // read only in the window barrier's serial section, so they need no
-  // locks.
-  struct CrossState {
-    sim::PartitionedScheduler* psched = nullptr;
-    std::uint32_t up_lane = 0;
-    std::uint32_t down_lane = 0;
-    std::uint32_t fwd_drain = 0;
-    std::uint32_t credit_drain = 0;
-    std::uint64_t sends = 0;         ///< flits sent (up lane)
-    std::uint64_t credits_seen = 0;  ///< downstream acks drained (up lane)
-    bool release_pending = false;    ///< a send is waiting for a credit
-    std::uint64_t release_needs = 0; ///< credit count that frees the slot
-    TimePs release_send_time = 0;    ///< when the waiting send happened
-    std::vector<QueuedFlit> fwd_box;  ///< up -> down mailbox
-    std::vector<TimePs> credit_box;   ///< down -> up mailbox (ack times)
-  };
-
   void try_deliver();
   void release_upstream();
+  sim::Scheduler& down_sched() const;
+  void post(std::uint32_t producer, std::uint32_t consumer, std::uint32_t key,
+            TimePs time, const Flit& flit);
   void send_cross(const Flit& flit);
-  void drain_forward();
-  void drain_credits();
+  void apply_credit(TimePs when);
 
   sim::Scheduler& scheduler_;
   SimHooks& hooks_;
@@ -151,8 +140,16 @@ class Channel {
   TimePs stall_start_ = 0;         ///< when the pipe went full
   std::uint64_t flits_carried_ = 0;
 
-  sim::Scheduler* down_sched_ = nullptr;  ///< == &scheduler_ when !cross
-  std::unique_ptr<CrossState> cross_;     ///< null for intra-lane channels
+  // Cross-partition state, inline (a third of the channels at radix 1024
+  // cross lanes: every MoT middle channel whose trees sit on different
+  // lanes). The upstream lane owns send_outstanding_, in_flight_ and the
+  // pending release, kept in stalled_/stall_start_ (the send that found
+  // the pipe full and when); the downstream lane owns queue_ and the
+  // delivery handshake. Intra-lane channels keep both lanes equal.
+  std::uint32_t up_lane_ = 0;
+  std::uint32_t down_lane_ = 0;
+  std::uint32_t mail_key_ = 0;   ///< forward mail key; credits use +1
+  std::uint32_t in_flight_ = 0;  ///< flits sent whose credit is not applied
 };
 
 }  // namespace specnoc::noc

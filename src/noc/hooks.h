@@ -184,7 +184,10 @@ class MetricsObserver {
 
   /// The channel's upstream was backpressure-stalled from `start` to `end`:
   /// a send filled the pipe to capacity and the upstream had to wait for
-  /// the ack that freed a slot.
+  /// the ack that freed a slot. On a cross-partition channel the call comes
+  /// when that ack's credit mail is applied after its window, on the worker
+  /// thread that owns the credit's consumer lane (the channel's upstream
+  /// lane), while other workers apply their own mail.
   virtual void on_channel_stall(const Channel& channel, TimePs start,
                                 TimePs end) = 0;
 };

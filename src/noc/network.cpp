@@ -109,6 +109,7 @@ void Network::enable_partitions(std::uint32_t lanes, TimePs lookahead) {
   }
   psched_ = std::make_unique<sim::PartitionedScheduler>(scheduler_, lanes,
                                                         lookahead);
+  psched_->set_mail_handler(&Channel::apply_mail);
 }
 
 void Network::set_build_partition(std::uint32_t partition) {
@@ -195,7 +196,8 @@ Channel& Network::add_channel(ChannelParams params, std::string name,
                         " ps below the declared lookahead " +
                         std::to_string(psched_->lookahead()) + " ps");
     }
-    ref.make_cross_partition(*psched_, up.partition(), down.partition());
+    ref.make_cross_partition(up.partition(), down.partition(),
+                             cross_channels_++);
   }
   return ref;
 }

@@ -23,9 +23,9 @@ namespace specnoc::noc {
 /// Partitioned mode: a builder may call enable_partitions() before creating
 /// any nodes, then tag each node with set_build_partition() as it builds.
 /// Nodes are then constructed on their partition's scheduler lane, channels
-/// whose endpoints live in different partitions are split into mailbox
-/// halves (Channel::make_cross_partition), and run()/run_until() execute
-/// the lanes through the conservative window protocol of
+/// whose endpoints live in different partitions are split into halves that
+/// exchange sim::Mail (Channel::make_cross_partition), and run()/run_until()
+/// execute the lanes through the conservative window protocol of
 /// sim::PartitionedScheduler. Without enable_partitions() everything runs
 /// on the single global scheduler exactly as before.
 class Network {
@@ -139,6 +139,7 @@ class Network {
 
   std::unique_ptr<sim::PartitionedScheduler> psched_;
   std::uint32_t build_partition_ = 0;
+  std::uint32_t cross_channels_ = 0;  ///< cross channels created so far
   unsigned worker_threads_ = 1;
 };
 

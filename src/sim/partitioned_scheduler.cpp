@@ -33,49 +33,52 @@ PartitionedScheduler::PartitionedScheduler(Scheduler& lane0,
     owned_.push_back(std::make_unique<Scheduler>());
     lanes_.push_back(owned_.back().get());
   }
-  staged_.resize(lanes);
+  for (Scheduler* lane : lanes_) lane->partitioned_ = this;
   idle_windows_.assign(lanes, 0);
+  route_mail(1);
 }
 
-PartitionedScheduler::~PartitionedScheduler() = default;
+PartitionedScheduler::~PartitionedScheduler() {
+  lanes_[0]->partitioned_ = nullptr;
+}
 
 void PartitionedScheduler::set_threads(std::uint32_t threads) {
   threads_ = std::max<std::uint32_t>(1, threads);
 }
 
-std::uint32_t PartitionedScheduler::add_drain(std::function<void()> drain) {
-  SPECNOC_EXPECTS(static_cast<bool>(drain));
-  drains_.push_back(std::move(drain));
-  return static_cast<std::uint32_t>(drains_.size() - 1);
-}
-
-void PartitionedScheduler::note_dirty(std::uint32_t producer_lane,
-                                      std::uint32_t id) {
-  SPECNOC_ASSERT(producer_lane < staged_.size() && id < drains_.size());
-  staged_[producer_lane].push_back(id);
-}
-
-void PartitionedScheduler::drain_staged() {
-  // Merge the per-producer staging lists and run the dirty drains in drain
-  // id order — registration order, i.e. channel creation order. This is the
-  // canonical cross-partition merge: identical for every thread count, so
-  // same-timestamp mailbox events always enter a consumer lane's
-  // (time, seq) order the same way.
-  std::size_t total = 0;
-  for (const auto& lane_staged : staged_) total += lane_staged.size();
-  if (total == 0) return;
-  std::vector<std::uint32_t> dirty;
-  dirty.reserve(total);
-  for (auto& lane_staged : staged_) {
-    dirty.insert(dirty.end(), lane_staged.begin(), lane_staged.end());
-    lane_staged.clear();
+void PartitionedScheduler::route_mail(std::uint32_t num_workers) {
+  // The same contiguous lane blocks worker_loop executes. Every outbox is
+  // empty here, so resizing moves no mail.
+  worker_of_.resize(lanes());
+  for (std::uint32_t w = 0; w < num_workers; ++w) {
+    for (std::uint32_t lane = w * lanes() / num_workers;
+         lane < (w + 1) * lanes() / num_workers; ++lane) {
+      worker_of_[lane] = w;
+    }
   }
-  std::sort(dirty.begin(), dirty.end());
-  for (const std::uint32_t id : dirty) drains_[id]();
+  outbox_.resize(static_cast<std::size_t>(num_workers) * lanes());
+}
+
+void PartitionedScheduler::deliver_mail(std::uint32_t worker,
+                                        std::vector<Mail>& inbox) {
+  const std::size_t first = static_cast<std::size_t>(worker) * lanes();
+  for (std::size_t i = first; i < first + lanes(); ++i) {
+    std::vector<Mail>& box = outbox_[i];
+    inbox.insert(inbox.end(), box.begin(), box.end());
+    box.clear();
+  }
+  if (inbox.empty()) return;
+  SPECNOC_ASSERT(mail_handler_ != nullptr);
+  // Key order is the canonical cross-partition merge, identical for every
+  // thread count. The sort is stable and a key has one producer lane, so
+  // mail sharing a key keeps its posting order.
+  std::stable_sort(inbox.begin(), inbox.end(),
+                   [](const Mail& a, const Mail& b) { return a.key < b.key; });
+  for (const Mail& mail : inbox) mail_handler_(mail);
+  inbox.clear();
 }
 
 bool PartitionedScheduler::advance_window(TimePs horizon) {
-  drain_staged();
   TimePs min_next = Scheduler::kIdleTime;
   for (const Scheduler* lane : lanes_) {
     min_next = std::min(min_next, lane->next_time());
@@ -102,6 +105,32 @@ void PartitionedScheduler::run_lane_window(std::uint32_t lane,
   if (sched.executed() == before) ++idle_windows_[lane];
 }
 
+template <typename Serial>
+void PartitionedScheduler::barrier(std::uint32_t num_workers,
+                                   std::uint64_t& gen, Serial&& serial) {
+  if (arrivals_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+      num_workers) {
+    // Last arriver: run the serial section while the other workers spin.
+    // Everything written before any worker arrived, and in the serial
+    // section, is published by the release store to generation_.
+    serial();
+    arrivals_.store(0, std::memory_order_relaxed);
+    generation_.store(gen + 1, std::memory_order_release);
+  } else {
+    // The container may have fewer cores than workers, so fall back to
+    // yield quickly — a pure spin would serialize at timeslice length.
+    int spins = 0;
+    while (generation_.load(std::memory_order_acquire) == gen) {
+      if (++spins < 64) {
+        cpu_relax();
+      } else {
+        std::this_thread::yield();
+      }
+    }
+  }
+  ++gen;
+}
+
 void PartitionedScheduler::worker_loop(std::uint32_t worker,
                                        std::uint32_t num_workers,
                                        TimePs horizon) {
@@ -111,6 +140,7 @@ void PartitionedScheduler::worker_loop(std::uint32_t worker,
   const std::uint32_t first = worker * lanes() / num_workers;
   const std::uint32_t last = (worker + 1) * lanes() / num_workers;
   set_current_worker(worker);
+  std::vector<Mail> inbox;
   std::uint64_t gen = generation_.load(std::memory_order_acquire);
   for (;;) {
     if (done_) return;
@@ -118,35 +148,27 @@ void PartitionedScheduler::worker_loop(std::uint32_t worker,
     for (std::uint32_t lane = first; lane < last; ++lane) {
       run_lane_window(lane, window_end);
     }
-    if (arrivals_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        num_workers) {
-      // Last arriver: drain mailboxes and open the next window while the
-      // other workers spin. All serial-section writes are published by the
-      // release store to generation_.
-      done_ = !advance_window(horizon);
-      arrivals_.store(0, std::memory_order_relaxed);
-      generation_.store(gen + 1, std::memory_order_release);
-    } else {
-      // The container may have fewer cores than workers, so fall back to
-      // yield quickly — a pure spin would serialize at timeslice length.
-      int spins = 0;
-      while (generation_.load(std::memory_order_acquire) == gen) {
-        if (++spins < 64) {
-          cpu_relax();
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    }
-    ++gen;
+    // Once every worker has arrived, all of this window's mail is posted;
+    // each worker then applies the mail addressed to its own lanes.
+    barrier(num_workers, gen, [] {});
+    deliver_mail(worker, inbox);
+    barrier(num_workers, gen,
+            [this, horizon] { done_ = !advance_window(horizon); });
   }
 }
 
 void PartitionedScheduler::run_windows(TimePs horizon) {
+  // Mail can be posted outside a run (a send made directly by test code);
+  // it was routed for the previous run call's worker count, so apply it on
+  // the calling thread before routing mail for this call.
+  std::vector<Mail> inbox;
+  const std::size_t routed = outbox_.size() / lanes();
+  for (std::uint32_t w = 0; w < routed; ++w) deliver_mail(w, inbox);
   // Worker 0 is the calling thread, so one worker spawns no thread and
   // runs every lane each window. Publish the first window before the other
   // workers exist; thread creation is the synchronization point.
   const std::uint32_t num_workers = std::min(threads_, lanes());
+  route_mail(num_workers);
   done_ = !advance_window(horizon);
   if (done_) return;
   arrivals_.store(0, std::memory_order_relaxed);

@@ -26,6 +26,8 @@
 
 namespace specnoc::sim {
 
+class PartitionedScheduler;
+
 /// Callback invoked when an event fires. Move-only, fixed-capacity inline
 /// storage — oversized captures are a compile error, not a heap allocation.
 using EventFn = InplaceEvent;
@@ -119,7 +121,13 @@ class Scheduler {
   /// Total number of events executed so far (for kernel benchmarks).
   std::uint64_t executed() const { return executed_; }
 
+  /// The partitioned executor this scheduler is a lane of, or null: cross-
+  /// partition channels post their mail through it.
+  PartitionedScheduler* partitioned() const { return partitioned_; }
+
  private:
+  friend class PartitionedScheduler;
+
   /// Cold path of the epoch check in step(): advances epoch_next_ past `t`
   /// and fires the hook once with the largest crossed boundary. Out of line
   /// so the hot path pays one predictable compare.
@@ -133,6 +141,7 @@ class Scheduler {
   TimePs epoch_ps_ = 0;
   EpochHook epoch_hook_;
   BucketQueue queue_;
+  PartitionedScheduler* partitioned_ = nullptr;
 };
 
 }  // namespace specnoc::sim

@@ -5,13 +5,15 @@
 // shrank these footprints deliberately: bounded-ring FIFOs replaced
 // std::deque (80-byte object + ~600-byte heap map each), shared
 // NodeCharacteristics are interned behind one pointer, port lists hold two
-// inline slots, and cross-partition channel state is boxed behind one
-// pointer. These static_asserts pin the result — growing any of them past
-// the bound is an error a reviewer must see (raise the bound consciously,
-// with the RSS math in DESIGN.md §11 updated).
+// inline slots, and a cross-partition channel's state is four inline
+// integers (its lanes, mail key and in-flight credit count) with no heap
+// behind them. These static_asserts pin the result — growing any of them
+// past the bound is a compile error on purpose (raise the bound
+// consciously, with the RSS math in DESIGN.md §11 updated).
 //
 // Bounds are the measured x86-64 (libstdc++, -m64) sizes rounded up to the
-// next 8 bytes of headroom; they are ceilings, not exact layouts.
+// next 8 bytes of headroom; they are ceilings, not exact layouts. The
+// Channel bound is its measured size: it has no headroom left.
 #include <gtest/gtest.h>
 
 #include "mesh/mesh_router.h"
@@ -26,9 +28,10 @@ namespace specnoc {
 namespace {
 
 static_assert(sizeof(noc::Node) <= 136, "Node footprint grew");
-static_assert(sizeof(noc::Channel) <= 216,
+static_assert(sizeof(noc::Channel) <= 208,
               "Channel footprint grew — at radix 1024 there are ~3M of "
-              "these; keep cross-partition state boxed");
+              "these, a third of them cross-partition; keep the "
+              "cross-partition state inline and within the bound");
 static_assert(sizeof(nodes::FaninNode) <= 336,
               "FaninNode footprint grew — input FIFOs must stay inline");
 static_assert(sizeof(nodes::BaselineFanoutNode) <= 216,

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,20 +62,81 @@ TEST(PartitionedSchedulerTest, RunUntilAdvancesEveryLaneClock) {
   EXPECT_EQ(ps.now(), 500);
 }
 
-TEST(PartitionedSchedulerTest, StagedDrainsRunInRegistrationOrder) {
+/// What the mail handler saw of one piece of mail.
+struct AppliedMail {
+  std::uint32_t key = 0;
+  int tag = 0;
+  std::uint32_t worker = 0;
+};
+
+void post_tagged(sim::PartitionedScheduler& ps, std::vector<AppliedMail>& log,
+                 std::uint32_t producer, std::uint32_t key, int tag) {
+  sim::Mail mail;
+  mail.target = &log;
+  mail.time = ps.lane(producer).now();
+  mail.key = key;
+  std::memcpy(mail.payload.data(), &tag, sizeof(tag));
+  ps.post(producer, 2, mail);
+}
+
+TEST(PartitionedSchedulerTest, MailAppliesInKeyOrderOnTheConsumerWorker) {
+  for (const std::uint32_t workers : {1u, 2u, 3u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    sim::Scheduler lane0;
+    sim::PartitionedScheduler ps(lane0, 3, 100);
+    ps.set_threads(workers);
+    std::vector<AppliedMail> log;
+    ps.set_mail_handler([](const sim::Mail& mail) {
+      AppliedMail applied;
+      applied.key = mail.key;
+      std::memcpy(&applied.tag, mail.payload.data(), sizeof(applied.tag));
+      applied.worker = sim::current_worker();
+      static_cast<std::vector<AppliedMail>*>(mail.target)->push_back(applied);
+    });
+    // Two producer lanes post to consumer lane 2 in reverse key order;
+    // lane 1 posts key 2 twice.
+    ps.lane(0).schedule_at(10, [&] {
+      post_tagged(ps, log, 0, 9, 1);
+      post_tagged(ps, log, 0, 4, 2);
+    });
+    ps.lane(1).schedule_at(20, [&] {
+      post_tagged(ps, log, 1, 7, 3);
+      post_tagged(ps, log, 1, 2, 4);
+      post_tagged(ps, log, 1, 2, 5);
+    });
+    ps.run();
+    // Lane 2 closes the last contiguous lane block, so the last worker
+    // owns it at every worker count.
+    const std::uint32_t owner = workers - 1;
+    ASSERT_EQ(log.size(), 5u);
+    const std::uint32_t keys[] = {2, 2, 4, 7, 9};
+    const int tags[] = {4, 5, 2, 3, 1};
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      EXPECT_EQ(log[i].key, keys[i]) << i;
+      EXPECT_EQ(log[i].tag, tags[i]) << i;
+      EXPECT_EQ(log[i].worker, owner) << i;
+    }
+  }
+}
+
+TEST(PartitionedSchedulerTest, MailPostedBeforeARunIsAppliedFirst) {
+  // Posted from outside any window (routed for one worker), the mail must
+  // still become an event before the run's first window is chosen.
   sim::Scheduler lane0;
   sim::PartitionedScheduler ps(lane0, 3, 100);
-  std::vector<std::string> log;
-  const std::uint32_t first = ps.add_drain([&] { log.push_back("first"); });
-  const std::uint32_t second = ps.add_drain([&] { log.push_back("second"); });
-  // Mark dirty in reverse, from different producer lanes: the barrier must
-  // still run them in registration (channel-creation) order.
-  ps.note_dirty(2, second);
-  ps.note_dirty(1, first);
+  ps.set_threads(2);
+  ps.set_mail_handler([](const sim::Mail& mail) {
+    static_cast<sim::PartitionedScheduler*>(mail.target)
+        ->lane(2)
+        .schedule_at(mail.time, [] {});
+  });
+  sim::Mail mail;
+  mail.target = &ps;
+  mail.time = 50;
+  ps.post(0, 2, mail);
   ps.run();
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log[0], "first");
-  EXPECT_EQ(log[1], "second");
+  EXPECT_EQ(ps.executed(), 1u);
+  EXPECT_EQ(ps.windows(), 1u);
 }
 
 TEST(PartitionedSchedulerTest, ThreadCountClampsToAtLeastOne) {
@@ -250,9 +313,12 @@ struct RunResult {
   stats::MetricsSnapshot metrics;
 };
 
+/// Drives `net` to `horizon` in one run_until call or, when
+/// `second_workers` is set, in two: half the horizon at the network's
+/// worker count, the rest at `second_workers`.
 template <typename Net>
 RunResult drive(Net& net, traffic::BenchmarkId bench, std::uint64_t seed,
-                TimePs horizon) {
+                TimePs horizon, unsigned second_workers = 0) {
   stats::TrafficRecorder rec(net.net().packets());
   net.net().hooks().traffic = &rec;
   stats::MetricsRegistry registry;
@@ -265,6 +331,10 @@ RunResult drive(Net& net, traffic::BenchmarkId bench, std::uint64_t seed,
   driver.set_measured(true);
   rec.open_window(0);
   driver.start();
+  if (second_workers != 0) {
+    net.net().run_until(horizon / 2);
+    net.net().set_worker_threads(second_workers);
+  }
   net.net().run_until(horizon);
   rec.close_window(net.net().now());
   if (sim::PartitionedScheduler* ps = net.net().partitioned_scheduler()) {
@@ -365,6 +435,46 @@ TEST(PartitionedDifferentialTest, MotTieFreeConfigsMatchSequential) {
   }
 }
 
+/// Worker counts of one invariance run: a single run_until call at
+/// `first` workers or, when `second` is set, half the horizon at `first`
+/// and the rest at `second` — mail routing by consumer worker is rebuilt
+/// between the two calls. 3 workers split every lane count used here into
+/// uneven blocks.
+struct WorkerPlan {
+  unsigned first = 1;
+  unsigned second = 0;
+};
+
+/// Runs the network `make()` builds under every worker plan and expects
+/// each run to equal its 1-worker twin of the same shape (one call, or the
+/// same two-call split) in every statistic and in the window schedule.
+template <typename MakeNet>
+void expect_worker_count_invariant(MakeNet make, traffic::BenchmarkId bench,
+                                   std::uint64_t seed) {
+  const auto run = [&](WorkerPlan plan) {
+    auto net = make();
+    EXPECT_TRUE(net->net().partitioned());
+    net->net().set_worker_threads(plan.first);
+    return drive(*net, bench, seed, 400_ns, plan.second);
+  };
+  const RunResult whole = run({1, 0});
+  const RunResult split = run({1, 1});
+  for (const WorkerPlan plan : {WorkerPlan{2, 0}, WorkerPlan{3, 0},
+                                WorkerPlan{4, 0}, WorkerPlan{2, 4}}) {
+    SCOPED_TRACE("workers=" + std::to_string(plan.first) +
+                 (plan.second != 0 ? "->" + std::to_string(plan.second)
+                                   : std::string()));
+    const RunResult& reference = plan.second != 0 ? split : whole;
+    const RunResult result = run(plan);
+    expect_equal_runs(reference, result);
+    EXPECT_EQ(reference.metrics.pdes.windows, result.metrics.pdes.windows);
+    EXPECT_EQ(reference.metrics.pdes.lane_events,
+              result.metrics.pdes.lane_events);
+    EXPECT_EQ(reference.metrics.pdes.lane_idle_windows,
+              result.metrics.pdes.lane_idle_windows);
+  }
+}
+
 // The determinism contract proper: a partitioned run is a pure function of
 // (topology, partition strategy) — the worker-thread count never changes
 // any statistic, metrics snapshot included. Exercised on tie-heavy
@@ -391,24 +501,9 @@ TEST(PartitionedDifferentialTest, MotWorkerCountNeverChangesResults) {
     cfg.n = c.n;
     cfg.partition = c.strategy;
     cfg.sim_threads = 2;
-    RunResult reference;
-    for (const unsigned workers : {1u, 2u, 4u}) {
-      core::MotNetwork net(c.arch, cfg);
-      ASSERT_TRUE(net.net().partitioned());
-      net.net().set_worker_threads(workers);
-      const RunResult run = drive(net, c.bench, c.seed, 400_ns);
-      if (workers == 1u) {
-        reference = run;
-      } else {
-        SCOPED_TRACE("workers=" + std::to_string(workers));
-        expect_equal_runs(reference, run);
-        EXPECT_EQ(reference.metrics.pdes.windows, run.metrics.pdes.windows);
-        EXPECT_EQ(reference.metrics.pdes.lane_events,
-                  run.metrics.pdes.lane_events);
-        EXPECT_EQ(reference.metrics.pdes.lane_idle_windows,
-                  run.metrics.pdes.lane_idle_windows);
-      }
-    }
+    expect_worker_count_invariant(
+        [&] { return std::make_unique<core::MotNetwork>(c.arch, cfg); },
+        c.bench, c.seed);
   }
 }
 
@@ -421,21 +516,13 @@ TEST(PartitionedDifferentialTest, MeshRowBandsAreWorkerCountInvariant) {
     cfg.speculative_routers = mesh::MeshNetwork::checkerboard_speculation(
         mesh::MeshTopology(cfg.cols, cfg.rows));
     cfg.sim_threads = 2;  // auto = row bands
-    RunResult reference;
-    for (const unsigned workers : {1u, 2u, 4u}) {
-      mesh::MeshNetwork net(cfg);
-      ASSERT_TRUE(net.net().partitioned());
-      EXPECT_EQ(net.net().partitions(), cfg.rows);
-      net.net().set_worker_threads(workers);
-      const RunResult run =
-          drive(net, traffic::BenchmarkId::kMulticast5, 29, 400_ns);
-      if (workers == 1u) {
-        reference = run;
-      } else {
-        SCOPED_TRACE("workers=" + std::to_string(workers));
-        expect_equal_runs(reference, run);
-      }
-    }
+    expect_worker_count_invariant(
+        [&] {
+          auto net = std::make_unique<mesh::MeshNetwork>(cfg);
+          EXPECT_EQ(net->net().partitions(), cfg.rows);
+          return net;
+        },
+        traffic::BenchmarkId::kMulticast5, 29);
   }
 }
 
