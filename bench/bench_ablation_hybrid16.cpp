@@ -152,6 +152,5 @@ int main(int argc, char** argv) {
   specnoc::bench::note(
       "'Local? yes' = no speculative node feeds another speculative node "
       "(redundant copies throttled after one hop).");
-  specnoc::bench::emit_runs(sweep, "Hybrid16 ablation grids", opts);
   return sweep.finish();
 }

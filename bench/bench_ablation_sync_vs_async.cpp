@@ -120,6 +120,5 @@ int main(int argc, char** argv) {
       "ps); a clocked switch pays a full period per stage regardless, so "
       "both absolute performance and the relative value of fast "
       "speculative nodes degrade with the clock.");
-  specnoc::bench::emit_runs(sweep, "Sync vs async grids", opts);
   return sweep.finish();
 }

@@ -178,6 +178,5 @@ int main(int argc, char** argv) {
     }
   }
   specnoc::bench::emit(claims, "CMP co-simulation claims", opts);
-  specnoc::bench::emit_runs(sweep, "CMP grid", opts);
   return sweep.finish();
 }

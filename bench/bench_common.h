@@ -10,7 +10,7 @@
 // through the stats::ShardedSweep session that make_sweep opens: it owns
 // the runner, the --metrics document and the exit code, so a harness
 // builds specs, calls grids, renders tables and returns sweep.finish().
-// Grids run on a work-stealing pool (--jobs N, default: hardware
+// Grids run on a pool of worker threads (--jobs N, default: hardware
 // concurrency). Results are aggregated in spec order, so the tables are
 // byte-identical for any thread count; --jobs 1 preserves the exact serial
 // code path. --shard i/K --out writes this worker's cells to a JSONL shard
@@ -89,12 +89,12 @@ class OutputSink {
 };
 
 /// The flag groups a harness takes. Every harness takes --seed, --jobs,
-/// --csv, --json, --telemetry and --list-arch.
+/// --csv, --json and --list-arch.
 enum class Flags {
   kCommon,
   /// Also the grid flags, for harnesses that run their grids through a
   /// sweep session (make_sweep): --metrics, --telemetry-epoch,
-  /// --telemetry-ring, --telemetry-out, --progress, the kernel flags
+  /// --telemetry-ring, --telemetry-out, the kernel flags
   /// --sim-threads and --partition, and the sharded-sweep flags --shard,
   /// --out, --from, --anchors-only and --anchors-from.
   kGrid,
@@ -105,9 +105,6 @@ struct HarnessOptions {
   /// Worker threads for experiment grids; 0 = hardware concurrency,
   /// 1 = the exact serial code path.
   unsigned jobs = 0;
-  /// Print the per-run telemetry table (wall ms / events / attempts) —
-  /// kept off the default output because wall times are nondeterministic.
-  bool telemetry = false;
   /// The session settings: the harness name (its shard-file identity) and
   /// the grid flags (Flags::kGrid); make_sweep adds the jobs count.
   stats::SweepOptions sweep;
@@ -149,8 +146,6 @@ inline HarnessOptions parse_args(
   cli.add_string("--csv", &csv_path, "also mirror tables to this CSV");
   cli.add_string("--json", &json_path,
                  "also mirror tables to this JSONL file");
-  cli.add_flag("--telemetry", &opts.telemetry,
-               "also print per-run wall time / events / attempts");
   bool list_arch = false;
   cli.add_flag("--list-arch", &list_arch,
                "list the registered network architectures and exit (the "
@@ -175,8 +170,6 @@ inline HarnessOptions parse_args(
                    "stream one NDJSON telemetry frame per completed run to "
                    "this file as the sweep executes ('-' = stdout); tail "
                    "with sweep_merge --follow");
-    cli.add_unsigned("--progress", &sweep.batch.progress_interval_ms,
-                     "live progress lines to stderr every N ms (0: off)");
     cli.add_unsigned("--sim-threads", &opts.sim_threads,
                      "partitioned-kernel worker threads inside each "
                      "simulation (1: exact sequential path; results "
@@ -269,34 +262,5 @@ inline void emit(const Table& table, const std::string& title,
 }
 
 inline void note(const std::string& text) { std::cout << text << "\n"; }
-
-/// The per-run table (--telemetry) over every cell the sweep handed back.
-/// A failed run shows its (truncated) error in place of numbers, so one bad
-/// cell is visible without poisoning the batch.
-inline void emit_runs(const stats::ShardedSweep& sweep,
-                      const std::string& title, const HarnessOptions& opts) {
-  if (!opts.telemetry) return;
-  Table table({"Run", "Status", "Attempts", "Events", "Wall (ms)"});
-  std::uint64_t events_total = 0;
-  double wall_total_ms = 0.0;
-  std::uint64_t failures = 0;
-  for (const auto& [label, run] : sweep.runs()) {
-    events_total += run.telemetry.events_executed;
-    wall_total_ms += run.telemetry.wall_ms;
-    if (run.ok) {
-      table.add_row({label, "ok", std::to_string(run.telemetry.attempts),
-                     std::to_string(run.telemetry.events_executed),
-                     cell(run.telemetry.wall_ms, 1)});
-    } else {
-      ++failures;
-      table.add_row({label, "FAIL: " + run.error.substr(0, 40),
-                     std::to_string(run.telemetry.attempts), "-", "-"});
-    }
-  }
-  table.add_row({"total",
-                 failures == 0 ? "ok" : std::to_string(failures) + " failed",
-                 "-", std::to_string(events_total), cell(wall_total_ms, 1)});
-  emit(table, title + " (per-run telemetry)", opts);
-}
 
 }  // namespace specnoc::bench

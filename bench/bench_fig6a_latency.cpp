@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   // relative to it) — a sweep anchor, run in full in every mode so shard
   // workers derive identical latency grids. Phase 2: the open-loop latency
   // runs at those points, the grid that gets sharded. Both phases are
-  // grids of independent runs on the work-stealing pool; aggregation is
+  // grids of independent runs on the worker pool; aggregation is
   // keyed by spec, so tables match --jobs 1 byte-for-byte.
   std::vector<stats::SaturationSpec> sat_specs;
   for (const auto arch : kRowOrder) {
@@ -124,6 +124,5 @@ int main(int argc, char** argv) {
                   percent_cell(impr(2, 1, 0)) + " / " +
                       percent_cell(impr(3, 1, 0))});
   specnoc::bench::emit(claims, "Figure 6(a) relative claims", opts);
-  specnoc::bench::emit_runs(sweep, "Figure 6(a) grid", opts);
   return sweep.finish();
 }

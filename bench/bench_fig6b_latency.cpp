@@ -103,6 +103,5 @@ int main(int argc, char** argv) {
   claims.add_row({"OptAllSpec vs OptHybrid", "8.7..12.0%", range(2, 1)});
   claims.add_row({"OptAllSpec vs OptNonSpec", "18.5..21.7%", range(2, 0)});
   specnoc::bench::emit(claims, "Figure 6(b) relative claims", opts);
-  specnoc::bench::emit_runs(sweep, "Figure 6(b) grid", opts);
   return sweep.finish();
 }

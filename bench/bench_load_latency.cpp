@@ -83,6 +83,5 @@ int main(int argc, char** argv) {
                              " ('*' = undrained/saturated)",
                          opts);
   }
-  specnoc::bench::emit_runs(sweep, "Load-latency sweep", opts);
   return sweep.finish();
 }

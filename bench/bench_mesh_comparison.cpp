@@ -105,6 +105,5 @@ int main(int argc, char** argv) {
       "The MoT's constant log-depth paths give it flat latency and high "
       "multicast saturation; the mesh wins on switch area at this size but "
       "pays distance-dependent latency and serializes at hot rows/columns.");
-  specnoc::bench::emit_runs(sweep, "MoT vs mesh grid", opts);
   return sweep.finish();
 }

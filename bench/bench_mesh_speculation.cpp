@@ -97,6 +97,5 @@ int main(int argc, char** argv) {
       "higher saturation) at the cost of throttled redundant copies "
       "(power). The MoT-style always-broadcast C-element deadlocks on a "
       "mesh — see DESIGN.md.");
-  specnoc::bench::emit_runs(sweep, "Mesh speculation grids", opts);
   return sweep.finish();
 }

@@ -128,6 +128,5 @@ int main(int argc, char** argv) {
                  "9.7..11.9", mean_pm_std(impr_hybrid_vs_nonspec, 1)});
   specnoc::bench::emit(table, "Seed sensitivity of the headline numbers",
                        opts);
-  specnoc::bench::emit_runs(sweep, "Seed sensitivity grids", opts);
   return sweep.finish();
 }

@@ -133,6 +133,5 @@ int main(int argc, char** argv) {
   claims.add_row({"OptAllSpec over OptNonSpec", "+14.7..22.9%",
                   percent_cell(rel(5, 3, 0)), percent_cell(rel(5, 3, 3))});
   specnoc::bench::emit(claims, "Relative power claims", opts);
-  specnoc::bench::emit_runs(sweep, "Table 1 power grid", opts);
   return sweep.finish();
 }

@@ -139,6 +139,5 @@ int main(int argc, char** argv) {
                         sat(Architecture::kBaseline, BenchmarkId::kHotspot) -
                     1.0)});
   specnoc::bench::emit(claims, "Relative claims", opts);
-  specnoc::bench::emit_runs(sweep, "Table 1 throughput grid", opts);
   return sweep.finish();
 }

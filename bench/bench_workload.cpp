@@ -134,6 +134,5 @@ int main(int argc, char** argv) {
     }
   }
   specnoc::bench::emit(claims, "Workload claims", opts);
-  specnoc::bench::emit_runs(sweep, "Workload grid", opts);
   return sweep.finish();
 }

@@ -16,9 +16,11 @@
 //
 // --follow FILE tails a live NDJSON telemetry stream (harness
 // --telemetry-out) instead of merging: one rendered line per completed run
-// as frames arrive, a summary on the end frame. --once renders what is
-// already in the file and exits; --poll-ms sets the tail poll interval.
+// as frames arrive, with a k/N count per grid, and the sweep's totals on
+// the end frame (stats::FollowView). --once renders what is already in the
+// file and exits; --poll-ms sets the tail poll interval.
 // A malformed frame exits 2 with an error naming FILE:line.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -90,83 +92,6 @@ ShardWork tally_shard(const specnoc::stats::ShardFile& file,
   return work;
 }
 
-/// One `s ▄▆█...` sparkline character per epoch (most recent last),
-/// scaled to the series' own peak; at most `width` trailing epochs.
-std::string sparkline(const specnoc::stats::TelemetrySeries& series,
-                      std::size_t width) {
-  static const char* kLevels[] = {" ", "▁", "▂", "▃",
-                                  "▄", "▅", "▆", "▇",
-                                  "█"};
-  const std::size_t first =
-      series.epochs.size() > width ? series.epochs.size() - width : 0;
-  std::uint64_t peak = 0;
-  for (std::size_t i = first; i < series.epochs.size(); ++i) {
-    peak = std::max(peak, series.epochs[i].events);
-  }
-  std::string out;
-  for (std::size_t i = first; i < series.epochs.size(); ++i) {
-    const std::size_t level =
-        peak == 0 ? 0 : (series.epochs[i].events * 8 + peak - 1) / peak;
-    out += kLevels[std::min<std::size_t>(level, 8)];
-  }
-  return out;
-}
-
-/// Rendered --follow state: one line per run frame, a summary at the end.
-struct FollowView {
-  std::uint64_t runs = 0;
-  std::uint64_t failures = 0;
-  std::uint64_t events = 0;
-  double wall_ms = 0.0;
-  bool done = false;
-
-  void render(const specnoc::stats::TelemetryFrame& frame) {
-    using specnoc::stats::TelemetryFrameKind;
-    const specnoc::util::Json& body = frame.body;
-    if (frame.kind == TelemetryFrameKind::kStart) {
-      const auto* tool = body.find("tool");
-      const auto* epoch = body.find("epoch_ps");
-      std::printf("-- %s sweep started%s --\n",
-                  tool != nullptr ? tool->as_string().c_str() : "?",
-                  epoch != nullptr
-                      ? (" (epoch " + std::to_string(epoch->as_u64()) + " ps)")
-                            .c_str()
-                      : "");
-      return;
-    }
-    if (frame.kind == TelemetryFrameKind::kEnd) {
-      std::printf("-- done: %llu run(s), %llu failed, %llu events, "
-                  "%.1f ms run wall time --\n",
-                  static_cast<unsigned long long>(runs),
-                  static_cast<unsigned long long>(failures),
-                  static_cast<unsigned long long>(events), wall_ms);
-      done = true;
-      return;
-    }
-    ++runs;
-    const auto* status = body.find("status");
-    const bool ok = status != nullptr && status->as_string() == "ok";
-    if (!ok) ++failures;
-    const auto* run_events = body.find("events");
-    if (run_events != nullptr) events += run_events->as_u64();
-    const auto* wall = body.find("wall_ms");
-    if (wall != nullptr) wall_ms += wall->as_double();
-    std::string spark;
-    if (const auto* series = body.find("telemetry")) {
-      spark = "  " + sparkline(
-          specnoc::stats::telemetry_series_from_json(*series), 32);
-    }
-    std::printf("[%4llu] %-12s %-40s %-4s %9llu ev %8.1f ms%s\n",
-                static_cast<unsigned long long>(body.at("cell").as_u64()),
-                body.at("grid").as_string().c_str(),
-                body.at("key").as_string().c_str(), ok ? "ok" : "FAIL",
-                static_cast<unsigned long long>(
-                    run_events != nullptr ? run_events->as_u64() : 0),
-                wall != nullptr ? wall->as_double() : 0.0, spark.c_str());
-    std::fflush(stdout);
-  }
-};
-
 /// How many --poll-ms intervals follow_stream waits for a stream file
 /// that does not exist yet (the harness usually starts a beat after the
 /// tail does). 120 polls at the default 500 ms = one minute.
@@ -197,10 +122,10 @@ int follow_stream(const std::string& path, bool once, unsigned poll_ms) {
   }
   std::istream& in = from_stdin ? std::cin : file;
 
-  FollowView view;
+  specnoc::stats::FollowView view;
   std::string line;
   std::size_t line_no = 0;
-  while (!view.done) {
+  while (!view.done()) {
     if (!std::getline(in, line)) {
       if (from_stdin || once) break;
       in.clear();
@@ -218,13 +143,16 @@ int follow_stream(const std::string& path, bool once, unsigned poll_ms) {
     }
     ++line_no;
     try {
-      view.render(specnoc::stats::telemetry_frame_parse(line));
+      std::fputs(
+          view.render(specnoc::stats::telemetry_frame_parse(line)).c_str(),
+          stdout);
+      std::fflush(stdout);
     } catch (const specnoc::ConfigError& error) {
       throw specnoc::ConfigError(path + ":" + std::to_string(line_no) + ": " +
                                  error.what());
     }
   }
-  return view.done ? 0 : 3;
+  return view.done() ? 0 : 3;
 }
 
 }  // namespace

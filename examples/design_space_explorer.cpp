@@ -11,8 +11,8 @@
 //   $ ./examples/design_space_explorer [n=16] [--jobs N]
 //
 // Every design point is three independent simulations (saturation anchor,
-// latency, power); the sweep batches them on the work-stealing parallel
-// runner. Results are keyed by design point, so the ranking is identical
+// latency, power); the sweep batches them on the parallel runner's worker
+// threads. Results are keyed by design point, so the ranking is identical
 // for any --jobs value (--jobs 1 is the serial path). Large radixes can be
 // split across machines with --shard i/K --out shard.jsonl, combined with
 // sweep_merge, and ranked from the merged file with --from.
@@ -60,8 +60,6 @@ int main(int argc, char** argv) {
   cli.add_string("--metrics", &sweep_options.metrics_path,
                  "collect per-run speculation/stall metrics and write them "
                  "to this JSON file (observational; ranking is unchanged)");
-  cli.add_unsigned("--progress", &sweep_options.batch.progress_interval_ms,
-                   "live progress lines to stderr every N ms (0: off)");
   cli.add_custom("--shard", "i/K",
                  "worker mode: run only shard i of K (requires --out)",
                  [&sweep_options](const std::string& value) {

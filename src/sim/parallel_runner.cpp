@@ -1,12 +1,8 @@
 #include "sim/parallel_runner.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <cstdio>
-#include <deque>
-#include <memory>
-#include <mutex>
 #include <thread>
 
 namespace specnoc::sim {
@@ -47,177 +43,47 @@ RunOutcome execute(const ParallelRunner::Job& job, std::size_t index,
   return outcome;
 }
 
-/// One worker's run queue. The owner pops from the front; thieves steal
-/// from the back, so a stolen run is the one its owner would reach last.
-struct WorkerQueue {
-  std::mutex mutex;
-  std::deque<std::size_t> runs;
-};
-
-/// Periodic progress lines on a dedicated thread. Workers only touch
-/// relaxed atomics, so reporting never perturbs run scheduling; all output
-/// goes to stderr (one fprintf per line, so lines do not interleave with
-/// the serialized util::log stream's single writes).
-class ProgressReporter {
- public:
-  ProgressReporter(const std::string& label, std::size_t total,
-                   unsigned interval_ms, std::function<std::string()> note)
-      : label_(label.empty() ? "runs" : label), total_(total),
-        interval_ms_(interval_ms), note_(std::move(note)),
-        start_(Clock::now()), thread_([this] { loop(); }) {}
-
-  ~ProgressReporter() { finish(); }
-
-  void on_run_done(const RunOutcome& outcome) {
-    if (outcome.telemetry.attempts > 1) {
-      retried_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (!outcome.ok) failed_.fetch_add(1, std::memory_order_relaxed);
-    completed_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  void finish() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (done_) return;
-      done_ = true;
-    }
-    wake_.notify_all();
-    thread_.join();
-    emit(true);
-  }
-
- private:
-  void loop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!wake_.wait_for(lock, std::chrono::milliseconds(interval_ms_),
-                           [this] { return done_; })) {
-      emit(false);
-    }
-  }
-
-  void emit(bool final_line) const {
-    const std::size_t done = completed_.load(std::memory_order_relaxed);
-    const std::uint64_t retried = retried_.load(std::memory_order_relaxed);
-    const std::uint64_t failed = failed_.load(std::memory_order_relaxed);
-    const double elapsed_s = ms_since(start_) / 1e3;
-    const double rate = elapsed_s > 0.0
-                            ? static_cast<double>(done) / elapsed_s
-                            : 0.0;
-    std::string note = note_ ? note_() : std::string();
-    if (!note.empty()) note.insert(0, ", ");
-    if (final_line) {
-      std::fprintf(stderr,
-                   "[%s] %zu/%zu runs in %.1fs (%.2f runs/s), "
-                   "retried %llu, failed %llu%s\n",
-                   label_.c_str(), done, total_, elapsed_s, rate,
-                   static_cast<unsigned long long>(retried),
-                   static_cast<unsigned long long>(failed), note.c_str());
-      return;
-    }
-    char eta[32];
-    if (rate > 0.0 && done < total_) {
-      std::snprintf(eta, sizeof eta, "%.0fs",
-                    static_cast<double>(total_ - done) / rate);
-    } else {
-      std::snprintf(eta, sizeof eta, "?");
-    }
-    std::fprintf(stderr,
-                 "[%s] %zu/%zu runs, %.2f runs/s, ETA %s, "
-                 "retried %llu, failed %llu%s\n",
-                 label_.c_str(), done, total_, rate, eta,
-                 static_cast<unsigned long long>(retried),
-                 static_cast<unsigned long long>(failed), note.c_str());
-  }
-
-  const std::string label_;
-  const std::size_t total_;
-  const unsigned interval_ms_;
-  const std::function<std::string()> note_;
-  const Clock::time_point start_;
-  std::atomic<std::size_t> completed_{0};
-  std::atomic<std::uint64_t> retried_{0};
-  std::atomic<std::uint64_t> failed_{0};
-  std::mutex mutex_;
-  std::condition_variable wake_;
-  bool done_ = false;
-  std::thread thread_;
-};
-
 }  // namespace
 
 ParallelRunner::ParallelRunner(Options options)
     : jobs_(options.jobs == 0 ? default_jobs() : options.jobs),
       max_attempts_(options.max_attempts == 0 ? 1 : options.max_attempts),
-      progress_interval_ms_(options.progress_interval_ms),
-      progress_label_(std::move(options.progress_label)),
-      progress_note_(std::move(options.progress_note)),
       on_run_done_(std::move(options.on_run_done)) {}
 
 std::vector<RunOutcome> ParallelRunner::run(std::size_t count,
                                             const Job& job) const {
   std::vector<RunOutcome> outcomes(count);
   if (count == 0) return outcomes;
-  std::unique_ptr<ProgressReporter> reporter;
-  if (progress_interval_ms_ > 0) {
-    reporter = std::make_unique<ProgressReporter>(
-        progress_label_, count, progress_interval_ms_, progress_note_);
-  }
   if (jobs_ == 1 || count == 1) {
     // Serial path: inline on the calling thread, in index order.
     for (std::size_t i = 0; i < count; ++i) {
       outcomes[i] = execute(job, i, max_attempts_);
-      if (reporter) reporter->on_run_done(outcomes[i]);
       if (on_run_done_) on_run_done_(i, outcomes[i]);
     }
     return outcomes;
   }
 
-  const auto workers =
-      static_cast<unsigned>(std::min<std::size_t>(jobs_, count));
-  std::vector<WorkerQueue> queues(workers);
-  // Deal all runs up front, round-robin. No work is ever added after this,
-  // so a worker may exit once every queue reads empty.
-  for (std::size_t i = 0; i < count; ++i) {
-    queues[i % workers].runs.push_back(i);
-  }
-
-  auto worker_loop = [&](unsigned self) {
-    for (;;) {
-      std::size_t index = 0;
-      bool found = false;
-      {
-        auto& own = queues[self];
-        const std::lock_guard<std::mutex> lock(own.mutex);
-        if (!own.runs.empty()) {
-          index = own.runs.front();
-          own.runs.pop_front();
-          found = true;
-        }
-      }
-      for (unsigned v = 1; v < workers && !found; ++v) {
-        auto& victim = queues[(self + v) % workers];
-        const std::lock_guard<std::mutex> lock(victim.mutex);
-        if (!victim.runs.empty()) {
-          index = victim.runs.back();
-          victim.runs.pop_back();
-          found = true;
-        }
-      }
-      if (!found) return;
+  // Each worker claims the next unstarted index until none is left. Every
+  // outcome lands in its own index's slot, so the order in which runs are
+  // handed out never shows in the result.
+  std::atomic<std::size_t> next{0};
+  auto worker_loop = [&] {
+    for (std::size_t index = next.fetch_add(1); index < count;
+         index = next.fetch_add(1)) {
       // Distinct vector slots: no synchronization needed on the write.
       outcomes[index] = execute(job, index, max_attempts_);
-      if (reporter) reporter->on_run_done(outcomes[index]);
       if (on_run_done_) on_run_done_(index, outcomes[index]);
     }
   };
 
+  const auto workers =
+      static_cast<unsigned>(std::min<std::size_t>(jobs_, count));
   std::vector<std::thread> threads;
   threads.reserve(workers - 1);
   for (unsigned w = 1; w < workers; ++w) {
-    threads.emplace_back(worker_loop, w);
+    threads.emplace_back(worker_loop);
   }
-  worker_loop(0);
+  worker_loop();
   for (auto& thread : threads) thread.join();
   return outcomes;
 }

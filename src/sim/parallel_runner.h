@@ -1,8 +1,9 @@
-// Work-stealing execution of independent simulation runs.
+// Parallel execution of independent simulation runs.
 //
 // Every run in an experiment grid is an isolated simulation — its own
 // Scheduler, Rng streams, and network are constructed inside the job — so
-// runs can execute on any thread in any order. Determinism is preserved by
+// runs can execute on any thread in any order: workers claim the next
+// unstarted run index from one shared atomic cursor. Determinism is preserved by
 // construction: outcomes are collected into a slot keyed by run index,
 // never by completion order, so aggregated results are bit-identical to
 // the serial path regardless of thread count. With jobs() == 1 the runner
@@ -42,16 +43,6 @@ struct RunOutcome {
 struct RunnerOptions {
   unsigned jobs = 0;          ///< worker threads; 0 = default_jobs()
   unsigned max_attempts = 2;  ///< tries per run before reporting failure
-  /// Live progress reporting: a line to stderr every this many ms
-  /// (completed/total, rate, ETA, retried/failed counts) plus a final
-  /// summary line. 0 (default) = silent. stderr only, so stdout stays
-  /// byte-identical with and without it.
-  unsigned progress_interval_ms = 0;
-  std::string progress_label = {};  ///< line prefix, e.g. the harness name
-  /// Extra detail appended to each progress line (e.g. the PDES lane shape
-  /// of partitioned runs). Called on the progress thread, so it must be
-  /// thread-safe; an empty return adds nothing.
-  std::function<std::string()> progress_note = {};
   /// Called once per run right after its final attempt resolves (ok or
   /// failed), from whichever worker thread finished it — the live
   /// streaming hook (stats::TelemetryStream frames go out through this
@@ -84,9 +75,6 @@ class ParallelRunner {
  private:
   unsigned jobs_;
   unsigned max_attempts_;
-  unsigned progress_interval_ms_;
-  std::string progress_label_;
-  std::function<std::string()> progress_note_;
   std::function<void(std::size_t, const RunOutcome&)> on_run_done_;
 };
 

@@ -28,11 +28,6 @@ struct BatchOptions {
   /// Attach a MetricsRegistry to every run and return its snapshot in the
   /// outcome. Purely observational: results are identical either way.
   bool collect_metrics = false;
-  /// Live progress lines to stderr every this many ms; 0 (default) =
-  /// silent. Progress goes to stderr only, so stdout tables are identical
-  /// with and without it.
-  unsigned progress_interval_ms = 0;
-  std::string progress_label = {};  ///< prefix for progress lines
   /// Epoch-sample every run (stats/telemetry.h). Enabling this implies
   /// collect_metrics — the series rides each outcome's MetricsSnapshot.
   /// Observational only: simulated results are identical either way.

@@ -44,9 +44,8 @@ void ProbeRig::attach(noc::Network& net) {
 
 void ProbeRig::harvest(noc::Network& net) {
   events_ = net.executed();
-  pdes_ = pdes_shape(net);
   if (!collect_) return;
-  registry_.record_pdes(pdes_);
+  registry_.record_pdes(pdes_shape(net));
   if (sampling()) registry_.record_telemetry(sampler_->finish());
   registry_.record_dest_spills(noc::DestSet::spill_allocations() -
                                spills_at_start_);

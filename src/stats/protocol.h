@@ -26,9 +26,8 @@
 
 namespace specnoc::stats {
 
-/// Per-run measurement rig: always records the run's kernel events and
-/// PDES window shape (empty when sequential); when collecting, also wires a
-/// MetricsRegistry and (when sampling) the telemetry sampler into the
+/// Per-run measurement rig: always records the run's kernel events; when
+/// collecting, also wires a MetricsRegistry and (when sampling) the telemetry sampler into the
 /// network and snapshots them after the run. Construction snapshots the
 /// process-wide DestSet spill counters so harvest() can attribute the delta
 /// to this run.
@@ -59,7 +58,6 @@ class ProbeRig {
   }
 
   std::uint64_t events() const { return events_; }
-  const PdesMetrics& pdes() const { return pdes_; }
   /// The harvested metrics; call only when collecting.
   MetricsSnapshot snapshot() const { return registry_.snapshot(); }
 
@@ -73,7 +71,6 @@ class ProbeRig {
   MetricsRegistry registry_;
   std::optional<TelemetrySampler> sampler_;
   std::uint64_t events_ = 0;
-  PdesMetrics pdes_;
 };
 
 /// What the runner hands a protocol's worker besides the spec. The worker

@@ -89,17 +89,20 @@ bool valid_status(const std::string& status) {
   return status == "ok" || status == "retried" || status == "failed";
 }
 
-// One live NDJSON "run" frame: identity (grid/cell/key), outcome shape
-// (status/events/wall), the run's headline speculation counters, and the
-// full sampled series when telemetry was enabled. Called from worker
-// threads mid-batch; TelemetryStream serializes the writes.
+// One live NDJSON "run" frame: identity (grid/cell/key), how many cells of
+// the grid this invocation runs (grid_runs, the N of a k/N progress
+// count), outcome shape (status/events/wall), the run's headline
+// speculation counters, and the full sampled series when telemetry was
+// enabled. Called from worker threads mid-batch; TelemetryStream
+// serializes the writes.
 void emit_run_frame(TelemetryStream& stream, const std::string& grid,
-                    std::size_t cell, const std::string& key,
-                    const sim::RunOutcome& run,
+                    std::size_t cell, std::size_t grid_runs,
+                    const std::string& key, const sim::RunOutcome& run,
                     const MetricsSnapshot* metrics) {
   Json body = Json::object();
   body.set("grid", grid);
   body.set("cell", static_cast<std::uint64_t>(cell));
+  body.set("grid_runs", static_cast<std::uint64_t>(grid_runs));
   body.set("key", key);
   body.set("status", run_status(run));
   if (!run.error.empty()) body.set("error", run.error);
@@ -446,6 +449,12 @@ ShardedSweep::ShardedSweep(core::NetworkConfig config, std::uint64_t seed,
   if (options_.anchors_only && !options_.anchors_from.empty()) {
     throw ConfigError("--anchors-only cannot be combined with --anchors-from");
   }
+  if (options_.batch.telemetry.epoch_ps < 0) {
+    throw ConfigError("--telemetry-epoch must not be negative");
+  }
+  if (options_.batch.telemetry.ring_capacity == 0) {
+    throw ConfigError("--telemetry-ring must be at least 1");
+  }
   // A live frame stream wants per-run counters even without a metrics
   // document; collection is observational either way.
   options_.batch.collect_metrics = options_.batch.collect_metrics ||
@@ -493,26 +502,19 @@ ShardedSweep ShardedSweep::open_or_exit(core::NetworkConfig config,
   }
 }
 
-BatchOptions ShardedSweep::labeled_batch(const std::string& name) const {
-  BatchOptions batch = options_.batch;
-  if (batch.progress_interval_ms > 0) {
-    batch.progress_label = options_.tool + "/" + name;
-  }
-  return batch;
-}
-
 BatchOptions ShardedSweep::streaming_batch(
     const std::string& name, std::vector<std::string> keys,
     std::vector<std::size_t> cells) const {
-  BatchOptions batch = labeled_batch(name);
+  BatchOptions batch = options_.batch;
   TelemetryStream* stream = options_.telemetry_stream;
   if (stream == nullptr) return batch;
-  batch.on_run_done = [stream, name, keys = std::move(keys),
+  const std::size_t grid_runs = cells.empty() ? keys.size() : cells.size();
+  batch.on_run_done = [stream, name, grid_runs, keys = std::move(keys),
                        cells = std::move(cells)](
                           std::size_t index, const sim::RunOutcome& run,
                           const MetricsSnapshot* metrics) {
     const std::size_t cell = cells.empty() ? index : cells[index];
-    emit_run_frame(*stream, name, cell, keys[cell], run, metrics);
+    emit_run_frame(*stream, name, cell, grid_runs, keys[cell], run, metrics);
   };
   return batch;
 }

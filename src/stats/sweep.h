@@ -169,9 +169,9 @@ enum class SweepMode {
 
 struct SweepOptions {
   std::string tool;       ///< manifest identity; must match across workers
-  /// How grids execute. The session derives the rest: collect_metrics
-  /// when metrics_path or telemetry_stream is set, and under progress
-  /// reporting a "<tool>/<grid>" progress_label.
+  /// How grids execute. The session sets collect_metrics when
+  /// metrics_path or telemetry_stream is set. A negative telemetry epoch
+  /// or a zero telemetry ring is a ConfigError.
   BatchOptions batch;
   sim::ShardRef shard;    ///< worker mode
   std::string out_path;   ///< set: worker mode, this shard's file
@@ -188,17 +188,12 @@ struct SweepOptions {
   std::string metrics_path;
   /// Live telemetry sink (non-owning; the harness opens it from
   /// --telemetry-out). Every simulated grid then emits one NDJSON "run"
-  /// frame per cell as it completes, mid-batch — grid, cell, key, status,
+  /// frame per cell as it completes, mid-batch — grid, cell, grid_runs (how
+  /// many cells of the grid this invocation simulates), key, status,
   /// events, wall time, summary counters, and the sampled series when
   /// batch.telemetry is enabled. Render mode simulates nothing and emits
   /// nothing.
   TelemetryStream* telemetry_stream = nullptr;
-};
-
-/// One cell the session handed back to the harness: a per-run table row.
-struct SweepRun {
-  std::string label;  ///< Protocol::label of the cell's spec
-  sim::RunOutcome run;
 };
 
 /// The harness-facing session. It owns the harness's one ExperimentRunner;
@@ -206,8 +201,8 @@ struct SweepRun {
 /// grids (cheap prerequisites whose results parameterize the sharded
 /// specs, e.g. the saturation points that fix 25%-load operating rates)
 /// always run in full so every worker can build identical downstream
-/// grids. It keeps every returned cell for the per-run table and the
-/// metrics document, and finish() turns them into the exit code.
+/// grids. It keeps every returned cell's metrics for the metrics document
+/// and counts its failures, and finish() turns them into the exit code.
 class ShardedSweep {
  public:
   /// Builds the runner from `config` and `seed`; the seed is also the
@@ -267,9 +262,6 @@ class ShardedSweep {
     return keep<P>(name, execute<P>(name, specs, /*anchor=*/false));
   }
 
-  /// Every cell handed back so far, in grid order: the per-run table.
-  const std::vector<SweepRun>& runs() const { return runs_; }
-
   /// Ends the invocation: writes the metrics document when metrics_path
   /// is set and, in worker mode, the "done" record plus a one-line summary
   /// on stderr. Returns the process exit code: 1 if any cell this
@@ -292,7 +284,7 @@ class ShardedSweep {
       if (anchor && file_.find_grid(name) == nullptr) {
         // The merged file predates shared anchor grids (schema-1 workers
         // never recorded anchors): simulate them, exactly as before.
-        return runner_.run_grid<P>(specs, labeled_batch(name));
+        return runner_.run_grid<P>(specs, options_.batch);
       }
       return load<P>(file_, "--from file '" + options_.from_path + "'",
                      grid, keys, specs, /*strict=*/false);
@@ -359,14 +351,13 @@ class ShardedSweep {
                      "cell not owned by shard " + options_.shard.to_string());
   }
 
-  /// Keeps what the harness is handed: the per-run rows, failures outside
-  /// worker mode (a worker counts the cells it owns as it records them;
-  /// the rest belong to other shards) and the metrics entries.
+  /// Keeps what the harness is handed: failures outside worker mode (a
+  /// worker counts the cells it owns as it records them; the rest belong
+  /// to other shards) and the metrics entries.
   template <Protocol P>
   std::vector<Outcome<P>> keep(const std::string& grid,
                                std::vector<Outcome<P>> outcomes) {
     for (const auto& outcome : outcomes) {
-      runs_.push_back({P::label(outcome.spec), outcome.run});
       if (!outcome.run.ok && mode() != SweepMode::kWorker) ++failures_;
       if (outcome.metrics.has_value()) {
         keep_metrics(grid, P::spec_key(outcome.spec), *outcome.metrics);
@@ -426,11 +417,7 @@ class ShardedSweep {
               const std::string& key, const sim::RunOutcome& run,
               util::Json data);
 
-  /// options_.batch with "/<name>" appended to a non-empty progress label,
-  /// so live progress lines identify the grid being executed.
-  BatchOptions labeled_batch(const std::string& name) const;
-
-  /// labeled_batch() plus the live-telemetry hook when a stream is
+  /// options_.batch plus the live-telemetry hook when a stream is
   /// attached: on_run_done emits one "run" frame per completed run.
   /// `cells` maps batch index -> grid cell (empty = identity, for grids
   /// run in full); `keys` are the grid's spec keys, indexed by cell.
@@ -454,7 +441,6 @@ class ShardedSweep {
   std::size_t executed_ = 0;
   std::size_t carried_ = 0;
   std::size_t failures_ = 0;
-  std::vector<SweepRun> runs_;
   std::vector<util::Json> metrics_runs_;
   std::uint64_t spills_total_ = 0;
   std::uint64_t spill_bytes_total_ = 0;

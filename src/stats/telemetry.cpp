@@ -1,6 +1,7 @@
 #include "stats/telemetry.h"
 
 #include <algorithm>
+#include <cstdarg>
 #include <mutex>
 #include <utility>
 
@@ -290,6 +291,100 @@ TelemetryFrame telemetry_frame_parse(std::string_view line) {
     throw ConfigError("unknown telemetry frame kind '" + name + "'");
   }
   return frame;
+}
+
+namespace {
+
+/// printf into a std::string of whatever length the output needs.
+[[gnu::format(printf, 1, 2)]] std::string printf_string(const char* format,
+                                                        ...) {
+  std::va_list args;
+  va_start(args, format);
+  std::va_list sizing;
+  va_copy(sizing, args);
+  const int size = std::vsnprintf(nullptr, 0, format, sizing);
+  va_end(sizing);
+  std::string out(static_cast<std::size_t>(std::max(size, 0)), '\0');
+  std::vsnprintf(out.data(), out.size() + 1, format, args);
+  va_end(args);
+  return out;
+}
+
+/// One sparkline character per epoch's event count (most recent last),
+/// scaled to the series' own peak; at most `width` trailing epochs.
+std::string sparkline(const TelemetrySeries& series, std::size_t width) {
+  static const char* kLevels[] = {" ", "▁", "▂", "▃", "▄",
+                                  "▅", "▆", "▇", "█"};
+  const std::size_t first =
+      series.epochs.size() > width ? series.epochs.size() - width : 0;
+  std::uint64_t peak = 0;
+  for (std::size_t i = first; i < series.epochs.size(); ++i) {
+    peak = std::max(peak, series.epochs[i].events);
+  }
+  std::string out;
+  for (std::size_t i = first; i < series.epochs.size(); ++i) {
+    const std::size_t level =
+        peak == 0 ? 0 : (series.epochs[i].events * 8 + peak - 1) / peak;
+    out += kLevels[std::min<std::size_t>(level, 8)];
+  }
+  return out;
+}
+
+}  // namespace
+
+std::string FollowView::render(const TelemetryFrame& frame) {
+  const util::Json& body = frame.body;
+  if (frame.kind == TelemetryFrameKind::kStart) {
+    const util::Json* tool = body.find("tool");
+    const util::Json* epoch = body.find("epoch_ps");
+    return "-- " + (tool != nullptr ? tool->as_string() : std::string("?")) +
+           " sweep started" +
+           (epoch != nullptr
+                ? " (epoch " + std::to_string(epoch->as_u64()) + " ps)"
+                : std::string()) +
+           " --\n";
+  }
+  if (frame.kind == TelemetryFrameKind::kEnd) {
+    done_ = true;
+    return printf_string(
+        "-- done: %llu run(s), %llu failed, %llu retried, %llu events, "
+        "%.1f ms run wall time --\n",
+        static_cast<unsigned long long>(runs_),
+        static_cast<unsigned long long>(failed_),
+        static_cast<unsigned long long>(retried_),
+        static_cast<unsigned long long>(events_), wall_ms_);
+  }
+  ++runs_;
+  const std::string& grid = body.at("grid").as_string();
+  const std::uint64_t k = ++completed_[grid];
+  const util::Json* grid_runs = body.find("grid_runs");
+  const std::string of =
+      grid_runs != nullptr ? std::to_string(grid_runs->as_u64()) : "?";
+  const util::Json* status = body.find("status");
+  const std::string run_status =
+      status != nullptr ? status->as_string() : "failed";
+  if (run_status == "failed") ++failed_;
+  if (run_status == "retried") ++retried_;
+  const util::Json* events = body.find("events");
+  const std::uint64_t run_events = events != nullptr ? events->as_u64() : 0;
+  events_ += run_events;
+  const util::Json* wall = body.find("wall_ms");
+  const double run_wall_ms = wall != nullptr ? wall->as_double() : 0.0;
+  wall_ms_ += run_wall_ms;
+  std::string out = printf_string(
+      "%-12s %4llu/%-4s [%4llu] %-40s %-7s %9llu ev %8.1f ms", grid.c_str(),
+      static_cast<unsigned long long>(k), of.c_str(),
+      static_cast<unsigned long long>(body.at("cell").as_u64()),
+      body.at("key").as_string().c_str(),
+      run_status == "failed" ? "FAIL" : run_status.c_str(),
+      static_cast<unsigned long long>(run_events), run_wall_ms);
+  if (const util::Json* series = body.find("telemetry")) {
+    out += "  " + sparkline(telemetry_series_from_json(*series), 32);
+  }
+  if (const util::Json* error = body.find("error")) {
+    out += "  " + error->as_string();
+  }
+  return out + "\n";
 }
 
 struct TelemetryStream::Impl {

@@ -34,6 +34,7 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -186,7 +187,9 @@ class TelemetrySampler final {
 /// NDJSON telemetry frames. A stream is bracketed by one `start` and one
 /// `end` frame, with one `run` frame per completed run in completion order
 /// (nondeterministic under --jobs > 1 — consumers must key on the frame's
-/// run index, not its position).
+/// grid and cell, not its position). It is the harnesses' one live view of
+/// a sweep's progress: each run frame carries its grid's `grid_runs`, so a
+/// reader can count k/N per grid.
 enum class TelemetryFrameKind : std::uint8_t { kStart, kRun, kEnd };
 
 const char* to_string(TelemetryFrameKind kind);
@@ -205,6 +208,30 @@ std::string telemetry_frame_write(TelemetryFrameKind kind, util::Json body);
 /// on malformed JSON, a missing/unknown "frame" discriminator, or a
 /// non-object line.
 TelemetryFrame telemetry_frame_parse(std::string_view line);
+
+/// The `sweep_merge --follow` rendering of a frame stream: a banner for
+/// the start frame, one line per run frame (grid, k/N completed runs of
+/// that grid, cell, key, status, events, wall time, and an events-per-epoch
+/// sparkline when the frame carries a series), and the sweep's totals for
+/// the end frame. Status is the frame's run status: "ok", "retried" (ok on
+/// a later attempt) or "failed"; only "failed" counts as a failure.
+class FollowView {
+ public:
+  /// The frame's rendered lines, each newline-terminated.
+  std::string render(const TelemetryFrame& frame);
+
+  /// True once the end frame was rendered.
+  bool done() const { return done_; }
+
+ private:
+  std::map<std::string, std::uint64_t> completed_;  ///< run frames per grid
+  std::uint64_t runs_ = 0;
+  std::uint64_t failed_ = 0;
+  std::uint64_t retried_ = 0;
+  std::uint64_t events_ = 0;
+  double wall_ms_ = 0.0;
+  bool done_ = false;
+};
 
 /// Append-only NDJSON sink for telemetry frames. "-" writes to stdout
 /// (unbuffered per line, so `specnoc ... --telemetry-out - | tool` streams

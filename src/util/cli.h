@@ -9,7 +9,7 @@
 //
 //   util::CliParser cli("bench_foo", "What this harness measures.");
 //   cli.add_uint64("--seed", &seed, "traffic seed");
-//   cli.add_flag("--telemetry", &telemetry, "print per-run telemetry");
+//   cli.add_flag("--list-arch", &list_arch, "list architectures and exit");
 //   cli.parse_or_exit(argc, argv);   // exits 2 on bad usage, 0 on --help
 #pragma once
 

@@ -2,15 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "stats/experiment.h"
 #include "stats/serialization.h"
+#include "stats/telemetry.h"
 #include "util/error.h"
 #include "util/json.h"
 #include "workload/synth.h"
@@ -970,6 +973,104 @@ TEST(ShardedSweepTest, ModeFollowsOutAndFromPaths) {
   EXPECT_THROW((ShardedSweep{cfg, 42, anchors_run}), ConfigError);
 }
 
+/// The run frames in a telemetry stream file: (cell, grid_runs) pairs.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> run_frames(
+    const std::string& path) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> frames;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    const TelemetryFrame frame = telemetry_frame_parse(line);
+    if (frame.kind != TelemetryFrameKind::kRun) continue;
+    frames.emplace_back(frame.body.at("cell").as_u64(),
+                        frame.body.at("grid_runs").as_u64());
+  }
+  std::sort(frames.begin(), frames.end());
+  return frames;
+}
+
+// A sweep with a telemetry stream emits one run frame per cell it
+// simulates, carrying how many cells of the grid this invocation runs: all
+// of them in run mode, the owned ones in worker mode, none in render mode.
+TEST(ShardedSweepTest, StreamsOneRunFramePerSimulatedCell) {
+  const core::NetworkConfig cfg;
+  const auto specs = small_latency_grid();
+  const auto keys = spec_keys(specs);
+
+  {
+    const std::string path = temp_path("frames_run.ndjson");
+    TelemetryStream stream(path);
+    auto options = base_options();
+    options.batch.jobs = 2;
+    options.telemetry_stream = &stream;
+    ShardedSweep sweep(cfg, 42, options);
+    sweep.grid<LatencyProtocol>("latency", specs);
+    EXPECT_EQ(sweep.finish(), 0);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> expected;
+    for (std::uint64_t cell = 0; cell < specs.size(); ++cell) {
+      expected.emplace_back(cell, specs.size());
+    }
+    EXPECT_EQ(run_frames(path), expected);
+  }
+
+  constexpr unsigned kShards = 2;
+  const sim::ShardPlan plan(kShards);
+  std::vector<ShardFile> shard_files;
+  for (unsigned shard = 0; shard < kShards; ++shard) {
+    const std::string path =
+        temp_path("frames_s" + std::to_string(shard) + ".ndjson");
+    auto options = base_options();
+    options.shard = {shard, kShards};
+    options.out_path =
+        temp_path("frames_s" + std::to_string(shard) + ".jsonl");
+    write_text(options.out_path, "");
+    {
+      TelemetryStream stream(path);
+      options.telemetry_stream = &stream;
+      ShardedSweep sweep(cfg, 42, options);
+      sweep.grid<LatencyProtocol>("latency", specs);
+      EXPECT_EQ(sweep.finish(), 0);
+    }
+    const auto owned = plan.cells_of(keys, shard);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> expected;
+    for (const std::size_t cell : owned) {
+      expected.emplace_back(cell, owned.size());
+    }
+    EXPECT_EQ(run_frames(path), expected) << "shard " << shard;
+    shard_files.push_back(load_shard_file(options.out_path));
+  }
+
+  auto render = base_options();
+  render.from_path = temp_path("frames_merged.jsonl");
+  write_shard_file(merge_shards(shard_files, nullptr), render.from_path);
+  const std::string path = temp_path("frames_render.ndjson");
+  {
+    TelemetryStream stream(path);
+    render.telemetry_stream = &stream;
+    ShardedSweep sweep(cfg, 42, render);
+    sweep.grid<LatencyProtocol>("latency", specs);
+    EXPECT_EQ(sweep.finish(), 0);
+  }
+  EXPECT_TRUE(run_frames(path).empty());
+}
+
+// Telemetry options a sampler cannot honor are usage errors at session
+// start, not a contract abort (ring 0) or silently disabled sampling
+// (negative epoch) mid-sweep.
+TEST(ShardedSweepTest, RejectsNegativeEpochAndZeroRing) {
+  const core::NetworkConfig cfg;
+  auto negative_epoch = base_options();
+  negative_epoch.batch.telemetry.epoch_ps = -50'000;
+  EXPECT_THROW((ShardedSweep{cfg, 42, negative_epoch}), ConfigError);
+  auto zero_ring = base_options();
+  zero_ring.batch.telemetry.epoch_ps = 50'000;
+  zero_ring.batch.telemetry.ring_capacity = 0;
+  EXPECT_THROW((ShardedSweep{cfg, 42, zero_ring}), ConfigError);
+  auto sampled = zero_ring;
+  sampled.batch.telemetry.ring_capacity = 1;
+  EXPECT_NO_THROW((ShardedSweep{cfg, 42, sampled}));
+}
+
 // finish() is the harness's exit code in every mode: 1 when a cell this
 // invocation ran or loaded failed. A worker answers only for the cells it
 // owns; the failed-looking cells of other shards do not count.
@@ -984,8 +1085,6 @@ TEST(ShardedSweepTest, FinishReportsFailedCellsInEveryMode) {
     const auto outcomes = sweep.grid<LatencyProtocol>("latency", specs);
     ASSERT_TRUE(outcomes[0].run.ok);
     ASSERT_FALSE(outcomes[1].run.ok);
-    ASSERT_EQ(sweep.runs().size(), specs.size());
-    EXPECT_FALSE(sweep.runs()[1].run.ok);
     EXPECT_EQ(sweep.finish(), 1);
   }
 

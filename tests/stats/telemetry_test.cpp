@@ -256,6 +256,54 @@ TEST(TelemetryFrameTest, ParseRejectsMalformedLines) {
                ConfigError);
 }
 
+/// One run frame as ShardedSweep streams it (no series).
+stats::TelemetryFrame run_frame(std::uint64_t cell, const std::string& status,
+                                const std::string& error = {}) {
+  util::Json body = util::Json::object();
+  body.set("grid", "latency");
+  body.set("cell", cell);
+  body.set("grid_runs", std::uint64_t{3});
+  body.set("key", "k" + std::to_string(cell));
+  body.set("status", status);
+  if (!error.empty()) body.set("error", error);
+  body.set("events", std::uint64_t{100});
+  body.set("wall_ms", 1.5);
+  return stats::telemetry_frame_parse(
+      stats::telemetry_frame_write(stats::TelemetryFrameKind::kRun, body));
+}
+
+// A run that succeeded on its second attempt streams status "retried": the
+// follow view shows it as retried and counts it as a success, not a
+// failure. Each grid counts its completed runs against grid_runs.
+TEST(TelemetryFollowViewTest, RetriedRunIsNotAFailure) {
+  stats::FollowView view;
+  util::Json start = util::Json::object();
+  start.set("tool", "bench_x");
+  EXPECT_EQ(view.render(stats::telemetry_frame_parse(stats::telemetry_frame_write(
+                stats::TelemetryFrameKind::kStart, start))),
+            "-- bench_x sweep started --\n");
+
+  const std::string ok = view.render(run_frame(2, "ok"));
+  const std::string retried = view.render(run_frame(0, "retried"));
+  const std::string failed = view.render(run_frame(1, "failed", "boom"));
+  EXPECT_NE(ok.find("1/3"), std::string::npos) << ok;
+  EXPECT_NE(ok.find(" ok "), std::string::npos) << ok;
+  EXPECT_NE(retried.find("2/3"), std::string::npos) << retried;
+  EXPECT_NE(retried.find(" retried "), std::string::npos) << retried;
+  EXPECT_NE(failed.find("3/3"), std::string::npos) << failed;
+  EXPECT_NE(failed.find(" FAIL "), std::string::npos) << failed;
+  EXPECT_NE(failed.find("boom"), std::string::npos) << failed;
+  EXPECT_FALSE(view.done());
+
+  util::Json end = util::Json::object();
+  end.set("tool", "bench_x");
+  EXPECT_EQ(view.render(stats::telemetry_frame_parse(stats::telemetry_frame_write(
+                stats::TelemetryFrameKind::kEnd, end))),
+            "-- done: 3 run(s), 1 failed, 1 retried, 300 events, 4.5 ms run "
+            "wall time --\n");
+  EXPECT_TRUE(view.done());
+}
+
 TEST(TelemetryPerfettoTest, CounterTracksRideTheTrace) {
   const SampledRun run = run_sampled(10_ns, 4096, 100_ns);
   ASSERT_FALSE(run.series.epochs.empty());
