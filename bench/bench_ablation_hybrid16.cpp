@@ -151,6 +151,7 @@ int main(int argc, char** argv) {
                        opts);
   specnoc::bench::note(
       "'Local? yes' = no speculative node feeds another speculative node "
-      "(redundant copies throttled after one hop).");
+      "(redundant copies throttled after one hop).",
+      opts);
   return sweep.finish();
 }

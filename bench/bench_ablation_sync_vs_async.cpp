@@ -119,6 +119,7 @@ int main(int argc, char** argv) {
       "The asynchronous design exploits sub-cycle node latencies (52-299 "
       "ps); a clocked switch pays a full period per stage regardless, so "
       "both absolute performance and the relative value of fast "
-      "speculative nodes degrade with the clock.");
+      "speculative nodes degrade with the clock.",
+      opts);
   return sweep.finish();
 }

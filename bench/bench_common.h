@@ -40,12 +40,15 @@
 
 namespace specnoc::bench {
 
-/// Routes every emitted table to stdout plus the optional --csv / --json
-/// mirrors. The mirror files are opened (truncating) once per process and
-/// kept open, so a re-run never leaves stale sections from a previous
-/// invocation behind — the old per-emit append-mode open did.
+/// Routes every emitted table and note to the report stream (stdout, or
+/// stderr when the telemetry frames claim stdout) plus the optional --csv /
+/// --json table mirrors. The mirror files are opened (truncating) once per
+/// process and kept open, so a re-run never leaves stale sections from a
+/// previous invocation behind — the old per-emit append-mode open did.
 class OutputSink {
  public:
+  void report_to(std::ostream& out) { out_ = &out; }
+
   void mirror_csv(const std::string& path) {
     csv_.open(path, std::ios::trunc);
     if (!csv_) throw ConfigError("cannot write CSV file '" + path + "'");
@@ -57,8 +60,8 @@ class OutputSink {
   }
 
   void table(const Table& table, const std::string& title) {
-    std::cout << "\n== " << title << " ==\n";
-    table.print(std::cout);
+    *out_ << "\n== " << title << " ==\n";
+    table.print(*out_);
     if (csv_.is_open()) {
       csv_ << "# " << title << "\n";
       table.write_csv(csv_);
@@ -83,7 +86,10 @@ class OutputSink {
     }
   }
 
+  void note(const std::string& text) { *out_ << text << "\n"; }
+
  private:
+  std::ostream* out_ = &std::cout;
   std::ofstream csv_;
   std::ofstream jsonl_;
 };
@@ -108,10 +114,11 @@ struct HarnessOptions {
   /// The session settings: the harness name (its shard-file identity) and
   /// the grid flags (Flags::kGrid); make_sweep adds the jobs count.
   stats::SweepOptions sweep;
-  /// --telemetry-out: live NDJSON frame stream ("-" = stdout), one frame
-  /// per completed run as the sweep executes; sweep.telemetry_stream points
-  /// at it. Opened in parse_args; the end frame is emitted when the last
-  /// HarnessOptions copy goes away.
+  /// --telemetry-out: live NDJSON frame stream, one frame per completed run
+  /// as the sweep executes; sweep.telemetry_stream points at it. Opened in
+  /// parse_args; the end frame is emitted when the last HarnessOptions copy
+  /// goes away. With "-" the frames own stdout and the harness's tables and
+  /// notes go to stderr, so stdout is a pure frame stream.
   std::shared_ptr<stats::TelemetryStream> telemetry_stream;
   /// --sim-threads: scheduler lanes/worker threads for the partitioned
   /// kernel inside each simulation (distinct from --jobs, which
@@ -168,8 +175,8 @@ inline HarnessOptions parse_args(
                    "epochs retained per run (flight-recorder depth)");
     cli.add_string("--telemetry-out", &telemetry_out,
                    "stream one NDJSON telemetry frame per completed run to "
-                   "this file as the sweep executes ('-' = stdout); tail "
-                   "with sweep_merge --follow");
+                   "this file as the sweep executes ('-' = stdout, and the "
+                   "tables move to stderr); tail with sweep_merge --follow");
     cli.add_unsigned("--sim-threads", &opts.sim_threads,
                      "partitioned-kernel worker threads inside each "
                      "simulation (1: exact sequential path; results "
@@ -211,6 +218,8 @@ inline HarnessOptions parse_args(
     if (!csv_path.empty()) opts.sink->mirror_csv(csv_path);
     if (!json_path.empty()) opts.sink->mirror_jsonl(json_path);
     if (!telemetry_out.empty()) {
+      // Frames on stdout: the tables and notes make way, to stderr.
+      if (telemetry_out == "-") opts.sink->report_to(std::cerr);
       // The custom deleter bookends the stream: the start frame is emitted
       // here, the end frame when the last HarnessOptions copy releases the
       // stream (i.e. at harness exit, success or failure).
@@ -261,6 +270,8 @@ inline void emit(const Table& table, const std::string& title,
   opts.sink->table(table, title);
 }
 
-inline void note(const std::string& text) { std::cout << text << "\n"; }
+inline void note(const std::string& text, const HarnessOptions& opts) {
+  opts.sink->note(text);
+}
 
 }  // namespace specnoc::bench

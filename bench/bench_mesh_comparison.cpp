@@ -104,6 +104,7 @@ int main(int argc, char** argv) {
   specnoc::bench::note(
       "The MoT's constant log-depth paths give it flat latency and high "
       "multicast saturation; the mesh wins on switch area at this size but "
-      "pays distance-dependent latency and serializes at hot rows/columns.");
+      "pays distance-dependent latency and serializes at hot rows/columns.",
+      opts);
   return sweep.finish();
 }

@@ -96,6 +96,7 @@ int main(int argc, char** argv) {
       "it accelerates the common uncongested case (lower latency, slightly "
       "higher saturation) at the cost of throttled redundant copies "
       "(power). The MoT-style always-broadcast C-element deadlocks on a "
-      "mesh — see DESIGN.md.");
+      "mesh — see DESIGN.md.",
+      opts);
   return sweep.finish();
 }

@@ -23,7 +23,7 @@ namespace {
 class ProbeSink final : public noc::Node {
  public:
   ProbeSink(sim::Scheduler& s, noc::SimHooks& h)
-      : Node(s, h, noc::NodeKind::kSink, "probe_sink") {}
+      : Node(s, h, noc::NodeKind::kSink) {}
   void deliver(const noc::Flit&, std::uint32_t port) override {
     if (first_arrival < 0) first_arrival = sched().now();
     input(port).ack();
@@ -35,7 +35,7 @@ class ProbeSink final : public noc::Node {
 class ProbeDriver final : public noc::Node {
  public:
   ProbeDriver(sim::Scheduler& s, noc::SimHooks& h)
-      : Node(s, h, noc::NodeKind::kSource, "probe_driver") {}
+      : Node(s, h, noc::NodeKind::kSource) {}
   void deliver(const noc::Flit&, std::uint32_t) override {}
   void on_output_ack(std::uint32_t) override {}
   void send(const noc::Flit& flit) { output(0).send(flit); }
@@ -51,8 +51,8 @@ TimePs measure_fanout_latency(MakeNode&& make_node) {
   ProbeDriver driver(sched, hooks);
   ProbeSink top(sched, hooks), bottom(sched, hooks);
   auto node = make_node(sched, hooks);
-  noc::Channel in(sched, hooks, {}, "in"), out0(sched, hooks, {}, "o0"),
-      out1(sched, hooks, {}, "o1");
+  noc::Channel in(sched, hooks, {}), out0(sched, hooks, {}),
+      out1(sched, hooks, {});
   in.connect(driver, 0, *node, 0);
   out0.connect(*node, 0, top, 0);
   out1.connect(*node, 1, bottom, 0);
@@ -70,9 +70,9 @@ TimePs measure_fanin_latency() {
   noc::PacketStore store;
   ProbeDriver driver(sched, hooks);
   ProbeSink sink(sched, hooks);
-  nodes::FaninNode node(sched, hooks, "dut",
+  nodes::FaninNode node(sched, hooks,
                         nodes::default_characteristics(noc::NodeKind::kFanin));
-  noc::Channel in(sched, hooks, {}, "in"), out(sched, hooks, {}, "out");
+  noc::Channel in(sched, hooks, {}), out(sched, hooks, {});
   in.connect(driver, 0, node, 0);
   out.connect(node, 0, sink, 0);
   const noc::Message& msg = store.create_message(0, noc::DestSet::single(0), 0,
@@ -109,40 +109,39 @@ int main(int argc, char** argv) {
   for (const Row& row : rows) {
     const auto& chars = nodes::default_characteristics(row.kind);
     TimePs simulated = -1;
-    auto chars_copy = chars;
     switch (row.kind) {
       case noc::NodeKind::kFanoutBaseline:
         simulated = measure_fanout_latency([&](auto& s, auto& h) {
           return std::make_unique<nodes::BaselineFanoutNode>(
-              s, h, "dut", chars_copy, noc::DestRange{0, 1},
+              s, h, chars, noc::DestRange{0, 1},
               noc::DestRange{1, 2});
         });
         break;
       case noc::NodeKind::kFanoutSpeculative:
         simulated = measure_fanout_latency([&](auto& s, auto& h) {
           return std::make_unique<nodes::SpecFanoutNode>(
-              s, h, "dut", chars_copy, noc::DestRange{0, 1},
+              s, h, chars, noc::DestRange{0, 1},
               noc::DestRange{1, 2});
         });
         break;
       case noc::NodeKind::kFanoutNonSpeculative:
         simulated = measure_fanout_latency([&](auto& s, auto& h) {
           return std::make_unique<nodes::NonSpecFanoutNode>(
-              s, h, "dut", chars_copy, noc::DestRange{0, 1},
+              s, h, chars, noc::DestRange{0, 1},
               noc::DestRange{1, 2});
         });
         break;
       case noc::NodeKind::kFanoutOptSpeculative:
         simulated = measure_fanout_latency([&](auto& s, auto& h) {
           return std::make_unique<nodes::OptSpecFanoutNode>(
-              s, h, "dut", chars_copy, noc::DestRange{0, 1},
+              s, h, chars, noc::DestRange{0, 1},
               noc::DestRange{1, 2});
         });
         break;
       case noc::NodeKind::kFanoutOptNonSpeculative:
         simulated = measure_fanout_latency([&](auto& s, auto& h) {
           return std::make_unique<nodes::OptNonSpecFanoutNode>(
-              s, h, "dut", chars_copy, noc::DestRange{0, 1},
+              s, h, chars, noc::DestRange{0, 1},
               noc::DestRange{1, 2});
         });
         break;
@@ -164,7 +163,8 @@ int main(int argc, char** argv) {
   specnoc::bench::note(
       "Fanin characteristics are assumed (not reported in the paper); "
       "they are identical across all six networks so they cancel in every "
-      "architecture comparison.");
+      "architecture comparison.",
+      opts);
 
   // Network-level switch area per architecture (derived; the speculative
   // designs trade bigger multicast-capable nodes for tiny broadcast ones).

@@ -83,6 +83,7 @@ int main(int argc, char** argv) {
   specnoc::bench::note(
       "OptHybrid's broadcast ops are header+tail only (the power "
       "optimization); OptAllSpec's throttle count shows the wider "
-      "speculative region the paper warns about.");
+      "speculative region the paper warns about.",
+      opts);
   return 0;
 }

@@ -211,6 +211,7 @@ int main(int argc, char** argv) {
       "Peak RSS is the process high-water mark; cells run in ascending "
       "radix order so each value is the watermark after that cell. "
       "Model speedup (partitioned cells) is total events over the largest "
-      "per-worker share — the machine-independent bound.");
+      "per-worker share — the machine-independent bound.",
+      opts);
   return 0;
 }

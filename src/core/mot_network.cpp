@@ -1,30 +1,16 @@
 #include "core/mot_network.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
-#include <string>
 
+#include "nodes/characteristics.h"
 #include "nodes/fanin_node.h"
 #include "nodes/fanout_nodes.h"
 #include "util/contract.h"
 #include "util/error.h"
 
 namespace specnoc::core {
-namespace {
-
-std::string fo_name(std::uint32_t tree, std::uint32_t level,
-                    std::uint32_t index) {
-  return "fo" + std::to_string(tree) + ".l" + std::to_string(level) + "i" +
-         std::to_string(index);
-}
-
-std::string fi_name(std::uint32_t tree, std::uint32_t level,
-                    std::uint32_t index) {
-  return "fi" + std::to_string(tree) + ".l" + std::to_string(level) + "i" +
-         std::to_string(index);
-}
-
-}  // namespace
 
 MotNetwork::MotNetwork(Architecture arch, NetworkConfig config)
     : arch_(arch), config_(std::move(config)), topology_(config_.n),
@@ -96,6 +82,22 @@ void MotNetwork::build() {
         d, config_.sink_consume_delay));
   }
 
+  // Switch characteristics, interned once per node kind: every node of a
+  // kind shares one value (interning locks and scans the process table).
+  std::array<const nodes::NodeCharacteristics*, noc::all_node_kinds().size()>
+      interned{};
+  const auto chars_of =
+      [&](noc::NodeKind kind) -> const nodes::NodeCharacteristics& {
+    const nodes::NodeCharacteristics*& slot =
+        interned[static_cast<std::size_t>(kind)];
+    if (slot == nullptr) {
+      nodes::NodeCharacteristics chars = config_.chars_for(kind);
+      chars.clock_period = config_.clock_period;
+      slot = &nodes::intern_characteristics(chars);
+    }
+    return *slot;
+  };
+
   // Fanout trees.
   fanout_.resize(n);
   for (std::uint32_t s = 0; s < n; ++s) {
@@ -105,32 +107,29 @@ void MotNetwork::build() {
       for (std::uint32_t i = 0; i < topology_.nodes_at_level(level); ++i) {
         const bool spec = speculation_.speculative(level, i);
         const noc::NodeKind kind = fanout_kind(arch_, spec);
-        auto chars = config_.chars_for(kind);
-        chars.clock_period = config_.clock_period;
+        const nodes::NodeCharacteristics& chars = chars_of(kind);
         const noc::DestRange top = topology_.subtree_span(level, i, 0);
         const noc::DestRange bottom = topology_.subtree_span(level, i, 1);
-        const std::string name = fo_name(s, level, i);
         nodes::FanoutNodeBase* node = nullptr;
         switch (kind) {
           case noc::NodeKind::kFanoutBaseline:
-            node = &net_.add_node<nodes::BaselineFanoutNode>(name, chars, top,
+            node = &net_.add_node<nodes::BaselineFanoutNode>(chars, top,
                                                              bottom);
             break;
           case noc::NodeKind::kFanoutSpeculative:
-            node = &net_.add_node<nodes::SpecFanoutNode>(name, chars, top,
-                                                         bottom);
+            node = &net_.add_node<nodes::SpecFanoutNode>(chars, top, bottom);
             break;
           case noc::NodeKind::kFanoutNonSpeculative:
-            node = &net_.add_node<nodes::NonSpecFanoutNode>(name, chars, top,
+            node = &net_.add_node<nodes::NonSpecFanoutNode>(chars, top,
                                                             bottom);
             break;
           case noc::NodeKind::kFanoutOptSpeculative:
-            node = &net_.add_node<nodes::OptSpecFanoutNode>(name, chars, top,
+            node = &net_.add_node<nodes::OptSpecFanoutNode>(chars, top,
                                                             bottom);
             break;
           case noc::NodeKind::kFanoutOptNonSpeculative:
-            node = &net_.add_node<nodes::OptNonSpecFanoutNode>(name, chars,
-                                                               top, bottom);
+            node = &net_.add_node<nodes::OptNonSpecFanoutNode>(chars, top,
+                                                               bottom);
             break;
           default:
             SPECNOC_UNREACHABLE("not a fanout node kind");
@@ -143,15 +142,15 @@ void MotNetwork::build() {
 
   // Fanin trees (identical arbiters in every architecture).
   fanin_.resize(n);
-  auto fanin_chars = config_.chars_for(noc::NodeKind::kFanin);
-  fanin_chars.clock_period = config_.clock_period;
+  const nodes::NodeCharacteristics& fanin_chars =
+      chars_of(noc::NodeKind::kFanin);
   for (std::uint32_t d = 0; d < n; ++d) {
     net_.set_build_partition(lane_of(d));
     fanin_[d].resize(topology_.nodes_per_tree(), nullptr);
     for (std::uint32_t level = 0; level < levels; ++level) {
       for (std::uint32_t i = 0; i < topology_.nodes_at_level(level); ++i) {
         nodes::FaninNode& node = net_.add_node<nodes::FaninNode>(
-            fi_name(d, level, i), fanin_chars, config_.fanin_buffer_flits,
+            fanin_chars, config_.fanin_buffer_flits,
             config_.fanin_sticky_timeout);
         node.set_site({d, static_cast<std::int32_t>(level), i});
         fanin_[d][mot::MotTopology::heap_id(level, i)] = &node;
@@ -162,7 +161,7 @@ void MotNetwork::build() {
   // Source NI -> fanout root.
   for (std::uint32_t s = 0; s < n; ++s) {
     net_.add_channel(layout_.interface_channel(),
-                     "src" + std::to_string(s) + "->root", net_.source(s), 0,
+                     noc::ChannelClass::kSourceIf, net_.source(s), 0,
                      *fanout_[s][0], 0);
   }
 
@@ -172,8 +171,7 @@ void MotNetwork::build() {
       for (std::uint32_t i = 0; i < topology_.nodes_at_level(level); ++i) {
         for (std::uint32_t c = 0; c < 2; ++c) {
           net_.add_channel(
-              layout_.tree_channel(level),
-              fo_name(s, level, i) + ">" + std::to_string(c),
+              layout_.tree_channel(level), noc::ChannelClass::kFanout,
               *fanout_[s][mot::MotTopology::heap_id(level, i)], c,
               *fanout_[s][mot::MotTopology::heap_id(level + 1, 2 * i + c)],
               0);
@@ -196,8 +194,7 @@ void MotNetwork::build() {
       for (std::uint32_t c = 0; c < 2; ++c) {
         const std::uint32_t d = topology_.leaf_dest(i, c);
         net_.add_channel(
-            middle,
-            "mid.s" + std::to_string(s) + ".d" + std::to_string(d),
+            middle, noc::ChannelClass::kMiddle,
             *fanout_[s][mot::MotTopology::heap_id(leaf_level, i)], c,
             *fanin_[d][mot::MotTopology::heap_id(
                 leaf_level, topology_.fanin_leaf_index(s))],
@@ -212,8 +209,7 @@ void MotNetwork::build() {
       for (std::uint32_t j = 0; j < topology_.nodes_at_level(level + 1);
            ++j) {
         net_.add_channel(
-            layout_.tree_channel(level),
-            fi_name(d, level + 1, j) + ">up",
+            layout_.tree_channel(level), noc::ChannelClass::kFanin,
             *fanin_[d][mot::MotTopology::heap_id(level + 1, j)], 0,
             *fanin_[d][mot::MotTopology::heap_id(level, j / 2)], j % 2);
       }
@@ -222,9 +218,8 @@ void MotNetwork::build() {
 
   // Fanin root -> sink NI.
   for (std::uint32_t d = 0; d < n; ++d) {
-    net_.add_channel(layout_.interface_channel(),
-                     "root->dst" + std::to_string(d), *fanin_[d][0], 0,
-                     net_.sink(d), 0);
+    net_.add_channel(layout_.interface_channel(), noc::ChannelClass::kSinkIf,
+                     *fanin_[d][0], 0, net_.sink(d), 0);
   }
 }
 

@@ -29,11 +29,18 @@ MeshNetwork::MeshNetwork(MeshConfig config)
 
 void MeshNetwork::build() {
   const std::uint32_t n = topology_.n();
-  auto chars = nodes::default_characteristics(noc::NodeKind::kMeshRouter);
-  chars.clock_period = config_.clock_period;
-  auto spec_chars =
-      nodes::default_characteristics(noc::NodeKind::kMeshRouterSpec);
-  spec_chars.clock_period = config_.clock_period;
+  // Router characteristics, interned once per kind and shared by every
+  // router of that kind.
+  const auto interned = [this](noc::NodeKind kind)
+      -> const nodes::NodeCharacteristics& {
+    nodes::NodeCharacteristics chars = nodes::default_characteristics(kind);
+    chars.clock_period = config_.clock_period;
+    return nodes::intern_characteristics(chars);
+  };
+  const nodes::NodeCharacteristics& chars =
+      interned(noc::NodeKind::kMeshRouter);
+  const nodes::NodeCharacteristics& spec_chars =
+      interned(noc::NodeKind::kMeshRouterSpec);
 
   // Validate the speculative placement: every redundant copy must meet a
   // non-speculative filter one hop from the speculative router that
@@ -100,18 +107,14 @@ void MeshNetwork::build() {
   routers_.reserve(n);
   for (std::uint32_t id = 0; id < n; ++id) {
     net_.set_build_partition(lane_of(id));
-    std::string name = speculative(id) ? "sr" : "r";
-    name += std::to_string(topology_.x_of(id));
-    name += ',';
-    name += std::to_string(topology_.y_of(id));
     if (speculative(id)) {
       routers_.push_back(&net_.add_node<SpecMeshRouter>(
-          std::move(name), spec_chars, topology_, id,
-          config_.router_buffer_flits, config_.sticky_timeout));
+          spec_chars, topology_, id, config_.router_buffer_flits,
+          config_.sticky_timeout));
     } else {
       routers_.push_back(&net_.add_node<MeshRouter>(
-          std::move(name), chars, topology_, id,
-          config_.router_buffer_flits, config_.sticky_timeout));
+          chars, topology_, id, config_.router_buffer_flits,
+          config_.sticky_timeout));
     }
     // Mesh routers are not part of a levelled tree (level stays -1).
     routers_.back()->set_site({id, -1, id});
@@ -124,30 +127,19 @@ void MeshNetwork::build() {
   const auto local_port = static_cast<std::uint32_t>(Port::kLocal);
 
   for (std::uint32_t id = 0; id < n; ++id) {
-    std::string in_name = "ni";
-    in_name += std::to_string(id);
-    in_name += ">r";
-    std::string out_name = "r>ni";
-    out_name += std::to_string(id);
-    net_.add_channel(local_link, std::move(in_name), net_.source(id), 0,
-                     *routers_[id], local_port);
-    net_.add_channel(local_link, std::move(out_name), *routers_[id],
+    net_.add_channel(local_link, noc::ChannelClass::kMeshInject,
+                     net_.source(id), 0, *routers_[id], local_port);
+    net_.add_channel(local_link, noc::ChannelClass::kMeshEject, *routers_[id],
                      local_port, net_.sink(id), 0);
     // Eastward and southward links (one channel per direction per pair).
     for (const Port port : {Port::kEast, Port::kSouth}) {
       if (!topology_.has_neighbor(id, port)) continue;
       const std::uint32_t peer = topology_.neighbor(id, port);
       const Port back = port == Port::kEast ? Port::kWest : Port::kNorth;
-      std::string fwd_name = routers_[id]->name();
-      fwd_name += '>';
-      fwd_name += to_string(port);
-      std::string back_name = routers_[peer]->name();
-      back_name += '>';
-      back_name += to_string(back);
-      net_.add_channel(hop_link, std::move(fwd_name), *routers_[id],
+      net_.add_channel(hop_link, noc::ChannelClass::kMeshHop, *routers_[id],
                        static_cast<std::uint32_t>(port), *routers_[peer],
                        static_cast<std::uint32_t>(back));
-      net_.add_channel(hop_link, std::move(back_name), *routers_[peer],
+      net_.add_channel(hop_link, noc::ChannelClass::kMeshHop, *routers_[peer],
                        static_cast<std::uint32_t>(back), *routers_[id],
                        static_cast<std::uint32_t>(port));
     }

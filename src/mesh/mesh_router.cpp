@@ -5,27 +5,35 @@
 namespace specnoc::mesh {
 
 MeshRouter::MeshRouter(sim::Scheduler& scheduler, noc::SimHooks& hooks,
-                       std::string name,
                        const nodes::NodeCharacteristics& chars,
                        const MeshTopology& topology, std::uint32_t router_id,
                        std::uint32_t input_buffer_flits,
                        TimePs sticky_timeout)
-    : MeshRouter(scheduler, hooks, noc::NodeKind::kMeshRouter,
-                 std::move(name), chars, topology, router_id,
-                 input_buffer_flits, sticky_timeout) {}
+    : MeshRouter(scheduler, hooks, noc::NodeKind::kMeshRouter, chars,
+                 topology, router_id, input_buffer_flits, sticky_timeout) {}
 
 MeshRouter::MeshRouter(sim::Scheduler& scheduler, noc::SimHooks& hooks,
-                       noc::NodeKind kind, std::string name,
+                       noc::NodeKind kind,
                        const nodes::NodeCharacteristics& chars,
                        const MeshTopology& topology, std::uint32_t router_id,
                        std::uint32_t input_buffer_flits,
                        TimePs sticky_timeout)
-    : Node(scheduler, hooks, kind, std::move(name)), topology_(topology),
-      id_(router_id), chars_(&nodes::intern_characteristics(chars)),
-      buffer_capacity_(input_buffer_flits), sticky_timeout_(sticky_timeout) {
+    : Node(scheduler, hooks, kind), topology_(topology), id_(router_id),
+      chars_(&chars), buffer_capacity_(input_buffer_flits),
+      sticky_timeout_(sticky_timeout) {
   SPECNOC_EXPECTS(router_id < topology.n());
   SPECNOC_EXPECTS(input_buffer_flits >= 1);
   SPECNOC_EXPECTS(sticky_timeout > 0);
+}
+
+std::string MeshRouter::name() const {
+  return (kind() == noc::NodeKind::kMeshRouterSpec ? "sr" : "r") +
+         std::to_string(topology_.x_of(id_)) + "," +
+         std::to_string(topology_.y_of(id_));
+}
+
+std::string MeshRouter::output_port_name(std::uint32_t port) const {
+  return to_string(static_cast<Port>(port));
 }
 
 bool MeshRouter::valid_tree_arrival(const noc::Flit& flit,
@@ -284,16 +292,15 @@ void MeshRouter::on_output_ack(std::uint32_t out_port) {
 }
 
 SpecMeshRouter::SpecMeshRouter(sim::Scheduler& scheduler,
-                               noc::SimHooks& hooks, std::string name,
+                               noc::SimHooks& hooks,
                                const nodes::NodeCharacteristics& chars,
                                const MeshTopology& topology,
                                std::uint32_t router_id,
                                std::uint32_t input_buffer_flits,
                                TimePs sticky_timeout,
                                TimePs speculation_latency)
-    : MeshRouter(scheduler, hooks, noc::NodeKind::kMeshRouterSpec,
-                 std::move(name), chars, topology, router_id,
-                 input_buffer_flits, sticky_timeout),
+    : MeshRouter(scheduler, hooks, noc::NodeKind::kMeshRouterSpec, chars,
+                 topology, router_id, input_buffer_flits, sticky_timeout),
       speculation_latency_(speculation_latency) {
   SPECNOC_EXPECTS(speculation_latency > 0);
 }

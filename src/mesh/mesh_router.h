@@ -28,8 +28,10 @@ namespace specnoc::mesh {
 
 class MeshRouter : public noc::Node {
  public:
+  /// Keeps a pointer to `chars`, which must outlive the router (builders
+  /// pass the interned value; see nodes::intern_characteristics).
   MeshRouter(sim::Scheduler& scheduler, noc::SimHooks& hooks,
-             std::string name, const nodes::NodeCharacteristics& chars,
+             const nodes::NodeCharacteristics& chars,
              const MeshTopology& topology, std::uint32_t router_id,
              std::uint32_t input_buffer_flits = 2,
              TimePs sticky_timeout = 900);
@@ -38,6 +40,12 @@ class MeshRouter : public noc::Node {
   void on_output_ack(std::uint32_t out_port) final;
 
   std::uint32_t router_id() const { return id_; }
+
+  /// "r<x>,<y>" from the router's coordinates; "sr<x>,<y>" when
+  /// speculative.
+  std::string name() const override;
+  /// The port's direction name ("r1,2>east").
+  std::string output_port_name(std::uint32_t port) const override;
 
   /// Introspection for tests.
   std::size_t buffered(std::uint32_t port) const {
@@ -48,8 +56,7 @@ class MeshRouter : public noc::Node {
  protected:
   /// Kind override + policy hooks for the speculative variant.
   MeshRouter(sim::Scheduler& scheduler, noc::SimHooks& hooks,
-             noc::NodeKind kind, std::string name,
-             const nodes::NodeCharacteristics& chars,
+             noc::NodeKind kind, const nodes::NodeCharacteristics& chars,
              const MeshTopology& topology, std::uint32_t router_id,
              std::uint32_t input_buffer_flits, TimePs sticky_timeout);
 
@@ -159,7 +166,7 @@ class MeshRouter : public noc::Node {
 class SpecMeshRouter final : public MeshRouter {
  public:
   SpecMeshRouter(sim::Scheduler& scheduler, noc::SimHooks& hooks,
-                 std::string name, const nodes::NodeCharacteristics& chars,
+                 const nodes::NodeCharacteristics& chars,
                  const MeshTopology& topology, std::uint32_t router_id,
                  std::uint32_t input_buffer_flits = 2,
                  TimePs sticky_timeout = 900,

@@ -25,30 +25,31 @@ const char* to_string(ChannelClass klass) {
   return "?";
 }
 
-ChannelClass channel_class_of(std::string_view name) {
-  const auto has_prefix = [name](std::string_view prefix) {
-    return name.substr(0, prefix.size()) == prefix;
-  };
-  if (has_prefix("src")) return ChannelClass::kSourceIf;
-  if (has_prefix("root->")) return ChannelClass::kSinkIf;
-  if (has_prefix("mid.")) return ChannelClass::kMiddle;
-  if (has_prefix("fo")) return ChannelClass::kFanout;
-  if (has_prefix("fi")) return ChannelClass::kFanin;
-  if (has_prefix("ni")) return ChannelClass::kMeshInject;
-  if (has_prefix("r>ni") || has_prefix("sr>ni")) {
-    return ChannelClass::kMeshEject;
-  }
-  if (has_prefix("r") || has_prefix("sr")) return ChannelClass::kMeshHop;
-  return ChannelClass::kOther;
-}
-
 Channel::Channel(sim::Scheduler& scheduler, SimHooks& hooks,
-                 ChannelParams params, std::string name)
-    : scheduler_(scheduler), hooks_(hooks), params_(params),
-      name_(std::move(name)), klass_(channel_class_of(name_)) {
+                 ChannelParams params, ChannelClass klass)
+    : scheduler_(scheduler), hooks_(hooks), params_(params), klass_(klass) {
   SPECNOC_EXPECTS(params_.delay_fwd >= 0 && params_.delay_ack >= 0);
   SPECNOC_EXPECTS(params_.capacity >= 1);
   queue_.reserve(params_.capacity);
+}
+
+std::string Channel::name() const {
+  if (up_ == nullptr) return to_string(klass_);
+  switch (klass_) {
+    case ChannelClass::kSourceIf:
+      return up_->name() + "->root";
+    case ChannelClass::kSinkIf:
+      return "root->" + down_->name();
+    case ChannelClass::kMiddle:
+      return "mid.s" + std::to_string(up_->site().tree) + ".d" +
+             std::to_string(down_->site().tree);
+    case ChannelClass::kMeshInject:
+      return "ni" + std::to_string(down_->site().tree) + ">r";
+    case ChannelClass::kMeshEject:
+      return "r>ni" + std::to_string(up_->site().tree);
+    default:
+      return up_->name() + ">" + up_->output_port_name(up_port_);
+  }
 }
 
 void Channel::connect(Node& up, std::uint32_t up_port, Node& down,

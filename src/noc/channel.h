@@ -53,8 +53,10 @@ struct ChannelParams {
 
 class Channel {
  public:
+  /// `klass` is the channel's metrics aggregation class; the network
+  /// builder that wires the channel knows it.
   Channel(sim::Scheduler& scheduler, SimHooks& hooks, ChannelParams params,
-          std::string name);
+          ChannelClass klass = ChannelClass::kOther);
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
@@ -74,8 +76,14 @@ class Channel {
   void ack();
 
   const ChannelParams& params() const { return params_; }
-  const std::string& name() const { return name_; }
-  /// Aggregation class, classified from the name at construction.
+  /// Display name for traces and diagnostics, derived from the class and
+  /// the endpoints on every call (channels store no name): "src3->root",
+  /// "root->dst5", "mid.s3.d5", "ni4>r", "r>ni4", and otherwise the
+  /// upstream node's name, '>', and its output port's name ("fo3.l1i0>1",
+  /// "fi5.l2i1>up", "r1,2>east"). An unconnected channel is named by its
+  /// class.
+  std::string name() const;
+  /// Aggregation class, given at construction.
   ChannelClass klass() const { return klass_; }
   Node* upstream() const { return up_; }
   Node* downstream() const { return down_; }
@@ -122,7 +130,6 @@ class Channel {
   sim::Scheduler& scheduler_;
   SimHooks& hooks_;
   ChannelParams params_;
-  std::string name_;
   Node* up_ = nullptr;
   Node* down_ = nullptr;
   std::uint32_t up_port_ = 0;

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <initializer_list>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "util/units.h"
@@ -57,10 +56,10 @@ constexpr std::array<NodeKind, 10> all_node_kinds() {
           NodeKind::kMeshRouterSpec};
 }
 
-/// Aggregation class of a channel, derived once at construction from its
-/// builder-assigned name ("mid.s3.d5" -> kMiddle, "fo2.l1i0>1" -> kFanout,
-/// ...; see channel_class_of). Enumerators are declared in the alphabetical
-/// order of their to_string() names, the order metrics list classes in.
+/// Aggregation class of a channel, given by the network builder that wires
+/// it (noc::Network::add_channel). Enumerators are declared in the
+/// alphabetical order of their to_string() names, the order metrics list
+/// classes in.
 enum class ChannelClass : std::uint8_t {
   kFanin,
   kFanout,
@@ -75,11 +74,6 @@ enum class ChannelClass : std::uint8_t {
 
 /// "fanin", "fanout", "mesh_eject", ..., "source_if".
 const char* to_string(ChannelClass klass);
-
-/// Classifies a builder channel name by prefix: "src" source_if,
-/// "root->" sink_if, "mid." middle, "fo" fanout, "fi" fanin, "ni"
-/// mesh_inject, "r>ni"/"sr>ni" mesh_eject, "r"/"sr" mesh_hop, else other.
-ChannelClass channel_class_of(std::string_view name);
 
 /// Every ChannelClass enumerator, in declaration (= name) order.
 constexpr std::array<ChannelClass, 9> all_channel_classes() {

@@ -179,12 +179,12 @@ void Network::clear_epoch_hook() {
   }
 }
 
-Channel& Network::add_channel(ChannelParams params, std::string name,
+Channel& Network::add_channel(ChannelParams params, ChannelClass klass,
                               Node& up, std::uint32_t up_port, Node& down,
                               std::uint32_t down_port) {
   // The channel's home lane is the upstream node's: send() runs there.
   Channel& ref = *arena_.create<Channel>(lane(up.partition()), hooks_,
-                                         params, std::move(name));
+                                         params, klass);
   arena_.label_pool<Channel>("channel");
   channels_.push_back(&ref);
   ref.connect(up, up_port, down, down_port);

@@ -96,11 +96,12 @@ class Network {
     return *node;
   }
 
-  /// Creates a channel and wires it between two node ports. In partitioned
-  /// mode the channel lives on the upstream node's lane and is split into
-  /// cross-partition halves when the endpoints' partitions differ (the
-  /// channel's min latency must be >= the declared lookahead).
-  Channel& add_channel(ChannelParams params, std::string name, Node& up,
+  /// Creates a channel of metrics class `klass` and wires it between two
+  /// node ports. In partitioned mode the channel lives on the upstream
+  /// node's lane and is split into cross-partition halves when the
+  /// endpoints' partitions differ (the channel's min latency must be >= the
+  /// declared lookahead).
+  Channel& add_channel(ChannelParams params, ChannelClass klass, Node& up,
                        std::uint32_t up_port, Node& down,
                        std::uint32_t down_port);
 

@@ -59,10 +59,35 @@ void PortList::put(std::uint32_t port, Channel& channel) {
   if (port >= size_) size_ = port + 1;
 }
 
-Node::Node(sim::Scheduler& scheduler, SimHooks& hooks, NodeKind kind,
-           std::string name)
-    : scheduler_(scheduler), hooks_(hooks), kind_(kind),
-      name_(std::move(name)) {}
+Node::Node(sim::Scheduler& scheduler, SimHooks& hooks, NodeKind kind)
+    : scheduler_(scheduler), hooks_(hooks), kind_(kind) {}
+
+std::string Node::name() const {
+  std::string prefix;
+  switch (kind_) {
+    case NodeKind::kFanoutBaseline:
+    case NodeKind::kFanoutSpeculative:
+    case NodeKind::kFanoutNonSpeculative:
+    case NodeKind::kFanoutOptSpeculative:
+    case NodeKind::kFanoutOptNonSpeculative:
+      prefix = "fo";
+      break;
+    case NodeKind::kFanin:
+      prefix = "fi";
+      break;
+    default:
+      prefix = to_string(kind_);
+      break;
+  }
+  prefix += std::to_string(site_.tree);
+  if (site_.level < 0) return prefix;
+  return prefix + ".l" + std::to_string(site_.level) + "i" +
+         std::to_string(site_.index);
+}
+
+std::string Node::output_port_name(std::uint32_t port) const {
+  return std::to_string(port);
+}
 
 void Node::attach_input(std::uint32_t port, Channel& channel) {
   inputs_.put(port, channel);

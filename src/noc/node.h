@@ -67,14 +67,23 @@ class PortList {
 ///    output channel is free again.
 class Node {
  public:
-  Node(sim::Scheduler& scheduler, SimHooks& hooks, NodeKind kind,
-       std::string name);
+  Node(sim::Scheduler& scheduler, SimHooks& hooks, NodeKind kind);
   virtual ~Node() = default;
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
   NodeKind kind() const { return kind_; }
-  const std::string& name() const { return name_; }
+
+  /// Display name for traces and diagnostics, derived from structure on
+  /// every call (nodes store no name). The base form covers the MoT tree
+  /// switches, "fo3.l1i0" / "fi5.l2i1" (kind prefix, then site tree, level
+  /// and index), and names any other node "<kind><site.tree>"; network
+  /// interfaces and mesh routers override it.
+  virtual std::string name() const;
+
+  /// Label of output `port` in the names of the channels it drives
+  /// ("fo3.l1i0>1"); the port number unless a subclass names its ports.
+  virtual std::string output_port_name(std::uint32_t port) const;
 
   /// Structural position inside the network, set by the network builder.
   const NodeSite& site() const { return site_; }
@@ -121,7 +130,6 @@ class Node {
   NodeKind kind_;
   std::uint32_t partition_ = 0;
   NodeSite site_;
-  std::string name_;
   PortList inputs_;
   PortList outputs_;
 };

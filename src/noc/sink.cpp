@@ -6,10 +6,13 @@ namespace specnoc::noc {
 
 SinkNode::SinkNode(sim::Scheduler& scheduler, SimHooks& hooks,
                    std::uint32_t dest_id, TimePs consume_delay)
-    : Node(scheduler, hooks, NodeKind::kSink,
-           "dst" + std::to_string(dest_id)),
+    : Node(scheduler, hooks, NodeKind::kSink),
       dest_id_(dest_id), consume_delay_(consume_delay) {
   SPECNOC_EXPECTS(consume_delay >= 0);
+}
+
+std::string SinkNode::name() const {
+  return "dst" + std::to_string(dest_id_);
 }
 
 void SinkNode::deliver(const Flit& flit, std::uint32_t in_port) {

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "noc/node.h"
 #include "noc/packet.h"
@@ -18,6 +19,9 @@ class SinkNode : public Node {
 
   std::uint32_t dest_id() const { return dest_id_; }
   std::uint64_t flits_consumed() const { return flits_consumed_; }
+
+  /// "dst5".
+  std::string name() const override;
 
   void deliver(const Flit& flit, std::uint32_t in_port) override;
   void on_output_ack(std::uint32_t out_port) override;

@@ -6,10 +6,13 @@ namespace specnoc::noc {
 
 SourceNode::SourceNode(sim::Scheduler& scheduler, SimHooks& hooks,
                        std::uint32_t src_id, TimePs issue_delay)
-    : Node(scheduler, hooks, NodeKind::kSource,
-           "src" + std::to_string(src_id)),
+    : Node(scheduler, hooks, NodeKind::kSource),
       src_id_(src_id), issue_delay_(issue_delay) {
   SPECNOC_EXPECTS(issue_delay >= 0);
+}
+
+std::string SourceNode::name() const {
+  return "src" + std::to_string(src_id_);
 }
 
 void SourceNode::enqueue_packet(const Packet& packet) {

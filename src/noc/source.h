@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <string>
 
 #include "noc/node.h"
 #include "noc/packet.h"
@@ -21,6 +22,9 @@ class SourceNode : public Node {
              TimePs issue_delay);
 
   std::uint32_t src_id() const { return src_id_; }
+
+  /// "src3".
+  std::string name() const override;
 
   /// Appends all flits of `packet` to the injection queue.
   void enqueue_packet(const Packet& packet);

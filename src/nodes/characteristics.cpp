@@ -11,7 +11,7 @@ const NodeCharacteristics& intern_characteristics(
     const NodeCharacteristics& chars) {
   // A deque gives stable addresses across growth. Linear scan is fine: the
   // table holds one entry per distinct value ever seen (typically < 20),
-  // and interning happens once per node at build time, not on the hot path.
+  // and network builders intern once per node kind, not once per node.
   static std::mutex mutex;
   static std::deque<NodeCharacteristics> interned;
   const std::lock_guard<std::mutex> lock(mutex);

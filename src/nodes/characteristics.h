@@ -49,11 +49,14 @@ struct NodeCharacteristics {
 };
 
 /// Process-wide interner: returns a stable reference to a value equal to
-/// `chars`, deduplicated. Nodes store the returned pointer instead of a
-/// 48-byte copy — a network has millions of nodes but only a handful of
-/// distinct characteristics values (per kind, plus per-run overrides), so
-/// interning shrinks every node and puts the hot latency constants on
-/// shared cache lines. Thread-safe; interned values are never freed.
+/// `chars`, deduplicated. Switch nodes keep a pointer to the characteristics
+/// they are constructed with instead of a 48-byte copy — a network has
+/// millions of nodes but only a handful of distinct characteristics values
+/// (per kind, plus per-run overrides), so builders intern each kind's value
+/// once and hand that reference to every node of the kind. This shrinks
+/// every node and puts the hot latency constants on shared cache lines.
+/// Thread-safe (locks and scans the table); interned values are never
+/// freed.
 const NodeCharacteristics& intern_characteristics(
     const NodeCharacteristics& chars);
 

@@ -3,16 +3,17 @@
 namespace specnoc::nodes {
 
 FaninNode::FaninNode(sim::Scheduler& scheduler, noc::SimHooks& hooks,
-                     std::string name, const NodeCharacteristics& chars,
+                     const NodeCharacteristics& chars,
                      std::uint32_t input_buffer_flits, TimePs sticky_timeout)
-    : Node(scheduler, hooks, noc::NodeKind::kFanin, std::move(name)),
-      chars_(&intern_characteristics(chars)),
+    : Node(scheduler, hooks, noc::NodeKind::kFanin), chars_(&chars),
       buffer_capacity_(input_buffer_flits), sticky_timeout_(sticky_timeout) {
   SPECNOC_EXPECTS(input_buffer_flits >= 1);
   SPECNOC_EXPECTS(sticky_timeout > 0);
   in_[0].fifo.reserve(buffer_capacity_);
   in_[1].fifo.reserve(buffer_capacity_);
 }
+
+std::string FaninNode::output_port_name(std::uint32_t) const { return "up"; }
 
 void FaninNode::deliver(const noc::Flit& flit, std::uint32_t in_port) {
   SPECNOC_EXPECTS(in_port < 2);

@@ -42,7 +42,9 @@ namespace specnoc::nodes {
 
 class FaninNode final : public noc::Node {
  public:
-  FaninNode(sim::Scheduler& scheduler, noc::SimHooks& hooks, std::string name,
+  /// Keeps a pointer to `chars`, which must outlive the node (builders pass
+  /// the interned value; see intern_characteristics).
+  FaninNode(sim::Scheduler& scheduler, noc::SimHooks& hooks,
             const NodeCharacteristics& chars,
             std::uint32_t input_buffer_flits = 2,
             TimePs sticky_timeout = 1200);
@@ -51,6 +53,9 @@ class FaninNode final : public noc::Node {
   void on_output_ack(std::uint32_t out_port) override;
 
   const NodeCharacteristics& characteristics() const { return *chars_; }
+
+  /// The output is labelled "up" in channel names ("fi5.l2i1>up").
+  std::string output_port_name(std::uint32_t port) const override;
 
   /// Introspection (tests, diagnostics).
   bool output_port_free() const { return output_free_; }

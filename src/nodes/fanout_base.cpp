@@ -4,12 +4,10 @@ namespace specnoc::nodes {
 
 FanoutNodeBase::FanoutNodeBase(sim::Scheduler& scheduler,
                                noc::SimHooks& hooks, noc::NodeKind kind,
-                               std::string name,
                                const NodeCharacteristics& chars,
                                noc::DestRange top_span,
                                noc::DestRange bottom_span)
-    : Node(scheduler, hooks, kind, std::move(name)),
-      chars_(&intern_characteristics(chars)), top_span_(top_span),
+    : Node(scheduler, hooks, kind), chars_(&chars), top_span_(top_span),
       bottom_span_(bottom_span) {
   SPECNOC_EXPECTS(chars.fwd_header >= 0 && chars.fwd_body >= 0 &&
                   chars.ack_delay >= 0);

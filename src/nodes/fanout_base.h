@@ -16,8 +16,6 @@
 // normally-opaque / normally-transparent output port modules of the paper.
 #pragma once
 
-#include <string>
-
 #include "noc/channel.h"
 #include "noc/node.h"
 #include "noc/packet.h"
@@ -38,11 +36,12 @@ class FanoutNodeBase : public noc::Node {
   /// output (from MotTopology::subtree_span); they define ground-truth
   /// routing, equivalent to decoding this node's source-routing field.
   /// Ranges (not masks) keep per-node storage at 16 bytes regardless of
-  /// radix — a radix-4096 network has ~16.7M fanout nodes.
+  /// radix — a radix-4096 network has ~16.7M fanout nodes. The node keeps a
+  /// pointer to `chars`, which must outlive it: builders pass the value
+  /// intern_characteristics() returned for the node's kind.
   FanoutNodeBase(sim::Scheduler& scheduler, noc::SimHooks& hooks,
-                 noc::NodeKind kind, std::string name,
-                 const NodeCharacteristics& chars, noc::DestRange top_span,
-                 noc::DestRange bottom_span);
+                 noc::NodeKind kind, const NodeCharacteristics& chars,
+                 noc::DestRange top_span, noc::DestRange bottom_span);
 
   void deliver(const noc::Flit& flit, std::uint32_t in_port) final;
   void on_output_ack(std::uint32_t out_port) final;
@@ -92,8 +91,7 @@ class FanoutNodeBase : public noc::Node {
   void send_now(std::uint32_t dir, const noc::Flit& flit);
   void ack_input();
 
-  /// Interned (intern_characteristics): one shared value per distinct
-  /// characteristics, not a 48-byte copy per node.
+  /// Shared (intern_characteristics), not a 48-byte copy per node.
   const NodeCharacteristics* chars_;
   noc::DestRange top_span_;
   noc::DestRange bottom_span_;

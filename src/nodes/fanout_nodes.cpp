@@ -3,12 +3,12 @@
 namespace specnoc::nodes {
 
 BaselineFanoutNode::BaselineFanoutNode(sim::Scheduler& scheduler,
-                                       noc::SimHooks& hooks, std::string name,
+                                       noc::SimHooks& hooks,
                                        const NodeCharacteristics& chars,
                                        noc::DestRange top_span,
                                        noc::DestRange bottom_span)
     : FanoutNodeBase(scheduler, hooks, noc::NodeKind::kFanoutBaseline,
-                     std::move(name), chars, top_span, bottom_span) {}
+                     chars, top_span, bottom_span) {}
 
 void BaselineFanoutNode::process(const noc::Flit& flit) {
   const Dirs dirs = true_dirs(*flit.packet);
@@ -19,24 +19,24 @@ void BaselineFanoutNode::process(const noc::Flit& flit) {
 }
 
 SpecFanoutNode::SpecFanoutNode(sim::Scheduler& scheduler,
-                               noc::SimHooks& hooks, std::string name,
+                               noc::SimHooks& hooks,
                                const NodeCharacteristics& chars,
                                noc::DestRange top_span,
                                noc::DestRange bottom_span)
     : FanoutNodeBase(scheduler, hooks, noc::NodeKind::kFanoutSpeculative,
-                     std::move(name), chars, top_span, bottom_span) {}
+                     chars, top_span, bottom_span) {}
 
 void SpecFanoutNode::process(const noc::Flit& flit) {
   forward(flit, kDirBoth, noc::NodeOp::kBroadcast);
 }
 
 NonSpecFanoutNode::NonSpecFanoutNode(sim::Scheduler& scheduler,
-                                     noc::SimHooks& hooks, std::string name,
+                                     noc::SimHooks& hooks,
                                      const NodeCharacteristics& chars,
                                      noc::DestRange top_span,
                                      noc::DestRange bottom_span)
     : FanoutNodeBase(scheduler, hooks, noc::NodeKind::kFanoutNonSpeculative,
-                     std::move(name), chars, top_span, bottom_span) {}
+                     chars, top_span, bottom_span) {}
 
 void NonSpecFanoutNode::process(const noc::Flit& flit) {
   const Dirs dirs = true_dirs(*flit.packet);
@@ -54,12 +54,12 @@ TimePs NonSpecFanoutNode::processing_latency(const noc::Flit& flit) const {
 }
 
 OptSpecFanoutNode::OptSpecFanoutNode(sim::Scheduler& scheduler,
-                                     noc::SimHooks& hooks, std::string name,
+                                     noc::SimHooks& hooks,
                                      const NodeCharacteristics& chars,
                                      noc::DestRange top_span,
                                      noc::DestRange bottom_span)
     : FanoutNodeBase(scheduler, hooks, noc::NodeKind::kFanoutOptSpeculative,
-                     std::move(name), chars, top_span, bottom_span) {}
+                     chars, top_span, bottom_span) {}
 
 void OptSpecFanoutNode::process(const noc::Flit& flit) {
   if (flit.is_header() || flit.is_tail()) {
@@ -86,13 +86,12 @@ TimePs OptSpecFanoutNode::processing_latency(const noc::Flit& flit) const {
 
 OptNonSpecFanoutNode::OptNonSpecFanoutNode(sim::Scheduler& scheduler,
                                            noc::SimHooks& hooks,
-                                           std::string name,
                                            const NodeCharacteristics& chars,
                                            noc::DestRange top_span,
                                            noc::DestRange bottom_span)
     : FanoutNodeBase(scheduler, hooks,
-                     noc::NodeKind::kFanoutOptNonSpeculative, std::move(name),
-                     chars, top_span, bottom_span) {}
+                     noc::NodeKind::kFanoutOptNonSpeculative, chars,
+                     top_span, bottom_span) {}
 
 void OptNonSpecFanoutNode::process(const noc::Flit& flit) {
   const Dirs dirs = true_dirs(*flit.packet);

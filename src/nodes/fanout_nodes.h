@@ -28,7 +28,7 @@ namespace specnoc::nodes {
 class BaselineFanoutNode final : public FanoutNodeBase {
  public:
   BaselineFanoutNode(sim::Scheduler& scheduler, noc::SimHooks& hooks,
-                     std::string name, const NodeCharacteristics& chars,
+                     const NodeCharacteristics& chars,
                      noc::DestRange top_span, noc::DestRange bottom_span);
 
  private:
@@ -40,7 +40,7 @@ class BaselineFanoutNode final : public FanoutNodeBase {
 class SpecFanoutNode final : public FanoutNodeBase {
  public:
   SpecFanoutNode(sim::Scheduler& scheduler, noc::SimHooks& hooks,
-                 std::string name, const NodeCharacteristics& chars,
+                 const NodeCharacteristics& chars,
                  noc::DestRange top_span, noc::DestRange bottom_span);
 
  private:
@@ -54,7 +54,7 @@ class SpecFanoutNode final : public FanoutNodeBase {
 class NonSpecFanoutNode final : public FanoutNodeBase {
  public:
   NonSpecFanoutNode(sim::Scheduler& scheduler, noc::SimHooks& hooks,
-                    std::string name, const NodeCharacteristics& chars,
+                    const NodeCharacteristics& chars,
                     noc::DestRange top_span, noc::DestRange bottom_span);
 
  private:
@@ -70,7 +70,7 @@ class NonSpecFanoutNode final : public FanoutNodeBase {
 class OptSpecFanoutNode final : public FanoutNodeBase {
  public:
   OptSpecFanoutNode(sim::Scheduler& scheduler, noc::SimHooks& hooks,
-                    std::string name, const NodeCharacteristics& chars,
+                    const NodeCharacteristics& chars,
                     noc::DestRange top_span, noc::DestRange bottom_span);
 
  private:
@@ -84,7 +84,7 @@ class OptSpecFanoutNode final : public FanoutNodeBase {
 class OptNonSpecFanoutNode final : public FanoutNodeBase {
  public:
   OptNonSpecFanoutNode(sim::Scheduler& scheduler, noc::SimHooks& hooks,
-                       std::string name, const NodeCharacteristics& chars,
+                       const NodeCharacteristics& chars,
                        noc::DestRange top_span, noc::DestRange bottom_span);
 
  private:

@@ -48,6 +48,13 @@ std::uint32_t PerfettoTracer::track(const std::string& name) {
   return it->second;
 }
 
+template <typename Object>
+std::uint32_t PerfettoTracer::track(const Object& object) {
+  const auto [it, inserted] = object_tracks_.try_emplace(&object, 0);
+  if (inserted) it->second = track(object.name());
+  return it->second;
+}
+
 void PerfettoTracer::instant(std::uint32_t track, TimePs when,
                              const char* name, const char* category) {
   Event event;
@@ -87,7 +94,7 @@ void PerfettoTracer::on_flit_ejected(const noc::Packet& packet,
 
 void PerfettoTracer::on_node_op(const noc::Node& node, noc::NodeOp op,
                                 TimePs when) {
-  instant(track(node.name()), when, noc::to_string(op), "op");
+  instant(track(node), when, noc::to_string(op), "op");
 }
 
 void PerfettoTracer::on_channel_flit(LengthUm, TimePs) {
@@ -98,7 +105,7 @@ void PerfettoTracer::on_channel_flit(LengthUm, TimePs) {
 void PerfettoTracer::on_flit_killed(const noc::Node& node,
                                     const noc::Flit& flit, TimePs when) {
   Event event;
-  event.track = track(node.name());
+  event.track = track(node);
   event.when = when;
   event.name = "kill";
   event.category = "spec";
@@ -112,22 +119,22 @@ void PerfettoTracer::on_flit_killed(const noc::Node& node,
 
 void PerfettoTracer::on_prealloc(const noc::Node& node, bool hit,
                                  TimePs when) {
-  instant(track(node.name()), when, hit ? "prealloc.hit" : "prealloc.miss",
+  instant(track(node), when, hit ? "prealloc.hit" : "prealloc.miss",
           "spec");
 }
 
 void PerfettoTracer::on_contended_grant(const noc::Node& node, TimePs when) {
-  instant(track(node.name()), when, "contended_grant", "spec");
+  instant(track(node), when, "contended_grant", "spec");
 }
 
 void PerfettoTracer::on_watchdog_release(const noc::Node& node, TimePs when) {
-  instant(track(node.name()), when, "watchdog_release", "spec");
+  instant(track(node), when, "watchdog_release", "spec");
 }
 
 void PerfettoTracer::on_channel_stall(const noc::Channel& channel,
                                       TimePs start, TimePs end) {
   Event event;
-  event.track = track(channel.name());
+  event.track = track(channel);
   event.when = start;
   event.duration = end - start;
   event.name = "stall";

@@ -22,6 +22,7 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "util/json.h"
@@ -79,13 +80,18 @@ class PerfettoTracer final : public noc::TrafficObserver,
     std::uint32_t src = 0;
   };
 
-  /// Track (Chrome "tid") for a node or channel name; created on first use.
+  /// Track (Chrome "tid") for a name; created on first use.
   std::uint32_t track(const std::string& name);
+  /// Track of a node or channel, cached per object so its derived name is
+  /// built once, on the object's first event.
+  template <typename Object>
+  std::uint32_t track(const Object& object);
   void instant(std::uint32_t track, TimePs when, const char* name,
                const char* category);
 
   std::vector<std::string> track_names_;
   std::map<std::string, std::uint32_t> track_ids_;
+  std::unordered_map<const void*, std::uint32_t> object_tracks_;
   std::vector<Event> events_;
   TelemetrySeries telemetry_;
 };

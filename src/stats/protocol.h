@@ -102,7 +102,6 @@ concept Protocol = requires(const typename P::Spec& spec,
   P::fields;
   // True when the run needs a sim_threads = 1 network.
   { P::sequential(spec) } -> std::same_as<bool>;
-  { P::label(spec) } -> std::same_as<std::string>;  // harness row label
   { P::spec_key(spec) } -> std::same_as<std::string>;
   // The spec's JSON fields after "kind" and "arch", in wire order.
   P::write_spec(json, spec);

@@ -67,9 +67,6 @@ struct CmpProtocol {
   /// Closed-loop (zero-lookahead feedback) by construction; the runner
   /// builds every cmp network sequential.
   static bool sequential(const Spec&) { return true; }
-  static std::string label(const Spec& spec) {
-    return network_name(spec) + "/" + spec.workload;
-  }
   /// Like the workload key, the access-trace hash is part of the identity.
   static std::string spec_key(const Spec& spec) {
     return with_custom("cmp|" + std::string(core::to_string(spec.arch)) +

@@ -50,9 +50,6 @@ struct LatencyProtocol {
   /// The drain loop steps event by event, which has no windowed
   /// equivalent; the runner builds every latency network sequential.
   static bool sequential(const Spec&) { return true; }
-  static std::string label(const Spec& spec) {
-    return bench_label(spec);
-  }
   static std::string spec_key(const Spec& spec) {
     return bench_key("lat", spec.arch, spec.bench, spec.seed, spec.custom) +
            "|rate=" + util::format_double(spec.injected_flits_per_ns) +

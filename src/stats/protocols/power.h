@@ -50,9 +50,6 @@ struct PowerProtocol {
   /// Energy accumulation is event-order-dependent; the runner builds every
   /// power network sequential.
   static bool sequential(const Spec&) { return true; }
-  static std::string label(const Spec& spec) {
-    return bench_label(spec);
-  }
   static std::string spec_key(const Spec& spec) {
     return bench_key("pow", spec.arch, spec.bench, spec.seed, spec.custom) +
            "|rate=" + util::format_double(spec.injected_flits_per_ns) +

@@ -47,9 +47,6 @@ struct SaturationProtocol {
 
   /// Time-bounded driving runs partitioned networks too (DESIGN.md §9).
   static bool sequential(const Spec&) { return false; }
-  static std::string label(const Spec& spec) {
-    return bench_label(spec);
-  }
   static std::string spec_key(const Spec& spec) {
     return bench_key("sat", spec.arch, spec.bench, spec.seed, spec.custom);
   }

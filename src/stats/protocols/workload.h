@@ -63,10 +63,6 @@ struct WorkloadProtocol {
   static bool sequential(const Spec& spec) {
     return spec.mode == workload::ReplayMode::kClosedLoop;
   }
-  static std::string label(const Spec& spec) {
-    return network_name(spec) + "/" + spec.workload + "/" +
-           workload::to_string(spec.mode);
-  }
   /// The trace hash is part of the identity: shards replayed from different
   /// trace bytes hash to different grids, so the merge refuses to mix them.
   static std::string spec_key(const Spec& spec) {

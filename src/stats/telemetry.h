@@ -234,8 +234,10 @@ class FollowView {
 };
 
 /// Append-only NDJSON sink for telemetry frames. "-" writes to stdout
-/// (unbuffered per line, so `specnoc ... --telemetry-out - | tool` streams
-/// live); anything else is opened as a file for writing. Thread-safe: each
+/// (unbuffered per line, so `bench_... --telemetry-out - | sweep_merge
+/// --follow -` streams live; a harness given "-" moves its tables to stderr
+/// so stdout carries frames only); anything else is opened as a file for
+/// writing. Thread-safe: each
 /// frame is one serialized write + flush, so frames from concurrent worker
 /// threads never interleave mid-line.
 class TelemetryStream {

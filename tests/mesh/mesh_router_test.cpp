@@ -27,15 +27,16 @@ class RouterHarness {
   explicit RouterHarness(std::uint32_t in_port, TimePs sink_ack_delay = 0,
                          TimePs fwd_header = 100)
       : topo(3, 3),
-        router(sched, hooks, "dut",
-               {.area_um2 = 100.0, .fwd_header = fwd_header, .fwd_body = 50,
-                .ack_delay = 10, .throttle_latency = 30},
+        router(sched, hooks,
+               nodes::intern_characteristics(
+                   {.area_um2 = 100.0, .fwd_header = fwd_header,
+                    .fwd_body = 50, .ack_delay = 10,
+                    .throttle_latency = 30}),
                topo, /*router_id=*/4, /*buffer=*/4, /*timeout=*/900),
         driver(sched, hooks) {
     in = std::make_unique<noc::Channel>(
         sched, hooks,
-        noc::ChannelParams{.delay_fwd = 5, .delay_ack = 5, .length = 0},
-        "in");
+        noc::ChannelParams{.delay_fwd = 5, .delay_ack = 5, .length = 0});
     in->connect(driver, 0, router, in_port);
     // Outputs are distinct channels from inputs: every port gets a sink,
     // including the one whose input carries the driver.
@@ -44,8 +45,7 @@ class RouterHarness {
                                                           sink_ack_delay));
       outs.push_back(std::make_unique<noc::Channel>(
           sched, hooks,
-          noc::ChannelParams{.delay_fwd = 5, .delay_ack = 5, .length = 0},
-          "out" + std::to_string(p)));
+          noc::ChannelParams{.delay_fwd = 5, .delay_ack = 5, .length = 0}));
       outs.back()->connect(router, p, *sinks.back(), 0);
       sink_of_port[p] = sinks.back().get();
     }

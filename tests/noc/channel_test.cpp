@@ -20,8 +20,7 @@ TEST(ChannelTest, DeliversAfterForwardDelay) {
 
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, /*ack_delay=*/0);
-  Channel ch(sched, hooks, {.delay_fwd = 120, .delay_ack = 80, .length = 900},
-             "ch");
+  Channel ch(sched, hooks, {.delay_fwd = 120, .delay_ack = 80, .length = 900});
   ch.connect(up, 0, down, 0);
 
   EXPECT_TRUE(ch.free());
@@ -42,8 +41,7 @@ TEST(ChannelTest, AckFreesChannelAfterAckDelay) {
 
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, /*ack_delay=*/50);
-  Channel ch(sched, hooks, {.delay_fwd = 100, .delay_ack = 70, .length = 0},
-             "ch");
+  Channel ch(sched, hooks, {.delay_fwd = 100, .delay_ack = 70, .length = 0});
   ch.connect(up, 0, down, 0);
 
   up.send(0, make_flit(pkt, 0));
@@ -63,8 +61,7 @@ TEST(ChannelTest, BackToBackTransactions) {
 
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, /*ack_delay=*/0);
-  Channel ch(sched, hooks, {.delay_fwd = 10, .delay_ack = 10, .length = 0},
-             "ch");
+  Channel ch(sched, hooks, {.delay_fwd = 10, .delay_ack = 10, .length = 0});
   ch.connect(up, 0, down, 0);
 
   std::uint32_t next_seq = 1;
@@ -92,8 +89,7 @@ TEST(ChannelTest, CountsFlitsCarried) {
 
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, 0);
-  Channel ch(sched, hooks, {.delay_fwd = 1, .delay_ack = 1, .length = 0},
-             "ch");
+  Channel ch(sched, hooks, {.delay_fwd = 1, .delay_ack = 1, .length = 0});
   ch.connect(up, 0, down, 0);
 
   std::uint32_t next_seq = 1;
@@ -115,8 +111,7 @@ TEST(PipelinedChannelTest, CapacityTwoAcksUpstreamBeforeNodeAck) {
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, /*ack_delay=*/1000);  // slow node
   Channel ch(sched, hooks,
-             {.delay_fwd = 10, .delay_ack = 10, .length = 0, .capacity = 2},
-             "ch");
+             {.delay_fwd = 10, .delay_ack = 10, .length = 0, .capacity = 2});
   ch.connect(up, 0, down, 0);
 
   up.send(0, make_flit(pkt, 0));
@@ -139,8 +134,7 @@ TEST(PipelinedChannelTest, FullPipeDefersUpstreamAck) {
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, /*ack_delay=*/500);
   Channel ch(sched, hooks,
-             {.delay_fwd = 10, .delay_ack = 10, .length = 0, .capacity = 2},
-             "ch");
+             {.delay_fwd = 10, .delay_ack = 10, .length = 0, .capacity = 2});
   ch.connect(up, 0, down, 0);
 
   std::uint32_t next_seq = 1;
@@ -174,8 +168,7 @@ TEST(PipelinedChannelTest, CapacityOneMatchesPlainWireTiming) {
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, /*ack_delay=*/50);
   Channel ch(sched, hooks,
-             {.delay_fwd = 100, .delay_ack = 70, .length = 0, .capacity = 1},
-             "ch");
+             {.delay_fwd = 100, .delay_ack = 70, .length = 0, .capacity = 1});
   ch.connect(up, 0, down, 0);
   up.send(0, make_flit(pkt, 0));
   sched.run();
@@ -192,8 +185,7 @@ TEST(ChannelTest, ZeroDelayChannelStillHandshakes) {
 
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, 0);
-  Channel ch(sched, hooks, {.delay_fwd = 0, .delay_ack = 0, .length = 0},
-             "ch");
+  Channel ch(sched, hooks, {.delay_fwd = 0, .delay_ack = 0, .length = 0});
   ch.connect(up, 0, down, 0);
   up.send(0, make_flit(pkt, 0));
   sched.run();

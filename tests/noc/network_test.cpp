@@ -16,8 +16,8 @@ TEST(NetworkTest, OwnsNodesAndChannels) {
   auto& sink = net.add_node<SinkNode>(0, 10);
   net.register_source(src);
   net.register_sink(sink);
-  net.add_channel({.delay_fwd = 5, .delay_ack = 5, .length = 100.0}, "c",
-                  src, 0, sink, 0);
+  net.add_channel({.delay_fwd = 5, .delay_ack = 5, .length = 100.0},
+                  ChannelClass::kOther, src, 0, sink, 0);
   EXPECT_EQ(net.nodes().size(), 2u);
   EXPECT_EQ(net.channels().size(), 1u);
   EXPECT_EQ(net.num_sources(), 1u);
@@ -30,10 +30,12 @@ TEST(NetworkTest, ChannelWiringIsBidirectionallyVisible) {
   Network net;
   auto& up = net.add_node<SourceNode>(0, 0);
   auto& down = net.add_node<SinkNode>(0, 0);
-  auto& ch = net.add_channel({}, "link", up, 0, down, 0);
+  auto& ch = net.add_channel({}, ChannelClass::kSourceIf, up, 0, down, 0);
   EXPECT_EQ(ch.upstream(), &up);
   EXPECT_EQ(ch.downstream(), &down);
-  EXPECT_EQ(ch.name(), "link");
+  EXPECT_EQ(ch.klass(), ChannelClass::kSourceIf);
+  // Names are derived from the class and the endpoints, not stored.
+  EXPECT_EQ(ch.name(), "src0->root");
   EXPECT_DOUBLE_EQ(ch.params().length, 0.0);
 }
 
@@ -43,8 +45,8 @@ TEST(NetworkTest, EndToEndThroughContainer) {
   auto& sink = net.add_node<SinkNode>(7, 20);
   net.register_source(src);
   net.register_sink(sink);
-  net.add_channel({.delay_fwd = 10, .delay_ack = 10, .length = 0}, "c", src,
-                  0, sink, 0);
+  net.add_channel({.delay_fwd = 10, .delay_ack = 10, .length = 0},
+                  ChannelClass::kOther, src, 0, sink, 0);
 
   const Message& msg = net.packets().create_message(0, DestSet::single(7), 0, true);
   const Packet& pkt = net.packets().create_packet(msg, DestSet::single(7), 3);
@@ -66,7 +68,7 @@ TEST(NetworkTest, SharedHooksReachAllComponents) {
   net.hooks().energy = &counter;
   auto& src = net.add_node<SourceNode>(0, 0);
   auto& sink = net.add_node<SinkNode>(0, 0);
-  net.add_channel({}, "c", src, 0, sink, 0);
+  net.add_channel({}, ChannelClass::kOther, src, 0, sink, 0);
   const Message& msg = net.packets().create_message(0, DestSet::single(0), 0, false);
   src.enqueue_packet(net.packets().create_packet(msg, DestSet::single(0), 2));
   net.scheduler().run();

@@ -41,8 +41,7 @@ TEST(SourceNodeTest, InjectsAllFlitsOfQueuedPacket) {
 
   SourceNode src(sched, hooks, 0, /*issue_delay=*/10);
   RecordingEndpoint down(sched, hooks, /*ack_delay=*/0);
-  Channel ch(sched, hooks, {.delay_fwd = 5, .delay_ack = 5, .length = 0},
-             "ch");
+  Channel ch(sched, hooks, {.delay_fwd = 5, .delay_ack = 5, .length = 0});
   ch.connect(src, 0, down, 0);
 
   src.enqueue_packet(pkt);
@@ -66,8 +65,7 @@ TEST(SourceNodeTest, ReportsInjectionAtHeaderIssue) {
 
   SourceNode src(sched, hooks, 0, /*issue_delay=*/25);
   RecordingEndpoint down(sched, hooks, 0);
-  Channel ch(sched, hooks, {.delay_fwd = 0, .delay_ack = 0, .length = 0},
-             "ch");
+  Channel ch(sched, hooks, {.delay_fwd = 0, .delay_ack = 0, .length = 0});
   ch.connect(src, 0, down, 0);
   src.enqueue_packet(pkt);
   sched.run();
@@ -87,8 +85,7 @@ TEST(SourceNodeTest, PacketsSerializeInFifoOrder) {
 
   SourceNode src(sched, hooks, 0, 0);
   RecordingEndpoint down(sched, hooks, 0);
-  Channel ch(sched, hooks, {.delay_fwd = 1, .delay_ack = 1, .length = 0},
-             "ch");
+  Channel ch(sched, hooks, {.delay_fwd = 1, .delay_ack = 1, .length = 0});
   ch.connect(src, 0, down, 0);
   src.enqueue_packet(p0);
   src.enqueue_packet(p1);
@@ -108,8 +105,7 @@ TEST(SourceNodeTest, RefillCallbackKeepsSourceBacklogged) {
 
   SourceNode src(sched, hooks, 0, 0);
   RecordingEndpoint down(sched, hooks, 0);
-  Channel ch(sched, hooks, {.delay_fwd = 1, .delay_ack = 1, .length = 0},
-             "ch");
+  Channel ch(sched, hooks, {.delay_fwd = 1, .delay_ack = 1, .length = 0});
   ch.connect(src, 0, down, 0);
 
   int generated = 0;
@@ -135,8 +131,7 @@ TEST(SinkNodeTest, ConsumesAndReportsEjection) {
 
   SourceNode src(sched, hooks, 0, 0);
   SinkNode sink(sched, hooks, /*dest_id=*/3, /*consume_delay=*/40);
-  Channel ch(sched, hooks, {.delay_fwd = 10, .delay_ack = 10, .length = 0},
-             "ch");
+  Channel ch(sched, hooks, {.delay_fwd = 10, .delay_ack = 10, .length = 0});
   ch.connect(src, 0, sink, 0);
   src.enqueue_packet(pkt);
   sched.run();
@@ -158,8 +153,7 @@ TEST(SinkNodeTest, BackpressuresWhileConsuming) {
 
   SourceNode src(sched, hooks, 0, 0);
   SinkNode sink(sched, hooks, 0, /*consume_delay=*/100);
-  Channel ch(sched, hooks, {.delay_fwd = 0, .delay_ack = 0, .length = 0},
-             "ch");
+  Channel ch(sched, hooks, {.delay_fwd = 0, .delay_ack = 0, .length = 0});
   ch.connect(src, 0, sink, 0);
   src.enqueue_packet(pkt);
   sched.run();

@@ -19,18 +19,15 @@ class FaninHarness {
  public:
   explicit FaninHarness(TimePs sink_ack_delay = 0,
                         std::uint32_t buffer_flits = 8)
-      : node(sched, hooks, "dut",
-             {.area_um2 = 100.0, .fwd_header = 50, .fwd_body = 50,
-              .ack_delay = 10},
+      : node(sched, hooks,
+             intern_characteristics({.area_um2 = 100.0, .fwd_header = 50,
+                                     .fwd_body = 50, .ack_delay = 10}),
              buffer_flits),
         up0(sched, hooks), up1(sched, hooks),
         sink(sched, hooks, sink_ack_delay),
-        in0(sched, hooks, {.delay_fwd = 5, .delay_ack = 5, .length = 0},
-            "in0"),
-        in1(sched, hooks, {.delay_fwd = 5, .delay_ack = 5, .length = 0},
-            "in1"),
-        out(sched, hooks, {.delay_fwd = 5, .delay_ack = 5, .length = 0},
-            "out") {
+        in0(sched, hooks, {.delay_fwd = 5, .delay_ack = 5, .length = 0}),
+        in1(sched, hooks, {.delay_fwd = 5, .delay_ack = 5, .length = 0}),
+        out(sched, hooks, {.delay_fwd = 5, .delay_ack = 5, .length = 0}) {
     in0.connect(up0, 0, node, 0);
     in1.connect(up1, 0, node, 1);
     out.connect(node, 0, sink, 0);

@@ -25,15 +25,13 @@ class FanoutHarness {
                          DestRange top = DestRange{0, 2},
                          DestRange bottom = DestRange{2, 4},
                          TimePs sink_ack_delay = 0)
-      : node(sched, hooks, "dut", chars, top, bottom),
+      : node(sched, hooks, intern_characteristics(chars), top, bottom),
         driver(sched, hooks),
         top_sink(sched, hooks, sink_ack_delay),
         bottom_sink(sched, hooks, sink_ack_delay),
-        in(sched, hooks, {.delay_fwd = 5, .delay_ack = 5, .length = 0}, "in"),
-        out0(sched, hooks, {.delay_fwd = 5, .delay_ack = 5, .length = 0},
-             "out0"),
-        out1(sched, hooks, {.delay_fwd = 5, .delay_ack = 5, .length = 0},
-             "out1") {
+        in(sched, hooks, {.delay_fwd = 5, .delay_ack = 5, .length = 0}),
+        out0(sched, hooks, {.delay_fwd = 5, .delay_ack = 5, .length = 0}),
+        out1(sched, hooks, {.delay_fwd = 5, .delay_ack = 5, .length = 0}) {
     in.connect(driver, 0, node, 0);
     out0.connect(node, 0, top_sink, 0);
     out1.connect(node, 1, bottom_sink, 0);

@@ -216,7 +216,7 @@ TEST(PartitionedNetworkTest, CrossChannelBelowLookaheadIsAConfigError) {
   auto& sink = net.add_node<noc::SinkNode>(0, 10);
   EXPECT_THROW(net.add_channel({.delay_fwd = 10, .delay_ack = 10,
                                 .length = 0},
-                               "short", src, 0, sink, 0),
+                               noc::ChannelClass::kOther, src, 0, sink, 0),
                ConfigError);
 }
 
@@ -228,8 +228,8 @@ TEST(PartitionedNetworkTest, CrossChannelDeliversEndToEnd) {
   auto& sink = net.add_node<noc::SinkNode>(7, 20);
   net.register_source(src);
   net.register_sink(sink);
-  net.add_channel({.delay_fwd = 60, .delay_ack = 60, .length = 0}, "c", src,
-                  0, sink, 0);
+  net.add_channel({.delay_fwd = 60, .delay_ack = 60, .length = 0},
+                  noc::ChannelClass::kOther, src, 0, sink, 0);
   ASSERT_TRUE(net.partitioned());
 
   const noc::Message& msg =

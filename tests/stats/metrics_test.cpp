@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/mot_network.h"
+#include "core/registry.h"
 #include "noc/channel.h"
 #include "noc/node.h"
 #include "sim/partitioned_scheduler.h"
@@ -46,21 +49,44 @@ TEST(StallBucketTest, Labels) {
   EXPECT_EQ(stall_bucket_label(kNumStallBuckets - 1), ">=12800ps");
 }
 
-TEST(ChannelClassTest, BuilderNamePrefixes) {
-  const auto klass = [](const char* name) {
-    return std::string(noc::to_string(noc::channel_class_of(name)));
+/// The class a channel's name prefix implies: "src" source_if, "root->"
+/// sink_if, "mid." middle, "fo" fanout, "fi" fanin, "ni" mesh_inject,
+/// "r>ni" mesh_eject, "r"/"sr" mesh_hop, anything else other.
+std::string class_by_name_prefix(std::string_view name) {
+  const auto has_prefix = [name](std::string_view prefix) {
+    return name.substr(0, prefix.size()) == prefix;
   };
-  EXPECT_EQ(klass("src3"), "source_if");
-  EXPECT_EQ(klass("root->5"), "sink_if");
-  EXPECT_EQ(klass("mid.s1.d2"), "middle");
-  EXPECT_EQ(klass("fo2.l1i0>1"), "fanout");
-  EXPECT_EQ(klass("fi4.l0i1>0"), "fanin");
-  EXPECT_EQ(klass("ni7"), "mesh_inject");
-  EXPECT_EQ(klass("r>ni3"), "mesh_eject");
-  EXPECT_EQ(klass("sr>ni3"), "mesh_eject");
-  EXPECT_EQ(klass("r1>2"), "mesh_hop");
-  EXPECT_EQ(klass("sr0>1"), "mesh_hop");
-  EXPECT_EQ(klass("weird"), "other");
+  if (has_prefix("src")) return "source_if";
+  if (has_prefix("root->")) return "sink_if";
+  if (has_prefix("mid.")) return "middle";
+  if (has_prefix("fo")) return "fanout";
+  if (has_prefix("fi")) return "fanin";
+  if (has_prefix("ni")) return "mesh_inject";
+  if (has_prefix("r>ni")) return "mesh_eject";
+  if (has_prefix("r") || has_prefix("sr")) return "mesh_hop";
+  return "other";
+}
+
+TEST(ChannelClassTest, BuilderClassesAgreeWithDerivedNames) {
+  // The builders pass every channel's class explicitly; it must be the
+  // class its derived name's prefix implies, and every class a topology
+  // has must occur.
+  core::NetworkConfig cfg;
+  cfg.n = 4;
+  const std::pair<const char*, std::size_t> cases[] = {
+      {"OptHybridSpeculative", 5}, {"MeshSpecCheckerboard", 3}};
+  for (const auto& [arch, classes] : cases) {
+    const auto network = core::ArchitectureRegistry::global().build(arch, cfg);
+    std::set<std::string> seen;
+    for (const noc::Channel* channel : network->net().channels()) {
+      const std::string klass = noc::to_string(channel->klass());
+      EXPECT_EQ(klass, class_by_name_prefix(channel->name()))
+          << arch << " " << channel->name();
+      seen.insert(klass);
+    }
+    EXPECT_EQ(seen.size(), classes) << arch;
+    EXPECT_EQ(seen.count("other"), 0u) << arch;
+  }
 }
 
 TEST(ChannelClassTest, EnumeratorsAreInNameOrder) {
@@ -79,9 +105,13 @@ TEST(ChannelClassTest, EnumeratorsAreInNameOrder) {
 TEST(ChannelClassTest, ChannelIsClassifiedAtConstruction) {
   sim::Scheduler scheduler;
   noc::SimHooks hooks;
-  const noc::Channel channel(scheduler, hooks, noc::ChannelParams{},
-                             "mid.s3.d5");
-  EXPECT_EQ(channel.klass(), noc::ChannelClass::kMiddle);
+  const noc::Channel middle(scheduler, hooks, noc::ChannelParams{},
+                            noc::ChannelClass::kMiddle);
+  EXPECT_EQ(middle.klass(), noc::ChannelClass::kMiddle);
+  const noc::Channel plain(scheduler, hooks, noc::ChannelParams{});
+  EXPECT_EQ(plain.klass(), noc::ChannelClass::kOther);
+  // Unwired channels are named by their class.
+  EXPECT_EQ(middle.name(), "middle");
 }
 
 /// Congested multicast run on the 8x8 hybrid network with a registry
@@ -222,7 +252,7 @@ class SiteNode final : public noc::Node {
  public:
   SiteNode(sim::Scheduler& scheduler, noc::SimHooks& hooks, NodeKind kind,
            std::int32_t level)
-      : Node(scheduler, hooks, kind, "site") {
+      : Node(scheduler, hooks, kind) {
     set_site({.tree = 0, .level = level, .index = 0});
   }
   void deliver(const noc::Flit&, std::uint32_t) override {}
@@ -250,10 +280,9 @@ struct SyntheticNetwork {
       nodes.push_back(
           std::make_unique<SiteNode>(scheduler, hooks, kind, level));
     }
-    for (const char* name : {"src0", "root->1", "mid.s0.d1", "fo0.l0i0>1",
-                             "fi1.l1i0>0", "ni2", "r>ni2", "r0>1", "x"}) {
+    for (const noc::ChannelClass klass : noc::all_channel_classes()) {
       channels.push_back(std::make_unique<noc::Channel>(
-          scheduler, hooks, noc::ChannelParams{}, name));
+          scheduler, hooks, noc::ChannelParams{}, klass));
     }
   }
 

@@ -61,12 +61,13 @@ struct HorizonProtocol {
       std::pair{"drained", &Result::drained}};
 
   static bool sequential(const Spec&) { return false; }
-  static std::string label(const Spec& spec) {
+  /// "<arch>@<horizon>": the cell's row label and its key head.
+  static std::string row_label(const Spec& spec) {
     return std::string(core::to_string(spec.arch)) + "@" +
            std::to_string(spec.horizon);
   }
   static std::string spec_key(const Spec& spec) {
-    return stats::with_custom("hz|" + label(spec), spec.custom);
+    return stats::with_custom("hz|" + row_label(spec), spec.custom);
   }
   static void write_spec(util::Json& json, const Spec& spec) {
     json.set("horizon_ps", static_cast<std::int64_t>(spec.horizon));
@@ -126,7 +127,7 @@ std::vector<HorizonSpec> horizon_grid() {
 std::string render(const std::vector<stats::Outcome<HorizonProtocol>>& rows) {
   std::string text;
   for (const auto& outcome : rows) {
-    text += HorizonProtocol::label(outcome.spec) + " ";
+    text += HorizonProtocol::row_label(outcome.spec) + " ";
     text += outcome.run.ok ? util::json_write(stats::to_json(outcome.result))
                            : "FAIL: " + outcome.run.error;
     text += "\n";
@@ -385,11 +386,10 @@ TEST(ProtocolTest, LabelsNameACustomSpecByItsRegistryName) {
   stats::SaturationSpec sat;
   sat.arch = Architecture::kOptHybridSpeculative;
   sat.bench = traffic::BenchmarkId::kMulticast10;
-  EXPECT_EQ(stats::SaturationProtocol::label(sat),
-            "OptHybridSpeculative/Multicast10");
+  EXPECT_EQ(stats::bench_label(sat), "OptHybridSpeculative/Multicast10");
   sat.arch = Architecture::kCustomHybrid;
   sat.custom = "{0,2}";
-  EXPECT_EQ(stats::SaturationProtocol::label(sat), "{0,2}/Multicast10");
+  EXPECT_EQ(stats::bench_label(sat), "{0,2}/Multicast10");
   // The identity keeps the reported architecture plus the name.
   EXPECT_EQ(stats::spec_key(sat), "sat|CustomHybrid|Multicast10|seed=0|{0,2}");
 
@@ -397,26 +397,14 @@ TEST(ProtocolTest, LabelsNameACustomSpecByItsRegistryName) {
   lat.arch = Architecture::kCustomHybrid;
   lat.bench = traffic::BenchmarkId::kUniformRandom;
   lat.custom = "MeshXY";
-  EXPECT_EQ(stats::LatencyProtocol::label(lat), "MeshXY/UniformRandom");
-  stats::PowerSpec pow;
-  pow.arch = Architecture::kCustomHybrid;
-  pow.bench = traffic::BenchmarkId::kUniformRandom;
-  pow.custom = "MeshXYSerial";
-  EXPECT_EQ(stats::PowerProtocol::label(pow), "MeshXYSerial/UniformRandom");
+  EXPECT_EQ(stats::bench_label(lat), "MeshXY/UniformRandom");
 
-  stats::WorkloadSpec wl;
-  wl.arch = Architecture::kCustomHybrid;
-  wl.workload = "DnnLayers";
-  wl.custom = "{1}";
-  EXPECT_EQ(stats::WorkloadProtocol::label(wl),
-            std::string("{1}/DnnLayers/") + workload::to_string(wl.mode));
   stats::CmpSpec cmp;
   cmp.arch = Architecture::kBaseline;
-  cmp.workload = "LuBlocks";
-  EXPECT_EQ(stats::CmpProtocol::label(cmp), "Baseline/LuBlocks");
+  EXPECT_EQ(stats::network_name(cmp), "Baseline");
   cmp.arch = Architecture::kCustomHybrid;
   cmp.custom = "{0}";
-  EXPECT_EQ(stats::CmpProtocol::label(cmp), "{0}/LuBlocks");
+  EXPECT_EQ(stats::network_name(cmp), "{0}");
 }
 
 TEST(ProtocolTest, RunGridBuildsASequentialNetworkWhenTheProtocolAsks) {

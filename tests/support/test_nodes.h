@@ -21,7 +21,7 @@ class RecordingEndpoint : public noc::Node {
 
   RecordingEndpoint(sim::Scheduler& scheduler, noc::SimHooks& hooks,
                     TimePs ack_delay = 0, bool auto_ack = true)
-      : Node(scheduler, hooks, noc::NodeKind::kSink, "recorder"),
+      : Node(scheduler, hooks, noc::NodeKind::kSink),
         ack_delay_(ack_delay), auto_ack_(auto_ack) {}
 
   void deliver(const noc::Flit& flit, std::uint32_t in_port) override {
@@ -47,7 +47,7 @@ class RecordingEndpoint : public noc::Node {
 class DriverEndpoint : public noc::Node {
  public:
   DriverEndpoint(sim::Scheduler& scheduler, noc::SimHooks& hooks)
-      : Node(scheduler, hooks, noc::NodeKind::kSource, "driver") {}
+      : Node(scheduler, hooks, noc::NodeKind::kSource) {}
 
   void deliver(const noc::Flit&, std::uint32_t) override {
     SPECNOC_UNREACHABLE("driver has no inputs");
