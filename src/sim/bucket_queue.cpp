@@ -27,11 +27,11 @@ void BucketQueue::promote_overflow() {
   // order, preserving the FIFO-equals-seq invariant of each bucket.
   const TimePs horizon = base_ + kNumBuckets;
   while (!overflow_.empty() && overflow_.front().time < horizon) {
-    const std::uint32_t slot = overflow_.front().slot;
+    Entry* e = overflow_.front().entry;
     overflow_.front() = overflow_.back();
     overflow_.pop_back();
     if (!overflow_.empty()) sift_down(0);
-    link_into_bucket(slot);
+    link_into_bucket(e);
     ++ring_size_;
   }
   overflow_min_ = overflow_.empty() ? kNoOverflow : overflow_.front().time;

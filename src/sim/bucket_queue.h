@@ -5,13 +5,15 @@
 //
 //  * Near tier — a ring of kNumBuckets one-picosecond-wide buckets covering
 //    the window [base, base + kNumBuckets). Each bucket is an intrusive
-//    FIFO list of slab entries; because a bucket spans exactly one
+//    FIFO chain of slab entries; because a bucket spans exactly one
 //    picosecond, FIFO order *is* sequence order, so schedule and pop are
-//    O(1). A two-level bitmap (one summary word over 64 occupancy words)
-//    finds the next non-empty bucket with a handful of countr_zero ops.
-//    The window only ever slides forward (base tracks the last popped /
-//    advanced-to time), so a circular scan starting at base's bucket is
-//    time-ordered despite the wrap-around indexing.
+//    O(1). A bucket stores only its tail pointer (8 bytes): the chain is
+//    circular, so tail->next is the head. A two-level bitmap (one summary
+//    word over 64 occupancy words) finds the next non-empty bucket with a
+//    handful of countr_zero ops. The window only ever slides forward (base
+//    tracks the last popped / advanced-to time), so a circular scan
+//    starting at base's bucket is time-ordered despite the wrap-around
+//    indexing.
 //
 //  * Overflow tier — a binary min-heap on (time, seq) for events beyond
 //    the window (watchdog timeouts, low-rate open-loop arrivals). Whenever
@@ -22,12 +24,21 @@
 //    earlier-scheduled (lower-seq) overflow event at T has already been
 //    promoted ahead of it.
 //
+// The scheduler drains one picosecond at a time: pop_batch() detaches the
+// earliest bucket whole (one bitmap scan, one window advance) and hands
+// back its chain, which the scheduler fires in place through
+// fire_and_next(). An event scheduled at the same picosecond while the
+// batch fires lands in the emptied bucket, behind the batch — its exact
+// (time, seq) place. pop() takes one event at a time from the same chains,
+// for callers that must look between events.
+//
 // Event entries live in a slab of fixed-size chunks with a free list:
 // after warm-up the queue performs zero heap allocations per event, and
 // reserve() can pre-size the slab to eliminate even the warm-up growth.
-// Chunking keeps entry addresses stable, which lets the scheduler invoke a
-// popped event *in place* — no relocation per pop — even while the handler
-// schedules new events into the slab.
+// Chunking keeps entry addresses stable, so the free list, the bucket
+// chains and the overflow heap link entries by pointer, and the scheduler
+// invokes a popped event *in place* while the handler schedules new events
+// into the slab.
 #pragma once
 
 #include <bit>
@@ -67,6 +78,14 @@ class BucketQueue {
   /// pending events, eliminating warm-up vector growth.
   void reserve(std::size_t events);
 
+  /// A slab entry. Public so the scheduler can fire a popped entry and
+  /// read its time; the chain link is the queue's own.
+  struct Entry {
+    InplaceEvent fn;
+    TimePs time = 0;
+    Entry* next = nullptr;
+  };
+
   /// Inserts `fn` at time `t`, constructing the callable directly inside
   /// the slab entry (no intermediate moves). Requires t >= the current
   /// window base (the scheduler guarantees this via its t >= now()
@@ -74,43 +93,29 @@ class BucketQueue {
   template <typename F>
   void push(TimePs t, F&& fn) {
     SPECNOC_EXPECTS(t >= base_);
-    std::uint32_t slot = free_head_;
-    Entry* ep;
-    if (slot != kNpos) {
-      ep = &entry(slot);
-      free_head_ = ep->next;
+    Entry* e = free_head_;
+    if (e != nullptr) {
+      free_head_ = e->next;
     } else {
-      if (slab_size_ == slab_capacity_) add_chunk();
-      slot = slab_size_++;
-      ep = &entry(slot);
+      e = fresh_entry();
     }
-    Entry& e = *ep;
     if constexpr (std::is_same_v<std::decay_t<F>, InplaceEvent>) {
-      e.fn = std::forward<F>(fn);
+      e->fn = std::forward<F>(fn);
     } else {
-      e.fn.emplace(std::forward<F>(fn));
+      e->fn.emplace(std::forward<F>(fn));
     }
-    e.time = t;
-    e.next = kNpos;
+    e->time = t;
     if (t - base_ < kNumBuckets) {
       // Near tier: the bucket spans exactly 1 ps, so FIFO append preserves
       // insertion-sequence order without storing a sequence number.
-      const std::uint32_t b = static_cast<std::uint32_t>(t) & kMask;
-      Bucket& bucket = buckets_[b];
-      if (bucket.tail == kNpos) {
-        bucket.head = slot;
-        set_bit(b);
-      } else {
-        entry(bucket.tail).next = slot;
-      }
-      bucket.tail = slot;
+      link_into_bucket(e);
       ++ring_size_;
     } else {
       // Overflow tier: ordered by (time, seq); seqs are only assigned
       // here, and stay monotonic in insertion order, which is all the
       // ordering contract needs (ring/overflow mixing at equal times is
       // impossible — see promote_overflow()).
-      overflow_.push_back(OverflowRef{t, next_seq_++, slot});
+      overflow_.push_back(OverflowRef{t, next_seq_++, e});
       sift_up(overflow_.size() - 1);
       overflow_min_ = overflow_.front().time;
     }
@@ -118,57 +123,42 @@ class BucketQueue {
 
   /// Time of the earliest pending event. Requires !empty().
   TimePs min_time() const {
+    // The rest of a batch being fired is at base_, ahead of everything.
+    if (batch_ != nullptr) return base_;
     if (ring_size_ != 0) {
-      return entry(buckets_[first_occupied_bucket()].head).time;
+      // Every entry of a bucket shares its one picosecond.
+      return buckets_[first_occupied_bucket()].tail->time;
     }
     SPECNOC_ASSERT(!overflow_.empty());
     return overflow_.front().time;
   }
 
-  /// A slab entry. Public only so PopRef can carry a pointer to one; the
-  /// scheduler treats it as opaque.
-  struct Entry {
-    InplaceEvent fn;
-    TimePs time = 0;
-    std::uint32_t next = 0xffffffffu;
-  };
-
   /// Handle to a popped-but-not-yet-recycled event. The entry's address is
   /// stable (chunked slab), so the scheduler can fire the event in place
-  /// while the handler schedules new events, then recycle the slot.
+  /// while the handler schedules new events, then recycle the entry.
   struct PopRef {
     TimePs time;
-    std::uint32_t slot;
     Entry* entry;
   };
 
   /// Unlinks the earliest pending event — minimal (time, seq) — advancing
   /// the window to its timestamp. The entry stays alive until recycle().
-  /// Requires !empty().
+  /// Requires !empty() and that no batch is being fired.
   PopRef pop() {
     SPECNOC_EXPECTS(!empty());
-    if (ring_size_ == 0) {
-      // Everything pending is far-future: jump the window to the overflow
-      // minimum, which promotes at least that event into the ring.
-      advance_base(overflow_min_);
-      SPECNOC_ASSERT(ring_size_ != 0);
-    }
-    const std::uint32_t b = first_occupied_bucket();
+    SPECNOC_EXPECTS(batch_ == nullptr);
+    const std::uint32_t b = earliest_bucket(kNoHorizon);
     Bucket& bucket = buckets_[b];
-    const std::uint32_t slot = bucket.head;
-    Entry& e = entry(slot);
-    if (e.time != base_) {
-      // Sliding the window forward may promote overflow events, but only
-      // at strictly later times than e.time, never into bucket b.
-      advance_base(e.time);
-    }
-    bucket.head = e.next;
-    if (bucket.head == kNpos) {
-      bucket.tail = kNpos;
+    Entry* tail = bucket.tail;
+    Entry* e = tail->next;
+    if (e == tail) {
+      bucket.tail = nullptr;
       clear_bit(b);
+    } else {
+      tail->next = e->next;
     }
     --ring_size_;
-    return PopRef{e.time, slot, &e};
+    return PopRef{e->time, e};
   }
 
   /// Fires a popped event in place, destroying its callable (one indirect
@@ -177,10 +167,41 @@ class BucketQueue {
     ref.entry->fn.invoke_and_dispose();
   }
 
-  /// Returns a popped (and fired) event's slot to the free list.
-  void recycle(const PopRef& ref) {
-    ref.entry->next = free_head_;
-    free_head_ = ref.slot;
+  /// Returns a popped (and fired) event's entry to the free list.
+  void recycle(const PopRef& ref) { recycle(ref.entry); }
+
+  /// Detaches the earliest pending picosecond if it is <= `horizon`,
+  /// advancing the window to it, and returns its first entry, already
+  /// popped (size() no longer counts it); the rest of the batch stays
+  /// pending until fire_and_next() pops it. Returns null when nothing
+  /// pending is <= `horizon`. Requires that no batch is being fired.
+  Entry* pop_batch(TimePs horizon) {
+    SPECNOC_ASSERT(batch_ == nullptr);
+    const std::uint32_t b = earliest_bucket(horizon);
+    if (b == kNoBucket) return nullptr;
+    Bucket& bucket = buckets_[b];
+    Entry* tail = bucket.tail;
+    bucket.tail = nullptr;
+    clear_bit(b);
+    Entry* head = tail->next;
+    tail->next = nullptr;  // the circle becomes a null-terminated chain
+    batch_ = head->next;
+    --ring_size_;
+    return head;
+  }
+
+  /// Fires `e` (the batch entry popped last) in place, recycles it, and
+  /// pops and returns the next entry of its batch, or null when the batch
+  /// is done.
+  Entry* fire_and_next(Entry* e) {
+    e->fn.invoke_and_dispose();
+    Entry* next = batch_;
+    if (next != nullptr) {
+      batch_ = next->next;
+      --ring_size_;
+    }
+    recycle(e);
+    return next;
   }
 
   /// Slides the window base forward to `t`. Requires that no pending event
@@ -191,44 +212,52 @@ class BucketQueue {
  private:
   static constexpr std::uint32_t kMask = kNumBuckets - 1;
   static constexpr std::uint32_t kNumWords = kNumBuckets / 64;
-  static constexpr std::uint32_t kNpos = 0xffffffffu;
+  static constexpr std::uint32_t kNoBucket = kNumBuckets;
+  static constexpr TimePs kNoHorizon = std::numeric_limits<TimePs>::max();
   /// Slab chunk size (entries). 256 entries ≈ 20 KiB per chunk: small
-  /// enough that warm-up growth is cheap, large enough that chunk lookups
-  /// stay in one or two cache lines of the chunk table.
+  /// enough that warm-up growth is cheap.
   static constexpr std::uint32_t kChunkShift = 8;
   static constexpr std::uint32_t kChunkMask = (1u << kChunkShift) - 1;
 
+  /// Tail of a circular FIFO chain (tail->next is the head); null when
+  /// the bucket is empty.
   struct Bucket {
-    std::uint32_t head = kNpos;
-    std::uint32_t tail = kNpos;
+    Entry* tail = nullptr;
   };
+  static_assert(sizeof(Bucket) == 8, "one pointer per bucket");
   struct OverflowRef {
     TimePs time;
     std::uint64_t seq;
-    std::uint32_t slot;
+    Entry* entry;
     bool earlier_than(const OverflowRef& o) const {
       return time != o.time ? time < o.time : seq < o.seq;
     }
   };
 
-  Entry& entry(std::uint32_t slot) {
-    return chunks_[slot >> kChunkShift][slot & kChunkMask];
-  }
-  const Entry& entry(std::uint32_t slot) const {
-    return chunks_[slot >> kChunkShift][slot & kChunkMask];
+  /// An entry never used before (the free list is empty): the next one
+  /// of the slab, growing it by a chunk when full.
+  Entry* fresh_entry() {
+    if (slab_size_ == slab_capacity_) add_chunk();
+    const std::uint32_t slot = slab_size_++;
+    return &chunks_[slot >> kChunkShift][slot & kChunkMask];
   }
 
-  void link_into_bucket(std::uint32_t slot) {
-    const std::uint32_t b =
-        static_cast<std::uint32_t>(entry(slot).time) & kMask;
+  void recycle(Entry* e) {
+    e->next = free_head_;
+    free_head_ = e;
+  }
+
+  void link_into_bucket(Entry* e) {
+    const std::uint32_t b = static_cast<std::uint32_t>(e->time) & kMask;
     Bucket& bucket = buckets_[b];
-    if (bucket.tail == kNpos) {
-      bucket.head = slot;
+    if (bucket.tail == nullptr) {
+      e->next = e;
       set_bit(b);
     } else {
-      entry(bucket.tail).next = slot;
+      e->next = bucket.tail->next;
+      bucket.tail->next = e;
     }
-    bucket.tail = slot;
+    bucket.tail = e;
   }
 
   void set_bit(std::uint32_t b) {
@@ -238,6 +267,26 @@ class BucketQueue {
   void clear_bit(std::uint32_t b) {
     words_[b >> 6] &= ~(std::uint64_t{1} << (b & 63u));
     if (words_[b >> 6] == 0) summary_ &= ~(std::uint64_t{1} << (b >> 6));
+  }
+
+  /// The bucket holding the earliest pending event if that event is at or
+  /// before `horizon`, with the window advanced to its time; kNoBucket
+  /// otherwise (the window stays put). Requires no batch being fired.
+  std::uint32_t earliest_bucket(TimePs horizon) {
+    if (ring_size_ == 0) {
+      if (overflow_.empty() || overflow_min_ > horizon) return kNoBucket;
+      // Everything pending is far-future: jump the window to the overflow
+      // minimum, which promotes at least that event into the ring.
+      advance_base(overflow_min_);
+      SPECNOC_ASSERT(ring_size_ != 0);
+    }
+    const std::uint32_t b = first_occupied_bucket();
+    const TimePs t = buckets_[b].tail->time;
+    if (t > horizon) return kNoBucket;
+    // Sliding the window forward may promote overflow events, but only at
+    // strictly later times than t, never into bucket b.
+    if (t != base_) advance_base(t);
+    return b;
   }
 
   /// Index of the first occupied bucket at or circularly after base's
@@ -296,8 +345,9 @@ class BucketQueue {
   TimePs base_ = 0;              ///< window start; only ever advances
   TimePs overflow_min_ = kNoOverflow;  ///< == overflow_.front().time
   std::uint64_t next_seq_ = 0;   ///< assigned to overflow-tier events only
-  std::size_t ring_size_ = 0;    ///< pending in the near tier
-  std::uint32_t free_head_ = kNpos;
+  std::size_t ring_size_ = 0;    ///< pending in the near tier, batch included
+  Entry* batch_ = nullptr;       ///< unpopped rest of the batch being fired
+  Entry* free_head_ = nullptr;
   std::uint32_t slab_size_ = 0;
   std::uint32_t slab_capacity_ = 0;
   std::uint64_t summary_ = 0;

@@ -30,8 +30,7 @@ namespace specnoc::sim {
 class InplaceEvent {
  public:
   /// Inline storage for the callable's captures. 48 bytes holds the
-  /// largest simulator capture with headroom (and a libstdc++
-  /// std::function, which the kernel microbenchmarks copy in).
+  /// largest simulator capture with headroom.
   static constexpr std::size_t kCapacity = 48;
 
   InplaceEvent() = default;

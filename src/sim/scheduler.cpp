@@ -3,9 +3,9 @@
 // Regression note: the previous kernel (a std::priority_queue of
 // std::function entries) moved events out of priority_queue::top() through a
 // const_cast — UB-adjacent, and each pop paid an O(log n) sift plus a heap
-// allocation for any capture beyond the std::function SBO. The bucket-queue
-// pop path moves events out of a mutable slab entry instead; the ASan/UBSan
-// CI job exercises this path across the whole test suite.
+// allocation for any capture beyond the std::function SBO. The bucket queue
+// fires events in place in mutable slab entries instead; the ASan/UBSan CI
+// job exercises this path across the whole test suite.
 
 namespace specnoc::sim {
 
@@ -29,16 +29,23 @@ void Scheduler::cross_epoch(TimePs t) {
   epoch_hook_(boundary);
 }
 
-void Scheduler::run() {
-  while (step()) {
+void Scheduler::drain(TimePs horizon) {
+  while (BucketQueue::Entry* e = queue_.pop_batch(horizon)) {
+    // One clock update and one epoch check per picosecond: every event of
+    // the batch, and any zero-delay event its handlers add, is at e->time.
+    SPECNOC_ASSERT(e->time >= now_);
+    if (e->time >= epoch_next_) cross_epoch(e->time);
+    now_ = e->time;
+    do {
+      ++executed_;
+      e = queue_.fire_and_next(e);
+    } while (e != nullptr);
   }
 }
 
 void Scheduler::run_until(TimePs t) {
   SPECNOC_EXPECTS(t >= now_);
-  while (!queue_.empty() && queue_.min_time() <= t) {
-    step();
-  }
+  drain(t);
   now_ = t;
   // Keep the bucket window tracking the clock so short relative delays
   // scheduled after a long quiet gap still land in the O(1) near tier.

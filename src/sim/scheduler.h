@@ -10,6 +10,12 @@
 // simulator, an overflow heap for far-future timers, and zero heap
 // allocations per event — callbacks are sim::InplaceEvent (event.h), whose
 // captures must fit 48 bytes of inline storage by construction.
+//
+// run() and run_until() drain one picosecond per queue pop: they detach the
+// earliest bucket and fire its chain in place, so the bitmap scan, window
+// advance, clock update and epoch check are paid once per picosecond, not
+// once per event. step() fires a single event, for callers that check a
+// condition between events; both paths observe the same (time, seq) order.
 #pragma once
 
 #include <cstddef>
@@ -65,11 +71,13 @@ class Scheduler {
     queue_.push(at, std::forward<F>(fn));
   }
 
-  /// Observation-only callback fired from step() before the first event at
-  /// or after each epoch boundary executes (boundaries are the multiples of
-  /// the configured epoch length). The argument is the start time of the
-  /// epoch being entered; everything executed so far belongs to earlier
-  /// epochs. The hook must not schedule events or otherwise touch the
+  /// Observation-only callback fired before the first event at or after
+  /// each epoch boundary executes (boundaries are the multiples of the
+  /// configured epoch length). The argument is the start time of the epoch
+  /// being entered; everything executed so far belongs to earlier epochs.
+  /// The hook sees that first event popped but not yet run: executed()
+  /// excludes it, pending() excludes it, and now() is still the previous
+  /// event's time. The hook must not schedule events or otherwise touch the
   /// simulation — it exists for delta sampling (stats::TelemetrySampler),
   /// and enabling it changes no simulated byte: the run's event sequence is
   /// identical with and without a hook installed.
@@ -81,6 +89,7 @@ class Scheduler {
   void clear_epoch_hook();
 
   /// Runs the earliest pending event. Returns false if none are pending.
+  /// Not callable from a handler while run() or run_until() drains.
   bool step() {
     if (queue_.empty()) return false;
     const BucketQueue::PopRef ref = queue_.pop();
@@ -96,7 +105,7 @@ class Scheduler {
   }
 
   /// Runs events until the queue is empty.
-  void run();
+  void run() { drain(kIdleTime); }
 
   /// Runs events with time <= `t`, then advances the clock to exactly `t`.
   void run_until(TimePs t);
@@ -128,14 +137,18 @@ class Scheduler {
  private:
   friend class PartitionedScheduler;
 
-  /// Cold path of the epoch check in step(): advances epoch_next_ past `t`
-  /// and fires the hook once with the largest crossed boundary. Out of line
-  /// so the hot path pays one predictable compare.
+  /// Fires every event with time <= `horizon`, one picosecond batch at a
+  /// time (BucketQueue::pop_batch).
+  void drain(TimePs horizon);
+
+  /// Cold path of the epoch check: advances epoch_next_ past `t` and fires
+  /// the hook once with the largest crossed boundary. Out of line so the
+  /// hot path pays one predictable compare.
   void cross_epoch(TimePs t);
 
   TimePs now_ = 0;
   std::uint64_t executed_ = 0;
-  /// kIdleTime when no hook is installed, so the step() check is one
+  /// kIdleTime when no hook is installed, so the epoch check is one
   /// always-false compare on unsampled runs.
   TimePs epoch_next_ = kIdleTime;
   TimePs epoch_ps_ = 0;

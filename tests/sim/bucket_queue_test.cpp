@@ -32,6 +32,18 @@ __attribute__((noinline)) void* operator new(std::size_t size) {
 __attribute__((noinline)) void* operator new[](std::size_t size) {
   return ::operator new(size);
 }
+// The nothrow forms (std::stable_sort's temporary buffer uses them) must
+// pair with the free()-based deletes below too, or ASan reports a
+// new/free mismatch when the binary runs whole.
+__attribute__((noinline)) void* operator new(std::size_t size,
+                                             const std::nothrow_t&) noexcept {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size != 0 ? size : 1);
+}
+__attribute__((noinline)) void* operator new[](
+    std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
 __attribute__((noinline)) void operator delete(void* p) noexcept {
   std::free(p);
 }
@@ -176,12 +188,14 @@ TEST(BucketQueueTest, AdvanceToSlidesWindowPastOverflowBoundary) {
 TEST(BucketQueueTest, SlotReuseAfterRecycle) {
   BucketQueue q;
   int fired = 0;
+  const BucketQueue::Entry* first = nullptr;
   for (int i = 0; i < 10000; ++i) {
     q.push(i, [&fired] { ++fired; });
     const BucketQueue::PopRef ref = q.pop();
     q.invoke_and_dispose(ref);
     q.recycle(ref);
-    EXPECT_EQ(ref.slot, 0u);  // the single slot is reused every cycle
+    if (first == nullptr) first = ref.entry;
+    EXPECT_EQ(ref.entry, first);  // the single entry is reused every cycle
   }
   EXPECT_EQ(fired, 10000);
 }
@@ -245,7 +259,9 @@ TEST(BucketQueueFuzzTest, MatchesSortedReferenceModel) {
 
     // Events with id % 4 == 0 schedule one follow-up from inside their
     // handler (push-during-pop); children get id + 1000000 and never
-    // re-spawn.
+    // re-spawn. Events with id % 4 == 1 schedule a zero-delay child
+    // (id + 2000000) into the picosecond being drained, which schedules a
+    // zero-delay grandchild (id + 3000000) behind it.
     auto schedule_event = [&](TimePs at, int id) {
       s.schedule_at(at, [&fired, &s, id] {
         fired.push_back(id);
@@ -253,6 +269,11 @@ TEST(BucketQueueFuzzTest, MatchesSortedReferenceModel) {
           s.schedule(
               kDelays[static_cast<std::uint32_t>(id) % kNumDelays],
               [&fired, id] { fired.push_back(id + 1000000); });
+        } else if (id % 4 == 1 && id < 1000000) {
+          s.schedule(0, [&fired, &s, id] {
+            fired.push_back(id + 2000000);
+            s.schedule(0, [&fired, id] { fired.push_back(id + 3000000); });
+          });
         }
       });
       m.schedule_at(at, id);
@@ -264,6 +285,10 @@ TEST(BucketQueueFuzzTest, MatchesSortedReferenceModel) {
         m.schedule_at(
             e.time + kDelays[static_cast<std::uint32_t>(e.id) % kNumDelays],
             e.id + 1000000);
+      } else if (e.id % 4 == 1 && e.id < 1000000) {
+        m.schedule_at(e.time, e.id + 2000000);
+      } else if (e.id >= 2000000 && e.id < 3000000) {
+        m.schedule_at(e.time, e.id + 1000000);
       }
       return e;
     };
@@ -289,8 +314,13 @@ TEST(BucketQueueFuzzTest, MatchesSortedReferenceModel) {
           ASSERT_EQ(s.now(), e.time);
         }
       } else {
-        // run_until a random horizon; drain the model to the same time.
-        const TimePs horizon = s.now() + static_cast<TimePs>(rnd(30000));
+        // run_until a random horizon, or exactly the timestamp of a
+        // pending event (often a burst), so the drain's inclusive bound is
+        // hit; drain the model to the same time.
+        const TimePs horizon =
+            !m.evs.empty() && rnd(2) == 0
+                ? m.evs[rnd(static_cast<std::uint32_t>(m.evs.size()))].time
+                : s.now() + static_cast<TimePs>(rnd(30000));
         s.run_until(horizon);
         while (!m.evs.empty() && m.min_time() <= horizon) model_step();
         m.now = horizon;
@@ -303,10 +333,12 @@ TEST(BucketQueueFuzzTest, MatchesSortedReferenceModel) {
     s.run();
     while (!m.evs.empty()) model_step();
     ASSERT_EQ(fired, fired_model) << "round " << round;
-    // Every scheduled event fired exactly once: all parents plus one child
-    // per id % 4 == 0 parent.
+    // Every scheduled event fired exactly once: all parents, one child per
+    // id % 4 == 0 parent and two zero-delay descendants per id % 4 == 1
+    // parent.
     const auto parents = static_cast<std::size_t>(next_id);
-    ASSERT_EQ(fired.size(), parents + (parents + 3) / 4);
+    ASSERT_EQ(fired.size(),
+              parents + (parents + 3) / 4 + 2 * ((parents + 2) / 4));
   }
 }
 

@@ -116,6 +116,75 @@ TEST(SchedulerTest, FarFutureEventsInterleaveWithNearOnes) {
             (std::vector<TimePs>{50, 50, 5000, 1000000, 1000000}));
 }
 
+// What the epoch hook sees is part of the kernel's observable contract
+// (telemetry samples executed() and pending() from it): the first event at
+// or past the boundary is already popped but not yet run, and now() is
+// still the previous event's time. Pinned under run_until and run, with a
+// same-picosecond burst on a boundary whose first event schedules a
+// zero-delay child into that picosecond.
+TEST(SchedulerTest, EpochHookObservesFirstEventPoppedNotRun) {
+  struct Seen {
+    TimePs boundary;
+    TimePs now;
+    std::uint64_t executed;
+    std::size_t pending;
+    bool operator==(const Seen&) const = default;
+  };
+  Scheduler s;
+  std::vector<Seen> seen;
+  s.set_epoch_hook(100, [&](TimePs boundary) {
+    seen.push_back({boundary, s.now(), s.executed(), s.pending()});
+  });
+  std::vector<int> order;
+  auto record = [&](int id) { return [&order, id] { order.push_back(id); }; };
+  s.schedule_at(30, record(0));
+  s.schedule_at(100, [&] {
+    order.push_back(1);
+    s.schedule(0, record(4));
+  });
+  s.schedule_at(100, record(2));
+  s.schedule_at(100, record(3));
+  s.schedule_at(199, record(5));
+  s.schedule_at(350, record(6));
+  s.schedule_at(400, record(7));
+  s.schedule_at(400, record(8));
+
+  s.run_until(250);
+  EXPECT_EQ(seen, (std::vector<Seen>{{100, 30, 1, 6}}));
+  EXPECT_EQ(s.now(), 250);
+  s.run();
+  EXPECT_EQ(seen,
+            (std::vector<Seen>{{100, 30, 1, 6}, {300, 250, 6, 2},
+                               {400, 350, 7, 1}}));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(s.executed(), 9u);
+}
+
+// pending() and next_time() read from inside handlers count every event
+// not yet popped, including the rest of the picosecond being drained.
+TEST(SchedulerTest, HandlersSeeTheRestOfThePicosecondPending) {
+  Scheduler s;
+  std::vector<std::size_t> pending;
+  std::vector<TimePs> next;
+  auto record = [&] {
+    pending.push_back(s.pending());
+    next.push_back(s.next_time());
+  };
+  for (int i = 0; i < 4; ++i) s.schedule_at(10, record);
+  s.schedule_at(10, [&] {
+    record();
+    s.schedule(0, record);
+  });
+  s.schedule_at(11, record);
+  s.run_until(10);
+  EXPECT_EQ(pending, (std::vector<std::size_t>{5, 4, 3, 2, 1, 1}));
+  EXPECT_EQ(next, (std::vector<TimePs>{10, 10, 10, 10, 11, 11}));
+  EXPECT_EQ(s.next_time(), 11);
+  s.run();
+  EXPECT_EQ(pending, (std::vector<std::size_t>{5, 4, 3, 2, 1, 1, 0}));
+  EXPECT_EQ(next.back(), Scheduler::kIdleTime);
+}
+
 TEST(SchedulerTest, ReserveDoesNotDisturbPendingEvents) {
   Scheduler s;
   int fired = 0;

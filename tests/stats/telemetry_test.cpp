@@ -118,6 +118,50 @@ TEST(TelemetrySamplerTest, DeltasSumToRunTotals) {
   }
 }
 
+// The simulated fields of every epoch of a sequential 8x8 cell, pinned:
+// the epoch hook reads the kernel's executed() and pending() mid-run, so a
+// kernel that fired the hook one pop early or late would move them here
+// while every run total still matched.
+TEST(TelemetrySamplerTest, PinsSimulatedFieldsOfASequentialCell) {
+  const SampledRun run = run_sampled(10_ns, 4096, 100_ns);
+  std::string rendered;
+  for (const auto& epoch : run.series.epochs) {
+    rendered += std::to_string(epoch.start_ps) + " " +
+                std::to_string(epoch.end_ps) +
+                " events=" + std::to_string(epoch.events) +
+                " pending=" + std::to_string(epoch.pending) +
+                " overflow=" + std::to_string(epoch.overflow_pending) +
+                " kills=" + std::to_string(epoch.kills) +
+                " grants=" + std::to_string(epoch.contended_grants) + "\n";
+    for (const auto& [klass, stall_ps] : epoch.stall_time_ps) {
+      rendered += " " + klass + "=" + std::to_string(stall_ps);
+    }
+    rendered += "\n";
+  }
+  const char* const expected =
+    "0 10000 events=5262 pending=57 overflow=0 kills=58 grants=111\n"
+    " fanin=152651 fanout=153838 middle=24752 sink_if=9450 source_if=64851\n"
+    "10000 20000 events=5377 pending=108 overflow=0 kills=41 grants=180\n"
+    " fanin=222200 fanout=178462 middle=60428 sink_if=11970 source_if=73616\n"
+    "20000 30000 events=5449 pending=63 overflow=0 kills=46 grants=261\n"
+    " fanin=288571 fanout=157261 middle=73276 sink_if=13370 source_if=64568\n"
+    "30000 40000 events=4573 pending=60 overflow=0 kills=47 grants=144\n"
+    " fanin=203223 fanout=169385 middle=64486 sink_if=11270 source_if=78053\n"
+    "40000 50000 events=4973 pending=74 overflow=0 kills=46 grants=162\n"
+    " fanin=194260 fanout=163279 middle=60030 sink_if=11060 source_if=70331\n"
+    "50000 60000 events=5239 pending=77 overflow=0 kills=48 grants=173\n"
+    " fanin=213904 fanout=167209 middle=60982 sink_if=11830 source_if=68946\n"
+    "60000 70000 events=4604 pending=72 overflow=0 kills=39 grants=201\n"
+    " fanin=234877 fanout=168173 middle=75008 sink_if=11900 source_if=73936\n"
+    "70000 80000 events=5602 pending=55 overflow=0 kills=52 grants=178\n"
+    " fanin=227122 fanout=157560 middle=54452 sink_if=12390 source_if=65996\n"
+    "80000 90000 events=4836 pending=39 overflow=0 kills=39 grants=178\n"
+    " fanin=241503 fanout=155453 middle=63686 sink_if=12390 source_if=61061\n"
+    "90000 100000 events=5166 pending=93 overflow=0 kills=50 grants=102\n"
+    " fanin=180243 fanout=174524 middle=59200 sink_if=11620 source_if=85271\n";
+  EXPECT_EQ(rendered, expected);
+}
+
 TEST(TelemetrySamplerTest, RingEvictsOldestAndCountsDropped) {
   const SampledRun run = run_sampled(1_ns, 8, 200_ns);
   const auto& series = run.series;
