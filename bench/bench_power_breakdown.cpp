@@ -7,7 +7,6 @@
 #include "bench_common.h"
 #include "core/mot_network.h"
 #include "power/power_meter.h"
-#include "stats/recorder.h"
 #include "stats/experiment.h"
 #include "traffic/driver.h"
 
@@ -37,9 +36,7 @@ int main(int argc, char** argv) {
                "Wires mW", "Throttled flits", "Broadcast ops"});
   for (const auto arch : core::all_architectures()) {
     core::MotNetwork network(arch, cfg);
-    stats::TrafficRecorder recorder(network.net().packets());
     power::PowerMeter meter;
-    network.net().hooks().traffic = &recorder;
     network.net().hooks().energy = &meter;
     auto pattern = traffic::make_benchmark(bench, cfg.n);
     traffic::DriverConfig dcfg;

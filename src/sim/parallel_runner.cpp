@@ -54,18 +54,11 @@ std::vector<RunOutcome> ParallelRunner::run(std::size_t count,
                                             const Job& job) const {
   std::vector<RunOutcome> outcomes(count);
   if (count == 0) return outcomes;
-  if (jobs_ == 1 || count == 1) {
-    // Serial path: inline on the calling thread, in index order.
-    for (std::size_t i = 0; i < count; ++i) {
-      outcomes[i] = execute(job, i, max_attempts_);
-      if (on_run_done_) on_run_done_(i, outcomes[i]);
-    }
-    return outcomes;
-  }
 
   // Each worker claims the next unstarted index until none is left. Every
   // outcome lands in its own index's slot, so the order in which runs are
-  // handed out never shows in the result.
+  // handed out never shows in the result. The calling thread is one of the
+  // workers, so with one worker every run executes inline, in index order.
   std::atomic<std::size_t> next{0};
   auto worker_loop = [&] {
     for (std::size_t index = next.fetch_add(1); index < count;

@@ -7,8 +7,8 @@
 // construction: outcomes are collected into a slot keyed by run index,
 // never by completion order, so aggregated results are bit-identical to
 // the serial path regardless of thread count. With jobs() == 1 the runner
-// executes every run inline on the calling thread (the exact serial code
-// path; no threads are spawned).
+// executes every run inline on the calling thread, in index order (no
+// threads are spawned).
 //
 // Failure policy: a run that throws is retried up to Options::max_attempts
 // times and, if it keeps throwing, reported failed in its own outcome slot.

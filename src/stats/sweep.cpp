@@ -32,12 +32,10 @@ SweepManifest manifest_from_json(const Json& json) {
   }
   SweepManifest manifest;
   manifest.schema_version = static_cast<int>(json.at("schema").as_i64());
-  if (manifest.schema_version < kSweepSchemaVersionMin ||
-      manifest.schema_version > kSweepSchemaVersion) {
+  if (manifest.schema_version != kSweepSchemaVersion) {
     throw ConfigError("unsupported sweep schema version " +
-                      std::to_string(manifest.schema_version) + " (this build "
-                      "reads versions " +
-                      std::to_string(kSweepSchemaVersionMin) + ".." +
+                      std::to_string(manifest.schema_version) +
+                      " (this build reads version " +
                       std::to_string(kSweepSchemaVersion) + ")");
   }
   manifest.tool = json.at("tool").as_string();
@@ -69,7 +67,7 @@ SweepGrid grid_from_json(const Json& json) {
   grid.kind = json.at("kind").as_string();
   grid.size = static_cast<std::size_t>(json.at("size").as_u64());
   grid.hash = json.at("hash").as_string();
-  const Json* shared = json.find("shared");  // absent in schema-1 files
+  const Json* shared = json.find("shared");  // written only when true
   grid.shared = shared != nullptr && shared->as_bool();
   return grid;
 }
@@ -153,15 +151,6 @@ const SweepRecord* ShardFile::find_record(const std::string& grid,
   if (it == records.end()) return nullptr;
   const auto rec = it->second.find(cell);
   return rec != it->second.end() ? &rec->second : nullptr;
-}
-
-std::vector<const SweepRecord*> ShardFile::records_of(const std::string& grid,
-                                                      std::size_t size) const {
-  std::vector<const SweepRecord*> cells(size);
-  for (std::size_t cell = 0; cell < size; ++cell) {
-    cells[cell] = find_record(grid, cell);
-  }
-  return cells;
 }
 
 ShardFile load_shard_file(const std::string& path) {
@@ -461,23 +450,24 @@ ShardedSweep::ShardedSweep(core::NetworkConfig config, std::uint64_t seed,
                                    !options_.metrics_path.empty() ||
                                    options_.telemetry_stream != nullptr;
   if (mode() == SweepMode::kRender) {
-    file_ = load_own_file("--from", options_.from_path, options_, seed,
-                          "tables");
+    trusted_ = load_own_file("--from", options_.from_path, options_, seed,
+                             "tables");
   }
   if (mode() != SweepMode::kWorker) return;
+  ShardFile anchors;
   if (!options_.anchors_from.empty()) {
-    anchors_ = load_own_file("--anchors-from", options_.anchors_from,
-                             options_, seed, "anchors");
+    anchors = load_own_file("--anchors-from", options_.anchors_from, options_,
+                            seed, "anchors");
   }
-  file_.manifest.tool = options_.tool;
-  file_.manifest.shard = options_.shard;
-  file_.manifest.seed = seed;
+  out_.manifest.tool = options_.tool;
+  out_.manifest.shard = options_.shard;
+  out_.manifest.seed = seed;
   // An existing non-empty output resumes the shard: completed cells are
   // carried over, failed and missing ones re-run. A file from a different
   // sweep is an error, never silently clobbered.
   if (file_has_content(options_.out_path)) {
-    resume_ = load_shard_file(options_.out_path);
-    const SweepManifest& m = resume_.manifest;
+    trusted_ = load_shard_file(options_.out_path);
+    const SweepManifest& m = trusted_.manifest;
     if (m.tool != options_.tool || m.seed != seed ||
         !(m.shard == options_.shard)) {
       throw ConfigError(
@@ -486,7 +476,15 @@ ShardedSweep::ShardedSweep(core::NetworkConfig config, std::uint64_t seed,
           m.shard.to_string() + ", seed " + std::to_string(m.seed) +
           "); delete it or choose another --out to start fresh");
     }
-    resuming_ = true;
+  }
+  if (options_.anchors_from.empty()) return;
+  // Under --anchors-from the anchor grids come from that file alone.
+  std::erase_if(trusted_.grids,
+                [](const SweepGrid& grid) { return grid.shared; });
+  for (SweepGrid& grid : anchors.grids) {
+    if (!grid.shared || trusted_.find_grid(grid.name) != nullptr) continue;
+    trusted_.records[grid.name] = std::move(anchors.records[grid.name]);
+    trusted_.grids.push_back(std::move(grid));
   }
 }
 
@@ -503,27 +501,26 @@ ShardedSweep ShardedSweep::open_or_exit(core::NetworkConfig config,
 }
 
 BatchOptions ShardedSweep::streaming_batch(
-    const std::string& name, std::vector<std::string> keys,
-    std::vector<std::size_t> cells) const {
+    const std::string& name, const std::vector<std::string>& keys,
+    const std::vector<std::size_t>& cells) const {
   BatchOptions batch = options_.batch;
   TelemetryStream* stream = options_.telemetry_stream;
   if (stream == nullptr) return batch;
-  const std::size_t grid_runs = cells.empty() ? keys.size() : cells.size();
-  batch.on_run_done = [stream, name, grid_runs, keys = std::move(keys),
-                       cells = std::move(cells)](
+  batch.on_run_done = [stream, name, keys, cells](
                           std::size_t index, const sim::RunOutcome& run,
                           const MetricsSnapshot* metrics) {
-    const std::size_t cell = cells.empty() ? index : cells[index];
-    emit_run_frame(*stream, name, cell, grid_runs, keys[cell], run, metrics);
+    const std::size_t cell = cells[index];
+    emit_run_frame(*stream, name, cell, cells.size(), keys[cell], run,
+                   metrics);
   };
   return batch;
 }
 
 void ShardedSweep::register_grid(const SweepGrid& grid) {
-  if (file_.find_grid(grid.name) != nullptr) {
+  if (out_.find_grid(grid.name) != nullptr) {
     throw ConfigError("sweep grid '" + grid.name + "' registered twice");
   }
-  file_.grids.push_back(grid);
+  out_.grids.push_back(grid);
 }
 
 void ShardedSweep::record(const std::string& grid, std::size_t cell,
@@ -534,80 +531,107 @@ void ShardedSweep::record(const std::string& grid, std::size_t cell,
   record.key = key;
   record.status = run_status(run);
   record.data = std::move(data);
-  file_.records[grid].insert_or_assign(cell, std::move(record));
-  if (!run.ok) ++failures_;
+  out_.records[grid].insert_or_assign(cell, std::move(record));
 }
 
-std::vector<std::size_t> ShardedSweep::claim(
+ShardedSweep::Resolution ShardedSweep::resolve(
     const SweepGrid& grid, const std::vector<std::string>& keys) {
-  register_grid(grid);
-  const SweepGrid* prev = resuming_ ? resume_.find_grid(grid.name) : nullptr;
-  if (prev != nullptr && !same_grid(*prev, grid)) {
-    throw ConfigError("existing shard file '" + options_.out_path +
-                      "' recorded grid '" + grid.name +
-                      "' with a different identity; it was produced from a "
-                      "different sweep configuration — delete it to rerun");
+  const std::size_t size = keys.size();
+  Resolution cells{{}, {}, std::vector<bool>(size, true), {}};
+  const bool worker = mode() == SweepMode::kWorker;
+  if (worker) {
+    register_grid(grid);
+    const sim::ShardPlan plan(options_.shard.count);
+    for (std::size_t cell = 0; cell < size; ++cell) {
+      cells.owned[cell] = plan.shard_of(keys[cell]) == options_.shard.index;
+    }
+    cells.placeholder = "cell not owned by shard " + options_.shard.to_string();
+  } else if (mode() == SweepMode::kRender) {
+    cells.placeholder =
+        "cell missing from --from file '" + options_.from_path +
+        "' (partial merge?)";
   }
-
-  std::vector<std::size_t> to_run;
-  const sim::ShardPlan plan(options_.shard.count);
-  for (const std::size_t cell : plan.cells_of(keys, options_.shard.index)) {
-    const SweepRecord* done =
-        prev != nullptr ? resume_.find_record(grid.name, cell) : nullptr;
-    if (done != nullptr && done->status != "failed") {
-      file_.records[grid.name].emplace(cell, *done);
+  cells.loaded = trusted_records(grid, keys, cells.owned);
+  const bool want_all = mode() == SweepMode::kRun ||
+                        (worker && grid.shared && !options_.anchors_only);
+  for (std::size_t cell = 0; cell < size; ++cell) {
+    if (cells.loaded[cell] != nullptr) {
+      if (!worker) continue;
+      out_.records[grid.name].emplace(cell, *cells.loaded[cell]);
       ++carried_;
-    } else {
-      to_run.push_back(cell);
+    } else if (want_all || (worker && cells.owned[cell])) {
+      cells.simulate.push_back(cell);
     }
   }
-  return to_run;
+  executed_ += cells.simulate.size();
+  return cells;
 }
 
-std::vector<const SweepRecord*> ShardedSweep::load_records(
-    const ShardFile& src, const std::string& origin, const SweepGrid& grid,
-    const std::vector<std::string>& keys, bool strict) {
-  const SweepGrid* loaded = src.find_grid(grid.name);
-  if (loaded == nullptr) {
+std::vector<const SweepRecord*> ShardedSweep::trusted_records(
+    const SweepGrid& grid, const std::vector<std::string>& keys,
+    const std::vector<bool>& owned) const {
+  std::vector<const SweepRecord*> records(keys.size());
+  if (mode() == SweepMode::kRun) return records;
+  // A worker trusts its resumed --out file, except for the anchor grids an
+  // --anchors-from file supplies; those it loads strictly, since their
+  // results feed the construction of the downstream specs.
+  const bool strict = mode() == SweepMode::kWorker && grid.shared &&
+                      !options_.anchors_from.empty();
+  const bool resumed = mode() == SweepMode::kWorker && !strict;
+  const std::string origin =
+      resumed  ? "existing shard file '" + options_.out_path + "'"
+      : strict ? "--anchors-from file '" + options_.anchors_from + "'"
+               : "--from file '" + options_.from_path + "'";
+  const SweepGrid* held = trusted_.find_grid(grid.name);
+  if (held == nullptr) {
+    if (resumed) return records;
     throw ConfigError(origin + " has no grid '" + grid.name + "'");
   }
-  if (!same_grid(*loaded, grid)) {
+  if (!same_grid(*held, grid)) {
+    if (resumed) {
+      throw ConfigError(origin + " recorded grid '" + grid.name +
+                        "' with a different identity; it was produced from "
+                        "a different sweep configuration — delete it to "
+                        "rerun");
+    }
     throw ConfigError(
         origin + " grid '" + grid.name + "' (size " +
-        std::to_string(loaded->size) + ", hash " + loaded->hash +
+        std::to_string(held->size) + ", hash " + held->hash +
         ") does not match this invocation's grid (size " +
         std::to_string(grid.size) + ", hash " + grid.hash +
         "); was the sweep run with the same configuration?");
   }
-  const auto cells = src.records_of(grid.name, keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (cells[i] == nullptr) {
-      if (strict) {
-        throw ConfigError(origin + " is missing grid '" + grid.name +
-                          "' cell " + std::to_string(i) +
-                          " (merge every anchor shard before phase 2)");
+  for (std::size_t cell = 0; cell < keys.size(); ++cell) {
+    const SweepRecord* record = trusted_.find_record(grid.name, cell);
+    if (record == nullptr) {
+      if (!strict) continue;
+      throw ConfigError(origin + " is missing grid '" + grid.name +
+                        "' cell " + std::to_string(cell) +
+                        " (merge every anchor shard before phase 2)");
+    }
+    if (record->key != keys[cell]) {
+      throw ConfigError(origin + " grid '" + grid.name + "' cell " +
+                        std::to_string(cell) + " records key '" +
+                        record->key + "' but this invocation expects '" +
+                        keys[cell] + "'");
+    }
+    if (resumed && (!owned[cell] || record->status == "failed")) continue;
+    if (strict) {
+      const sim::RunOutcome run = run_outcome_from_json(record->data.at("run"));
+      if (!run.ok) {
+        throw ConfigError(origin + " grid '" + grid.name + "' cell " +
+                          std::to_string(cell) + " failed in phase 1 (" +
+                          run.error +
+                          "); re-run that anchor worker before phase 2");
       }
-      continue;
     }
-    if (cells[i]->key != keys[i]) {
-      throw ConfigError(origin + " grid '" + grid.name + "' cell " +
-                        std::to_string(i) + " records key '" + cells[i]->key +
-                        "' but this invocation expects '" + keys[i] + "'");
-    }
-    if (!strict) continue;
-    const sim::RunOutcome run = run_outcome_from_json(cells[i]->data.at("run"));
-    if (!run.ok) {
-      throw ConfigError(origin + " grid '" + grid.name + "' cell " +
-                        std::to_string(i) + " failed in phase 1 (" +
-                        run.error +
-                        "); re-run that anchor worker before phase 2");
-    }
+    records[cell] = record;
   }
-  return cells;
+  return records;
 }
 
 void ShardedSweep::flush() const {
-  write_shard_file(file_, options_.out_path);
+  write_shard_file(out_, options_.out_path);
 }
 
 void ShardedSweep::keep_metrics(const std::string& grid,
@@ -654,7 +678,7 @@ void ShardedSweep::write_metrics() {
 int ShardedSweep::finish() {
   if (!options_.metrics_path.empty()) write_metrics();
   if (mode() == SweepMode::kWorker) {
-    file_.complete = true;
+    out_.complete = true;
     flush();
     std::fprintf(stderr,
                  "[%s] shard %s: %zu cells run, %zu carried over, %zu failed "

@@ -13,8 +13,8 @@
 // whole format is built around, and it holds because outcomes are merged
 // in spec order and every number round-trips JSON exactly.
 //
-// Shard file layout (JSONL, one record per line, schema_version 2;
-// version-1 files — which predate shared grids — still load):
+// Shard file layout (JSONL, one record per line, schema_version 2; the
+// loader refuses any other version):
 //   {"record":"manifest","format":"specnoc-sweep","schema":2,"tool":...,
 //    "shard":i,"shards":K,"seed":S}
 //   {"record":"grid","name":...,"kind":<Protocol::kind>,
@@ -28,28 +28,39 @@
 // same --out resumes it — completed cells are carried over, failed and
 // missing ones re-run.
 //
-// Anchor grids (schema 2) are *shared* grids: cheap prerequisite runs
-// whose results parameterize the downstream sharded specs (e.g. the
-// saturation points that fix the 25%-load operating rates). Because every
-// worker needs every anchor result to even construct its downstream grid,
-// anchors historically re-ran in full in each of the K workers. Shared
-// grids break that duplication with a two-phase protocol:
+// Anchor grids are *shared* grids: cheap prerequisite runs whose results
+// parameterize the downstream sharded specs (e.g. the saturation points
+// that fix the 25%-load operating rates). Every worker needs every anchor
+// result to build its downstream grids, so a worker simulates whatever
+// anchor cells it cannot load. The two-phase protocol runs each anchor cell
+// once across the fleet:
 //   phase 1: each worker runs with --anchors-only; it simulates only its
-//            owned anchor cells, records them under a shared grid, and
-//            exits before touching the downstream grids.
+//            owned anchor cells and stops before the downstream grids.
 //   merge:   sweep_merge combines the anchor shards as usual.
-//   phase 2: each worker runs with --anchors-from <merged.jsonl>; anchor
-//            outcomes load from the file (zero anchor simulation), the
-//            downstream grids run sharded as before, and the anchors are
-//            copied into each shard file so the final merge stays
-//            self-contained.
-// The classic single-invocation worker (neither flag) still runs the full
-// anchor grid but now records its owned cells under the shared grid, so a
-// merged file always carries the anchors and --from renders without
-// resimulating them. Shared grids are the one place the merge accepts the
-// same cell from multiple files: records are value-identical by
-// construction (same spec key, same deterministic runner), so the first
-// input wins and the duplicate is not an error.
+//   phase 2: each worker runs with --anchors-from <merged.jsonl>; the
+//            anchors load from that file and the downstream grids run
+//            sharded as before.
+// Every worker records its owned anchor cells (a phase-2 worker copies the
+// whole loaded anchor grid), so a merged file carries the anchors and
+// --from renders without simulating them. Shared grids are the one place
+// the merge accepts the same cell from multiple files: records are
+// value-identical by construction (same spec key, same deterministic
+// runner), so the first input wins and the duplicate is not an error.
+//
+// One rule resolves every cell of every grid, in every mode:
+//   trusted records  render: the --from file. Worker, anchor grid under
+//                    --anchors-from: that file, strictly (a missing or
+//                    failed cell is a ConfigError). Any other worker grid:
+//                    the owned, non-failed cells of the resumed --out file.
+//                    Run mode: none.
+//   cells to simulate  run mode: all. Render: none. Worker: its owned
+//                    cells, plus every cell of an anchor grid unless
+//                    --anchors-only is set.
+// A cell is loaded if trusted, else simulated if wanted, else a failed
+// placeholder saying why (missing from the --from file; owned by another
+// shard). The simulated cells run as one batch; a worker records the
+// loaded records and its simulated owned cells, then rewrites its file
+// once per grid.
 #pragma once
 
 #include <cstdint>
@@ -66,8 +77,6 @@
 namespace specnoc::stats {
 
 inline constexpr int kSweepSchemaVersion = 2;
-/// Oldest schema the loader still reads (1 = before shared anchor grids).
-inline constexpr int kSweepSchemaVersionMin = 1;
 inline constexpr const char* kSweepFormat = "specnoc-sweep";
 
 struct SweepManifest {
@@ -109,9 +118,6 @@ struct ShardFile {
   const SweepGrid* find_grid(const std::string& name) const;
   const SweepRecord* find_record(const std::string& grid,
                                  std::size_t cell) const;
-  /// find_record() for cells [0, size) of `grid`.
-  std::vector<const SweepRecord*> records_of(const std::string& grid,
-                                             std::size_t size) const;
 };
 
 /// Parses a shard file; throws ConfigError naming `path:line` on any
@@ -197,12 +203,10 @@ struct SweepOptions {
 };
 
 /// The harness-facing session. It owns the harness's one ExperimentRunner;
-/// grids registered through it execute according to the mode; anchor
-/// grids (cheap prerequisites whose results parameterize the sharded
-/// specs, e.g. the saturation points that fix 25%-load operating rates)
-/// always run in full so every worker can build identical downstream
-/// grids. It keeps every returned cell's metrics for the metrics document
-/// and counts its failures, and finish() turns them into the exit code.
+/// every grid registered through it resolves cell by cell through the rule
+/// in the file comment. It keeps every returned cell's metrics for the
+/// metrics document and counts its failures, and finish() turns them into
+/// the exit code.
 class ShardedSweep {
  public:
   /// Builds the runner from `config` and `seed`; the seed is also the
@@ -233,20 +237,14 @@ class ShardedSweep {
   bool anchors_only() const { return options_.anchors_only; }
 
   /// Anchors: a shared grid of cheap prerequisite runs whose results
-  /// parameterize the downstream sharded specs. Mode behavior:
-  ///  - run: simulate in full (unchanged).
-  ///  - worker, classic: simulate in full, record owned cells.
-  ///  - worker --anchors-only: simulate owned cells only; unowned cells
-  ///    come back run.ok == false (the harness exits via finish() next).
-  ///  - worker --anchors-from: load every cell from the merged anchor
-  ///    file — zero anchor simulation — and copy the records into this
-  ///    shard file so the final merge is self-contained.
-  ///  - render: load from the --from file; files predating shared grids
-  ///    (schema 1) fall back to simulating, as before.
+  /// parameterize the downstream sharded specs. A worker returns every
+  /// cell (loaded or simulated), except that under --anchors-only the
+  /// cells of other shards come back run.ok == false and the harness exits
+  /// via finish() next.
   template <Protocol P>
   std::vector<Outcome<P>> anchors(const std::vector<typename P::Spec>& specs,
                                   const std::string& name = "anchor") {
-    return keep<P>(name, execute<P>(name, specs, /*anchor=*/true));
+    return execute<P>(name, specs, /*anchor=*/true);
   }
 
   /// A sharded grid. `name` must be unique within the harness and identical
@@ -259,7 +257,7 @@ class ShardedSweep {
   template <Protocol P>
   std::vector<Outcome<P>> grid(const std::string& name,
                                const std::vector<typename P::Spec>& specs) {
-    return keep<P>(name, execute<P>(name, specs, /*anchor=*/false));
+    return execute<P>(name, specs, /*anchor=*/false);
   }
 
   /// Ends the invocation: writes the metrics document when metrics_path
@@ -270,146 +268,69 @@ class ShardedSweep {
   int finish();
 
  private:
+  /// How one grid's cells resolve in this invocation.
+  struct Resolution {
+    std::vector<const SweepRecord*> loaded;  ///< trusted record, or nullptr
+    std::vector<std::size_t> simulate;       ///< ascending; none loaded
+    /// Cells whose failures this invocation answers for: all of them,
+    /// except that a worker answers only for its own shard's.
+    std::vector<bool> owned;
+    std::string placeholder;  ///< error of a cell neither loaded nor run
+  };
+
   template <Protocol P>
   std::vector<Outcome<P>> execute(const std::string& name,
                                   const std::vector<typename P::Spec>& specs,
                                   bool anchor) {
     const std::vector<std::string> keys = spec_keys(specs);
-    if (mode() == SweepMode::kRun) {
-      return runner_.run_grid<P>(specs, streaming_batch(name, keys, {}));
+    const Resolution cells =
+        resolve({name, P::kind, specs.size(), grid_hash(keys), anchor}, keys);
+    std::vector<typename P::Spec> wanted;
+    for (const std::size_t cell : cells.simulate) {
+      wanted.push_back(specs[cell]);
     }
-    const SweepGrid grid{name, P::kind, specs.size(), grid_hash(keys), anchor};
+    std::vector<Outcome<P>> fresh = runner_.run_grid<P>(
+        wanted, streaming_batch(name, keys, cells.simulate));
 
-    if (mode() == SweepMode::kRender) {
-      if (anchor && file_.find_grid(name) == nullptr) {
-        // The merged file predates shared anchor grids (schema-1 workers
-        // never recorded anchors): simulate them, exactly as before.
-        return runner_.run_grid<P>(specs, options_.batch);
-      }
-      return load<P>(file_, "--from file '" + options_.from_path + "'",
-                     grid, keys, specs, /*strict=*/false);
-    }
-
-    // Worker. Sharded grids — and anchors in phase 1 (--anchors-only, after
-    // which the harness exits via finish()) — simulate only the owned cells.
-    if (!anchor || options_.anchors_only) {
-      return run_owned<P>(grid, specs, keys);
-    }
-
-    // --anchors-from skips simulation entirely: the anchor records are copied
-    // into this shard file, so the merged downstream file carries the anchors
-    // itself and --from never needs the phase-1 file. The merge accepts the
-    // K-way overlap (shared grid).
-    if (!options_.anchors_from.empty()) {
-      auto outcomes =
-          load<P>(anchors_,
-                  "--anchors-from file '" + options_.anchors_from + "'", grid,
-                  keys, specs, /*strict=*/true);
-      register_grid(grid);
-      const auto records = anchors_.records.find(name);
-      if (records != anchors_.records.end()) {
-        file_.records[name].insert(records->second.begin(),
-                                   records->second.end());
-      }
-      flush();
-      return outcomes;
-    }
-
-    // Classic worker: every anchor result is needed to construct the
-    // downstream specs, so the full grid still runs — but the owned cells
-    // are recorded, giving the merged file complete anchor coverage.
-    auto outcomes = runner_.run_grid<P>(specs, streaming_batch(name, keys, {}));
-    register_grid(grid);
-    const sim::ShardPlan plan(options_.shard.count);
-    for (const std::size_t cell : plan.cells_of(keys, options_.shard.index)) {
-      record(name, cell, keys[cell], outcomes[cell].run,
-             to_json(outcomes[cell]));
-    }
-    flush();
-    return outcomes;
-  }
-
-  /// Worker mode: runs this shard's cells of `grid` that a resumed file
-  /// has not completed, records them, and reads every owned cell back from
-  /// the shard file — exactly the outcomes a merge will see.
-  template <Protocol P>
-  std::vector<Outcome<P>> run_owned(const SweepGrid& grid,
-                                    const std::vector<typename P::Spec>& specs,
-                                    const std::vector<std::string>& keys) {
-    const std::vector<std::size_t> to_run = claim(grid, keys);
-    std::vector<typename P::Spec> subset;
-    for (const std::size_t cell : to_run) subset.push_back(specs[cell]);
-    const std::vector<Outcome<P>> fresh =
-        runner_.run_grid<P>(subset, streaming_batch(grid.name, keys, to_run));
-    for (std::size_t j = 0; j < to_run.size(); ++j) {
-      record(grid.name, to_run[j], keys[to_run[j]], fresh[j].run,
-             to_json(fresh[j]));
-      ++executed_;
-    }
-    flush();
-    return decode<P>(specs, file_.records_of(grid.name, specs.size()),
-                     "cell not owned by shard " + options_.shard.to_string());
-  }
-
-  /// Keeps what the harness is handed: failures outside worker mode (a
-  /// worker counts the cells it owns as it records them; the rest belong
-  /// to other shards) and the metrics entries.
-  template <Protocol P>
-  std::vector<Outcome<P>> keep(const std::string& grid,
-                               std::vector<Outcome<P>> outcomes) {
-    for (const auto& outcome : outcomes) {
-      if (!outcome.run.ok && mode() != SweepMode::kWorker) ++failures_;
-      if (outcome.metrics.has_value()) {
-        keep_metrics(grid, P::spec_key(outcome.spec), *outcome.metrics);
-      }
-    }
-    return outcomes;
-  }
-
-  /// Reads a whole grid's outcomes out of `src` (a loaded --from or
-  /// --anchors-from file).
-  template <Protocol P>
-  std::vector<Outcome<P>> load(const ShardFile& src, const std::string& origin,
-                               const SweepGrid& grid,
-                               const std::vector<std::string>& keys,
-                               const std::vector<typename P::Spec>& specs,
-                               bool strict) {
-    return decode<P>(specs, load_records(src, origin, grid, keys, strict),
-                     "cell missing from " + origin + " (partial merge?)");
-  }
-
-  /// Outcomes decoded from cell-indexed `records` (a null record yields a
-  /// failed outcome reporting `missing`), with the caller's specs attached.
-  template <Protocol P>
-  static std::vector<Outcome<P>> decode(
-      const std::vector<typename P::Spec>& specs,
-      const std::vector<const SweepRecord*>& records,
-      const std::string& missing) {
     std::vector<Outcome<P>> outcomes(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (records[i] != nullptr) {
-        outcomes[i] = outcome_from_json<P>(records[i]->data);
+      if (cells.loaded[i] != nullptr) {
+        outcomes[i] = outcome_from_json<P>(cells.loaded[i]->data);
       } else {
         outcomes[i].run.ok = false;
-        outcomes[i].run.error = missing;
+        outcomes[i].run.error = cells.placeholder;
       }
+    }
+    for (std::size_t j = 0; j < fresh.size(); ++j) {
+      const std::size_t cell = cells.simulate[j];
+      outcomes[cell] = std::move(fresh[j]);
+      if (mode() == SweepMode::kWorker && cells.owned[cell]) {
+        record(name, cell, keys[cell], outcomes[cell].run,
+               to_json(outcomes[cell]));
+      }
+    }
+    if (mode() == SweepMode::kWorker) flush();
+    for (std::size_t i = 0; i < specs.size(); ++i) {
       outcomes[i].spec = specs[i];
+      if (!outcomes[i].run.ok && cells.owned[i]) ++failures_;
+      if (outcomes[i].metrics.has_value()) {
+        keep_metrics(name, keys[i], *outcomes[i].metrics);
+      }
     }
     return outcomes;
   }
 
-  /// Registers `grid`, carries completed records of a resumed file over,
-  /// and returns the owned cells still to run.
-  std::vector<std::size_t> claim(const SweepGrid& grid,
-                                 const std::vector<std::string>& keys);
+  /// Applies the rule to `grid`: in worker mode it also registers the grid
+  /// and copies the loaded records into this shard's file.
+  Resolution resolve(const SweepGrid& grid,
+                     const std::vector<std::string>& keys);
 
-  /// Validates `src`'s copy of `grid` (identity, per-cell keys) and returns
-  /// each cell's record, nullptr for a missing cell. `strict` — used for
-  /// anchors, whose results feed downstream spec construction — turns
-  /// missing or failed cells into ConfigError instead of failed outcomes.
-  std::vector<const SweepRecord*> load_records(
-      const ShardFile& src, const std::string& origin, const SweepGrid& grid,
-      const std::vector<std::string>& keys, bool strict);
+  /// The records trusted_ holds for `grid`, cell by cell (nullptr where a
+  /// cell must not be loaded), after checking the grid's identity and each
+  /// record's key. Throws ConfigError where the rule says so.
+  std::vector<const SweepRecord*> trusted_records(
+      const SweepGrid& grid, const std::vector<std::string>& keys,
+      const std::vector<bool>& owned) const;
 
   void register_grid(const SweepGrid& grid);
   /// Records one owned cell's outcome in this worker's shard file.
@@ -419,11 +340,11 @@ class ShardedSweep {
 
   /// options_.batch plus the live-telemetry hook when a stream is
   /// attached: on_run_done emits one "run" frame per completed run.
-  /// `cells` maps batch index -> grid cell (empty = identity, for grids
-  /// run in full); `keys` are the grid's spec keys, indexed by cell.
+  /// `cells` maps batch index -> grid cell; `keys` are the grid's spec
+  /// keys, indexed by cell.
   BatchOptions streaming_batch(const std::string& name,
-                               std::vector<std::string> keys,
-                               std::vector<std::size_t> cells) const;
+                               const std::vector<std::string>& keys,
+                               const std::vector<std::size_t>& cells) const;
 
   void flush() const;
 
@@ -434,12 +355,13 @@ class ShardedSweep {
 
   SweepOptions options_;
   ExperimentRunner runner_;
-  ShardFile file_;     ///< worker: being built; render: the loaded file
-  ShardFile anchors_;  ///< worker: the loaded --anchors-from file, if any
-  ShardFile resume_;   ///< worker: previous contents of out_path, if any
-  bool resuming_ = false;
-  std::size_t executed_ = 0;
-  std::size_t carried_ = 0;
+  ShardFile out_;  ///< worker: this shard's file as built so far
+  /// Records this invocation may load instead of simulating. Render: the
+  /// --from file. Worker: the resumed --out file, with its anchor grids
+  /// replaced by the --anchors-from file's when that is set.
+  ShardFile trusted_;
+  std::size_t executed_ = 0;  ///< worker: cells simulated
+  std::size_t carried_ = 0;   ///< worker: cells loaded
   std::size_t failures_ = 0;
   std::vector<util::Json> metrics_runs_;
   std::uint64_t spills_total_ = 0;

@@ -19,23 +19,6 @@ double TelemetryEpoch::events_per_second() const {
   return static_cast<double>(events) * 1e12 / static_cast<double>(span);
 }
 
-bool operator==(const TelemetryEpoch& a, const TelemetryEpoch& b) {
-  return a.start_ps == b.start_ps && a.end_ps == b.end_ps &&
-         a.events == b.events && a.kills == b.kills &&
-         a.prealloc_hits == b.prealloc_hits &&
-         a.prealloc_misses == b.prealloc_misses &&
-         a.contended_grants == b.contended_grants &&
-         a.watchdog_releases == b.watchdog_releases &&
-         a.pending == b.pending && a.overflow_pending == b.overflow_pending &&
-         a.stall_time_ps == b.stall_time_ps &&
-         a.lane_events == b.lane_events && a.windows == b.windows;
-}
-
-bool operator==(const TelemetrySeries& a, const TelemetrySeries& b) {
-  return a.epoch_ps == b.epoch_ps && a.epochs_total == b.epochs_total &&
-         a.dropped == b.dropped && a.epochs == b.epochs;
-}
-
 namespace {
 
 util::Json epoch_to_json(const TelemetryEpoch& epoch) {

@@ -109,6 +109,8 @@ struct TelemetryEpoch {
 
   /// Events per simulated second over the interval (derived, not stored).
   double events_per_second() const;
+
+  bool operator==(const TelemetryEpoch&) const = default;
 };
 
 /// The per-run time series: the retained epoch ring plus enough metadata to
@@ -122,10 +124,9 @@ struct TelemetrySeries {
   std::vector<TelemetryEpoch> epochs;  ///< retained suffix, in time order
 
   bool empty() const { return epoch_ps == 0; }
-};
 
-bool operator==(const TelemetryEpoch& a, const TelemetryEpoch& b);
-bool operator==(const TelemetrySeries& a, const TelemetrySeries& b);
+  bool operator==(const TelemetrySeries&) const = default;
+};
 
 /// Exact JSON codec for the series (integers stay integers, so round trips
 /// are byte-identical under util::json_write). Used by the MetricsSnapshot

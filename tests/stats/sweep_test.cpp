@@ -43,7 +43,7 @@ std::string read_text(const std::string& path) {
 }
 
 const char* kManifestLine =
-    "{\"record\":\"manifest\",\"format\":\"specnoc-sweep\",\"schema\":1,"
+    "{\"record\":\"manifest\",\"format\":\"specnoc-sweep\",\"schema\":2,"
     "\"tool\":\"t\",\"shard\":0,\"shards\":1,\"seed\":42}\n";
 const char* kGridLine =
     "{\"record\":\"grid\",\"name\":\"g\",\"kind\":\"latency\",\"size\":2,"
@@ -100,15 +100,18 @@ TEST(ShardFileTest, LoaderRejectsMalformedFiles) {
              "{\"record\":\"manifest\",\"format\":\"nope\",\"schema\":1,"
              "\"tool\":\"t\",\"shard\":0,\"shards\":1,\"seed\":42}\n");
   EXPECT_THROW(load_shard_file(path), ConfigError);
-  // Unsupported schema version (this build reads 1..2).
+  // Unsupported schema version (this build reads 2 only).
   write_text(path,
              "{\"record\":\"manifest\",\"format\":\"specnoc-sweep\","
              "\"schema\":3,\"tool\":\"t\",\"shard\":0,\"shards\":1,"
              "\"seed\":42}\n");
   EXPECT_THROW(load_shard_file(path), ConfigError);
-  // Schema-1 files (before shared anchor grids) still load.
-  write_text(path, kManifestLine);
-  EXPECT_NO_THROW(load_shard_file(path));
+  // Schema-1 files (before shared anchor grids) are refused.
+  write_text(path,
+             "{\"record\":\"manifest\",\"format\":\"specnoc-sweep\","
+             "\"schema\":1,\"tool\":\"t\",\"shard\":0,\"shards\":1,"
+             "\"seed\":42}\n");
+  EXPECT_THROW(load_shard_file(path), ConfigError);
   // Outcome for an unregistered grid.
   write_text(path, std::string(kManifestLine) + outcome_line(0, "ok"));
   EXPECT_THROW(load_shard_file(path), ConfigError);
@@ -1052,6 +1055,76 @@ TEST(ShardedSweepTest, StreamsOneRunFramePerSimulatedCell) {
     EXPECT_EQ(sweep.finish(), 0);
   }
   EXPECT_TRUE(run_frames(path).empty());
+}
+
+// A classic worker rerun on its own --out file loads the anchor cells it
+// owns from that file and simulates only the other shards' cells, which it
+// needs to build its downstream grids.
+TEST(ShardedSweepTest, ClassicWorkerResumeLoadsOwnedAnchors) {
+  const core::NetworkConfig cfg;
+  std::vector<SaturationSpec> specs;
+  for (const auto arch :
+       {Architecture::kBaseline, Architecture::kBasicNonSpeculative,
+        Architecture::kOptNonSpeculative,
+        Architecture::kOptHybridSpeculative}) {
+    specs.push_back({.arch = arch,
+                     .bench = BenchmarkId::kUniformRandom,
+                     .seed = 0,
+                     .custom = {}});
+  }
+  const auto keys = spec_keys(specs);
+  constexpr unsigned kShards = 2;
+  const sim::ShardPlan plan(kShards);
+  const unsigned shard = plan.shard_of(keys[0]);
+  const auto owned = plan.cells_of(keys, shard);
+  const auto unowned = plan.cells_of(keys, 1 - shard);
+  ASSERT_FALSE(unowned.empty()) << "the grid must span both shards";
+
+  auto options = base_options();
+  options.shard = {shard, kShards};
+  options.out_path = temp_path("classic_resume.jsonl");
+  write_text(options.out_path, "");
+  {
+    ShardedSweep sweep(cfg, 42, options);
+    sweep.anchors<SaturationProtocol>(specs);
+    ASSERT_EQ(sweep.finish(), 0);
+  }
+
+  // Plant a sentinel in an owned record: a reloaded cell returns it.
+  ShardFile prior = load_shard_file(options.out_path);
+  SaturationOutcome fabricated;
+  fabricated.spec = specs[owned[0]];
+  fabricated.run.ok = true;
+  fabricated.run.telemetry.attempts = 1;
+  fabricated.result.injected_flits_per_ns = 456.75;
+  prior.records.at("anchor").at(owned[0]).data = to_json(fabricated);
+  write_shard_file(prior, options.out_path);
+
+  const std::string frames = temp_path("classic_resume.ndjson");
+  std::vector<SaturationOutcome> outcomes;
+  {
+    TelemetryStream stream(frames);
+    options.telemetry_stream = &stream;
+    ShardedSweep sweep(cfg, 42, options);
+    outcomes = sweep.anchors<SaturationProtocol>(specs);
+    EXPECT_EQ(sweep.finish(), 0);
+  }
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> expected;
+  for (const std::size_t cell : unowned) {
+    expected.emplace_back(cell, unowned.size());
+  }
+  EXPECT_EQ(run_frames(frames), expected);
+
+  ASSERT_EQ(outcomes.size(), specs.size());
+  for (const auto& outcome : outcomes) {
+    EXPECT_TRUE(outcome.run.ok) << outcome.run.error;
+  }
+  EXPECT_EQ(outcomes[owned[0]].result.injected_flits_per_ns, 456.75);
+  for (const std::size_t cell : unowned) {
+    EXPECT_LT(outcomes[cell].result.injected_flits_per_ns, 100.0);
+  }
+  const ShardFile after = load_shard_file(options.out_path);
+  EXPECT_EQ(after.records.at("anchor").size(), owned.size());
 }
 
 // Telemetry options a sampler cannot honor are usage errors at session
