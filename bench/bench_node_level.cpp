@@ -51,8 +51,8 @@ TimePs measure_fanout_latency(MakeNode&& make_node) {
   ProbeDriver driver(sched, hooks);
   ProbeSink top(sched, hooks), bottom(sched, hooks);
   auto node = make_node(sched, hooks);
-  noc::Channel in(sched, hooks, {}), out0(sched, hooks, {}),
-      out1(sched, hooks, {});
+  const noc::ChannelSpec link{{}};
+  noc::Channel in(sched, link), out0(sched, link), out1(sched, link);
   in.connect(driver, 0, *node, 0);
   out0.connect(*node, 0, top, 0);
   out1.connect(*node, 1, bottom, 0);
@@ -70,9 +70,11 @@ TimePs measure_fanin_latency() {
   noc::PacketStore store;
   ProbeDriver driver(sched, hooks);
   ProbeSink sink(sched, hooks);
-  nodes::FaninNode node(sched, hooks,
-                        nodes::default_characteristics(noc::NodeKind::kFanin));
-  noc::Channel in(sched, hooks, {}), out(sched, hooks, {});
+  const nodes::FaninSpec spec{
+      nodes::default_characteristics(noc::NodeKind::kFanin)};
+  nodes::FaninNode node(sched, hooks, spec);
+  const noc::ChannelSpec link{{}};
+  noc::Channel in(sched, link), out(sched, link);
   in.connect(driver, 0, node, 0);
   out.connect(node, 0, sink, 0);
   const noc::Message& msg = store.create_message(0, noc::DestSet::single(0), 0,

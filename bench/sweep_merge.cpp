@@ -38,60 +38,6 @@
 
 namespace {
 
-/// Work done by one shard file: cell count, summed run wall time, and how
-/// many cells needed more than one attempt. Read from the serialized "run"
-/// objects, so it works on any shard file regardless of which harness or
-/// machine produced it.
-struct ShardWork {
-  std::size_t cells = 0;
-  double wall_ms = 0.0;
-  std::uint64_t retries = 0;
-  std::size_t telemetry_runs = 0;  ///< cells carrying an epoch series
-  std::uint64_t epochs = 0;        ///< total retained epochs across them
-};
-
-/// Tallies one shard and validates any embedded telemetry blocks: each
-/// series must parse under the strict codec and re-serialize to the exact
-/// bytes stored in the shard, so the merged file provably carries the
-/// worker's time series unmodified.
-ShardWork tally_shard(const specnoc::stats::ShardFile& file,
-                      const std::string& path) {
-  using specnoc::stats::telemetry_series_from_json;
-  using specnoc::stats::telemetry_series_to_json;
-  ShardWork work;
-  for (const auto& [grid, records] : file.records) {
-    for (const auto& [cell, record] : records) {
-      ++work.cells;
-      const specnoc::util::Json* run = record.data.find("run");
-      if (run != nullptr) {
-        if (const auto* wall = run->find("wall_ms")) {
-          work.wall_ms += wall->as_double();
-        }
-        if (const auto* attempts = run->find("attempts")) {
-          const std::uint64_t n = attempts->as_u64();
-          if (n > 1) work.retries += n - 1;
-        }
-      }
-      const specnoc::util::Json* metrics = record.data.find("metrics");
-      const specnoc::util::Json* series =
-          metrics != nullptr ? metrics->find("telemetry") : nullptr;
-      if (series == nullptr) continue;
-      const auto parsed = telemetry_series_from_json(*series);
-      const std::string original = specnoc::util::json_write(*series);
-      const std::string round =
-          specnoc::util::json_write(telemetry_series_to_json(parsed));
-      if (round != original) {
-        throw specnoc::ConfigError(
-            path + ": telemetry series for " + grid + " cell " +
-            std::to_string(cell) + " does not round-trip byte-identically");
-      }
-      ++work.telemetry_runs;
-      work.epochs += parsed.epochs.size();
-    }
-  }
-  return work;
-}
-
 /// How many --poll-ms intervals follow_stream waits for a stream file
 /// that does not exist yet (the harness usually starts a beat after the
 /// tail does). 120 polls at the default 500 ms = one minute.
@@ -209,9 +155,13 @@ int main(int argc, char** argv) {
       inputs.push_back(stats::load_shard_file(path));
     }
 
-    ShardWork total;
+    // Each shard line counts what that worker ran: an anchor cell under
+    // the shard that owns it, even though every phase-2 file carries a
+    // copy of the whole anchor grid.
+    stats::ShardWork total;
     for (std::size_t i = 0; i < inputs.size(); ++i) {
-      const ShardWork work = tally_shard(inputs[i], shard_paths[i]);
+      const stats::ShardWork work =
+          stats::tally_shard(inputs[i], shard_paths[i]);
       std::fprintf(stderr, "shard %s: %zu cell(s), %.1f ms run wall time, "
                    "%llu retried attempt(s)\n",
                    shard_paths[i].c_str(), work.cells, work.wall_ms,

@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <string>
 
 #include "nodes/characteristics.h"
 #include "nodes/fanin_node.h"
 #include "nodes/fanout_nodes.h"
 #include "util/contract.h"
 #include "util/error.h"
+#include "util/intern.h"
+#include "util/ring.h"
 
 namespace specnoc::core {
 
@@ -31,9 +34,24 @@ MotNetwork::MotNetwork(NetworkConfig config, SpeculationMap speculation)
   build();
 }
 
+namespace {
+
+/// Rejects a FIFO depth the bounded rings cannot hold.
+void check_depth(const char* what, std::uint32_t flits) {
+  if (flits < 1 || flits > util::kMaxRingCapacity) {
+    throw ConfigError(std::string(what) + " must be in [1, " +
+                      std::to_string(util::kMaxRingCapacity) + "], got " +
+                      std::to_string(flits));
+  }
+}
+
+}  // namespace
+
 void MotNetwork::build() {
   const std::uint32_t n = topology_.n();
   const std::uint32_t levels = topology_.levels();
+  check_depth("middle_channel_flits", config_.middle_channel_flits);
+  check_depth("fanin_buffer_flits", config_.fanin_buffer_flits);
 
   // Partition plan. A source's entire fanout tree and a destination's
   // entire fanin tree are intra-partition by construction; only the middle
@@ -69,6 +87,12 @@ void MotNetwork::build() {
   const auto lane_of = [n, num_lanes](std::uint32_t tree) {
     return tree * num_lanes / n;
   };
+  // Exact counts: 2n interfaces and n fanout plus n fanin trees of
+  // nodes_per_tree switches; each tree has nodes_per_tree - 1 internal
+  // links, plus n source and n sink links and n * n middle links.
+  const std::size_t per_tree = topology_.nodes_per_tree();
+  net_.reserve(2 * std::size_t{n} * (1 + per_tree),
+               2 * std::size_t{n} * per_tree + std::size_t{n} * n);
 
   // Network interfaces.
   for (std::uint32_t s = 0; s < n; ++s) {
@@ -142,16 +166,15 @@ void MotNetwork::build() {
 
   // Fanin trees (identical arbiters in every architecture).
   fanin_.resize(n);
-  const nodes::NodeCharacteristics& fanin_chars =
-      chars_of(noc::NodeKind::kFanin);
+  const nodes::FaninSpec& fanin_spec = util::intern(nodes::FaninSpec{
+      chars_of(noc::NodeKind::kFanin), config_.fanin_sticky_timeout});
   for (std::uint32_t d = 0; d < n; ++d) {
     net_.set_build_partition(lane_of(d));
     fanin_[d].resize(topology_.nodes_per_tree(), nullptr);
     for (std::uint32_t level = 0; level < levels; ++level) {
       for (std::uint32_t i = 0; i < topology_.nodes_at_level(level); ++i) {
         nodes::FaninNode& node = net_.add_node<nodes::FaninNode>(
-            fanin_chars, config_.fanin_buffer_flits,
-            config_.fanin_sticky_timeout);
+            fanin_spec, config_.fanin_buffer_flits);
         node.set_site({d, static_cast<std::int32_t>(level), i});
         fanin_[d][mot::MotTopology::heap_id(level, i)] = &node;
       }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 
 namespace specnoc::noc {
@@ -13,6 +14,23 @@ namespace {
 // per pool without megabyte-scale over-reservation for mid-sized ones.
 constexpr std::size_t kFirstChunkObjects = 16;
 constexpr std::size_t kMaxChunkObjects = 16384;
+
+// Chunks come from the plain operator new, and a pool of an over-aligned
+// type (Channel is alignas(64)) asks for `alignment` spare bytes and
+// aligns its first object by hand. The aligned operator new would serve
+// it through glibc's memalign, whose split-off fragments kept a torn-down
+// radix-1024 network's freed chunks from being reused by the next build
+// in the process: specbench's radix1024_pdes (a build per cell) peaked at
+// 1313-1325 MiB that way at seed 3, 1038 MiB this way.
+std::size_t slack(std::size_t alignment) {
+  return alignment > __STDCPP_DEFAULT_NEW_ALIGNMENT__ ? alignment : 0;
+}
+
+char* first_object(void* chunk, std::size_t alignment) {
+  const auto address = reinterpret_cast<std::uintptr_t>(chunk);
+  return static_cast<char*>(chunk) +
+         (alignment - address % alignment) % alignment;
+}
 
 }  // namespace
 
@@ -27,12 +45,12 @@ void* NetworkArena::Pool::allocate() {
                          ? kFirstChunkObjects
                          : std::min(kMaxChunkObjects, chunk_capacity * 2);
     const std::size_t bytes = chunk_capacity * object_size;
-    void* chunk = ::operator new(bytes, std::align_val_t{alignment});
+    void* chunk = ::operator new(bytes + slack(alignment));
     chunks.push_back(chunk);
     chunk_objects.push_back(0);
     reserved_bytes += bytes;
   }
-  void* slot = static_cast<char*>(chunks.back()) +
+  void* slot = first_object(chunks.back(), alignment) +
                chunk_objects.back() * object_size;
   ++chunk_objects.back();
   return slot;
@@ -81,8 +99,9 @@ std::vector<NetworkArena::PoolUsage> NetworkArena::usage() const {
 void NetworkArena::clear() {
   for (Pool* pool : order_) {
     for (std::size_t c = 0; c < pool->chunks.size(); ++c) {
-      pool->destroy(pool->chunks[c], pool->chunk_objects[c]);
-      ::operator delete(pool->chunks[c], std::align_val_t{pool->alignment});
+      pool->destroy(first_object(pool->chunks[c], pool->alignment),
+                    pool->chunk_objects[c]);
+      ::operator delete(pool->chunks[c]);
     }
     pool->chunks.clear();
     pool->chunk_objects.clear();

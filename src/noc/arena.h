@@ -102,7 +102,8 @@ class NetworkArena {
     void (*destroy)(void* first, std::size_t count) = nullptr;
     std::string label;
     bool labeled = false;
-    std::vector<void*> chunks;
+    std::vector<void*> chunks;  ///< as allocated; objects start at the
+                                ///< first `alignment`-aligned byte
     std::vector<std::size_t> chunk_objects;  ///< constructed per chunk
     std::size_t chunk_capacity = 0;          ///< slots in the newest chunk
     std::size_t objects = 0;

@@ -25,17 +25,16 @@ const char* to_string(ChannelClass klass) {
   return "?";
 }
 
-Channel::Channel(sim::Scheduler& scheduler, SimHooks& hooks,
-                 ChannelParams params, ChannelClass klass)
-    : scheduler_(scheduler), hooks_(hooks), params_(params), klass_(klass) {
-  SPECNOC_EXPECTS(params_.delay_fwd >= 0 && params_.delay_ack >= 0);
-  SPECNOC_EXPECTS(params_.capacity >= 1);
-  queue_.reserve(params_.capacity);
+Channel::Channel(sim::Scheduler& scheduler, const ChannelSpec& spec)
+    : scheduler_(scheduler), spec_(&spec) {
+  SPECNOC_EXPECTS(spec.params.delay_fwd >= 0 && spec.params.delay_ack >= 0);
+  SPECNOC_EXPECTS(spec.params.capacity >= 1);
+  queue_.reserve(spec.params.capacity);
 }
 
 std::string Channel::name() const {
-  if (up_ == nullptr) return to_string(klass_);
-  switch (klass_) {
+  if (up_ == nullptr) return to_string(klass());
+  switch (klass()) {
     case ChannelClass::kSourceIf:
       return up_->name() + "->root";
     case ChannelClass::kSinkIf:
@@ -55,10 +54,11 @@ std::string Channel::name() const {
 void Channel::connect(Node& up, std::uint32_t up_port, Node& down,
                       std::uint32_t down_port) {
   SPECNOC_EXPECTS(up_ == nullptr && down_ == nullptr);
+  SPECNOC_EXPECTS(up_port < kMaxPorts && down_port < kMaxPorts);
   up_ = &up;
   down_ = &down;
-  up_port_ = up_port;
-  down_port_ = down_port;
+  up_port_ = static_cast<std::uint8_t>(up_port);
+  down_port_ = static_cast<std::uint8_t>(down_port);
   up.attach_output(up_port, *this);
   down.attach_input(down_port, *this);
 }
@@ -89,18 +89,22 @@ void Channel::send(const Flit& flit) {
   SPECNOC_EXPECTS(!send_outstanding_);
   send_outstanding_ = true;
   ++flits_carried_;
-  if (hooks_.energy != nullptr) {
-    hooks_.energy->on_channel_flit(params_.length, scheduler_.now());
+  const ChannelSpec& spec = *spec_;
+  // send() and apply_credit() run for the upstream node, ack() for the
+  // downstream one; each reaches the hooks through its caller.
+  const SimHooks& hooks = up_->hooks();
+  if (hooks.energy != nullptr) {
+    hooks.energy->on_channel_flit(spec.params.length, scheduler_.now());
   }
   if (cross_partition()) {
     send_cross(flit);
     return;
   }
-  SPECNOC_EXPECTS(occupancy() < params_.capacity);
-  queue_.push_back({flit, scheduler_.now() + params_.delay_fwd});
+  SPECNOC_EXPECTS(occupancy() < spec.params.capacity);
+  queue_.push_back({flit, scheduler_.now() + spec.params.delay_fwd});
   // If a slot remains behind this flit, the first FIFO stage hands the ack
   // straight back; otherwise the upstream waits for the head to drain.
-  if (occupancy() < params_.capacity) {
+  if (occupancy() < spec.params.capacity) {
     release_upstream();
   } else {
     stalled_ = true;
@@ -123,16 +127,17 @@ void Channel::post(std::uint32_t producer, std::uint32_t consumer,
 
 void Channel::send_cross(const Flit& flit) {
   const TimePs now = scheduler_.now();
-  post(up_lane_, down_lane_, mail_key_, now + params_.delay_fwd, flit);
+  const ChannelParams& params = spec_->params;
+  post(up_lane_, down_lane_, mail_key_, now + params.delay_fwd, flit);
   // Credit-counted mirror of the sequential occupancy check: the flit finds
   // a free FIFO slot iff fewer than `capacity` flits are in flight. Credits
   // from the current window are still in the mail; deferring the release
   // to the credit yields the identical release time
   // max(send, ack) + delay_ack either way.
-  if (++in_flight_ < params_.capacity) {
+  if (++in_flight_ < params.capacity) {
     release_upstream();
   } else {
-    SPECNOC_ASSERT(!stalled_ && in_flight_ == params_.capacity);
+    SPECNOC_ASSERT(!stalled_ && in_flight_ == params.capacity);
     stalled_ = true;
     stall_start_ = now;
   }
@@ -163,10 +168,11 @@ void Channel::apply_credit(TimePs when) {
   // send. (A same-picosecond tie is counted as no stall; the sequential
   // kernel's answer would depend on intra-tick event order, which has no
   // cross-lane equivalent — see DESIGN.md.)
-  if (when > stall_start_ && hooks_.metrics != nullptr) {
-    hooks_.metrics->on_channel_stall(*this, stall_start_, when);
+  MetricsObserver* metrics = up_->hooks().metrics;
+  if (when > stall_start_ && metrics != nullptr) {
+    metrics->on_channel_stall(*this, stall_start_, when);
   }
-  const TimePs at = std::max(stall_start_, when) + params_.delay_ack;
+  const TimePs at = std::max(stall_start_, when) + spec_->params.delay_ack;
   SPECNOC_ASSERT(send_outstanding_);
   scheduler_.schedule_at(at, [this] {
     send_outstanding_ = false;
@@ -199,13 +205,13 @@ void Channel::ack() {
     // Every ack is a credit for the upstream half, applied after the
     // window by the upstream lane's worker.
     post(down_lane_, up_lane_, mail_key_ + 1, down_sched().now(), Flit{});
-  } else if (send_outstanding_ && occupancy() + 1 == params_.capacity) {
+  } else if (send_outstanding_ &&
+             occupancy() + 1 == spec_->params.capacity) {
     // The upstream was stalled on a full pipe; this ack frees a slot.
     if (stalled_) {
       stalled_ = false;
-      if (hooks_.metrics != nullptr) {
-        hooks_.metrics->on_channel_stall(*this, stall_start_,
-                                         scheduler_.now());
+      if (MetricsObserver* metrics = down_->hooks().metrics) {
+        metrics->on_channel_stall(*this, stall_start_, scheduler_.now());
       }
     }
     release_upstream();
@@ -215,7 +221,7 @@ void Channel::ack() {
 
 void Channel::release_upstream() {
   SPECNOC_ASSERT(send_outstanding_);
-  scheduler_.schedule(params_.delay_ack, [this] {
+  scheduler_.schedule(spec_->params.delay_ack, [this] {
     send_outstanding_ = false;
     up_->on_output_ack(up_port_);
   });

@@ -49,18 +49,41 @@ struct ChannelParams {
   TimePs delay_ack = 0;        ///< ack wire delay (per handshake)
   LengthUm length = 0.0;       ///< wire length, for switching energy
   std::uint32_t capacity = 1;  ///< flits buffered in-flight (FIFO stages)
+
+  friend bool operator==(const ChannelParams&,
+                         const ChannelParams&) = default;
 };
 
-class Channel {
+/// What channels share: physical parameters and the metrics aggregation
+/// class. A MoT has at most one distinct (class, params) pair per class
+/// and tree level among millions of channels, so Network::add_channel
+/// interns one record per pair (util::intern) and each channel holds a
+/// pointer to it instead of a copy. The record must outlive every channel
+/// that points to it.
+struct ChannelSpec {
+  ChannelParams params;
+  ChannelClass klass = ChannelClass::kOther;
+
+  friend bool operator==(const ChannelSpec&, const ChannelSpec&) = default;
+};
+
+/// Two cache lines per channel: the shared record behind one pointer,
+/// 8-bit port numbers and a 16-bit-counter ring put the whole handshake
+/// state in 128 bytes (pinned in tests/nodes/footprint_test.cpp). A
+/// channel stores no hooks: it reaches its network's through whichever
+/// endpoint node called it (both hold the same hooks).
+class alignas(64) Channel {
  public:
-  /// `klass` is the channel's metrics aggregation class; the network
-  /// builder that wires the channel knows it.
-  Channel(sim::Scheduler& scheduler, SimHooks& hooks, ChannelParams params,
-          ChannelClass klass = ChannelClass::kOther);
+  /// Keeps a pointer to `spec`, which must outlive the channel.
+  Channel(sim::Scheduler& scheduler, const ChannelSpec& spec);
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  /// Wires the channel between `up`'s output port and `down`'s input port.
+  /// Port numbers are stored in 8 bits.
+  static constexpr std::uint32_t kMaxPorts = 256;
+
+  /// Wires the channel between `up`'s output port and `down`'s input port
+  /// (both below kMaxPorts).
   void connect(Node& up, std::uint32_t up_port, Node& down,
                std::uint32_t down_port);
 
@@ -75,7 +98,7 @@ class Channel {
   /// flit; frees the head slot.
   void ack();
 
-  const ChannelParams& params() const { return params_; }
+  const ChannelParams& params() const { return spec_->params; }
   /// Display name for traces and diagnostics, derived from the class and
   /// the endpoints on every call (channels store no name): "src3->root",
   /// "root->dst5", "mid.s3.d5", "ni4>r", "r>ni4", and otherwise the
@@ -83,8 +106,8 @@ class Channel {
   /// "fi5.l2i1>up", "r1,2>east"). An unconnected channel is named by its
   /// class.
   std::string name() const;
-  /// Aggregation class, given at construction.
-  ChannelClass klass() const { return klass_; }
+  /// Aggregation class, from the shared record.
+  ChannelClass klass() const { return spec_->klass; }
   Node* upstream() const { return up_; }
   Node* downstream() const { return down_; }
 
@@ -128,14 +151,11 @@ class Channel {
   void apply_credit(TimePs when);
 
   sim::Scheduler& scheduler_;
-  SimHooks& hooks_;
-  ChannelParams params_;
+  const ChannelSpec* spec_;  ///< shared per (class, params)
   Node* up_ = nullptr;
   Node* down_ = nullptr;
-  std::uint32_t up_port_ = 0;
-  std::uint32_t down_port_ = 0;
 
-  /// In-flight flits; never holds more than params_.capacity entries (the
+  /// In-flight flits; never holds more than params().capacity entries (the
   /// send()/credit preconditions bound occupancy), so the default capacity-2
   /// pipelines stay heap-free.
   util::BoundedRing<QueuedFlit, 2> queue_;
@@ -143,7 +163,8 @@ class Channel {
   bool awaiting_node_ack_ = false; ///< a flit is at the node, not yet acked
   bool send_outstanding_ = false;  ///< upstream has not been re-acked yet
   bool stalled_ = false;           ///< last send filled the pipe to capacity
-  ChannelClass klass_;             ///< fits the padding after the bools
+  std::uint8_t up_port_ = 0;       ///< both ports fit the padding after
+  std::uint8_t down_port_ = 0;     ///< the bools (see kMaxPorts)
   TimePs stall_start_ = 0;         ///< when the pipe went full
   std::uint64_t flits_carried_ = 0;
 

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "util/error.h"
+#include "util/intern.h"
 
 namespace specnoc::noc {
 namespace {
@@ -179,12 +180,17 @@ void Network::clear_epoch_hook() {
   }
 }
 
-Channel& Network::add_channel(ChannelParams params, ChannelClass klass,
+void Network::reserve(std::size_t nodes, std::size_t channels) {
+  nodes_.reserve(nodes);
+  channels_.reserve(channels);
+}
+
+Channel& Network::add_channel(const ChannelParams& params, ChannelClass klass,
                               Node& up, std::uint32_t up_port, Node& down,
                               std::uint32_t down_port) {
   // The channel's home lane is the upstream node's: send() runs there.
-  Channel& ref = *arena_.create<Channel>(lane(up.partition()), hooks_,
-                                         params, klass);
+  Channel& ref = *arena_.create<Channel>(
+      lane(up.partition()), util::intern(ChannelSpec{params, klass}));
   arena_.label_pool<Channel>("channel");
   channels_.push_back(&ref);
   ref.connect(up, up_port, down, down_port);

@@ -1,6 +1,7 @@
 // Network: owns the scheduler, all nodes, all channels, and packet storage.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -97,13 +98,20 @@ class Network {
   }
 
   /// Creates a channel of metrics class `klass` and wires it between two
-  /// node ports. In partitioned mode the channel lives on the upstream
-  /// node's lane and is split into cross-partition halves when the
-  /// endpoints' partitions differ (the channel's min latency must be >= the
-  /// declared lookahead).
-  Channel& add_channel(ChannelParams params, ChannelClass klass, Node& up,
-                       std::uint32_t up_port, Node& down,
+  /// node ports. The channel points to the interned ChannelSpec record for
+  /// (`params`, `klass`) (util::intern). In partitioned mode the channel
+  /// lives on the upstream node's lane and is split into cross-partition
+  /// halves when the endpoints' partitions differ (the channel's min
+  /// latency must be >= the declared lookahead).
+  Channel& add_channel(const ChannelParams& params, ChannelClass klass,
+                       Node& up, std::uint32_t up_port, Node& down,
                        std::uint32_t down_port);
+
+  /// Sizes the node and channel lists for a build of exactly `nodes` nodes
+  /// and `channels` channels, so they neither double during the build nor
+  /// keep unused slots after it. Builders that know their counts call it
+  /// before adding anything.
+  void reserve(std::size_t nodes, std::size_t channels);
 
   /// Registers network interfaces so drivers can find them by index.
   void register_source(SourceNode& source);

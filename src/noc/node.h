@@ -93,6 +93,10 @@ class Node {
   /// scheduler unless the network was built with partitions enabled.
   sim::Scheduler& lane() { return scheduler_; }
 
+  /// The network's observation hooks; channels reach them through their
+  /// endpoint nodes.
+  SimHooks& hooks() { return hooks_; }
+
   /// Partition this node belongs to (0 when partitioning is disabled).
   std::uint32_t partition() const { return partition_; }
   void set_partition(std::uint32_t partition) { partition_ = partition; }
@@ -109,7 +113,6 @@ class Node {
 
  protected:
   sim::Scheduler& sched() { return scheduler_; }
-  SimHooks& hooks() { return hooks_; }
   Channel& input(std::uint32_t port);
   Channel& output(std::uint32_t port);
   bool has_output(std::uint32_t port) const;

@@ -1,25 +1,13 @@
 #include "nodes/characteristics.h"
 
-#include <deque>
-#include <mutex>
-
 #include "util/contract.h"
+#include "util/intern.h"
 
 namespace specnoc::nodes {
 
 const NodeCharacteristics& intern_characteristics(
     const NodeCharacteristics& chars) {
-  // A deque gives stable addresses across growth. Linear scan is fine: the
-  // table holds one entry per distinct value ever seen (typically < 20),
-  // and network builders intern once per node kind, not once per node.
-  static std::mutex mutex;
-  static std::deque<NodeCharacteristics> interned;
-  const std::lock_guard<std::mutex> lock(mutex);
-  for (const NodeCharacteristics& entry : interned) {
-    if (entry == chars) return entry;
-  }
-  interned.push_back(chars);
-  return interned.back();
+  return util::intern(chars);
 }
 
 TimePs disciplined_delay(TimePs raw, TimePs clock_period, TimePs now) {

@@ -55,10 +55,23 @@ struct NodeCharacteristics {
 /// (per kind, plus per-run overrides), so builders intern each kind's value
 /// once and hand that reference to every node of the kind. This shrinks
 /// every node and puts the hot latency constants on shared cache lines.
-/// Thread-safe (locks and scans the table); interned values are never
-/// freed.
+/// Thread-safe; interned values are never freed (util::intern).
 const NodeCharacteristics& intern_characteristics(
     const NodeCharacteristics& chars);
+
+/// What every fanin arbiter of a network shares: its characteristics and
+/// the sticky-hold watchdog timeout (nodes/fanin_node.h). Builders intern
+/// one value (util::intern) and each arbiter keeps a pointer to it, so
+/// neither the latency constants nor the timeout are copied into a million
+/// nodes.
+struct FaninSpec {
+  NodeCharacteristics chars;
+  /// How long an arbiter holds its output for the open packet's missing
+  /// next flit before releasing it.
+  TimePs sticky_timeout = 1200;
+
+  friend bool operator==(const FaninSpec&, const FaninSpec&) = default;
+};
 
 /// Delay from `now` until work of raw duration `raw` completes under the
 /// given clocking discipline: the raw delay itself when asynchronous

@@ -3,14 +3,12 @@
 namespace specnoc::nodes {
 
 FaninNode::FaninNode(sim::Scheduler& scheduler, noc::SimHooks& hooks,
-                     const NodeCharacteristics& chars,
-                     std::uint32_t input_buffer_flits, TimePs sticky_timeout)
-    : Node(scheduler, hooks, noc::NodeKind::kFanin), chars_(&chars),
-      buffer_capacity_(input_buffer_flits), sticky_timeout_(sticky_timeout) {
+                     const FaninSpec& spec, std::uint32_t input_buffer_flits)
+    : Node(scheduler, hooks, noc::NodeKind::kFanin), spec_(&spec) {
   SPECNOC_EXPECTS(input_buffer_flits >= 1);
-  SPECNOC_EXPECTS(sticky_timeout > 0);
-  in_[0].fifo.reserve(buffer_capacity_);
-  in_[1].fifo.reserve(buffer_capacity_);
+  SPECNOC_EXPECTS(spec.sticky_timeout > 0);
+  in_[0].fifo.reserve(input_buffer_flits);
+  in_[1].fifo.reserve(input_buffer_flits);
 }
 
 std::string FaninNode::output_port_name(std::uint32_t) const { return "up"; }
@@ -21,7 +19,8 @@ void FaninNode::deliver(const noc::Flit& flit, std::uint32_t in_port) {
   SPECNOC_ASSERT(!in.channel_busy);
   in.channel_busy = true;
   // Entry stage: input latch + FIFO write take the forward latency.
-  sched().schedule(disciplined_delay(chars_->fwd_header, chars_->clock_period,
+  const NodeCharacteristics& chars = spec_->chars;
+  sched().schedule(disciplined_delay(chars.fwd_header, chars.clock_period,
                                      sched().now()),
                    [this, flit, in_port] { enqueue(flit, in_port); });
 }
@@ -29,9 +28,9 @@ void FaninNode::deliver(const noc::Flit& flit, std::uint32_t in_port) {
 void FaninNode::enqueue(const noc::Flit& flit, std::uint32_t port) {
   InputState& in = in_[port];
   SPECNOC_ASSERT(in.channel_busy);
-  SPECNOC_ASSERT(in.fifo.size() < buffer_capacity_);
+  SPECNOC_ASSERT(in.fifo.size() < in.fifo.capacity());
   in.fifo.push_back({flit, arrival_seq_++});
-  if (in.fifo.size() < buffer_capacity_) {
+  if (in.fifo.size() < in.fifo.capacity()) {
     ack_input(port);
   } else {
     in.ack_deferred = true;  // ack once a slot frees
@@ -40,7 +39,7 @@ void FaninNode::enqueue(const noc::Flit& flit, std::uint32_t port) {
 }
 
 void FaninNode::ack_input(std::uint32_t port) {
-  sched().schedule(chars_->ack_delay, [this, port] {
+  sched().schedule(spec_->chars.ack_delay, [this, port] {
     SPECNOC_ASSERT(in_[port].channel_busy);
     in_[port].channel_busy = false;
     input(port).ack();
@@ -62,7 +61,7 @@ void FaninNode::try_grant() {
     if (!watchdog_armed_) {
       watchdog_armed_ = true;
       const std::uint64_t epoch = grant_epoch_;
-      sched().schedule(sticky_timeout_, [this, epoch] {
+      sched().schedule(spec_->sticky_timeout, [this, epoch] {
         watchdog_armed_ = false;
         if (grant_epoch_ == epoch && open_packet_input_ >= 0) {
           // Still starved: release the hold and serve whoever is waiting.
@@ -116,8 +115,9 @@ void FaninNode::forward_head(std::uint32_t port) {
   // Mutex + switch recovery before the next grant (rate limiting; not on
   // the zero-load latency path).
   arbiter_ready_ = false;
-  sched().schedule(disciplined_delay(chars_->fwd_body + chars_->ack_delay,
-                                     chars_->clock_period, sched().now()),
+  const NodeCharacteristics& chars = spec_->chars;
+  sched().schedule(disciplined_delay(chars.fwd_body + chars.ack_delay,
+                                     chars.clock_period, sched().now()),
                    [this] {
                      arbiter_ready_ = true;
                      try_grant();

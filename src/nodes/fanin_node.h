@@ -42,17 +42,16 @@ namespace specnoc::nodes {
 
 class FaninNode final : public noc::Node {
  public:
-  /// Keeps a pointer to `chars`, which must outlive the node (builders pass
-  /// the interned value; see intern_characteristics).
+  /// Keeps a pointer to `spec`, which must outlive the node (builders pass
+  /// the interned value; see util::intern). `input_buffer_flits` is
+  /// each input FIFO's depth, at most util::kMaxRingCapacity.
   FaninNode(sim::Scheduler& scheduler, noc::SimHooks& hooks,
-            const NodeCharacteristics& chars,
-            std::uint32_t input_buffer_flits = 2,
-            TimePs sticky_timeout = 1200);
+            const FaninSpec& spec, std::uint32_t input_buffer_flits = 2);
 
   void deliver(const noc::Flit& flit, std::uint32_t in_port) override;
   void on_output_ack(std::uint32_t out_port) override;
 
-  const NodeCharacteristics& characteristics() const { return *chars_; }
+  const NodeCharacteristics& characteristics() const { return spec_->chars; }
 
   /// The output is labelled "up" in channel names ("fi5.l2i1>up").
   std::string output_port_name(std::uint32_t port) const override;
@@ -74,7 +73,8 @@ class FaninNode final : public noc::Node {
   struct InputState {
     bool channel_busy = false;  ///< a delivery is in the entry stage
     bool ack_deferred = false;  ///< FIFO was full; channel ack postponed
-    /// Bounded by buffer_capacity_ (default 2): inline, no per-node heap.
+    /// Its capacity is the configured buffer depth (default 2: inline, no
+    /// per-node heap).
     util::BoundedRing<BufferedFlit, 2> fifo;
   };
 
@@ -83,16 +83,14 @@ class FaninNode final : public noc::Node {
   void try_grant();
   void forward_head(std::uint32_t port);
 
-  const NodeCharacteristics* chars_;  ///< interned, shared across nodes
-  std::uint32_t buffer_capacity_;
-  TimePs sticky_timeout_;
+  const FaninSpec* spec_;  ///< interned, shared across nodes
   InputState in_[2];
   int open_packet_input_ = -1;  ///< sticky hold until tail passes
-  bool output_free_ = true;
+  bool output_free_ = true;     // the flags share open_packet_input_'s word
   bool arbiter_ready_ = true;
+  bool watchdog_armed_ = false;
   std::uint64_t arrival_seq_ = 0;
   std::uint64_t grant_epoch_ = 0;  ///< invalidates stale watchdog events
-  bool watchdog_armed_ = false;
 };
 
 }  // namespace specnoc::nodes

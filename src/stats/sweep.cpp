@@ -387,6 +387,49 @@ ShardFile merge_shards(const std::vector<ShardFile>& inputs,
   return merged;
 }
 
+ShardWork tally_shard(const ShardFile& file, const std::string& path) {
+  const sim::ShardPlan plan(file.manifest.shard.count);
+  ShardWork work;
+  for (const auto& [grid, records] : file.records) {
+    const SweepGrid* identity = file.find_grid(grid);
+    const bool shared = identity != nullptr && identity->shared;
+    for (const auto& [cell, record] : records) {
+      const Json* metrics = record.data.find("metrics");
+      const Json* series =
+          metrics != nullptr ? metrics->find("telemetry") : nullptr;
+      std::size_t epochs = 0;
+      if (series != nullptr) {
+        const TelemetrySeries parsed = telemetry_series_from_json(*series);
+        epochs = parsed.epochs.size();
+        if (util::json_write(telemetry_series_to_json(parsed)) !=
+            util::json_write(*series)) {
+          throw ConfigError(path + ": telemetry series for " + grid +
+                            " cell " + std::to_string(cell) +
+                            " does not round-trip byte-identically");
+        }
+      }
+      if (shared && plan.shard_of(record.key) != file.manifest.shard.index) {
+        continue;
+      }
+      ++work.cells;
+      if (const Json* run = record.data.find("run")) {
+        if (const Json* wall = run->find("wall_ms")) {
+          work.wall_ms += wall->as_double();
+        }
+        if (const Json* attempts = run->find("attempts")) {
+          const std::uint64_t n = attempts->as_u64();
+          if (n > 1) work.retries += n - 1;
+        }
+      }
+      if (series != nullptr) {
+        ++work.telemetry_runs;
+        work.epochs += epochs;
+      }
+    }
+  }
+  return work;
+}
+
 // --- ShardedSweep --------------------------------------------------------
 
 namespace {

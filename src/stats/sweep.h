@@ -165,6 +165,27 @@ struct MergeReport {
 ShardFile merge_shards(const std::vector<ShardFile>& inputs,
                        MergeReport* report);
 
+/// Work one shard file accounts for: cell count, summed run wall time, and
+/// how many cells needed more than one attempt, read from the serialized
+/// "run" objects (so any harness's or machine's file can be tallied).
+struct ShardWork {
+  std::size_t cells = 0;
+  double wall_ms = 0.0;
+  std::uint64_t retries = 0;
+  std::size_t telemetry_runs = 0;  ///< cells carrying an epoch series
+  std::uint64_t epochs = 0;        ///< total retained epochs across them
+};
+
+/// Tallies one shard file. A cell of a shared (anchor) grid counts only in
+/// the file of the shard that owns it by sim::ShardPlan: a phase-2 worker
+/// copies the whole anchor grid into its file, but each anchor ran once,
+/// so summing the tallies of a sweep's files counts every cell once. Also
+/// validates every embedded telemetry series: each must parse under the
+/// strict codec and re-serialize to the exact bytes stored, so the merged
+/// file provably carries the worker's time series unmodified (ConfigError
+/// naming `path` otherwise).
+ShardWork tally_shard(const ShardFile& file, const std::string& path);
+
 /// How a harness executes its grids this invocation. It follows from the
 /// options: from_path selects render mode, out_path worker mode.
 enum class SweepMode {

@@ -10,7 +10,10 @@
 //
 // The capacity is fixed once by reserve() (callers know their bound at
 // construction); push_back beyond it is a contract violation, matching the
-// occupancy preconditions the simulator already enforces.
+// occupancy preconditions the simulator already enforces. Capacity, head
+// and size are 16-bit (capacities up to kMaxRingCapacity = 65535): with two
+// 24-byte inline entries the ring is 56 bytes instead of 64, which matters
+// for a Channel (one ring) and a FaninNode (two) at millions of objects.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +24,10 @@
 
 namespace specnoc::util {
 
+/// Largest capacity BoundedRing::reserve() accepts; builders reject larger
+/// configured depths with a ConfigError before constructing any ring.
+inline constexpr std::uint32_t kMaxRingCapacity = 0xFFFF;
+
 template <typename T, std::uint32_t InlineCap>
 class BoundedRing {
   // Entries are stored in raw byte slots and copied in/out by value, so T
@@ -29,7 +36,7 @@ class BoundedRing {
                 "BoundedRing is for small POD queue entries");
   static_assert(std::is_trivially_destructible_v<T>,
                 "BoundedRing never runs element destructors");
-  static_assert(InlineCap >= 1);
+  static_assert(InlineCap >= 1 && InlineCap <= kMaxRingCapacity);
 
  public:
   BoundedRing() = default;
@@ -39,23 +46,20 @@ class BoundedRing {
   BoundedRing(const BoundedRing&) = delete;
   BoundedRing& operator=(const BoundedRing&) = delete;
 
-  /// Fixes the capacity. Call once, before any push (idempotent while
-  /// empty). Capacities up to InlineCap stay inline.
+  /// Fixes the capacity exactly: capacity() returns it and push_back
+  /// accepts that many entries. Call once, before any push (idempotent
+  /// while empty). Capacities up to InlineCap stay inline.
   void reserve(std::uint32_t capacity) {
     SPECNOC_EXPECTS(size_ == 0);
-    SPECNOC_EXPECTS(capacity >= 1);
-    if (capacity <= InlineCap) {
-      if (capacity_ > InlineCap) {
-        ::operator delete(heap_);
-        capacity_ = InlineCap;
-      }
-      return;
-    }
+    SPECNOC_EXPECTS(capacity >= 1 && capacity <= kMaxRingCapacity);
+    head_ = 0;
     if (capacity == capacity_) return;
     if (capacity_ > InlineCap) ::operator delete(heap_);
-    heap_ = static_cast<unsigned char*>(
-        ::operator new(static_cast<std::size_t>(capacity) * sizeof(T)));
-    capacity_ = capacity;
+    if (capacity > InlineCap) {
+      heap_ = static_cast<unsigned char*>(
+          ::operator new(static_cast<std::size_t>(capacity) * sizeof(T)));
+    }
+    capacity_ = static_cast<std::uint16_t>(capacity);
   }
 
   std::uint32_t capacity() const { return capacity_; }
@@ -71,7 +75,7 @@ class BoundedRing {
     SPECNOC_EXPECTS(size_ < capacity_);
     // Conditional wrap instead of %: capacity is rarely a power of two and
     // this is on the per-flit path of every channel and fanin FIFO.
-    std::uint32_t tail = head_ + size_;
+    std::uint32_t tail = std::uint32_t{head_} + size_;
     if (tail >= capacity_) tail -= capacity_;
     ::new (slot(tail)) T(value);
     ++size_;
@@ -96,9 +100,9 @@ class BoundedRing {
     alignas(T) unsigned char inline_[InlineCap * sizeof(T)];
     unsigned char* heap_;
   };
-  std::uint32_t capacity_ = InlineCap;
-  std::uint32_t head_ = 0;
-  std::uint32_t size_ = 0;
+  std::uint16_t capacity_ = InlineCap;
+  std::uint16_t head_ = 0;
+  std::uint16_t size_ = 0;
 };
 
 }  // namespace specnoc::util

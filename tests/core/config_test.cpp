@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/mot_network.h"
+#include "util/error.h"
 
 namespace specnoc::core {
 namespace {
@@ -53,6 +54,27 @@ TEST(NetworkConfigTest, OverriddenTimingChangesNetworkBehaviour) {
   fast_cfg.char_overrides[noc::NodeKind::kFanoutNonSpeculative] = {
       406.0, 10, 10, 10, 10};
   EXPECT_LT(header_latency(fast_cfg), header_latency(NetworkConfig{}));
+}
+
+TEST(NetworkConfigTest, FifoDepthsOutsideTheRingRangeAreConfigErrors) {
+  // Channel and fanin FIFOs are rings with 16-bit counters.
+  for (const std::uint32_t depth : {0u, 65536u}) {
+    NetworkConfig middle;
+    middle.middle_channel_flits = depth;
+    EXPECT_THROW(MotNetwork(Architecture::kOptHybridSpeculative, middle),
+                 ConfigError);
+    NetworkConfig fanin;
+    fanin.fanin_buffer_flits = depth;
+    EXPECT_THROW(MotNetwork(Architecture::kOptHybridSpeculative, fanin),
+                 ConfigError);
+  }
+  // The largest depth builds (radix 2 keeps the rings' heap small).
+  NetworkConfig deepest;
+  deepest.n = 2;
+  deepest.middle_channel_flits = 65535;
+  deepest.fanin_buffer_flits = 65535;
+  const MotNetwork net(Architecture::kOptHybridSpeculative, deepest);
+  EXPECT_EQ(net.endpoints(), 2u);
 }
 
 TEST(NetworkConfigTest, SmallestAndLargestRadixBuild) {

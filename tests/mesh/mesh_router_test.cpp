@@ -34,18 +34,14 @@ class RouterHarness {
                     .throttle_latency = 30}),
                topo, /*router_id=*/4, /*buffer=*/4, /*timeout=*/900),
         driver(sched, hooks) {
-    in = std::make_unique<noc::Channel>(
-        sched, hooks,
-        noc::ChannelParams{.delay_fwd = 5, .delay_ack = 5, .length = 0});
+    in = std::make_unique<noc::Channel>(sched, link);
     in->connect(driver, 0, router, in_port);
     // Outputs are distinct channels from inputs: every port gets a sink,
     // including the one whose input carries the driver.
     for (std::uint32_t p = 0; p < kNumPorts; ++p) {
       sinks.push_back(std::make_unique<RecordingEndpoint>(sched, hooks,
                                                           sink_ack_delay));
-      outs.push_back(std::make_unique<noc::Channel>(
-          sched, hooks,
-          noc::ChannelParams{.delay_fwd = 5, .delay_ack = 5, .length = 0}));
+      outs.push_back(std::make_unique<noc::Channel>(sched, link));
       outs.back()->connect(router, p, *sinks.back(), 0);
       sink_of_port[p] = sinks.back().get();
     }
@@ -74,6 +70,7 @@ class RouterHarness {
 
   sim::Scheduler sched;
   noc::SimHooks hooks;
+  const noc::ChannelSpec link{{.delay_fwd = 5, .delay_ack = 5, .length = 0}};
   noc::PacketStore store;
   MeshTopology topo;
   RouterT router;

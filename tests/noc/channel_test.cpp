@@ -20,7 +20,8 @@ TEST(ChannelTest, DeliversAfterForwardDelay) {
 
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, /*ack_delay=*/0);
-  Channel ch(sched, hooks, {.delay_fwd = 120, .delay_ack = 80, .length = 900});
+  const ChannelSpec spec{{.delay_fwd = 120, .delay_ack = 80, .length = 900}};
+  Channel ch(sched, spec);
   ch.connect(up, 0, down, 0);
 
   EXPECT_TRUE(ch.free());
@@ -41,7 +42,8 @@ TEST(ChannelTest, AckFreesChannelAfterAckDelay) {
 
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, /*ack_delay=*/50);
-  Channel ch(sched, hooks, {.delay_fwd = 100, .delay_ack = 70, .length = 0});
+  const ChannelSpec spec{{.delay_fwd = 100, .delay_ack = 70, .length = 0}};
+  Channel ch(sched, spec);
   ch.connect(up, 0, down, 0);
 
   up.send(0, make_flit(pkt, 0));
@@ -61,7 +63,8 @@ TEST(ChannelTest, BackToBackTransactions) {
 
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, /*ack_delay=*/0);
-  Channel ch(sched, hooks, {.delay_fwd = 10, .delay_ack = 10, .length = 0});
+  const ChannelSpec spec{{.delay_fwd = 10, .delay_ack = 10, .length = 0}};
+  Channel ch(sched, spec);
   ch.connect(up, 0, down, 0);
 
   std::uint32_t next_seq = 1;
@@ -89,7 +92,8 @@ TEST(ChannelTest, CountsFlitsCarried) {
 
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, 0);
-  Channel ch(sched, hooks, {.delay_fwd = 1, .delay_ack = 1, .length = 0});
+  const ChannelSpec spec{{.delay_fwd = 1, .delay_ack = 1, .length = 0}};
+  Channel ch(sched, spec);
   ch.connect(up, 0, down, 0);
 
   std::uint32_t next_seq = 1;
@@ -110,8 +114,9 @@ TEST(PipelinedChannelTest, CapacityTwoAcksUpstreamBeforeNodeAck) {
 
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, /*ack_delay=*/1000);  // slow node
-  Channel ch(sched, hooks,
-             {.delay_fwd = 10, .delay_ack = 10, .length = 0, .capacity = 2});
+  const ChannelSpec spec{
+      {.delay_fwd = 10, .delay_ack = 10, .length = 0, .capacity = 2}};
+  Channel ch(sched, spec);
   ch.connect(up, 0, down, 0);
 
   up.send(0, make_flit(pkt, 0));
@@ -133,8 +138,9 @@ TEST(PipelinedChannelTest, FullPipeDefersUpstreamAck) {
 
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, /*ack_delay=*/500);
-  Channel ch(sched, hooks,
-             {.delay_fwd = 10, .delay_ack = 10, .length = 0, .capacity = 2});
+  const ChannelSpec spec{
+      {.delay_fwd = 10, .delay_ack = 10, .length = 0, .capacity = 2}};
+  Channel ch(sched, spec);
   ch.connect(up, 0, down, 0);
 
   std::uint32_t next_seq = 1;
@@ -167,8 +173,9 @@ TEST(PipelinedChannelTest, CapacityOneMatchesPlainWireTiming) {
 
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, /*ack_delay=*/50);
-  Channel ch(sched, hooks,
-             {.delay_fwd = 100, .delay_ack = 70, .length = 0, .capacity = 1});
+  const ChannelSpec spec{
+      {.delay_fwd = 100, .delay_ack = 70, .length = 0, .capacity = 1}};
+  Channel ch(sched, spec);
   ch.connect(up, 0, down, 0);
   up.send(0, make_flit(pkt, 0));
   sched.run();
@@ -185,7 +192,8 @@ TEST(ChannelTest, ZeroDelayChannelStillHandshakes) {
 
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, 0);
-  Channel ch(sched, hooks, {.delay_fwd = 0, .delay_ack = 0, .length = 0});
+  const ChannelSpec spec{{.delay_fwd = 0, .delay_ack = 0, .length = 0}};
+  Channel ch(sched, spec);
   ch.connect(up, 0, down, 0);
   up.send(0, make_flit(pkt, 0));
   sched.run();

@@ -25,7 +25,8 @@ TEST(ContractDeathTest, ChannelDoubleSendAborts) {
   const Packet& pkt = store.create_packet(msg, DestSet::single(0), 2);
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, 0);
-  Channel ch(sched, hooks, {.delay_fwd = 10, .delay_ack = 10, .length = 0});
+  const ChannelSpec spec{{.delay_fwd = 10, .delay_ack = 10, .length = 0}};
+  Channel ch(sched, spec);
   ch.connect(up, 0, down, 0);
   up.send(0, make_flit(pkt, 0));
   // Second send before the handshake completes violates the 2-phase
@@ -38,7 +39,8 @@ TEST(ContractDeathTest, ChannelAckWithoutDeliveryAborts) {
   SimHooks hooks;
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, 0);
-  Channel ch(sched, hooks, {});
+  const ChannelSpec spec{{}};
+  Channel ch(sched, spec);
   ch.connect(up, 0, down, 0);
   EXPECT_DEATH(ch.ack(), "precondition");
 }
@@ -48,7 +50,8 @@ TEST(ContractDeathTest, ChannelDoubleConnectAborts) {
   SimHooks hooks;
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, 0);
-  Channel ch(sched, hooks, {});
+  const ChannelSpec spec{{}};
+  Channel ch(sched, spec);
   ch.connect(up, 0, down, 0);
   EXPECT_DEATH(ch.connect(up, 1, down, 1), "precondition");
 }

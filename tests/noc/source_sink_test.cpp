@@ -41,7 +41,8 @@ TEST(SourceNodeTest, InjectsAllFlitsOfQueuedPacket) {
 
   SourceNode src(sched, hooks, 0, /*issue_delay=*/10);
   RecordingEndpoint down(sched, hooks, /*ack_delay=*/0);
-  Channel ch(sched, hooks, {.delay_fwd = 5, .delay_ack = 5, .length = 0});
+  const ChannelSpec spec{{.delay_fwd = 5, .delay_ack = 5, .length = 0}};
+  Channel ch(sched, spec);
   ch.connect(src, 0, down, 0);
 
   src.enqueue_packet(pkt);
@@ -65,7 +66,8 @@ TEST(SourceNodeTest, ReportsInjectionAtHeaderIssue) {
 
   SourceNode src(sched, hooks, 0, /*issue_delay=*/25);
   RecordingEndpoint down(sched, hooks, 0);
-  Channel ch(sched, hooks, {.delay_fwd = 0, .delay_ack = 0, .length = 0});
+  const ChannelSpec spec{{.delay_fwd = 0, .delay_ack = 0, .length = 0}};
+  Channel ch(sched, spec);
   ch.connect(src, 0, down, 0);
   src.enqueue_packet(pkt);
   sched.run();
@@ -85,7 +87,8 @@ TEST(SourceNodeTest, PacketsSerializeInFifoOrder) {
 
   SourceNode src(sched, hooks, 0, 0);
   RecordingEndpoint down(sched, hooks, 0);
-  Channel ch(sched, hooks, {.delay_fwd = 1, .delay_ack = 1, .length = 0});
+  const ChannelSpec spec{{.delay_fwd = 1, .delay_ack = 1, .length = 0}};
+  Channel ch(sched, spec);
   ch.connect(src, 0, down, 0);
   src.enqueue_packet(p0);
   src.enqueue_packet(p1);
@@ -105,7 +108,8 @@ TEST(SourceNodeTest, RefillCallbackKeepsSourceBacklogged) {
 
   SourceNode src(sched, hooks, 0, 0);
   RecordingEndpoint down(sched, hooks, 0);
-  Channel ch(sched, hooks, {.delay_fwd = 1, .delay_ack = 1, .length = 0});
+  const ChannelSpec spec{{.delay_fwd = 1, .delay_ack = 1, .length = 0}};
+  Channel ch(sched, spec);
   ch.connect(src, 0, down, 0);
 
   int generated = 0;
@@ -131,7 +135,8 @@ TEST(SinkNodeTest, ConsumesAndReportsEjection) {
 
   SourceNode src(sched, hooks, 0, 0);
   SinkNode sink(sched, hooks, /*dest_id=*/3, /*consume_delay=*/40);
-  Channel ch(sched, hooks, {.delay_fwd = 10, .delay_ack = 10, .length = 0});
+  const ChannelSpec spec{{.delay_fwd = 10, .delay_ack = 10, .length = 0}};
+  Channel ch(sched, spec);
   ch.connect(src, 0, sink, 0);
   src.enqueue_packet(pkt);
   sched.run();
@@ -153,7 +158,8 @@ TEST(SinkNodeTest, BackpressuresWhileConsuming) {
 
   SourceNode src(sched, hooks, 0, 0);
   SinkNode sink(sched, hooks, 0, /*consume_delay=*/100);
-  Channel ch(sched, hooks, {.delay_fwd = 0, .delay_ack = 0, .length = 0});
+  const ChannelSpec spec{{.delay_fwd = 0, .delay_ack = 0, .length = 0}};
+  Channel ch(sched, spec);
   ch.connect(src, 0, sink, 0);
   src.enqueue_packet(pkt);
   sched.run();

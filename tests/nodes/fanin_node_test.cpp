@@ -5,6 +5,7 @@
 #include "../support/test_nodes.h"
 #include "noc/channel.h"
 #include "sim/scheduler.h"
+#include "util/intern.h"
 
 namespace specnoc::nodes {
 namespace {
@@ -20,14 +21,16 @@ class FaninHarness {
   explicit FaninHarness(TimePs sink_ack_delay = 0,
                         std::uint32_t buffer_flits = 8)
       : node(sched, hooks,
-             intern_characteristics({.area_um2 = 100.0, .fwd_header = 50,
-                                     .fwd_body = 50, .ack_delay = 10}),
+             util::intern(FaninSpec{.chars = {.area_um2 = 100.0,
+                                              .fwd_header = 50,
+                                              .fwd_body = 50,
+                                              .ack_delay = 10}}),
              buffer_flits),
         up0(sched, hooks), up1(sched, hooks),
         sink(sched, hooks, sink_ack_delay),
-        in0(sched, hooks, {.delay_fwd = 5, .delay_ack = 5, .length = 0}),
-        in1(sched, hooks, {.delay_fwd = 5, .delay_ack = 5, .length = 0}),
-        out(sched, hooks, {.delay_fwd = 5, .delay_ack = 5, .length = 0}) {
+        in0(sched, link),
+        in1(sched, link),
+        out(sched, link) {
     in0.connect(up0, 0, node, 0);
     in1.connect(up1, 0, node, 1);
     out.connect(node, 0, sink, 0);
@@ -51,6 +54,7 @@ class FaninHarness {
 
   sim::Scheduler sched;
   noc::SimHooks hooks;
+  const noc::ChannelSpec link{{.delay_fwd = 5, .delay_ack = 5, .length = 0}};
   noc::PacketStore store;
   FaninNode node;
   DriverEndpoint up0, up1;
@@ -191,6 +195,18 @@ TEST(FaninNodeTest, FullBufferDefersUpstreamAck) {
   // The header was forwarded into the slow sink; the 2-slot buffer holds
   // flits 2 and 3, with flit 3's ack deferred until a slot frees.
   EXPECT_EQ(h.up0.ack_times.size(), 2u);
+  h.sched.run();
+  EXPECT_EQ(h.sink.deliveries.size(), 5u);
+}
+
+TEST(FaninNodeTest, DepthOneBufferDefersEveryAckUntilForwarded) {
+  // A 1-flit buffer is full as soon as a flit enters it: the header's ack
+  // waits for its own forwarding and the second flit's for the slow sink.
+  FaninHarness h(/*sink_ack_delay=*/5000, /*buffer_flits=*/1);
+  const Packet& a = h.make_packet(5);
+  h.stream(h.up0, a);
+  h.sched.run_until(4000);
+  EXPECT_EQ(h.up0.ack_times.size(), 1u);
   h.sched.run();
   EXPECT_EQ(h.sink.deliveries.size(), 5u);
 }

@@ -29,9 +29,9 @@ class FanoutHarness {
         driver(sched, hooks),
         top_sink(sched, hooks, sink_ack_delay),
         bottom_sink(sched, hooks, sink_ack_delay),
-        in(sched, hooks, {.delay_fwd = 5, .delay_ack = 5, .length = 0}),
-        out0(sched, hooks, {.delay_fwd = 5, .delay_ack = 5, .length = 0}),
-        out1(sched, hooks, {.delay_fwd = 5, .delay_ack = 5, .length = 0}) {
+        in(sched, link),
+        out0(sched, link),
+        out1(sched, link) {
     in.connect(driver, 0, node, 0);
     out0.connect(node, 0, top_sink, 0);
     out1.connect(node, 1, bottom_sink, 0);
@@ -55,6 +55,7 @@ class FanoutHarness {
 
   sim::Scheduler sched;
   noc::SimHooks hooks;
+  const noc::ChannelSpec link{{.delay_fwd = 5, .delay_ack = 5, .length = 0}};
   noc::PacketStore store;
   NodeT node;
   DriverEndpoint driver;

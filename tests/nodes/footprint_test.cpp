@@ -7,15 +7,21 @@
 // NodeCharacteristics are interned behind one pointer, port lists hold two
 // inline slots, and a cross-partition channel's state is four inline
 // integers (its lanes, mail key and in-flight credit count) with no heap
-// behind them. These static_asserts pin the result — growing any of them
-// past the bound is a compile error on purpose (raise the bound
-// consciously, with the RSS math in DESIGN.md §11 updated).
+// behind them. A channel's parameters and class live in one interned
+// ChannelSpec record (its hooks come from its endpoint nodes) and a fanin
+// arbiter's timing and watchdog timeout in one interned FaninSpec, each
+// behind one pointer; the rings count in 16 bits. These static_asserts
+// pin the result — growing any of them past the bound is a compile error
+// on purpose (raise the bound consciously, with the RSS math in DESIGN.md
+// §11 updated).
 //
 // Bounds are the measured x86-64 (libstdc++, -m64) sizes rounded up to the
 // next 8 bytes of headroom; they are ceilings, not exact layouts. Channel,
 // FaninNode and the fanout nodes — every object of a radix-1024 build but
 // its 2,048 network interfaces — are pinned at their measured sizes: none
 // stores a name (names are derived on demand) and none has headroom left.
+// Channel is pinned exactly: 128 bytes at 64-byte alignment is two whole
+// cache lines per channel, and one byte more would cost a third.
 #include <gtest/gtest.h>
 
 #include "mesh/mesh_router.h"
@@ -29,12 +35,13 @@
 namespace specnoc {
 namespace {
 
-static_assert(sizeof(noc::Node) <= 104, "Node footprint grew");
-static_assert(sizeof(noc::Channel) <= 176,
-              "Channel footprint grew — at radix 1024 there are ~3M of "
-              "these, a third of them cross-partition; keep the "
-              "cross-partition state inline and within the bound");
-static_assert(sizeof(nodes::FaninNode) <= 296,
+static_assert(sizeof(noc::Node) <= 96, "Node footprint grew");
+static_assert(sizeof(noc::Channel) == 128 && alignof(noc::Channel) == 64,
+              "Channel is no longer two cache lines — at radix 1024 there "
+              "are ~3M of these, a third of them cross-partition; keep the "
+              "cross-partition state inline and the shared state in "
+              "ChannelSpec");
+static_assert(sizeof(nodes::FaninNode) <= 256,
               "FaninNode footprint grew — input FIFOs must stay inline");
 static_assert(sizeof(nodes::BaselineFanoutNode) <= 176,
               "fanout node footprint grew");

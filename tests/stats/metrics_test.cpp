@@ -17,6 +17,7 @@
 #include "sim/partitioned_scheduler.h"
 #include "stats/experiment.h"
 #include "stats/serialization.h"
+#include "util/intern.h"
 #include "util/json.h"
 
 namespace specnoc::stats {
@@ -104,11 +105,11 @@ TEST(ChannelClassTest, EnumeratorsAreInNameOrder) {
 
 TEST(ChannelClassTest, ChannelIsClassifiedAtConstruction) {
   sim::Scheduler scheduler;
-  noc::SimHooks hooks;
-  const noc::Channel middle(scheduler, hooks, noc::ChannelParams{},
-                            noc::ChannelClass::kMiddle);
+  const noc::ChannelSpec middle_spec{{}, noc::ChannelClass::kMiddle};
+  const noc::Channel middle(scheduler, middle_spec);
   EXPECT_EQ(middle.klass(), noc::ChannelClass::kMiddle);
-  const noc::Channel plain(scheduler, hooks, noc::ChannelParams{});
+  const noc::ChannelSpec plain_spec{{}};
+  const noc::Channel plain(scheduler, plain_spec);
   EXPECT_EQ(plain.klass(), noc::ChannelClass::kOther);
   // Unwired channels are named by their class.
   EXPECT_EQ(middle.name(), "middle");
@@ -282,7 +283,7 @@ struct SyntheticNetwork {
     }
     for (const noc::ChannelClass klass : noc::all_channel_classes()) {
       channels.push_back(std::make_unique<noc::Channel>(
-          scheduler, hooks, noc::ChannelParams{}, klass));
+          scheduler, util::intern(noc::ChannelSpec{{}, klass})));
     }
   }
 

@@ -618,6 +618,71 @@ TEST(MergeTest, SharedGridsTolerateDuplicateCells) {
   EXPECT_THROW(merge_shards({a, c}, nullptr), ConfigError);
 }
 
+// A phase-2 pair: both files copy the whole 4-cell anchor grid (the
+// phase-1 records, wall times included), and each holds its own cells of a
+// 6-cell downstream grid. Summed over the pair, the tally counts every cell
+// and every anchor's wall time once, each anchor under the shard that owns
+// it.
+TEST(TallyShardTest, CountsAnchorCellsOnlyUnderTheirOwningShard) {
+  constexpr unsigned kShards = 2;
+  const sim::ShardPlan plan(kShards);
+  const auto record = [](std::size_t cell, const std::string& key,
+                         double wall_ms) {
+    SweepRecord rec;
+    rec.cell = cell;
+    rec.key = key;
+    rec.status = "ok";
+    rec.data = util::Json::object();
+    util::Json run = util::Json::object();
+    run.set("wall_ms", wall_ms);
+    rec.data.set("run", run);
+    return rec;
+  };
+  std::vector<ShardFile> files(kShards);
+  std::vector<std::size_t> owned_anchors(kShards, 0);
+  for (unsigned shard = 0; shard < kShards; ++shard) {
+    ShardFile& file = files[shard];
+    file.manifest.tool = "t";
+    file.manifest.shard = {shard, kShards};
+    file.grids.push_back({"anchor", "saturation", 4, "00000000000000aa",
+                          /*shared=*/true});
+    file.grids.push_back({"power", "power", 6, "00000000000000bb"});
+    for (std::size_t cell = 0; cell < 4; ++cell) {
+      std::string key = "a";
+      key += std::to_string(cell);
+      file.records["anchor"].emplace(
+          cell, record(cell, key, 100.0 * static_cast<double>(cell + 1)));
+      if (plan.shard_of(key) == shard) ++owned_anchors[shard];
+    }
+    for (std::size_t cell = 0; cell < 6; ++cell) {
+      std::string key = "p";
+      key += std::to_string(cell);
+      if (plan.shard_of(key) == shard) {
+        file.records["power"].emplace(cell, record(cell, key, 1.0));
+      }
+    }
+  }
+  ASSERT_GT(owned_anchors[0], 0u);  // the keys split across both shards
+  ASSERT_GT(owned_anchors[1], 0u);
+
+  ShardWork total;
+  for (unsigned shard = 0; shard < kShards; ++shard) {
+    const ShardWork work = tally_shard(files[shard], "s.jsonl");
+    EXPECT_EQ(work.cells,
+              owned_anchors[shard] + files[shard].records["power"].size());
+    total.cells += work.cells;
+    total.wall_ms += work.wall_ms;
+  }
+  EXPECT_EQ(total.cells, 10u);
+  EXPECT_DOUBLE_EQ(total.wall_ms, 100.0 + 200.0 + 300.0 + 400.0 + 6.0);
+
+  // A merged file is one shard of one: it owns, and counts, every cell.
+  const ShardFile merged = merge_shards(files, nullptr);
+  const ShardWork whole = tally_shard(merged, "merged.jsonl");
+  EXPECT_EQ(whole.cells, 10u);
+  EXPECT_DOUBLE_EQ(whole.wall_ms, total.wall_ms);
+}
+
 std::vector<SaturationSpec> small_anchor_grid() {
   std::vector<SaturationSpec> specs;
   for (const auto arch :
@@ -724,6 +789,13 @@ TEST(ShardedSweepTest, TwoPhaseAnchorProtocolMatchesSingleProcess) {
     EXPECT_EQ(sweep.finish(), 0);
     inputs.push_back(load_shard_file(options.out_path));
   }
+  // Both phase-2 files copy the anchor grid; their tallies still add up
+  // to one count per cell.
+  std::size_t tallied = 0;
+  for (const ShardFile& input : inputs) {
+    tallied += tally_shard(input, "p2.jsonl").cells;
+  }
+  EXPECT_EQ(tallied, sat_specs.size() + lat_specs.size());
   MergeReport report;
   const ShardFile merged = merge_shards(inputs, &report);
   ASSERT_TRUE(report.complete()) << report.summary();

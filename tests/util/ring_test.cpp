@@ -68,5 +68,25 @@ TEST(BoundedRingTest, ReserveIsIdempotentWhileEmpty) {
   EXPECT_EQ(ring.front().a, 1u);
 }
 
+TEST(BoundedRingTest, ReserveBelowInlineCapIsExact) {
+  // A depth-1 FIFO must report itself full after one entry: callers such
+  // as the fanin arbiter decide when to ack from capacity().
+  BoundedRing<Entry, 2> ring;
+  ring.reserve(1);
+  EXPECT_EQ(ring.capacity(), 1u);
+  for (std::uint64_t i = 0; i < 5; ++i) {  // head wraps at 1
+    ring.push_back({i, 0});
+    EXPECT_EQ(ring.size(), ring.capacity());
+    EXPECT_EQ(ring.front().a, i);
+    ring.pop_front();
+  }
+  ring.reserve(6);  // heap, then back to an exact inline depth
+  EXPECT_EQ(ring.capacity(), 6u);
+  ring.reserve(1);
+  EXPECT_EQ(ring.capacity(), 1u);
+  ring.push_back({9, 0});
+  EXPECT_EQ(ring.front().a, 9u);
+}
+
 }  // namespace
 }  // namespace specnoc::util
