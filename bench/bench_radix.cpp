@@ -16,10 +16,12 @@
 //   * the network's arena footprint (slab reservations, all pools),
 //   * the process peak RSS (getrusage ru_maxrss; cells run in ascending
 //     radix order, so each cell's value is the high-water mark after it),
-//   * and, for the partitioned cells at the largest radix, model_speedup:
-//     total events / the largest per-worker event share (the
-//     machine-independent speedup bound; wall time on a shared builder is
-//     not it).
+//   * the network's build time (the structural build runs on as many
+//     workers as the cell's run, so each radix shows it at 1 worker and
+//     at --sim-threads workers),
+//   * and, for the partitioned cells, model_speedup: total events / the
+//     largest per-worker event share (the machine-independent speedup
+//     bound; wall time on a shared builder is not it).
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -48,6 +50,7 @@ long peak_rss_kb() {
 }
 
 struct CellResult {
+  double build_ms = 0.0;
   std::uint64_t events = 0;
   double wall_ms = 0.0;
   double events_per_sec = 0.0;
@@ -66,7 +69,9 @@ CellResult run_cell(std::uint32_t n, core::Architecture arch,
   core::NetworkConfig cfg;
   cfg.n = n;
   cfg.sim_threads = sim_threads;
+  const auto build_start = std::chrono::steady_clock::now();
   core::MotNetwork network(arch, cfg);
+  const auto build_stop = std::chrono::steady_clock::now();
   const auto pattern = traffic::make_benchmark(bench, n);
   traffic::DriverConfig driver_cfg;
   driver_cfg.mode = traffic::InjectionMode::kBacklogged;
@@ -86,6 +91,9 @@ CellResult run_cell(std::uint32_t n, core::Architecture arch,
   const auto stop = std::chrono::steady_clock::now();
 
   CellResult result;
+  result.build_ms =
+      std::chrono::duration<double, std::milli>(build_stop - build_start)
+          .count();
   result.events = net.executed();
   result.wall_ms =
       std::chrono::duration<double, std::milli>(stop - start).count();
@@ -137,14 +145,15 @@ int main(int argc, char** argv) {
                          "largest endpoint count to run (default 1024; "
                          "4096 exercises the full DestSet range)");
         cli.add_unsigned("--sim-threads", &partitioned_threads,
-                         "partitioned-kernel worker threads for the "
-                         "largest radix's extra cells (default 4)");
+                         "partitioned-kernel worker threads for each "
+                         "radix's extra cells (default 4)");
       });
 
   std::vector<std::uint32_t> radixes;
   for (std::uint32_t n = 64; n <= max_radix; n *= 4) radixes.push_back(n);
-  // The largest radix also runs under the partitioned kernel: same
-  // simulation (byte-identical results), different execution engine.
+  // Every radix also runs under the partitioned kernel: same simulation
+  // (byte-identical results), different execution engine, and a network
+  // built on that many workers.
   const unsigned kPartitionedThreads =
       partitioned_threads > 1 ? partitioned_threads : 4;
   constexpr core::Architecture kArch =
@@ -153,12 +162,12 @@ int main(int argc, char** argv) {
       traffic::BenchmarkId::kUniformRandom,
       traffic::BenchmarkId::kMulticast10};
 
-  Table table({"Endpoints", "Benchmark", "Threads", "Events", "Wall (ms)",
+  Table table({"Endpoints", "Benchmark", "Threads", "Build (ms)", "Events",
+               "Wall (ms)",
                "Events/s", "Delivered (flits/ns/src)", "DestSet spills",
                "Model speedup", "Arena (MiB)", "Peak RSS (KiB)"});
   for (const auto n : radixes) {
-    std::vector<unsigned> thread_counts = {1};
-    if (n == radixes.back()) thread_counts.push_back(kPartitionedThreads);
+    const unsigned thread_counts[] = {1, kPartitionedThreads};
     for (const auto bench : kBenches) {
       for (const unsigned sim_threads : thread_counts) {
         const auto cell_result =
@@ -166,6 +175,7 @@ int main(int argc, char** argv) {
         table.add_row(
             {cell(static_cast<long long>(n)), traffic::to_string(bench),
              cell(static_cast<long long>(sim_threads)),
+             cell(cell_result.build_ms, 1),
              cell(static_cast<long long>(cell_result.events)),
              cell(cell_result.wall_ms, 1),
              cell(cell_result.events_per_sec, 0),
@@ -210,6 +220,8 @@ int main(int argc, char** argv) {
   specnoc::bench::note(
       "Peak RSS is the process high-water mark; cells run in ascending "
       "radix order so each value is the watermark after that cell. "
+      "Build is the network's construction, on as many workers as the "
+      "cell's run; Wall excludes it. "
       "Model speedup (partitioned cells) is total events over the largest "
       "per-worker share — the machine-independent bound.",
       opts);

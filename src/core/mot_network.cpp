@@ -10,6 +10,7 @@
 #include "nodes/fanout_nodes.h"
 #include "util/contract.h"
 #include "util/error.h"
+#include "util/fork_join.h"
 #include "util/intern.h"
 #include "util/ring.h"
 
@@ -36,6 +37,37 @@ MotNetwork::MotNetwork(NetworkConfig config, SpeculationMap speculation)
 
 namespace {
 
+constexpr std::size_t kNodeKinds = noc::all_node_kinds().size();
+
+std::size_t kind_index(noc::NodeKind kind) {
+  return static_cast<std::size_t>(kind);
+}
+
+/// Calls `f.template operator()<T>()` with T the fanout node class of
+/// `kind`.
+template <typename F>
+void with_fanout_class(noc::NodeKind kind, F&& f) {
+  switch (kind) {
+    case noc::NodeKind::kFanoutBaseline:
+      f.template operator()<nodes::BaselineFanoutNode>();
+      break;
+    case noc::NodeKind::kFanoutSpeculative:
+      f.template operator()<nodes::SpecFanoutNode>();
+      break;
+    case noc::NodeKind::kFanoutNonSpeculative:
+      f.template operator()<nodes::NonSpecFanoutNode>();
+      break;
+    case noc::NodeKind::kFanoutOptSpeculative:
+      f.template operator()<nodes::OptSpecFanoutNode>();
+      break;
+    case noc::NodeKind::kFanoutOptNonSpeculative:
+      f.template operator()<nodes::OptNonSpecFanoutNode>();
+      break;
+    default:
+      SPECNOC_UNREACHABLE("not a fanout node kind");
+  }
+}
+
 /// Rejects a FIFO depth the bounded rings cannot hold.
 void check_depth(const char* what, std::uint32_t flits) {
   if (flits < 1 || flits > util::kMaxRingCapacity) {
@@ -46,6 +78,72 @@ void check_depth(const char* what, std::uint32_t flits) {
 }
 
 }  // namespace
+
+/// What every per-tree build step shares, fixed on the building thread
+/// before any worker starts: interning takes a process-wide lock, and the
+/// pools are reserved there too. It also holds the index layout, which is
+/// nodes() and channels() order: sources, sinks, fanout trees, fanin trees
+/// (each tree in heap order); then source links, fanout-internal links,
+/// middle links (by source, then destination), fanin-internal links and
+/// sink links (each class by tree).
+struct MotNetwork::BuildPlan {
+  std::uint32_t n = 0;
+  std::uint32_t per_tree = 0;  ///< switches per tree: n - 1
+  std::uint32_t lanes = 1;
+
+  /// Fanout switch kind by heap id (every tree has the same speculation
+  /// map), the switch's rank among its tree's switches of that kind, and
+  /// how many of each kind a tree has: fanout switch h of tree t sits in
+  /// slot t * of_kind[kind] + rank[h] of its kind's pool.
+  std::vector<noc::NodeKind> kind;
+  std::vector<std::uint32_t> rank;
+  std::array<std::uint32_t, kNodeKinds> of_kind{};
+  std::array<const nodes::NodeCharacteristics*, kNodeKinds> chars{};
+  const nodes::FaninSpec* fanin = nullptr;
+
+  const noc::ChannelSpec* source_link = nullptr;
+  const noc::ChannelSpec* sink_link = nullptr;
+  const noc::ChannelSpec* middle_link = nullptr;
+  std::vector<const noc::ChannelSpec*> fanout_link;  ///< [upper level]
+  std::vector<const noc::ChannelSpec*> fanin_link;   ///< [upper level]
+
+  std::size_t fanout_nodes() const { return 2 * std::size_t{n}; }
+  std::size_t fanin_nodes() const {
+    return fanout_nodes() + std::size_t{n} * per_tree;
+  }
+  std::size_t fanout_links() const { return n; }
+  std::size_t middle_links() const {
+    return fanout_links() + std::size_t{n} * (per_tree - 1);
+  }
+  std::size_t fanin_links() const {
+    return middle_links() + std::size_t{n} * n;
+  }
+  std::size_t sink_links() const {
+    return fanin_links() + std::size_t{n} * (per_tree - 1);
+  }
+
+  /// Lanes own contiguous tree blocks: tree t is on lane t * lanes / n,
+  /// so lane l holds trees [first_tree(l), first_tree(l + 1)).
+  std::uint32_t lane_of(std::uint32_t tree) const {
+    return tree * lanes / n;
+  }
+  std::uint32_t first_tree(std::uint32_t lane) const {
+    return (lane * n + lanes - 1) / lanes;
+  }
+
+  /// Cross channels among the middle links of sources [0, t), which come
+  /// first in channels() order: source s's links cross to every
+  /// destination outside its own lane. (No other channel crosses: a
+  /// source, its fanout tree, a sink and its fanin tree share a lane.)
+  std::uint32_t crossed_before(std::uint32_t t) const {
+    std::uint32_t crossed = 0;
+    for (std::uint32_t s = 0; s < t; ++s) {
+      const std::uint32_t lane = lane_of(s);
+      crossed += n - (first_tree(lane + 1) - first_tree(lane));
+    }
+    return crossed;
+  }
+};
 
 void MotNetwork::build() {
   const std::uint32_t n = topology_.n();
@@ -77,172 +175,228 @@ void MotNetwork::build() {
           "partition strategy 'rows' applies to mesh networks only (valid "
           "strategies for MoT: auto, none, tree, quadrant)");
   }
-  const noc::ChannelParams middle_probe = layout_.middle_channel();
-  const TimePs lookahead =
-      std::min(middle_probe.delay_fwd, middle_probe.delay_ack);
+  // Middle links are pipelined to `middle_channel_flits` stages; their
+  // delays, and so the lookahead, are the layout's.
+  noc::ChannelParams middle = layout_.middle_channel();
+  middle.capacity = config_.middle_channel_flits;
+  const TimePs lookahead = std::min(middle.delay_fwd, middle.delay_ack);
   if (config_.sim_threads == 1 || lookahead <= 0) lanes = 1;
   net_.enable_partitions(lanes, lanes > 1 ? lookahead : 1);
   net_.set_worker_threads(config_.sim_threads);
-  const std::uint32_t num_lanes = net_.partitions();
-  const auto lane_of = [n, num_lanes](std::uint32_t tree) {
-    return tree * num_lanes / n;
-  };
-  // Exact counts: 2n interfaces and n fanout plus n fanin trees of
-  // nodes_per_tree switches; each tree has nodes_per_tree - 1 internal
-  // links, plus n source and n sink links and n * n middle links.
-  const std::size_t per_tree = topology_.nodes_per_tree();
-  net_.reserve(2 * std::size_t{n} * (1 + per_tree),
-               2 * std::size_t{n} * per_tree + std::size_t{n} * n);
 
-  // Network interfaces.
-  for (std::uint32_t s = 0; s < n; ++s) {
-    net_.set_build_partition(lane_of(s));
-    net_.register_source(net_.add_node<noc::SourceNode>(
-        s, config_.source_issue_delay));
-  }
-  for (std::uint32_t d = 0; d < n; ++d) {
-    net_.set_build_partition(lane_of(d));
-    net_.register_sink(net_.add_node<noc::SinkNode>(
-        d, config_.sink_consume_delay));
-  }
+  BuildPlan plan;
+  plan.n = n;
+  plan.per_tree = topology_.nodes_per_tree();
+  plan.lanes = net_.partitions();
 
   // Switch characteristics, interned once per node kind: every node of a
-  // kind shares one value (interning locks and scans the process table).
-  std::array<const nodes::NodeCharacteristics*, noc::all_node_kinds().size()>
-      interned{};
-  const auto chars_of =
-      [&](noc::NodeKind kind) -> const nodes::NodeCharacteristics& {
-    const nodes::NodeCharacteristics*& slot =
-        interned[static_cast<std::size_t>(kind)];
+  // kind shares one value.
+  const auto intern_chars = [&](noc::NodeKind kind) {
+    const nodes::NodeCharacteristics*& slot = plan.chars[kind_index(kind)];
     if (slot == nullptr) {
       nodes::NodeCharacteristics chars = config_.chars_for(kind);
       chars.clock_period = config_.clock_period;
       slot = &nodes::intern_characteristics(chars);
     }
-    return *slot;
+    return slot;
   };
+  // Pools are reserved (and so allocated) in nodes() order: sources,
+  // sinks, the fanout kinds as they first appear in a tree, fanin; then
+  // channels.
+  std::vector<noc::NodeKind> fanout_kinds;
+  for (std::uint32_t level = 0; level < levels; ++level) {
+    for (std::uint32_t i = 0; i < topology_.nodes_at_level(level); ++i) {
+      const noc::NodeKind kind =
+          fanout_kind(arch_, speculation_.speculative(level, i));
+      if (plan.of_kind[kind_index(kind)] == 0) fanout_kinds.push_back(kind);
+      intern_chars(kind);
+      plan.kind.push_back(kind);
+      plan.rank.push_back(plan.of_kind[kind_index(kind)]++);
+    }
+  }
+  plan.fanin = &util::intern(nodes::FaninSpec{
+      *intern_chars(noc::NodeKind::kFanin), config_.fanin_sticky_timeout});
+  const auto link = [](const noc::ChannelParams& params,
+                       noc::ChannelClass klass) {
+    return &util::intern(noc::ChannelSpec{params, klass});
+  };
+  plan.source_link =
+      link(layout_.interface_channel(), noc::ChannelClass::kSourceIf);
+  plan.sink_link =
+      link(layout_.interface_channel(), noc::ChannelClass::kSinkIf);
+  plan.middle_link = link(middle, noc::ChannelClass::kMiddle);
+  for (std::uint32_t level = 0; level + 1 < levels; ++level) {
+    plan.fanout_link.push_back(
+        link(layout_.tree_channel(level), noc::ChannelClass::kFanout));
+    plan.fanin_link.push_back(
+        link(layout_.tree_channel(level), noc::ChannelClass::kFanin));
+  }
 
-  // Fanout trees.
-  fanout_.resize(n);
-  for (std::uint32_t s = 0; s < n; ++s) {
-    net_.set_build_partition(lane_of(s));
-    fanout_[s].resize(topology_.nodes_per_tree(), nullptr);
-    for (std::uint32_t level = 0; level < levels; ++level) {
-      for (std::uint32_t i = 0; i < topology_.nodes_at_level(level); ++i) {
-        const bool spec = speculation_.speculative(level, i);
-        const noc::NodeKind kind = fanout_kind(arch_, spec);
-        const nodes::NodeCharacteristics& chars = chars_of(kind);
-        const noc::DestRange top = topology_.subtree_span(level, i, 0);
-        const noc::DestRange bottom = topology_.subtree_span(level, i, 1);
-        nodes::FanoutNodeBase* node = nullptr;
-        switch (kind) {
-          case noc::NodeKind::kFanoutBaseline:
-            node = &net_.add_node<nodes::BaselineFanoutNode>(chars, top,
-                                                             bottom);
-            break;
-          case noc::NodeKind::kFanoutSpeculative:
-            node = &net_.add_node<nodes::SpecFanoutNode>(chars, top, bottom);
-            break;
-          case noc::NodeKind::kFanoutNonSpeculative:
-            node = &net_.add_node<nodes::NonSpecFanoutNode>(chars, top,
-                                                            bottom);
-            break;
-          case noc::NodeKind::kFanoutOptSpeculative:
-            node = &net_.add_node<nodes::OptSpecFanoutNode>(chars, top,
-                                                            bottom);
-            break;
-          case noc::NodeKind::kFanoutOptNonSpeculative:
-            node = &net_.add_node<nodes::OptNonSpecFanoutNode>(chars, top,
-                                                               bottom);
-            break;
-          default:
-            SPECNOC_UNREACHABLE("not a fanout node kind");
-        }
-        node->set_site({s, static_cast<std::int32_t>(level), i});
-        fanout_[s][mot::MotTopology::heap_id(level, i)] = node;
-      }
+  // Exact counts: 2n interfaces, n fanout plus n fanin trees of per_tree
+  // switches; each tree has per_tree - 1 internal links, plus n source, n
+  // sink and n * n middle links.
+  net_.reserve_nodes<noc::SourceNode>(noc::NodeKind::kSource, n);
+  net_.reserve_nodes<noc::SinkNode>(noc::NodeKind::kSink, n);
+  for (const noc::NodeKind kind : fanout_kinds) {
+    with_fanout_class(kind, [&]<typename T>() {
+      net_.reserve_nodes<T>(kind,
+                            std::size_t{n} * plan.of_kind[kind_index(kind)]);
+    });
+  }
+  net_.reserve_nodes<nodes::FaninNode>(noc::NodeKind::kFanin,
+                                       std::size_t{n} * plan.per_tree);
+  net_.presize(2 * std::size_t{n} * (1 + plan.per_tree),
+               2 * std::size_t{n} * plan.per_tree + std::size_t{n} * n);
+
+  // The run's workers build disjoint contiguous tree blocks, then, after a
+  // join, wire the middle links' downstream ends into their own fanin
+  // trees. One worker runs both passes inline.
+  const unsigned workers = net_.effective_threads();
+  const auto block_start = [n, workers](unsigned w) {
+    return static_cast<std::uint32_t>(std::uint64_t{n} * w / workers);
+  };
+  util::fork_join(workers, [&](unsigned w) {
+    std::uint32_t crossed = plan.crossed_before(block_start(w));
+    for (std::uint32_t t = block_start(w); t < block_start(w + 1); ++t) {
+      build_tree(plan, t, crossed);
+    }
+  });
+  util::fork_join(workers, [&](unsigned w) {
+    attach_middle_links(plan, block_start(w), block_start(w + 1));
+  });
+  for (std::uint32_t t = 0; t < n; ++t) {
+    net_.register_source(net_.placed_node<noc::SourceNode>(t));
+  }
+  for (std::uint32_t t = 0; t < n; ++t) {
+    net_.register_sink(net_.placed_node<noc::SinkNode>(t));
+  }
+}
+
+void MotNetwork::build_tree(const BuildPlan& plan, std::uint32_t t,
+                            std::uint32_t& crossed) {
+  const std::uint32_t n = plan.n;
+  const std::uint32_t per_tree = plan.per_tree;
+  const std::uint32_t levels = topology_.levels();
+  const std::uint32_t lane = plan.lane_of(t);
+
+  noc::SourceNode& source = net_.place_node<noc::SourceNode>(
+      t, t, lane, t, config_.source_issue_delay);
+  noc::SinkNode& sink = net_.place_node<noc::SinkNode>(
+      n + t, t, lane, t, config_.sink_consume_delay);
+
+  // Fanout tree t, in heap order.
+  std::vector<nodes::FanoutNodeBase*> fanout(per_tree);
+  for (std::uint32_t level = 0, h = 0; level < levels; ++level) {
+    for (std::uint32_t i = 0; i < topology_.nodes_at_level(level);
+         ++i, ++h) {
+      const noc::NodeKind kind = plan.kind[h];
+      const nodes::NodeCharacteristics& chars = *plan.chars[kind_index(kind)];
+      const noc::DestRange top = topology_.subtree_span(level, i, 0);
+      const noc::DestRange bottom = topology_.subtree_span(level, i, 1);
+      const std::size_t index =
+          plan.fanout_nodes() + std::size_t{t} * per_tree + h;
+      const std::size_t slot =
+          std::size_t{t} * plan.of_kind[kind_index(kind)] + plan.rank[h];
+      nodes::FanoutNodeBase* node = nullptr;
+      with_fanout_class(kind, [&]<typename T>() {
+        node = &net_.place_node<T>(index, slot, lane, chars, top, bottom);
+      });
+      node->set_site({t, static_cast<std::int32_t>(level), i});
+      fanout[h] = node;
     }
   }
 
-  // Fanin trees (identical arbiters in every architecture).
-  fanin_.resize(n);
-  const nodes::FaninSpec& fanin_spec = util::intern(nodes::FaninSpec{
-      chars_of(noc::NodeKind::kFanin), config_.fanin_sticky_timeout});
-  for (std::uint32_t d = 0; d < n; ++d) {
-    net_.set_build_partition(lane_of(d));
-    fanin_[d].resize(topology_.nodes_per_tree(), nullptr);
-    for (std::uint32_t level = 0; level < levels; ++level) {
-      for (std::uint32_t i = 0; i < topology_.nodes_at_level(level); ++i) {
-        nodes::FaninNode& node = net_.add_node<nodes::FaninNode>(
-            fanin_spec, config_.fanin_buffer_flits);
-        node.set_site({d, static_cast<std::int32_t>(level), i});
-        fanin_[d][mot::MotTopology::heap_id(level, i)] = &node;
-      }
+  // Fanin tree t (identical arbiters in every architecture), heap order.
+  std::vector<nodes::FaninNode*> fanin(per_tree);
+  for (std::uint32_t level = 0, h = 0; level < levels; ++level) {
+    for (std::uint32_t i = 0; i < topology_.nodes_at_level(level);
+         ++i, ++h) {
+      const std::size_t slot = std::size_t{t} * per_tree + h;
+      nodes::FaninNode& node = net_.place_node<nodes::FaninNode>(
+          plan.fanin_nodes() + slot, slot, lane, *plan.fanin,
+          config_.fanin_buffer_flits);
+      node.set_site({t, static_cast<std::int32_t>(level), i});
+      fanin[h] = &node;
     }
   }
 
   // Source NI -> fanout root.
-  for (std::uint32_t s = 0; s < n; ++s) {
-    net_.add_channel(layout_.interface_channel(),
-                     noc::ChannelClass::kSourceIf, net_.source(s), 0,
-                     *fanout_[s][0], 0);
-  }
+  net_.place_channel(t, *plan.source_link, source, 0, *fanout[0], 0);
 
   // Fanout internal links: (level, i) output c -> (level+1, 2i+c) input 0.
-  for (std::uint32_t s = 0; s < n; ++s) {
-    for (std::uint32_t level = 0; level + 1 < levels; ++level) {
-      for (std::uint32_t i = 0; i < topology_.nodes_at_level(level); ++i) {
-        for (std::uint32_t c = 0; c < 2; ++c) {
-          net_.add_channel(
-              layout_.tree_channel(level), noc::ChannelClass::kFanout,
-              *fanout_[s][mot::MotTopology::heap_id(level, i)], c,
-              *fanout_[s][mot::MotTopology::heap_id(level + 1, 2 * i + c)],
-              0);
-        }
+  std::size_t index = plan.fanout_links() + std::size_t{t} * (per_tree - 1);
+  for (std::uint32_t level = 0; level + 1 < levels; ++level) {
+    for (std::uint32_t i = 0; i < topology_.nodes_at_level(level); ++i) {
+      for (std::uint32_t c = 0; c < 2; ++c) {
+        net_.place_channel(
+            index++, *plan.fanout_link[level],
+            *fanout[mot::MotTopology::heap_id(level, i)], c,
+            *fanout[mot::MotTopology::heap_id(level + 1, 2 * i + c)], 0);
       }
     }
   }
 
-  // Middle links: fanout leaf (s, L-1, i) output c serves destination
-  // d = 2i + c, landing at fanin leaf (d, L-1, s/2) input s%2. These long
+  // Middle links: fanout leaf (t, L-1, i) output c serves destination
+  // d = 2i + c, landing at fanin leaf (d, L-1, t/2) input t%2, which
+  // attach_middle_links() wires once every fanin tree exists. These long
   // cross-die channels are pipelined with a few asynchronous latch stages
   // (GALS practice for long wires); deadlock freedom does not depend on
   // the depth — the fanin arbiters are work-conserving (see
   // nodes/fanin_node.h).
-  noc::ChannelParams middle = layout_.middle_channel();
-  middle.capacity = config_.middle_channel_flits;
   const std::uint32_t leaf_level = levels - 1;
-  for (std::uint32_t s = 0; s < n; ++s) {
-    for (std::uint32_t i = 0; i < topology_.nodes_at_level(leaf_level); ++i) {
-      for (std::uint32_t c = 0; c < 2; ++c) {
-        const std::uint32_t d = topology_.leaf_dest(i, c);
-        net_.add_channel(
-            middle, noc::ChannelClass::kMiddle,
-            *fanout_[s][mot::MotTopology::heap_id(leaf_level, i)], c,
-            *fanin_[d][mot::MotTopology::heap_id(
-                leaf_level, topology_.fanin_leaf_index(s))],
-            topology_.fanin_leaf_port(s));
-      }
+  index = plan.middle_links() + std::size_t{t} * n;
+  for (std::uint32_t i = 0; i < topology_.nodes_at_level(leaf_level); ++i) {
+    for (std::uint32_t c = 0; c < 2; ++c) {
+      const std::uint32_t down_lane =
+          plan.lane_of(topology_.leaf_dest(i, c));
+      net_.place_channel(index++, *plan.middle_link,
+                         *fanout[mot::MotTopology::heap_id(leaf_level, i)],
+                         c, down_lane, crossed);
+      if (down_lane != lane) ++crossed;
     }
   }
 
   // Fanin internal links: (level+1, j) output -> (level, j/2) input j%2.
-  for (std::uint32_t d = 0; d < n; ++d) {
-    for (std::uint32_t level = 0; level + 1 < levels; ++level) {
-      for (std::uint32_t j = 0; j < topology_.nodes_at_level(level + 1);
-           ++j) {
-        net_.add_channel(
-            layout_.tree_channel(level), noc::ChannelClass::kFanin,
-            *fanin_[d][mot::MotTopology::heap_id(level + 1, j)], 0,
-            *fanin_[d][mot::MotTopology::heap_id(level, j / 2)], j % 2);
-      }
+  index = plan.fanin_links() + std::size_t{t} * (per_tree - 1);
+  for (std::uint32_t level = 0; level + 1 < levels; ++level) {
+    for (std::uint32_t j = 0; j < topology_.nodes_at_level(level + 1); ++j) {
+      net_.place_channel(index++, *plan.fanin_link[level],
+                         *fanin[mot::MotTopology::heap_id(level + 1, j)], 0,
+                         *fanin[mot::MotTopology::heap_id(level, j / 2)],
+                         j % 2);
     }
   }
 
   // Fanin root -> sink NI.
-  for (std::uint32_t d = 0; d < n; ++d) {
-    net_.add_channel(layout_.interface_channel(), noc::ChannelClass::kSinkIf,
-                     *fanin_[d][0], 0, net_.sink(d), 0);
+  net_.place_channel(plan.sink_links() + t, *plan.sink_link, *fanin[0], 0,
+                     sink, 0);
+}
+
+void MotNetwork::attach_middle_links(const BuildPlan& plan,
+                                     std::uint32_t first,
+                                     std::uint32_t last) {
+  // Fanin leaf j of tree t takes, on input p, the middle link from source
+  // s = 2j + p (fanin_leaf_index(s), fanin_leaf_port(s)): channel t of
+  // source s's run. Walking one tree's leaves alone would touch one
+  // channel per source run, n channels apart; a tile of kTile trees takes
+  // kTile adjacent channels from each run instead, while each tree's
+  // leaves are still walked in memory order.
+  constexpr std::uint32_t kTile = 64;
+  const std::uint32_t first_leaf =
+      mot::MotTopology::heap_id(topology_.levels() - 1, 0);
+  for (std::uint32_t tile = first; tile < last; tile += kTile) {
+    const std::uint32_t tile_end = std::min(last, tile + kTile);
+    for (std::uint32_t s = 0; s < plan.n; ++s) {
+      const std::size_t run = plan.middle_links() + std::size_t{s} * plan.n;
+      const std::size_t leaf = first_leaf + s / 2;
+      for (std::uint32_t t = tile; t < tile_end; ++t) {
+        net_.placed_channel(run + t).connect_downstream(
+            net_.placed_node<nodes::FaninNode>(std::size_t{t} *
+                                                   plan.per_tree +
+                                               leaf),
+            s % 2);
+      }
+    }
   }
 }
 
@@ -286,17 +440,6 @@ AreaUm2 MotNetwork::total_node_area() const {
     total += config_.chars_for(node->kind()).area_um2;
   }
   return total;
-}
-
-nodes::FanoutNodeBase& MotNetwork::fanout_node(std::uint32_t tree,
-                                               std::uint32_t level,
-                                               std::uint32_t index) {
-  return *fanout_.at(tree).at(mot::MotTopology::heap_id(level, index));
-}
-
-noc::Node& MotNetwork::fanin_node(std::uint32_t tree, std::uint32_t level,
-                                  std::uint32_t index) {
-  return *fanin_.at(tree).at(mot::MotTopology::heap_id(level, index));
 }
 
 }  // namespace specnoc::core

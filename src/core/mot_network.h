@@ -57,14 +57,20 @@ class MotNetwork final : public noc::MessageNetwork {
   /// Sum of the characterized areas of all switch nodes (fanout + fanin).
   AreaUm2 total_node_area() const;
 
-  /// Test access to individual switches.
-  nodes::FanoutNodeBase& fanout_node(std::uint32_t tree, std::uint32_t level,
-                                     std::uint32_t index);
-  noc::Node& fanin_node(std::uint32_t tree, std::uint32_t level,
-                        std::uint32_t index);
-
  private:
+  struct BuildPlan;
+
   void build();
+  /// Builds source t, fanout tree t, sink t, fanin tree t, their
+  /// tree-internal channels and the middle channels leaving fanout tree t
+  /// (upstream ends only). `crossed` counts the cross channels placed so
+  /// far in channels() order; trees must come in ascending order.
+  void build_tree(const BuildPlan& plan, std::uint32_t t,
+                  std::uint32_t& crossed);
+  /// Attaches the middle channels that end at the leaves of fanin trees
+  /// [first, last).
+  void attach_middle_links(const BuildPlan& plan, std::uint32_t first,
+                           std::uint32_t last);
 
   Architecture arch_;
   NetworkConfig config_;
@@ -73,9 +79,6 @@ class MotNetwork final : public noc::MessageNetwork {
   mot::SourceRouteEncoder encoder_;
   mot::HTreeLayout layout_;
   noc::Network net_;
-  // [tree][heap_id]
-  std::vector<std::vector<nodes::FanoutNodeBase*>> fanout_;
-  std::vector<std::vector<noc::Node*>> fanin_;
 };
 
 }  // namespace specnoc::core

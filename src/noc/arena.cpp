@@ -9,11 +9,12 @@ namespace specnoc::noc {
 
 namespace {
 
-// Chunk growth: start small (tiny test networks pay almost nothing), double
-// per chunk up to a cap that keeps large-radix builds at a few dozen chunks
-// per pool without megabyte-scale over-reservation for mid-sized ones.
+// Appended pools grow geometrically: start small (tiny test networks pay
+// almost nothing), double per chunk up to kChunkObjects, which keeps
+// large-radix builds at a few dozen chunks per pool without megabyte-scale
+// over-reservation for mid-sized ones. Reserved pools know their size and
+// take full kChunkObjects chunks plus one trimmed to fit.
 constexpr std::size_t kFirstChunkObjects = 16;
-constexpr std::size_t kMaxChunkObjects = 16384;
 
 // Chunks come from the plain operator new, and a pool of an over-aligned
 // type (Channel is alignas(64)) asks for `alignment` spare bytes and
@@ -39,33 +40,58 @@ std::size_t NetworkArena::next_type_slot() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-void* NetworkArena::Pool::allocate() {
-  if (chunks.empty() || chunk_objects.back() == chunk_capacity) {
-    chunk_capacity = chunks.empty()
-                         ? kFirstChunkObjects
-                         : std::min(kMaxChunkObjects, chunk_capacity * 2);
-    const std::size_t bytes = chunk_capacity * object_size;
-    void* chunk = ::operator new(bytes + slack(alignment));
-    chunks.push_back(chunk);
-    chunk_objects.push_back(0);
-    reserved_bytes += bytes;
+void NetworkArena::Pool::add_chunk(std::size_t slots) {
+  const std::size_t bytes = slots * object_size;
+  chunks.push_back(::operator new(bytes + slack(alignment)));
+  firsts.push_back(first_object(chunks.back(), alignment));
+  chunk_slots.push_back(slots);
+  capacity += slots;
+  reserved_bytes += bytes;
+}
+
+void* NetworkArena::Pool::append_slot() {
+  if (live.size() == capacity) {
+    add_chunk(chunks.empty()
+                  ? kFirstChunkObjects
+                  : std::min(kChunkObjects, chunk_slots.back() * 2));
+    live.reserve(capacity);
   }
-  void* slot = first_object(chunks.back(), alignment) +
-               chunk_objects.back() * object_size;
-  ++chunk_objects.back();
-  return slot;
+  const std::size_t in_chunk = live.size() - (capacity - chunk_slots.back());
+  return firsts.back() + in_chunk * object_size;
+}
+
+void NetworkArena::Pool::reserve(std::size_t count) {
+  SPECNOC_EXPECTS(chunks.empty());
+  exact = true;
+  live.assign(count, 0);
+  chunks.reserve((count + kChunkObjects - 1) / kChunkObjects);
+  firsts.reserve(chunks.capacity());
+  chunk_slots.reserve(chunks.capacity());
+  for (std::size_t left = count; left > 0;) {
+    const std::size_t slots = std::min(left, kChunkObjects);
+    add_chunk(slots);
+    left -= slots;
+  }
+}
+
+void* NetworkArena::Pool::slot(std::size_t index) const {
+  return firsts[index / kChunkObjects] + index % kChunkObjects * object_size;
+}
+
+std::size_t NetworkArena::Pool::objects() const {
+  return static_cast<std::size_t>(std::count(live.begin(), live.end(), 1));
 }
 
 std::uint64_t NetworkArena::total_objects() const {
   std::uint64_t total = 0;
-  for (const Pool* pool : order_) total += pool->objects;
+  for (const Pool* pool : order_) total += pool->objects();
   return total;
 }
 
 std::uint64_t NetworkArena::total_bytes() const {
   std::uint64_t total = 0;
   for (const Pool* pool : order_) {
-    total += static_cast<std::uint64_t>(pool->objects) * pool->object_size;
+    total += static_cast<std::uint64_t>(pool->objects()) * pool->object_size;
   }
   return total;
 }
@@ -80,12 +106,12 @@ std::vector<NetworkArena::PoolUsage> NetworkArena::usage() const {
   std::vector<PoolUsage> out;
   out.reserve(order_.size());
   for (const Pool* pool : order_) {
-    if (pool->objects == 0) continue;
+    const std::size_t objects = pool->objects();
+    if (objects == 0) continue;
     PoolUsage usage;
     usage.label = pool->label;
-    usage.objects = pool->objects;
-    usage.bytes = static_cast<std::uint64_t>(pool->objects) *
-                  pool->object_size;
+    usage.objects = objects;
+    usage.bytes = static_cast<std::uint64_t>(objects) * pool->object_size;
     usage.reserved_bytes = pool->reserved_bytes;
     out.push_back(std::move(usage));
   }
@@ -98,15 +124,31 @@ std::vector<NetworkArena::PoolUsage> NetworkArena::usage() const {
 
 void NetworkArena::clear() {
   for (Pool* pool : order_) {
+    std::size_t base = 0;  // first slot of chunk c
     for (std::size_t c = 0; c < pool->chunks.size(); ++c) {
-      pool->destroy(first_object(pool->chunks[c], pool->alignment),
-                    pool->chunk_objects[c]);
+      char* first = pool->firsts[c];
+      const std::size_t end = std::min(base + pool->chunk_slots[c],
+                                       pool->live.size());
+      // Destroy each run of constructed slots with one call.
+      for (std::size_t i = base; i < end;) {
+        if (pool->live[i] == 0) {
+          ++i;
+          continue;
+        }
+        std::size_t run_end = i + 1;
+        while (run_end < end && pool->live[run_end] != 0) ++run_end;
+        pool->destroy(first + (i - base) * pool->object_size, run_end - i);
+        i = run_end;
+      }
       ::operator delete(pool->chunks[c]);
+      base += pool->chunk_slots[c];
     }
     pool->chunks.clear();
-    pool->chunk_objects.clear();
-    pool->chunk_capacity = 0;
-    pool->objects = 0;
+    pool->firsts.clear();
+    pool->chunk_slots.clear();
+    pool->live.clear();
+    pool->exact = false;
+    pool->capacity = 0;
     pool->reserved_bytes = 0;
   }
 }

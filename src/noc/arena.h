@@ -4,27 +4,38 @@
 // own unique_ptr scatters them across the heap (allocator metadata per
 // object, pointer-chasing on every hop) and makes teardown ~5M frees. The
 // arena instead placement-constructs objects of each concrete type into
-// contiguous per-type chunks, in construction order:
+// contiguous per-type chunks:
 //
 //   * stable addresses — chunks never move or reallocate, so Node*/Channel*
 //     taken at build time stay valid for the network's lifetime;
-//   * deterministic layout — the same build sequence produces the same
-//     object order within every slab, which is what the arena determinism
-//     test pins (two constructions of one spec iterate identically);
+//   * deterministic layout — an object's slot is its append position
+//     (create) or the index its builder derived from structure (reserve +
+//     create_at), so two builds of one spec lay every slab out identically,
+//     which is what the arena determinism test pins;
 //   * dense iteration — all fanin nodes (say) are adjacent, so the hot
 //     event loop's working set collapses;
 //   * O(chunks) teardown — destructors run in-place, then whole chunks are
 //     freed; no per-object delete.
 //
-// Ownership: create<T>() constructs and the arena destroys everything in
-// ~NetworkArena (per-pool, construction order). Objects are never destroyed
-// individually; this matches Network's grow-only build model.
+// A pool is filled one of two ways. create<T>() appends, growing chunks
+// geometrically (small networks reserve little). reserve<T>(count) sizes an
+// empty pool exactly up front, on the calling thread, after which
+// create_at<T>(index) constructs at any slot below `count` — concurrently
+// from several threads for distinct slots — and at<T>(index) computes a
+// slot's address without a lookup table.
+//
+// Ownership: the arena destroys everything it constructed in
+// ~NetworkArena (per pool, slot order), and only that: a build abandoned
+// by an exception leaves unconstructed slots, which are skipped. Objects
+// are never destroyed individually; this matches Network's grow-only build
+// model.
 //
 // usage() reports per-pool object counts and bytes (sorted by label) for
 // stats::ArenaMetrics and the --metrics report.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <new>
 #include <string>
@@ -51,7 +62,7 @@ class NetworkArena {
   NetworkArena(const NetworkArena&) = delete;
   NetworkArena& operator=(const NetworkArena&) = delete;
 
-  /// Constructs a T in its type's slab and returns a stable pointer.
+  /// Appends a T to its type's slab and returns a stable pointer.
   /// Forwarding is as lenient as std::make_unique's (which lives in a
   /// system header, where conversion warnings are suppressed).
 #pragma GCC diagnostic push
@@ -60,12 +71,47 @@ class NetworkArena {
   template <typename T, typename... Args>
   T* create(Args&&... args) {
     Pool& pool = pool_for<T>();
-    void* slot = pool.allocate();
+    SPECNOC_EXPECTS(!pool.exact);
+    void* slot = pool.append_slot();
     T* object = new (slot) T(std::forward<Args>(args)...);
-    ++pool.objects;
+    pool.live.push_back(1);  // append_slot() made room: cannot throw
+    return object;
+  }
+
+  /// Constructs a T in slot `index` of its pool, which reserve<T>() sized.
+  /// Distinct slots may be constructed concurrently from several threads:
+  /// this touches only the slot and its own constructed flag. If the
+  /// constructor throws, the slot stays unconstructed.
+  template <typename T, typename... Args>
+  T* create_at(std::size_t index, Args&&... args) {
+    Pool& pool = reserved_pool<T>();
+    SPECNOC_EXPECTS(index < pool.live.size() && pool.live[index] == 0);
+    T* object = new (pool.slot(index)) T(std::forward<Args>(args)...);
+    pool.live[index] = 1;
     return object;
   }
 #pragma GCC diagnostic pop
+
+  /// Sizes T's pool for exactly `count` objects placed by create_at():
+  /// chunks of kChunkObjects slots, the last one trimmed to fit, allocated
+  /// here with the plain operator new. The pool must be empty.
+  template <typename T>
+  void reserve(std::size_t count) {
+    pool_for<T>().reserve(count);
+  }
+
+  /// The T that create_at() constructed in slot `index` of its reserved
+  /// pool; the address is computed, not looked up.
+  template <typename T>
+  T* at(std::size_t index) {
+    Pool& pool = reserved_pool<T>();
+    SPECNOC_EXPECTS(index < pool.live.size() && pool.live[index] != 0);
+    return std::launder(static_cast<T*>(pool.slot(index)));
+  }
+
+  /// Objects per full chunk: a reserved pool's chunk size, and the cap of
+  /// an appended pool's geometric growth.
+  static constexpr std::size_t kChunkObjects = 16384;
 
   /// Names T's pool for usage() reporting (first call wins; the Network
   /// labels node pools by their NodeKind string after construction, when
@@ -91,8 +137,8 @@ class NetworkArena {
   /// deterministic build sequence.
   std::vector<PoolUsage> usage() const;
 
-  /// Destroys every object (per pool, construction order) and frees all
-  /// chunks. The arena is reusable afterwards.
+  /// Destroys every constructed object (per pool, slot order) and frees
+  /// all chunks. The arena is reusable afterwards.
   void clear();
 
  private:
@@ -102,14 +148,27 @@ class NetworkArena {
     void (*destroy)(void* first, std::size_t count) = nullptr;
     std::string label;
     bool labeled = false;
-    std::vector<void*> chunks;  ///< as allocated; objects start at the
-                                ///< first `alignment`-aligned byte
-    std::vector<std::size_t> chunk_objects;  ///< constructed per chunk
-    std::size_t chunk_capacity = 0;          ///< slots in the newest chunk
-    std::size_t objects = 0;
+    bool exact = false;  ///< sized by reserve(), filled by create_at()
+    std::vector<void*> chunks;   ///< as allocated
+    std::vector<char*> firsts;   ///< each chunk's first object: its first
+                                 ///< `alignment`-aligned byte
+    std::vector<std::size_t> chunk_slots;  ///< slots per chunk
+    /// One flag per slot handed out: 1 once its object is constructed.
+    /// Bytes, not bits, so concurrent create_at() calls never share a
+    /// memory location.
+    std::vector<std::uint8_t> live;
+    std::size_t capacity = 0;  ///< slots across all chunks
     std::size_t reserved_bytes = 0;
 
-    void* allocate();
+    /// Allocates a chunk of `slots` slots at the end of the pool.
+    void add_chunk(std::size_t slots);
+    /// Slot for the next create(), growing the pool when it is full; also
+    /// makes room in `live` for its flag.
+    void* append_slot();
+    void reserve(std::size_t count);
+    /// Address of slot `index` of a reserved pool.
+    void* slot(std::size_t index) const;
+    std::size_t objects() const;
   };
 
   /// Process-wide slot assignment: each concrete T gets one index, on first
@@ -139,6 +198,16 @@ class NetworkArena {
       order_.push_back(pool.get());
     }
     return *pool;
+  }
+
+  /// T's pool, which reserve<T>() created: a read-only lookup, safe on
+  /// any thread.
+  template <typename T>
+  Pool& reserved_pool() {
+    const std::size_t slot = type_slot<T>();
+    SPECNOC_EXPECTS(slot < pools_.size() && pools_[slot] != nullptr &&
+                    pools_[slot]->exact);
+    return *pools_[slot];
   }
 
   std::vector<std::unique_ptr<Pool>> pools_;  ///< indexed by type slot

@@ -53,13 +53,21 @@ std::string Channel::name() const {
 
 void Channel::connect(Node& up, std::uint32_t up_port, Node& down,
                       std::uint32_t down_port) {
-  SPECNOC_EXPECTS(up_ == nullptr && down_ == nullptr);
-  SPECNOC_EXPECTS(up_port < kMaxPorts && down_port < kMaxPorts);
+  connect_upstream(up, up_port);
+  connect_downstream(down, down_port);
+}
+
+void Channel::connect_upstream(Node& up, std::uint32_t up_port) {
+  SPECNOC_EXPECTS(up_ == nullptr && up_port < kMaxPorts);
   up_ = &up;
-  down_ = &down;
   up_port_ = static_cast<std::uint8_t>(up_port);
-  down_port_ = static_cast<std::uint8_t>(down_port);
   up.attach_output(up_port, *this);
+}
+
+void Channel::connect_downstream(Node& down, std::uint32_t down_port) {
+  SPECNOC_EXPECTS(down_ == nullptr && down_port < kMaxPorts);
+  down_ = &down;
+  down_port_ = static_cast<std::uint8_t>(down_port);
   down.attach_input(down_port, *this);
 }
 

@@ -86,6 +86,11 @@ class alignas(64) Channel {
   /// (both below kMaxPorts).
   void connect(Node& up, std::uint32_t up_port, Node& down,
                std::uint32_t down_port);
+  /// The two halves of connect(), for builders that wire a channel's ends
+  /// at different times (possibly on different threads, ordered by a
+  /// join): each writes only the channel and its own endpoint node.
+  void connect_upstream(Node& up, std::uint32_t up_port);
+  void connect_downstream(Node& down, std::uint32_t down_port);
 
   /// True when the upstream node may send (previous send acked and a slot
   /// is available).
@@ -110,6 +115,8 @@ class alignas(64) Channel {
   ChannelClass klass() const { return spec_->klass; }
   Node* upstream() const { return up_; }
   Node* downstream() const { return down_; }
+  std::uint32_t upstream_port() const { return up_port_; }
+  std::uint32_t downstream_port() const { return down_port_; }
 
   /// Flits currently inside the channel (queued or delivered-unacked).
   std::uint32_t occupancy() const;
@@ -125,12 +132,15 @@ class alignas(64) Channel {
   /// must be lane `up_lane` of a sim::PartitionedScheduler, while delivery
   /// runs on `down_lane`. Flits and downstream acks travel as sim::Mail
   /// keyed 2 * `index` and 2 * `index` + 1; `index` is the channel's
-  /// position among its network's cross channels, so creation order is the
-  /// canonical cross-partition merge order. Must be called before any
-  /// traffic flows.
+  /// position among its network's cross channels in channels() order, so
+  /// that order is the canonical cross-partition merge order. Must be
+  /// called before any traffic flows.
   void make_cross_partition(std::uint32_t up_lane, std::uint32_t down_lane,
                             std::uint32_t index);
   bool cross_partition() const { return up_lane_ != down_lane_; }
+  /// Key of the flit mail of a cross channel (its credits use key + 1);
+  /// 0 on an intra-lane channel.
+  std::uint32_t mail_key() const { return mail_key_; }
 
   /// sim::MailHandler for cross-channel mail: a flit arriving at the
   /// downstream half, or a credit arriving at the upstream half.

@@ -185,6 +185,46 @@ void Network::reserve(std::size_t nodes, std::size_t channels) {
   channels_.reserve(channels);
 }
 
+void Network::presize(std::size_t nodes, std::size_t channels) {
+  SPECNOC_EXPECTS(nodes_.empty() && channels_.empty());
+  nodes_.assign(nodes, nullptr);
+  channels_.assign(channels, nullptr);
+  arena_.reserve<Channel>(channels);
+  arena_.label_pool<Channel>("channel");
+}
+
+Channel& Network::place_channel(std::size_t index, const ChannelSpec& spec,
+                                Node& up, std::uint32_t up_port, Node& down,
+                                std::uint32_t down_port) {
+  SPECNOC_EXPECTS(up.partition() == down.partition());
+  Channel& channel = place_channel(index, spec, up, up_port,
+                                   down.partition(), 0);
+  channel.connect_downstream(down, down_port);
+  return channel;
+}
+
+Channel& Network::place_channel(std::size_t index, const ChannelSpec& spec,
+                                Node& up, std::uint32_t up_port,
+                                std::uint32_t down_partition,
+                                std::uint32_t cross_index) {
+  SPECNOC_EXPECTS(down_partition < partitions());
+  // The channel's home lane is the upstream node's: send() runs there.
+  Channel& channel = *arena_.create_at<Channel>(index, lane(up.partition()),
+                                                spec);
+  channels_[index] = &channel;
+  channel.connect_upstream(up, up_port);
+  if (up.partition() != down_partition) {
+    // The builder declared a lookahead no longer than its cross channels'
+    // latency (the MoT's is its middle links' minimum), so this is a
+    // contract, not the ConfigError add_channel raises.
+    SPECNOC_EXPECTS(std::min(spec.params.delay_fwd, spec.params.delay_ack) >=
+                    psched_->lookahead());
+    channel.make_cross_partition(up.partition(), down_partition,
+                                 cross_index);
+  }
+  return channel;
+}
+
 Channel& Network::add_channel(const ChannelParams& params, ChannelClass klass,
                               Node& up, std::uint32_t up_port, Node& down,
                               std::uint32_t down_port) {

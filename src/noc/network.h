@@ -15,6 +15,7 @@
 #include "noc/packet.h"
 #include "noc/sink.h"
 #include "noc/source.h"
+#include "util/contract.h"
 
 namespace specnoc::noc {
 
@@ -67,6 +68,9 @@ class Network {
   /// effect on sequential networks.
   void set_worker_threads(unsigned threads);
   unsigned worker_threads() const { return worker_threads_; }
+  /// Workers a run uses: worker_threads() clamped to the partition count
+  /// (1 on a sequential network). A structural build uses as many.
+  unsigned effective_threads() const;
 
   /// Unified run surface: dispatches to the global scheduler or to the
   /// partitioned window executor. Drivers and experiments should use these
@@ -113,6 +117,68 @@ class Network {
   /// before adding anything.
   void reserve(std::size_t nodes, std::size_t channels);
 
+  // Structural builds. A builder that derives every object's position from
+  // structure sizes everything up front on one thread — presize() and one
+  // reserve_nodes() per node type — and then places each object at its
+  // index with place_node()/place_channel(), from several workers at once
+  // for distinct indices. Placement takes no lock, creates no pool and
+  // interns nothing; nodes() and channels() hold exactly the placed order
+  // once every index is filled.
+
+  /// Sizes nodes() and channels() to exactly `nodes` and `channels` empty
+  /// entries and reserves the channel pool for `channels` channels, one
+  /// per index. Requires an empty network.
+  void presize(std::size_t nodes, std::size_t channels);
+
+  /// Reserves T's pool for exactly `count` nodes, labelled by `kind`.
+  template <typename T>
+  void reserve_nodes(NodeKind kind, std::size_t count) {
+    arena_.reserve<T>(count);
+    arena_.label_pool<T>(to_string(kind));
+  }
+
+  /// Constructs a node of type T (scheduler and hooks first) at `slot` of
+  /// its reserved pool, on `partition`'s lane, as nodes()[`index`].
+  template <typename T, typename... Args>
+  T& place_node(std::size_t index, std::size_t slot, std::uint32_t partition,
+                Args&&... args) {
+    SPECNOC_EXPECTS(partition < partitions());
+    T* node = arena_.create_at<T>(slot, lane(partition), hooks_,
+                                  std::forward<Args>(args)...);
+    node->set_partition(partition);
+    nodes_[index] = node;
+    return *node;
+  }
+
+  /// The node place_node() constructed at `slot` of T's pool.
+  template <typename T>
+  T& placed_node(std::size_t slot) {
+    return *arena_.at<T>(slot);
+  }
+
+  /// Constructs channels()[`index`] (also its channel-pool slot) pointing
+  /// to the caller-interned `spec`, wired between two nodes of one
+  /// partition, on their lane.
+  Channel& place_channel(std::size_t index, const ChannelSpec& spec,
+                         Node& up, std::uint32_t up_port, Node& down,
+                         std::uint32_t down_port);
+
+  /// Constructs channels()[`index`] with only its upstream end wired; the
+  /// downstream end, on `down_partition`, is attached later with
+  /// Channel::connect_downstream(). A channel between two partitions is
+  /// split with mail index `cross_index`: the caller's structural count
+  /// of the cross channels before it in channels() order, which is what
+  /// add_channel's running count would give.
+  Channel& place_channel(std::size_t index, const ChannelSpec& spec,
+                         Node& up, std::uint32_t up_port,
+                         std::uint32_t down_partition,
+                         std::uint32_t cross_index);
+
+  /// The channel placed at `index`, by address arithmetic.
+  Channel& placed_channel(std::size_t index) {
+    return *arena_.at<Channel>(index);
+  }
+
   /// Registers network interfaces so drivers can find them by index.
   void register_source(SourceNode& source);
   void register_sink(SinkNode& sink);
@@ -135,8 +201,6 @@ class Network {
   const NetworkArena& arena() const { return arena_; }
 
  private:
-  unsigned effective_threads() const;
-
   sim::Scheduler scheduler_;
   SimHooks hooks_;
   PacketStore packets_;
@@ -148,7 +212,7 @@ class Network {
 
   std::unique_ptr<sim::PartitionedScheduler> psched_;
   std::uint32_t build_partition_ = 0;
-  std::uint32_t cross_channels_ = 0;  ///< cross channels created so far
+  std::uint32_t cross_channels_ = 0;  ///< cross channels add_channel made
   unsigned worker_threads_ = 1;
 };
 

@@ -1,14 +1,25 @@
 #include "core/mot_network.h"
 
 #include <map>
+#include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "stats/metrics.h"
+#include "stats/serialization.h"
+#include "traffic/benchmark.h"
+#include "traffic/driver.h"
+#include "util/json.h"
+#include "util/units.h"
 
 namespace specnoc::core {
 namespace {
 
 using noc::DestSet;
+using namespace specnoc::literals;
 
 /// Records header/flit ejections per destination.
 class EjectionRecorder : public noc::TrafficObserver {
@@ -211,6 +222,123 @@ TEST(MotNetworkTest, ManyConcurrentMessagesAllDelivered) {
     total += count;
   }
   EXPECT_EQ(total, 8u * 8u * 5u);
+}
+
+// ---------------------------------------------------------------------------
+// Structural parallel build. The run's workers build disjoint tree blocks,
+// so every object's position and identity must come from structure alone.
+
+NetworkConfig partitioned_config(std::uint32_t n,
+                                 noc::PartitionStrategy plan,
+                                 unsigned sim_threads) {
+  NetworkConfig cfg;
+  cfg.n = n;
+  cfg.partition = plan;
+  cfg.sim_threads = sim_threads;
+  return cfg;
+}
+
+/// One line per node and per channel, in nodes()/channels() order: name,
+/// kind or class, partition, endpoints (as nodes() positions), ports and
+/// cross flag with mail key.
+std::vector<std::string> build_listing(noc::Network& net) {
+  std::unordered_map<const noc::Node*, std::size_t> position;
+  std::vector<std::string> lines;
+  for (const noc::Node* node : net.nodes()) {
+    position.emplace(node, position.size());
+    lines.push_back(node->name() + " " + noc::to_string(node->kind()) + " p" +
+                    std::to_string(node->partition()));
+  }
+  for (const noc::Channel* channel : net.channels()) {
+    lines.push_back(
+        channel->name() + " " + noc::to_string(channel->klass()) + " " +
+        std::to_string(position.at(channel->upstream())) + ":" +
+        std::to_string(channel->upstream_port()) + ">" +
+        std::to_string(position.at(channel->downstream())) + ":" +
+        std::to_string(channel->downstream_port()) +
+        (channel->cross_partition()
+             ? " cross " + std::to_string(channel->mail_key())
+             : ""));
+  }
+  return lines;
+}
+
+/// Every measured byte of a 5 ns backlogged Multicast10 run.
+std::string saturation_fingerprint(MotNetwork& network) {
+  stats::MetricsRegistry registry;
+  network.net().hooks().metrics = &registry;
+  const auto pattern = traffic::make_benchmark(
+      traffic::BenchmarkId::kMulticast10, network.endpoints());
+  traffic::DriverConfig driver_cfg;
+  driver_cfg.mode = traffic::InjectionMode::kBacklogged;
+  driver_cfg.seed = 11;
+  traffic::TrafficDriver driver(network, *pattern, driver_cfg);
+  driver.start();
+  network.net().run_until(5_ns);
+  network.net().hooks().metrics = nullptr;
+  return util::json_write(stats::to_json(registry.snapshot())) + "#" +
+         std::to_string(network.net().executed());
+}
+
+TEST(MotParallelBuildTest, BuildWorkerCountChangesNothing) {
+  for (const noc::PartitionStrategy plan :
+       {noc::PartitionStrategy::kTree, noc::PartitionStrategy::kQuadrant}) {
+    for (const Architecture arch : all_architectures()) {
+      SCOPED_TRACE(std::string(to_string(arch)) + " " + noc::to_string(plan));
+      MotNetwork two(arch, partitioned_config(64, plan, 2));
+      ASSERT_EQ(two.net().effective_threads(), 2u);
+      const std::vector<std::string> listing = build_listing(two.net());
+      const std::string fingerprint = saturation_fingerprint(two);
+      for (const unsigned threads : {3u, 4u}) {
+        MotNetwork other(arch, partitioned_config(64, plan, threads));
+        ASSERT_EQ(other.net().effective_threads(), threads);
+        EXPECT_EQ(build_listing(other.net()), listing) << threads;
+        EXPECT_EQ(saturation_fingerprint(other), fingerprint) << threads;
+      }
+    }
+  }
+}
+
+TEST(MotParallelBuildTest, MailKeysFollowTheSerialCrossCount) {
+  for (const std::uint32_t n : {16u, 64u}) {
+    for (const noc::PartitionStrategy plan :
+         {noc::PartitionStrategy::kTree, noc::PartitionStrategy::kQuadrant}) {
+      SCOPED_TRACE(std::to_string(n) + " " + noc::to_string(plan));
+      MotNetwork network(Architecture::kOptHybridSpeculative,
+                         partitioned_config(n, plan, 3));
+      noc::Network& net = network.net();
+      std::map<std::pair<std::uint32_t, std::uint32_t>, const noc::Channel*>
+          middle;
+      for (const noc::Channel* channel : net.channels()) {
+        if (channel->klass() == noc::ChannelClass::kMiddle) {
+          middle[{channel->upstream()->site().tree,
+                  channel->downstream()->site().tree}] = channel;
+        } else {
+          EXPECT_FALSE(channel->cross_partition()) << channel->name();
+        }
+      }
+      ASSERT_EQ(middle.size(), std::size_t{n} * n);
+      // The rule a node-by-node build followed: middle links in (source,
+      // fanout leaf, output) order, each crossing one taking the next key.
+      const mot::MotTopology& topology = network.topology();
+      std::uint32_t crossed = 0;
+      for (std::uint32_t s = 0; s < n; ++s) {
+        for (std::uint32_t i = 0;
+             i < topology.nodes_at_level(topology.levels() - 1); ++i) {
+          for (std::uint32_t c = 0; c < 2; ++c) {
+            const std::uint32_t d = topology.leaf_dest(i, c);
+            const noc::Channel& channel = *middle.at({s, d});
+            const bool crosses =
+                net.source(s).partition() != net.sink(d).partition();
+            ASSERT_EQ(channel.cross_partition(), crosses) << channel.name();
+            EXPECT_EQ(channel.mail_key(), crosses ? 2 * crossed++ : 0u)
+                << channel.name();
+          }
+        }
+      }
+      EXPECT_GT(crossed, 0u);
+    }
+  }
 }
 
 }  // namespace

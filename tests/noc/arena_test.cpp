@@ -11,14 +11,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/mot_network.h"
 #include "stats/metrics.h"
 #include "stats/serialization.h"
 #include "traffic/driver.h"
+#include "util/fork_join.h"
 #include "util/json.h"
 #include "util/units.h"
 
@@ -28,7 +32,11 @@ namespace {
 using namespace specnoc::literals;
 
 struct Tracked {
-  explicit Tracked(int v, int* counter) : value(v), destroyed(counter) {}
+  /// Throws instead when `fail` is set (the object then never exists).
+  explicit Tracked(int v, int* counter, bool fail = false)
+      : value(v), destroyed(counter) {
+    if (fail) throw std::runtime_error("tracked " + std::to_string(v));
+  }
   ~Tracked() { ++*destroyed; }
   int value;
   int* destroyed;
@@ -83,6 +91,85 @@ TEST(NetworkArenaTest, RespectsOverAlignedTypes) {
     Wide* w = arena.create<Wide>(static_cast<double>(i));
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(w) % alignof(Wide), 0u);
   }
+}
+
+TEST(NetworkArenaTest, ReservedPoolsConstructAtIndicesFromSeveralThreads) {
+  // Past two full chunks, so the last chunk is trimmed and worker blocks
+  // straddle chunk boundaries.
+  constexpr std::size_t kCount = 2 * NetworkArena::kChunkObjects + 1000;
+  constexpr unsigned kWorkers = 4;
+  NetworkArena arena;
+  arena.reserve<Tracked>(kCount);
+  EXPECT_EQ(arena.total_reserved_bytes(), kCount * sizeof(Tracked));
+  int destroyed = 0;
+  util::fork_join(kWorkers, [&](unsigned w) {
+    // Interleaved stripes: neighbouring slots come from different threads.
+    for (std::size_t i = w; i < kCount; i += kWorkers) {
+      arena.create_at<Tracked>(kCount - 1 - i, static_cast<int>(i),
+                               &destroyed);
+    }
+  });
+  EXPECT_EQ(arena.total_objects(), kCount);
+  for (std::size_t i = 0; i < kCount; ++i) {
+    ASSERT_EQ(arena.at<Tracked>(kCount - 1 - i)->value, static_cast<int>(i));
+  }
+  arena.clear();
+  EXPECT_EQ(destroyed, static_cast<int>(kCount));
+}
+
+TEST(NetworkArenaTest, AFailedConcurrentBuildJoinsAndDestroysWhatItBuilt) {
+  constexpr std::size_t kCount = 3 * NetworkArena::kChunkObjects;
+  constexpr unsigned kWorkers = 4;
+  constexpr std::size_t kBlock = kCount / kWorkers;
+  constexpr std::size_t kThrowAt = kBlock + 5000;  // inside worker 1's block
+  NetworkArena arena;
+  arena.reserve<Tracked>(kCount);
+  int destroyed = 0;
+  std::vector<std::size_t> built(kWorkers, 0);
+  std::atomic<unsigned> finished{0};
+  try {
+    util::fork_join(kWorkers, [&](unsigned w) {
+      for (std::size_t i = w * kBlock; i < (w + 1) * kBlock; ++i) {
+        arena.create_at<Tracked>(i, static_cast<int>(i), &destroyed,
+                                 i == kThrowAt);
+        ++built[w];
+      }
+      finished.fetch_add(1);
+    });
+    FAIL() << "the failed construction did not propagate";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "tracked " + std::to_string(kThrowAt));
+  }
+  // Every other worker ran to completion before the rethrow.
+  EXPECT_EQ(finished.load(), kWorkers - 1);
+  EXPECT_EQ(built[0], kBlock);
+  EXPECT_EQ(built[1], kThrowAt - kBlock);
+  std::size_t constructed = 0;
+  for (const std::size_t n : built) constructed += n;
+  EXPECT_EQ(arena.total_objects(), constructed);
+  arena.clear();
+  EXPECT_EQ(destroyed, static_cast<int>(constructed));
+}
+
+TEST(ForkJoinTest, OneWorkerRunsInlineAndErrorsComeInWorkerOrder) {
+  std::thread::id ran_on;
+  util::fork_join(1, [&](unsigned w) {
+    EXPECT_EQ(w, 0u);
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+
+  std::atomic<unsigned> ran{0};
+  try {
+    util::fork_join(4, [&](unsigned w) {
+      ran.fetch_add(1);
+      if (w >= 2) throw std::runtime_error("worker " + std::to_string(w));
+    });
+    FAIL() << "no exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "worker 2");
+  }
+  EXPECT_EQ(ran.load(), 4u);
 }
 
 // ---------------------------------------------------------------------------
