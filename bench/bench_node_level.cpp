@@ -23,7 +23,7 @@ namespace {
 class ProbeSink final : public noc::Node {
  public:
   ProbeSink(sim::Scheduler& s, noc::SimHooks& h)
-      : Node(s, h, noc::NodeKind::kSink) {}
+      : Node(s, h, noc::NodeKind::kSink, 1, 0) {}
   void deliver(const noc::Flit&, std::uint32_t port) override {
     if (first_arrival < 0) first_arrival = sched().now();
     input(port).ack();
@@ -35,7 +35,7 @@ class ProbeSink final : public noc::Node {
 class ProbeDriver final : public noc::Node {
  public:
   ProbeDriver(sim::Scheduler& s, noc::SimHooks& h)
-      : Node(s, h, noc::NodeKind::kSource) {}
+      : Node(s, h, noc::NodeKind::kSource, 0, 1) {}
   void deliver(const noc::Flit&, std::uint32_t) override {}
   void on_output_ack(std::uint32_t) override {}
   void send(const noc::Flit& flit) { output(0).send(flit); }
@@ -52,7 +52,7 @@ TimePs measure_fanout_latency(MakeNode&& make_node) {
   ProbeSink top(sched, hooks), bottom(sched, hooks);
   auto node = make_node(sched, hooks);
   const noc::ChannelSpec link{{}};
-  noc::Channel in(sched, link), out0(sched, link), out1(sched, link);
+  noc::Channel in(link), out0(link), out1(link);
   in.connect(driver, 0, *node, 0);
   out0.connect(*node, 0, top, 0);
   out1.connect(*node, 1, bottom, 0);
@@ -74,7 +74,7 @@ TimePs measure_fanin_latency() {
       nodes::default_characteristics(noc::NodeKind::kFanin)};
   nodes::FaninNode node(sched, hooks, spec);
   const noc::ChannelSpec link{{}};
-  noc::Channel in(sched, link), out(sched, link);
+  noc::Channel in(link), out(link);
   in.connect(driver, 0, node, 0);
   out.connect(node, 0, sink, 0);
   const noc::Message& msg = store.create_message(0, noc::DestSet::single(0), 0,

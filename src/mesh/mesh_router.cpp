@@ -18,8 +18,9 @@ MeshRouter::MeshRouter(sim::Scheduler& scheduler, noc::SimHooks& hooks,
                        const MeshTopology& topology, std::uint32_t router_id,
                        std::uint32_t input_buffer_flits,
                        TimePs sticky_timeout)
-    : Node(scheduler, hooks, kind), topology_(topology), id_(router_id),
-      chars_(&chars), buffer_capacity_(input_buffer_flits),
+    : Node(scheduler, hooks, kind, kNumPorts, kNumPorts),
+      topology_(topology), id_(router_id), chars_(&chars),
+      buffer_capacity_(input_buffer_flits),
       sticky_timeout_(sticky_timeout) {
   SPECNOC_EXPECTS(router_id < topology.n());
   SPECNOC_EXPECTS(input_buffer_flits >= 1);

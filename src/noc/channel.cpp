@@ -25,8 +25,7 @@ const char* to_string(ChannelClass klass) {
   return "?";
 }
 
-Channel::Channel(sim::Scheduler& scheduler, const ChannelSpec& spec)
-    : scheduler_(scheduler), spec_(&spec) {
+Channel::Channel(const ChannelSpec& spec) : spec_(&spec) {
   SPECNOC_EXPECTS(spec.params.delay_fwd >= 0 && spec.params.delay_ack >= 0);
   SPECNOC_EXPECTS(spec.params.capacity >= 1);
   queue_.reserve(spec.params.capacity);
@@ -47,7 +46,7 @@ std::string Channel::name() const {
     case ChannelClass::kMeshEject:
       return "r>ni" + std::to_string(up_->site().tree);
     default:
-      return up_->name() + ">" + up_->output_port_name(up_port_);
+      return up_->name() + ">" + up_->output_port_name(upstream_port());
   }
 }
 
@@ -58,71 +57,81 @@ void Channel::connect(Node& up, std::uint32_t up_port, Node& down,
 }
 
 void Channel::connect_upstream(Node& up, std::uint32_t up_port) {
-  SPECNOC_EXPECTS(up_ == nullptr && up_port < kMaxPorts);
+  SPECNOC_EXPECTS(up_ == nullptr && up.partition() < kMaxLanes);
   up_ = &up;
-  up_port_ = static_cast<std::uint8_t>(up_port);
+  set(down_word_, static_cast<std::uint16_t>(up.partition() << kLaneShift));
   up.attach_output(up_port, *this);
 }
 
 void Channel::connect_downstream(Node& down, std::uint32_t down_port) {
-  SPECNOC_EXPECTS(down_ == nullptr && down_port < kMaxPorts);
+  SPECNOC_EXPECTS(down_ == nullptr);
+  // A split channel's halves must sit on different lanes.
+  SPECNOC_EXPECTS(!cross_partition() ||
+                  down.partition() != up_->partition());
+  SPECNOC_EXPECTS(down.partition() < kMaxLanes);
   down_ = &down;
-  down_port_ = static_cast<std::uint8_t>(down_port);
+  set(up_word_, static_cast<std::uint16_t>(down.partition() << kLaneShift));
   down.attach_input(down_port, *this);
 }
 
-void Channel::make_cross_partition(std::uint32_t up_lane,
-                                   std::uint32_t down_lane,
-                                   std::uint32_t index) {
-  SPECNOC_EXPECTS(!cross_partition() && queue_.empty() && !send_outstanding_);
-  SPECNOC_EXPECTS(up_lane != down_lane);
-  SPECNOC_EXPECTS(scheduler_.partitioned() != nullptr &&
-                  &scheduler_.partitioned()->lane(up_lane) == &scheduler_);
-  up_lane_ = up_lane;
-  down_lane_ = down_lane;
+void Channel::make_cross_partition(std::uint32_t index) {
+  SPECNOC_EXPECTS(!cross_partition() && queue_.empty() && free());
+  SPECNOC_EXPECTS(up_ != nullptr && up_->lane().partitioned() != nullptr);
+  SPECNOC_EXPECTS(down_ == nullptr ||
+                  down_->partition() != up_->partition());
+  set(up_word_, kCross);
+  set(down_word_, kCross);
   mail_key_ = 2 * index;
 }
 
-sim::Scheduler& Channel::down_sched() const {
-  return cross_partition() ? scheduler_.partitioned()->lane(down_lane_)
-                           : scheduler_;
+std::uint32_t Channel::upstream_port() const {
+  return up_->output_port_of(*this);
+}
+
+std::uint32_t Channel::downstream_port() const {
+  return down_->input_port_of(*this);
 }
 
 std::uint32_t Channel::occupancy() const {
-  return queue_.size() + (awaiting_node_ack_ ? 1u : 0u);
+  return queue_.size() + (awaiting_node_ack() ? 1u : 0u);
 }
 
 void Channel::send(const Flit& flit) {
   SPECNOC_EXPECTS(down_ != nullptr);
-  SPECNOC_EXPECTS(!send_outstanding_);
-  send_outstanding_ = true;
-  ++flits_carried_;
+  SPECNOC_EXPECTS(free());
+  set(up_word_, kSendOutstanding);
   const ChannelSpec& spec = *spec_;
-  // send() and apply_credit() run for the upstream node, ack() for the
-  // downstream one; each reaches the hooks through its caller.
-  const SimHooks& hooks = up_->hooks();
+  // send() and apply_credit() run for the upstream node, on its lane, and
+  // ack() for the downstream one; each reaches the hooks through its
+  // caller.
+  Node& up = *up_;
+  sim::Scheduler& lane = up.lane();
+  const TimePs now = lane.now();
+  const SimHooks& hooks = up.hooks();
   if (hooks.energy != nullptr) {
-    hooks.energy->on_channel_flit(spec.params.length, scheduler_.now());
+    hooks.energy->on_channel_flit(spec.params.length, now);
   }
   if (cross_partition()) {
-    send_cross(flit);
+    send_cross(lane, flit);
     return;
   }
   SPECNOC_EXPECTS(occupancy() < spec.params.capacity);
-  queue_.push_back({flit, scheduler_.now() + spec.params.delay_fwd});
+  queue_.push_back({flit, now + spec.params.delay_fwd});
   // If a slot remains behind this flit, the first FIFO stage hands the ack
   // straight back; otherwise the upstream waits for the head to drain.
   if (occupancy() < spec.params.capacity) {
-    release_upstream();
+    release_upstream(lane);
   } else {
-    stalled_ = true;
-    stall_start_ = scheduler_.now();
+    set(up_word_, kStalled);
+    stall_start_ = now;
   }
-  try_deliver();
+  // An intra-lane channel delivers on the same lane.
+  try_deliver(lane);
 }
 
-void Channel::post(std::uint32_t producer, std::uint32_t consumer,
-                   std::uint32_t key, TimePs time, const Flit& flit) {
+void Channel::post(sim::Scheduler& lane, std::uint32_t producer,
+                   std::uint32_t consumer, std::uint32_t key, TimePs time,
+                   const Flit& flit) {
   static_assert(std::is_trivially_copyable_v<Flit> &&
                 sizeof(Flit) <= sizeof(sim::Mail::payload));
   sim::Mail mail;
@@ -130,23 +139,27 @@ void Channel::post(std::uint32_t producer, std::uint32_t consumer,
   mail.time = time;
   mail.key = key;
   std::memcpy(mail.payload.data(), &flit, sizeof(Flit));
-  scheduler_.partitioned()->post(producer, consumer, mail);
+  lane.partitioned()->post(producer, consumer, mail);
 }
 
-void Channel::send_cross(const Flit& flit) {
-  const TimePs now = scheduler_.now();
+void Channel::send_cross(sim::Scheduler& lane, const Flit& flit) {
+  const TimePs now = lane.now();
   const ChannelParams& params = spec_->params;
-  post(up_lane_, down_lane_, mail_key_, now + params.delay_fwd, flit);
+  // The producer lane is the (hot) upstream node's; the consumer's is
+  // stored in this half's word.
+  post(lane, up_->partition(), downstream_lane(), mail_key_,
+       now + params.delay_fwd, flit);
   // Credit-counted mirror of the sequential occupancy check: the flit finds
   // a free FIFO slot iff fewer than `capacity` flits are in flight. Credits
   // from the current window are still in the mail; deferring the release
   // to the credit yields the identical release time
   // max(send, ack) + delay_ack either way.
   if (++in_flight_ < params.capacity) {
-    release_upstream();
+    release_upstream(lane);
   } else {
-    SPECNOC_ASSERT(!stalled_ && in_flight_ == params.capacity);
-    stalled_ = true;
+    SPECNOC_ASSERT((up_word_ & kStalled) == 0 &&
+                   in_flight_ == params.capacity);
+    set(up_word_, kStalled);
     stall_start_ = now;
   }
 }
@@ -162,7 +175,7 @@ void Channel::apply_mail(const sim::Mail& mail) {
   Flit flit;
   std::memcpy(&flit, mail.payload.data(), sizeof(Flit));
   channel.queue_.push_back({flit, mail.time});
-  channel.try_deliver();
+  channel.try_deliver(channel.down_->lane());
 }
 
 void Channel::apply_credit(TimePs when) {
@@ -170,8 +183,8 @@ void Channel::apply_credit(TimePs when) {
   --in_flight_;
   // Only a send that found the pipe full waits for a credit, and no other
   // send can follow it before its release, so the first credit frees it.
-  if (!stalled_) return;
-  stalled_ = false;
+  if ((up_word_ & kStalled) == 0) return;
+  clear(up_word_, kStalled);
   // The upstream genuinely stalled only if the freeing ack came after the
   // send. (A same-picosecond tie is counted as no stall; the sequential
   // kernel's answer would depend on intra-tick event order, which has no
@@ -181,57 +194,60 @@ void Channel::apply_credit(TimePs when) {
     metrics->on_channel_stall(*this, stall_start_, when);
   }
   const TimePs at = std::max(stall_start_, when) + spec_->params.delay_ack;
-  SPECNOC_ASSERT(send_outstanding_);
-  scheduler_.schedule_at(at, [this] {
-    send_outstanding_ = false;
-    up_->on_output_ack(up_port_);
+  SPECNOC_ASSERT(!free());
+  up_->lane().schedule_at(at, [this] {
+    clear(up_word_, kSendOutstanding);
+    up_->on_output_ack(upstream_port());
   });
 }
 
-void Channel::try_deliver() {
-  if (head_scheduled_ || awaiting_node_ack_ || queue_.empty()) {
+void Channel::try_deliver(sim::Scheduler& down) {
+  if ((down_word_ & (kHeadScheduled | kAwaitingNodeAck)) != 0 ||
+      queue_.empty()) {
     return;
   }
-  head_scheduled_ = true;
-  sim::Scheduler& down = down_sched();
+  set(down_word_, kHeadScheduled);
   const TimePs at = std::max(down.now(), queue_.front().ready_at);
   down.schedule_at(at, [this] {
-    SPECNOC_ASSERT(head_scheduled_ && !awaiting_node_ack_);
+    SPECNOC_ASSERT((down_word_ & (kHeadScheduled | kAwaitingNodeAck)) ==
+                   kHeadScheduled);
     SPECNOC_ASSERT(!queue_.empty());
-    head_scheduled_ = false;
-    awaiting_node_ack_ = true;
+    clear(down_word_, kHeadScheduled);
+    set(down_word_, kAwaitingNodeAck);
     const Flit flit = queue_.front().flit;
     queue_.pop_front();
-    down_->deliver(flit, down_port_);
+    down_->deliver(flit, downstream_port());
   });
 }
 
 void Channel::ack() {
-  SPECNOC_EXPECTS(awaiting_node_ack_);
-  awaiting_node_ack_ = false;
-  if (cross_partition()) {
+  SPECNOC_EXPECTS(awaiting_node_ack());
+  clear(down_word_, kAwaitingNodeAck);
+  sim::Scheduler& lane = down_->lane();
+  if ((down_word_ & kCross) != 0) {  // the downstream half's own copy
     // Every ack is a credit for the upstream half, applied after the
     // window by the upstream lane's worker.
-    post(down_lane_, up_lane_, mail_key_ + 1, down_sched().now(), Flit{});
-  } else if (send_outstanding_ &&
-             occupancy() + 1 == spec_->params.capacity) {
+    post(lane, down_->partition(), upstream_lane(), mail_key_ + 1,
+         lane.now(), Flit{});
+  } else if (!free() && occupancy() + 1 == spec_->params.capacity) {
     // The upstream was stalled on a full pipe; this ack frees a slot.
-    if (stalled_) {
-      stalled_ = false;
+    if ((up_word_ & kStalled) != 0) {
+      clear(up_word_, kStalled);
       if (MetricsObserver* metrics = down_->hooks().metrics) {
-        metrics->on_channel_stall(*this, stall_start_, scheduler_.now());
+        metrics->on_channel_stall(*this, stall_start_, lane.now());
       }
     }
-    release_upstream();
+    // An intra-lane channel's upstream runs on the same lane.
+    release_upstream(lane);
   }
-  try_deliver();
+  try_deliver(lane);
 }
 
-void Channel::release_upstream() {
-  SPECNOC_ASSERT(send_outstanding_);
-  scheduler_.schedule(spec_->params.delay_ack, [this] {
-    send_outstanding_ = false;
-    up_->on_output_ack(up_port_);
+void Channel::release_upstream(sim::Scheduler& up) {
+  SPECNOC_ASSERT(!free());
+  up.schedule(spec_->params.delay_ack, [this] {
+    clear(up_word_, kSendOutstanding);
+    up_->on_output_ack(upstream_port());
   });
 }
 

@@ -67,23 +67,25 @@ struct ChannelSpec {
   friend bool operator==(const ChannelSpec&, const ChannelSpec&) = default;
 };
 
-/// Two cache lines per channel: the shared record behind one pointer,
-/// 8-bit port numbers and a 16-bit-counter ring put the whole handshake
-/// state in 128 bytes (pinned in tests/nodes/footprint_test.cpp). A
-/// channel stores no hooks: it reaches its network's through whichever
-/// endpoint node called it (both hold the same hooks).
-class alignas(64) Channel {
+/// 96 bytes per channel, which at 32-byte alignment always span exactly two
+/// cache lines (pinned in tests/nodes/footprint_test.cpp). The shared
+/// record sits behind one pointer; hooks, schedulers and port numbers come
+/// from the endpoint nodes (both hold the same hooks). Each half keeps one
+/// 16-bit word of flags and the other half's lane, so a split channel's
+/// mail never reads the far node; the words, the in-flight credit count
+/// and the mail key fill the ring's tail padding and the word after it.
+class alignas(32) Channel {
  public:
   /// Keeps a pointer to `spec`, which must outlive the channel.
-  Channel(sim::Scheduler& scheduler, const ChannelSpec& spec);
+  explicit Channel(const ChannelSpec& spec);
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  /// Port numbers are stored in 8 bits.
-  static constexpr std::uint32_t kMaxPorts = 256;
+  /// Lanes are stored in 13 bits; Network::enable_partitions rejects more.
+  static constexpr std::uint32_t kMaxLanes = 1u << 13;
 
   /// Wires the channel between `up`'s output port and `down`'s input port
-  /// (both below kMaxPorts).
+  /// (each endpoint's partition below kMaxLanes).
   void connect(Node& up, std::uint32_t up_port, Node& down,
                std::uint32_t down_port);
   /// The two halves of connect(), for builders that wire a channel's ends
@@ -94,7 +96,7 @@ class alignas(64) Channel {
 
   /// True when the upstream node may send (previous send acked and a slot
   /// is available).
-  bool free() const { return !send_outstanding_; }
+  bool free() const { return (up_word_ & kSendOutstanding) == 0; }
 
   /// Launches a flit. Precondition: free() and connected.
   void send(const Flit& flit);
@@ -115,29 +117,35 @@ class alignas(64) Channel {
   ChannelClass klass() const { return spec_->klass; }
   Node* upstream() const { return up_; }
   Node* downstream() const { return down_; }
-  std::uint32_t upstream_port() const { return up_port_; }
-  std::uint32_t downstream_port() const { return down_port_; }
+  /// The endpoints' ports, found in their port tables.
+  std::uint32_t upstream_port() const;
+  std::uint32_t downstream_port() const;
 
   /// Flits currently inside the channel (queued or delivered-unacked).
   std::uint32_t occupancy() const;
 
   /// Introspection (tests, deadlock diagnostics).
-  bool awaiting_node_ack() const { return awaiting_node_ack_; }
-
-  /// Total flits that have traversed this channel (activity statistics).
-  std::uint64_t flits_carried() const { return flits_carried_; }
+  bool awaiting_node_ack() const {
+    return (down_word_ & kAwaitingNodeAck) != 0;
+  }
 
   /// Splits the channel across a partition boundary: the upstream half
-  /// (send/credit accounting) stays on the constructing scheduler, which
-  /// must be lane `up_lane` of a sim::PartitionedScheduler, while delivery
-  /// runs on `down_lane`. Flits and downstream acks travel as sim::Mail
-  /// keyed 2 * `index` and 2 * `index` + 1; `index` is the channel's
-  /// position among its network's cross channels in channels() order, so
-  /// that order is the canonical cross-partition merge order. Must be
-  /// called before any traffic flows.
-  void make_cross_partition(std::uint32_t up_lane, std::uint32_t down_lane,
-                            std::uint32_t index);
-  bool cross_partition() const { return up_lane_ != down_lane_; }
+  /// (send/credit accounting) runs on the upstream node's lane, which must
+  /// be a lane of a sim::PartitionedScheduler, and delivery on the
+  /// downstream node's, whose partition differs (it may be connected
+  /// later). Flits and downstream acks travel as sim::Mail keyed 2 *
+  /// `index` and 2 * `index` + 1; `index` is the channel's position among
+  /// its network's cross channels in channels() order, so that order is
+  /// the canonical cross-partition merge order. Must be called after
+  /// connect_upstream() and before any traffic flows.
+  void make_cross_partition(std::uint32_t index);
+  bool cross_partition() const { return (up_word_ & kCross) != 0; }
+  /// Lanes of the two halves: copies of the endpoints' partitions (equal
+  /// unless the channel is split), kept so that neither half reads the
+  /// far node during a run. Each is stored in the other half's word, so
+  /// during a partitioned run only that half may read it.
+  std::uint32_t upstream_lane() const { return down_word_ >> kLaneShift; }
+  std::uint32_t downstream_lane() const { return up_word_ >> kLaneShift; }
   /// Key of the flit mail of a cross channel (its credits use key + 1);
   /// 0 on an intra-lane channel.
   std::uint32_t mail_key() const { return mail_key_; }
@@ -152,42 +160,59 @@ class alignas(64) Channel {
     TimePs ready_at;  ///< when it reaches the far end of the wire
   };
 
-  void try_deliver();
-  void release_upstream();
-  sim::Scheduler& down_sched() const;
-  void post(std::uint32_t producer, std::uint32_t consumer, std::uint32_t key,
-            TimePs time, const Flit& flit);
-  void send_cross(const Flit& flit);
+  // The two halves of a split channel run on different workers, so each
+  // owns one 16-bit word: the build-time cross bit, two flags, and above
+  // them the lane of the other half, which consumes the mail it posts.
+  static constexpr std::uint16_t kCross = 1u << 0;
+  // up_word_: the upstream has not been re-acked yet; the last send
+  // filled the pipe to capacity.
+  static constexpr std::uint16_t kSendOutstanding = 1u << 1;
+  static constexpr std::uint16_t kStalled = 1u << 2;
+  // down_word_: a delivery event is pending for the head; a flit is at
+  // the node, not yet acked.
+  static constexpr std::uint16_t kHeadScheduled = 1u << 1;
+  static constexpr std::uint16_t kAwaitingNodeAck = 1u << 2;
+  static constexpr unsigned kLaneShift = 3;
+
+  static void set(std::uint16_t& word, std::uint16_t bits) {
+    word = static_cast<std::uint16_t>(word | bits);
+  }
+  static void clear(std::uint16_t& word, std::uint16_t bits) {
+    word = static_cast<std::uint16_t>(word & ~bits);
+  }
+
+  // Each takes the lane it runs on from its caller, whose node is hot.
+  void try_deliver(sim::Scheduler& down);
+  void release_upstream(sim::Scheduler& up);
+  void post(sim::Scheduler& lane, std::uint32_t producer,
+            std::uint32_t consumer, std::uint32_t key, TimePs time,
+            const Flit& flit);
+  void send_cross(sim::Scheduler& lane, const Flit& flit);
   void apply_credit(TimePs when);
 
-  sim::Scheduler& scheduler_;
   const ChannelSpec* spec_;  ///< shared per (class, params)
   Node* up_ = nullptr;
   Node* down_ = nullptr;
 
   /// In-flight flits; never holds more than params().capacity entries (the
   /// send()/credit preconditions bound occupancy), so the default capacity-2
-  /// pipelines stay heap-free.
-  util::BoundedRing<QueuedFlit, 2> queue_;
-  bool head_scheduled_ = false;    ///< delivery event pending for the head
-  bool awaiting_node_ack_ = false; ///< a flit is at the node, not yet acked
-  bool send_outstanding_ = false;  ///< upstream has not been re-acked yet
-  bool stalled_ = false;           ///< last send filled the pipe to capacity
-  std::uint8_t up_port_ = 0;       ///< both ports fit the padding after
-  std::uint8_t down_port_ = 0;     ///< the bools (see kMaxPorts)
-  TimePs stall_start_ = 0;         ///< when the pipe went full
-  std::uint64_t flits_carried_ = 0;
+  /// pipelines stay heap-free. Its 2 bytes of tail padding hold down_word_.
+  [[no_unique_address]] util::BoundedRing<QueuedFlit, 2> queue_;
+  /// kCross, kHeadScheduled, kAwaitingNodeAck; the upstream lane.
+  std::uint16_t down_word_ = 0;
+  /// kCross, kSendOutstanding, kStalled; the downstream lane.
+  std::uint16_t up_word_ = 0;
 
-  // Cross-partition state, inline (a third of the channels at radix 1024
-  // cross lanes: every MoT middle channel whose trees sit on different
-  // lanes). The upstream lane owns send_outstanding_, in_flight_ and the
-  // pending release, kept in stalled_/stall_start_ (the send that found
-  // the pipe full and when); the downstream lane owns queue_ and the
-  // delivery handshake. Intra-lane channels keep both lanes equal.
-  std::uint32_t up_lane_ = 0;
-  std::uint32_t down_lane_ = 0;
-  std::uint32_t mail_key_ = 0;   ///< forward mail key; credits use +1
-  std::uint32_t in_flight_ = 0;  ///< flits sent whose credit is not applied
+  // Split-channel state (a third of the channels at radix 1024 cross
+  // lanes: every MoT middle channel whose trees sit on different lanes).
+  // The upstream lane owns up_word_, in_flight_ and the pending release,
+  // kept in kStalled/stall_start_ (the send that found the pipe full and
+  // when); the downstream lane owns queue_, down_word_ and the delivery
+  // handshake.
+  /// Flits sent whose credit is not applied (<= capacity <= 65535).
+  std::uint16_t in_flight_ = 0;
+  std::uint32_t mail_key_ = 0;  ///< forward mail key; credits use +1
+  TimePs stall_start_ = 0;  ///< when the pipe went full
 };
 
 }  // namespace specnoc::noc

@@ -102,6 +102,11 @@ void Network::enable_partitions(std::uint32_t lanes, TimePs lookahead) {
   SPECNOC_EXPECTS(psched_ == nullptr);
   SPECNOC_EXPECTS(nodes_.empty() && channels_.empty());
   if (lanes <= 1) return;  // degenerate partitioning: stay sequential
+  if (lanes > Channel::kMaxLanes) {
+    throw ConfigError("partitioned execution supports at most " +
+                      std::to_string(Channel::kMaxLanes) + " lanes, got " +
+                      std::to_string(lanes));
+  }
   if (lookahead <= 0) {
     throw ConfigError(
         "partitioned execution requires positive lookahead; a topology "
@@ -208,9 +213,7 @@ Channel& Network::place_channel(std::size_t index, const ChannelSpec& spec,
                                 std::uint32_t down_partition,
                                 std::uint32_t cross_index) {
   SPECNOC_EXPECTS(down_partition < partitions());
-  // The channel's home lane is the upstream node's: send() runs there.
-  Channel& channel = *arena_.create_at<Channel>(index, lane(up.partition()),
-                                                spec);
+  Channel& channel = *arena_.create_at<Channel>(index, spec);
   channels_[index] = &channel;
   channel.connect_upstream(up, up_port);
   if (up.partition() != down_partition) {
@@ -219,8 +222,7 @@ Channel& Network::place_channel(std::size_t index, const ChannelSpec& spec,
     // contract, not the ConfigError add_channel raises.
     SPECNOC_EXPECTS(std::min(spec.params.delay_fwd, spec.params.delay_ack) >=
                     psched_->lookahead());
-    channel.make_cross_partition(up.partition(), down_partition,
-                                 cross_index);
+    channel.make_cross_partition(cross_index);
   }
   return channel;
 }
@@ -228,9 +230,8 @@ Channel& Network::place_channel(std::size_t index, const ChannelSpec& spec,
 Channel& Network::add_channel(const ChannelParams& params, ChannelClass klass,
                               Node& up, std::uint32_t up_port, Node& down,
                               std::uint32_t down_port) {
-  // The channel's home lane is the upstream node's: send() runs there.
-  Channel& ref = *arena_.create<Channel>(
-      lane(up.partition()), util::intern(ChannelSpec{params, klass}));
+  Channel& ref =
+      *arena_.create<Channel>(util::intern(ChannelSpec{params, klass}));
   arena_.label_pool<Channel>("channel");
   channels_.push_back(&ref);
   ref.connect(up, up_port, down, down_port);
@@ -242,8 +243,7 @@ Channel& Network::add_channel(const ChannelParams& params, ChannelClass klass,
                         " ps below the declared lookahead " +
                         std::to_string(psched_->lookahead()) + " ps");
     }
-    ref.make_cross_partition(up.partition(), down.partition(),
-                             cross_channels_++);
+    ref.make_cross_partition(cross_channels_++);
   }
   return ref;
 }

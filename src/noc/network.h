@@ -44,9 +44,9 @@ class Network {
   /// lanes and the given conservative lookahead (the minimum latency of any
   /// cross-partition channel, computed by the builder from its channel
   /// delay plan). Must be called before any node exists. `lanes` == 1 is a
-  /// no-op (the network stays sequential); `lookahead` <= 0 with more than
-  /// one lane is a ConfigError — a zero-lookahead topology cannot be
-  /// partitioned conservatively.
+  /// no-op (the network stays sequential); more than Channel::kMaxLanes
+  /// lanes, or `lookahead` <= 0 with more than one lane, is a ConfigError —
+  /// a zero-lookahead topology cannot be partitioned conservatively.
   void enable_partitions(std::uint32_t lanes, TimePs lookahead);
 
   bool partitioned() const { return psched_ != nullptr; }
@@ -103,10 +103,10 @@ class Network {
 
   /// Creates a channel of metrics class `klass` and wires it between two
   /// node ports. The channel points to the interned ChannelSpec record for
-  /// (`params`, `klass`) (util::intern). In partitioned mode the channel
-  /// lives on the upstream node's lane and is split into cross-partition
-  /// halves when the endpoints' partitions differ (the channel's min
-  /// latency must be >= the declared lookahead).
+  /// (`params`, `klass`) (util::intern). A channel runs on its endpoints'
+  /// lanes; in partitioned mode it is split into cross-partition halves
+  /// when the endpoints' partitions differ (the channel's min latency must
+  /// be >= the declared lookahead).
   Channel& add_channel(const ChannelParams& params, ChannelClass klass,
                        Node& up, std::uint32_t up_port, Node& down,
                        std::uint32_t down_port);
@@ -158,7 +158,7 @@ class Network {
 
   /// Constructs channels()[`index`] (also its channel-pool slot) pointing
   /// to the caller-interned `spec`, wired between two nodes of one
-  /// partition, on their lane.
+  /// partition.
   Channel& place_channel(std::size_t index, const ChannelSpec& spec,
                          Node& up, std::uint32_t up_port, Node& down,
                          std::uint32_t down_port);

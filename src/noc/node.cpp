@@ -41,26 +41,29 @@ const char* to_string(NodeOp op) {
   return "?";
 }
 
-void PortList::put(std::uint32_t port, Channel& channel) {
-  if (port >= cap_) {
-    const std::uint32_t new_cap = port + 1 > cap_ * 2 ? port + 1 : cap_ * 2;
-    Channel** fresh = new Channel*[new_cap]();
-    Channel** old = data();
-    for (std::uint32_t i = 0; i < size_; ++i) fresh[i] = old[i];
-    if (cap_ > kInline) delete[] heap_;
-    heap_ = fresh;
-    cap_ = new_cap;
-  } else if (port >= size_) {
-    Channel** slots = data();
-    for (std::uint32_t i = size_; i <= port; ++i) slots[i] = nullptr;
+Node::Node(sim::Scheduler& scheduler, SimHooks& hooks, NodeKind kind,
+           std::uint32_t inputs, std::uint32_t outputs)
+    : scheduler_(scheduler), hooks_(hooks), kind_(kind),
+      inputs_(static_cast<std::uint8_t>(inputs)),
+      outputs_(static_cast<std::uint8_t>(outputs)) {
+  SPECNOC_EXPECTS(inputs <= kMaxPorts && outputs <= kMaxPorts);
+  if (inline_ports()) {
+    inline_[0] = inline_[1] = inline_[2] = nullptr;
+  } else {
+    heap_ = new Channel*[inputs + outputs]();
   }
-  SPECNOC_EXPECTS(data()[port] == nullptr);
-  data()[port] = &channel;
-  if (port >= size_) size_ = port + 1;
 }
 
-Node::Node(sim::Scheduler& scheduler, SimHooks& hooks, NodeKind kind)
-    : scheduler_(scheduler), hooks_(hooks), kind_(kind) {}
+Node::~Node() {
+  if (!inline_ports()) delete[] heap_;
+}
+
+void Node::set_site(const NodeSite& site) {
+  SPECNOC_EXPECTS(site.level >= kMinLevel && site.level <= kMaxLevel);
+  tree_ = site.tree;
+  level_ = static_cast<std::int8_t>(site.level);
+  index_ = site.index;
+}
 
 std::string Node::name() const {
   std::string prefix;
@@ -79,38 +82,42 @@ std::string Node::name() const {
       prefix = to_string(kind_);
       break;
   }
-  prefix += std::to_string(site_.tree);
-  if (site_.level < 0) return prefix;
-  return prefix + ".l" + std::to_string(site_.level) + "i" +
-         std::to_string(site_.index);
+  prefix += std::to_string(tree_);
+  if (level_ < 0) return prefix;
+  return prefix + ".l" + std::to_string(level_) + "i" +
+         std::to_string(index_);
 }
 
 std::string Node::output_port_name(std::uint32_t port) const {
   return std::to_string(port);
 }
 
+void Node::attach(std::uint32_t slot, Channel& channel) {
+  Channel*& entry = inline_ports() ? inline_[slot] : heap_[slot];
+  SPECNOC_EXPECTS(entry == nullptr);
+  entry = &channel;
+}
+
 void Node::attach_input(std::uint32_t port, Channel& channel) {
-  inputs_.put(port, channel);
+  SPECNOC_EXPECTS(port < inputs_);
+  attach(port, channel);
 }
 
 void Node::attach_output(std::uint32_t port, Channel& channel) {
-  outputs_.put(port, channel);
+  SPECNOC_EXPECTS(port < outputs_);
+  attach(inputs_ + port, channel);
 }
 
 Channel& Node::input(std::uint32_t port) {
-  Channel* channel = inputs_.get(port);
+  Channel* channel = input_channel(port);
   SPECNOC_EXPECTS(channel != nullptr);
   return *channel;
 }
 
 Channel& Node::output(std::uint32_t port) {
-  Channel* channel = outputs_.get(port);
+  Channel* channel = output_channel(port);
   SPECNOC_EXPECTS(channel != nullptr);
   return *channel;
-}
-
-bool Node::has_output(std::uint32_t port) const {
-  return outputs_.get(port) != nullptr;
 }
 
 void Node::record_op(NodeOp op) {

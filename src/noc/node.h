@@ -7,50 +7,11 @@
 #include "sim/scheduler.h"
 #include "noc/flit.h"
 #include "noc/hooks.h"
+#include "util/contract.h"
 
 namespace specnoc::noc {
 
 class Channel;
-
-/// Small-buffer channel-pointer array. Every tree node has degree <= 2, so
-/// ports 0..1 live inline and only the 5-port mesh routers touch the heap —
-/// at 1024 endpoints the old per-node vectors were ~4M small allocations.
-class PortList {
- public:
-  PortList() { inline_[0] = inline_[1] = nullptr; }
-  ~PortList() {
-    if (cap_ > kInline) delete[] heap_;
-  }
-  PortList(const PortList&) = delete;
-  PortList& operator=(const PortList&) = delete;
-
-  /// Highest attached port + 1.
-  std::uint32_t size() const { return size_; }
-
-  /// Channel at `port` (nullptr when unattached or out of range).
-  Channel* get(std::uint32_t port) const {
-    return port < size_ ? data()[port] : nullptr;
-  }
-
-  /// Attaches `channel` at `port`; the slot must be empty (out-of-line:
-  /// wiring happens once, at build time).
-  void put(std::uint32_t port, Channel& channel);
-
- private:
-  static constexpr std::uint32_t kInline = 2;
-
-  Channel* const* data() const {
-    return cap_ <= kInline ? inline_ : heap_;
-  }
-  Channel** data() { return cap_ <= kInline ? inline_ : heap_; }
-
-  union {
-    Channel* inline_[kInline];
-    Channel** heap_;
-  };
-  std::uint32_t size_ = 0;
-  std::uint32_t cap_ = kInline;
-};
 
 /// Base class for switches and network interfaces.
 ///
@@ -65,10 +26,21 @@ class PortList {
 ///  * `on_output_ack(port)` is called (after ack wire delay) when the
 ///    downstream node acked the flit previously sent on output `port`; the
 ///    output channel is free again.
+///
+/// The base is one 64-byte header that only the build writes: lane, hooks,
+/// partition, packed site, kind and a port table of fixed size. Inputs and
+/// outputs share one channel-pointer array; up to kInlinePorts of them are
+/// stored inline (every tree switch and network interface), more (the 5 + 5
+/// mesh routers) on the heap. Workers read other lanes' headers (a split
+/// channel's lanes are its endpoints' partitions), so subclasses keep their
+/// run-time state after it.
 class Node {
  public:
-  Node(sim::Scheduler& scheduler, SimHooks& hooks, NodeKind kind);
-  virtual ~Node() = default;
+  /// A node of `kind` with `inputs` input and `outputs` output ports (each
+  /// at most kMaxPorts).
+  Node(sim::Scheduler& scheduler, SimHooks& hooks, NodeKind kind,
+       std::uint32_t inputs, std::uint32_t outputs);
+  virtual ~Node();
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
@@ -86,8 +58,14 @@ class Node {
   virtual std::string output_port_name(std::uint32_t port) const;
 
   /// Structural position inside the network, set by the network builder.
-  const NodeSite& site() const { return site_; }
-  void set_site(const NodeSite& site) { site_ = site; }
+  /// Stored packed: the level in 8 bits (kMinLevel..kMaxLevel).
+  NodeSite site() const { return {tree_, level_, index_}; }
+  void set_site(const NodeSite& site);
+
+  static constexpr std::int32_t kMinLevel = -1;
+  static constexpr std::int32_t kMaxLevel = 127;
+  /// Port counts are stored in 8 bits.
+  static constexpr std::uint32_t kMaxPorts = 255;
 
   /// Scheduler lane this node's events run on. Equals the network's global
   /// scheduler unless the network was built with partitions enabled.
@@ -108,14 +86,33 @@ class Node {
   void attach_input(std::uint32_t port, Channel& channel);
   void attach_output(std::uint32_t port, Channel& channel);
 
-  std::uint32_t num_inputs() const { return inputs_.size(); }
-  std::uint32_t num_outputs() const { return outputs_.size(); }
+  std::uint32_t num_inputs() const { return inputs_; }
+  std::uint32_t num_outputs() const { return outputs_; }
+
+  /// The channel attached at input / output `port` (nullptr when none is,
+  /// or `port` is out of range).
+  Channel* input_channel(std::uint32_t port) const {
+    return port < inputs_ ? ports()[port] : nullptr;
+  }
+  Channel* output_channel(std::uint32_t port) const {
+    return port < outputs_ ? ports()[inputs_ + port] : nullptr;
+  }
+  /// The port `channel` is attached at, which it must be (channels find
+  /// their port numbers here instead of storing them).
+  std::uint32_t input_port_of(const Channel& channel) const {
+    return find_port(ports(), inputs_, channel);
+  }
+  std::uint32_t output_port_of(const Channel& channel) const {
+    return find_port(ports() + inputs_, outputs_, channel);
+  }
 
  protected:
   sim::Scheduler& sched() { return scheduler_; }
   Channel& input(std::uint32_t port);
   Channel& output(std::uint32_t port);
-  bool has_output(std::uint32_t port) const;
+  bool has_output(std::uint32_t port) const {
+    return output_channel(port) != nullptr;
+  }
 
   /// Emits a node-op energy event if an energy observer is attached.
   void record_op(NodeOp op);
@@ -128,13 +125,38 @@ class Node {
   void record_watchdog_release();
 
  private:
+  static constexpr std::uint32_t kInlinePorts = 3;
+
+  bool inline_ports() const { return inputs_ + outputs_ <= kInlinePorts; }
+  Channel* const* ports() const {
+    return inline_ports() ? inline_ : heap_;
+  }
+  static std::uint32_t find_port(Channel* const* slots, std::uint32_t count,
+                                 const Channel& channel) {
+    std::uint32_t port = 0;
+    while (slots[port] != &channel) {
+      ++port;
+      SPECNOC_ASSERT(port < count);
+    }
+    return port;
+  }
+  /// Attaches `channel` at slot `slot` of the port table (empty before).
+  void attach(std::uint32_t slot, Channel& channel);
+
   sim::Scheduler& scheduler_;
   SimHooks& hooks_;
-  NodeKind kind_;
   std::uint32_t partition_ = 0;
-  NodeSite site_;
-  PortList inputs_;
-  PortList outputs_;
+  std::uint32_t tree_ = 0;   ///< NodeSite, packed
+  std::uint32_t index_ = 0;
+  std::int8_t level_ = -1;
+  NodeKind kind_;
+  std::uint8_t inputs_;
+  std::uint8_t outputs_;
+  /// Inputs, then outputs.
+  union {
+    Channel* inline_[kInlinePorts];
+    Channel** heap_;
+  };
 };
 
 }  // namespace specnoc::noc

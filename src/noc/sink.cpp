@@ -6,7 +6,7 @@ namespace specnoc::noc {
 
 SinkNode::SinkNode(sim::Scheduler& scheduler, SimHooks& hooks,
                    std::uint32_t dest_id, TimePs consume_delay)
-    : Node(scheduler, hooks, NodeKind::kSink),
+    : Node(scheduler, hooks, NodeKind::kSink, 1, 0),
       dest_id_(dest_id), consume_delay_(consume_delay) {
   SPECNOC_EXPECTS(consume_delay >= 0);
 }

@@ -6,7 +6,7 @@ namespace specnoc::noc {
 
 SourceNode::SourceNode(sim::Scheduler& scheduler, SimHooks& hooks,
                        std::uint32_t src_id, TimePs issue_delay)
-    : Node(scheduler, hooks, NodeKind::kSource),
+    : Node(scheduler, hooks, NodeKind::kSource, 0, 1),
       src_id_(src_id), issue_delay_(issue_delay) {
   SPECNOC_EXPECTS(issue_delay >= 0);
 }

@@ -57,9 +57,9 @@ class FaninNode final : public noc::Node {
   std::string output_port_name(std::uint32_t port) const override;
 
   /// Introspection (tests, diagnostics).
-  bool output_port_free() const { return output_free_; }
+  bool output_port_free() const { return (flags_ & kOutputFree) != 0; }
   std::size_t buffered(std::uint32_t port) const {
-    return in_[port].fifo.size();
+    return fifo_[port].size();
   }
   /// Input whose packet is currently streaming (-1 if none).
   int open_packet_input() const { return open_packet_input_; }
@@ -70,13 +70,15 @@ class FaninNode final : public noc::Node {
     std::uint64_t seq;  ///< FCFS grant order
   };
 
-  struct InputState {
-    bool channel_busy = false;  ///< a delivery is in the entry stage
-    bool ack_deferred = false;  ///< FIFO was full; channel ack postponed
-    /// Its capacity is the configured buffer depth (default 2: inline, no
-    /// per-node heap).
-    util::BoundedRing<BufferedFlit, 2> fifo;
-  };
+  // flags_: per input port p, a delivery is in the entry stage
+  // (kChannelBusy << p) and the FIFO was full, so the channel ack is
+  // postponed (kAckDeferred << p); the output is free, the arbiter has
+  // recovered, and a watchdog event is pending.
+  static constexpr std::uint8_t kChannelBusy = 0b000'0001;
+  static constexpr std::uint8_t kAckDeferred = 0b000'0100;
+  static constexpr std::uint8_t kOutputFree = 0b001'0000;
+  static constexpr std::uint8_t kArbiterReady = 0b010'0000;
+  static constexpr std::uint8_t kWatchdogArmed = 0b100'0000;
 
   void enqueue(const noc::Flit& flit, std::uint32_t port);
   void ack_input(std::uint32_t port);
@@ -84,11 +86,11 @@ class FaninNode final : public noc::Node {
   void forward_head(std::uint32_t port);
 
   const FaninSpec* spec_;  ///< interned, shared across nodes
-  InputState in_[2];
+  /// Input FIFOs; each one's capacity is the configured buffer depth
+  /// (default 2: inline, no per-node heap).
+  util::BoundedRing<BufferedFlit, 2> fifo_[2];
   int open_packet_input_ = -1;  ///< sticky hold until tail passes
-  bool output_free_ = true;     // the flags share open_packet_input_'s word
-  bool arbiter_ready_ = true;
-  bool watchdog_armed_ = false;
+  std::uint8_t flags_ = kOutputFree | kArbiterReady;
   std::uint64_t arrival_seq_ = 0;
   std::uint64_t grant_epoch_ = 0;  ///< invalidates stale watchdog events
 };

@@ -7,7 +7,7 @@ FanoutNodeBase::FanoutNodeBase(sim::Scheduler& scheduler,
                                const NodeCharacteristics& chars,
                                noc::DestRange top_span,
                                noc::DestRange bottom_span)
-    : Node(scheduler, hooks, kind), chars_(&chars), top_span_(top_span),
+    : Node(scheduler, hooks, kind, 1, 2), chars_(&chars), top_span_(top_span),
       bottom_span_(bottom_span) {
   SPECNOC_EXPECTS(chars.fwd_header >= 0 && chars.fwd_body >= 0 &&
                   chars.ack_delay >= 0);
@@ -17,8 +17,8 @@ FanoutNodeBase::FanoutNodeBase(sim::Scheduler& scheduler,
 
 void FanoutNodeBase::deliver(const noc::Flit& flit, std::uint32_t in_port) {
   SPECNOC_EXPECTS(in_port == 0);
-  SPECNOC_ASSERT(!input_busy_);
-  input_busy_ = true;
+  SPECNOC_ASSERT(!input_busy());
+  flags_ |= kInputBusy;
   sched().schedule(disciplined_delay(processing_latency(flit),
                                      chars_->clock_period, sched().now()),
                    [this, flit] { process(flit); });
@@ -26,8 +26,8 @@ void FanoutNodeBase::deliver(const noc::Flit& flit, std::uint32_t in_port) {
 
 void FanoutNodeBase::on_output_ack(std::uint32_t out_port) {
   SPECNOC_EXPECTS(out_port < 2);
-  SPECNOC_ASSERT(out_[out_port].free == false);
-  out_[out_port].free = true;
+  SPECNOC_ASSERT(!output_port_free(out_port));
+  flags_ |= static_cast<std::uint8_t>(kFree << out_port);
   try_send(out_port);
 }
 
@@ -41,21 +41,23 @@ Dirs FanoutNodeBase::true_dirs(const noc::Packet& packet) const {
 void FanoutNodeBase::forward(const noc::Flit& flit, Dirs dirs,
                              noc::NodeOp op) {
   SPECNOC_EXPECTS(dirs != kDirNone);
-  SPECNOC_ASSERT(input_busy_);
-  SPECNOC_ASSERT(sends_remaining_ == 0);
+  SPECNOC_ASSERT(input_busy());
+  SPECNOC_ASSERT(sends_remaining() == 0);
   record_op(op);
-  sends_remaining_ = ((dirs & kDirTop) ? 1 : 0) + ((dirs & kDirBottom) ? 1 : 0);
+  // Every required output holds its copy before the first one is sent;
+  // the input is acked once none is left waiting.
   for (std::uint32_t dir = 0; dir < 2; ++dir) {
     if ((dirs & (1u << dir)) == 0) continue;
-    SPECNOC_ASSERT(!out_[dir].has_waiting);
-    out_[dir].has_waiting = true;
-    out_[dir].waiting = flit;
-    try_send(dir);
+    flags_ |= static_cast<std::uint8_t>(kWaiting << dir);
+    waiting_[dir] = flit;
+  }
+  for (std::uint32_t dir = 0; dir < 2; ++dir) {
+    if ((dirs & (1u << dir)) != 0) try_send(dir);
   }
 }
 
 void FanoutNodeBase::throttle(const noc::Flit& flit) {
-  SPECNOC_ASSERT(input_busy_);
+  SPECNOC_ASSERT(input_busy());
   record_op(noc::NodeOp::kThrottle);
   record_kill(flit);
   ack_input();
@@ -70,18 +72,18 @@ TimePs FanoutNodeBase::processing_latency(const noc::Flit& flit) const {
 }
 
 void FanoutNodeBase::try_send(std::uint32_t dir) {
-  if (out_[dir].free && out_[dir].has_waiting) {
-    const noc::Flit flit = out_[dir].waiting;
-    out_[dir].has_waiting = false;
+  const auto ready = static_cast<std::uint8_t>((kFree | kWaiting) << dir);
+  if ((flags_ & ready) == ready) {
+    flags_ &= static_cast<std::uint8_t>(~(kWaiting << dir));
+    const noc::Flit flit = waiting_[dir];
     send_now(dir, flit);
   }
 }
 
 void FanoutNodeBase::send_now(std::uint32_t dir, const noc::Flit& flit) {
-  out_[dir].free = false;
+  flags_ &= static_cast<std::uint8_t>(~(kFree << dir));
   output(dir).send(flit);
-  SPECNOC_ASSERT(sends_remaining_ > 0);
-  if (--sends_remaining_ == 0) {
+  if ((flags_ & kWaitingAny) == 0) {
     ack_input();
   }
 }
@@ -90,8 +92,8 @@ void FanoutNodeBase::ack_input() {
   sched().schedule(
       disciplined_delay(chars_->ack_delay, chars_->clock_period, sched().now()),
       [this] {
-        SPECNOC_ASSERT(input_busy_);
-        input_busy_ = false;
+        SPECNOC_ASSERT(input_busy());
+        flags_ &= static_cast<std::uint8_t>(~kInputBusy);
         input(0).ack();
       });
 }

@@ -16,6 +16,8 @@
 // normally-opaque / normally-transparent output port modules of the paper.
 #pragma once
 
+#include <bit>
+
 #include "noc/channel.h"
 #include "noc/node.h"
 #include "noc/packet.h"
@@ -30,7 +32,10 @@ inline constexpr Dirs kDirTop = 0b01;
 inline constexpr Dirs kDirBottom = 0b10;
 inline constexpr Dirs kDirBoth = 0b11;
 
-class FanoutNodeBase : public noc::Node {
+/// Two cache lines: the build-only node header, then the run-time state —
+/// spans, the two waiting flits and one flag byte (pinned in
+/// tests/nodes/footprint_test.cpp).
+class alignas(64) FanoutNodeBase : public noc::Node {
  public:
   /// `top_span` / `bottom_span`: destination ranges reachable through each
   /// output (from MotTopology::subtree_span); they define ground-truth
@@ -49,11 +54,16 @@ class FanoutNodeBase : public noc::Node {
   const NodeCharacteristics& characteristics() const { return *chars_; }
 
   /// Introspection (tests, deadlock diagnostics).
-  bool input_busy() const { return input_busy_; }
-  int sends_remaining() const { return sends_remaining_; }
-  bool output_port_free(std::uint32_t dir) const { return out_[dir].free; }
+  bool input_busy() const { return (flags_ & kInputBusy) != 0; }
+  /// Outputs the current flit still has to be sent on.
+  int sends_remaining() const {
+    return std::popcount(static_cast<unsigned>(flags_ & kWaitingAny));
+  }
+  bool output_port_free(std::uint32_t dir) const {
+    return (flags_ & (kFree << dir)) != 0;
+  }
   bool output_has_waiting(std::uint32_t dir) const {
-    return out_[dir].has_waiting;
+    return (flags_ & (kWaiting << dir)) != 0;
   }
 
  protected:
@@ -81,11 +91,12 @@ class FanoutNodeBase : public noc::Node {
   virtual TimePs processing_latency(const noc::Flit& flit) const;
 
  private:
-  struct OutputState {
-    bool free = true;
-    bool has_waiting = false;
-    noc::Flit waiting;
-  };
+  // flags_: output `dir` is free (kFree << dir) and has a copy of the
+  // current flit waiting for it (kWaiting << dir); the input is busy.
+  static constexpr std::uint8_t kFree = 0b0'0001;
+  static constexpr std::uint8_t kWaiting = 0b0'0100;
+  static constexpr std::uint8_t kWaitingAny = 0b0'1100;
+  static constexpr std::uint8_t kInputBusy = 0b1'0000;
 
   void try_send(std::uint32_t dir);
   void send_now(std::uint32_t dir, const noc::Flit& flit);
@@ -95,9 +106,8 @@ class FanoutNodeBase : public noc::Node {
   const NodeCharacteristics* chars_;
   noc::DestRange top_span_;
   noc::DestRange bottom_span_;
-  OutputState out_[2];
-  bool input_busy_ = false;
-  int sends_remaining_ = 0;
+  noc::Flit waiting_[2];  ///< per output, valid while kWaiting << dir
+  std::uint8_t flags_ = kFree | (kFree << 1);
 };
 
 }  // namespace specnoc::nodes

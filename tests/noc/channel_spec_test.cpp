@@ -145,8 +145,8 @@ TEST(ChannelSpecTest, NetworksShareRecordsButNotHooks) {
   testing::DriverEndpoint up_b(sched, hooks_b);
   testing::RecordingEndpoint down_a(sched, hooks_a, 0);
   testing::RecordingEndpoint down_b(sched, hooks_b, 0);
-  Channel ch_a(sched, spec);
-  Channel ch_b(sched, spec);
+  Channel ch_a(spec);
+  Channel ch_b(spec);
   ch_a.connect(up_a, 0, down_a, 0);
   ch_b.connect(up_b, 0, down_b, 0);
   EXPECT_EQ(&ch_a.params(), &ch_b.params());

@@ -26,7 +26,7 @@ TEST(ContractDeathTest, ChannelDoubleSendAborts) {
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, 0);
   const ChannelSpec spec{{.delay_fwd = 10, .delay_ack = 10, .length = 0}};
-  Channel ch(sched, spec);
+  Channel ch(spec);
   ch.connect(up, 0, down, 0);
   up.send(0, make_flit(pkt, 0));
   // Second send before the handshake completes violates the 2-phase
@@ -40,7 +40,7 @@ TEST(ContractDeathTest, ChannelAckWithoutDeliveryAborts) {
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, 0);
   const ChannelSpec spec{{}};
-  Channel ch(sched, spec);
+  Channel ch(spec);
   ch.connect(up, 0, down, 0);
   EXPECT_DEATH(ch.ack(), "precondition");
 }
@@ -51,7 +51,7 @@ TEST(ContractDeathTest, ChannelDoubleConnectAborts) {
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, 0);
   const ChannelSpec spec{{}};
-  Channel ch(sched, spec);
+  Channel ch(spec);
   ch.connect(up, 0, down, 0);
   EXPECT_DEATH(ch.connect(up, 1, down, 1), "precondition");
 }
@@ -66,6 +66,26 @@ TEST(ContractDeathTest, SchedulerPastAbsoluteTimeAborts) {
   sched.schedule(100, [] {});
   sched.run();
   EXPECT_DEATH(sched.schedule_at(50, [] {}), "precondition");
+}
+
+TEST(ContractDeathTest, PortBeyondTheNodesCountAborts) {
+  sim::Scheduler sched;
+  SimHooks hooks;
+  DriverEndpoint up(sched, hooks);  // one output
+  RecordingEndpoint down(sched, hooks, 0);
+  const ChannelSpec spec{};
+  Channel ch(spec);
+  EXPECT_DEATH(ch.connect(up, 1, down, 0), "precondition");
+}
+
+TEST(ContractDeathTest, SiteLevelOutsideEightBitsAborts) {
+  sim::Scheduler sched;
+  SimHooks hooks;
+  RecordingEndpoint node(sched, hooks, 0);
+  EXPECT_DEATH(node.set_site({.tree = 0, .level = 128, .index = 0}),
+               "precondition");
+  EXPECT_DEATH(node.set_site({.tree = 0, .level = -2, .index = 0}),
+               "precondition");
 }
 
 }  // namespace

@@ -28,9 +28,9 @@ class FaninHarness {
              buffer_flits),
         up0(sched, hooks), up1(sched, hooks),
         sink(sched, hooks, sink_ack_delay),
-        in0(sched, link),
-        in1(sched, link),
-        out(sched, link) {
+        in0(link),
+        in1(link),
+        out(link) {
     in0.connect(up0, 0, node, 0);
     in1.connect(up1, 0, node, 1);
     out.connect(node, 0, sink, 0);

@@ -29,9 +29,9 @@ class FanoutHarness {
         driver(sched, hooks),
         top_sink(sched, hooks, sink_ack_delay),
         bottom_sink(sched, hooks, sink_ack_delay),
-        in(sched, link),
-        out0(sched, link),
-        out1(sched, link) {
+        in(link),
+        out0(link),
+        out1(link) {
     in.connect(driver, 0, node, 0);
     out0.connect(node, 0, top_sink, 0);
     out1.connect(node, 1, bottom_sink, 0);

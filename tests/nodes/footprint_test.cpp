@@ -1,27 +1,27 @@
 // Per-node memory footprint regression pins.
 //
 // At 1024 endpoints a MoT network holds ~2M nodes and ~3M channels, so
-// every byte of per-object state is megabytes of RSS. The arena refactor
-// shrank these footprints deliberately: bounded-ring FIFOs replaced
-// std::deque (80-byte object + ~600-byte heap map each), shared
-// NodeCharacteristics are interned behind one pointer, port lists hold two
-// inline slots, and a cross-partition channel's state is four inline
-// integers (its lanes, mail key and in-flight credit count) with no heap
-// behind them. A channel's parameters and class live in one interned
-// ChannelSpec record (its hooks come from its endpoint nodes) and a fanin
-// arbiter's timing and watchdog timeout in one interned FaninSpec, each
-// behind one pointer; the rings count in 16 bits. These static_asserts
-// pin the result — growing any of them past the bound is a compile error
-// on purpose (raise the bound consciously, with the RSS math in DESIGN.md
-// §11 updated).
+// every byte of per-object state is megabytes of RSS. Each object keeps
+// only state it writes during a run or that structure cannot give back:
+// bounded-ring FIFOs instead of std::deque (80-byte object + ~600-byte
+// heap map each), shared NodeCharacteristics, FaninSpec and ChannelSpec
+// records behind one pointer, 16-bit ring counters, flag bytes instead of
+// bools, and a 64-byte node header whose port table holds three channel
+// pointers inline. A channel has no scheduler, flit counter or port
+// numbers of its own: its endpoints give its schedulers, hooks and ports,
+// and each half packs its flags with the other half's lane into 16 bits.
+// These static_asserts pin the result — growing any of them past the bound
+// is a compile error on purpose (raise the bound consciously, with the RSS
+// math in DESIGN.md §11 updated).
 //
 // Bounds are the measured x86-64 (libstdc++, -m64) sizes rounded up to the
 // next 8 bytes of headroom; they are ceilings, not exact layouts. Channel,
 // FaninNode and the fanout nodes — every object of a radix-1024 build but
 // its 2,048 network interfaces — are pinned at their measured sizes: none
 // stores a name (names are derived on demand) and none has headroom left.
-// Channel is pinned exactly: 128 bytes at 64-byte alignment is two whole
-// cache lines per channel, and one byte more would cost a third.
+// Channel is pinned exactly: 96 bytes at 32-byte alignment always spans
+// exactly two cache lines, and one byte more would cost 128. The fanout
+// nodes are two whole lines, the first of them the node header.
 #include <gtest/gtest.h>
 
 #include "mesh/mesh_router.h"
@@ -35,27 +35,28 @@
 namespace specnoc {
 namespace {
 
-static_assert(sizeof(noc::Node) <= 96, "Node footprint grew");
-static_assert(sizeof(noc::Channel) == 128 && alignof(noc::Channel) == 64,
-              "Channel is no longer two cache lines — at radix 1024 there "
-              "are ~3M of these, a third of them cross-partition; keep the "
-              "cross-partition state inline and the shared state in "
-              "ChannelSpec");
-static_assert(sizeof(nodes::FaninNode) <= 256,
+static_assert(sizeof(noc::Node) <= 64,
+              "Node header grew past one cache line — keep it build-only");
+static_assert(sizeof(noc::Channel) == 96 && alignof(noc::Channel) == 32,
+              "Channel no longer spans exactly two cache lines — at radix "
+              "1024 there are ~3M of these; keep derived state out of it");
+static_assert(sizeof(nodes::FaninNode) <= 208,
               "FaninNode footprint grew — input FIFOs must stay inline");
-static_assert(sizeof(nodes::BaselineFanoutNode) <= 176,
-              "fanout node footprint grew");
-static_assert(sizeof(nodes::SpecFanoutNode) <= 176,
-              "fanout node footprint grew");
-static_assert(sizeof(nodes::NonSpecFanoutNode) <= 176,
-              "fanout node footprint grew");
-static_assert(sizeof(nodes::OptSpecFanoutNode) <= 176,
-              "fanout node footprint grew");
-static_assert(sizeof(nodes::OptNonSpecFanoutNode) <= 176,
-              "fanout node footprint grew");
-static_assert(sizeof(noc::SourceNode) <= 264, "SourceNode footprint grew");
-static_assert(sizeof(noc::SinkNode) <= 136, "SinkNode footprint grew");
-static_assert(sizeof(mesh::MeshRouter) <= 720,
+template <typename T>
+constexpr bool kTwoLineFanout = sizeof(T) == 128 && alignof(T) == 64;
+static_assert(kTwoLineFanout<nodes::BaselineFanoutNode>,
+              "fanout node is no longer two cache lines");
+static_assert(kTwoLineFanout<nodes::SpecFanoutNode>,
+              "fanout node is no longer two cache lines");
+static_assert(kTwoLineFanout<nodes::NonSpecFanoutNode>,
+              "fanout node is no longer two cache lines");
+static_assert(kTwoLineFanout<nodes::OptSpecFanoutNode>,
+              "fanout node is no longer two cache lines");
+static_assert(kTwoLineFanout<nodes::OptNonSpecFanoutNode>,
+              "fanout node is no longer two cache lines");
+static_assert(sizeof(noc::SourceNode) <= 232, "SourceNode footprint grew");
+static_assert(sizeof(noc::SinkNode) <= 104, "SinkNode footprint grew");
+static_assert(sizeof(mesh::MeshRouter) <= 688,
               "MeshRouter footprint grew (5 ports; still worth watching)");
 
 // A runtime mirror so the suite reports the numbers (static_asserts alone

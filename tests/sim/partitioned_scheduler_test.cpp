@@ -208,6 +208,14 @@ TEST(PartitionedNetworkTest, ZeroLookaheadIsAConfigError) {
   EXPECT_THROW(net.enable_partitions(2, 0), ConfigError);
 }
 
+TEST(PartitionedNetworkTest, MoreLanesThanChannelsStoreIsAConfigError) {
+  // A channel keeps its halves' lanes in 13 bits.
+  noc::Network net;
+  EXPECT_THROW(net.enable_partitions(noc::Channel::kMaxLanes + 1, 50),
+               ConfigError);
+  EXPECT_FALSE(net.partitioned());
+}
+
 TEST(PartitionedNetworkTest, CrossChannelBelowLookaheadIsAConfigError) {
   noc::Network net;
   net.enable_partitions(2, 50);

@@ -104,12 +104,11 @@ TEST(ChannelClassTest, EnumeratorsAreInNameOrder) {
 }
 
 TEST(ChannelClassTest, ChannelIsClassifiedAtConstruction) {
-  sim::Scheduler scheduler;
   const noc::ChannelSpec middle_spec{{}, noc::ChannelClass::kMiddle};
-  const noc::Channel middle(scheduler, middle_spec);
+  const noc::Channel middle(middle_spec);
   EXPECT_EQ(middle.klass(), noc::ChannelClass::kMiddle);
   const noc::ChannelSpec plain_spec{{}};
-  const noc::Channel plain(scheduler, plain_spec);
+  const noc::Channel plain(plain_spec);
   EXPECT_EQ(plain.klass(), noc::ChannelClass::kOther);
   // Unwired channels are named by their class.
   EXPECT_EQ(middle.name(), "middle");
@@ -253,7 +252,7 @@ class SiteNode final : public noc::Node {
  public:
   SiteNode(sim::Scheduler& scheduler, noc::SimHooks& hooks, NodeKind kind,
            std::int32_t level)
-      : Node(scheduler, hooks, kind) {
+      : Node(scheduler, hooks, kind, 0, 0) {
     set_site({.tree = 0, .level = level, .index = 0});
   }
   void deliver(const noc::Flit&, std::uint32_t) override {}
@@ -283,7 +282,7 @@ struct SyntheticNetwork {
     }
     for (const noc::ChannelClass klass : noc::all_channel_classes()) {
       channels.push_back(std::make_unique<noc::Channel>(
-          scheduler, util::intern(noc::ChannelSpec{{}, klass})));
+          util::intern(noc::ChannelSpec{{}, klass})));
     }
   }
 

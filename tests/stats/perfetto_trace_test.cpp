@@ -1,6 +1,7 @@
 #include "stats/perfetto_trace.h"
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -19,12 +20,9 @@ using noc::DestSet;
 
 using core::Architecture;
 
-/// Congested multicast run on the 8x8 hybrid network with the tracer on
-/// all three observer hooks.
-PerfettoTracer traced_run() {
-  core::NetworkConfig cfg;
-  core::MotNetwork net(Architecture::kOptHybridSpeculative, cfg);
-  PerfettoTracer tracer;
+/// Congested multicast run on `net` with `tracer` on all three observer
+/// hooks.
+void run_traced(core::MotNetwork& net, PerfettoTracer& tracer) {
   net.net().hooks().traffic = &tracer;
   net.net().hooks().energy = &tracer;
   net.net().hooks().metrics = &tracer;
@@ -34,7 +32,36 @@ PerfettoTracer traced_run() {
     }
   }
   net.scheduler().run();
+}
+
+/// run_traced() on the 8x8 hybrid network.
+PerfettoTracer traced_run() {
+  core::MotNetwork net(Architecture::kOptHybridSpeculative, {});
+  PerfettoTracer tracer;
+  run_traced(net, tracer);
   return tracer;
+}
+
+TEST(PerfettoTracerTest, TraceDoesNotDependOnObjectAddresses) {
+  // The tracer caches node and channel tracks in a pointer-keyed hash map
+  // (a lookup only); tracks are numbered in first-event order, so moving
+  // every object must not move a byte of the trace.
+  const auto trace = [](core::MotNetwork& net) {
+    PerfettoTracer tracer;
+    run_traced(net, tracer);
+    std::ostringstream out;
+    tracer.write(out);
+    return out.str();
+  };
+  core::MotNetwork first(Architecture::kOptHybridSpeculative, {});
+  const std::string first_trace = trace(first);
+  // The first network stays alive and a dummy allocation comes between
+  // the two builds, so every object of the second lands at another
+  // address.
+  const auto dummy = std::make_unique<unsigned char[]>(4096);
+  core::MotNetwork second(Architecture::kOptHybridSpeculative, {});
+  ASSERT_NE(second.net().nodes().front(), first.net().nodes().front());
+  EXPECT_EQ(trace(second), first_trace);
 }
 
 TEST(PerfettoTracerTest, EmitsStructurallyValidChromeTrace) {

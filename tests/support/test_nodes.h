@@ -10,7 +10,8 @@
 
 namespace specnoc::testing {
 
-/// Records every delivered flit and acks after a fixed delay (or manually).
+/// Records every flit delivered on its one input and acks after a fixed
+/// delay (or manually).
 class RecordingEndpoint : public noc::Node {
  public:
   struct Delivery {
@@ -21,7 +22,7 @@ class RecordingEndpoint : public noc::Node {
 
   RecordingEndpoint(sim::Scheduler& scheduler, noc::SimHooks& hooks,
                     TimePs ack_delay = 0, bool auto_ack = true)
-      : Node(scheduler, hooks, noc::NodeKind::kSink),
+      : Node(scheduler, hooks, noc::NodeKind::kSink, 1, 0),
         ack_delay_(ack_delay), auto_ack_(auto_ack) {}
 
   void deliver(const noc::Flit& flit, std::uint32_t in_port) override {
@@ -43,11 +44,11 @@ class RecordingEndpoint : public noc::Node {
   bool auto_ack_;
 };
 
-/// Upstream driver: exposes send-on-output and records acks.
+/// Upstream driver: exposes send on its one output and records acks.
 class DriverEndpoint : public noc::Node {
  public:
   DriverEndpoint(sim::Scheduler& scheduler, noc::SimHooks& hooks)
-      : Node(scheduler, hooks, noc::NodeKind::kSource) {}
+      : Node(scheduler, hooks, noc::NodeKind::kSource, 0, 1) {}
 
   void deliver(const noc::Flit&, std::uint32_t) override {
     SPECNOC_UNREACHABLE("driver has no inputs");
