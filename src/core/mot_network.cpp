@@ -81,11 +81,12 @@ void check_depth(const char* what, std::uint32_t flits) {
 
 /// What every per-tree build step shares, fixed on the building thread
 /// before any worker starts: interning takes a process-wide lock, and the
-/// pools are reserved there too. It also holds the index layout, which is
-/// nodes() and channels() order: sources, sinks, fanout trees, fanin trees
-/// (each tree in heap order); then source links, fanout-internal links,
-/// middle links (by source, then destination), fanin-internal links and
-/// sink links (each class by tree).
+/// pools and nodes() runs are set up there too. nodes() order is sources,
+/// sinks, fanout trees, fanin trees (each tree in heap order). It also
+/// holds the channel index layout, which is channels() order: source
+/// links, fanout-internal links, middle links (by source, then
+/// destination), fanin-internal links and sink links (each class by
+/// tree).
 struct MotNetwork::BuildPlan {
   std::uint32_t n = 0;
   std::uint32_t per_tree = 0;  ///< switches per tree: n - 1
@@ -107,10 +108,6 @@ struct MotNetwork::BuildPlan {
   std::vector<const noc::ChannelSpec*> fanout_link;  ///< [upper level]
   std::vector<const noc::ChannelSpec*> fanin_link;   ///< [upper level]
 
-  std::size_t fanout_nodes() const { return 2 * std::size_t{n}; }
-  std::size_t fanin_nodes() const {
-    return fanout_nodes() + std::size_t{n} * per_tree;
-  }
   std::size_t fanout_links() const { return n; }
   std::size_t middle_links() const {
     return fanout_links() + std::size_t{n} * (per_tree - 1);
@@ -245,8 +242,28 @@ void MotNetwork::build() {
   }
   net_.reserve_nodes<nodes::FaninNode>(noc::NodeKind::kFanin,
                                        std::size_t{n} * plan.per_tree);
-  net_.presize(2 * std::size_t{n} * (1 + plan.per_tree),
-               2 * std::size_t{n} * plan.per_tree + std::size_t{n} * n);
+  net_.reserve_channels(2 * std::size_t{n} * plan.per_tree +
+                        std::size_t{n} * n);
+
+  // nodes() runs. A fanout tree in heap order is a few stretches of one
+  // kind each, at consecutive ranks of that kind's pool; tree t repeats
+  // tree 0's stretches t * of_kind[kind] slots further on.
+  net_.add_nodes<noc::SourceNode>(0, n);
+  net_.add_nodes<noc::SinkNode>(0, n);
+  for (std::uint32_t t = 0; t < n; ++t) {
+    for (std::uint32_t h = 0; h < plan.per_tree;) {
+      const noc::NodeKind kind = plan.kind[h];
+      std::uint32_t end = h + 1;
+      while (end < plan.per_tree && plan.kind[end] == kind) ++end;
+      with_fanout_class(kind, [&]<typename T>() {
+        net_.add_nodes<T>(
+            std::size_t{t} * plan.of_kind[kind_index(kind)] + plan.rank[h],
+            end - h);
+      });
+      h = end;
+    }
+  }
+  net_.add_nodes<nodes::FaninNode>(0, std::size_t{n} * plan.per_tree);
 
   // The run's workers build disjoint contiguous tree blocks, then, after a
   // join, wire the middle links' downstream ends into their own fanin
@@ -280,9 +297,9 @@ void MotNetwork::build_tree(const BuildPlan& plan, std::uint32_t t,
   const std::uint32_t lane = plan.lane_of(t);
 
   noc::SourceNode& source = net_.place_node<noc::SourceNode>(
-      t, t, lane, t, config_.source_issue_delay);
+      t, lane, t, config_.source_issue_delay);
   noc::SinkNode& sink = net_.place_node<noc::SinkNode>(
-      n + t, t, lane, t, config_.sink_consume_delay);
+      t, lane, t, config_.sink_consume_delay);
 
   // Fanout tree t, in heap order.
   std::vector<nodes::FanoutNodeBase*> fanout(per_tree);
@@ -293,13 +310,11 @@ void MotNetwork::build_tree(const BuildPlan& plan, std::uint32_t t,
       const nodes::NodeCharacteristics& chars = *plan.chars[kind_index(kind)];
       const noc::DestRange top = topology_.subtree_span(level, i, 0);
       const noc::DestRange bottom = topology_.subtree_span(level, i, 1);
-      const std::size_t index =
-          plan.fanout_nodes() + std::size_t{t} * per_tree + h;
       const std::size_t slot =
           std::size_t{t} * plan.of_kind[kind_index(kind)] + plan.rank[h];
       nodes::FanoutNodeBase* node = nullptr;
       with_fanout_class(kind, [&]<typename T>() {
-        node = &net_.place_node<T>(index, slot, lane, chars, top, bottom);
+        node = &net_.place_node<T>(slot, lane, chars, top, bottom);
       });
       node->set_site({t, static_cast<std::int32_t>(level), i});
       fanout[h] = node;
@@ -313,8 +328,7 @@ void MotNetwork::build_tree(const BuildPlan& plan, std::uint32_t t,
          ++i, ++h) {
       const std::size_t slot = std::size_t{t} * per_tree + h;
       nodes::FaninNode& node = net_.place_node<nodes::FaninNode>(
-          plan.fanin_nodes() + slot, slot, lane, *plan.fanin,
-          config_.fanin_buffer_flits);
+          slot, lane, *plan.fanin, config_.fanin_buffer_flits);
       node.set_site({t, static_cast<std::int32_t>(level), i});
       fanin[h] = &node;
     }

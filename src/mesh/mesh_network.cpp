@@ -92,13 +92,6 @@ void MeshNetwork::build() {
   const auto lane_of = [this, num_lanes](std::uint32_t id) {
     return topology_.y_of(id) * num_lanes / config_.rows;
   };
-  // Exact counts: a source, a sink and a router per endpoint; an inject and
-  // an eject link per endpoint and two hop links per adjacent router pair.
-  const std::size_t cols = topology_.cols();
-  const std::size_t rows = topology_.rows();
-  const std::size_t adjacent_pairs = (cols - 1) * rows + cols * (rows - 1);
-  net_.reserve(3 * std::size_t{n}, 2 * (std::size_t{n} + adjacent_pairs));
-
   for (std::uint32_t s = 0; s < n; ++s) {
     net_.set_build_partition(lane_of(s));
     net_.register_source(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 
@@ -15,6 +16,15 @@ namespace {
 // over-reservation for mid-sized ones. Reserved pools know their size and
 // take full kChunkObjects chunks plus one trimmed to fit.
 constexpr std::size_t kFirstChunkObjects = 16;
+// The growing chunks of an appended pool (kFirstChunkObjects doubling up
+// to half of kChunkObjects) hold kChunkObjects - kFirstChunkObjects slots
+// together; every later chunk is full size.
+constexpr std::size_t kGrowthChunks = static_cast<std::size_t>(
+    std::countr_zero(NetworkArena::kChunkObjects / kFirstChunkObjects));
+constexpr std::size_t kGrowthSlots =
+    NetworkArena::kChunkObjects - kFirstChunkObjects;
+static_assert(std::has_single_bit(NetworkArena::kChunkObjects) &&
+              std::has_single_bit(kFirstChunkObjects));
 
 // Chunks come from the plain operator new, and a pool of an over-aligned
 // type (Channel is alignas(64)) asks for `alignment` spare bytes and
@@ -75,7 +85,20 @@ void NetworkArena::Pool::reserve(std::size_t count) {
 }
 
 void* NetworkArena::Pool::slot(std::size_t index) const {
-  return firsts[index / kChunkObjects] + index % kChunkObjects * object_size;
+  std::size_t chunk = index / kChunkObjects;
+  std::size_t offset = index % kChunkObjects;
+  if (!exact) {
+    if (index < kGrowthSlots) {
+      // Chunk c starts at slot kFirstChunkObjects * (2^c - 1).
+      chunk = static_cast<std::size_t>(
+                  std::bit_width(index / kFirstChunkObjects + 1)) - 1;
+      offset = index - kFirstChunkObjects * ((std::size_t{1} << chunk) - 1);
+    } else {
+      chunk = kGrowthChunks + (index - kGrowthSlots) / kChunkObjects;
+      offset = (index - kGrowthSlots) % kChunkObjects;
+    }
+  }
+  return firsts[chunk] + offset * object_size;
 }
 
 std::size_t NetworkArena::Pool::objects() const {

@@ -30,12 +30,18 @@
 // are never destroyed individually; this matches Network's grow-only build
 // model.
 //
+// The arena is also the object list. A RunList names a sequence of runs —
+// consecutive slots of one pool — and its view walks them as pointers to a
+// common base class, so Network::nodes() and channels() cost a few words
+// per run instead of a pointer per object.
+//
 // usage() reports per-pool object counts and bytes (sorted by label) for
 // stats::ArenaMetrics and the --metrics report.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <new>
 #include <string>
@@ -47,6 +53,8 @@
 namespace specnoc::noc {
 
 class NetworkArena {
+  struct Pool;
+
  public:
   /// Per-pool accounting for metrics: `objects` constructed, `bytes` they
   /// occupy, `reserved_bytes` including unused chunk tails.
@@ -113,6 +121,122 @@ class NetworkArena {
   /// an appended pool's geometric growth.
   static constexpr std::size_t kChunkObjects = 16384;
 
+  /// Slots handed out in T's pool: the reserved count, or the objects
+  /// create() appended. The next create() takes slot slots<T>().
+  template <typename T>
+  std::size_t slots() {
+    return pool_for<T>().live.size();
+  }
+
+  /// Slots [first, first + count) of one pool, seen as Base (a base class
+  /// of the pool's type). The slots must hold constructed objects by the
+  /// time a view dereferences them.
+  template <typename Base>
+  struct Run {
+    const Pool* pool = nullptr;
+    std::size_t first = 0;
+    std::size_t count = 0;
+    Base* (*cast)(void* slot) = nullptr;
+  };
+
+  /// The run of slots [first, first + count) of T's pool, as Base.
+  template <typename Base, typename T>
+  Run<Base> run(std::size_t first, std::size_t count) {
+    return Run<Base>{&pool_for<T>(), first, count, [](void* slot) -> Base* {
+                       return std::launder(static_cast<T*>(slot));
+                     }};
+  }
+
+  /// A forward range over the objects of a sequence of runs, in order.
+  template <typename Base>
+  class RunView {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = Base*;
+      using difference_type = std::ptrdiff_t;
+      using pointer = void;
+      using reference = Base*;
+
+      iterator() = default;
+      Base* operator*() const {
+        return run_->cast(run_->pool->slot(slot_));
+      }
+      iterator& operator++() {
+        if (++slot_ == run_->first + run_->count) {
+          ++run_;
+          slot_ = run_ != last_ ? run_->first : 0;
+        }
+        return *this;
+      }
+      iterator operator++(int) {
+        iterator before = *this;
+        ++*this;
+        return before;
+      }
+      bool operator==(const iterator& other) const {
+        return run_ == other.run_ && slot_ == other.slot_;
+      }
+
+     private:
+      friend class RunView;
+      iterator(const Run<Base>* run, const Run<Base>* last)
+          : run_(run), last_(last), slot_(run != last ? run->first : 0) {}
+
+      const Run<Base>* run_ = nullptr;
+      const Run<Base>* last_ = nullptr;
+      std::size_t slot_ = 0;
+    };
+
+    RunView(const Run<Base>* first, const Run<Base>* last, std::size_t size)
+        : first_(first), last_(last), size_(size) {}
+
+    iterator begin() const { return iterator(first_, last_); }
+    iterator end() const { return iterator(last_, last_); }
+    std::size_t size() const { return size_; }
+    Base* front() const {
+      SPECNOC_EXPECTS(size_ != 0);
+      return *begin();
+    }
+    /// Runs walked: what the view costs beyond the arena itself.
+    std::size_t runs() const {
+      return static_cast<std::size_t>(last_ - first_);
+    }
+
+   private:
+    const Run<Base>* first_;
+    const Run<Base>* last_;
+    std::size_t size_;
+  };
+
+  /// An ordered object list stored as runs: appending the slot right
+  /// after the last run's end of the same pool extends that run.
+  template <typename Base>
+  class RunList {
+   public:
+    void append(const Run<Base>& run) {
+      if (run.count == 0) return;
+      size_ += run.count;
+      if (!runs_.empty()) {
+        Run<Base>& last = runs_.back();
+        if (last.pool == run.pool && last.first + last.count == run.first) {
+          last.count += run.count;
+          return;
+        }
+      }
+      runs_.push_back(run);
+    }
+    RunView<Base> view() const {
+      return RunView<Base>(runs_.data(), runs_.data() + runs_.size(), size_);
+    }
+    bool empty() const { return size_ == 0; }
+
+   private:
+    std::vector<Run<Base>> runs_;
+    std::size_t size_ = 0;
+  };
+
   /// Names T's pool for usage() reporting (first call wins; the Network
   /// labels node pools by their NodeKind string after construction, when
   /// the kind is known).
@@ -166,7 +290,7 @@ class NetworkArena {
     /// makes room in `live` for its flag.
     void* append_slot();
     void reserve(std::size_t count);
-    /// Address of slot `index` of a reserved pool.
+    /// Address of slot `index`, computed from the pool's chunk sizes.
     void* slot(std::size_t index) const;
     std::size_t objects() const;
   };

@@ -185,17 +185,11 @@ void Network::clear_epoch_hook() {
   }
 }
 
-void Network::reserve(std::size_t nodes, std::size_t channels) {
-  nodes_.reserve(nodes);
-  channels_.reserve(channels);
-}
-
-void Network::presize(std::size_t nodes, std::size_t channels) {
-  SPECNOC_EXPECTS(nodes_.empty() && channels_.empty());
-  nodes_.assign(nodes, nullptr);
-  channels_.assign(channels, nullptr);
+void Network::reserve_channels(std::size_t channels) {
+  SPECNOC_EXPECTS(channels_.empty());
   arena_.reserve<Channel>(channels);
   arena_.label_pool<Channel>("channel");
+  channels_.append(arena_.run<Channel, Channel>(0, channels));
 }
 
 Channel& Network::place_channel(std::size_t index, const ChannelSpec& spec,
@@ -214,7 +208,6 @@ Channel& Network::place_channel(std::size_t index, const ChannelSpec& spec,
                                 std::uint32_t cross_index) {
   SPECNOC_EXPECTS(down_partition < partitions());
   Channel& channel = *arena_.create_at<Channel>(index, spec);
-  channels_[index] = &channel;
   channel.connect_upstream(up, up_port);
   if (up.partition() != down_partition) {
     // The builder declared a lookahead no longer than its cross channels'
@@ -233,7 +226,8 @@ Channel& Network::add_channel(const ChannelParams& params, ChannelClass klass,
   Channel& ref =
       *arena_.create<Channel>(util::intern(ChannelSpec{params, klass}));
   arena_.label_pool<Channel>("channel");
-  channels_.push_back(&ref);
+  channels_.append(
+      arena_.run<Channel, Channel>(arena_.slots<Channel>() - 1, 1));
   ref.connect(up, up_port, down, down_port);
   if (psched_ != nullptr && up.partition() != down.partition()) {
     const TimePs min_latency = std::min(params.delay_fwd, params.delay_ack);

@@ -97,7 +97,7 @@ class Network {
                                std::forward<Args>(args)...);
     node->set_partition(build_partition_);
     arena_.label_pool<T>(to_string(node->kind()));
-    nodes_.push_back(node);
+    nodes_.append(arena_.run<Node, T>(arena_.slots<T>() - 1, 1));
     return *node;
   }
 
@@ -111,24 +111,14 @@ class Network {
                        Node& up, std::uint32_t up_port, Node& down,
                        std::uint32_t down_port);
 
-  /// Sizes the node and channel lists for a build of exactly `nodes` nodes
-  /// and `channels` channels, so they neither double during the build nor
-  /// keep unused slots after it. Builders that know their counts call it
-  /// before adding anything.
-  void reserve(std::size_t nodes, std::size_t channels);
-
   // Structural builds. A builder that derives every object's position from
-  // structure sizes everything up front on one thread — presize() and one
-  // reserve_nodes() per node type — and then places each object at its
-  // index with place_node()/place_channel(), from several workers at once
-  // for distinct indices. Placement takes no lock, creates no pool and
-  // interns nothing; nodes() and channels() hold exactly the placed order
-  // once every index is filled.
-
-  /// Sizes nodes() and channels() to exactly `nodes` and `channels` empty
-  /// entries and reserves the channel pool for `channels` channels, one
-  /// per index. Requires an empty network.
-  void presize(std::size_t nodes, std::size_t channels);
+  // structure sizes everything up front on one thread — one reserve_nodes()
+  // per node type, add_nodes() for each run of nodes() order, and
+  // reserve_channels() — and then places each object at its slot with
+  // place_node()/place_channel(), from several workers at once for
+  // distinct slots. Placement takes no lock, creates no pool and interns
+  // nothing; nodes() and channels() may be walked once every slot is
+  // filled.
 
   /// Reserves T's pool for exactly `count` nodes, labelled by `kind`.
   template <typename T>
@@ -137,16 +127,25 @@ class Network {
     arena_.label_pool<T>(to_string(kind));
   }
 
+  /// Appends slots [first, first + count) of T's reserved pool to nodes()
+  /// order (extending the last run when they follow it in the same pool).
+  template <typename T>
+  void add_nodes(std::size_t first, std::size_t count) {
+    nodes_.append(arena_.run<Node, T>(first, count));
+  }
+
+  /// Reserves the channel pool for exactly `channels` channels, which are
+  /// channels() in slot order. Requires a network without channels.
+  void reserve_channels(std::size_t channels);
+
   /// Constructs a node of type T (scheduler and hooks first) at `slot` of
-  /// its reserved pool, on `partition`'s lane, as nodes()[`index`].
+  /// its reserved pool, on `partition`'s lane.
   template <typename T, typename... Args>
-  T& place_node(std::size_t index, std::size_t slot, std::uint32_t partition,
-                Args&&... args) {
+  T& place_node(std::size_t slot, std::uint32_t partition, Args&&... args) {
     SPECNOC_EXPECTS(partition < partitions());
     T* node = arena_.create_at<T>(slot, lane(partition), hooks_,
                                   std::forward<Args>(args)...);
     node->set_partition(partition);
-    nodes_[index] = node;
     return *node;
   }
 
@@ -156,9 +155,8 @@ class Network {
     return *arena_.at<T>(slot);
   }
 
-  /// Constructs channels()[`index`] (also its channel-pool slot) pointing
-  /// to the caller-interned `spec`, wired between two nodes of one
-  /// partition.
+  /// Constructs channels()[`index`] (its channel-pool slot) pointing to
+  /// the caller-interned `spec`, wired between two nodes of one partition.
   Channel& place_channel(std::size_t index, const ChannelSpec& spec,
                          Node& up, std::uint32_t up_port, Node& down,
                          std::uint32_t down_port);
@@ -192,10 +190,14 @@ class Network {
     return static_cast<std::uint32_t>(sinks_.size());
   }
 
-  /// All nodes/channels in construction order (non-owning views into the
-  /// arena slabs).
-  const std::vector<Node*>& nodes() const { return nodes_; }
-  const std::vector<Channel*>& channels() const { return channels_; }
+  /// All nodes in construction order (add_node() calls and add_nodes()
+  /// runs), read from the arena slabs.
+  NetworkArena::RunView<Node> nodes() const { return nodes_.view(); }
+  /// All channels in creation order, which is their channel-pool slot
+  /// order.
+  NetworkArena::RunView<Channel> channels() const {
+    return channels_.view();
+  }
 
   /// Slab accounting for metrics (per-kind object counts and bytes).
   const NetworkArena& arena() const { return arena_; }
@@ -205,8 +207,8 @@ class Network {
   SimHooks hooks_;
   PacketStore packets_;
   NetworkArena arena_;  ///< owns every node and channel
-  std::vector<Node*> nodes_;
-  std::vector<Channel*> channels_;
+  NetworkArena::RunList<Node> nodes_;
+  NetworkArena::RunList<Channel> channels_;  ///< one run: the whole pool
   std::vector<SourceNode*> sources_;
   std::vector<SinkNode*> sinks_;
 

@@ -12,8 +12,8 @@ void BucketQueue::reserve(std::size_t events) {
 }
 
 void BucketQueue::add_chunk() {
-  chunks_.push_back(std::make_unique<Entry[]>(std::size_t{1} << kChunkShift));
-  slab_capacity_ += 1u << kChunkShift;
+  chunks_.push_back(std::make_unique<Entry[]>(kChunkEntries));
+  slab_capacity_ += kChunkEntries;
 }
 
 void BucketQueue::advance_to(TimePs t) {

@@ -59,11 +59,13 @@ namespace specnoc::sim {
 class BucketQueue {
  public:
   /// Near-tier window size in picoseconds (= number of 1 ps buckets).
-  /// 4096 covers every switch/channel handshake delay in
-  /// nodes/characteristics.cpp (tens to hundreds of ps) and the default
-  /// fanin watchdog (900 ps) with slack; only far-future events (low-rate
-  /// open-loop arrivals, long horizons) touch the overflow heap.
-  static constexpr std::uint32_t kNumBuckets = 4096;
+  /// 1024 covers every switch/channel handshake delay in
+  /// nodes/characteristics.cpp (at most 400 ps) and the default fanin
+  /// watchdog (900 ps); only far-future events (low-rate open-loop
+  /// arrivals, CMP cache and DRAM latencies, long horizons) touch the
+  /// overflow heap. The ring is most of a Scheduler's footprint (8 KiB),
+  /// and a partitioned run keeps one per lane.
+  static constexpr std::uint32_t kNumBuckets = 1024;
 
   BucketQueue();
   BucketQueue(const BucketQueue&) = delete;
@@ -78,13 +80,19 @@ class BucketQueue {
   /// pending events, eliminating warm-up vector growth.
   void reserve(std::size_t events);
 
-  /// A slab entry. Public so the scheduler can fire a popped entry and
-  /// read its time; the chain link is the queue's own.
+  /// A slab entry: one 64-byte cache line. Public so the scheduler can
+  /// fire a popped entry and read its time; the chain link is the queue's
+  /// own.
   struct Entry {
     InplaceEvent fn;
     TimePs time = 0;
     Entry* next = nullptr;
   };
+  static_assert(sizeof(Entry) == 64, "a slab entry is one cache line");
+
+  /// Entries per slab chunk: one 4 KiB page, so a lane's slab rounds its
+  /// high-water mark up by less than a page.
+  static constexpr std::uint32_t kChunkEntries = 64;
 
   /// Inserts `fn` at time `t`, constructing the callable directly inside
   /// the slab entry (no intermediate moves). Requires t >= the current
@@ -214,10 +222,10 @@ class BucketQueue {
   static constexpr std::uint32_t kNumWords = kNumBuckets / 64;
   static constexpr std::uint32_t kNoBucket = kNumBuckets;
   static constexpr TimePs kNoHorizon = std::numeric_limits<TimePs>::max();
-  /// Slab chunk size (entries). 256 entries ≈ 20 KiB per chunk: small
-  /// enough that warm-up growth is cheap.
-  static constexpr std::uint32_t kChunkShift = 8;
-  static constexpr std::uint32_t kChunkMask = (1u << kChunkShift) - 1;
+  static_assert(std::has_single_bit(kChunkEntries));
+  static constexpr auto kChunkShift =
+      static_cast<std::uint32_t>(std::countr_zero(kChunkEntries));
+  static constexpr std::uint32_t kChunkMask = kChunkEntries - 1;
 
   /// Tail of a circular FIFO chain (tail->next is the head); null when
   /// the bucket is empty.

@@ -4,9 +4,9 @@
 // std::function there is no heap fallback: a capture larger than kCapacity
 // is a compile error (static_assert), so every event the simulator
 // schedules is guaranteed to cost zero heap allocations. The simulator's
-// hot-path captures are small — `[this, flit]` and friends are at most
-// 32 bytes — and keeping them inline is what makes the bucket-queue slab
-// (bucket_queue.h) a flat array of fixed-size entries.
+// captures are small — `[this, flit]` and friends are at most 32 bytes —
+// and keeping them inline is what makes the bucket-queue slab
+// (bucket_queue.h) a flat array of fixed-size, one-cache-line entries.
 //
 // Type erasure goes through a single pointer to a static per-type ops
 // table. The scheduler's fire path uses the fused invoke_and_dispose entry
@@ -29,9 +29,10 @@ namespace specnoc::sim {
 
 class InplaceEvent {
  public:
-  /// Inline storage for the callable's captures. 48 bytes holds the
-  /// largest simulator capture with headroom.
-  static constexpr std::size_t kCapacity = 48;
+  /// Inline storage for the callable's captures. 32 bytes holds the
+  /// largest simulator capture, and with the ops pointer, the time and the
+  /// chain link makes a slab entry exactly one 64-byte cache line.
+  static constexpr std::size_t kCapacity = 32;
 
   InplaceEvent() = default;
 

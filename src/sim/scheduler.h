@@ -9,7 +9,7 @@
 // schedule/pop for the short-delay handshake events that dominate the
 // simulator, an overflow heap for far-future timers, and zero heap
 // allocations per event — callbacks are sim::InplaceEvent (event.h), whose
-// captures must fit 48 bytes of inline storage by construction.
+// captures must fit 32 bytes of inline storage by construction.
 //
 // run() and run_until() drain one picosecond per queue pop: they detach the
 // earliest bucket and fire its chain in place, so the bitmap scan, window

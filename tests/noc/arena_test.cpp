@@ -117,6 +117,48 @@ TEST(NetworkArenaTest, ReservedPoolsConstructAtIndicesFromSeveralThreads) {
   EXPECT_EQ(destroyed, static_cast<int>(kCount));
 }
 
+TEST(NetworkArenaTest, RunsWalkSlotsInOrderAcrossChunks) {
+  // Past the appended pool's growing chunks and two full ones, so the
+  // walk crosses every kind of chunk boundary.
+  constexpr std::size_t kCount = 3 * NetworkArena::kChunkObjects + 100;
+  NetworkArena arena;
+  int destroyed = 0;
+  std::vector<Tracked*> appended;
+  for (std::size_t i = 0; i < kCount; ++i) {
+    appended.push_back(arena.create<Tracked>(static_cast<int>(i), &destroyed));
+  }
+  arena.reserve<Wide>(kCount);
+  std::vector<Wide*> reserved;
+  for (std::size_t i = 0; i < kCount; ++i) {
+    reserved.push_back(arena.create_at<Wide>(i, static_cast<double>(i)));
+  }
+  EXPECT_EQ(arena.slots<Tracked>(), kCount);
+  EXPECT_EQ(arena.slots<Wide>(), kCount);
+
+  // Slots appended one at a time merge into one run; a gap or another
+  // pool starts a new one.
+  NetworkArena::RunList<Tracked> tracked;
+  for (std::size_t i = 0; i < kCount; ++i) {
+    tracked.append(arena.run<Tracked, Tracked>(i, 1));
+  }
+  EXPECT_EQ(tracked.view().runs(), 1u);
+  EXPECT_EQ(std::vector<Tracked*>(tracked.view().begin(), tracked.view().end()),
+            appended);
+
+  NetworkArena::RunList<Wide> wide;
+  wide.append(arena.run<Wide, Wide>(kCount / 2, kCount - kCount / 2));
+  wide.append(arena.run<Wide, Wide>(0, 0));  // empty: ignored
+  wide.append(arena.run<Wide, Wide>(0, kCount / 2));
+  const NetworkArena::RunView<Wide> view = wide.view();
+  EXPECT_EQ(view.runs(), 2u);
+  EXPECT_EQ(view.size(), kCount);
+  EXPECT_EQ(view.front(), reserved[kCount / 2]);
+  std::vector<Wide*> expected(reserved.begin() + kCount / 2, reserved.end());
+  expected.insert(expected.end(), reserved.begin(),
+                  reserved.begin() + kCount / 2);
+  EXPECT_EQ(std::vector<Wide*>(view.begin(), view.end()), expected);
+}
+
 TEST(NetworkArenaTest, AFailedConcurrentBuildJoinsAndDestroysWhatItBuilt) {
   constexpr std::size_t kCount = 3 * NetworkArena::kChunkObjects;
   constexpr unsigned kWorkers = 4;

@@ -1,10 +1,14 @@
-// Shared channel records (noc::ChannelSpec) and exact-size build vectors.
+// Shared channel records (noc::ChannelSpec), and nodes()/channels() read
+// from the arena.
 //
 // A channel keeps a pointer to the interned record for its (class, params)
 // pair instead of a copy, so there must be exactly one record per pair and
 // it must carry what the builder asked for. Records hold no hooks: equal
 // channels of two networks share one record, and each channel still
-// reports to its own network's observers.
+// reports to its own network's observers. The network keeps no list per
+// object: channels() walks the channel pool in slot order and nodes() a
+// few runs of pool slots, which must still give every object once, in
+// build order.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -160,21 +164,156 @@ TEST(ChannelSpecTest, NetworksShareRecordsButNotHooks) {
   EXPECT_EQ(energy_b.flits, 1);
 }
 
-TEST(NetworkReserveTest, BuildersSizeTheirListsExactly) {
-  for (const unsigned threads : {1u, 2u}) {
-    core::NetworkConfig cfg;
-    cfg.sim_threads = threads;  // partitioned builds have the same counts
-    core::MotNetwork mot(core::Architecture::kOptHybridSpeculative, cfg);
-    EXPECT_EQ(mot.net().channels().capacity(), mot.net().channels().size());
-    EXPECT_EQ(mot.net().nodes().capacity(), mot.net().nodes().size());
+/// nodes() of a MoT in its structural order: sources, sinks, fanout trees,
+/// fanin trees, each tree in heap order.
+void expect_mot_node_order(core::MotNetwork& mot) {
+  Network& net = mot.net();
+  const std::uint32_t n = mot.topology().n();
+  const std::uint32_t per_tree = mot.topology().nodes_per_tree();
+  std::size_t i = 0;
+  for (Node* node : net.nodes()) {
+    if (i < n) {
+      EXPECT_EQ(node, &net.source(static_cast<std::uint32_t>(i)));
+    } else if (i < 2 * std::size_t{n}) {
+      EXPECT_EQ(node, &net.sink(static_cast<std::uint32_t>(i - n)));
+    } else {
+      const std::size_t switch_index = i - 2 * std::size_t{n};
+      const std::size_t tree_index = switch_index / per_tree;
+      const bool fanin = tree_index >= n;
+      EXPECT_EQ(node->kind() == NodeKind::kFanin, fanin) << "node " << i;
+      const NodeSite site = node->site();
+      EXPECT_EQ(site.tree, fanin ? tree_index - n : tree_index)
+          << "node " << i;
+      EXPECT_EQ(mot::MotTopology::heap_id(
+                    static_cast<std::uint32_t>(site.level), site.index),
+                switch_index % per_tree)
+          << "node " << i;
+    }
+    ++i;
   }
-  mesh::MeshConfig mesh_cfg;
-  mesh_cfg.cols = 3;  // non-square: both link directions counted
-  mesh_cfg.rows = 5;
-  mesh::MeshNetwork mesh_net(mesh_cfg);
-  EXPECT_EQ(mesh_net.net().channels().capacity(),
-            mesh_net.net().channels().size());
-  EXPECT_EQ(mesh_net.net().nodes().capacity(), mesh_net.net().nodes().size());
+  EXPECT_EQ(i, 2 * std::size_t{n} * (1 + per_tree));
+  EXPECT_EQ(net.nodes().size(), i);
+}
+
+/// Every node once: as many distinct pointers as the node pools hold.
+void expect_nodes_once(Network& net) {
+  const std::set<const Node*> distinct(net.nodes().begin(),
+                                       net.nodes().end());
+  EXPECT_EQ(distinct.size(), net.nodes().size());
+  EXPECT_EQ(net.nodes().size() + net.channels().size(),
+            net.arena().total_objects());
+}
+
+TEST(NetworkListsTest, MotListsAreReadFromTheArenaInStructuralOrder) {
+  for (const std::uint32_t n : {16u, 64u}) {
+    for (const PartitionStrategy partition :
+         {PartitionStrategy::kTree, PartitionStrategy::kQuadrant}) {
+      core::NetworkConfig cfg;
+      cfg.n = n;
+      cfg.sim_threads = 2;
+      cfg.partition = partition;
+      core::MotNetwork mot(core::Architecture::kOptHybridSpeculative, cfg);
+      Network& net = mot.net();
+      ASSERT_GT(net.partitions(), 1u);
+      std::size_t i = 0;
+      for (const Channel* channel : net.channels()) {
+        ASSERT_EQ(channel, &net.placed_channel(i)) << "channel " << i;
+        ++i;
+      }
+      EXPECT_EQ(i, net.channels().size());
+      expect_mot_node_order(mot);
+      expect_nodes_once(net);
+      // No per-object list: one run of channels, and nodes() is at most
+      // one run per stretch of one kind down each fanout tree, plus one
+      // each for the sources, sinks and fanin trees.
+      std::size_t stretches = 0;
+      NodeKind last = NodeKind::kSource;
+      for (const Node* node : net.nodes()) {
+        if (node->kind() == NodeKind::kFanin) break;
+        if (node->kind() != NodeKind::kSource &&
+            node->kind() != NodeKind::kSink && node->site().tree == 0) {
+          if (node->kind() != last) ++stretches;
+          last = node->kind();
+        }
+      }
+      EXPECT_EQ(net.channels().runs(), 1u);
+      EXPECT_LE(net.nodes().runs(), 3 + n * stretches);
+    }
+  }
+}
+
+TEST(NetworkListsTest, MeshListsFollowCreationOrder) {
+  mesh::MeshConfig cfg;
+  cfg.cols = 3;  // non-square: both link directions counted
+  cfg.rows = 5;
+  cfg.speculative_routers =
+      mesh::MeshNetwork::checkerboard_speculation(mesh::MeshTopology(3, 5));
+  mesh::MeshNetwork mesh_net(cfg);
+  Network& net = mesh_net.net();
+  const std::uint32_t n = mesh_net.endpoints();
+
+  // Sources, sinks, then routers (two router types, interleaved).
+  std::vector<Node*> expected_nodes;
+  for (std::uint32_t id = 0; id < n; ++id) {
+    expected_nodes.push_back(&net.source(id));
+  }
+  for (std::uint32_t id = 0; id < n; ++id) {
+    expected_nodes.push_back(&net.sink(id));
+  }
+  for (std::uint32_t id = 0; id < n; ++id) {
+    expected_nodes.push_back(&mesh_net.router(id));
+  }
+  EXPECT_EQ(std::vector<Node*>(net.nodes().begin(), net.nodes().end()),
+            expected_nodes);
+  expect_nodes_once(net);
+
+  // Per router: inject, eject, then each east/south hop both ways.
+  std::vector<std::pair<Node*, Node*>> expected_links;
+  for (std::uint32_t id = 0; id < n; ++id) {
+    Node* router = &mesh_net.router(id);
+    expected_links.emplace_back(&net.source(id), router);
+    expected_links.emplace_back(router, &net.sink(id));
+    for (const mesh::Port port : {mesh::Port::kEast, mesh::Port::kSouth}) {
+      if (!mesh_net.topology().has_neighbor(id, port)) continue;
+      Node* peer = &mesh_net.router(mesh_net.topology().neighbor(id, port));
+      expected_links.emplace_back(router, peer);
+      expected_links.emplace_back(peer, router);
+    }
+  }
+  std::vector<std::pair<Node*, Node*>> links;
+  for (const Channel* channel : net.channels()) {
+    links.emplace_back(channel->upstream(), channel->downstream());
+  }
+  EXPECT_EQ(links, expected_links);
+  EXPECT_EQ(net.channels().runs(), 1u);
+}
+
+TEST(NetworkListsTest, HandBuiltListsAreInAddOrder) {
+  Network net;
+  std::vector<Node*> nodes;
+  std::vector<Channel*> channels;
+  // Two pools alternating, then a stretch of one, so runs both break and
+  // extend: R D R D R D R D R D D ... D is ten runs.
+  for (int i = 0; i < 40; ++i) {
+    if (i < 10 && i % 2 == 0) {
+      nodes.push_back(&net.add_node<testing::RecordingEndpoint>());
+    } else {
+      nodes.push_back(&net.add_node<testing::DriverEndpoint>());
+    }
+  }
+  for (std::size_t i = 0; i < 10; i += 2) {
+    channels.push_back(&net.add_channel(
+        {.delay_fwd = 5, .delay_ack = 5, .length = 100.0}, ChannelClass::kOther,
+        *nodes[i + 1], 0, *nodes[i], 0));
+  }
+  EXPECT_EQ(std::vector<Node*>(net.nodes().begin(), net.nodes().end()),
+            nodes);
+  EXPECT_EQ(net.nodes().front(), nodes.front());
+  EXPECT_EQ(net.nodes().runs(), 10u);
+  EXPECT_EQ(std::vector<Channel*>(net.channels().begin(),
+                                  net.channels().end()),
+            channels);
+  EXPECT_EQ(net.channels().runs(), 1u);
 }
 
 }  // namespace

@@ -22,6 +22,11 @@
 // Channel is pinned exactly: 96 bytes at 32-byte alignment always spans
 // exactly two cache lines, and one byte more would cost 128. The fanout
 // nodes are two whole lines, the first of them the node header.
+//
+// The event kernel is pinned too: a partitioned radix-1024 run keeps one
+// Scheduler and one event slab per lane, 1024 of each. A slab entry is one
+// cache line, a slab chunk one 4 KiB page, and a Scheduler (mostly its
+// 1024-bucket ring) under 9 KiB.
 #include <gtest/gtest.h>
 
 #include "mesh/mesh_router.h"
@@ -31,6 +36,8 @@
 #include "noc/source.h"
 #include "nodes/fanin_node.h"
 #include "nodes/fanout_nodes.h"
+#include "sim/bucket_queue.h"
+#include "sim/scheduler.h"
 
 namespace specnoc {
 namespace {
@@ -58,6 +65,14 @@ static_assert(sizeof(noc::SourceNode) <= 232, "SourceNode footprint grew");
 static_assert(sizeof(noc::SinkNode) <= 104, "SinkNode footprint grew");
 static_assert(sizeof(mesh::MeshRouter) <= 688,
               "MeshRouter footprint grew (5 ports; still worth watching)");
+static_assert(sizeof(sim::BucketQueue::Entry) == 64,
+              "event slab entry is no longer one cache line");
+static_assert(sim::BucketQueue::kChunkEntries *
+                      sizeof(sim::BucketQueue::Entry) ==
+                  4096,
+              "event slab chunk is no longer one 4 KiB page");
+static_assert(sizeof(sim::Scheduler) <= 9 * 1024,
+              "Scheduler grew — a partitioned run keeps one per lane");
 
 // A runtime mirror so the suite reports the numbers (static_asserts alone
 // are silent when green).
@@ -70,6 +85,12 @@ TEST(FootprintTest, ReportSizes) {
   RecordProperty("SourceNode", static_cast<int>(sizeof(noc::SourceNode)));
   RecordProperty("SinkNode", static_cast<int>(sizeof(noc::SinkNode)));
   RecordProperty("MeshRouter", static_cast<int>(sizeof(mesh::MeshRouter)));
+  RecordProperty("EventEntry",
+                 static_cast<int>(sizeof(sim::BucketQueue::Entry)));
+  RecordProperty("EventChunk",
+                 static_cast<int>(sim::BucketQueue::kChunkEntries *
+                                  sizeof(sim::BucketQueue::Entry)));
+  RecordProperty("Scheduler", static_cast<int>(sizeof(sim::Scheduler)));
   SUCCEED();
 }
 

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <new>
 #include <vector>
@@ -139,12 +140,13 @@ TEST(InplaceEventTest, HoldsCaptureAtFullCapacity) {
   struct Big {
     std::uint64_t words[InplaceEvent::kCapacity / sizeof(std::uint64_t) - 1];
   };
+  constexpr std::size_t kLast = std::size(Big{}.words) - 1;
   Big big{};
   big.words[0] = 11;
-  big.words[4] = 22;
+  big.words[kLast] = 22;
   std::uint64_t seen = 0;
   // Capture is exactly kCapacity bytes: Big plus one reference.
-  InplaceEvent e([big, &seen] { seen = big.words[0] + big.words[4]; });
+  InplaceEvent e([big, &seen] { seen = big.words[0] + big.words[kLast]; });
   static_assert(sizeof(Big) + sizeof(void*) == InplaceEvent::kCapacity,
                 "capture should exactly fill the inline storage");
   e();
@@ -154,13 +156,18 @@ TEST(InplaceEventTest, HoldsCaptureAtFullCapacity) {
 // ---------------------------------------------------------------------------
 // BucketQueue
 
+/// The near window's width: times are given relative to it so the tests
+/// keep covering its edge and its wrap-around whatever its size.
+constexpr TimePs kWindow = BucketQueue::kNumBuckets;
+
 TEST(BucketQueueTest, PopsInTimeOrderAcrossTiers) {
   BucketQueue q;
   std::vector<int> order;
-  q.push(10000, [&order] { order.push_back(3); });  // overflow tier
-  q.push(5, [&order] { order.push_back(1); });      // near tier
-  q.push(10000, [&order] { order.push_back(4); });  // same time, later seq
-  q.push(4095, [&order] { order.push_back(2); });   // last in-window bucket
+  constexpr TimePs kFar = 3 * kWindow;
+  q.push(kFar, [&order] { order.push_back(3); });  // overflow tier
+  q.push(5, [&order] { order.push_back(1); });     // near tier
+  q.push(kFar, [&order] { order.push_back(4); });  // same time, later seq
+  q.push(kWindow - 1, [&order] { order.push_back(2); });  // last in-window
   EXPECT_EQ(q.size(), 4u);
   EXPECT_EQ(q.min_time(), 5);
   while (!q.empty()) {
@@ -174,12 +181,13 @@ TEST(BucketQueueTest, PopsInTimeOrderAcrossTiers) {
 TEST(BucketQueueTest, AdvanceToSlidesWindowPastOverflowBoundary) {
   BucketQueue q;
   std::vector<TimePs> times;
-  q.push(6000, [&times] { times.push_back(6000); });
-  EXPECT_EQ(q.min_time(), 6000);
-  q.advance_to(3000);  // 6000 now falls inside [3000, 3000 + 4096)
-  EXPECT_EQ(q.min_time(), 6000);
+  static constexpr TimePs kAt = kWindow + kWindow / 2;  // overflow at base 0
+  q.push(kAt, [&times] { times.push_back(kAt); });
+  EXPECT_EQ(q.min_time(), kAt);
+  q.advance_to(kAt - kWindow + 1);  // kAt is now the window's last bucket
+  EXPECT_EQ(q.min_time(), kAt);
   const BucketQueue::PopRef ref = q.pop();
-  EXPECT_EQ(ref.time, 6000);
+  EXPECT_EQ(ref.time, kAt);
   q.invoke_and_dispose(ref);
   q.recycle(ref);
   EXPECT_TRUE(q.empty());
@@ -235,11 +243,14 @@ struct RefModel {
   }
 };
 
-// Delays chosen to stress same-time bursts (0), bucket boundaries
-// (4094..4097 around the 4096-wide window), wrap-around (8191), and
-// overflow promotion (20000, 100000).
-constexpr TimePs kDelays[] = {0,    1,    2,    3,    50,    900,  4094,
-                              4095, 4096, 4097, 8191, 20000, 100000};
+// Delays chosen to stress same-time bursts (0), bucket boundaries (the
+// two picoseconds either side of the window's width), wrap-around (twice
+// the width, less one), and overflow promotion (20000, 100000).
+constexpr TimePs kDelays[] = {0,           1,           2,
+                              3,           50,          900,
+                              kWindow - 2, kWindow - 1, kWindow,
+                              kWindow + 1, 2 * kWindow - 1, 20000,
+                              100000};
 constexpr auto kNumDelays =
     static_cast<std::uint32_t>(sizeof(kDelays) / sizeof(kDelays[0]));
 
