@@ -52,7 +52,7 @@ TimePs measure_fanout_latency(MakeNode&& make_node) {
   ProbeSink top(sched, hooks), bottom(sched, hooks);
   auto node = make_node(sched, hooks);
   const noc::ChannelSpec link{{}};
-  noc::Channel in(link), out0(link), out1(link);
+  noc::WireChannel in(link), out0(link), out1(link);
   in.connect(driver, 0, *node, 0);
   out0.connect(*node, 0, top, 0);
   out1.connect(*node, 1, bottom, 0);
@@ -74,7 +74,7 @@ TimePs measure_fanin_latency() {
       nodes::default_characteristics(noc::NodeKind::kFanin)};
   nodes::FaninNode node(sched, hooks, spec);
   const noc::ChannelSpec link{{}};
-  noc::Channel in(link), out(link);
+  noc::WireChannel in(link), out(link);
   in.connect(driver, 0, node, 0);
   out.connect(node, 0, sink, 0);
   const noc::Message& msg = store.create_message(0, noc::DestSet::single(0), 0,

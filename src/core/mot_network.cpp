@@ -242,8 +242,32 @@ void MotNetwork::build() {
   }
   net_.reserve_nodes<nodes::FaninNode>(noc::NodeKind::kFanin,
                                        std::size_t{n} * plan.per_tree);
-  net_.reserve_channels(2 * std::size_t{n} * plan.per_tree +
-                        std::size_t{n} * n);
+
+  // channels() runs, declared in index order; the network picks each
+  // run's layout. Tree links repeat per tree, one run per level; source
+  // s's middle links, by destination, cross lanes outside its own lane's
+  // tree block.
+  net_.add_channels(*plan.source_link, n, false);
+  const auto tree_links = [&](const auto& specs) {
+    for (std::uint32_t t = 0; t < n; ++t) {
+      for (std::uint32_t level = 0; level + 1 < levels; ++level) {
+        net_.add_channels(*specs[level], topology_.nodes_at_level(level + 1),
+                          false);
+      }
+    }
+  };
+  tree_links(plan.fanout_link);
+  for (std::uint32_t s = 0; s < n; ++s) {
+    const std::uint32_t lane = plan.lane_of(s);
+    const std::uint32_t own = plan.first_tree(lane);
+    const std::uint32_t own_end = plan.first_tree(lane + 1);
+    net_.add_channels(*plan.middle_link, own, true);
+    net_.add_channels(*plan.middle_link, own_end - own, false);
+    net_.add_channels(*plan.middle_link, n - own_end, true);
+  }
+  tree_links(plan.fanin_link);
+  net_.add_channels(*plan.sink_link, n, false);
+  net_.reserve_channels();
 
   // nodes() runs. A fanout tree in heap order is a few stretches of one
   // kind each, at consecutive ranks of that kind's pool; tree t repeats

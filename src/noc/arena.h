@@ -232,10 +232,31 @@ class NetworkArena {
     }
     bool empty() const { return size_ == 0; }
 
+    /// The run holding position `index` of the list, and the pool slot
+    /// there, found by walking the runs (a MoT's channels are three).
+    std::pair<const Run<Base>*, std::size_t> locate(std::size_t index) const {
+      SPECNOC_EXPECTS(index < size_);
+      const Run<Base>* run = runs_.data();
+      while (index >= run->count) index -= (run++)->count;
+      return {run, run->first + index};
+    }
+    /// The object at position `index`, which must be constructed.
+    Base* at(std::size_t index) const {
+      const auto [run, slot] = locate(index);
+      return run->cast(run->pool->slot(slot));
+    }
+
    private:
     std::vector<Run<Base>> runs_;
     std::size_t size_ = 0;
   };
+
+  /// True when `run` lies in T's pool.
+  template <typename T, typename Base>
+  bool holds(const Run<Base>& run) const {
+    const std::size_t slot = type_slot<T>();
+    return slot < pools_.size() && run.pool == pools_[slot].get();
+  }
 
   /// Names T's pool for usage() reporting (first call wins; the Network
   /// labels node pools by their NodeKind string after construction, when

@@ -25,10 +25,29 @@ const char* to_string(ChannelClass klass) {
   return "?";
 }
 
-Channel::Channel(const ChannelSpec& spec) : spec_(&spec) {
+Channel::Channel(const ChannelSpec& spec, bool pipe) : spec_(&spec) {
   SPECNOC_EXPECTS(spec.params.delay_fwd >= 0 && spec.params.delay_ack >= 0);
   SPECNOC_EXPECTS(spec.params.capacity >= 1);
-  queue_.reserve(spec.params.capacity);
+  if (pipe) {
+    set(down_word_, kPipe);
+    set(up_word_, kPipe);
+  }
+}
+
+WireChannel::WireChannel(const ChannelSpec& spec) : Channel(spec, false) {
+  SPECNOC_EXPECTS(spec.params.capacity == 1);
+}
+
+PipeChannel::PipeChannel(const ChannelSpec& spec) : Channel(spec, true) {
+  ring_.reserve(spec.params.capacity - 1);
+}
+
+PipeChannel& Channel::as_pipe() {
+  return static_cast<PipeChannel&>(*this);
+}
+
+const PipeChannel& Channel::as_pipe() const {
+  return static_cast<const PipeChannel&>(*this);
 }
 
 std::string Channel::name() const {
@@ -75,13 +94,18 @@ void Channel::connect_downstream(Node& down, std::uint32_t down_port) {
 }
 
 void Channel::make_cross_partition(std::uint32_t index) {
-  SPECNOC_EXPECTS(!cross_partition() && queue_.empty() && free());
+  SPECNOC_EXPECTS(pipe() && !cross_partition() && occupancy() == 0 &&
+                  free());
   SPECNOC_EXPECTS(up_ != nullptr && up_->lane().partitioned() != nullptr);
   SPECNOC_EXPECTS(down_ == nullptr ||
                   down_->partition() != up_->partition());
   set(up_word_, kCross);
   set(down_word_, kCross);
-  mail_key_ = 2 * index;
+  as_pipe().mail_key_ = 2 * index;
+}
+
+std::uint32_t Channel::mail_key() const {
+  return pipe() ? as_pipe().mail_key_ : 0;
 }
 
 std::uint32_t Channel::upstream_port() const {
@@ -93,7 +117,9 @@ std::uint32_t Channel::downstream_port() const {
 }
 
 std::uint32_t Channel::occupancy() const {
-  return queue_.size() + (awaiting_node_ack() ? 1u : 0u);
+  const std::uint32_t head =
+      (down_word_ & (kHeadScheduled | kAwaitingNodeAck)) != 0 ? 1 : 0;
+  return head + (pipe() ? as_pipe().ring_.size() : 0);
 }
 
 void Channel::send(const Flit& flit) {
@@ -112,37 +138,37 @@ void Channel::send(const Flit& flit) {
     hooks.energy->on_channel_flit(spec.params.length, now);
   }
   if (cross_partition()) {
-    send_cross(lane, flit);
+    as_pipe().send_cross(lane, flit);
     return;
   }
-  SPECNOC_EXPECTS(occupancy() < spec.params.capacity);
-  queue_.push_back({flit, now + spec.params.delay_fwd});
+  const std::uint32_t occupied = occupancy() + 1;  // with this flit
+  SPECNOC_EXPECTS(occupied <= spec.params.capacity);
   // If a slot remains behind this flit, the first FIFO stage hands the ack
   // straight back; otherwise the upstream waits for the head to drain.
-  if (occupancy() < spec.params.capacity) {
+  if (occupied < spec.params.capacity) {
     release_upstream(lane);
   } else {
     set(up_word_, kStalled);
     stall_start_ = now;
   }
   // An intra-lane channel delivers on the same lane.
-  try_deliver(lane);
+  arrive(lane, flit, now + spec.params.delay_fwd);
 }
 
-void Channel::post(sim::Scheduler& lane, std::uint32_t producer,
-                   std::uint32_t consumer, std::uint32_t key, TimePs time,
-                   const Flit& flit) {
+void PipeChannel::post(sim::Scheduler& lane, std::uint32_t producer,
+                       std::uint32_t consumer, std::uint32_t key,
+                       TimePs time, const Flit& flit) {
   static_assert(std::is_trivially_copyable_v<Flit> &&
                 sizeof(Flit) <= sizeof(sim::Mail::payload));
   sim::Mail mail;
-  mail.target = this;
+  mail.target = static_cast<Channel*>(this);
   mail.time = time;
   mail.key = key;
   std::memcpy(mail.payload.data(), &flit, sizeof(Flit));
   lane.partitioned()->post(producer, consumer, mail);
 }
 
-void Channel::send_cross(sim::Scheduler& lane, const Flit& flit) {
+void PipeChannel::send_cross(sim::Scheduler& lane, const Flit& flit) {
   const TimePs now = lane.now();
   const ChannelParams& params = spec_->params;
   // The producer lane is the (hot) upstream node's; the consumer's is
@@ -165,20 +191,19 @@ void Channel::send_cross(sim::Scheduler& lane, const Flit& flit) {
 }
 
 void Channel::apply_mail(const sim::Mail& mail) {
-  Channel& channel = *static_cast<Channel*>(mail.target);
+  PipeChannel& channel = static_cast<Channel*>(mail.target)->as_pipe();
   if (mail.key != channel.mail_key_) {
     channel.apply_credit(mail.time);
     return;
   }
-  // A flit reaching the downstream half; try_deliver is a no-op while an
-  // earlier flit is still ahead of it.
+  // A flit reaching the downstream half; it queues while an earlier flit
+  // is still ahead of it.
   Flit flit;
   std::memcpy(&flit, mail.payload.data(), sizeof(Flit));
-  channel.queue_.push_back({flit, mail.time});
-  channel.try_deliver(channel.down_->lane());
+  channel.arrive(channel.down_->lane(), flit, mail.time);
 }
 
-void Channel::apply_credit(TimePs when) {
+void PipeChannel::apply_credit(TimePs when) {
   SPECNOC_ASSERT(in_flight_ > 0);
   --in_flight_;
   // Only a send that found the pipe full waits for a credit, and no other
@@ -201,21 +226,35 @@ void Channel::apply_credit(TimePs when) {
   });
 }
 
-void Channel::try_deliver(sim::Scheduler& down) {
-  if ((down_word_ & (kHeadScheduled | kAwaitingNodeAck)) != 0 ||
-      queue_.empty()) {
-    return;
+void Channel::arrive(sim::Scheduler& down, const Flit& flit,
+                     TimePs ready_at) {
+  if ((down_word_ & (kHeadScheduled | kAwaitingNodeAck)) == 0) {
+    // Nothing ahead (so nothing queued either): the flit is the head.
+    deliver_at(down, std::max(down.now(), ready_at), flit);
+  } else {
+    SPECNOC_ASSERT(pipe());  // a wire's send() waits for its head's ack
+    as_pipe().ring_.push_back({flit, ready_at});
   }
+}
+
+void Channel::try_deliver(sim::Scheduler& down) {
+  if ((down_word_ & (kHeadScheduled | kAwaitingNodeAck)) != 0 || !pipe()) {
+    return;  // a head is in flight, or a wire: nothing queues behind it
+  }
+  util::BoundedRing<PipeChannel::QueuedFlit, 1>& ring = as_pipe().ring_;
+  if (ring.empty()) return;
+  const PipeChannel::QueuedFlit next = ring.front();
+  ring.pop_front();
+  deliver_at(down, std::max(down.now(), next.ready_at), next.flit);
+}
+
+void Channel::deliver_at(sim::Scheduler& down, TimePs at, const Flit& flit) {
   set(down_word_, kHeadScheduled);
-  const TimePs at = std::max(down.now(), queue_.front().ready_at);
-  down.schedule_at(at, [this] {
+  down.schedule_at(at, [this, flit] {
     SPECNOC_ASSERT((down_word_ & (kHeadScheduled | kAwaitingNodeAck)) ==
                    kHeadScheduled);
-    SPECNOC_ASSERT(!queue_.empty());
     clear(down_word_, kHeadScheduled);
     set(down_word_, kAwaitingNodeAck);
-    const Flit flit = queue_.front().flit;
-    queue_.pop_front();
     down_->deliver(flit, downstream_port());
   });
 }
@@ -227,8 +266,9 @@ void Channel::ack() {
   if ((down_word_ & kCross) != 0) {  // the downstream half's own copy
     // Every ack is a credit for the upstream half, applied after the
     // window by the upstream lane's worker.
-    post(lane, down_->partition(), upstream_lane(), mail_key_ + 1,
-         lane.now(), Flit{});
+    PipeChannel& pipe = as_pipe();
+    pipe.post(lane, down_->partition(), upstream_lane(), pipe.mail_key_ + 1,
+              lane.now(), Flit{});
   } else if (!free() && occupancy() + 1 == spec_->params.capacity) {
     // The upstream was stalled on a full pipe; this ack frees a slot.
     if ((up_word_ & kStalled) != 0) {

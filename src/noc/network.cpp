@@ -12,6 +12,9 @@
 namespace specnoc::noc {
 namespace {
 
+constexpr const char* kWireLabel = "wire_channel";
+constexpr const char* kPipeLabel = "pipe_channel";
+
 // The traffic and energy observers are single-threaded code (the traffic
 // recorder's pending-message map spans lanes), but partitioned runs emit
 // hooks from several lanes at once. These forwarders serialize those two
@@ -185,11 +188,24 @@ void Network::clear_epoch_hook() {
   }
 }
 
-void Network::reserve_channels(std::size_t channels) {
-  SPECNOC_EXPECTS(channels_.empty());
-  arena_.reserve<Channel>(channels);
-  arena_.label_pool<Channel>("channel");
-  channels_.append(arena_.run<Channel, Channel>(0, channels));
+void Network::add_channels(const ChannelSpec& spec, std::size_t count,
+                           bool cross) {
+  if (count == 0) return;
+  SPECNOC_EXPECTS(!cross || partitioned());
+  if (pipe_layout(spec, cross)) {
+    channels_.append(arena_.run<Channel, PipeChannel>(declared_pipes_, count));
+    declared_pipes_ += count;
+  } else {
+    channels_.append(arena_.run<Channel, WireChannel>(declared_wires_, count));
+    declared_wires_ += count;
+  }
+}
+
+void Network::reserve_channels() {
+  arena_.reserve<WireChannel>(declared_wires_);
+  arena_.label_pool<WireChannel>(kWireLabel);
+  arena_.reserve<PipeChannel>(declared_pipes_);
+  arena_.label_pool<PipeChannel>(kPipeLabel);
 }
 
 Channel& Network::place_channel(std::size_t index, const ChannelSpec& spec,
@@ -207,7 +223,11 @@ Channel& Network::place_channel(std::size_t index, const ChannelSpec& spec,
                                 std::uint32_t down_partition,
                                 std::uint32_t cross_index) {
   SPECNOC_EXPECTS(down_partition < partitions());
-  Channel& channel = *arena_.create_at<Channel>(index, spec);
+  const auto [run, slot] = channels_.locate(index);
+  Channel& channel =
+      arena_.holds<PipeChannel>(*run)
+          ? static_cast<Channel&>(*arena_.create_at<PipeChannel>(slot, spec))
+          : *arena_.create_at<WireChannel>(slot, spec);
   channel.connect_upstream(up, up_port);
   if (up.partition() != down_partition) {
     // The builder declared a lookahead no longer than its cross channels'
@@ -220,16 +240,25 @@ Channel& Network::place_channel(std::size_t index, const ChannelSpec& spec,
   return channel;
 }
 
+template <typename T>
+Channel& Network::append_channel(const ChannelSpec& spec, const char* label) {
+  T* channel = arena_.create<T>(spec);
+  arena_.label_pool<T>(label);
+  channels_.append(arena_.run<Channel, T>(arena_.slots<T>() - 1, 1));
+  return *channel;
+}
+
 Channel& Network::add_channel(const ChannelParams& params, ChannelClass klass,
                               Node& up, std::uint32_t up_port, Node& down,
                               std::uint32_t down_port) {
-  Channel& ref =
-      *arena_.create<Channel>(util::intern(ChannelSpec{params, klass}));
-  arena_.label_pool<Channel>("channel");
-  channels_.append(
-      arena_.run<Channel, Channel>(arena_.slots<Channel>() - 1, 1));
+  const ChannelSpec& spec = util::intern(ChannelSpec{params, klass});
+  const bool cross =
+      psched_ != nullptr && up.partition() != down.partition();
+  Channel& ref = pipe_layout(spec, cross)
+                     ? append_channel<PipeChannel>(spec, kPipeLabel)
+                     : append_channel<WireChannel>(spec, kWireLabel);
   ref.connect(up, up_port, down, down_port);
-  if (psched_ != nullptr && up.partition() != down.partition()) {
+  if (cross) {
     const TimePs min_latency = std::min(params.delay_fwd, params.delay_ack);
     if (min_latency < psched_->lookahead()) {
       throw ConfigError("cross-partition channel '" + ref.name() +

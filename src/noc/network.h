@@ -106,14 +106,22 @@ class Network {
   /// (`params`, `klass`) (util::intern). A channel runs on its endpoints'
   /// lanes; in partitioned mode it is split into cross-partition halves
   /// when the endpoints' partitions differ (the channel's min latency must
-  /// be >= the declared lookahead).
+  /// be >= the declared lookahead). Its layout follows pipe_layout().
   Channel& add_channel(const ChannelParams& params, ChannelClass klass,
                        Node& up, std::uint32_t up_port, Node& down,
                        std::uint32_t down_port);
 
+  /// The layout rule, applied by this class alone: a channel is a
+  /// PipeChannel iff it buffers more than one flit or its ends sit on
+  /// different lanes (`cross`), and a WireChannel otherwise.
+  static bool pipe_layout(const ChannelSpec& spec, bool cross) {
+    return spec.params.capacity > 1 || cross;
+  }
+
   // Structural builds. A builder that derives every object's position from
   // structure sizes everything up front on one thread — one reserve_nodes()
   // per node type, add_nodes() for each run of nodes() order, and
+  // add_channels() for each run of channels() order followed by one
   // reserve_channels() — and then places each object at its slot with
   // place_node()/place_channel(), from several workers at once for
   // distinct slots. Placement takes no lock, creates no pool and interns
@@ -134,9 +142,16 @@ class Network {
     nodes_.append(arena_.run<Node, T>(first, count));
   }
 
-  /// Reserves the channel pool for exactly `channels` channels, which are
-  /// channels() in slot order. Requires a network without channels.
-  void reserve_channels(std::size_t channels);
+  /// Declares the next `count` channels of channels() order, each with
+  /// `spec`; `cross` tells whether their ends sit on different lanes
+  /// (false on a sequential network). Their layout, pipe_layout(), picks
+  /// the pool whose next slots they take. Requires a network without
+  /// placed or added channels.
+  void add_channels(const ChannelSpec& spec, std::size_t count, bool cross);
+
+  /// Sizes both channel pools exactly for the channels add_channels()
+  /// declared; call once, after the last declaration.
+  void reserve_channels();
 
   /// Constructs a node of type T (scheduler and hooks first) at `slot` of
   /// its reserved pool, on `partition`'s lane.
@@ -155,26 +170,29 @@ class Network {
     return *arena_.at<T>(slot);
   }
 
-  /// Constructs channels()[`index`] (its channel-pool slot) pointing to
-  /// the caller-interned `spec`, wired between two nodes of one partition.
+  /// Constructs channels()[`index`], in the layout its declaration chose,
+  /// pointing to the caller-interned `spec`, wired between two nodes of
+  /// one partition.
   Channel& place_channel(std::size_t index, const ChannelSpec& spec,
                          Node& up, std::uint32_t up_port, Node& down,
                          std::uint32_t down_port);
 
   /// Constructs channels()[`index`] with only its upstream end wired; the
   /// downstream end, on `down_partition`, is attached later with
-  /// Channel::connect_downstream(). A channel between two partitions is
-  /// split with mail index `cross_index`: the caller's structural count
-  /// of the cross channels before it in channels() order, which is what
-  /// add_channel's running count would give.
+  /// Channel::connect_downstream(). A channel between two partitions
+  /// (which its declaration must have said) is split with mail index
+  /// `cross_index`: the caller's structural count of the cross channels
+  /// before it in channels() order, which is what add_channel's running
+  /// count would give.
   Channel& place_channel(std::size_t index, const ChannelSpec& spec,
                          Node& up, std::uint32_t up_port,
                          std::uint32_t down_partition,
                          std::uint32_t cross_index);
 
-  /// The channel placed at `index`, by address arithmetic.
+  /// The channel placed at `index`: its (pool, slot) found among the
+  /// channels() runs, its address computed.
   Channel& placed_channel(std::size_t index) {
-    return *arena_.at<Channel>(index);
+    return *channels_.at(index);
   }
 
   /// Registers network interfaces so drivers can find them by index.
@@ -193,8 +211,8 @@ class Network {
   /// All nodes in construction order (add_node() calls and add_nodes()
   /// runs), read from the arena slabs.
   NetworkArena::RunView<Node> nodes() const { return nodes_.view(); }
-  /// All channels in creation order, which is their channel-pool slot
-  /// order.
+  /// All channels in creation (or declaration) order, as runs over the
+  /// wire and pipe pools.
   NetworkArena::RunView<Channel> channels() const {
     return channels_.view();
   }
@@ -203,12 +221,18 @@ class Network {
   const NetworkArena& arena() const { return arena_; }
 
  private:
+  /// Appends a T for add_channel().
+  template <typename T>
+  Channel& append_channel(const ChannelSpec& spec, const char* label);
+
   sim::Scheduler scheduler_;
   SimHooks hooks_;
   PacketStore packets_;
   NetworkArena arena_;  ///< owns every node and channel
   NetworkArena::RunList<Node> nodes_;
-  NetworkArena::RunList<Channel> channels_;  ///< one run: the whole pool
+  NetworkArena::RunList<Channel> channels_;
+  std::size_t declared_wires_ = 0;  ///< add_channels() slots per pool
+  std::size_t declared_pipes_ = 0;
   std::vector<SourceNode*> sources_;
   std::vector<SinkNode*> sinks_;
 

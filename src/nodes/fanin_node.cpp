@@ -7,8 +7,8 @@ FaninNode::FaninNode(sim::Scheduler& scheduler, noc::SimHooks& hooks,
     : Node(scheduler, hooks, noc::NodeKind::kFanin, 2, 1), spec_(&spec) {
   SPECNOC_EXPECTS(input_buffer_flits >= 1);
   SPECNOC_EXPECTS(spec.sticky_timeout > 0);
-  fifo_[0].reserve(input_buffer_flits);
-  fifo_[1].reserve(input_buffer_flits);
+  fifo0_.reserve(input_buffer_flits);
+  fifo1_.reserve(input_buffer_flits);
 }
 
 std::string FaninNode::output_port_name(std::uint32_t) const { return "up"; }
@@ -26,11 +26,11 @@ void FaninNode::deliver(const noc::Flit& flit, std::uint32_t in_port) {
 }
 
 void FaninNode::enqueue(const noc::Flit& flit, std::uint32_t port) {
-  util::BoundedRing<BufferedFlit, 2>& fifo = fifo_[port];
+  Fifo& queue = fifo(port);
   SPECNOC_ASSERT((flags_ & (kChannelBusy << port)) != 0);
-  SPECNOC_ASSERT(fifo.size() < fifo.capacity());
-  fifo.push_back({flit, arrival_seq_++});
-  if (fifo.size() < fifo.capacity()) {
+  SPECNOC_ASSERT(queue.size() < queue.capacity());
+  queue.push_back({flit, arrival_seq_++});
+  if (queue.size() < queue.capacity()) {
     ack_input(port);
   } else {
     // Ack once a slot frees.
@@ -52,7 +52,7 @@ void FaninNode::try_grant() {
   if ((flags_ & kCanGrant) != kCanGrant) return;
   if (open_packet_input_ >= 0) {
     const auto owner = static_cast<std::uint32_t>(open_packet_input_);
-    if (!fifo_[owner].empty()) {
+    if (!fifo(owner).empty()) {
       // Wormhole: keep streaming the open packet.
       forward_head(owner);
       return;
@@ -61,11 +61,12 @@ void FaninNode::try_grant() {
     // (strict wormhole), but only up to the watchdog timeout — an
     // unbounded hold deadlocks under lockstep multicast replication.
     if ((flags_ & kWatchdogArmed) == 0) {
-      flags_ |= kWatchdogArmed;
-      const std::uint64_t epoch = grant_epoch_;
-      sched().schedule(spec_->sticky_timeout, [this, epoch] {
+      flags_ = static_cast<std::uint8_t>(
+          (flags_ | kWatchdogArmed) & ~kGrantedSinceArm);
+      sched().schedule(spec_->sticky_timeout, [this] {
+        const bool stale = (flags_ & kGrantedSinceArm) != 0;
         flags_ &= static_cast<std::uint8_t>(~kWatchdogArmed);
-        if (grant_epoch_ == epoch && open_packet_input_ >= 0) {
+        if (!stale && open_packet_input_ >= 0) {
           // Still starved: release the hold and serve whoever is waiting.
           open_packet_input_ = -1;
           record_watchdog_release();
@@ -81,8 +82,8 @@ void FaninNode::try_grant() {
   int pick = -1;
   std::uint64_t best = 0;
   for (std::uint32_t p = 0; p < 2; ++p) {
-    if (fifo_[p].empty()) continue;
-    const std::uint64_t seq = fifo_[p].front().seq;
+    if (fifo(p).empty()) continue;
+    const std::uint64_t seq = fifo(p).front().seq;
     if (pick < 0 || seq < best) {
       pick = static_cast<int>(p);
       best = seq;
@@ -94,18 +95,18 @@ void FaninNode::try_grant() {
 }
 
 void FaninNode::forward_head(std::uint32_t port) {
-  util::BoundedRing<BufferedFlit, 2>& fifo = fifo_[port];
+  Fifo& queue = fifo(port);
   SPECNOC_ASSERT((flags_ & kOutputFree) != 0 &&
-                 (flags_ & kArbiterReady) != 0 && !fifo.empty());
-  const noc::Flit flit = fifo.front().flit;
-  fifo.pop_front();
+                 (flags_ & kArbiterReady) != 0 && !queue.empty());
+  const noc::Flit flit = queue.front().flit;
+  queue.pop_front();
   flags_ &= static_cast<std::uint8_t>(~kOutputFree);
-  ++grant_epoch_;  // any armed watchdog is now stale
+  flags_ |= kGrantedSinceArm;  // any armed watchdog is now stale
   record_op(noc::NodeOp::kArbitrate);
-  if (!fifo_[port ^ 1u].empty()) record_contended_grant();
+  if (!fifo(port ^ 1u).empty()) record_contended_grant();
   output(0).send(flit);
   if (flit.is_header() && !noc::closes_packet(flit)) {
-    open_packet_input_ = static_cast<int>(port);
+    open_packet_input_ = static_cast<std::int8_t>(port);
   } else if (noc::closes_packet(flit) &&
              open_packet_input_ == static_cast<int>(port)) {
     open_packet_input_ = -1;

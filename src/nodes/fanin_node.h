@@ -40,7 +40,11 @@
 
 namespace specnoc::nodes {
 
-class FaninNode final : public noc::Node {
+/// Three cache lines: the build-only node header, then the spec pointer,
+/// the two input FIFOs and the arrival counter, with the flag byte and the
+/// open input in the FIFOs' tail padding (pinned in
+/// tests/nodes/footprint_test.cpp).
+class alignas(64) FaninNode final : public noc::Node {
  public:
   /// Keeps a pointer to `spec`, which must outlive the node (builders pass
   /// the interned value; see util::intern). `input_buffer_flits` is
@@ -59,7 +63,7 @@ class FaninNode final : public noc::Node {
   /// Introspection (tests, diagnostics).
   bool output_port_free() const { return (flags_ & kOutputFree) != 0; }
   std::size_t buffered(std::uint32_t port) const {
-    return fifo_[port].size();
+    return fifo(port).size();
   }
   /// Input whose packet is currently streaming (-1 if none).
   int open_packet_input() const { return open_packet_input_; }
@@ -69,16 +73,25 @@ class FaninNode final : public noc::Node {
     noc::Flit flit;
     std::uint64_t seq;  ///< FCFS grant order
   };
+  using Fifo = util::BoundedRing<BufferedFlit, 2>;
 
   // flags_: per input port p, a delivery is in the entry stage
   // (kChannelBusy << p) and the FIFO was full, so the channel ack is
   // postponed (kAckDeferred << p); the output is free, the arbiter has
-  // recovered, and a watchdog event is pending.
-  static constexpr std::uint8_t kChannelBusy = 0b000'0001;
-  static constexpr std::uint8_t kAckDeferred = 0b000'0100;
-  static constexpr std::uint8_t kOutputFree = 0b001'0000;
-  static constexpr std::uint8_t kArbiterReady = 0b010'0000;
-  static constexpr std::uint8_t kWatchdogArmed = 0b100'0000;
+  // recovered, a watchdog event is pending, and a grant was made since it
+  // was armed. kWatchdogArmed admits one pending watchdog per node, so
+  // kGrantedSinceArm tells that watchdog whether its hold is stale.
+  static constexpr std::uint8_t kChannelBusy = 0b0000'0001;
+  static constexpr std::uint8_t kAckDeferred = 0b0000'0100;
+  static constexpr std::uint8_t kOutputFree = 0b0001'0000;
+  static constexpr std::uint8_t kArbiterReady = 0b0010'0000;
+  static constexpr std::uint8_t kWatchdogArmed = 0b0100'0000;
+  static constexpr std::uint8_t kGrantedSinceArm = 0b1000'0000;
+
+  Fifo& fifo(std::uint32_t port) { return port == 0 ? fifo0_ : fifo1_; }
+  const Fifo& fifo(std::uint32_t port) const {
+    return port == 0 ? fifo0_ : fifo1_;
+  }
 
   void enqueue(const noc::Flit& flit, std::uint32_t port);
   void ack_input(std::uint32_t port);
@@ -87,12 +100,13 @@ class FaninNode final : public noc::Node {
 
   const FaninSpec* spec_;  ///< interned, shared across nodes
   /// Input FIFOs; each one's capacity is the configured buffer depth
-  /// (default 2: inline, no per-node heap).
-  util::BoundedRing<BufferedFlit, 2> fifo_[2];
-  int open_packet_input_ = -1;  ///< sticky hold until tail passes
+  /// (default 2: inline, no per-node heap). Two members rather than an
+  /// array, so the byte after each holds a field.
+  [[no_unique_address]] Fifo fifo0_;
   std::uint8_t flags_ = kOutputFree | kArbiterReady;
+  [[no_unique_address]] Fifo fifo1_;
+  std::int8_t open_packet_input_ = -1;  ///< sticky hold until tail passes
   std::uint64_t arrival_seq_ = 0;
-  std::uint64_t grant_epoch_ = 0;  ///< invalidates stale watchdog events
 };
 
 }  // namespace specnoc::nodes

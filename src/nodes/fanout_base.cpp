@@ -19,9 +19,25 @@ void FanoutNodeBase::deliver(const noc::Flit& flit, std::uint32_t in_port) {
   SPECNOC_EXPECTS(in_port == 0);
   SPECNOC_ASSERT(!input_busy());
   flags_ |= kInputBusy;
-  sched().schedule(disciplined_delay(processing_latency(flit),
-                                     chars_->clock_period, sched().now()),
-                   [this, flit] { process(flit); });
+  const Route decision = route(flit);
+  const TimePs latency = decision.dirs == kDirNone
+                             ? chars_->throttle_latency
+                             : flit.is_header() ? chars_->fwd_header
+                                                : chars_->fwd_body;
+  sched().schedule(
+      disciplined_delay(latency, chars_->clock_period, sched().now()),
+      [this, flit, decision] { process(flit, decision); });
+}
+
+void FanoutNodeBase::process(const noc::Flit& flit, const Route& route) {
+  if (route.dirs == kDirNone) {
+    throttle(flit);
+    return;
+  }
+  if (route.prealloc != Prealloc::kNone) {
+    record_prealloc(route.prealloc == Prealloc::kHit);
+  }
+  forward(flit, route.dirs, route.op);
 }
 
 void FanoutNodeBase::on_output_ack(std::uint32_t out_port) {
@@ -46,11 +62,8 @@ void FanoutNodeBase::forward(const noc::Flit& flit, Dirs dirs,
   record_op(op);
   // Every required output holds its copy before the first one is sent;
   // the input is acked once none is left waiting.
-  for (std::uint32_t dir = 0; dir < 2; ++dir) {
-    if ((dirs & (1u << dir)) == 0) continue;
-    flags_ |= static_cast<std::uint8_t>(kWaiting << dir);
-    waiting_[dir] = flit;
-  }
+  waiting_ = flit;
+  flags_ |= static_cast<std::uint8_t>(dirs * kWaiting);
   for (std::uint32_t dir = 0; dir < 2; ++dir) {
     if ((dirs & (1u << dir)) != 0) try_send(dir);
   }
@@ -63,26 +76,11 @@ void FanoutNodeBase::throttle(const noc::Flit& flit) {
   ack_input();
 }
 
-TimePs FanoutNodeBase::fwd_latency(const noc::Flit& flit) const {
-  return flit.is_header() ? chars_->fwd_header : chars_->fwd_body;
-}
-
-TimePs FanoutNodeBase::processing_latency(const noc::Flit& flit) const {
-  return fwd_latency(flit);
-}
-
 void FanoutNodeBase::try_send(std::uint32_t dir) {
   const auto ready = static_cast<std::uint8_t>((kFree | kWaiting) << dir);
-  if ((flags_ & ready) == ready) {
-    flags_ &= static_cast<std::uint8_t>(~(kWaiting << dir));
-    const noc::Flit flit = waiting_[dir];
-    send_now(dir, flit);
-  }
-}
-
-void FanoutNodeBase::send_now(std::uint32_t dir, const noc::Flit& flit) {
-  flags_ &= static_cast<std::uint8_t>(~(kFree << dir));
-  output(dir).send(flit);
+  if ((flags_ & ready) != ready) return;
+  flags_ &= static_cast<std::uint8_t>(~ready);
+  output(dir).send(waiting_);
   if ((flags_ & kWaitingAny) == 0) {
     ack_input();
   }

@@ -3,7 +3,8 @@
 // A fanout node has one input channel and two output channels. The base
 // class implements the handshake protocol common to all five designs:
 //
-//   deliver(flit)  --fwd latency-->  process(flit)  [subclass decides dirs]
+//   deliver(flit)  [subclass route(): dirs, energy label]
+//     --fwd latency (throttle latency for kDirNone)-->  process(flit, route)
 //   forward on each required output as it becomes free
 //   once ALL required req-outs are issued  --ack delay-->  input ack
 //
@@ -32,8 +33,20 @@ inline constexpr Dirs kDirTop = 0b01;
 inline constexpr Dirs kDirBottom = 0b10;
 inline constexpr Dirs kDirBoth = 0b11;
 
+/// A channel pre-allocation probe to record with a forward (the
+/// performance-optimized non-speculative node's; none for the others).
+enum class Prealloc : std::uint8_t { kNone, kMiss, kHit };
+
+/// A design's decision for one flit, made once at delivery and carried
+/// in the processing event's capture.
+struct Route {
+  Dirs dirs = kDirNone;  ///< kDirNone throttles the flit
+  noc::NodeOp op = noc::NodeOp::kRouteForward;  ///< the forward's label
+  Prealloc prealloc = Prealloc::kNone;
+};
+
 /// Two cache lines: the build-only node header, then the run-time state —
-/// spans, the two waiting flits and one flag byte (pinned in
+/// spans, the waiting flit and one flag byte (pinned in
 /// tests/nodes/footprint_test.cpp).
 class alignas(64) FanoutNodeBase : public noc::Node {
  public:
@@ -67,28 +80,16 @@ class alignas(64) FanoutNodeBase : public noc::Node {
   }
 
  protected:
-  /// Subclass hook: invoked after the forward latency has elapsed; must call
-  /// forward() or throttle() exactly once for the flit.
-  virtual void process(const noc::Flit& flit) = 0;
+  /// Subclass hook: the design's decision for `flit`, taken when it is
+  /// delivered. It sets the processing latency (throttle_latency for
+  /// kDirNone, the forward latency otherwise), and after that latency the
+  /// base forwards the flit on `dirs`, or throttles it, and records the
+  /// operation.
+  virtual Route route(const noc::Flit& flit) const = 0;
 
   /// Ground-truth direction set for a packet at this node (kDirNone for a
   /// misrouted packet whose destinations lie in neither subtree).
   Dirs true_dirs(const noc::Packet& packet) const;
-
-  /// Sends the flit on every direction in `dirs` (waiting for busy outputs),
-  /// then acks the input. `op` labels the energy event.
-  void forward(const noc::Flit& flit, Dirs dirs, noc::NodeOp op);
-
-  /// Consumes a misrouted flit: energy-throttle event, then input ack.
-  void throttle(const noc::Flit& flit);
-
-  TimePs fwd_latency(const noc::Flit& flit) const;
-
-  /// Input-to-decision latency for this flit. The default is the forward
-  /// latency; designs with a fast kill path (non-speculative nodes and the
-  /// optimized speculative node's body path) override this to return
-  /// throttle_latency for flits they will throttle.
-  virtual TimePs processing_latency(const noc::Flit& flit) const;
 
  private:
   // flags_: output `dir` is free (kFree << dir) and has a copy of the
@@ -98,15 +99,27 @@ class alignas(64) FanoutNodeBase : public noc::Node {
   static constexpr std::uint8_t kWaitingAny = 0b0'1100;
   static constexpr std::uint8_t kInputBusy = 0b1'0000;
 
+  /// Carries out `route` for the flit, one processing latency after its
+  /// delivery.
+  void process(const noc::Flit& flit, const Route& route);
+
+  /// Sends the flit on every direction in `dirs` (waiting for busy outputs),
+  /// then acks the input. `op` labels the energy event.
+  void forward(const noc::Flit& flit, Dirs dirs, noc::NodeOp op);
+
+  /// Consumes a misrouted flit: energy-throttle event, then input ack.
+  void throttle(const noc::Flit& flit);
+
   void try_send(std::uint32_t dir);
-  void send_now(std::uint32_t dir, const noc::Flit& flit);
   void ack_input();
 
   /// Shared (intern_characteristics), not a 48-byte copy per node.
   const NodeCharacteristics* chars_;
   noc::DestRange top_span_;
   noc::DestRange bottom_span_;
-  noc::Flit waiting_[2];  ///< per output, valid while kWaiting << dir
+  /// The flit every output with kWaiting << dir still has to send: one
+  /// copy, as the next flit waits for the input ack.
+  noc::Flit waiting_;
   std::uint8_t flags_ = kFree | (kFree << 1);
 };
 

@@ -32,7 +32,7 @@ class BaselineFanoutNode final : public FanoutNodeBase {
                      noc::DestRange top_span, noc::DestRange bottom_span);
 
  private:
-  void process(const noc::Flit& flit) override;
+  Route route(const noc::Flit& flit) const override;
 };
 
 /// Unoptimized speculative node: no address storage, no route computation;
@@ -44,7 +44,7 @@ class SpecFanoutNode final : public FanoutNodeBase {
                  noc::DestRange top_span, noc::DestRange bottom_span);
 
  private:
-  void process(const noc::Flit& flit) override;
+  Route route(const noc::Flit& flit) const override;
 };
 
 /// Unoptimized non-speculative node: decodes its 2-bit symbol for every
@@ -58,8 +58,7 @@ class NonSpecFanoutNode final : public FanoutNodeBase {
                     noc::DestRange top_span, noc::DestRange bottom_span);
 
  private:
-  void process(const noc::Flit& flit) override;
-  TimePs processing_latency(const noc::Flit& flit) const override;
+  Route route(const noc::Flit& flit) const override;
 };
 
 /// Power-optimized speculative node: the header is broadcast and its routing
@@ -74,8 +73,7 @@ class OptSpecFanoutNode final : public FanoutNodeBase {
                     noc::DestRange top_span, noc::DestRange bottom_span);
 
  private:
-  void process(const noc::Flit& flit) override;
-  TimePs processing_latency(const noc::Flit& flit) const override;
+  Route route(const noc::Flit& flit) const override;
 };
 
 /// Performance-optimized non-speculative node: header routing pre-allocates
@@ -88,8 +86,7 @@ class OptNonSpecFanoutNode final : public FanoutNodeBase {
                        noc::DestRange top_span, noc::DestRange bottom_span);
 
  private:
-  void process(const noc::Flit& flit) override;
-  TimePs processing_latency(const noc::Flit& flit) const override;
+  Route route(const noc::Flit& flit) const override;
 };
 
 }  // namespace specnoc::nodes

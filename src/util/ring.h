@@ -48,10 +48,11 @@ class BoundedRing {
 
   /// Fixes the capacity exactly: capacity() returns it and push_back
   /// accepts that many entries. Call once, before any push (idempotent
-  /// while empty). Capacities up to InlineCap stay inline.
+  /// while empty). Capacities up to InlineCap stay inline; a zero capacity
+  /// holds nothing (a capacity-1 pipe queues no flit behind its head).
   void reserve(std::uint32_t capacity) {
     SPECNOC_EXPECTS(size_ == 0);
-    SPECNOC_EXPECTS(capacity >= 1 && capacity <= kMaxRingCapacity);
+    SPECNOC_EXPECTS(capacity <= kMaxRingCapacity);
     head_ = 0;
     if (capacity == capacity_) return;
     if (capacity_ > InlineCap) ::operator delete(heap_);

@@ -34,14 +34,14 @@ class RouterHarness {
                     .throttle_latency = 30}),
                topo, /*router_id=*/4, /*buffer=*/4, /*timeout=*/900),
         driver(sched, hooks) {
-    in = std::make_unique<noc::Channel>(link);
+    in = std::make_unique<noc::WireChannel>(link);
     in->connect(driver, 0, router, in_port);
     // Outputs are distinct channels from inputs: every port gets a sink,
     // including the one whose input carries the driver.
     for (std::uint32_t p = 0; p < kNumPorts; ++p) {
       sinks.push_back(std::make_unique<RecordingEndpoint>(sched, hooks,
                                                           sink_ack_delay));
-      outs.push_back(std::make_unique<noc::Channel>(link));
+      outs.push_back(std::make_unique<noc::WireChannel>(link));
       outs.back()->connect(router, p, *sinks.back(), 0);
       sink_of_port[p] = sinks.back().get();
     }
@@ -75,9 +75,9 @@ class RouterHarness {
   MeshTopology topo;
   RouterT router;
   DriverEndpoint driver;
-  std::unique_ptr<noc::Channel> in;
+  std::unique_ptr<noc::WireChannel> in;
   std::vector<std::unique_ptr<RecordingEndpoint>> sinks;
-  std::vector<std::unique_ptr<noc::Channel>> outs;
+  std::vector<std::unique_ptr<noc::WireChannel>> outs;
   std::map<std::uint32_t, RecordingEndpoint*> sink_of_port;
 };
 

@@ -6,13 +6,15 @@
 // it must carry what the builder asked for. Records hold no hooks: equal
 // channels of two networks share one record, and each channel still
 // reports to its own network's observers. The network keeps no list per
-// object: channels() walks the channel pool in slot order and nodes() a
-// few runs of pool slots, which must still give every object once, in
-// build order.
+// object: channels() and nodes() walk a few runs of pool slots, which must
+// still give every object once, in build order. Channels come in two
+// layouts, each in its own pool, and the network alone picks one: a pipe
+// iff the link buffers more than one flit or crosses lanes.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <set>
 #include <utility>
@@ -149,8 +151,8 @@ TEST(ChannelSpecTest, NetworksShareRecordsButNotHooks) {
   testing::DriverEndpoint up_b(sched, hooks_b);
   testing::RecordingEndpoint down_a(sched, hooks_a, 0);
   testing::RecordingEndpoint down_b(sched, hooks_b, 0);
-  Channel ch_a(spec);
-  Channel ch_b(spec);
+  WireChannel ch_a(spec);
+  WireChannel ch_b(spec);
   ch_a.connect(up_a, 0, down_a, 0);
   ch_b.connect(up_b, 0, down_b, 0);
   EXPECT_EQ(&ch_a.params(), &ch_b.params());
@@ -236,7 +238,9 @@ TEST(NetworkListsTest, MotListsAreReadFromTheArenaInStructuralOrder) {
           last = node->kind();
         }
       }
-      EXPECT_EQ(net.channels().runs(), 1u);
+      // Wires (source and fanout links), pipes (middle links), wires
+      // (fanin and sink links).
+      EXPECT_EQ(net.channels().runs(), 3u);
       EXPECT_LE(net.nodes().runs(), 3 + n * stretches);
     }
   }
@@ -314,6 +318,105 @@ TEST(NetworkListsTest, HandBuiltListsAreInAddOrder) {
                                   net.channels().end()),
             channels);
   EXPECT_EQ(net.channels().runs(), 1u);
+}
+
+/// Checks each channel's layout against `pipe` and its address against
+/// its layout's alignment; returns the number of pipes.
+template <typename IsPipe>
+std::size_t expect_layouts(const Network& net, IsPipe pipe) {
+  std::size_t pipes = 0;
+  for (const Channel* channel : net.channels()) {
+    const bool expected = pipe(*channel);
+    EXPECT_EQ(channel->pipe(), expected) << channel->name();
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(channel) %
+                  (expected ? alignof(PipeChannel) : alignof(WireChannel)),
+              0u)
+        << channel->name();
+    if (channel->pipe()) ++pipes;
+  }
+  return pipes;
+}
+
+TEST(ChannelLayoutTest, OnlyMotMiddleLinksArePipes) {
+  for (const std::uint32_t n : {16u, 64u}) {
+    for (const PartitionStrategy partition :
+         {PartitionStrategy::kTree, PartitionStrategy::kQuadrant}) {
+      core::NetworkConfig cfg;
+      cfg.n = n;
+      cfg.sim_threads = 2;
+      cfg.partition = partition;
+      core::MotNetwork mot(core::Architecture::kOptHybridSpeculative, cfg);
+      const Network& net = mot.net();
+      ASSERT_GT(net.partitions(), 1u);
+      // Middle links are pipelined (capacity 2) whether or not they cross;
+      // every other link is a one-lane wire.
+      const std::size_t pipes =
+          expect_layouts(net, [](const Channel& channel) {
+            return channel.klass() == ChannelClass::kMiddle;
+          });
+      EXPECT_EQ(pipes, std::size_t{n} * n);
+    }
+  }
+}
+
+TEST(ChannelLayoutTest, OnlyRowCrossingMeshHopsArePipes) {
+  mesh::MeshConfig cfg;
+  cfg.cols = 3;
+  cfg.rows = 5;
+  cfg.sim_threads = 2;
+  cfg.partition = PartitionStrategy::kRows;
+  mesh::MeshNetwork mesh_net(cfg);
+  const Network& net = mesh_net.net();
+  ASSERT_EQ(net.partitions(), 5u);
+  // Mesh links buffer one flit: only the north/south hops between two row
+  // lanes are pipes, and each of them is split.
+  const std::size_t pipes = expect_layouts(net, [](const Channel& channel) {
+    return channel.upstream()->partition() !=
+           channel.downstream()->partition();
+  });
+  EXPECT_EQ(pipes, 2u * 3 * (5 - 1));
+  // add_channel() appends to whichever pool a link's layout picks, so the
+  // runs alternate; placed_channel() still finds each one.
+  EXPECT_GT(net.channels().runs(), 2u);
+  std::size_t i = 0;
+  for (const Channel* channel : net.channels()) {
+    EXPECT_EQ(channel->cross_partition(), channel->pipe()) << channel->name();
+    EXPECT_EQ(channel, &mesh_net.net().placed_channel(i++));
+  }
+}
+
+TEST(NetworkListsTest, PartitionedMotKeepsTheGoldenChannelOrder) {
+  // tests/golden/network_names.txt lists the sequential n = 4 hybrid
+  // network's channels; split over four lanes, with middle links in the
+  // pipe pool between two wire runs, channels() keeps that order.
+  std::ifstream in(SPECNOC_GOLDEN_DIR "/network_names.txt");
+  std::vector<std::string> golden;
+  bool section = false;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("# ", 0) == 0) {
+      section = line == "# OptHybridSpeculative n=4";
+    } else if (section && line.rfind("channel ", 0) == 0) {
+      golden.push_back(line);
+    }
+  }
+  ASSERT_FALSE(golden.empty());
+
+  core::NetworkConfig cfg;
+  cfg.n = 4;
+  cfg.sim_threads = 2;
+  cfg.partition = PartitionStrategy::kTree;
+  core::MotNetwork mot(core::Architecture::kOptHybridSpeculative, cfg);
+  Network& net = mot.net();
+  ASSERT_EQ(net.partitions(), 4u);
+  std::vector<std::string> derived;
+  std::size_t i = 0;
+  for (const Channel* channel : net.channels()) {
+    EXPECT_EQ(channel, &net.placed_channel(i++));
+    derived.push_back(std::string("channel ") + to_string(channel->klass()) +
+                      " " + channel->name());
+  }
+  EXPECT_EQ(derived, golden);
+  EXPECT_EQ(net.channels().runs(), 3u);
 }
 
 }  // namespace

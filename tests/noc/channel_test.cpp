@@ -21,7 +21,7 @@ TEST(ChannelTest, DeliversAfterForwardDelay) {
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, /*ack_delay=*/0);
   const ChannelSpec spec{{.delay_fwd = 120, .delay_ack = 80, .length = 900}};
-  Channel ch(spec);
+  WireChannel ch(spec);
   ch.connect(up, 0, down, 0);
 
   EXPECT_TRUE(ch.free());
@@ -43,7 +43,7 @@ TEST(ChannelTest, AckFreesChannelAfterAckDelay) {
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, /*ack_delay=*/50);
   const ChannelSpec spec{{.delay_fwd = 100, .delay_ack = 70, .length = 0}};
-  Channel ch(spec);
+  WireChannel ch(spec);
   ch.connect(up, 0, down, 0);
 
   up.send(0, make_flit(pkt, 0));
@@ -64,7 +64,7 @@ TEST(ChannelTest, BackToBackTransactions) {
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, /*ack_delay=*/0);
   const ChannelSpec spec{{.delay_fwd = 10, .delay_ack = 10, .length = 0}};
-  Channel ch(spec);
+  WireChannel ch(spec);
   ch.connect(up, 0, down, 0);
 
   std::uint32_t next_seq = 1;
@@ -93,7 +93,7 @@ TEST(ChannelTest, CountsFlitsCarried) {
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, 0);
   const ChannelSpec spec{{.delay_fwd = 1, .delay_ack = 1, .length = 0}};
-  Channel ch(spec);
+  WireChannel ch(spec);
   ch.connect(up, 0, down, 0);
 
   std::uint32_t next_seq = 1;
@@ -120,7 +120,7 @@ TEST(PipelinedChannelTest, CapacityTwoAcksUpstreamBeforeNodeAck) {
   RecordingEndpoint down(sched, hooks, /*ack_delay=*/1000);  // slow node
   const ChannelSpec spec{
       {.delay_fwd = 10, .delay_ack = 10, .length = 0, .capacity = 2}};
-  Channel ch(spec);
+  PipeChannel ch(spec);
   ch.connect(up, 0, down, 0);
 
   up.send(0, make_flit(pkt, 0));
@@ -144,7 +144,7 @@ TEST(PipelinedChannelTest, FullPipeDefersUpstreamAck) {
   RecordingEndpoint down(sched, hooks, /*ack_delay=*/500);
   const ChannelSpec spec{
       {.delay_fwd = 10, .delay_ack = 10, .length = 0, .capacity = 2}};
-  Channel ch(spec);
+  PipeChannel ch(spec);
   ch.connect(up, 0, down, 0);
 
   std::uint32_t next_seq = 1;
@@ -178,7 +178,7 @@ TEST(PipelinedChannelTest, CapacityOneMatchesPlainWireTiming) {
   RecordingEndpoint down(sched, hooks, /*ack_delay=*/50);
   const ChannelSpec spec{
       {.delay_fwd = 100, .delay_ack = 70, .length = 0, .capacity = 1}};
-  Channel ch(spec);
+  WireChannel ch(spec);
   ch.connect(up, 0, down, 0);
   up.send(0, make_flit(pkt, 0));
   sched.run();
@@ -196,7 +196,7 @@ TEST(ChannelTest, ZeroDelayChannelStillHandshakes) {
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, 0);
   const ChannelSpec spec{{.delay_fwd = 0, .delay_ack = 0, .length = 0}};
-  Channel ch(spec);
+  WireChannel ch(spec);
   ch.connect(up, 0, down, 0);
   up.send(0, make_flit(pkt, 0));
   sched.run();

@@ -4,6 +4,7 @@
 
 #include "../support/test_nodes.h"
 #include "noc/channel.h"
+#include "noc/network.h"
 #include "sim/scheduler.h"
 
 namespace specnoc::noc {
@@ -26,7 +27,7 @@ TEST(ContractDeathTest, ChannelDoubleSendAborts) {
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, 0);
   const ChannelSpec spec{{.delay_fwd = 10, .delay_ack = 10, .length = 0}};
-  Channel ch(spec);
+  WireChannel ch(spec);
   ch.connect(up, 0, down, 0);
   up.send(0, make_flit(pkt, 0));
   // Second send before the handshake completes violates the 2-phase
@@ -40,7 +41,7 @@ TEST(ContractDeathTest, ChannelAckWithoutDeliveryAborts) {
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, 0);
   const ChannelSpec spec{{}};
-  Channel ch(spec);
+  WireChannel ch(spec);
   ch.connect(up, 0, down, 0);
   EXPECT_DEATH(ch.ack(), "precondition");
 }
@@ -51,9 +52,26 @@ TEST(ContractDeathTest, ChannelDoubleConnectAborts) {
   DriverEndpoint up(sched, hooks);
   RecordingEndpoint down(sched, hooks, 0);
   const ChannelSpec spec{{}};
-  Channel ch(spec);
+  WireChannel ch(spec);
   ch.connect(up, 0, down, 0);
   EXPECT_DEATH(ch.connect(up, 1, down, 1), "precondition");
+}
+
+TEST(ContractDeathTest, CrossPartitionWireAborts) {
+  // Only a pipe can be split across lanes: a wire has no mail key, credit
+  // count or ring. Network never builds one; a hand-made one dies.
+  Network net;
+  net.enable_partitions(2, 10);
+  net.set_build_partition(0);
+  auto& up = net.add_node<DriverEndpoint>();
+  const ChannelSpec spec{{.delay_fwd = 10, .delay_ack = 10, .length = 0}};
+  WireChannel wire(spec);
+  wire.connect_upstream(up, 0);
+  EXPECT_DEATH(wire.make_cross_partition(0), "precondition");
+  PipeChannel pipe(spec);
+  pipe.connect_upstream(net.add_node<DriverEndpoint>(), 0);
+  pipe.make_cross_partition(0);
+  EXPECT_TRUE(pipe.cross_partition());
 }
 
 TEST(ContractDeathTest, SchedulerNegativeDelayAborts) {
@@ -74,7 +92,7 @@ TEST(ContractDeathTest, PortBeyondTheNodesCountAborts) {
   DriverEndpoint up(sched, hooks);  // one output
   RecordingEndpoint down(sched, hooks, 0);
   const ChannelSpec spec{};
-  Channel ch(spec);
+  WireChannel ch(spec);
   EXPECT_DEATH(ch.connect(up, 1, down, 0), "precondition");
 }
 

@@ -56,14 +56,14 @@ TEST(NodePortTableTest, EveryPortKeepsItsChannel) {
       EXPECT_EQ(node.input_channel(p), nullptr);
     }
     // Wired in reverse port order, so attach order is not slot order.
-    std::vector<std::unique_ptr<Channel>> in(inputs);
-    std::vector<std::unique_ptr<Channel>> out(outputs);
+    std::vector<std::unique_ptr<WireChannel>> in(inputs);
+    std::vector<std::unique_ptr<WireChannel>> out(outputs);
     for (std::uint32_t p = inputs; p-- > 0;) {
-      in[p] = std::make_unique<Channel>(spec);
+      in[p] = std::make_unique<WireChannel>(spec);
       in[p]->connect(peer, p, node, p);
     }
     for (std::uint32_t p = outputs; p-- > 0;) {
-      out[p] = std::make_unique<Channel>(spec);
+      out[p] = std::make_unique<WireChannel>(spec);
       out[p]->connect(node, p, peer, p);
     }
     EXPECT_EQ(node.num_inputs(), inputs);

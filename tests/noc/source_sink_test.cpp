@@ -42,7 +42,7 @@ TEST(SourceNodeTest, InjectsAllFlitsOfQueuedPacket) {
   SourceNode src(sched, hooks, 0, /*issue_delay=*/10);
   RecordingEndpoint down(sched, hooks, /*ack_delay=*/0);
   const ChannelSpec spec{{.delay_fwd = 5, .delay_ack = 5, .length = 0}};
-  Channel ch(spec);
+  WireChannel ch(spec);
   ch.connect(src, 0, down, 0);
 
   src.enqueue_packet(pkt);
@@ -67,7 +67,7 @@ TEST(SourceNodeTest, ReportsInjectionAtHeaderIssue) {
   SourceNode src(sched, hooks, 0, /*issue_delay=*/25);
   RecordingEndpoint down(sched, hooks, 0);
   const ChannelSpec spec{{.delay_fwd = 0, .delay_ack = 0, .length = 0}};
-  Channel ch(spec);
+  WireChannel ch(spec);
   ch.connect(src, 0, down, 0);
   src.enqueue_packet(pkt);
   sched.run();
@@ -88,7 +88,7 @@ TEST(SourceNodeTest, PacketsSerializeInFifoOrder) {
   SourceNode src(sched, hooks, 0, 0);
   RecordingEndpoint down(sched, hooks, 0);
   const ChannelSpec spec{{.delay_fwd = 1, .delay_ack = 1, .length = 0}};
-  Channel ch(spec);
+  WireChannel ch(spec);
   ch.connect(src, 0, down, 0);
   src.enqueue_packet(p0);
   src.enqueue_packet(p1);
@@ -109,7 +109,7 @@ TEST(SourceNodeTest, RefillCallbackKeepsSourceBacklogged) {
   SourceNode src(sched, hooks, 0, 0);
   RecordingEndpoint down(sched, hooks, 0);
   const ChannelSpec spec{{.delay_fwd = 1, .delay_ack = 1, .length = 0}};
-  Channel ch(spec);
+  WireChannel ch(spec);
   ch.connect(src, 0, down, 0);
 
   int generated = 0;
@@ -136,7 +136,7 @@ TEST(SinkNodeTest, ConsumesAndReportsEjection) {
   SourceNode src(sched, hooks, 0, 0);
   SinkNode sink(sched, hooks, /*dest_id=*/3, /*consume_delay=*/40);
   const ChannelSpec spec{{.delay_fwd = 10, .delay_ack = 10, .length = 0}};
-  Channel ch(spec);
+  WireChannel ch(spec);
   ch.connect(src, 0, sink, 0);
   src.enqueue_packet(pkt);
   sched.run();
@@ -159,7 +159,7 @@ TEST(SinkNodeTest, BackpressuresWhileConsuming) {
   SourceNode src(sched, hooks, 0, 0);
   SinkNode sink(sched, hooks, 0, /*consume_delay=*/100);
   const ChannelSpec spec{{.delay_fwd = 0, .delay_ack = 0, .length = 0}};
-  Channel ch(spec);
+  WireChannel ch(spec);
   ch.connect(src, 0, sink, 0);
   src.enqueue_packet(pkt);
   sched.run();

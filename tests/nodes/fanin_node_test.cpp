@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "../support/test_nodes.h"
 #include "noc/channel.h"
 #include "sim/scheduler.h"
@@ -59,7 +61,7 @@ class FaninHarness {
   FaninNode node;
   DriverEndpoint up0, up1;
   RecordingEndpoint sink;
-  noc::Channel in0, in1, out;
+  noc::WireChannel in0, in1, out;
 };
 
 TEST(FaninNodeTest, ForwardsSingleInputPacket) {
@@ -130,6 +132,47 @@ TEST(FaninNodeTest, WatchdogReleasesStarvedHold) {
     if (d.flit.packet == &b) ++b_flits;
   }
   EXPECT_EQ(b_flits, 2u);
+}
+
+TEST(FaninNodeTest, GrantAfterArmingMakesTheWatchdogStale) {
+  // The watchdog armed while input 0's open packet starves must not
+  // release the hold if a grant to that packet lands before it fires: it
+  // is stale, and only re-arms. Timeline (sticky timeout 1200): a's header
+  // is granted at 55 and the hold armed at 115 (fires at 1315); a's body
+  // is granted at 655; input 1's packet b waits from 305.
+  class Releases final : public noc::MetricsObserver {
+   public:
+    void on_flit_killed(const noc::Node&, const noc::Flit&,
+                        TimePs) override {}
+    void on_prealloc(const noc::Node&, bool, TimePs) override {}
+    void on_contended_grant(const noc::Node&, TimePs) override {}
+    void on_watchdog_release(const noc::Node&, TimePs when) override {
+      times.push_back(when);
+    }
+    void on_channel_stall(const noc::Channel&, TimePs, TimePs) override {}
+    std::vector<TimePs> times;
+  };
+  FaninHarness h;
+  Releases releases;
+  h.hooks.metrics = &releases;
+  const Packet& a = h.make_packet(3);
+  const Packet& b = h.make_packet(2);
+  h.up0.send(0, noc::make_flit(a, 0));
+  h.sched.schedule(300, [&] { h.stream(h.up1, b); });
+  h.sched.schedule(600, [&] { h.up0.send(0, noc::make_flit(a, 1)); });
+  h.sched.run_until(1316);
+  // The watchdog fired at 1315 and released nothing: a still holds the
+  // output, and b has not passed.
+  EXPECT_TRUE(releases.times.empty());
+  EXPECT_EQ(h.node.open_packet_input(), 0);
+  ASSERT_EQ(h.sink.deliveries.size(), 2u);
+  EXPECT_EQ(h.sink.deliveries[1].flit.packet, &a);
+  // The re-armed watchdog (1315 + 1200) is live: with a's tail withheld,
+  // it releases the hold then, and b streams.
+  h.sched.run_until(5000);
+  EXPECT_EQ(releases.times, std::vector<TimePs>{2515});
+  EXPECT_EQ(h.sink.deliveries.size(), 4u);
+  EXPECT_EQ(h.sink.deliveries[2].flit.packet, &b);
 }
 
 TEST(FaninNodeTest, FcfsGrantsEarlierArrival) {

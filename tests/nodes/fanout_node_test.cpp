@@ -61,7 +61,7 @@ class FanoutHarness {
   DriverEndpoint driver;
   RecordingEndpoint top_sink;
   RecordingEndpoint bottom_sink;
-  noc::Channel in, out0, out1;
+  noc::WireChannel in, out0, out1;
 
  private:
   std::uint32_t next_seq_ = 0;

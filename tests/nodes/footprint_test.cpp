@@ -10,18 +10,22 @@
 // pointers inline. A channel has no scheduler, flit counter or port
 // numbers of its own: its endpoints give its schedulers, hooks and ports,
 // and each half packs its flags with the other half's lane into 16 bits.
+// A channel stores only what it carries: the head flit rides in its
+// delivery event, so a wire (capacity 1, one lane) is the 40-byte core in
+// one cache line, and only pipes hold a ring and the cross-lane state.
 // These static_asserts pin the result — growing any of them past the bound
 // is a compile error on purpose (raise the bound consciously, with the RSS
 // math in DESIGN.md §11 updated).
 //
 // Bounds are the measured x86-64 (libstdc++, -m64) sizes rounded up to the
-// next 8 bytes of headroom; they are ceilings, not exact layouts. Channel,
-// FaninNode and the fanout nodes — every object of a radix-1024 build but
-// its 2,048 network interfaces — are pinned at their measured sizes: none
-// stores a name (names are derived on demand) and none has headroom left.
-// Channel is pinned exactly: 96 bytes at 32-byte alignment always spans
-// exactly two cache lines, and one byte more would cost 128. The fanout
-// nodes are two whole lines, the first of them the node header.
+// next 8 bytes of headroom; they are ceilings, not exact layouts. The
+// channels, FaninNode and the fanout nodes — every object of a radix-1024
+// build but its 2,048 network interfaces — are pinned exactly: none stores
+// a name (names are derived on demand) and none has headroom left. A wire
+// channel is one whole line; a pipe channel's 96 bytes at 32-byte
+// alignment always span exactly two, and one byte more would cost 128.
+// FaninNode is three whole lines and the fanout nodes two, the first of
+// them the node header.
 //
 // The event kernel is pinned too: a partitioned radix-1024 run keeps one
 // Scheduler and one event slab per lane, 1024 of each. A slab entry is one
@@ -44,11 +48,20 @@ namespace {
 
 static_assert(sizeof(noc::Node) <= 64,
               "Node header grew past one cache line — keep it build-only");
-static_assert(sizeof(noc::Channel) == 96 && alignof(noc::Channel) == 32,
-              "Channel no longer spans exactly two cache lines — at radix "
-              "1024 there are ~3M of these; keep derived state out of it");
-static_assert(sizeof(nodes::FaninNode) <= 208,
-              "FaninNode footprint grew — input FIFOs must stay inline");
+static_assert(sizeof(noc::Channel) == 40,
+              "the channel core grew — both layouts carry it");
+static_assert(sizeof(noc::WireChannel) == 64 &&
+                  alignof(noc::WireChannel) == 64,
+              "WireChannel is no longer one cache line — at radix 1024 "
+              "there are ~2.1M of these; keep pipe state out of them");
+static_assert(sizeof(noc::PipeChannel) == 96 &&
+                  alignof(noc::PipeChannel) == 32,
+              "PipeChannel no longer spans exactly two cache lines — at "
+              "radix 1024 there are ~1M of these");
+static_assert(sizeof(nodes::FaninNode) == 192 &&
+                  alignof(nodes::FaninNode) == 64,
+              "FaninNode is no longer three cache lines — input FIFOs must "
+              "stay inline, flags in their tail padding");
 template <typename T>
 constexpr bool kTwoLineFanout = sizeof(T) == 128 && alignof(T) == 64;
 static_assert(kTwoLineFanout<nodes::BaselineFanoutNode>,
@@ -78,7 +91,8 @@ static_assert(sizeof(sim::Scheduler) <= 9 * 1024,
 // are silent when green).
 TEST(FootprintTest, ReportSizes) {
   RecordProperty("Node", static_cast<int>(sizeof(noc::Node)));
-  RecordProperty("Channel", static_cast<int>(sizeof(noc::Channel)));
+  RecordProperty("WireChannel", static_cast<int>(sizeof(noc::WireChannel)));
+  RecordProperty("PipeChannel", static_cast<int>(sizeof(noc::PipeChannel)));
   RecordProperty("FaninNode", static_cast<int>(sizeof(nodes::FaninNode)));
   RecordProperty("OptSpecFanoutNode",
                  static_cast<int>(sizeof(nodes::OptSpecFanoutNode)));

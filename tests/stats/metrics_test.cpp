@@ -105,10 +105,10 @@ TEST(ChannelClassTest, EnumeratorsAreInNameOrder) {
 
 TEST(ChannelClassTest, ChannelIsClassifiedAtConstruction) {
   const noc::ChannelSpec middle_spec{{}, noc::ChannelClass::kMiddle};
-  const noc::Channel middle(middle_spec);
+  const noc::WireChannel middle(middle_spec);
   EXPECT_EQ(middle.klass(), noc::ChannelClass::kMiddle);
   const noc::ChannelSpec plain_spec{{}};
-  const noc::Channel plain(plain_spec);
+  const noc::WireChannel plain(plain_spec);
   EXPECT_EQ(plain.klass(), noc::ChannelClass::kOther);
   // Unwired channels are named by their class.
   EXPECT_EQ(middle.name(), "middle");
@@ -265,7 +265,7 @@ struct SyntheticNetwork {
   sim::Scheduler scheduler;
   noc::SimHooks hooks;
   std::vector<std::unique_ptr<SiteNode>> nodes;
-  std::vector<std::unique_ptr<noc::Channel>> channels;
+  std::vector<std::unique_ptr<noc::WireChannel>> channels;
 
   SyntheticNetwork() {
     const std::pair<NodeKind, std::int32_t> sites[] = {
@@ -281,7 +281,7 @@ struct SyntheticNetwork {
           std::make_unique<SiteNode>(scheduler, hooks, kind, level));
     }
     for (const noc::ChannelClass klass : noc::all_channel_classes()) {
-      channels.push_back(std::make_unique<noc::Channel>(
+      channels.push_back(std::make_unique<noc::WireChannel>(
           util::intern(noc::ChannelSpec{{}, klass})));
     }
   }
