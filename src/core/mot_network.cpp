@@ -305,12 +305,6 @@ void MotNetwork::build() {
   util::fork_join(workers, [&](unsigned w) {
     attach_middle_links(plan, block_start(w), block_start(w + 1));
   });
-  for (std::uint32_t t = 0; t < n; ++t) {
-    net_.register_source(net_.placed_node<noc::SourceNode>(t));
-  }
-  for (std::uint32_t t = 0; t < n; ++t) {
-    net_.register_sink(net_.placed_node<noc::SinkNode>(t));
-  }
 }
 
 void MotNetwork::build_tree(const BuildPlan& plan, std::uint32_t t,
@@ -443,14 +437,14 @@ noc::MessageId MotNetwork::send_message(std::uint32_t src,
   SPECNOC_EXPECTS(src < topology_.n());
   SPECNOC_EXPECTS(dests.any());
   SPECNOC_EXPECTS(dests.within(topology_.n()));
+  noc::SourceNode& source = net_.source(src);
   // The source's own lane clock: send_message may run inside a source-lane
   // event of a partitioned simulation, where the global clock is undefined
   // mid-window.
-  const TimePs now = net_.source(src).lane().now();
+  const TimePs now = source.lane().now();
   const bool multicast = dests.is_multicast();
   noc::Message& msg =
       net_.packets().create_message(src, std::move(dests), now, measured);
-  noc::SourceNode& source = net_.source(src);
   if (multicast && !traits(arch_).multicast_capable) {
     // Serial multicast: one unicast copy per destination, in ascending
     // destination order, queued back-to-back at the source NI.

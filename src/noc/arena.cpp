@@ -2,29 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <cstdlib>
 
 namespace specnoc::noc {
 
 namespace {
-
-// Appended pools grow geometrically: start small (tiny test networks pay
-// almost nothing), double per chunk up to kChunkObjects, which keeps
-// large-radix builds at a few dozen chunks per pool without megabyte-scale
-// over-reservation for mid-sized ones. Reserved pools know their size and
-// take full kChunkObjects chunks plus one trimmed to fit.
-constexpr std::size_t kFirstChunkObjects = 16;
-// The growing chunks of an appended pool (kFirstChunkObjects doubling up
-// to half of kChunkObjects) hold kChunkObjects - kFirstChunkObjects slots
-// together; every later chunk is full size.
-constexpr std::size_t kGrowthChunks = static_cast<std::size_t>(
-    std::countr_zero(NetworkArena::kChunkObjects / kFirstChunkObjects));
-constexpr std::size_t kGrowthSlots =
-    NetworkArena::kChunkObjects - kFirstChunkObjects;
-static_assert(std::has_single_bit(NetworkArena::kChunkObjects) &&
-              std::has_single_bit(kFirstChunkObjects));
 
 // Chunks come from the plain operator new, and a pool of an over-aligned
 // type (Channel is alignas(64)) asks for `alignment` spare bytes and
@@ -50,55 +33,18 @@ std::size_t NetworkArena::next_type_slot() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-void NetworkArena::Pool::add_chunk(std::size_t slots) {
-  const std::size_t bytes = slots * object_size;
-  chunks.push_back(::operator new(bytes + slack(alignment)));
-  firsts.push_back(first_object(chunks.back(), alignment));
-  chunk_slots.push_back(slots);
-  capacity += slots;
-  reserved_bytes += bytes;
-}
-
-void* NetworkArena::Pool::append_slot() {
-  if (live.size() == capacity) {
-    add_chunk(chunks.empty()
-                  ? kFirstChunkObjects
-                  : std::min(kChunkObjects, chunk_slots.back() * 2));
-    live.reserve(capacity);
-  }
-  const std::size_t in_chunk = live.size() - (capacity - chunk_slots.back());
-  return firsts.back() + in_chunk * object_size;
-}
-
 void NetworkArena::Pool::reserve(std::size_t count) {
   SPECNOC_EXPECTS(chunks.empty());
-  exact = true;
   live.assign(count, 0);
   chunks.reserve((count + kChunkObjects - 1) / kChunkObjects);
   firsts.reserve(chunks.capacity());
-  chunk_slots.reserve(chunks.capacity());
-  for (std::size_t left = count; left > 0;) {
-    const std::size_t slots = std::min(left, kChunkObjects);
-    add_chunk(slots);
-    left -= slots;
+  for (std::size_t first = 0; first < count; first += kChunkObjects) {
+    const std::size_t bytes =
+        std::min(count - first, kChunkObjects) * object_size;
+    chunks.push_back(::operator new(bytes + slack(alignment)));
+    firsts.push_back(first_object(chunks.back(), alignment));
+    reserved_bytes += bytes;
   }
-}
-
-void* NetworkArena::Pool::slot(std::size_t index) const {
-  std::size_t chunk = index / kChunkObjects;
-  std::size_t offset = index % kChunkObjects;
-  if (!exact) {
-    if (index < kGrowthSlots) {
-      // Chunk c starts at slot kFirstChunkObjects * (2^c - 1).
-      chunk = static_cast<std::size_t>(
-                  std::bit_width(index / kFirstChunkObjects + 1)) - 1;
-      offset = index - kFirstChunkObjects * ((std::size_t{1} << chunk) - 1);
-    } else {
-      chunk = kGrowthChunks + (index - kGrowthSlots) / kChunkObjects;
-      offset = (index - kGrowthSlots) % kChunkObjects;
-    }
-  }
-  return firsts[chunk] + offset * object_size;
 }
 
 std::size_t NetworkArena::Pool::objects() const {
@@ -147,11 +93,10 @@ std::vector<NetworkArena::PoolUsage> NetworkArena::usage() const {
 
 void NetworkArena::clear() {
   for (Pool* pool : order_) {
-    std::size_t base = 0;  // first slot of chunk c
     for (std::size_t c = 0; c < pool->chunks.size(); ++c) {
-      char* first = pool->firsts[c];
-      const std::size_t end = std::min(base + pool->chunk_slots[c],
-                                       pool->live.size());
+      const std::size_t base = c * kChunkObjects;  // first slot of chunk c
+      const std::size_t end =
+          std::min(base + kChunkObjects, pool->live.size());
       // Destroy each run of constructed slots with one call.
       for (std::size_t i = base; i < end;) {
         if (pool->live[i] == 0) {
@@ -160,18 +105,14 @@ void NetworkArena::clear() {
         }
         std::size_t run_end = i + 1;
         while (run_end < end && pool->live[run_end] != 0) ++run_end;
-        pool->destroy(first + (i - base) * pool->object_size, run_end - i);
+        pool->destroy(pool->slot(i), run_end - i);
         i = run_end;
       }
       ::operator delete(pool->chunks[c]);
-      base += pool->chunk_slots[c];
     }
     pool->chunks.clear();
     pool->firsts.clear();
-    pool->chunk_slots.clear();
     pool->live.clear();
-    pool->exact = false;
-    pool->capacity = 0;
     pool->reserved_bytes = 0;
   }
 }

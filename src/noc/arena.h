@@ -8,21 +8,19 @@
 //
 //   * stable addresses — chunks never move or reallocate, so Node*/Channel*
 //     taken at build time stay valid for the network's lifetime;
-//   * deterministic layout — an object's slot is its append position
-//     (create) or the index its builder derived from structure (reserve +
-//     create_at), so two builds of one spec lay every slab out identically,
-//     which is what the arena determinism test pins;
+//   * deterministic layout — an object's slot is the index its builder
+//     derived from structure, so two builds of one spec lay every slab out
+//     identically, which is what the arena determinism test pins;
 //   * dense iteration — all fanin nodes (say) are adjacent, so the hot
 //     event loop's working set collapses;
 //   * O(chunks) teardown — destructors run in-place, then whole chunks are
 //     freed; no per-object delete.
 //
-// A pool is filled one of two ways. create<T>() appends, growing chunks
-// geometrically (small networks reserve little). reserve<T>(count) sizes an
-// empty pool exactly up front, on the calling thread, after which
-// create_at<T>(index) constructs at any slot below `count` — concurrently
-// from several threads for distinct slots — and at<T>(index) computes a
-// slot's address without a lookup table.
+// A pool is filled one way: reserve<T>(count, label) sizes an empty pool
+// exactly up front, on the calling thread, after which create_at<T>(index)
+// constructs at any slot below `count` — concurrently from several threads
+// for distinct slots — and at<T>(index) computes a slot's address without
+// a lookup table.
 //
 // Ownership: the arena destroys everything it constructed in
 // ~NetworkArena (per pool, slot order), and only that: a build abandoned
@@ -70,22 +68,11 @@ class NetworkArena {
   NetworkArena(const NetworkArena&) = delete;
   NetworkArena& operator=(const NetworkArena&) = delete;
 
-  /// Appends a T to its type's slab and returns a stable pointer.
-  /// Forwarding is as lenient as std::make_unique's (which lives in a
-  /// system header, where conversion warnings are suppressed).
+  // Forwarding is as lenient as std::make_unique's (which lives in a
+  // system header, where conversion warnings are suppressed).
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wsign-conversion"
 #pragma GCC diagnostic ignored "-Wconversion"
-  template <typename T, typename... Args>
-  T* create(Args&&... args) {
-    Pool& pool = pool_for<T>();
-    SPECNOC_EXPECTS(!pool.exact);
-    void* slot = pool.append_slot();
-    T* object = new (slot) T(std::forward<Args>(args)...);
-    pool.live.push_back(1);  // append_slot() made room: cannot throw
-    return object;
-  }
-
   /// Constructs a T in slot `index` of its pool, which reserve<T>() sized.
   /// Distinct slots may be constructed concurrently from several threads:
   /// this touches only the slot and its own constructed flag. If the
@@ -102,10 +89,13 @@ class NetworkArena {
 
   /// Sizes T's pool for exactly `count` objects placed by create_at():
   /// chunks of kChunkObjects slots, the last one trimmed to fit, allocated
-  /// here with the plain operator new. The pool must be empty.
+  /// here with the plain operator new. The pool must be empty; `label`
+  /// names it in usage().
   template <typename T>
-  void reserve(std::size_t count) {
-    pool_for<T>().reserve(count);
+  void reserve(std::size_t count, const char* label) {
+    Pool& pool = pool_for<T>();
+    pool.reserve(count);
+    pool.label = label;
   }
 
   /// The T that create_at() constructed in slot `index` of its reserved
@@ -117,15 +107,16 @@ class NetworkArena {
     return std::launder(static_cast<T*>(pool.slot(index)));
   }
 
-  /// Objects per full chunk: a reserved pool's chunk size, and the cap of
-  /// an appended pool's geometric growth.
+  /// Objects per full chunk; a pool's last chunk is trimmed to fit.
   static constexpr std::size_t kChunkObjects = 16384;
 
-  /// Slots handed out in T's pool: the reserved count, or the objects
-  /// create() appended. The next create() takes slot slots<T>().
+  /// Slots reserve<T>() sized in T's pool (0 before it).
   template <typename T>
-  std::size_t slots() {
-    return pool_for<T>().live.size();
+  std::size_t slots() const {
+    const std::size_t slot = type_slot<T>();
+    return slot < pools_.size() && pools_[slot] != nullptr
+               ? pools_[slot]->live.size()
+               : 0;
   }
 
   /// Slots [first, first + count) of one pool, seen as Base (a base class
@@ -258,18 +249,6 @@ class NetworkArena {
     return slot < pools_.size() && run.pool == pools_[slot].get();
   }
 
-  /// Names T's pool for usage() reporting (first call wins; the Network
-  /// labels node pools by their NodeKind string after construction, when
-  /// the kind is known).
-  template <typename T>
-  void label_pool(const char* label) {
-    Pool& pool = pool_for<T>();
-    if (!pool.labeled) {
-      pool.label = label;
-      pool.labeled = true;
-    }
-  }
-
   /// Objects constructed across all pools.
   std::uint64_t total_objects() const;
   /// Bytes occupied by constructed objects across all pools.
@@ -277,9 +256,8 @@ class NetworkArena {
   /// Bytes reserved (chunk allocations) across all pools.
   std::uint64_t total_reserved_bytes() const;
 
-  /// Per-pool accounting, sorted by label (unlabeled pools report their
-  /// mangled-free fallback label "pool<slot>"). Deterministic for a
-  /// deterministic build sequence.
+  /// Per-pool accounting of the pools holding objects, sorted by label.
+  /// Deterministic for a deterministic build sequence.
   std::vector<PoolUsage> usage() const;
 
   /// Destroys every constructed object (per pool, slot order) and frees
@@ -292,27 +270,21 @@ class NetworkArena {
     std::size_t alignment = 0;
     void (*destroy)(void* first, std::size_t count) = nullptr;
     std::string label;
-    bool labeled = false;
-    bool exact = false;  ///< sized by reserve(), filled by create_at()
     std::vector<void*> chunks;   ///< as allocated
     std::vector<char*> firsts;   ///< each chunk's first object: its first
                                  ///< `alignment`-aligned byte
-    std::vector<std::size_t> chunk_slots;  ///< slots per chunk
-    /// One flag per slot handed out: 1 once its object is constructed.
+    /// One flag per reserved slot: 1 once its object is constructed.
     /// Bytes, not bits, so concurrent create_at() calls never share a
     /// memory location.
     std::vector<std::uint8_t> live;
-    std::size_t capacity = 0;  ///< slots across all chunks
     std::size_t reserved_bytes = 0;
 
-    /// Allocates a chunk of `slots` slots at the end of the pool.
-    void add_chunk(std::size_t slots);
-    /// Slot for the next create(), growing the pool when it is full; also
-    /// makes room in `live` for its flag.
-    void* append_slot();
     void reserve(std::size_t count);
-    /// Address of slot `index`, computed from the pool's chunk sizes.
-    void* slot(std::size_t index) const;
+    /// Address of slot `index`: chunk index / kChunkObjects.
+    void* slot(std::size_t index) const {
+      return firsts[index / kChunkObjects] +
+             (index % kChunkObjects) * object_size;
+    }
     std::size_t objects() const;
   };
 
@@ -339,19 +311,17 @@ class NetworkArena {
         T* objects = static_cast<T*>(first);
         for (std::size_t i = 0; i < count; ++i) objects[i].~T();
       };
-      pool->label = "pool" + std::to_string(slot);
       order_.push_back(pool.get());
     }
     return *pool;
   }
 
-  /// T's pool, which reserve<T>() created: a read-only lookup, safe on
-  /// any thread.
+  /// T's pool, which reserve<T>() sized: a read-only lookup, safe on any
+  /// thread.
   template <typename T>
   Pool& reserved_pool() {
     const std::size_t slot = type_slot<T>();
-    SPECNOC_EXPECTS(slot < pools_.size() && pools_[slot] != nullptr &&
-                    pools_[slot]->exact);
+    SPECNOC_EXPECTS(slot < pools_.size() && pools_[slot] != nullptr);
     return *pools_[slot];
   }
 

@@ -57,7 +57,7 @@ struct ChannelParams {
 
 /// What channels share: physical parameters and the metrics aggregation
 /// class. A MoT has at most one distinct (class, params) pair per class
-/// and tree level among millions of channels, so Network::add_channel
+/// and tree level among millions of channels, so a network builder
 /// interns one record per pair (util::intern) and each channel holds a
 /// pointer to it instead of a copy. The record must outlive every channel
 /// that points to it.

@@ -57,7 +57,7 @@ constexpr std::array<NodeKind, 10> all_node_kinds() {
 }
 
 /// Aggregation class of a channel, given by the network builder that wires
-/// it (noc::Network::add_channel). Enumerators are declared in the
+/// it (in the noc::ChannelSpec it places the channel with). Enumerators are declared in the
 /// alphabetical order of their to_string() names, the order metrics list
 /// classes in.
 enum class ChannelClass : std::uint8_t {

@@ -7,13 +7,9 @@
 #include <thread>
 
 #include "util/error.h"
-#include "util/intern.h"
 
 namespace specnoc::noc {
 namespace {
-
-constexpr const char* kWireLabel = "wire_channel";
-constexpr const char* kPipeLabel = "pipe_channel";
 
 // The traffic and energy observers are single-threaded code (the traffic
 // recorder's pending-message map spans lanes), but partitioned runs emit
@@ -121,11 +117,6 @@ void Network::enable_partitions(std::uint32_t lanes, TimePs lookahead) {
   psched_->set_mail_handler(&Channel::apply_mail);
 }
 
-void Network::set_build_partition(std::uint32_t partition) {
-  SPECNOC_EXPECTS(partition < partitions());
-  build_partition_ = partition;
-}
-
 void Network::set_worker_threads(unsigned threads) {
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
@@ -202,10 +193,8 @@ void Network::add_channels(const ChannelSpec& spec, std::size_t count,
 }
 
 void Network::reserve_channels() {
-  arena_.reserve<WireChannel>(declared_wires_);
-  arena_.label_pool<WireChannel>(kWireLabel);
-  arena_.reserve<PipeChannel>(declared_pipes_);
-  arena_.label_pool<PipeChannel>(kPipeLabel);
+  arena_.reserve<WireChannel>(declared_wires_, "wire_channel");
+  arena_.reserve<PipeChannel>(declared_pipes_, "pipe_channel");
 }
 
 Channel& Network::place_channel(std::size_t index, const ChannelSpec& spec,
@@ -231,50 +220,13 @@ Channel& Network::place_channel(std::size_t index, const ChannelSpec& spec,
   channel.connect_upstream(up, up_port);
   if (up.partition() != down_partition) {
     // The builder declared a lookahead no longer than its cross channels'
-    // latency (the MoT's is its middle links' minimum), so this is a
-    // contract, not the ConfigError add_channel raises.
+    // latency (the MoT's is its middle links' minimum, the mesh's its hop
+    // latency), so this is a contract, not a ConfigError.
     SPECNOC_EXPECTS(std::min(spec.params.delay_fwd, spec.params.delay_ack) >=
                     psched_->lookahead());
     channel.make_cross_partition(cross_index);
   }
   return channel;
 }
-
-template <typename T>
-Channel& Network::append_channel(const ChannelSpec& spec, const char* label) {
-  T* channel = arena_.create<T>(spec);
-  arena_.label_pool<T>(label);
-  channels_.append(arena_.run<Channel, T>(arena_.slots<T>() - 1, 1));
-  return *channel;
-}
-
-Channel& Network::add_channel(const ChannelParams& params, ChannelClass klass,
-                              Node& up, std::uint32_t up_port, Node& down,
-                              std::uint32_t down_port) {
-  const ChannelSpec& spec = util::intern(ChannelSpec{params, klass});
-  const bool cross =
-      psched_ != nullptr && up.partition() != down.partition();
-  Channel& ref = pipe_layout(spec, cross)
-                     ? append_channel<PipeChannel>(spec, kPipeLabel)
-                     : append_channel<WireChannel>(spec, kWireLabel);
-  ref.connect(up, up_port, down, down_port);
-  if (cross) {
-    const TimePs min_latency = std::min(params.delay_fwd, params.delay_ack);
-    if (min_latency < psched_->lookahead()) {
-      throw ConfigError("cross-partition channel '" + ref.name() +
-                        "' has min latency " + std::to_string(min_latency) +
-                        " ps below the declared lookahead " +
-                        std::to_string(psched_->lookahead()) + " ps");
-    }
-    ref.make_cross_partition(cross_channels_++);
-  }
-  return ref;
-}
-
-void Network::register_source(SourceNode& source) {
-  sources_.push_back(&source);
-}
-
-void Network::register_sink(SinkNode& sink) { sinks_.push_back(&sink); }
 
 }  // namespace specnoc::noc

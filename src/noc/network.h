@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "sim/partitioned_scheduler.h"
 #include "sim/scheduler.h"
@@ -23,9 +22,9 @@ namespace specnoc::noc {
 /// populate it; experiment layers drive its scheduler and hooks.
 ///
 /// Partitioned mode: a builder may call enable_partitions() before creating
-/// any nodes, then tag each node with set_build_partition() as it builds.
-/// Nodes are then constructed on their partition's scheduler lane, channels
-/// whose endpoints live in different partitions are split into halves that
+/// any nodes, then name each node's partition as it places it. Nodes are
+/// then constructed on their partition's scheduler lane, channels whose
+/// endpoints live in different partitions are split into halves that
 /// exchange sim::Mail (Channel::make_cross_partition), and run()/run_until()
 /// execute the lanes through the conservative window protocol of
 /// sim::PartitionedScheduler. Without enable_partitions() everything runs
@@ -60,9 +59,6 @@ class Network {
     return psched_ != nullptr ? psched_->lane(i) : scheduler_;
   }
 
-  /// Partition that subsequently created nodes belong to.
-  void set_build_partition(std::uint32_t partition);
-
   /// Worker threads for partitioned runs; 0 = hardware concurrency. The
   /// effective count is additionally clamped to the partition count. Has no
   /// effect on sequential networks.
@@ -89,28 +85,6 @@ class Network {
   void set_epoch_hook(TimePs epoch_ps, sim::Scheduler::EpochHook hook);
   void clear_epoch_hook();
 
-  /// Creates a node of type T (constructed with scheduler and hooks first)
-  /// in the arena slab for T — stable address, freed with the network.
-  template <typename T, typename... Args>
-  T& add_node(Args&&... args) {
-    T* node = arena_.create<T>(lane(build_partition_), hooks_,
-                               std::forward<Args>(args)...);
-    node->set_partition(build_partition_);
-    arena_.label_pool<T>(to_string(node->kind()));
-    nodes_.append(arena_.run<Node, T>(arena_.slots<T>() - 1, 1));
-    return *node;
-  }
-
-  /// Creates a channel of metrics class `klass` and wires it between two
-  /// node ports. The channel points to the interned ChannelSpec record for
-  /// (`params`, `klass`) (util::intern). A channel runs on its endpoints'
-  /// lanes; in partitioned mode it is split into cross-partition halves
-  /// when the endpoints' partitions differ (the channel's min latency must
-  /// be >= the declared lookahead). Its layout follows pipe_layout().
-  Channel& add_channel(const ChannelParams& params, ChannelClass klass,
-                       Node& up, std::uint32_t up_port, Node& down,
-                       std::uint32_t down_port);
-
   /// The layout rule, applied by this class alone: a channel is a
   /// PipeChannel iff it buffers more than one flit or its ends sit on
   /// different lanes (`cross`), and a WireChannel otherwise.
@@ -118,21 +92,19 @@ class Network {
     return spec.params.capacity > 1 || cross;
   }
 
-  // Structural builds. A builder that derives every object's position from
-  // structure sizes everything up front on one thread — one reserve_nodes()
-  // per node type, add_nodes() for each run of nodes() order, and
-  // add_channels() for each run of channels() order followed by one
-  // reserve_channels() — and then places each object at its slot with
-  // place_node()/place_channel(), from several workers at once for
-  // distinct slots. Placement takes no lock, creates no pool and interns
-  // nothing; nodes() and channels() may be walked once every slot is
-  // filled.
+  // Building. A builder derives every object's position from structure and
+  // sizes everything up front on one thread — one reserve_nodes() per node
+  // type, add_nodes() for each run of nodes() order, and add_channels() for
+  // each run of channels() order followed by one reserve_channels() — and
+  // then places each object at its slot with place_node()/place_channel(),
+  // on one thread or from several workers at once for distinct slots.
+  // Placement takes no lock, creates no pool and interns nothing; nodes()
+  // and channels() may be walked once every slot is filled.
 
   /// Reserves T's pool for exactly `count` nodes, labelled by `kind`.
   template <typename T>
   void reserve_nodes(NodeKind kind, std::size_t count) {
-    arena_.reserve<T>(count);
-    arena_.label_pool<T>(to_string(kind));
+    arena_.reserve<T>(count, to_string(kind));
   }
 
   /// Appends slots [first, first + count) of T's reserved pool to nodes()
@@ -146,7 +118,7 @@ class Network {
   /// `spec`; `cross` tells whether their ends sit on different lanes
   /// (false on a sequential network). Their layout, pipe_layout(), picks
   /// the pool whose next slots they take. Requires a network without
-  /// placed or added channels.
+  /// placed channels.
   void add_channels(const ChannelSpec& spec, std::size_t count, bool cross);
 
   /// Sizes both channel pools exactly for the channels add_channels()
@@ -182,8 +154,8 @@ class Network {
   /// Channel::connect_downstream(). A channel between two partitions
   /// (which its declaration must have said) is split with mail index
   /// `cross_index`: the caller's structural count of the cross channels
-  /// before it in channels() order, which is what add_channel's running
-  /// count would give.
+  /// before it in channels() order. Its min latency must be at least the
+  /// lookahead enable_partitions() declared.
   Channel& place_channel(std::size_t index, const ChannelSpec& spec,
                          Node& up, std::uint32_t up_port,
                          std::uint32_t down_partition,
@@ -195,24 +167,21 @@ class Network {
     return *channels_.at(index);
   }
 
-  /// Registers network interfaces so drivers can find them by index.
-  void register_source(SourceNode& source);
-  void register_sink(SinkNode& sink);
-
-  SourceNode& source(std::uint32_t i) { return *sources_.at(i); }
-  SinkNode& sink(std::uint32_t i) { return *sinks_.at(i); }
+  /// Network interfaces by endpoint: a builder places endpoint i's
+  /// interfaces at slot i of their pools.
+  SourceNode& source(std::uint32_t i) { return placed_node<SourceNode>(i); }
+  SinkNode& sink(std::uint32_t i) { return placed_node<SinkNode>(i); }
   std::uint32_t num_sources() const {
-    return static_cast<std::uint32_t>(sources_.size());
+    return static_cast<std::uint32_t>(arena_.slots<SourceNode>());
   }
   std::uint32_t num_sinks() const {
-    return static_cast<std::uint32_t>(sinks_.size());
+    return static_cast<std::uint32_t>(arena_.slots<SinkNode>());
   }
 
-  /// All nodes in construction order (add_node() calls and add_nodes()
-  /// runs), read from the arena slabs.
+  /// All nodes in add_nodes() order, read from the arena slabs.
   NetworkArena::RunView<Node> nodes() const { return nodes_.view(); }
-  /// All channels in creation (or declaration) order, as runs over the
-  /// wire and pipe pools.
+  /// All channels in add_channels() order, as runs over the wire and pipe
+  /// pools.
   NetworkArena::RunView<Channel> channels() const {
     return channels_.view();
   }
@@ -221,10 +190,6 @@ class Network {
   const NetworkArena& arena() const { return arena_; }
 
  private:
-  /// Appends a T for add_channel().
-  template <typename T>
-  Channel& append_channel(const ChannelSpec& spec, const char* label);
-
   sim::Scheduler scheduler_;
   SimHooks hooks_;
   PacketStore packets_;
@@ -233,12 +198,8 @@ class Network {
   NetworkArena::RunList<Channel> channels_;
   std::size_t declared_wires_ = 0;  ///< add_channels() slots per pool
   std::size_t declared_pipes_ = 0;
-  std::vector<SourceNode*> sources_;
-  std::vector<SinkNode*> sinks_;
 
   std::unique_ptr<sim::PartitionedScheduler> psched_;
-  std::uint32_t build_partition_ = 0;
-  std::uint32_t cross_channels_ = 0;  ///< cross channels add_channel made
   unsigned worker_threads_ = 1;
 };
 

@@ -123,23 +123,32 @@ TEST(MotDerivationTest, PortTablesHoldTheirChannels) {
 
 TEST(MeshDerivationTest, RouterPortTablesAndLanes) {
   // Routers have 5 + 5 ports, past the inline table, and edge routers
-  // leave some of them unwired.
-  mesh::MeshConfig cfg;  // 4x4
-  cfg.sim_threads = 2;   // one lane per row
-  mesh::MeshNetwork network(cfg);
-  noc::Network& net = network.net();
-  ASSERT_EQ(net.partitions(), cfg.rows);
-  for (const noc::Node* node : net.nodes()) {
-    if (node->kind() == noc::NodeKind::kMeshRouter) {
-      EXPECT_EQ(node->num_inputs(), mesh::kNumPorts);
-      EXPECT_EQ(node->num_outputs(), mesh::kNumPorts);
+  // leave some of them unwired. The checkerboard mixes both router kinds
+  // along every row band.
+  const mesh::MeshTopology topology(4, 4);
+  for (const std::uint64_t speculative :
+       {std::uint64_t{0},
+        mesh::MeshNetwork::checkerboard_speculation(topology)}) {
+    SCOPED_TRACE(speculative);
+    mesh::MeshConfig cfg;  // 4x4
+    cfg.sim_threads = 2;   // one lane per row
+    cfg.speculative_routers = speculative;
+    mesh::MeshNetwork network(cfg);
+    noc::Network& net = network.net();
+    ASSERT_EQ(net.partitions(), cfg.rows);
+    for (const noc::Node* node : net.nodes()) {
+      if (node->kind() == noc::NodeKind::kMeshRouter ||
+          node->kind() == noc::NodeKind::kMeshRouterSpec) {
+        EXPECT_EQ(node->num_inputs(), mesh::kNumPorts);
+        EXPECT_EQ(node->num_outputs(), mesh::kNumPorts);
+      }
     }
+    expect_port_tables_match(net);
+    // A router's lane is its row; an interface shares its router's.
+    expect_lanes_and_keys(net, [&](const noc::Node& node) {
+      return tree_of(node) / cfg.cols;
+    });
   }
-  expect_port_tables_match(net);
-  // A router's lane is its row; an interface shares its router's.
-  expect_lanes_and_keys(net, [&](const noc::Node& node) {
-    return tree_of(node) / cfg.cols;
-  });
 }
 
 }  // namespace

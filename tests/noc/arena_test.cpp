@@ -47,48 +47,56 @@ struct Wide {
   alignas(64) double value;
 };
 
-TEST(NetworkArenaTest, AddressesAreStableAcrossChunkGrowth) {
+TEST(NetworkArenaTest, AddressesAreStableAcrossChunks) {
+  // Past two full chunks: every slot keeps the address create_at() gave
+  // it while later chunks fill, and at() computes the same one.
+  constexpr std::size_t kCount = 2 * NetworkArena::kChunkObjects + 5;
   NetworkArena arena;
+  arena.reserve<Tracked>(kCount, "tracked");
+  EXPECT_EQ(arena.slots<Tracked>(), kCount);
   int destroyed = 0;
   std::vector<Tracked*> objects;
-  // Far past several chunk doublings.
-  for (int i = 0; i < 5000; ++i) {
-    objects.push_back(arena.create<Tracked>(i, &destroyed));
+  for (std::size_t i = 0; i < kCount; ++i) {
+    objects.push_back(
+        arena.create_at<Tracked>(i, static_cast<int>(i), &destroyed));
   }
-  for (int i = 0; i < 5000; ++i) {
-    EXPECT_EQ(objects[static_cast<std::size_t>(i)]->value, i);
+  for (std::size_t i = 0; i < kCount; ++i) {
+    ASSERT_EQ(objects[i]->value, static_cast<int>(i));
+    ASSERT_EQ(arena.at<Tracked>(i), objects[i]);
   }
-  EXPECT_EQ(arena.total_objects(), 5000u);
-  EXPECT_GE(arena.total_bytes(), 5000 * sizeof(Tracked));
+  EXPECT_EQ(arena.total_objects(), kCount);
+  EXPECT_EQ(arena.total_bytes(), kCount * sizeof(Tracked));
   arena.clear();
-  EXPECT_EQ(destroyed, 5000);
+  EXPECT_EQ(destroyed, static_cast<int>(kCount));
   EXPECT_EQ(arena.total_objects(), 0u);
+  EXPECT_EQ(arena.total_reserved_bytes(), 0u);
 }
 
 TEST(NetworkArenaTest, PoolsAreLabeledAndAccounted) {
   NetworkArena arena;
   int destroyed = 0;
-  arena.create<Tracked>(1, &destroyed);
-  arena.create<Tracked>(2, &destroyed);
-  arena.create<Wide>(3.0);
-  arena.label_pool<Tracked>("tracked");
-  arena.label_pool<Tracked>("ignored-second-label");
-  arena.label_pool<Wide>("wide");
+  arena.reserve<Tracked>(3, "tracked");
+  arena.reserve<Wide>(1, "wide");
+  arena.create_at<Tracked>(0, 1, &destroyed);
+  arena.create_at<Tracked>(2, 2, &destroyed);
+  arena.create_at<Wide>(0, 3.0);
   const auto usage = arena.usage();
   ASSERT_EQ(usage.size(), 2u);
-  // usage() sorts by label.
+  // usage() sorts by label; a reserved pool's bytes are exact.
   EXPECT_EQ(usage[0].label, "tracked");
   EXPECT_EQ(usage[0].objects, 2u);
   EXPECT_EQ(usage[0].bytes, 2 * sizeof(Tracked));
-  EXPECT_GE(usage[0].reserved_bytes, usage[0].bytes);
+  EXPECT_EQ(usage[0].reserved_bytes, 3 * sizeof(Tracked));
   EXPECT_EQ(usage[1].label, "wide");
   EXPECT_EQ(usage[1].objects, 1u);
+  EXPECT_EQ(usage[1].reserved_bytes, sizeof(Wide));
 }
 
 TEST(NetworkArenaTest, RespectsOverAlignedTypes) {
   NetworkArena arena;
-  for (int i = 0; i < 100; ++i) {
-    Wide* w = arena.create<Wide>(static_cast<double>(i));
+  arena.reserve<Wide>(100, "wide");
+  for (std::size_t i = 0; i < 100; ++i) {
+    Wide* w = arena.create_at<Wide>(i, static_cast<double>(i));
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(w) % alignof(Wide), 0u);
   }
 }
@@ -99,7 +107,7 @@ TEST(NetworkArenaTest, ReservedPoolsConstructAtIndicesFromSeveralThreads) {
   constexpr std::size_t kCount = 2 * NetworkArena::kChunkObjects + 1000;
   constexpr unsigned kWorkers = 4;
   NetworkArena arena;
-  arena.reserve<Tracked>(kCount);
+  arena.reserve<Tracked>(kCount, "tracked");
   EXPECT_EQ(arena.total_reserved_bytes(), kCount * sizeof(Tracked));
   int destroyed = 0;
   util::fork_join(kWorkers, [&](unsigned w) {
@@ -118,16 +126,18 @@ TEST(NetworkArenaTest, ReservedPoolsConstructAtIndicesFromSeveralThreads) {
 }
 
 TEST(NetworkArenaTest, RunsWalkSlotsInOrderAcrossChunks) {
-  // Past the appended pool's growing chunks and two full ones, so the
-  // walk crosses every kind of chunk boundary.
+  // Past three full chunks, so the walk crosses full and trimmed chunk
+  // boundaries.
   constexpr std::size_t kCount = 3 * NetworkArena::kChunkObjects + 100;
   NetworkArena arena;
   int destroyed = 0;
+  arena.reserve<Tracked>(kCount, "tracked");
   std::vector<Tracked*> appended;
   for (std::size_t i = 0; i < kCount; ++i) {
-    appended.push_back(arena.create<Tracked>(static_cast<int>(i), &destroyed));
+    appended.push_back(
+        arena.create_at<Tracked>(i, static_cast<int>(i), &destroyed));
   }
-  arena.reserve<Wide>(kCount);
+  arena.reserve<Wide>(kCount, "wide");
   std::vector<Wide*> reserved;
   for (std::size_t i = 0; i < kCount; ++i) {
     reserved.push_back(arena.create_at<Wide>(i, static_cast<double>(i)));
@@ -165,7 +175,7 @@ TEST(NetworkArenaTest, AFailedConcurrentBuildJoinsAndDestroysWhatItBuilt) {
   constexpr std::size_t kBlock = kCount / kWorkers;
   constexpr std::size_t kThrowAt = kBlock + 5000;  // inside worker 1's block
   NetworkArena arena;
-  arena.reserve<Tracked>(kCount);
+  arena.reserve<Tracked>(kCount, "tracked");
   int destroyed = 0;
   std::vector<std::size_t> built(kWorkers, 0);
   std::atomic<unsigned> finished{0};

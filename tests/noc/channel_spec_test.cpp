@@ -294,21 +294,40 @@ TEST(NetworkListsTest, MeshListsFollowCreationOrder) {
 
 TEST(NetworkListsTest, HandBuiltListsAreInAddOrder) {
   Network net;
-  std::vector<Node*> nodes;
-  std::vector<Channel*> channels;
   // Two pools alternating, then a stretch of one, so runs both break and
   // extend: R D R D R D R D R D D ... D is ten runs.
-  for (int i = 0; i < 40; ++i) {
-    if (i < 10 && i % 2 == 0) {
-      nodes.push_back(&net.add_node<testing::RecordingEndpoint>());
+  const auto recording = [](std::size_t i) { return i < 10 && i % 2 == 0; };
+  std::vector<std::size_t> slot(40);  // in its pool
+  std::size_t of_pool[2] = {0, 0};    // [recording]
+  for (std::size_t i = 0; i < slot.size(); ++i) {
+    slot[i] = of_pool[recording(i)]++;
+  }
+  net.reserve_nodes<testing::RecordingEndpoint>(NodeKind::kSink, of_pool[1]);
+  net.reserve_nodes<testing::DriverEndpoint>(NodeKind::kSource, of_pool[0]);
+  for (std::size_t i = 0; i < slot.size(); ++i) {
+    if (recording(i)) {
+      net.add_nodes<testing::RecordingEndpoint>(slot[i], 1);
     } else {
-      nodes.push_back(&net.add_node<testing::DriverEndpoint>());
+      net.add_nodes<testing::DriverEndpoint>(slot[i], 1);
+    }
+  }
+  const ChannelSpec& spec = util::intern(ChannelSpec{
+      {.delay_fwd = 5, .delay_ack = 5, .length = 100.0}, ChannelClass::kOther});
+  for (std::size_t i = 0; i < 10; i += 2) net.add_channels(spec, 1, false);
+  net.reserve_channels();
+
+  std::vector<Node*> nodes;
+  std::vector<Channel*> channels;
+  for (std::size_t i = 0; i < slot.size(); ++i) {
+    if (recording(i)) {
+      nodes.push_back(&net.place_node<testing::RecordingEndpoint>(slot[i], 0));
+    } else {
+      nodes.push_back(&net.place_node<testing::DriverEndpoint>(slot[i], 0));
     }
   }
   for (std::size_t i = 0; i < 10; i += 2) {
-    channels.push_back(&net.add_channel(
-        {.delay_fwd = 5, .delay_ack = 5, .length = 100.0}, ChannelClass::kOther,
-        *nodes[i + 1], 0, *nodes[i], 0));
+    channels.push_back(&net.place_channel(channels.size(), spec,
+                                          *nodes[i + 1], 0, *nodes[i], 0));
   }
   EXPECT_EQ(std::vector<Node*>(net.nodes().begin(), net.nodes().end()),
             nodes);
@@ -375,8 +394,8 @@ TEST(ChannelLayoutTest, OnlyRowCrossingMeshHopsArePipes) {
            channel.downstream()->partition();
   });
   EXPECT_EQ(pipes, 2u * 3 * (5 - 1));
-  // add_channel() appends to whichever pool a link's layout picks, so the
-  // runs alternate; placed_channel() still finds each one.
+  // add_channels() declares each link in the pool its layout picks, so
+  // the runs alternate; placed_channel() still finds each one.
   EXPECT_GT(net.channels().runs(), 2u);
   std::size_t i = 0;
   for (const Channel* channel : net.channels()) {

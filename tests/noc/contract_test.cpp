@@ -2,6 +2,7 @@
 // than silently corrupting simulation state.
 #include <gtest/gtest.h>
 
+#include "../support/pair_network.h"
 #include "../support/test_nodes.h"
 #include "noc/channel.h"
 #include "noc/network.h"
@@ -62,16 +63,28 @@ TEST(ContractDeathTest, CrossPartitionWireAborts) {
   // count or ring. Network never builds one; a hand-made one dies.
   Network net;
   net.enable_partitions(2, 10);
-  net.set_build_partition(0);
-  auto& up = net.add_node<DriverEndpoint>();
+  net.reserve_nodes<DriverEndpoint>(NodeKind::kSource, 2);
+  auto& up = net.place_node<DriverEndpoint>(0, 0);
   const ChannelSpec spec{{.delay_fwd = 10, .delay_ack = 10, .length = 0}};
   WireChannel wire(spec);
   wire.connect_upstream(up, 0);
   EXPECT_DEATH(wire.make_cross_partition(0), "precondition");
   PipeChannel pipe(spec);
-  pipe.connect_upstream(net.add_node<DriverEndpoint>(), 0);
+  pipe.connect_upstream(net.place_node<DriverEndpoint>(1, 0), 0);
   pipe.make_cross_partition(0);
   EXPECT_TRUE(pipe.cross_partition());
+}
+
+TEST(ContractDeathTest, CrossChannelBelowLookaheadAborts) {
+  // A cross channel faster than the declared lookahead would deliver mail
+  // inside the window that sent it. Builders derive the lookahead from
+  // their cross links, so placing a faster one is a programming error.
+  Network net;
+  net.enable_partitions(2, 50);
+  EXPECT_DEATH(specnoc::testing::build_pair(
+                   net, {.delay_fwd = 10, .delay_ack = 10, .length = 0},
+                   ChannelClass::kOther, 0, 0, 10, 1),
+               "precondition");
 }
 
 TEST(ContractDeathTest, SchedulerNegativeDelayAborts) {

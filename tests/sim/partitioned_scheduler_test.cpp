@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "../support/pair_network.h"
 #include "../support/test_nodes.h"
 #include "core/mot_network.h"
 #include "mesh/mesh_network.h"
@@ -216,37 +217,22 @@ TEST(PartitionedNetworkTest, MoreLanesThanChannelsStoreIsAConfigError) {
   EXPECT_FALSE(net.partitioned());
 }
 
-TEST(PartitionedNetworkTest, CrossChannelBelowLookaheadIsAConfigError) {
-  noc::Network net;
-  net.enable_partitions(2, 50);
-  auto& src = net.add_node<noc::SourceNode>(0, 0);
-  net.set_build_partition(1);
-  auto& sink = net.add_node<noc::SinkNode>(0, 10);
-  EXPECT_THROW(net.add_channel({.delay_fwd = 10, .delay_ack = 10,
-                                .length = 0},
-                               noc::ChannelClass::kOther, src, 0, sink, 0),
-               ConfigError);
-}
-
 TEST(PartitionedNetworkTest, CrossChannelDeliversEndToEnd) {
   noc::Network net;
   net.enable_partitions(2, 50);
-  auto& src = net.add_node<noc::SourceNode>(0, 0);
-  net.set_build_partition(1);
-  auto& sink = net.add_node<noc::SinkNode>(7, 20);
-  net.register_source(src);
-  net.register_sink(sink);
-  net.add_channel({.delay_fwd = 60, .delay_ack = 60, .length = 0},
-                  noc::ChannelClass::kOther, src, 0, sink, 0);
+  const auto pair = testing::build_pair(
+      net, {.delay_fwd = 60, .delay_ack = 60, .length = 0},
+      noc::ChannelClass::kOther, 0, 7, 20, 1);
   ASSERT_TRUE(net.partitioned());
+  ASSERT_TRUE(pair.channel.cross_partition());
 
   const noc::Message& msg =
       net.packets().create_message(0, noc::DestSet::single(7), 0, true);
   const noc::Packet& pkt =
       net.packets().create_packet(msg, noc::DestSet::single(7), 3);
-  src.enqueue_packet(pkt);
+  pair.source.enqueue_packet(pkt);
   net.run();
-  EXPECT_EQ(sink.flits_consumed(), 3u);
+  EXPECT_EQ(pair.sink.flits_consumed(), 3u);
 }
 
 TEST(PartitionedNetworkTest, MotZeroWireDelayFallsBackToSequential) {
